@@ -2,25 +2,36 @@
 Virasoro algebra, its quasi-superconformal cousin with two weight-3/2
 bosonic currents, their (possibly non-canonical) ghost sectors, and the
 checks relating the two ghost systems.
+
+The tables themselves are the bundled definition files ``data/*.alg``;
+the builders here load them with the requested parameter values bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from importlib import resources
 
 from .analysis import substitute_expr
 from .engine import OpeContext
-from .fields import FieldError, FieldExpr, GeneratorDecl, Monomial, OpeAlgebra
+from .fields import FieldExpr, Monomial, OpeAlgebra
+from .parsing import parse_algebra_file
 from .scalars import RationalFunction as RF
 
 A2_MODES = ("exchange-consistent", "as-printed")
 
 
-def _pval(value, name):
-    """A parameter value: symbolic when None, else an exact rational."""
-    if value is None:
-        return RF.var(name), True
-    return RF.const(Fraction(value)), False
+def bundled_text(stem: str, kind: str) -> str:
+    """Contents of the bundled definition file ``data/STEM.KIND``."""
+    return resources.files("wbrst").joinpath("data", f"{stem}.{kind}") \
+        .read_text(encoding="utf-8")
+
+
+def load_bundled(stem: str, **values) -> OpeAlgebra:
+    """The bundled table ``data/STEM.alg`` with each parameter given a
+    value bound to it; a parameter given None stays symbolic."""
+    bindings = {p: v for p, v in values.items() if v is not None}
+    return parse_algebra_file(bundled_text(stem, "alg"), bindings)
 
 
 def _gen(alg, name):
@@ -51,68 +62,14 @@ def w3(c=None, a2_mode="exchange-consistent") -> OpeAlgebra:
     """
     if a2_mode not in A2_MODES:
         raise ValueError(f"a2_mode must be one of {A2_MODES}")
-    cc, symbolic = _pval(c, "c")
-    alg = OpeAlgebra("w3", [
-        GeneratorDecl("T", Fraction(2)),
-        GeneratorDecl("W", Fraction(3)),
-    ], params=("c",) if symbolic else ())
-    t, w = _gen(alg, "T"), _gen(alg, "W")
-    unit = FieldExpr.unit(alg)
-    scratch = OpeContext(alg)
-    alg.set_ope("T", "T", {4: unit.scaled(cc / RF.const(2)),
-                           2: t.scaled(2), 1: scratch.derivative(t)})
-    alg.set_ope("T", "W", {2: w.scaled(3), 1: scratch.derivative(w)})
-    a = RF.const(32) / (RF.const(22) + RF.const(5) * cc)
-    a1 = (RF.const(3) * cc - RF.const(6)) / (RF.const(44) + RF.const(10) * cc)
-    if a2_mode == "as-printed":
-        a2 = a1 * RF.const(Fraction(2, 9))
-    else:
-        a2 = a1 / RF.const(2) - RF.const(Fraction(1, 12))
-    tt = scratch.normal_product(t, t)
-    d3t = scratch.derivative(t, 3)
-    alg.set_ope("W", "W", {
-        6: unit.scaled(cc / RF.const(3)),
-        4: t.scaled(2),
-        3: scratch.derivative(t),
-        2: scratch.derivative(t, 2).scaled(a1) + tt.scaled(a),
-        1: d3t.scaled(a2) + scratch.derivative(tt).scaled(a / RF.const(2)),
-    })
-    return alg.freeze()
+    return load_bundled("w3" if a2_mode == "exchange-consistent"
+                        else "w3_printed", c=c)
 
 
 def w32(c=None) -> OpeAlgebra:
     """Four bosonic currents of weights 2, 1, 3/2, 3/2 with quadratic
     terms in the product of the two weight-3/2 currents."""
-    cc, symbolic = _pval(c, "c")
-    alg = OpeAlgebra("w32", [
-        GeneratorDecl("T", Fraction(2)),
-        GeneratorDecl("U", Fraction(1)),
-        GeneratorDecl("Gp", Fraction(3, 2)),
-        GeneratorDecl("Gm", Fraction(3, 2)),
-    ], params=("c",) if symbolic else ())
-    t, u = _gen(alg, "T"), _gen(alg, "U")
-    gp, gm = _gen(alg, "Gp"), _gen(alg, "Gm")
-    unit = FieldExpr.unit(alg)
-    sc = OpeContext(alg)
-    one = RF.const(1)
-    alg.set_ope("T", "T", {
-        4: unit.scaled(cc * (RF.const(7) - RF.const(9) * cc)
-                       / (RF.const(2) * (one + cc))),
-        2: t.scaled(2), 1: sc.derivative(t)})
-    alg.set_ope("T", "U", {2: u, 1: sc.derivative(u)})
-    alg.set_ope("T", "Gp", {2: gp.scaled(Fraction(3, 2)), 1: sc.derivative(gp)})
-    alg.set_ope("T", "Gm", {2: gm.scaled(Fraction(3, 2)), 1: sc.derivative(gm)})
-    alg.set_ope("U", "Gp", {1: gp})
-    alg.set_ope("U", "Gm", {1: gm.scaled(-1)})
-    alg.set_ope("U", "U", {2: unit.scaled(cc)})
-    alg.set_ope("Gp", "Gm", {
-        3: unit.scaled((RF.const(2) * cc - RF.const(6) * cc * cc) / (one + cc)),
-        2: u.scaled((RF.const(2) - RF.const(6) * cc) / (one + cc)),
-        1: t.scaled(2)
-           - sc.normal_product(u, u).scaled(RF.const(4) / (one + cc))
-           + sc.derivative(u).scaled((one - RF.const(3) * cc) / (one + cc)),
-    })
-    return alg.freeze()
+    return load_bundled("w32", c=c)
 
 
 # -- ghost sectors ---------------------------------------------------------
@@ -121,64 +78,13 @@ def w32(c=None) -> OpeAlgebra:
 def w3_ghosts(g1=None, g2=None) -> OpeAlgebra:
     """The two-parameter quadratic ghost sector for the spin-(2,3) pair.
     Symbolic parameters by default; g1 = g2 = 0 is the canonical sector."""
-    gv1, s1 = _pval(g1, "g1")
-    gv2, s2 = _pval(g2, "g2")
-    params = tuple(n for n, s in (("g1", s1), ("g2", s2)) if s)
-    alg = OpeAlgebra("w3_ghosts", [
-        GeneratorDecl("bT", Fraction(2), 1, -1),
-        GeneratorDecl("cT", Fraction(-1), 1, 1),
-        GeneratorDecl("bW", Fraction(3), 1, -1),
-        GeneratorDecl("cW", Fraction(-2), 1, 1),
-    ], params=params)
-    unit = FieldExpr.unit(alg)
-    bt, ct = _gen(alg, "bT"), _gen(alg, "cT")
-    bw, cw = _gen(alg, "bW"), _gen(alg, "cW")
-    sc = OpeContext(alg)
-    btcw = sc.normal_product(bt, cw)
-    alg.set_ope("bT", "cT", {1: unit})
-    alg.set_ope("bW", "cW", {1: unit})
-    alg.set_ope("cT", "bW", {
-        2: btcw.scaled(gv1),
-        1: sc.derivative(btcw).scaled(gv2)
-           + sc.normal_product(bt, sc.derivative(cw)).scaled(gv1)})
-    alg.set_ope("cT", "cT", {
-        1: sc.normal_product(sc.derivative(cw), cw).scaled(gv1 + gv2)})
-    alg.set_ope("bW", "bW", {
-        1: sc.normal_product(sc.derivative(bt), bt).scaled(gv1 - gv2)})
-    return alg.freeze()
+    return load_bundled("w3_ghosts", g1=g1, g2=g2)
 
 
 def w32_ghosts(modified=True) -> OpeAlgebra:
     """The fermionic ghost sector for the weight-(2, 1, 3/2, 3/2)
     algebra: the fixed quadratic one, or the canonical one."""
-    alg = OpeAlgebra("w32_ghosts" if modified else "w32_ghosts_canonical", [
-        GeneratorDecl("bT", Fraction(2), 1, -1),
-        GeneratorDecl("cT", Fraction(-1), 1, 1),
-        GeneratorDecl("bU", Fraction(1), 1, -1),
-        GeneratorDecl("cU", Fraction(0), 1, 1),
-        GeneratorDecl("cp", Fraction(-1, 2), 1, 1),
-        GeneratorDecl("bp", Fraction(3, 2), 1, -1),
-        GeneratorDecl("cm", Fraction(-1, 2), 1, 1),
-        GeneratorDecl("bm", Fraction(3, 2), 1, -1),
-    ])
-    unit = FieldExpr.unit(alg)
-    for b, c in (("bT", "cT"), ("bU", "cU"), ("bp", "cp"), ("bm", "cm")):
-        alg.set_ope(b, c, {1: unit})
-    if modified:
-        sc = OpeContext(alg)
-        ct, bu = _gen(alg, "cT"), _gen(alg, "bU")
-        cp, cm = _gen(alg, "cp"), _gen(alg, "cm")
-        ctbu = sc.normal_product(ct, bu)
-        alg.set_ope("bT", "cU", {
-            2: ctbu.scaled(-2),
-            1: sc.normal_product(ct, sc.derivative(bu)).scaled(-4)
-               + sc.normal_product(sc.derivative(ct), bu).scaled(-2)})
-        alg.set_ope("bT", "bT", {
-            1: sc.normal_product(sc.derivative(bu), bu).scaled(-4)})
-        alg.set_ope("cU", "cU", {1: sc.normal_product(cp, cm).scaled(-8)})
-        alg.set_ope("cU", "bp", {1: sc.normal_product(bu, cm).scaled(4)})
-        alg.set_ope("cU", "bm", {1: sc.normal_product(bu, cp).scaled(-4)})
-    return alg.freeze()
+    return load_bundled("w32_ghosts" if modified else "w32_ghosts_free")
 
 
 # -- combined algebras -----------------------------------------------------

@@ -94,12 +94,14 @@ def weight_basis(algebra: OpeAlgebra, weight, parity=None, ghost=None):
 # -- total derivatives -----------------------------------------------------
 
 
-def is_total_derivative(ctx: OpeContext, expr: FieldExpr):
-    """(True, preimage) when expr equals the derivative of some field of
-    one weight less with the same parity and ghost number."""
+def derivative_system(ctx: OpeContext, expr: FieldExpr):
+    """(basis, matrix, rhs): expr is the derivative of sum_m x_m m, with
+    m running over the basis of one weight less and the same parity and
+    ghost number, exactly when matrix @ x = rhs.  Rows run over every
+    monomial of expr and of the derivatives of the basis."""
     alg = ctx.algebra
     if expr.is_zero:
-        return True, FieldExpr.zero(alg)
+        return [], [], []
     w, p, g = expr.weight(), expr.parity(), expr.ghost()
     if w is None or p is None or g is None:
         raise AnalysisError("expression is not homogeneous")
@@ -111,13 +113,17 @@ def is_total_derivative(ctx: OpeContext, expr: FieldExpr):
     target = sorted(target, key=alg.mono_key)
     matrix = [[im.coefficient(t) for im in images] for t in target]
     rhs = [expr.coefficient(t) for t in target]
+    return basis, matrix, rhs
+
+
+def is_total_derivative(ctx: OpeContext, expr: FieldExpr):
+    """(True, preimage) when expr equals the derivative of some field of
+    one weight less with the same parity and ghost number."""
+    basis, matrix, rhs = derivative_system(ctx, expr)
     x = solve(matrix, rhs, RF_ZERO, RF_ONE)
     if x is None:
         return False, None
-    pre = FieldExpr.zero(alg)
-    for m, k in zip(basis, x):
-        pre = pre + FieldExpr(alg, {m: RF_ONE}).scaled(k)
-    return True, pre
+    return True, FieldExpr(ctx.algebra, dict(zip(basis, x)))
 
 
 # -- identities ------------------------------------------------------------

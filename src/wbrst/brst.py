@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebras import bundle, w3, w32, w3_ghosts, w32_ghosts
-from .analysis import (AnalysisError, is_total_derivative, weight_basis)
+from .analysis import derivative_system, weight_basis
 from .fields import FieldExpr, Monomial, OpeAlgebra
 from .linalg import left_nullspace, nullspace, rref, solve, solve_best
 from .scalars import (PoleError, RF_ONE, RF_ZERO, RationalFunction,
@@ -142,32 +142,13 @@ def nilpotency(q: BrstCurrent) -> NilpotencyReport:
     ctx = q.context
     poles = ctx.ope(q.expr, q.expr)
     pole1 = poles.get(1, FieldExpr.zero(q.algebra))
-    ok, pre = is_total_derivative(ctx, pole1)
-    if ok:
-        return NilpotencyReport("nilpotent", poles, FieldExpr.zero(q.algebra), pre)
-    basis, images, target, matrix, rhs = _derivative_system(ctx, pole1)
-    x = solve_best(matrix, rhs, RF_ZERO, RF_ONE)
-    best = FieldExpr.zero(q.algebra)
-    for m, k in zip(basis, x):
-        best = best + FieldExpr(q.algebra, {m: RF_ONE}).scaled(k)
+    basis, matrix, rhs = derivative_system(ctx, pole1)
+    best = FieldExpr(q.algebra, dict(zip(
+        basis, solve_best(matrix, rhs, RF_ZERO, RF_ONE))))
     residual = pole1 - ctx.derivative(best)
+    if residual.is_zero:
+        return NilpotencyReport("nilpotent", poles, residual, best)
     return NilpotencyReport("obstructed", poles, residual, None)
-
-
-def _derivative_system(ctx, expr):
-    alg = ctx.algebra
-    w, p, gh = expr.weight(), expr.parity(), expr.ghost()
-    if w is None or p is None or gh is None:
-        raise AnalysisError("expression is not homogeneous")
-    basis = weight_basis(alg, w - 1, parity=p, ghost=gh)
-    images = [ctx.derivative(FieldExpr(alg, {m: RF_ONE})) for m in basis]
-    target = set(expr.terms)
-    for im in images:
-        target.update(im.terms)
-    target = sorted(target, key=alg.mono_key)
-    matrix = [[im.coefficient(t) for im in images] for t in target]
-    rhs = [expr.coefficient(t) for t in target]
-    return basis, images, target, matrix, rhs
 
 
 # -- critical charge --------------------------------------------------------
@@ -184,8 +165,8 @@ def critical_charge(q: BrstCurrent, param="c"):
     pole1 = ctx.ope(q.expr, q.expr).get(1, FieldExpr.zero(q.algebra))
     if pole1.is_zero:
         return None
-    basis, images, target, matrix, rhs = _derivative_system(ctx, pole1)
-    cokernel = left_nullspace(matrix, len(target), len(basis),
+    basis, matrix, rhs = derivative_system(ctx, pole1)
+    cokernel = left_nullspace(matrix, len(matrix), len(basis),
                               RF_ZERO, RF_ONE)
     obstructions = []
     for y in cokernel:

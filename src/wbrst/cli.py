@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from importlib import resources
 
-from .algebras import w3, w32, w3_ghosts, w32_ghosts
-from .analysis import jacobi_check, substitute_expr, validate_table
+from .algebras import bundled_text
+from .analysis import jacobi_check, validate_table
 from .brst import (BrstError, brst_w3, brst_w32, critical_charge, nilpotency,
                    solve_conventional, unconventional_terms)
-from .fields import FieldError, FieldExpr
+from .fields import FieldError
 from .modes import ModeError, crosscheck_bundle
-from .omega import OmegaAlgebra, build_q, verify_nilpotent
+from .omega import OmegaAlgebra, OmegaError, build_q, verify_nilpotent
 from .parsing import (ParseError, format_field_expr, format_monomial,
                       parse_algebra_file, parse_field_expr, parse_qla_file)
 from .scalars import ScalarError, format_rational
@@ -37,10 +37,14 @@ class InputError(Exception):
     pass
 
 
+# what main reports as bad input (exit 2) rather than a failed check
+BAD_INPUT = (InputError, ParseError, FieldError, ScalarError, ModeError,
+             BrstError, OmegaError, ValueError, OSError)
+
+
 def _read_input(path, kind, a2=None) -> str:
     """Contents of a definition file: a filesystem path, or the name of a
     bundled table (with or without the extension)."""
-    import os
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -48,14 +52,13 @@ def _read_input(path, kind, a2=None) -> str:
     if kind == "alg" and stem == "w3" and a2 == "printed":
         stem = "w3_printed"
     try:
-        res = resources.files("wbrst").joinpath("data", f"{stem}.{kind}")
-        return res.read_text(encoding="utf-8")
+        return bundled_text(stem, kind)
     except (FileNotFoundError, ModuleNotFoundError):
         raise InputError(f"no such file or bundled table: {path}") from None
 
 
-def _load_algebra(path, a2=None):
-    return parse_algebra_file(_read_input(path, "alg", a2=a2))
+def _load_algebra(path, a2=None, bindings=None):
+    return parse_algebra_file(_read_input(path, "alg", a2=a2), bindings)
 
 
 def _load_qla(path):
@@ -146,13 +149,10 @@ def cmd_cft_validate(args) -> int:
     return 0 if not issues else 1
 
 
-def _bindings(pairs, algebra) -> dict:
+def _bindings(pairs) -> dict:
     out = {}
     for item in pairs or ():
         name, _, value = item.partition("=")
-        if name not in algebra.params:
-            raise InputError(f"unknown parameter {name!r}; "
-                             f"table parameters: {', '.join(algebra.params) or 'none'}")
         try:
             out[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -161,14 +161,11 @@ def _bindings(pairs, algebra) -> dict:
 
 
 def cmd_cft_ope(args) -> int:
-    alg = _load_algebra(args.file)
-    binds = _bindings(args.set, alg)
-    a = parse_field_expr(args.a, alg)
-    b = parse_field_expr(args.b, alg)
+    binds = _bindings(args.set)
+    alg = _load_algebra(args.file, bindings=binds)
+    a = parse_field_expr(args.a, alg, bindings=binds)
+    b = parse_field_expr(args.b, alg, bindings=binds)
     poles = alg.context().ope(a, b)
-    if binds:
-        poles = {n: substitute_expr(e, binds) for n, e in poles.items()}
-        poles = {n: e for n, e in poles.items() if not e.is_zero}
     payload = {"file": args.file, "a": args.a, "b": args.b,
                "poles": {str(n): format_field_expr(poles[n])
                          for n in sorted(poles, reverse=True)}}
@@ -339,8 +336,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, ParseError, FieldError, ScalarError, ModeError,
-            BrstError, ValueError, OSError) as err:
+    except BAD_INPUT as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

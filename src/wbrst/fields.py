@@ -152,16 +152,6 @@ class OpeAlgebra:
         return (len(mono.factors),
                 tuple(self.factor_key(f) for f in mono.factors))
 
-    def is_canonical(self, mono: Monomial) -> bool:
-        fs = mono.factors
-        for i in range(len(fs) - 1):
-            ka, kb = self.factor_key(fs[i]), self.factor_key(fs[i + 1])
-            if ka > kb:
-                return False
-            if ka == kb and self.decl(fs[i][0]).parity:
-                return False
-        return True
-
 
 class FieldExpr:
     """A sum of canonical monomials with rational-function coefficients."""

@@ -51,10 +51,10 @@ class OmegaAlgebra:
         p = braid_mat(twist.phi)
         s = braid_mat(data.sigma)
         self.st_mat = p @ s @ p.inverse()
-        st_inv = self.st_mat.inverse()
         ident = Mat.identity(n * n)
         if not (self.st_mat @ self.st_mat - ident).is_zero():
             raise OmegaError("twisted braid matrix is not involutive")
+        st_inv = self.st_mat  # an involution is its own inverse
         st12 = embed(self.st_mat, n, 3, 0)
         st23 = embed(self.st_mat, n, 3, 1)
         if not (st12 @ st23 @ st12 - st23 @ st12 @ st23).is_zero():

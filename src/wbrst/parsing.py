@@ -3,7 +3,8 @@
 Three layers share one tokenizer:
 
 * coefficient expressions -- integers, fractions ``p/q``, parameter names,
-  ``+ - * / ( )`` and ``^`` for powers;
+  ``+ - * / ( )`` and ``^`` for powers; a division by a coefficient that
+  is zero raises PoleError;
 * field expressions -- ``one``, generator names, ``D(x)`` / ``Dk(x)``
   derivatives, right-nested normal products ``N(x,y)``, sums and scalar
   multiples;
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .scalars import MultiPoly, RationalFunction
+from .scalars import PoleError, RationalFunction, param_names
 
 
 class ParseError(Exception):
@@ -34,7 +35,10 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 
 
 class _Tokens:
-    def __init__(self, text, line=None):
+    """Tokens of one line; ``scope`` maps the parameter names a coefficient
+    may use to their values."""
+
+    def __init__(self, text, line, scope):
         self.items = []
         pos = 0
         while pos < len(text):
@@ -52,6 +56,7 @@ class _Tokens:
             pos = m.end()
         self.pos = 0
         self.line = line
+        self.scope = scope
 
     def peek(self):
         if self.pos < len(self.items):
@@ -91,8 +96,15 @@ def _coeff_term(t: _Tokens) -> RationalFunction:
     while t.peek()[:2] in (("op", "*"), ("op", "/")):
         op = t.next()[1]
         y = _coeff_factor(t)
-        x = x * y if op == "*" else x / y
+        x = x * y if op == "*" else _divide(t, x, y)
     return x
+
+
+def _divide(t: _Tokens, x, y) -> RationalFunction:
+    if y.is_zero:
+        loc = f" at line {t.line}" if t.line is not None else ""
+        raise PoleError(f"coefficient divides by zero{loc}")
+    return x / y
 
 
 def _coeff_factor(t: _Tokens) -> RationalFunction:
@@ -118,7 +130,7 @@ def _coeff_factor(t: _Tokens) -> RationalFunction:
             return out
         out = RationalFunction.const(1)
         for _ in range(-n):
-            out = out / x
+            out = _divide(t, out, x)
         return out
     return x
 
@@ -128,10 +140,10 @@ def _coeff_atom(t: _Tokens) -> RationalFunction:
     if tok[0] == "int":
         return RationalFunction.const(int(tok[1]))
     if tok[0] == "name":
-        from .scalars import param_names
-        if tok[1] not in param_names():
+        value = t.scope.get(tok[1])
+        if value is None:
             raise ParseError(f"unknown parameter {tok[1]!r}", t.line, tok[2])
-        return RationalFunction.var(tok[1])
+        return value
     if tok[:2] == ("op", "("):
         x = _coeff_expr(t)
         t.expect("op", ")")
@@ -139,8 +151,11 @@ def _coeff_atom(t: _Tokens) -> RationalFunction:
     raise ParseError(f"unexpected token {tok[1]!r} in coefficient", t.line, tok[2])
 
 
-def parse_coefficient(text: str, line=None) -> RationalFunction:
-    t = _Tokens(text, line)
+def parse_coefficient(text: str, line=None, scope=None) -> RationalFunction:
+    """Parse a coefficient; ``scope`` maps the parameter names it may use
+    to their values, by default every session parameter, symbolic."""
+    t = _Tokens(text, line, _param_scope(param_names()) if scope is None
+                else scope)
     x = _coeff_expr(t)
     if not t.at_end():
         tok = t.peek()
@@ -214,13 +229,23 @@ def _field_atom(t: _Tokens, algebra, ctx=None):
         return ctx.normal_product(left, right)
     if name in algebra.names:
         return FieldExpr.generator(algebra, name)
-    raise ParseError(f"unknown field name {name!r}", t.line, tok[2])
+    raise ParseError(f"unknown field or parameter name {name!r}",
+                     t.line, tok[2])
 
 
-def parse_field_expr(text: str, algebra, line=None, ctx=None):
-    """Parse a field expression; ``ctx`` may supply a scratch context so
-    an algebra under construction is not frozen by the parse."""
-    t = _Tokens(text, line)
+def _param_scope(params, bindings=None) -> dict:
+    """Coefficient scope: each name in ``params`` symbolic, each bound
+    name its exact value."""
+    bound = {p: RationalFunction.const(v) for p, v in (bindings or {}).items()}
+    return {**{p: RationalFunction.var(p) for p in params}, **bound}
+
+
+def parse_field_expr(text: str, algebra, line=None, ctx=None, bindings=None):
+    """Parse a field expression over ``algebra``.  Coefficients may use the
+    algebra's parameters and the names of ``bindings``, the values bound
+    when the table was loaded.  ``ctx`` may supply a scratch context so an
+    algebra under construction is not frozen by the parse."""
+    t = _Tokens(text, line, _param_scope(algebra.params, bindings))
     x = _field_expr(t, algebra, ctx)
     if not t.at_end():
         tok = t.peek()
@@ -267,16 +292,23 @@ def format_field_expr(expr) -> str:
 # -- algebra definition files ----------------------------------------------
 
 
-def parse_algebra_file(text: str):
-    """Build an OpeAlgebra from its definition-file form."""
-    from .fields import GeneratorDecl, OpeAlgebra
-    from .scalars import param_index
+def parse_algebra_file(text: str, bindings=None):
+    """Build an OpeAlgebra from its definition-file form.
 
+    Coefficients may name only the parameters the file declares with
+    ``param``.  ``bindings`` maps declared parameters to exact rationals;
+    a bound parameter is read as that constant while the file is parsed
+    and is not a parameter of the result.  A coefficient whose
+    denominator vanishes at the bound values raises PoleError.
+    """
+    from .engine import OpeContext
+    from .fields import GeneratorDecl, OpeAlgebra
+
+    bindings = bindings or {}
     name = None
     gens = []
-    params = []
-    defs: dict[str, RationalFunction] = {}
-    ope_lines = []
+    declared = []
+    def_lines, ope_lines = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -286,29 +318,37 @@ def parse_algebra_file(text: str):
         if head == "algebra":
             name = rest
         elif head == "param":
-            for p in rest.split():
-                param_index(p)
-                params.append(p)
+            declared.extend(rest.split())
         elif head == "field":
-            parts = rest.split()
-            gname = parts[0]
-            attrs = dict(p.split("=", 1) for p in parts[1:])
-            weight = Fraction(attrs["weight"])
-            parity = {"even": 0, "odd": 1}[attrs.get("parity", "even")]
-            ghost = int(attrs.get("ghost", "0"))
+            gname, *items = rest.split() or [""]
+            attrs = dict(item.partition("=")[::2] for item in items)
+            parity = {"even": 0, "odd": 1}.get(attrs.get("parity", "even"))
+            if not gname or "weight" not in attrs or parity is None:
+                raise ParseError("expected field NAME weight=W "
+                                 "[parity=even|odd] [ghost=G]", lineno)
+            weight = _number(Fraction, attrs["weight"], "weight", lineno)
+            ghost = _number(int, attrs.get("ghost", "0"), "ghost", lineno)
             gens.append(GeneratorDecl(gname, weight, parity, ghost))
         elif head == "def":
-            dname, _, dexpr = rest.partition("=")
-            value = _parse_with_defs(dexpr.strip(), defs, lineno)
-            defs[dname.strip()] = value
+            def_lines.append((lineno, rest))
         elif head == "ope":
             ope_lines.append((lineno, rest))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if name is None:
         raise ParseError("missing 'algebra NAME' header", 1)
-    algebra = OpeAlgebra(name, gens, params=tuple(params))
-    from .engine import OpeContext
+    for p in bindings:
+        if p not in declared:
+            raise ParseError(f"unknown parameter {p!r}; table parameters: "
+                             f"{', '.join(declared) or 'none'}")
+    params = tuple(p for p in declared if p not in bindings)
+    scope = _param_scope(params, bindings)
+    defs: dict[str, RationalFunction] = {}
+    for lineno, rest in def_lines:
+        dname, _, dexpr = rest.partition("=")
+        defs[dname.strip()] = parse_coefficient(
+            _substitute_defs(dexpr.strip(), defs), lineno, scope)
+    algebra = OpeAlgebra(name, gens, params=params)
     scratch = OpeContext(algebra)
     for lineno, rest in ope_lines:
         headpart, _, body = rest.partition(":")
@@ -321,17 +361,21 @@ def parse_algebra_file(text: str):
         if body:
             for chunk in body.split(";"):
                 n_str, _, expr_str = chunk.partition("->")
-                n = int(n_str.strip())
+                n = _number(int, n_str.strip(), "pole order", lineno)
                 expr_str = _substitute_defs(expr_str.strip(), defs)
                 poles[n] = parse_field_expr(expr_str, algebra, lineno,
-                                            ctx=scratch)
+                                            ctx=scratch, bindings=bindings)
         algebra.set_ope(a, b, poles)
     algebra.freeze()
     return algebra
 
 
-def _parse_with_defs(expr: str, defs, lineno) -> RationalFunction:
-    return parse_coefficient(_substitute_defs(expr, defs), lineno)
+def _number(kind, text, what, lineno):
+    """``kind(text)`` for int or Fraction, or a ParseError naming ``what``."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{what} {text!r} is not a number", lineno) from None
 
 
 def _substitute_defs(expr: str, defs) -> str:
@@ -379,6 +423,7 @@ def parse_qla_file(text: str):
     c_entries = {}
     phi_mode = None
     phi_entries = {}
+    phi_line = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -386,9 +431,13 @@ def parse_qla_file(text: str):
         parts = line.split()
         head = parts[0]
         if head == "dim":
-            n = int(parts[1])
+            n = _number(int, " ".join(parts[1:]), "dim", lineno)
+            if n < 1:
+                raise ParseError("dim must be positive", lineno)
         elif head == "parities":
             mapping = {"e": 0, "even": 0, "o": 1, "odd": 1}
+            if any(p not in mapping for p in parts[1:]):
+                raise ParseError("parities are e, even, o or odd", lineno)
             parities = [mapping[p] for p in parts[1:]]
         elif (head in ("sigma", "c", "phi") and "=" in line
               and all(p.isdigit() for p in line.partition("=")[0].split()[1:])
@@ -412,8 +461,10 @@ def parse_qla_file(text: str):
                     raise ParseError("phi needs 4 indices", lineno)
                 i, j, k, l = idx
                 phi_entries[(k, l, i, j)] = coeff
+                phi_line = lineno
         elif head == "phi":
-            phi_mode = parts[2] if parts[1] == "=" else parts[1]
+            phi_mode = " ".join(p for p in parts[1:] if p != "=")
+            phi_line = lineno
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if n is None:
@@ -434,5 +485,8 @@ def parse_qla_file(text: str):
     elif phi_mode is None:
         phi = super_permutation(tuple(parities))
     else:
-        raise ParseError(f"unknown phi mode {phi_mode!r}", 1)
-    return data, twist_from_phi(phi)
+        raise ParseError(f"unknown phi mode {phi_mode!r}", phi_line)
+    try:
+        return data, twist_from_phi(phi)
+    except ZeroDivisionError:
+        raise ParseError("phi is singular", phi_line) from None

@@ -19,8 +19,6 @@ from functools import lru_cache
 
 import sympy
 
-BigRational = Fraction
-
 _PARAMS: list[str] = []
 _PARAM_INDEX: dict[str, int] = {}
 _SYMBOLS: list[sympy.Symbol] = []

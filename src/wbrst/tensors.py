@@ -132,13 +132,6 @@ class Mat:
     def __eq__(self, other):
         return (isinstance(other, Mat) and (self - other).is_zero())
 
-    def transpose(self) -> "Mat":
-        out = {}
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                out.setdefault(c, {})[r] = v
-        return Mat(self.ncols, self.nrows, out)
-
     def inverse(self) -> "Mat":
         """Dense Gaussian inverse; raises on singular input."""
         assert self.nrows == self.ncols
@@ -293,11 +286,6 @@ class QlaData:
     sigma: Tensor
     c: Tensor
 
-    @staticmethod
-    def from_structure_constants(n, parities, c_entries, sigma=None):
-        sigma = sigma if sigma is not None else super_permutation(parities)
-        return QlaData(n, tuple(parities), sigma, Tensor(3, n, c_entries))
-
 
 @dataclass
 class TwistData:
@@ -329,10 +317,6 @@ class AxiomReport:
     @property
     def all_pass(self) -> bool:
         return all(not v for v in self.residuals.values())
-
-    @property
-    def failures(self):
-        return sorted(name for name, v in self.residuals.items() if v)
 
 
 # -- axiom checks ----------------------------------------------------------
@@ -580,13 +564,6 @@ def higher_phi_mat(phi: Tensor, m: int) -> Mat:
         for j in range(top):
             out = out @ emb[j]
     return out
-
-
-def higher_phi(phi: Tensor, i: int, j: int) -> Mat:
-    """phi_{i,...,j} on the (j - i + 1)-factor space (1-based labels)."""
-    if j <= i:
-        raise ValueError("need j > i")
-    return higher_phi_mat(phi, j - i + 1)
 
 
 def check_proof_identities(sigma: Tensor, c: Tensor, phi: Tensor) -> AxiomReport:

@@ -148,3 +148,74 @@ def test_json_output_is_deterministic(capsys):
     _, out3, _ = run(capsys, "qla", "check", "lyubashenko", "--json")
     _, out4, _ = run(capsys, "qla", "check", "lyubashenko", "--json")
     assert out3 == out4
+
+
+def _no_traceback(code, err):
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("cft", "brst", "w3", "--c=-22/5"),
+    ("cft", "brst", "w32", "--c=-1"),
+    ("cft", "ope", "w3", "T", "T", "--set", "c=-22/5"),
+])
+def test_value_at_a_table_pole_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    _no_traceback(code, err)
+    assert out == ""
+
+
+def test_division_by_zero_in_a_user_table(tmp_path, capsys):
+    f = tmp_path / "pole.alg"
+    f.write_text("algebra pole\nfield T weight=2\n"
+                 "ope T T : 4 -> (1/0)*one ; 2 -> 2*T ; 1 -> D(T)\n")
+    code, _, err = run(capsys, "cft", "validate", str(f))
+    _no_traceback(code, err)
+    assert "line 3" in err
+
+
+def test_undeclared_parameter_is_bad_input(tmp_path, capsys):
+    f = tmp_path / "undeclared.alg"
+    f.write_text("algebra v\nfield T weight=2\n"
+                 "ope T T : 4 -> (c/2)*one ; 2 -> 2*T ; 1 -> D(T)\n")
+    code, _, err = run(capsys, "cft", "validate", str(f))
+    _no_traceback(code, err)
+    assert "parameter name 'c'" in err
+
+
+def test_parameters_do_not_leak_between_files(tmp_path, capsys):
+    first = tmp_path / "first.alg"
+    first.write_text("algebra first\nparam k\nfield T weight=2\n"
+                     "ope T T : 4 -> (k/2)*one ; 2 -> 2*T ; 1 -> D(T)\n")
+    second = tmp_path / "second.alg"
+    second.write_text(first.read_text().replace("param k\n", "")
+                      .replace("first", "second"))
+    code, _, _ = run(capsys, "cft", "validate", str(first))
+    assert code == 0
+    code, _, err = run(capsys, "cft", "validate", str(second))
+    _no_traceback(code, err)
+    assert "parameter name 'k'" in err
+
+
+def _mutated_qla(tmp_path, name, old, new):
+    from conftest import read_data
+    text = read_data(f"{name}.qla")
+    assert old in text
+    path = tmp_path / f"{name}-mutated.qla"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, old, new", [
+    # sigma^{11}_{11} raised from 1 to 2: no longer involutive
+    ("so3", "sigma 1 1 1 1 = 1", "sigma 1 1 1 1 = 2"),
+    # sigma^{22}_{22} raised from -1 to 0: singular, so not involutive
+    ("super_ef", "sigma 2 2 2 2 = -1", "sigma 2 2 2 2 = 0"),
+])
+def test_qla_brst_outside_the_omega_domain(tmp_path, capsys, name, old, new):
+    path = _mutated_qla(tmp_path, name, old, new)
+    code, out, err = run(capsys, "qla", "brst", path)
+    _no_traceback(code, err)
+    assert "involutive" in err

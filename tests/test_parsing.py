@@ -4,6 +4,7 @@ and error reporting."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ALG_FILES, QLA_FILES, load_alg, read_data
 from wbrst.fields import FieldExpr
@@ -141,3 +142,85 @@ def test_def_substitution():
     pole4 = alg.table_entry("T", "T")[0][4]
     from wbrst.fields import UNIT
     assert pole4.terms[UNIT] == RF.var("c") / 2
+
+
+def test_bindings_are_constants_at_parse_time():
+    alg = parse_algebra_file(read_data("w3.alg"), {"c": 100})
+    assert alg.params == ()
+    pole6 = alg.table_entry("W", "W")[0][6]
+    from wbrst.fields import UNIT
+    assert pole6.terms[UNIT] == RF.const(Fraction(100, 3))
+
+
+def test_binding_an_undeclared_parameter_rejected():
+    with pytest.raises(ParseError, match="unknown parameter 'zeta'"):
+        parse_algebra_file(read_data("w3.alg"), {"zeta": 1})
+
+
+def test_coefficient_at_a_pole_raises_pole_error():
+    from wbrst.scalars import PoleError
+    with pytest.raises(PoleError, match="line 7"):
+        parse_algebra_file(read_data("w3.alg"), {"c": Fraction(-22, 5)})
+
+
+@pytest.mark.parametrize("text, line", [
+    ("algebra x\nfield A\n", 2),
+    ("algebra x\nfield A weight=2 parity=weird\n", 2),
+    ("algebra x\nfield A weight=1/0\n", 2),
+    ("algebra x\nfield A weight=2\nope A A : x -> one\n", 3),
+])
+def test_algebra_file_faults_name_the_line(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file(text)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text, line", [
+    ("dim 2\nparities even bogus\n", 2),
+    ("dim 2\nsigma 1 1 1 1 = 1\nsigma 2 2 2 2 = 1\n"
+     "phi 1 1 1 1 = 1\nphi 1 2 1 2 = 1\n", 5),
+    ("dim\n", 1),
+])
+def test_qla_file_faults_name_the_line(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_qla_file(text)
+    assert exc.value.line == line
+
+
+def _lines(heads, tokens):
+    line = st.builds(lambda head, rest: " ".join((head, *rest)),
+                     st.sampled_from(heads),
+                     st.lists(st.sampled_from(tokens), max_size=8))
+    return st.lists(line, max_size=8).map("\n".join)
+
+
+_ALG_TEXT = _lines(
+    ("algebra", "algebra", "param", "field", "def", "ope", "frobnicate"),
+    ("T", "W", "c", "k", "0", "1", "3/2", "1/0", "+", "-", "*", "/", "^",
+     "(", ")", ":", ";", "->", ",", "=", "one", "D(T)", "D2(W)", "N(T,W)",
+     "N(", "weight=2", "weight=", "weight=1/0", "parity=odd",
+     "parity=weird", "ghost=1", "ghost=x"))
+_QLA_TEXT = _lines(
+    ("dim", "parities", "sigma", "c", "phi", "frobnicate"),
+    ("0", "1", "2", "3", "=", "-1", "1/2", "1/0", "c", "e", "odd", "bogus",
+     "superperm", "sigma", "explicit"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ALG_TEXT, st.sampled_from(({}, {"c": 0}, {"c": Fraction(-22, 5)})))
+def test_algebra_parser_raises_only_bad_input(text, bindings):
+    from wbrst.cli import BAD_INPUT
+    try:
+        parse_algebra_file(text, bindings)
+    except BAD_INPUT:
+        pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(_QLA_TEXT)
+def test_qla_parser_raises_only_bad_input(text):
+    from wbrst.cli import BAD_INPUT
+    try:
+        parse_qla_file(text)
+    except BAD_INPUT:
+        pass
