@@ -4,18 +4,28 @@ Independent cross-validation of the operator product engine: composite
 fields are expanded into Laurent modes acting on explicit states, the
 singular products are reconstructed from mode commutators, and the
 resulting matrices are compared entry by entry with the engine output.
-All arithmetic is exact over Fraction; parameterized tables must be
-specialized to numbers before they reach the oracle.
+All arithmetic is exact; parameterized tables must be specialized to
+numbers before they reach the oracle.
+
+Inside a slice the work is done on integers.  A mode m of a field of
+weight h is labelled by its offset n = m + h, so creation modes are the
+offsets n <= 0 and a derivative's prefactor is an integer product.  A
+state is an int bitmask over the creation modes: the fields sit in
+``op_key`` order from the highest bits down, and the offset n of field f
+is bit ``base[f] - n``, so a bit above another belongs to an operator
+further left.  The fermion sign of a mode application is then the
+parity of the popcount above its bit.  The public functions take and
+return the tuple states of ``FockSlice.basis``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, floor, lcm
 
-from .fields import FieldExpr, Monomial, UNIT
-from .linalg import solve
+from .fields import FieldExpr, Monomial
+from .linalg import left_nullspace, rref
 
 
 class ModeError(Exception):
@@ -53,6 +63,8 @@ class FockSlice:
     def __init__(self, systems, level, excite=None):
         self.systems = tuple(systems)
         self.level = Fraction(level)
+        if self.level < 0:
+            raise ModeError(f"slice level must be at least 0, not {level}")
         names = {}
         for i, s in enumerate(self.systems):
             for kind, name in enumerate((s.b, s.c)):
@@ -60,17 +72,23 @@ class FockSlice:
                     raise ModeError(f"duplicate field name {name!r}")
                 names[name] = (i, kind, s.weight(name))
         self._names = names
-        self._conj = {}
-        for s in self.systems:
-            self._conj[s.b] = s.c
-            self._conj[s.c] = s.b
         if excite is None:
             excite = self.systems
         self.excite = tuple(excite)
         self.basis = self._enumerate()
         self.index = {s: i for i, s in enumerate(self.basis)}
         self._lmin = self.min_level()
-        self._cache = {}
+        # field f = 2 * system + kind is op_key order, and f ^ 1 is the
+        # conjugate field; weights and levels are scaled by _den to ints
+        self._fields = list(names)
+        weights = [names[n][2] for n in self._fields]
+        self._den = lcm(*(h.denominator for h in weights))
+        self._dh = [int(h * self._den) for h in weights]
+        self._lvs = [self._excess(self.level_of(st)) for st in self.basis]
+        self._plans = {}
+        self._exprs = {}
+        self._cap = -1
+        self._fit(self.level)
 
     def weight(self, name) -> Fraction:
         try:
@@ -129,38 +147,157 @@ class FockSlice:
                                  tuple(self.op_key(o) for o in st)))
         return out
 
-    # -- single mode application -------------------------------------------
-
     def apply_op(self, op, state):
-        """X_m applied to one basis state; returns {state: Fraction}."""
+        """X_m applied to one state; returns {state: Fraction}."""
         name, m = op
-        h = self.weight(name)
-        if (m + h) != int(m + h):
+        n = m + self.weight(name)
+        if n != int(n):
             return {}
-        out = {}
-        sign = 1
-        conj = self._conj[name]
-        for i, o in enumerate(state):
-            if o[0] == conj and o[1] + m == 0:
-                rest = state[:i] + state[i + 1:]
-                out[rest] = out.get(rest, 0) + sign
-            sign = -sign
-        if self.is_creation(op):
-            key = self.op_key(op)
-            idx = 0
-            dup = False
-            for o in state:
-                k = self.op_key(o)
-                if k == key:
-                    dup = True
-                    break
-                if k < key:
-                    idx += 1
-            if not dup:
-                new = state[:idx] + (op,) + state[idx:]
-                s = -1 if idx % 2 else 1
-                out[new] = out.get(new, 0) + s
-        return {k: Fraction(v) for k, v in out.items() if v}
+        lvl = self.level_of(state)
+        self._fit(max(lvl, lvl - m))
+        hit = self._op(self._field(name), int(n), self._mask(state))
+        return {self._tuple(hit[0]): Fraction(hit[1])} if hit else {}
+
+    # -- the integer encoding ----------------------------------------------
+
+    def _field(self, name):
+        self.weight(name)  # a name outside the slice raises ModeError
+        i, kind, _ = self._names[name]
+        return 2 * i + kind
+
+    def _excess(self, level):
+        """_den times the height of ``level`` above the lowest level."""
+        return floor(self._den * (level - self._lmin))
+
+    def _fit(self, level):
+        """Widen the encoding to hold every state of level at most
+        ``level``.  Widening renumbers the states, so it re-encodes the
+        basis and empties the mode tables."""
+        cap = self._excess(level)
+        if cap <= self._cap:
+            return
+        self._cap = cap
+        # a state holding field f's offset -k has a level of at least
+        # lmin + h_f + k, so k <= (cap - den * h_f) // den
+        self._width = [max((cap - dh) // self._den + 1, 1) for dh in self._dh]
+        self._base = [sum(self._width[f + 1:]) for f in range(len(self._dh))]
+        self._states = [self._mask(st) for st in self.basis]
+        self._tuples = {}
+        for plan in self._plans.values():
+            plan.memo.clear()
+        for parts in self._exprs.values():
+            for ex in parts:
+                ex.table.clear()
+
+    def _mask(self, state):
+        s = 0
+        for name, m in state:
+            f = self._field(name)
+            k = -(m + self.weight(name))
+            if k < 0 or k != int(k):
+                raise ModeError(f"{(name, m)!r} is not a creation mode")
+            if k >= self._width[f]:
+                raise ModeError(f"{(name, m)!r} is outside the slice encoding")
+            s |= 1 << self._base[f] + int(k)
+        return s
+
+    def _tuple(self, s):
+        """The tuple state of a bitmask, in op_key order."""
+        out = self._tuples.get(s)
+        if out is None:
+            ops = []
+            for f, name in enumerate(self._fields):
+                block, h = s >> self._base[f], self._names[name][2]
+                for k in range(self._width[f] - 1, -1, -1):
+                    if block >> k & 1:
+                        ops.append((name, -k - h))
+            out = self._tuples[s] = tuple(ops)
+        return out
+
+    def _op(self, f, n, s):
+        """The mode with offset n of field f on state s: (state, +-1) or
+        None.  A creation mode sets its own bit; an annihilation mode
+        clears the bit of the conjugate creation mode 1 - n."""
+        if n <= 0:
+            if -n >= self._width[f]:
+                raise ModeError("mode outside the slice encoding")
+            bit = self._base[f] - n
+            if s >> bit & 1:
+                return None
+            return s | 1 << bit, -1 if (s >> bit).bit_count() & 1 else 1
+        f ^= 1
+        if n > self._width[f]:
+            return None
+        bit = self._base[f] + n - 1
+        if not s >> bit & 1:
+            return None
+        return s ^ 1 << bit, -1 if (s >> bit + 1).bit_count() & 1 else 1
+
+    def _plan(self, factors):
+        plan = self._plans.get(factors)
+        if plan is None:
+            plan = self._plans[factors] = _Plan(self, factors)
+        return plan
+
+    def _compile(self, x):
+        """A monomial or numeric field expression as one _Expr per
+        weight, shared by every call on this slice."""
+        if isinstance(x, Monomial):
+            terms = ((x.factors, Fraction(1)),)
+        else:
+            terms = tuple(sorted((mono.factors, _const(v))
+                                 for mono, v in x.terms.items()))
+        parts = self._exprs.get(terms)
+        if parts is None:
+            groups = {}
+            for factors, k in terms:
+                groups.setdefault(_mono_weight(self, factors), []).append(
+                    (factors, k))
+            parts = self._exprs[terms] = [
+                _Expr(self, w, group) for w, group in sorted(groups.items())]
+        return parts
+
+
+class _Plan:
+    """A right-nested normal product compiled on a slice: the head factor
+    (field f, derivative order d), den times the weights of the head and
+    of the tail, the sign of moving the head across the tail, the tail's
+    plan (None for a single factor) and ``memo``, which maps (offset,
+    state) to the product's output.  ``reach`` is how far, times den, an
+    application can lift a state above both its input and output levels
+    on the way."""
+
+    __slots__ = ("f", "d", "dha", "dhrest", "sign", "rest", "reach", "memo")
+
+    def __init__(self, slc, factors):
+        (name, self.d), tail = factors[0], factors[1:]
+        self.f = slc._field(name)
+        self.dha = slc._dh[self.f] + slc._den * self.d
+        self.rest = slc._plan(tail) if tail else None
+        self.sign = -1 if len(tail) % 2 else 1
+        self.dhrest = sum(slc._dh[slc._field(n)] + slc._den * d
+                          for n, d in tail)
+        # the head's creation part first lifts the tail's output by up to
+        # -ha, its annihilation part lifts the input by up to ha - 1
+        self.reach = 0 if self.rest is None else (
+            max(0, -self.dha, self.dha - slc._den) + self.rest.reach)
+        self.memo = {}
+
+
+class _Expr:
+    """Terms of one weight of an expression compiled on a slice:
+    ((plan, or None for the unit, int coefficient), ...) over the common
+    denominator ``den``; ``table`` maps (offset, state) to its output."""
+
+    __slots__ = ("weight", "dweight", "terms", "den", "table")
+
+    def __init__(self, slc, weight, group):
+        self.weight = weight
+        self.dweight = int(weight * slc._den)
+        self.den = lcm(*(k.denominator for _, k in group))
+        self.terms = tuple((slc._plan(factors) if factors else None,
+                            int(k * self.den)) for factors, k in group)
+        self.table = {}
 
 
 @dataclass
@@ -191,65 +328,71 @@ class ModeMatrix:
 # -- composite modes -------------------------------------------------------
 
 
-def _mono_weight(slc, mono):
-    return sum((slc.weight(n) + d for n, d in mono.factors), Fraction(0))
+def _add(out, s, v):
+    v += out.get(s, 0)
+    if v:
+        out[s] = v
+    else:
+        del out[s]
 
 
-def _apply_factor(slc, factor, m, state):
-    name, d = factor
-    h = slc.weight(name)
-    coeff = Fraction(1)
+def _prefactor(d, n):
+    """(dA)_m = (-m - h) A_m = -n A_m: the d-th derivative of a field at
+    offset n carries prod(-n - i) for i < d."""
+    k = 1
     for i in range(d):
-        coeff *= -m - h - i
-    if coeff == 0:
-        return {}
-    out = slc.apply_op((name, m), state)
-    return {s: coeff * v for s, v in out.items()}
+        k *= -n - i
+    return k
 
 
-def _apply_mono(slc, factors, m, state):
-    """Mode m of the right-nested normal product of factors, applied to
-    one state.  Uses the standard composite-mode double sum with the
-    first factor split at its weight.  Memoized on the slice."""
-    if not factors:
-        return {state: Fraction(1)} if m == 0 else {}
-    if len(factors) == 1:
-        return _apply_factor(slc, factors[0], m, state)
-    key = (factors, m, state)
-    hit = slc._cache.get(key)
-    if hit is not None:
-        return hit
-    head, rest = factors[0], factors[1:]
-    ha = slc.weight(head[0]) + head[1]
-    sign = -1 if (len(rest) % 2) else 1
-    lmin = slc._lmin
-    lvl = slc.level_of(state)
+def _apply_plan(slc, plan, n, s, lv):
+    """The mode with offset n of a compiled product on state s, whose
+    level is lv / den above the lowest: {state: int}.  Uses the standard
+    composite-mode double sum with the head split at its weight."""
+    f, d, rest = plan.f, plan.d, plan.rest
+    if rest is None:
+        k = _prefactor(d, n - d) if d else 1
+        hit = slc._op(f, n - d, s) if k else None
+        return {hit[0]: k * hit[1]} if hit else {}
+    out = plan.memo.get((n, s))
+    if out is not None:
+        return out
     out = {}
+    op, den = slc._op, slc._den
+    # creation part of the head, offsets j - d for j <= 0, applied after
+    # the tail; the tail's output may not fall below the lowest level
+    for j in range(0, n - (lv + plan.dhrest) // den - 1, -1):
+        k = _prefactor(d, j - d) if d else 1
+        for s1, v1 in _apply_plan(slc, rest, n - j, s, lv).items():
+            hit = op(f, j - d, s1)
+            if hit:
+                _add(out, hit[0], k * hit[1] * v1)
+    # annihilation part of the head, offsets j - d >= 1, goes first with
+    # the exchange sign; it lifts the level by (ha - j)
+    for j in range(d + 1, (lv + plan.dha) // den + 1):
+        hit = op(f, j - d, s)
+        if hit:
+            k = plan.sign * hit[1] * (_prefactor(d, j - d) if d else 1)
+            lv1 = lv + plan.dha - den * j
+            for s2, v2 in _apply_plan(slc, rest, n - j, hit[0], lv1).items():
+                _add(out, s2, k * v2)
+    plan.memo[(n, s)] = out
+    return out
 
-    def acc(target, k):
-        for s, v in target.items():
-            cur = out.get(s, 0) + v * k
-            if cur:
-                out[s] = cur
-            else:
-                out.pop(s, None)
 
-    # creation part of the head: p <= -ha, applied after the tail
-    p = -ha
-    while m - p <= lvl - lmin:
-        mid = _apply_mono(slc, rest, m - p, state)
-        for s, v in mid.items():
-            acc(_apply_factor(slc, head, p, s), v)
-        p -= 1
-    # annihilation part of the head goes first, with the exchange sign
-    p = -ha + 1
-    while p <= lvl - lmin:
-        mid = _apply_factor(slc, head, p, state)
-        for s, v in mid.items():
-            acc(_apply_mono(slc, rest, m - p, s), sign * v)
-        p += 1
-    out = {s: v for s, v in out.items() if v}
-    slc._cache[key] = out
+def _apply(slc, ex, n, s, lv):
+    """The mode with offset n of a compiled expression on state s, as
+    {state: int} over ex.den; tabulated once per slice."""
+    out = ex.table.get((n, s))
+    if out is None:
+        out = {}
+        for plan, k in ex.terms:
+            if plan is not None:
+                for s1, v in _apply_plan(slc, plan, n, s, lv).items():
+                    _add(out, s1, k * v)
+            elif n == 0:
+                _add(out, s, k)
+        ex.table[(n, s)] = out
     return out
 
 
@@ -260,24 +403,34 @@ def _const(v) -> Fraction:
     return v.constant_value()
 
 
+def _reach(slc, x) -> Fraction:
+    monos = [x] if isinstance(x, Monomial) else x.terms
+    return Fraction(max((slc._plan(mono.factors).reach
+                         for mono in monos if mono.factors), default=0),
+                    slc._den)
+
+
+def _mode_level(slc, x, m, level) -> Fraction:
+    """The highest level the mode m of x reaches on states of level at
+    most ``level`` (the bound _fit needs)."""
+    return level + max(0, -m) + _reach(slc, x)
+
+
 def field_modes(x, m, slc: FockSlice) -> ModeMatrix:
     """Matrix of the m-th Laurent mode of a monomial or field expression
     on the slice basis."""
     m = Fraction(m)
-    if isinstance(x, Monomial):
-        terms = {x: Fraction(1)}
-    else:
-        terms = {mono: _const(v) for mono, v in x.terms.items()}
+    parts = slc._compile(x)
+    slc._fit(_mode_level(slc, x, m, slc.level))
+    # a weight-3/2 field has no modes at integer m
+    live = [(ex, int(m + ex.weight)) for ex in parts
+            if (m + ex.weight).denominator == 1]
     cols = {}
-    for state in slc.basis:
+    for state, s, lv in zip(slc.basis, slc._states, slc._lvs):
         col = {}
-        for mono, k in terms.items():
-            for s, v in _apply_mono(slc, mono.factors, m, state).items():
-                cur = col.get(s, 0) + k * v
-                if cur:
-                    col[s] = cur
-                else:
-                    col.pop(s, None)
+        for ex, n in live:
+            for o, v in _apply(slc, ex, n, s, lv).items():
+                _add(col, slc._tuple(o), Fraction(v, ex.den))
         cols[state] = col
     return ModeMatrix(m, cols)
 
@@ -292,6 +445,43 @@ def _gbinom(x: Fraction, j: int) -> Fraction:
     return out / factorial(j)
 
 
+def _samples(ha, max_pole):
+    return [-ha + i - max_pole // 2 for i in range(max_pole + 3)]
+
+
+def _poles_level(slc, a, b, r, max_pole) -> Fraction:
+    """The highest level the commutators of ope_poles_from_modes reach:
+    b_q then a_p, and a_p then b_q, on the basis."""
+    top = slc.level
+    out = top
+    for p in _samples(_expr_weight(slc, a), max_pole):
+        q = r - p
+        out = max(out, _mode_level(slc, a, p, max(top, top - q)),
+                  _mode_level(slc, b, q, max(top, top - p)))
+    return out
+
+
+def _sample_solver(ha, samples, nun):
+    """Factor the sample matrix [binom(p + ha - 1, j)] once.  Returns
+    integer rows that give den times each pole unknown from the right-hand
+    side (free unknowns stay zero), den, and integer rows spanning the
+    matrix's left nullspace: the right-hand side is consistent exactly
+    when each of them is orthogonal to it."""
+    mat = [[_gbinom(p + ha - 1, j) for j in range(nun)] for p in samples]
+    rows = len(samples)
+    unit = [[Fraction(int(i == k)) for k in range(rows)] for i in range(rows)]
+    red, pivots = rref([row + e for row, e in zip(mat, unit)], nun)
+    inverse = {col: row[nun:] for row, col in zip(red, pivots)}
+    den = lcm(*(x.denominator for row in inverse.values() for x in row))
+    inverse = [(col, [int(x * den) for x in row])
+               for col, row in inverse.items()]
+    checks = []
+    for y in left_nullspace(mat, rows, nun, Fraction(0), Fraction(1)):
+        k = lcm(*(x.denominator for x in y))
+        checks.append([int(x * k) for x in y])
+    return inverse, den, checks
+
+
 def ope_poles_from_modes(a, b, r, slc: FockSlice, max_pole=8) -> dict:
     """All pole matrices of the product of a and b at total mode r,
     reconstructed from mode commutators alone.
@@ -304,38 +494,50 @@ def ope_poles_from_modes(a, b, r, slc: FockSlice, max_pole=8) -> dict:
     Returns {n: ModeMatrix} for n = 1 .. max_pole.
     """
     ha = _expr_weight(slc, a)
+    hb = _expr_weight(slc, b)
     pa = _expr_parity(a)
     pb = _expr_parity(b)
     csign = -1 if pa and pb else 1  # graded commutator sign
     r = Fraction(r)
     nun = max_pole
-    samples = [-ha + i - nun // 2 for i in range(nun + 3)]
-    lhs = []
-    for p in samples:
-        q = r - p
-        com = {}
-        for state in slc.basis:
-            col = {}
-            _mat_acc(col, _chain(slc, a, p, b, q, state), Fraction(1))
-            _mat_acc(col, _chain(slc, b, q, a, p, state), Fraction(-csign))
-            com[state] = col
-        lhs.append(com)
+    samples = _samples(ha, nun)
+    (ea,), (eb,) = slc._compile(a), slc._compile(b)
+    slc._fit(_poles_level(slc, a, b, r, nun))
+    den = slc._den
+    coms = []
+    if (r + ha + hb).denominator == 1:  # else every b_q vanishes
+        for p in samples:
+            na = int(p + ha)
+            nb = int(r + ha + hb) - na
+            com = []
+            for s, lv in zip(slc._states, slc._lvs):
+                col = {}
+                lv1 = lv - den * nb + eb.dweight
+                for s1, v1 in _apply(slc, eb, nb, s, lv).items():
+                    for s2, v2 in _apply(slc, ea, na, s1, lv1).items():
+                        _add(col, s2, v1 * v2)
+                lv1 = lv - den * na + ea.dweight
+                for s1, v1 in _apply(slc, ea, na, s, lv).items():
+                    for s2, v2 in _apply(slc, eb, nb, s1, lv1).items():
+                        _add(col, s2, -csign * v1 * v2)
+                com.append(col)
+            coms.append(com)
     # solve column by column for the pole matrices
+    inverse, scale, checks = _sample_solver(ha, samples, nun)
+    scale *= ea.den * eb.den
     poles = {j: {} for j in range(nun)}
-    mat = [[_gbinom(p + ha - 1, j) for j in range(nun)] for p in samples]
-    for state in slc.basis:
-        outs = set()
-        for com in lhs:
-            outs.update(com[state])
-        for o in sorted(outs, key=lambda st: tuple(slc.op_key(x) for x in st)):
-            rhs = [com[state].get(o, Fraction(0)) for com in lhs]
-            x = solve(mat, rhs, Fraction(0), Fraction(1))
-            if x is None:
+    for i, state in enumerate(slc.basis):
+        cols = [com[i] for com in coms]
+        for o in set().union(*cols):
+            rhs = [col.get(o, 0) for col in cols]
+            if any(sum(map(int.__mul__, y, rhs)) for y in checks):
                 raise ModeError("mode commutators need more poles than "
                                 f"max_pole={max_pole}")
-            for j, v in enumerate(x):
+            out = slc._tuple(o)
+            for j, row in inverse:
+                v = sum(map(int.__mul__, row, rhs))
                 if v:
-                    poles[j].setdefault(state, {})[o] = v
+                    poles[j].setdefault(state, {})[out] = Fraction(v, scale)
     return {j + 1: ModeMatrix(r, {s: poles[j].get(s, {}) for s in slc.basis})
             for j in range(nun)}
 
@@ -348,48 +550,14 @@ def ope_from_modes(a, b, n, r, slc: FockSlice, max_pole=8) -> ModeMatrix:
     return ope_poles_from_modes(a, b, r, slc, max_pole=max_pole)[n]
 
 
-def _chain(slc, x2, m2, x1, m1, state):
-    """(x2)_{m2} (x1)_{m1} applied to one state."""
-    first = field_modes_single(slc, x1, m1, state)
-    out = {}
-    for s, v in first.items():
-        for s2, v2 in field_modes_single(slc, x2, m2, s).items():
-            cur = out.get(s2, 0) + v * v2
-            if cur:
-                out[s2] = cur
-            else:
-                out.pop(s2, None)
-    return out
-
-
-def field_modes_single(slc, x, m, state):
-    if isinstance(x, Monomial):
-        return _apply_mono(slc, x.factors, Fraction(m), state)
-    out = {}
-    for mono, v in x.terms.items():
-        k = _const(v)
-        for s, w in _apply_mono(slc, mono.factors, Fraction(m), state).items():
-            cur = out.get(s, 0) + k * w
-            if cur:
-                out[s] = cur
-            else:
-                out.pop(s, None)
-    return out
-
-
-def _mat_acc(col, add, k):
-    for s, v in add.items():
-        cur = col.get(s, 0) + k * v
-        if cur:
-            col[s] = cur
-        else:
-            col.pop(s, None)
+def _mono_weight(slc, factors):
+    return sum((slc.weight(n) + d for n, d in factors), Fraction(0))
 
 
 def _expr_weight(slc, x):
     if isinstance(x, Monomial):
-        return _mono_weight(slc, x)
-    ws = {_mono_weight(slc, m) for m in x.terms}
+        return _mono_weight(slc, x.factors)
+    ws = {_mono_weight(slc, m.factors) for m in x.terms}
     if len(ws) != 1:
         raise ModeError("expression must have a single weight")
     return ws.pop()
@@ -445,40 +613,46 @@ def crosscheck(algebra, pairs, level, excite=None, modes=(0, 1, -1)) -> dict:
     ctx = algebra.context()
     report = {"level": str(slc.level), "states": len(slc.basis),
               "checks": [], "ok": True}
+    jobs = []
     for x, y in pairs:
         xe = x if isinstance(x, FieldExpr) else FieldExpr(algebra, {x: _rf1()})
         ye = y if isinstance(y, FieldExpr) else FieldExpr(algebra, {y: _rf1()})
         engine = ctx.ope(xe, ye)
         top = max(engine, default=0) + 2
-        label = f"[{_label(x)} {_label(y)}]"
         hsum = _expr_weight(slc, xe) + _expr_weight(slc, ye)
         for m0 in modes:
             r = -(hsum - 1) + m0  # on the mode lattice of every pole field
-            try:
-                oracle = ope_poles_from_modes(xe, ye, r, slc, max_pole=top)
-            except ModeError as err:
+            jobs.append((f"[{_label(x)} {_label(y)}]", xe, ye, engine, top, r))
+            # widen the slice before any mode table is filled: widening
+            # empties the tables, and the pairs share them
+            slc._fit(max([_poles_level(slc, xe, ye, r, top)] + [
+                _mode_level(slc, e, r, slc.level) for e in engine.values()]))
+    for label, xe, ye, engine, top, r in jobs:
+        try:
+            oracle = ope_poles_from_modes(xe, ye, r, slc, max_pole=top)
+        except ModeError as err:
+            report["ok"] = False
+            report["checks"].append({"pair": label, "mode": str(r),
+                                     "match": False, "error": str(err)})
+            continue
+        for n in range(1, top + 1):
+            if n in engine:
+                wanted = field_modes(engine[n], r, slc)
+            else:
+                wanted = ModeMatrix(r, {s: {} for s in slc.basis})
+            entry = {"pair": label, "pole": n, "mode": str(r)}
+            diff = oracle[n].first_difference(wanted)
+            if diff is None:
+                entry["match"] = True
+            else:
+                s, o, ov, ev = diff
+                entry["match"] = False
+                entry["state"] = repr(s)
+                entry["output"] = repr(o)
+                entry["oracle"] = str(ov)
+                entry["engine"] = str(ev)
                 report["ok"] = False
-                report["checks"].append({"pair": label, "mode": str(r),
-                                         "match": False, "error": str(err)})
-                continue
-            for n in range(1, top + 1):
-                if n in engine:
-                    wanted = field_modes(engine[n], r, slc)
-                else:
-                    wanted = ModeMatrix(r, {s: {} for s in slc.basis})
-                entry = {"pair": label, "pole": n, "mode": str(r)}
-                diff = oracle[n].first_difference(wanted)
-                if diff is None:
-                    entry["match"] = True
-                else:
-                    s, o, ov, ev = diff
-                    entry["match"] = False
-                    entry["state"] = repr(s)
-                    entry["output"] = repr(o)
-                    entry["oracle"] = str(ov)
-                    entry["engine"] = str(ev)
-                    report["ok"] = False
-                report["checks"].append(entry)
+            report["checks"].append(entry)
     return report
 
 

@@ -301,7 +301,6 @@ def parse_algebra_file(text: str, bindings=None):
     and is not a parameter of the result.  A coefficient whose
     denominator vanishes at the bound values raises PoleError.
     """
-    from .engine import OpeContext
     from .fields import GeneratorDecl, OpeAlgebra
 
     bindings = bindings or {}
@@ -342,13 +341,28 @@ def parse_algebra_file(text: str, bindings=None):
             raise ParseError(f"unknown parameter {p!r}; table parameters: "
                              f"{', '.join(declared) or 'none'}")
     params = tuple(p for p in declared if p not in bindings)
-    scope = _param_scope(params, bindings)
+    algebra = OpeAlgebra(name, gens, params=params)
+    try:
+        _parse_table(algebra, def_lines, ope_lines, bindings)
+    except PoleError as err:
+        at = ", ".join(f"{p}={Fraction(v)}" for p, v in bindings.items())
+        raise PoleError(f"{err} of table {name}" + (f" at {at}" if at else "")) \
+            from None
+    algebra.freeze()
+    return algebra
+
+
+def _parse_table(algebra, def_lines, ope_lines, bindings):
+    """Read the ``def`` and ``ope`` lines of a definition file into
+    ``algebra``."""
+    from .engine import OpeContext
+
+    scope = _param_scope(algebra.params, bindings)
     defs: dict[str, RationalFunction] = {}
     for lineno, rest in def_lines:
         dname, _, dexpr = rest.partition("=")
         defs[dname.strip()] = parse_coefficient(
             _substitute_defs(dexpr.strip(), defs), lineno, scope)
-    algebra = OpeAlgebra(name, gens, params=params)
     scratch = OpeContext(algebra)
     for lineno, rest in ope_lines:
         headpart, _, body = rest.partition(":")
@@ -366,8 +380,6 @@ def parse_algebra_file(text: str, bindings=None):
                 poles[n] = parse_field_expr(expr_str, algebra, lineno,
                                             ctx=scratch, bindings=bindings)
         algebra.set_ope(a, b, poles)
-    algebra.freeze()
-    return algebra
 
 
 def _number(kind, text, what, lineno):
@@ -413,6 +425,7 @@ def parse_qla_file(text: str):
     Index convention in files is 1-based; ``sigma i j k l = coeff`` sets
     the entry with upper indices (k, l) and lower indices (i, j), and
     ``c i j k = coeff`` sets the structure constant with upper index k.
+    The format declares no parameters, so a coefficient is a number.
     """
     from .tensors import (QlaData, Tensor, TwistData, lie_super_twist,
                           super_permutation, twist_from_phi)
@@ -445,7 +458,7 @@ def parse_qla_file(text: str):
             lhs, _, rhs = line.partition("=")
             lparts = lhs.split()
             idx = tuple(int(x) - 1 for x in lparts[1:])
-            coeff = parse_coefficient(rhs.strip(), lineno)
+            coeff = parse_coefficient(rhs.strip(), lineno, {})
             if head == "sigma":
                 if len(idx) != 4:
                     raise ParseError("sigma needs 4 indices", lineno)

@@ -126,6 +126,18 @@ def test_oracle_crosscheck(capsys):
     assert charges == {"bT": "-26", "bW": "-74"}
 
 
+def test_oracle_negative_level_is_bad_input(capsys):
+    code, out, err = run(capsys, "oracle", "crosscheck", "w3_ghosts_free",
+                         "--level=-1")
+    _no_traceback(code, err)
+    assert "level" in err
+    assert out == ""
+    code, payload, _ = run_json(capsys, "oracle", "crosscheck",
+                                "w3_ghosts_free", "--level", "0")
+    assert code == 0
+    assert [s["states"] for s in payload["systems"]] == [2, 2]
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "qla", "check", "no_such_table")
     assert code == 2
@@ -165,6 +177,9 @@ def test_value_at_a_table_pole_is_bad_input(capsys, argv):
     code, out, err = run(capsys, *argv)
     _no_traceback(code, err)
     assert out == ""
+    # cft brst loads two tables: the message names the one at its pole
+    # and the value bound there
+    assert f"of table {argv[2]} at {argv[-1].lstrip('-')}" in err
 
 
 def test_division_by_zero_in_a_user_table(tmp_path, capsys):
@@ -219,3 +234,14 @@ def test_qla_brst_outside_the_omega_domain(tmp_path, capsys, name, old, new):
     code, out, err = run(capsys, "qla", "brst", path)
     _no_traceback(code, err)
     assert "involutive" in err
+
+
+@pytest.mark.parametrize("name", ["g2", "zzz"])
+def test_qla_coefficient_may_not_name_a_parameter(tmp_path, capsys, name):
+    # the .qla format declares no parameters, so a session parameter such
+    # as g2 is as unknown in a coefficient as any other name
+    path = _mutated_qla(tmp_path, "so3", "sigma 1 1 1 1 = 1",
+                        f"sigma 1 1 1 1 = {name}")
+    code, _, err = run(capsys, "qla", "check", path)
+    _no_traceback(code, err)
+    assert f"unknown parameter '{name}'" in err

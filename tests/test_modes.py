@@ -15,6 +15,7 @@ from wbrst.scalars import RF_ONE
 
 
 SYS2 = BcSystem("b", "c", Fraction(2))
+SYS3 = BcSystem("bW", "cW", Fraction(3))
 
 
 def _mono(name, d=0):
@@ -66,6 +67,65 @@ def test_derivative_mode_prefactor():
         assert der.columns == want, m
 
 
+def test_apply_op_fermion_signs_across_two_systems():
+    # the sign is (-1)^(number of operators left of the one removed or
+    # inserted), in op_key order: system, then b before c, then mode
+    slc = FockSlice([SYS2, SYS3], 2)
+    st = (("b", -3), ("c", 0), ("bW", -4))
+    cases = [
+        (("c", 3), (("c", 0), ("bW", -4)), 1),      # removes b_-3, 1st
+        (("b", 0), (("b", -3), ("bW", -4)), -1),    # removes c_0, 2nd
+        (("cW", 4), (("b", -3), ("c", 0)), 1),      # removes bW_-4, 3rd
+        (("b", -4), (("b", -4),) + st, 1),          # inserted 1st
+        (("c", -1), (("b", -3), ("c", -1), ("c", 0), ("bW", -4)), -1),
+        (("bW", -3), st + (("bW", -3),), -1),       # inserted 4th
+        (("cW", -1), st + (("cW", -1),), -1),
+    ]
+    for op, out, sign in cases:
+        assert slc.apply_op(op, st) == {out: sign}, op
+    assert slc.apply_op(("c", 0), st) == {}    # c_0 is already there
+    assert slc.apply_op(("c", 2), st) == {}    # no b_-2 to remove
+
+
+def test_half_integer_weight_field_at_integer_mode_is_zero():
+    slc = FockSlice([BcSystem("bp", "cp", Fraction(3, 2))], 3)
+    st = (("bp", Fraction(-3, 2)),)
+    assert slc.apply_op(("bp", -2), st) == {}
+    assert slc.apply_op(("cp", 1), st) == {}
+    for m in (-2, 0, 1):
+        assert field_modes(_mono("bp"), m, slc).is_zero, m
+        assert field_modes(_mono("cp", 1), m, slc).is_zero, m
+    # at half-integer modes the same fields act
+    assert slc.apply_op(("cp", Fraction(3, 2)), st) == {(): 1}
+    assert field_modes(_mono("bp"), Fraction(-3, 2), slc).columns[()] == {st: 1}
+
+
+def test_modes_beyond_the_slice_level():
+    # b_-12 on the vacuum of a level-0 slice creates a mode far deeper
+    # than any basis state holds
+    slc = FockSlice([SYS2], 0)
+    assert slc.basis == [(), (("c", 0),)]
+    assert field_modes(_mono("b"), -12, slc).columns == {
+        (): {(("b", -12),): 1}, (("c", 0),): {(("b", -12), ("c", 0)): 1}}
+    poles = ope_poles_from_modes(_mono("b"), _mono("c"), 0, slc, max_pole=12)
+    assert poles[1] == _identity(slc)
+    assert all(poles[n].is_zero for n in range(2, 13))
+
+
+def test_negative_level_is_rejected():
+    with pytest.raises(ModeError, match="level"):
+        FockSlice([SYS2], -1)
+    assert len(FockSlice([SYS3], 0).basis) == 2
+
+
+def test_field_outside_the_slice_is_a_mode_error():
+    slc = FockSlice([SYS2], 2)
+    with pytest.raises(ModeError, match="unknown field"):
+        field_modes(Monomial((("b", 0), ("zz", 0))), 0, slc)
+    with pytest.raises(ModeError, match="unknown field"):
+        slc.apply_op(("zz", 0), ())
+
+
 def test_identical_fermion_modes_anticommute():
     # {b_p, b_q} = 0: every reconstructed pole of the self-product of a
     # single antighost vanishes
@@ -115,7 +175,7 @@ def test_crosscheck_levels_agree():
     # the engine/oracle comparison passes at one level and stays exact
     # when the slice is enlarged
     alg = w3_ghosts(0, 0)
-    for level in (2, 4):
+    for level in (2, 4, 6):
         rep = crosscheck_bundle(alg, level)
         assert rep["ok"], [e for e in rep["checks"] if not e.get("match")]
 
