@@ -103,8 +103,8 @@ def cmd_qla_check(args) -> int:
     data, twist = _load_qla(args.file)
     reports = [
         ("axioms", check_qla_axioms(data)),
-        ("twist", check_twist_axioms(data.sigma, twist.phi, data.c)),
-        ("proof", check_proof_identities(data.sigma, data.c, twist.phi)),
+        ("twist", check_twist_axioms(data.sigma, twist, data.c)),
+        ("proof", check_proof_identities(data.sigma, data.c, twist)),
     ]
     checks = _axiom_payload(reports)
     ok = all(e["pass"] for e in checks.values())

@@ -312,10 +312,14 @@ class ModeMatrix:
         return self.mode == other.mode and self.columns == other.columns
 
     def first_difference(self, other):
-        for s in set(self.columns) | set(other.columns):
+        """The first differing entry (state, output, self, other), walking
+        states and outputs in insertion order (states in the slice's basis
+        order), so the entry found does not depend on the hash seed.  The
+        dict merges reuse the stored key hashes."""
+        for s in {**self.columns, **other.columns}:
             a = self.columns.get(s, {})
             b = other.columns.get(s, {})
-            for o in set(a) | set(b):
+            for o in {**a, **b}:
                 if a.get(o, 0) != b.get(o, 0):
                     return (s, o, a.get(o, 0), b.get(o, 0))
         return None

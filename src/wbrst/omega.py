@@ -48,9 +48,7 @@ class OmegaAlgebra:
         self.twist = twist
         self.n = data.n
         n = self.n
-        p = braid_mat(twist.phi)
-        s = braid_mat(data.sigma)
-        self.st_mat = p @ s @ p.inverse()
+        self.st_mat = twist.conjugate(braid_mat(data.sigma))
         ident = Mat.identity(n * n)
         if not (self.st_mat @ self.st_mat - ident).is_zero():
             raise OmegaError("twisted braid matrix is not involutive")

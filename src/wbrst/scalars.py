@@ -10,6 +10,14 @@ so values created before and after a new parameter registration mix freely.
 Canonical form of a ratio: numerator and denominator are coprime integer
 polynomials with joint content 1, and the denominator's leading coefficient
 (graded-lexicographic order) is positive.  Zero is 0/1.
+
+Cancellation of two nonconstant polynomials takes their gcd and cofactors
+in a ``sympy.polys`` ring over QQ on the current parameter universe (one
+ring per universe, built on first use), and a bounded cache keeps the
+results.  The gcd is unique up to a unit, so the canonical form does not
+depend on how it was found.  A constant ``RationalFunction`` also keeps its
+value as one ``Fraction``, so arithmetic on constants never looks at the
+two polynomials.
 """
 
 from __future__ import annotations
@@ -17,11 +25,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-import sympy
+from sympy import Symbol
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyRing
 
 _PARAMS: list[str] = []
 _PARAM_INDEX: dict[str, int] = {}
-_SYMBOLS: list[sympy.Symbol] = []
+# polynomial ring over QQ per parameter universe, for cancellation
+_RINGS: dict[tuple, PolyRing] = {}
 
 
 class ScalarError(Exception):
@@ -39,7 +50,6 @@ def param_index(name: str) -> int:
         idx = len(_PARAMS)
         _PARAM_INDEX[name] = idx
         _PARAMS.append(name)
-        _SYMBOLS.append(sympy.Symbol(name))
     return idx
 
 
@@ -88,12 +98,21 @@ class MultiPoly:
                     self.terms.pop(e, None)
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, terms: dict) -> "MultiPoly":
+        """Wrap ``terms`` already in canonical form: stripped exponent
+        tuples mapped to nonzero Fractions.  The dict is not copied."""
+        p = object.__new__(cls)
+        p.terms = terms
+        p._hash = None
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(value) -> "MultiPoly":
         v = Fraction(value)
-        return MultiPoly({(): v} if v else {})
+        return MultiPoly._trusted({(): v} if v else {})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
@@ -108,7 +127,8 @@ class MultiPoly:
 
     @property
     def is_constant(self) -> bool:
-        return all(e == () for e in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and () in terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -133,15 +153,16 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            cur = out.get(e)
+            s = c if cur is None else cur + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return MultiPoly(out)
+                del out[e]
+        return MultiPoly._trusted(out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -154,18 +175,19 @@ class MultiPoly:
                 a = e1 + (0,) * (w - len(e1))
                 b = e2 + (0,) * (w - len(e2))
                 e = _strip(x + y for x, y in zip(a, b))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                cur = out.get(e)
+                s = c1 * c2 if cur is None else cur + c1 * c2
                 if s:
                     out[e] = s
                 else:
-                    out.pop(e, None)
-        return MultiPoly(out)
+                    del out[e]
+        return MultiPoly._trusted(out)
 
     def scale(self, k) -> "MultiPoly":
         k = Fraction(k)
         if k == 0:
-            return MultiPoly({})
-        return MultiPoly({e: c * k for e, c in self.terms.items()})
+            return MultiPoly._trusted({})
+        return MultiPoly._trusted({e: c * k for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -203,30 +225,6 @@ class MultiPoly:
             out = out + MultiPoly({_strip(rest): coeff})
         return out
 
-    # -- sympy bridge (polynomial gcd only) --------------------------------
-
-    def to_sympy(self):
-        expr = sympy.Integer(0)
-        for e, c in self.terms.items():
-            t = sympy.Rational(c.numerator, c.denominator)
-            for i, k in enumerate(e):
-                if k:
-                    t *= _SYMBOLS[i] ** k
-            expr += t
-        return expr
-
-    @staticmethod
-    def from_sympy(expr) -> "MultiPoly":
-        expr = sympy.expand(expr)
-        out: dict = {}
-        if expr == 0:
-            return MultiPoly({})
-        poly = sympy.Poly(expr, *_SYMBOLS)
-        for monom, coeff in poly.terms():
-            q = sympy.Rational(coeff)
-            out[_strip(monom)] = Fraction(int(q.p), int(q.q))
-        return MultiPoly(out)
-
     # -- plumbing ----------------------------------------------------------
 
     def _key(self):
@@ -242,6 +240,20 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({format_poly(self)})"
+
+
+_POLY_ZERO = MultiPoly._trusted({})
+_POLY_ONE = MultiPoly._trusted({(): Fraction(1)})
+
+
+def _const_polys(v: Fraction):
+    """Canonical numerator and denominator of a constant."""
+    n, d = v.numerator, v.denominator
+    if d == 1:
+        # an integer is its own numerator coefficient
+        return (MultiPoly._trusted({(): v}) if n else _POLY_ZERO), _POLY_ONE
+    return (MultiPoly._trusted({(): Fraction(n)}),
+            MultiPoly._trusted({(): Fraction(d)}))
 
 
 def _joint_content(polys) -> Fraction:
@@ -264,23 +276,46 @@ def _joint_content(polys) -> Fraction:
     return Fraction(g, l)
 
 
-@lru_cache(maxsize=None)
+def _ring() -> PolyRing:
+    names = tuple(_PARAMS)
+    r = _RINGS.get(names)
+    if r is None:
+        # Symbols, not strings: sympy would parse ':' or ',' in a name
+        r = _RINGS[names] = PolyRing([Symbol(n) for n in names], QQ)
+    return r
+
+
+def _to_ring(r: PolyRing, key):
+    pad = (0,) * r.ngens
+    return r.dtype({e + pad[len(e):]: QQ(c.numerator, c.denominator)
+                    for e, c in key})
+
+
+def _from_ring(p) -> MultiPoly:
+    return MultiPoly._trusted({_strip(e): Fraction(c.numerator, c.denominator)
+                               for e, c in p.items()})
+
+
+# Bounded: one pass of the cft benchmark workload makes about 390 distinct
+# cancellations, the whole test suite about 300.  perfbench's tracing
+# rebinds it through ``__wrapped__``.
+@lru_cache(maxsize=1024)
 def _cancel_cached(num_key, den_key):
-    num = MultiPoly(dict(num_key))
-    den = MultiPoly(dict(den_key))
-    expr = sympy.cancel(num.to_sympy() / den.to_sympy())
-    n, d = sympy.fraction(sympy.together(expr))
-    return MultiPoly.from_sympy(n), MultiPoly.from_sympy(d)
+    """Cancel the common factor of two nonconstant polynomials, given as
+    ``MultiPoly._key()`` tuples: their ring cofactors by the gcd."""
+    r = _ring()
+    _, num, den = _to_ring(r, num_key).cofactors(_to_ring(r, den_key))
+    return _from_ring(num), _from_ring(den)
 
 
 def _canonical(num: MultiPoly, den: MultiPoly):
     if den.is_zero:
         raise ZeroDivisionError("rational function with zero denominator")
     if num.is_zero:
-        return MultiPoly({}), MultiPoly.const(1)
+        return _POLY_ZERO, _POLY_ONE
     if num.is_constant and den.is_constant:
         q = num.constant_value() / den.constant_value()
-        return MultiPoly.const(q.numerator), MultiPoly.const(q.denominator)
+        return _const_polys(q)
     if not num.is_constant and not den.is_constant:
         num, den = _cancel_cached(num._key(), den._key())
     content = _joint_content((num, den))
@@ -292,45 +327,56 @@ def _canonical(num: MultiPoly, den: MultiPoly):
 
 
 class RationalFunction:
-    """Normalized ratio of two MultiPolys.  Field operations are exact."""
+    """Normalized ratio of two MultiPolys.  Field operations are exact.
 
-    __slots__ = ("num", "den", "_hash")
+    ``_value`` is the value as a Fraction when the ratio is constant, and
+    None otherwise; the constant branches of the operators read only it.
+    """
+
+    __slots__ = ("num", "den", "_value", "_hash")
 
     def __init__(self, num: MultiPoly, den: MultiPoly = None, _normalized=False):
         if den is None:
-            den = MultiPoly.const(1)
+            den = _POLY_ONE
         if not _normalized:
             num, den = _canonical(num, den)
         self.num = num
         self.den = den
+        self._value = (num.constant_value() / den.constant_value()
+                       if num.is_constant and den.is_constant else None)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(value) -> "RationalFunction":
-        v = Fraction(value)
-        return RationalFunction(
-            MultiPoly.const(v.numerator), MultiPoly.const(v.denominator),
-            _normalized=True)
+        v = value if type(value) is Fraction else Fraction(value)
+        out = object.__new__(RationalFunction)
+        out.num, out.den = _const_polys(v)
+        out._value = v
+        out._hash = None
+        return out
 
     @staticmethod
     def var(name: str) -> "RationalFunction":
-        return RationalFunction(MultiPoly.var(name), MultiPoly.const(1),
+        return RationalFunction(MultiPoly.var(name), _POLY_ONE,
                                 _normalized=True)
 
     # -- predicates --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        # an empty numerator: faster than comparing the Fraction with 0
+        return not self.num.terms
 
     @property
     def is_constant(self) -> bool:
-        return self.num.is_constant and self.den.is_constant
+        return self._value is not None
 
     def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
+        if self._value is None:
+            raise ScalarError("not a constant polynomial")
+        return self._value
 
     # -- arithmetic --------------------------------------------------------
 
@@ -346,8 +392,9 @@ class RationalFunction:
             return other
         if other.is_zero:
             return self
-        if self.is_constant and other.is_constant:
-            return RationalFunction.const(self.constant_value() + other.constant_value())
+        a, b = self._value, other._value
+        if a is not None and b is not None:
+            return RationalFunction.const(a + b)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den,
@@ -356,6 +403,8 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
+        if self._value is not None:
+            return RationalFunction.const(-self._value)
         return RationalFunction(-self.num, self.den, _normalized=True)
 
     def __sub__(self, other):
@@ -368,8 +417,9 @@ class RationalFunction:
         other = self._coerce(other)
         if self.is_zero or other.is_zero:
             return RF_ZERO
-        if self.is_constant and other.is_constant:
-            return RationalFunction.const(self.constant_value() * other.constant_value())
+        a, b = self._value, other._value
+        if a is not None and b is not None:
+            return RationalFunction.const(a * b)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -380,8 +430,9 @@ class RationalFunction:
             raise ZeroDivisionError("division by zero rational function")
         if self.is_zero:
             return RF_ZERO
-        if self.is_constant and other.is_constant:
-            return RationalFunction.const(self.constant_value() / other.constant_value())
+        a, b = self._value, other._value
+        if a is not None and b is not None:
+            return RationalFunction.const(a / b)
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -424,7 +475,7 @@ class RationalFunction:
         return format_rational(self)
 
 
-RF_ZERO = RationalFunction(MultiPoly({}), MultiPoly.const(1), _normalized=True)
+RF_ZERO = RationalFunction(_POLY_ZERO, _POLY_ONE, _normalized=True)
 RF_ONE = RationalFunction.const(1)
 
 

@@ -268,12 +268,9 @@ def lie_super_twist(parities):
     return Tensor(4, n, phi_e), Tensor(4, n, st_e)
 
 
-def sigma_tilde(sigma: Tensor, phi: Tensor) -> Tensor:
+def sigma_tilde(sigma: Tensor, twist: "TwistData") -> Tensor:
     """Twist conjugation sigma_tilde = phi sigma phi^{-1} (written order)."""
-    n = sigma.n
-    p = braid_mat(phi)
-    s = braid_mat(sigma)
-    return mat_to_rank4(p @ s @ p.inverse(), n)
+    return mat_to_rank4(twist.conjugate(braid_mat(sigma)), sigma.n)
 
 
 # -- data bundles ----------------------------------------------------------
@@ -289,13 +286,21 @@ class QlaData:
 
 @dataclass
 class TwistData:
+    """A twist phi with its braid matrix and that matrix's inverse, which
+    is computed once here and shared by every check of the twist."""
     phi: Tensor
-    phi_inverse: Tensor
+    phi_mat: Mat
+    phi_inverse_mat: Mat
+
+    def conjugate(self, braid: Mat) -> Mat:
+        """phi braid phi^{-1} (written order); sigma_tilde for sigma."""
+        return self.phi_mat @ braid @ self.phi_inverse_mat
 
 
 def twist_from_phi(phi: Tensor) -> TwistData:
-    inv = mat_to_rank4(braid_mat(phi).inverse(), phi.n)
-    return TwistData(phi, inv)
+    """Raises ZeroDivisionError when phi is singular."""
+    p = braid_mat(phi)
+    return TwistData(phi, p, p.inverse())
 
 
 @dataclass
@@ -451,14 +456,14 @@ def check_qla_axioms(d: QlaData) -> AxiomReport:
     return rep
 
 
-def check_twist_axioms(sigma: Tensor, phi: Tensor, c: Tensor = None) -> AxiomReport:
+def check_twist_axioms(sigma: Tensor, twist: TwistData,
+                       c: Tensor = None) -> AxiomReport:
     """Residuals of the twist-pair compatibility equations."""
     n = sigma.n
     rep = AxiomReport()
     s = braid_mat(sigma)
-    p = braid_mat(phi)
-    pinv = p.inverse()
-    st = p @ s @ pinv
+    p = twist.phi_mat
+    st = twist.conjugate(s)
 
     s12, s23 = embed(s, n, 3, 0), embed(s, n, 3, 1)
     p12, p23 = embed(p, n, 3, 0), embed(p, n, 3, 1)
@@ -566,14 +571,15 @@ def higher_phi_mat(phi: Tensor, m: int) -> Mat:
     return out
 
 
-def check_proof_identities(sigma: Tensor, c: Tensor, phi: Tensor) -> AxiomReport:
+def check_proof_identities(sigma: Tensor, c: Tensor,
+                           twist: TwistData) -> AxiomReport:
     """The higher-twist, antisymmetrizer and structure-constant identities
     used in the nilpotency proof, on up to four tensor factors."""
     n = sigma.n
     rep = AxiomReport()
     s = braid_mat(sigma)
-    p = braid_mat(phi)
-    st = p @ s @ p.inverse()
+    st = twist.conjugate(s)
+    phi = twist.phi
 
     # phi_{1..m} sigma_{1+k} = sigmatilde_{m-k-1} phi_{1..m}
     for m in (2, 3, 4):

@@ -111,8 +111,8 @@ def test_total_stress_tensor():
 def test_qla_datasets_pass_all_checks(name):
     d, tw = load_qla(name)
     assert check_qla_axioms(d).all_pass
-    assert check_twist_axioms(d.sigma, tw.phi, d.c).all_pass
-    assert check_proof_identities(d.sigma, d.c, tw.phi).all_pass
+    assert check_twist_axioms(d.sigma, tw, d.c).all_pass
+    assert check_proof_identities(d.sigma, d.c, tw).all_pass
     ok, residual = verify_nilpotent(OmegaAlgebra(d, tw))
     assert ok, residual
 
@@ -125,9 +125,9 @@ def test_every_qla_mutation_caught(name):
     def caught(d2):
         if not check_qla_axioms(d2).all_pass:
             return True
-        if not check_twist_axioms(d2.sigma, tw.phi, d2.c).all_pass:
+        if not check_twist_axioms(d2.sigma, tw, d2.c).all_pass:
             return True
-        if not check_proof_identities(d2.sigma, d2.c, tw.phi).all_pass:
+        if not check_proof_identities(d2.sigma, d2.c, tw).all_pass:
             return True
         try:
             ok, _ = verify_nilpotent(OmegaAlgebra(d2, tw))

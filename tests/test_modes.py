@@ -212,6 +212,41 @@ def test_crosscheck_detects_wick_mutation(monkeypatch):
     assert any(e.get("pole") == 4 for e in bad)
 
 
+_MUTATED_CROSSCHECK = """
+import json
+from unittest import mock
+from wbrst.algebras import w3_ghosts
+from wbrst.modes import crosscheck_bundle
+alg = w3_ghosts(0, 0)
+with mock.patch("wbrst.engine.comb", lambda n, k: 1):
+    rep = crosscheck_bundle(alg, 2, modes=(0, 3))
+print(json.dumps([e for e in rep["checks"] if not e.get("match")]))
+"""
+
+
+def test_reported_difference_does_not_depend_on_hash_seed():
+    # states are tuples of strings, so a walk over sets of them would
+    # report a different first entry under each string hash seed
+    import json
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    reports = []
+    for seed in ("1", "2", "3"):
+        path = filter(None, (str(src), os.environ.get("PYTHONPATH")))
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-c", _MUTATED_CROSSCHECK],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=300).stdout
+        reports.append(json.loads(out))
+    assert reports[0], "the mutation must be detected"
+    assert all("state" in e for e in reports[0])
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_systems_from_algebra_rejects_interacting_table():
     from wbrst.algebras import w3
     with pytest.raises(ModeError):

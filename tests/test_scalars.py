@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wbrst import scalars
 from wbrst.scalars import (MultiPoly, PoleError, RationalFunction, RF_ONE,
                            RF_ZERO, format_poly, format_rational, param_index,
-                           rational_roots, rf)
+                           param_names, rational_roots, rf)
 from wbrst.parsing import parse_coefficient
 
 C = RationalFunction.var("c")
@@ -88,3 +90,137 @@ def test_poly_ring_laws(x, y, e):
     assert p * q == q * p
     assert (p + q) - q == p
     assert p * (q + q) == p * q + p * q
+
+
+# -- cancellation against sympy.cancel -------------------------------------
+
+
+def _symbols():
+    return [sympy.Symbol(n) for n in param_names()]
+
+
+def _to_sympy(p: MultiPoly):
+    syms = _symbols()
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(s ** k for s, k in zip(syms, e)))
+                       for e, c in p.terms.items()))
+
+
+def _reference(num: MultiPoly, den: MultiPoly) -> RationalFunction:
+    """num/den cancelled by sympy.cancel, then put in the canonical form
+    (joint content 1, positive leading denominator coefficient in
+    graded-lexicographic order) by hand."""
+    from math import gcd, lcm
+    syms = _symbols()
+    n, d = sympy.fraction(sympy.cancel(_to_sympy(num) / _to_sympy(den)))
+    pn = sympy.Poly(n, *syms, domain="QQ")
+    pd = sympy.Poly(d, *syms, domain="QQ")
+    coeffs = [Fraction(int(q.p), int(q.q))
+              for q in pn.coeffs() + pd.coeffs() if q]
+    content = Fraction(gcd(*(abs(q.numerator) for q in coeffs)),
+                       lcm(*(q.denominator for q in coeffs)))
+    lead = pd.LC(order="grlex")
+    factor = content if lead > 0 else -content
+
+    def poly(p):
+        return MultiPoly({e: Fraction(int(q.p), int(q.q)) / factor
+                          for e, q in p.terms() if q})
+    return RationalFunction(poly(pn), poly(pd), _normalized=True)
+
+
+_exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+_polys = st.dictionaries(_exps, st.integers(-3, 3), min_size=1,
+                         max_size=3).map(MultiPoly)
+_nonzero_polys = _polys.filter(lambda p: not p.is_zero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nonzero_polys, _polys, _nonzero_polys)
+def test_cancellation_matches_sympy_cancel(shared, a, b):
+    # (shared * a) / (shared * b): a common factor to cancel
+    x = RationalFunction(shared * a, shared * b)
+    ref = _reference(shared * a, shared * b)
+    assert x == ref
+    assert format_rational(x) == format_rational(ref)
+
+
+# -- the constant slot -----------------------------------------------------
+
+
+def _check_constant_slot(x: RationalFunction):
+    assert x.is_constant == (x.num.is_constant and x.den.is_constant)
+    if x.is_constant:
+        assert x.constant_value() == (x.num.constant_value()
+                                      / x.den.constant_value())
+    assert x.is_zero == (x.is_constant and x.constant_value() == 0)
+
+
+_rfs = st.one_of(
+    _fracs.map(rf),
+    st.tuples(_polys, _nonzero_polys).map(lambda t: RationalFunction(*t)))
+_points = st.fixed_dictionaries({"c": _fracs, "g1": _fracs, "g2": _fracs})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rfs, _rfs, _points)
+def test_every_operator_keeps_the_constant_slot(x, y, point):
+    results = [x, y, x + y, x - y, x * y, -x, x + 1, 2 - x, x * 3,
+               Fraction(1, 2) * y, x + Fraction(1, 3)]
+    if not y.is_zero:
+        results += [x / y, y.inverse(), 5 / y]
+    for v in (x, y):
+        try:
+            results.append(v.substitute(point))
+        except PoleError:
+            pass
+        else:
+            assert results[-1].is_constant
+    results += [parse_coefficient(format_rational(v)) for v in list(results)]
+    for v in results:
+        _check_constant_slot(v)
+
+
+# -- the parameter universe and the cancel cache ---------------------------
+
+
+def test_new_parameter_widens_the_ring():
+    old = (C * C - G1) / (C + RF_ONE)
+    param_index("scalar_probe")
+    t = RationalFunction.var("scalar_probe")
+    assert scalars._ring().ngens == len(param_names())
+    assert "scalar_probe" in [str(s) for s in scalars._ring().symbols]
+    mixed = (old * (t - G1)) / (t - G1)
+    assert mixed == old
+    y = ((t * C - RF_ONE) * (t + G1)) / ((t * C - RF_ONE) * (G1 - rf(2)))
+    assert y == (t + G1) / (G1 - rf(2))
+    num = (t * C - RF_ONE) * (t + G1) * old
+    den = (t * C - RF_ONE) * (C + G1)
+    x = num / den
+    assert x == _reference(num.num * den.den, num.den * den.num)
+    assert format_rational(x) == format_rational(
+        _reference(num.num * den.den, num.den * den.num))
+
+
+def test_parameter_names_are_taken_literally():
+    # an .alg `param` line registers any token as a name, ':' and ','
+    # included, which sympy.symbols would read as a range or a list
+    for name in (":", ","):
+        param_index(name)
+        t = RationalFunction.var(name)
+        assert (C * t + t) / (t * G1) == (C + RF_ONE) / G1
+        assert scalars._ring().ngens == len(param_names())
+
+
+def test_cancel_cache_is_bounded():
+    cache = scalars._cancel_cached
+    bound = cache.cache_info().maxsize
+    assert bound is not None
+    expected = (G1 + RF_ONE) / (G1 - RF_ONE)
+    cache.cache_clear()
+    for k in range(bound + 10):
+        x = ((C + rf(k)) * (G1 + RF_ONE)) / ((C + rf(k)) * (G1 - RF_ONE))
+        assert x == expected
+    assert cache.cache_info().currsize == bound
+    # the first entries were evicted; computing them again is still right
+    x = ((C + rf(0)) * (G1 + RF_ONE)) / ((C + rf(0)) * (G1 - RF_ONE))
+    assert x == expected

@@ -31,7 +31,7 @@ def test_lie_super_twist_conjugation_identity():
     for parities in ((0, 0), (1,), (0, 1), (1, 1), (0, 1, 1)):
         phi, st = lie_super_twist(parities)
         sigma = super_permutation(parities)
-        assert sigma_tilde(sigma, phi).items() == st.items()
+        assert sigma_tilde(sigma, twist_from_phi(phi)).items() == st.items()
         m = braid_mat(st)
         n = len(parities)
         assert (m @ m - Mat.identity(n * n)).is_zero()
@@ -40,16 +40,16 @@ def test_lie_super_twist_conjugation_identity():
 def test_sigma_tilde_trivial_cases():
     sigma = super_permutation((0, 0, 0))
     ident_phi = super_permutation((0, 0, 0))
-    assert sigma_tilde(sigma, ident_phi).items() == sigma.items()
-    assert sigma_tilde(sigma, sigma).items() == sigma.items()
+    assert sigma_tilde(sigma, twist_from_phi(ident_phi)).items() == sigma.items()
+    assert sigma_tilde(sigma, twist_from_phi(sigma)).items() == sigma.items()
 
 
 @pytest.mark.parametrize("name", QLA_FILES)
 def test_bundled_datasets_pass_all_suites(name):
     d, tw = load_qla(name)
     assert check_qla_axioms(d).all_pass
-    assert check_twist_axioms(d.sigma, tw.phi, d.c).all_pass
-    assert check_proof_identities(d.sigma, d.c, tw.phi).all_pass
+    assert check_twist_axioms(d.sigma, tw, d.c).all_pass
+    assert check_proof_identities(d.sigma, d.c, tw).all_pass
 
 
 def test_qla_axioms_report_witness():
@@ -110,9 +110,9 @@ def _mutation_caught(d2, tw) -> bool:
     and finally the squared ghost differential."""
     if not check_qla_axioms(d2).all_pass:
         return True
-    if not check_twist_axioms(d2.sigma, tw.phi, d2.c).all_pass:
+    if not check_twist_axioms(d2.sigma, tw, d2.c).all_pass:
         return True
-    if not check_proof_identities(d2.sigma, d2.c, tw.phi).all_pass:
+    if not check_proof_identities(d2.sigma, d2.c, tw).all_pass:
         return True
     try:
         ok, _ = verify_nilpotent(OmegaAlgebra(d2, tw))
@@ -151,5 +151,7 @@ def test_so3_mutated_c_is_caught_by_axiom_suite():
 def test_twist_round_trip_inverse():
     phi, _ = lie_super_twist((0, 1))
     tw = twist_from_phi(phi)
-    m = braid_mat(tw.phi) @ braid_mat(tw.phi_inverse)
+    assert (tw.phi_mat - braid_mat(phi)).is_zero()
+    m = braid_mat(tw.phi) @ tw.phi_inverse_mat
     assert (m - Mat.identity(4)).is_zero()
+    assert (tw.phi_inverse_mat @ braid_mat(tw.phi) - Mat.identity(4)).is_zero()
