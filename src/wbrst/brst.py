@@ -13,7 +13,7 @@ from .analysis import derivative_system, weight_basis
 from .fields import FieldExpr, Monomial, OpeAlgebra
 from .linalg import left_nullspace, nullspace, rref, solve, solve_best
 from .scalars import (PoleError, RF_ONE, RF_ZERO, RationalFunction,
-                      param_index, rational_roots, MultiPoly)
+                      param_index, rational_roots, MultiPoly, _add_into)
 
 
 class BrstError(Exception):
@@ -347,7 +347,6 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
     for im in images2:
         targets.update(im.terms)
     targets = sorted(targets, key=algebra.mono_key)
-    tindex = {t: i for i, t in enumerate(targets)}
     dmat = [[im.coefficient(t) for im in images2] for t in targets]
     cokernel = left_nullspace(dmat, len(targets), len(exact2),
                               RF_ZERO, RF_ONE)
@@ -356,12 +355,16 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
     # unknown indices (multiplicity allowed), value = rational function
     equations = []
     for y in cokernel:
+        # the nonzero entries of y only: most pair products miss them
+        y = {t: w for t, w in zip(targets, y) if w}
         eq = {}
         for (i, j), e in pair_vec.items():
             val = RF_ZERO
             for mm, v in e.terms.items():
-                val = val + y[tindex[mm]] * v
-            if val.is_zero:
+                w = y.get(mm)
+                if w is not None:
+                    val = val + w * v
+            if not val:
                 continue
             ki = members[i][2]
             kj = members[j][2]
@@ -374,11 +377,7 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
             else:
                 val = val * members[i][1] * members[j][1]
                 key = ()
-            cur = eq.get(key, RF_ZERO) + val
-            if cur.is_zero:
-                eq.pop(key, None)
-            else:
-                eq[key] = cur
+            _add_into(eq, key, val)
         if eq:
             equations.append(eq)
 
@@ -406,14 +405,12 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
                                   message="current is not unique: "
                                           f"{len(solutions)} solutions")
     _, solved = solutions[0]
-    expr = FieldExpr.zero(algebra)
+    terms = {}
     for m, coeff in lead:
-        expr = expr + FieldExpr(algebra, {m: RF_ONE}).scaled(coeff)
+        _add_into(terms, m, coeff)
     for k, i in enumerate(ansatz):
-        v = solved[k]
-        if not v.is_zero:
-            expr = expr + FieldExpr(algebra, {basis[i]: RF_ONE}).scaled(v)
-    return BrstCurrent(algebra, expr), None
+        _add_into(terms, basis[i], solved[k])
+    return BrstCurrent(algebra, FieldExpr(algebra, terms)), None
 
 
 # -- quadratic system elimination -------------------------------------------
@@ -426,27 +423,11 @@ def _p_scale(p, k):
     return {key: v * k for key, v in p.items()}
 
 
-def _p_add(p, q):
-    out = dict(p)
-    for key, v in q.items():
-        cur = out.get(key, RF_ZERO) + v
-        if cur.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = cur
-    return out
-
-
 def _p_mul(p, q):
     out = {}
     for k1, v1 in p.items():
         for k2, v2 in q.items():
-            key = tuple(sorted(k1 + k2))
-            cur = out.get(key, RF_ZERO) + v1 * v2
-            if cur.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = cur
+            _add_into(out, tuple(sorted(k1 + k2)), v1 * v2)
     return out
 
 
@@ -458,7 +439,8 @@ def _p_subst(p, k, value):
         term = {newkey: v}
         for _ in range(len(key) - len(newkey)):
             term = _p_mul(term, value)
-        out = _p_add(out, term)
+        for tkey, tv in term.items():
+            _add_into(out, tkey, tv)
     return out
 
 
@@ -527,10 +509,9 @@ def _eliminate(equations, remaining, depth=0):
         for key, v in eq.items():
             if not v.is_constant:
                 break
-            poly[len(key)] = poly.get(len(key), Fraction(0)) + v.constant_value()
+            _add_into(poly, len(key), v.constant_value())
         else:
-            mp = MultiPoly({_expo(d): Fraction(q)
-                            for d, q in poly.items() if q})
+            mp = MultiPoly({_expo(d): q for d, q in poly.items()})
             try:
                 roots = rational_roots(mp)
             except Exception:

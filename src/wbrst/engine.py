@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .fields import FieldExpr, Monomial, OpeAlgebra, UNIT
-from .scalars import RationalFunction
+from .scalars import RationalFunction, _add_into
 
 
 class EngineError(Exception):
@@ -46,6 +46,10 @@ class OpeContext:
     def _zero(self):
         return FieldExpr.zero(self.algebra)
 
+    def _poles(self, poles: dict) -> dict:
+        """{n: FieldExpr} from {n: terms}, the zero poles dropped."""
+        return {n: FieldExpr(self.algebra, t) for n, t in poles.items() if t}
+
     # -- public API --------------------------------------------------------
 
     def ope(self, x: FieldExpr, y: FieldExpr) -> dict:
@@ -56,19 +60,15 @@ class OpeContext:
             for m2, c2 in y.terms.items():
                 k = c1 * c2
                 for n, e in self.ope_mono(m1, m2).items():
-                    _acc(out, n, e.scaled(k))
-        return _prune(out)
+                    _add_expr(out.setdefault(n, {}), e, k)
+        return self._poles(out)
 
     def pole(self, x: FieldExpr, y: FieldExpr, n: int) -> FieldExpr:
         return self.ope(x, y).get(n, self._zero())
 
     def normal_product(self, x: FieldExpr, y: FieldExpr) -> FieldExpr:
         self._fuel = 0
-        out = self._zero()
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                out = out + self.nmono2(m1, m2).scaled(c1 * c2)
-        return out
+        return self._nexpr2(x, y)
 
     def derivative(self, x: FieldExpr, k: int = 1) -> FieldExpr:
         self._fuel = 0
@@ -110,13 +110,12 @@ class OpeContext:
             out = {}
             top = max(base, default=0) + 1
             for n in range(1, top + 1):
-                e = self._zero()
+                acc = out[n] = {}
                 if n in base:
-                    e = e + self._dexpr(base[n], 1)
+                    _add_expr(acc, self._dexpr(base[n], 1))
                 if n - 1 in base and n > 1:
-                    e = e + base[n - 1].scaled(n - 1)
-                if not e.is_zero:
-                    out[n] = e
+                    _add_expr(acc, base[n - 1], n - 1)
+            out = self._poles(out)
         else:
             poles, flipped = self.algebra.table_entry(n1, n2)
             if poles is None:
@@ -127,7 +126,6 @@ class OpeContext:
                 p1 = self.algebra.decl(n1).parity
                 p2 = self.algebra.decl(n2).parity
                 out = self._flip(poles, p1, p2)
-        out = _prune(out)
         self._single_memo[key] = out
         return out
 
@@ -137,15 +135,13 @@ class OpeContext:
         out = {}
         top = max(poles, default=0)
         for n in range(1, top + 1):
-            e = self._zero()
+            acc = out[n] = {}
             for l in range(n, top + 1):
                 if l not in poles:
                     continue
                 k = Fraction((-1) ** l, factorial(l - n)) * sign
-                e = e + self._dexpr(poles[l], l - n).scaled(k)
-            if not e.is_zero:
-                out[n] = e
-        return out
+                _add_expr(acc, self._dexpr(poles[l], l - n), k)
+        return self._poles(out)
 
     def _wick(self, a: Monomial, b: Monomial) -> dict:
         """[A N(h, T)]_n for composite right factor."""
@@ -163,9 +159,9 @@ class OpeContext:
         top = max(top, max(p_head, default=0))
         out = {}
         for n in range(1, top + 1):
-            e = self._zero()
+            acc = out[n] = {}
             if n in p_rest:
-                e = e + self._nexpr_factor(h, p_rest[n]).scaled(sign)
+                _add_expr(acc, self._nexpr_factor(h, p_rest[n]), sign)
             for m in p_head:
                 if m > n:
                     continue
@@ -176,10 +172,8 @@ class OpeContext:
                     term = inner[m].get(n - m)
                     if term is None:
                         continue
-                e = e + term.scaled(k)
-            if not e.is_zero:
-                out[n] = e
-        return out
+                _add_expr(acc, term, k)
+        return self._poles(out)
 
     # -- normal ordering ----------------------------------------------------
 
@@ -203,24 +197,25 @@ class OpeContext:
                 # identical odd factor: 2 N(f, N(f, X)) equals the
                 # reordering correction series
                 rest = Monomial(m.factors[1:])
-                out = self._zero()
+                acc = {}
                 for l, e in self.ope_mono(Monomial((f,)),
                                           Monomial((f,))).items():
                     k = Fraction((-1) ** (l - 1), 2 * factorial(l))
-                    out = out + self._nexpr_right(self._dexpr(e, l),
-                                                  rest).scaled(k)
+                    _add_expr(acc, self._nexpr_right(self._dexpr(e, l), rest), k)
+                out = FieldExpr(self.algebra, acc)
             else:
                 # swap: N(A, N(B, X)) = +/- N(B, N(A, X)) + corrections
                 rest = Monomial(m.factors[1:])
                 pf, pg = alg.decl(f[0]).parity, alg.decl(g[0]).parity
                 sign = -1 if pf and pg else 1
-                swapped = self._nexpr_factor(g, self.nmono_single(f, rest))
-                out = swapped.scaled(sign)
+                acc = {}
+                _add_expr(acc, self._nexpr_factor(g, self.nmono_single(f, rest)),
+                          sign)
                 for l, e in self.ope_mono(Monomial((f,)),
                                           Monomial((g,))).items():
                     k = Fraction((-1) ** (l - 1), factorial(l))
-                    out = out + self._nexpr_right(self._dexpr(e, l),
-                                                  rest).scaled(k)
+                    _add_expr(acc, self._nexpr_right(self._dexpr(e, l), rest), k)
+                out = FieldExpr(self.algebra, acc)
         self._nprod_memo[key] = out
         return out
 
@@ -241,18 +236,18 @@ class OpeContext:
         h = m1.factors[0]
         s = Monomial(m1.factors[1:])
         # N(N(h, S), C) = N(h, N(S, C)) + quasi-associativity corrections
-        out = self._nexpr_factor(h, self.nmono2(s, m2))
+        acc = {}
+        _add_expr(acc, self._nexpr_factor(h, self.nmono2(s, m2)))
         for l, e in self.ope_mono(s, m2).items():
             dh = (h[0], h[1] + l)
-            out = out + self._nexpr_factor(dh, e).scaled(
-                Fraction(1, factorial(l)))
+            _add_expr(acc, self._nexpr_factor(dh, e), Fraction(1, factorial(l)))
         ph = alg.decl(h[0]).parity
         ps = alg.mono_parity(s)
         sign = -1 if ph and ps else 1
         for l, e in self.ope_mono(Monomial((h,)), m2).items():
             ds = self._dexpr(FieldExpr(alg, {s: _frac(1)}), l)
-            out = out + self._nexpr2(ds, e).scaled(
-                Fraction(sign, factorial(l)))
+            _add_expr(acc, self._nexpr2(ds, e), Fraction(sign, factorial(l)))
+        out = FieldExpr(self.algebra, acc)
         self._nprod_memo[key] = out
         return out
 
@@ -270,8 +265,10 @@ class OpeContext:
         else:
             h = m.factors[0]
             rest = Monomial(m.factors[1:])
-            out = self.nmono_single((h[0], h[1] + 1), rest)
-            out = out + self._nexpr_factor(h, self.deriv_mono(rest))
+            acc = {}
+            _add_expr(acc, self.nmono_single((h[0], h[1] + 1), rest))
+            _add_expr(acc, self._nexpr_factor(h, self.deriv_mono(rest)))
+            out = FieldExpr(self.algebra, acc)
         self._deriv_memo[key] = out
         return out
 
@@ -279,43 +276,41 @@ class OpeContext:
 
     def _dexpr(self, x: FieldExpr, k: int) -> FieldExpr:
         for _ in range(k):
-            out = self._zero()
+            acc = {}
             for m, c in x.terms.items():
-                out = out + self.deriv_mono(m).scaled(c)
-            x = out
+                _add_expr(acc, self.deriv_mono(m), c)
+            x = FieldExpr(self.algebra, acc)
         return x
 
     def _nexpr_factor(self, f, x: FieldExpr) -> FieldExpr:
-        out = self._zero()
+        acc = {}
         for m, c in x.terms.items():
-            out = out + self.nmono_single(f, m).scaled(c)
-        return out
+            _add_expr(acc, self.nmono_single(f, m), c)
+        return FieldExpr(self.algebra, acc)
 
     def _nexpr_right(self, x: FieldExpr, m2: Monomial) -> FieldExpr:
-        out = self._zero()
+        acc = {}
         for m, c in x.terms.items():
-            out = out + self.nmono2(m, m2).scaled(c)
-        return out
+            _add_expr(acc, self.nmono2(m, m2), c)
+        return FieldExpr(self.algebra, acc)
 
     def _nexpr2(self, x: FieldExpr, y: FieldExpr) -> FieldExpr:
-        out = self._zero()
+        acc = {}
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
-                out = out + self.nmono2(m1, m2).scaled(c1 * c2)
-        return out
+                _add_expr(acc, self.nmono2(m1, m2), c1 * c2)
+        return FieldExpr(self.algebra, acc)
 
     def _ope_expr_mono(self, x: FieldExpr, m2: Monomial) -> dict:
         out = {}
         for m, c in x.terms.items():
             for n, e in self.ope_mono(m, m2).items():
-                _acc(out, n, e.scaled(c))
-        return _prune(out)
+                _add_expr(out.setdefault(n, {}), e, c)
+        return self._poles(out)
 
 
-def _acc(out: dict, n: int, e: FieldExpr):
-    cur = out.get(n)
-    out[n] = e if cur is None else cur + e
-
-
-def _prune(poles: dict) -> dict:
-    return {n: e for n, e in poles.items() if not e.is_zero}
+def _add_expr(dst: dict, x: FieldExpr, k=None):
+    """``dst += k x`` term by term (``k`` None: unscaled).  ``dst`` is a
+    dict of terms the caller has just made; ``x`` is never written."""
+    for m, v in x.terms.items():
+        _add_into(dst, m, v if k is None else v * k)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import RF_ZERO, RationalFunction
+from .scalars import RF_ZERO, RationalFunction, _add_into
 
 
 class FieldError(Exception):
@@ -160,7 +160,7 @@ class FieldExpr:
 
     def __init__(self, algebra: OpeAlgebra, terms: dict):
         self.algebra = algebra
-        self.terms = {m: v for m, v in terms.items() if not v.is_zero}
+        self.terms = {m: v for m, v in terms.items() if v}
 
     @staticmethod
     def unit(algebra) -> "FieldExpr":
@@ -184,11 +184,7 @@ class FieldExpr:
             raise FieldError("mixing expressions from different algebras")
         out = dict(self.terms)
         for m, v in other.terms.items():
-            s = out.get(m, RF_ZERO) + v
-            if s.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            _add_into(out, m, v)
         return FieldExpr(self.algebra, out)
 
     def __sub__(self, other):

@@ -1,18 +1,11 @@
 """Exact dense linear algebra over any field-like scalar type.
 
 Used for nullspace witnesses, total-derivative preimages and the
-mode-oracle's Vandermonde-type solves.  Scalars only need +, -, *, /,
-an ``is_zero``-style test via ``zero`` comparison, and exact equality.
+mode-oracle's Vandermonde-type solves.  Scalars only need +, -, *, /
+and a truth value that means nonzero (int, Fraction, RationalFunction).
 """
 
 from __future__ import annotations
-
-
-def _is_zero(x):
-    iz = getattr(x, "is_zero", None)
-    if iz is not None:
-        return iz
-    return x == 0
 
 
 def rref(rows, ncols):
@@ -26,7 +19,7 @@ def rref(rows, ncols):
     for col in range(ncols):
         piv = None
         for i in range(r, len(rows)):
-            if not _is_zero(rows[i][col]):
+            if rows[i][col]:
                 piv = i
                 break
         if piv is None:
@@ -35,7 +28,7 @@ def rref(rows, ncols):
         inv = rows[r][col]
         rows[r] = [x / inv for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and not _is_zero(rows[i][col]):
+            if i != r and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
@@ -51,7 +44,7 @@ def solve(matrix, rhs, zero, one):
     ``matrix`` is a list of rows; free variables are set to ``zero``.
     """
     if not matrix:
-        return None if any(not _is_zero(b) for b in rhs) else []
+        return None if any(rhs) else []
     ncols = len(matrix[0])
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
     red, pivots = rref(aug, ncols)
@@ -66,7 +59,7 @@ def solve(matrix, rhs, zero, one):
         acc = zero
         for a, xi in zip(row, x):
             acc = acc + a * xi
-        if not _is_zero(acc - b):
+        if acc - b:
             return None
     return x
 

@@ -26,6 +26,7 @@ from math import factorial, floor, lcm
 
 from .fields import FieldExpr, Monomial
 from .linalg import left_nullspace, rref
+from .scalars import _add_into
 
 
 class ModeError(Exception):
@@ -332,14 +333,6 @@ class ModeMatrix:
 # -- composite modes -------------------------------------------------------
 
 
-def _add(out, s, v):
-    v += out.get(s, 0)
-    if v:
-        out[s] = v
-    else:
-        del out[s]
-
-
 def _prefactor(d, n):
     """(dA)_m = (-m - h) A_m = -n A_m: the d-th derivative of a field at
     offset n carries prod(-n - i) for i < d."""
@@ -370,7 +363,7 @@ def _apply_plan(slc, plan, n, s, lv):
         for s1, v1 in _apply_plan(slc, rest, n - j, s, lv).items():
             hit = op(f, j - d, s1)
             if hit:
-                _add(out, hit[0], k * hit[1] * v1)
+                _add_into(out, hit[0], k * hit[1] * v1)
     # annihilation part of the head, offsets j - d >= 1, goes first with
     # the exchange sign; it lifts the level by (ha - j)
     for j in range(d + 1, (lv + plan.dha) // den + 1):
@@ -379,7 +372,7 @@ def _apply_plan(slc, plan, n, s, lv):
             k = plan.sign * hit[1] * (_prefactor(d, j - d) if d else 1)
             lv1 = lv + plan.dha - den * j
             for s2, v2 in _apply_plan(slc, rest, n - j, hit[0], lv1).items():
-                _add(out, s2, k * v2)
+                _add_into(out, s2, k * v2)
     plan.memo[(n, s)] = out
     return out
 
@@ -393,9 +386,9 @@ def _apply(slc, ex, n, s, lv):
         for plan, k in ex.terms:
             if plan is not None:
                 for s1, v in _apply_plan(slc, plan, n, s, lv).items():
-                    _add(out, s1, k * v)
+                    _add_into(out, s1, k * v)
             elif n == 0:
-                _add(out, s, k)
+                _add_into(out, s, k)
         ex.table[(n, s)] = out
     return out
 
@@ -434,7 +427,7 @@ def field_modes(x, m, slc: FockSlice) -> ModeMatrix:
         col = {}
         for ex, n in live:
             for o, v in _apply(slc, ex, n, s, lv).items():
-                _add(col, slc._tuple(o), Fraction(v, ex.den))
+                _add_into(col, slc._tuple(o), Fraction(v, ex.den))
         cols[state] = col
     return ModeMatrix(m, cols)
 
@@ -519,11 +512,11 @@ def ope_poles_from_modes(a, b, r, slc: FockSlice, max_pole=8) -> dict:
                 lv1 = lv - den * nb + eb.dweight
                 for s1, v1 in _apply(slc, eb, nb, s, lv).items():
                     for s2, v2 in _apply(slc, ea, na, s1, lv1).items():
-                        _add(col, s2, v1 * v2)
+                        _add_into(col, s2, v1 * v2)
                 lv1 = lv - den * na + ea.dweight
                 for s1, v1 in _apply(slc, ea, na, s, lv).items():
                     for s2, v2 in _apply(slc, eb, nb, s1, lv1).items():
-                        _add(col, s2, -csign * v1 * v2)
+                        _add_into(col, s2, -csign * v1 * v2)
                 com.append(col)
             coms.append(com)
     # solve column by column for the pole matrices

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import RF_ZERO, RationalFunction
+from .scalars import RationalFunction, _add_into
 from .tensors import (Mat, QlaData, Tensor, TwistData, antisymmetrizer_mats,
                       braid_mat, embed, flatten, unflatten)
 
@@ -99,15 +99,6 @@ def _idempotent(m, k):
         raise OmegaError(str(err)) from None
 
 
-def _add_into(dst, idx, val):
-    cur = dst.get(idx)
-    s = val if cur is None else cur + val
-    if s.is_zero:
-        dst.pop(idx, None)
-    else:
-        dst[idx] = s
-
-
 class OmegaElement:
     def __init__(self, algebra: OmegaAlgebra, terms: dict):
         self.algebra = algebra
@@ -149,9 +140,7 @@ class OmegaElement:
                 dst = out.setdefault(word, {})
                 for i1, v1 in cf1.items():
                     for i2, v2 in cf2.items():
-                        prod = v1 * v2
-                        if not prod.is_zero:
-                            _add_into(dst, i1 + i2, prod)
+                        _add_into(dst, i1 + i2, v1 * v2)
         return OmegaElement(self.algebra,
                             {w: cf for w, cf in out.items() if cf}).canonicalized()
 

@@ -317,7 +317,15 @@ def parse_algebra_file(text: str, bindings=None):
         if head == "algebra":
             name = rest
         elif head == "param":
-            declared.extend(rest.split())
+            for pname in rest.split():
+                m = _TOKEN_RE.fullmatch(pname)
+                if m is None or m.group(2) is None:
+                    raise ParseError(f"parameter name {pname!r} is not a "
+                                     "name", lineno)
+                if pname in declared:
+                    raise ParseError(f"parameter {pname!r} declared twice",
+                                     lineno)
+                declared.append(pname)
         elif head == "field":
             gname, *items = rest.split() or [""]
             attrs = dict(item.partition("=")[::2] for item in items)

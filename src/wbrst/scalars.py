@@ -18,6 +18,12 @@ results.  The gcd is unique up to a unit, so the canonical form does not
 depend on how it was found.  A constant ``RationalFunction`` also keeps its
 value as one ``Fraction``, so arithmetic on constants never looks at the
 two polynomials.
+
+Every exact sparse sum of the package (polynomial terms, field sums and
+operator-product poles, Omega coefficients, sparse matrices, mode-oracle
+columns) accumulates through the one helper ``_add_into``, which drops a
+key whose sum is zero.  ``int``, ``Fraction`` and ``RationalFunction``
+share its zero test: the truth value, which means nonzero.
 """
 
 from __future__ import annotations
@@ -62,6 +68,20 @@ for _name in ("c", "g1", "g2"):
     param_index(_name)
 
 
+def _add_into(dst: dict, key, value) -> None:
+    """``dst[key] += value``, dropping the key when the sum is zero (a zero
+    value for a new key adds nothing).  Write only into a dict the caller
+    has just made: memoized results share theirs."""
+    cur = dst.get(key)
+    if cur is None:
+        if value:
+            dst[key] = value
+    elif value := cur + value:
+        dst[key] = value
+    else:
+        del dst[key]
+
+
 def _strip(exps) -> tuple:
     exps = tuple(exps)
     while exps and exps[-1] == 0:
@@ -87,15 +107,7 @@ class MultiPoly:
     def __init__(self, terms: dict):
         self.terms = {}
         for e, c in terms.items():
-            if c != 0:
-                c = Fraction(c)
-                e = _strip(e)
-                cur = self.terms.get(e)
-                s = c if cur is None else cur + c
-                if s:
-                    self.terms[e] = s
-                else:
-                    self.terms.pop(e, None)
+            _add_into(self.terms, _strip(e), Fraction(c))
         self._hash = None
 
     @classmethod
@@ -153,12 +165,7 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            cur = out.get(e)
-            s = c if cur is None else cur + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+            _add_into(out, e, c)
         return MultiPoly._trusted(out)
 
     def __neg__(self) -> "MultiPoly":
@@ -174,13 +181,7 @@ class MultiPoly:
                 w = max(len(e1), len(e2))
                 a = e1 + (0,) * (w - len(e1))
                 b = e2 + (0,) * (w - len(e2))
-                e = _strip(x + y for x, y in zip(a, b))
-                cur = out.get(e)
-                s = c1 * c2 if cur is None else cur + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+                _add_into(out, _strip(x + y for x, y in zip(a, b)), c1 * c2)
         return MultiPoly._trusted(out)
 
     def scale(self, k) -> "MultiPoly":
@@ -214,7 +215,7 @@ class MultiPoly:
     def substitute(self, bindings: dict) -> "MultiPoly":
         """Substitute parameter names for Fractions; others stay symbolic."""
         idx = {param_index(n): Fraction(v) for n, v in bindings.items()}
-        out = MultiPoly({})
+        out = {}
         for e, c in self.terms.items():
             coeff = c
             rest = list(e)
@@ -222,8 +223,8 @@ class MultiPoly:
                 if k and i in idx:
                     coeff *= idx[i] ** k
                     rest[i] = 0
-            out = out + MultiPoly({_strip(rest): coeff})
-        return out
+            _add_into(out, _strip(rest), coeff)
+        return MultiPoly._trusted(out)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -368,6 +369,10 @@ class RationalFunction:
     def is_zero(self) -> bool:
         # an empty numerator: faster than comparing the Fraction with 0
         return not self.num.terms
+
+    def __bool__(self) -> bool:
+        """Nonzero, as for int and Fraction."""
+        return bool(self.num.terms)
 
     @property
     def is_constant(self) -> bool:
@@ -548,14 +553,12 @@ def rational_roots(p: MultiPoly) -> set:
     # coefficients by degree in the single variable
     coeffs: dict[int, Fraction] = {}
     for e, c in p.terms.items():
-        k = e[var] if var < len(e) else 0
-        coeffs[k] = coeffs.get(k, Fraction(0)) + c
-    degs = sorted(k for k, c in coeffs.items() if c != 0)
+        _add_into(coeffs, e[var] if var < len(e) else 0, c)
     roots = set()
-    low = degs[0]
+    low = min(coeffs)
     if low > 0:
         roots.add(Fraction(0))
-    shifted = {k - low: c for k, c in coeffs.items() if c != 0}
+    shifted = {k - low: c for k, c in coeffs.items()}
     # primitive integer form
     from math import lcm, gcd
     scale = 1

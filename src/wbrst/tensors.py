@@ -11,6 +11,12 @@ operator as a sparse matrix indexed [input multi-index, output multi-index]
 over the flattened space {0..N-1}^k, and multiply matrices in the written
 order of the identity.  A braid matrix becomes M[(i1,i2), (k1,k2)] =
 sigma^{k1 k2}_{i1 i2}.
+
+Every identity checked here, except the solvability of C = (1 - sigma) t,
+is a product of such matrices: ``embed`` places a braid matrix on two
+adjacent factors and ``cmat`` contracts two adjacent factors with C.  A
+failing identity reports its first nonzero entries as (row, column, value)
+over the flattened multi-indices.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .linalg import solve
-from .scalars import RF_ONE, RF_ZERO, RationalFunction
+from .scalars import RF_ONE, RF_ZERO, RationalFunction, _add_into
 
 
 def _rf(x):
@@ -89,16 +95,8 @@ class Mat:
         for r, row in self.rows.items():
             acc = {}
             for k, v in row.items():
-                orow = other.rows.get(k)
-                if not orow:
-                    continue
-                for c, w in orow.items():
-                    prod = v * w
-                    if prod.is_zero:
-                        continue
-                    cur = acc.get(c)
-                    acc[c] = prod if cur is None else cur + prod
-            acc = {c: v for c, v in acc.items() if not v.is_zero}
+                for c, w in other.rows.get(k, {}).items():
+                    _add_into(acc, c, v * w)
             if acc:
                 out[r] = acc
         return Mat(self.nrows, other.ncols, out)
@@ -108,11 +106,7 @@ class Mat:
         for r, row in other.rows.items():
             dst = out.setdefault(r, {})
             for c, v in row.items():
-                s = dst.get(c, RF_ZERO) + v
-                if s.is_zero:
-                    dst.pop(c, None)
-                else:
-                    dst[c] = s
+                _add_into(dst, c, v)
         return Mat(self.nrows, self.ncols, {r: row for r, row in out.items() if row})
 
     def __sub__(self, other):
@@ -328,8 +322,9 @@ class AxiomReport:
 
 
 def check_qla_axioms(d: QlaData) -> AxiomReport:
-    """Residuals of the unitarity, braid, Jacobi and sigma-C compatibility
-    equations, plus solvability of C = (1 - sigma) t with a witness."""
+    """Residuals of the unitarity, braid, Jacobi, sigma-C compatibility and
+    C antisymmetry equations, plus solvability of C = (1 - sigma) t with a
+    witness."""
     n = d.n
     rep = AxiomReport()
     s = braid_mat(d.sigma)
@@ -340,94 +335,17 @@ def check_qla_axioms(d: QlaData) -> AxiomReport:
     s23 = embed(s, n, 3, 1)
     rep.record_mat("braid", s12 @ s23 @ s12 - s23 @ s12 @ s23)
 
+    # Jacobi and the two sigma-C compatibilities on three factors, and
+    # (1 + sigma) C = 0 on two
+    c12, c23, c2 = cmat(d.c, 3, 0), cmat(d.c, 3, 1), cmat(d.c, 2, 0)
+    rep.record_mat("jacobi", (c12 - s23 @ c12 - c23) @ c2)
+    rep.record_mat("sigma_c_compat_1", c12 @ s - s23 @ s12 @ c23)
+    x = s23 @ c12 + c23
+    rep.record_mat("sigma_c_compat_2", x @ s - s12 @ x)
+    rep.record_mat("c_antisymmetry", (ident2 + s) @ c2)
+
     sig = d.sigma.get
     cc = d.c.get
-    cnz = list(d.c.items())
-
-    # Jacobi: C^{p}_{n1 n2} C^{k}_{p n3}
-    #   = sigma^{p2 p3}_{n2 n3} C^{k1}_{n1 p2} C^{k}_{k1 p3} + C^{p3}_{n2 n3} C^{k}_{n1 p3}
-    jac = []
-    for n1, n2, n3, k4 in itertools.product(range(n), repeat=4):
-        lhs = RF_ZERO
-        for p1 in range(n):
-            lhs = lhs + cc((p1, n1, n2)) * cc((k4, p1, n3))
-        rhs = RF_ZERO
-        for p2, p3 in itertools.product(range(n), repeat=2):
-            sv = sig((p2, p3, n2, n3))
-            if sv.is_zero:
-                continue
-            inner = RF_ZERO
-            for k1 in range(n):
-                inner = inner + cc((k1, n1, p2)) * cc((k4, k1, p3))
-            rhs = rhs + sv * inner
-        for p3 in range(n):
-            rhs = rhs + cc((p3, n2, n3)) * cc((k4, n1, p3))
-        r = lhs - rhs
-        if not r.is_zero:
-            jac.append(((k4, n1, n2, n3), r))
-    rep.record("jacobi", jac[:8])
-
-    # C^{p1}_{n1 n2} sigma^{k1 k3}_{p1 n3} = sigma^{p2 p3}_{n2 n3} sigma^{k1 j2}_{n1 p2} C^{k3}_{j2 p3}
-    cs1 = []
-    for k1, k3, n1, n2, n3 in itertools.product(range(n), repeat=5):
-        lhs = RF_ZERO
-        for p1 in range(n):
-            lhs = lhs + cc((p1, n1, n2)) * sig((k1, k3, p1, n3))
-        rhs = RF_ZERO
-        for p2, p3 in itertools.product(range(n), repeat=2):
-            sv = sig((p2, p3, n2, n3))
-            if sv.is_zero:
-                continue
-            inner = RF_ZERO
-            for j2 in range(n):
-                inner = inner + sig((k1, j2, n1, p2)) * cc((k3, j2, p3))
-            rhs = rhs + sv * inner
-        r = lhs - rhs
-        if not r.is_zero:
-            cs1.append(((k1, k3, n1, n2, n3), r))
-    rep.record("sigma_c_compat_1", cs1[:8])
-
-    # (sigma^{j2 p3}_{n2 n3} C^{p1}_{n1 j2} + delta^{p1}_{n1} C^{p3}_{n2 n3}) sigma^{k1 k3}_{p1 p3}
-    #   = sigma^{p1 p2}_{n1 n2} (sigma^{j2 k3}_{p2 n3} C^{k1}_{p1 j2} + delta^{k1}_{p1} C^{k3}_{p2 n3})
-    cs2 = []
-    for k1, k3, n1, n2, n3 in itertools.product(range(n), repeat=5):
-        lhs = RF_ZERO
-        for p1, p3 in itertools.product(range(n), repeat=2):
-            sv = sig((k1, k3, p1, p3))
-            if sv.is_zero:
-                continue
-            term = RF_ZERO
-            for j2 in range(n):
-                term = term + sig((j2, p3, n2, n3)) * cc((p1, n1, j2))
-            if p1 == n1:
-                term = term + cc((p3, n2, n3))
-            lhs = lhs + term * sv
-        rhs = RF_ZERO
-        for p1, p2 in itertools.product(range(n), repeat=2):
-            sv = sig((p1, p2, n1, n2))
-            if sv.is_zero:
-                continue
-            term = RF_ZERO
-            for j2 in range(n):
-                term = term + sig((j2, k3, p2, n3)) * cc((k1, p1, j2))
-            if k1 == p1:
-                term = term + cc((k3, p2, n3))
-            rhs = rhs + sv * term
-        r = lhs - rhs
-        if not r.is_zero:
-            cs2.append(((k1, k3, n1, n2, n3), r))
-    rep.record("sigma_c_compat_2", cs2[:8])
-
-    # (1 + sigma_12) C = 0 : C^k_{ij} + sigma^{lm}_{ij} C^k_{lm}
-    asym = []
-    for k, i, j in itertools.product(range(n), repeat=3):
-        r = cc((k, i, j))
-        for l, m in itertools.product(range(n), repeat=2):
-            r = r + sig((l, m, i, j)) * cc((k, l, m))
-        if not r.is_zero:
-            asym.append(((k, i, j), r))
-    rep.record("c_antisymmetry", asym[:8])
-
     # existence of t with C^i_{jk} = (delta - sigma)^{lm}_{jk} t^i_{lm}
     witness = {}
     ok = True

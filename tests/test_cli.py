@@ -214,6 +214,20 @@ def test_parameters_do_not_leak_between_files(tmp_path, capsys):
     assert "parameter name 'k'" in err
 
 
+@pytest.mark.parametrize("line", [
+    "param :", "param 3/2", "param N(T,W) weight=2", "param k k"])
+def test_param_must_be_one_new_name(tmp_path, capsys, line):
+    from wbrst.scalars import param_names
+    before = param_names()
+    f = tmp_path / "param.alg"
+    f.write_text(f"algebra p\n{line}\nfield T weight=2\n"
+                 "ope T T : 4 -> (1/2)*one ; 2 -> 2*T ; 1 -> D(T)\n")
+    code, _, err = run(capsys, "cft", "validate", str(f))
+    _no_traceback(code, err)
+    assert "line 2" in err
+    assert param_names() == before
+
+
 def _mutated_qla(tmp_path, name, old, new):
     from conftest import read_data
     text = read_data(f"{name}.qla")

@@ -219,3 +219,37 @@ def test_parse_and_engine_agree(w3_ctx):
     assert parse_field_expr("2 * T + N(T, T)", alg, ctx=ctx) == (
         t.scaled(2) + ctx.normal_product(t, t))
     assert parse_field_expr("D2(T)", alg, ctx=ctx) == ctx.derivative(t, 2)
+
+
+def _snapshot(result):
+    if isinstance(result, dict):
+        return {n: dict(e.terms) for n, e in result.items()}
+    return dict(result.terms)
+
+
+def _shared_memo_calls(ctx):
+    t, w = _gen(ctx, "T"), _gen(ctx, "W")
+    tt = ctx.normal_product(t, t)
+    dt = ctx.derivative(t)
+    return [(ctx.derivative, (tt, 2)), (ctx.normal_product, (dt, t)),
+            (ctx.normal_product, (tt, w)), (ctx.normal_product, (w, tt)),
+            (ctx.derivative, (w, 1)), (ctx.ope, (tt, w)),
+            (ctx.ope, (w, tt)), (ctx.ope, (w, w))]
+
+
+def test_later_calls_leave_earlier_results_unchanged():
+    # memoized results are shared, so no accumulation may write into one:
+    # each result equals its own second call, its value when returned,
+    # and the same call in a fresh context
+    ctx = w3(c=None).context()
+    calls = _shared_memo_calls(ctx)
+    first = []
+    for fn, args in calls:
+        result = fn(*args)
+        first.append((result, _snapshot(result)))
+    for i, ((fn, args), (result, snap)) in enumerate(zip(calls, first)):
+        assert fn(*args) == result
+        fresh_fn, fresh_args = _shared_memo_calls(w3(c=None).context())[i]
+        assert _snapshot(fresh_fn(*fresh_args)) == snap, i
+    for result, snap in first:
+        assert _snapshot(result) == snap

@@ -1,7 +1,8 @@
 """Golden CLI outputs: the ``--json`` stdout and exit code of fixed commands.
 
 Every CLI example of README.md, plus the fully symbolic BRST and critical
-charge reports, must print exactly the recorded bytes.  Each file in
+charge reports and a failing axiom check, must print exactly the recorded
+bytes.  Commands run from the root of the repository.  Each file in
 ``tests/golden/`` holds one command: a first line ``exit N``, then the
 stdout verbatim.  To record them again (only when an output change is
 intended), run ``PYTHONPATH=src python tests/test_golden.py``.
@@ -9,6 +10,7 @@ intended), run ``PYTHONPATH=src python tests/test_golden.py``.
 
 import contextlib
 import io
+import os
 import pathlib
 import re
 import sys
@@ -17,7 +19,8 @@ import pytest
 
 from wbrst.cli import main
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 COMMANDS = (
     # README.md, section "Command line"
@@ -36,6 +39,8 @@ COMMANDS = (
     "cft brst w3 --symbolic-c --g1 symbolic --g2 symbolic",
     "cft brst w32 --symbolic-c",
     "cft critical w3",
+    # so3 with C^3_{12} = 2: the residual entries of the failing checks
+    "qla check tests/data/so3_bad_c.qla",
 )
 
 
@@ -47,8 +52,13 @@ def golden_path(command: str) -> pathlib.Path:
 def run_command(command: str) -> str:
     """``exit N`` and the ``--json`` stdout of one CLI command."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(command.split() + ["--json"])
+    cwd = os.getcwd()
+    os.chdir(ROOT)  # contextlib.chdir needs Python 3.11
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(command.split() + ["--json"])
+    finally:
+        os.chdir(cwd)
     return f"exit {code}\n{out.getvalue()}"
 
 

@@ -180,6 +180,32 @@ def test_every_operator_keeps_the_constant_slot(x, y, point):
         _check_constant_slot(v)
 
 
+# -- the sparse accumulate helper -------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rfs)
+def test_truth_value_means_nonzero(x):
+    assert bool(x) == (not x.is_zero)
+    assert bool(x - x) is False
+
+
+_values = st.one_of(st.integers(-2, 2), _fracs, _rfs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), _values), max_size=12))
+def test_add_into_is_a_sparse_per_key_sum(items):
+    acc = {}
+    for key, value in items:
+        scalars._add_into(acc, key, value)
+    expected = {}
+    for key, value in items:
+        expected[key] = expected.get(key, 0) + value
+    assert acc == {k: v for k, v in expected.items() if v != 0}
+    assert all(acc.values())
+
+
 # -- the parameter universe and the cancel cache ---------------------------
 
 
@@ -202,8 +228,8 @@ def test_new_parameter_widens_the_ring():
 
 
 def test_parameter_names_are_taken_literally():
-    # an .alg `param` line registers any token as a name, ':' and ','
-    # included, which sympy.symbols would read as a range or a list
+    # param_index takes any string as a name, ':' and ',' included, which
+    # sympy.symbols would read as a range or a list
     for name in (":", ","):
         param_index(name)
         t = RationalFunction.var(name)

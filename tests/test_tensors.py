@@ -1,6 +1,8 @@
 """Tensor layer: braid data, axiom suites, antisymmetrizers, twists."""
 
 import itertools
+import json
+import pathlib
 
 import pytest
 
@@ -121,6 +123,31 @@ def _mutation_caught(d2, tw) -> bool:
     return not ok
 
 
+VERDICTS = pathlib.Path(__file__).resolve().parent / "golden" / "qla_axiom_verdicts.json"
+
+
+def qla_axiom_verdicts() -> dict:
+    """Pass/fail of every named check of ``check_qla_axioms`` on each
+    bundled dataset and on each of its single-entry +1 mutations."""
+    table = {}
+    for name in QLA_FILES:
+        d, _ = load_qla(name)
+        variants = [("bundled", d)] + [
+            (f"{kind} {' '.join(map(str, idx))} += 1", d2)
+            for kind, idx, d2 in _mutations(d)]
+        for label, d2 in variants:
+            rep = check_qla_axioms(d2)
+            table[f"{name} {label}"] = {check: rep.passed(check)
+                                        for check in sorted(rep.residuals)}
+    return table
+
+
+def test_qla_axiom_verdicts_match_the_recorded_table():
+    # recorded before the axiom checks became Mat identities; to record
+    # again, run ``PYTHONPATH=src python tests/test_tensors.py``
+    assert qla_axiom_verdicts() == json.loads(VERDICTS.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("name", QLA_FILES)
 def test_every_single_entry_mutation_is_caught(name):
     d, tw = load_qla(name)
@@ -155,3 +182,9 @@ def test_twist_round_trip_inverse():
     m = braid_mat(tw.phi) @ tw.phi_inverse_mat
     assert (m - Mat.identity(4)).is_zero()
     assert (tw.phi_inverse_mat @ braid_mat(tw.phi) - Mat.identity(4)).is_zero()
+
+
+if __name__ == "__main__":
+    rows = [f" {json.dumps(k)}: {json.dumps(v)}"
+            for k, v in qla_axiom_verdicts().items()]
+    VERDICTS.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
