@@ -16,6 +16,7 @@ Layers, bottom up:
 * ``parsing`` / ``cli`` -- textual formats and the command line.
 """
 
+from .errors import WbrstError
 from .scalars import (MultiPoly, PoleError, RationalFunction, RF_ONE,
                       RF_ZERO, format_rational, rational_roots, rf)
 from .fields import FieldExpr, GeneratorDecl, Monomial, OpeAlgebra, UNIT

@@ -7,15 +7,16 @@ and primariness extraction, and sign automorphisms of a table.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .engine import OpeContext
+from .errors import WbrstError
 from .fields import FieldExpr, Monomial, OpeAlgebra
 from .linalg import solve
 from .scalars import RF_ONE, RF_ZERO, RationalFunction
 
 
-class AnalysisError(Exception):
+class AnalysisError(WbrstError):
     pass
 
 
@@ -29,66 +30,61 @@ def substitute_expr(expr: FieldExpr, bindings: dict) -> FieldExpr:
 
 def weight_basis(algebra: OpeAlgebra, weight, parity=None, ghost=None):
     """All canonical monomials of the given total weight, optionally
-    filtered by parity and ghost number.
+    filtered by parity and ghost number, in ``mono_key`` order.
 
     The set is finite exactly when every generator admitting a factor of
     non-positive weight is odd (each such factor can then appear at most
-    once); otherwise an AnalysisError is raised.
+    once); otherwise an AnalysisError is raised.  Weights are enumerated
+    as integers in units of 1/den, den the least common denominator of the
+    target and generator weights.
     """
     weight = Fraction(weight)
-    nonpos = []
-    pos_weights = []
-    for g in algebra.generators:
+    gens = algebra.generators
+    for g in gens:
         if g.weight <= 0 and not g.parity:
             raise AnalysisError(
                 f"even generator {g.name!r} of non-positive weight makes "
                 "the fixed-weight basis infinite")
-        d = 0
-        while g.weight + d <= 0:
-            nonpos.append((g.name, d))
+    den = lcm(weight.denominator,
+              *(Fraction(g.weight).denominator for g in gens))
+    units = [int(g.weight * den) for g in gens]
+    # factor kinds in factor_key order: (key, factor, weight in units,
+    # parity, ghost number); the non-positive ones each appear at most once
+    nonpos = [((i, d), (g.name, d), units[i] + d * den, g.parity, g.ghost)
+              for i, g in enumerate(gens)
+              for d in range(max(0, -units[i] // den + 1))]
+    target = int(weight * den)
+    rem_max = target - sum(k[2] for k in nonpos)
+    pos = []
+    for i, g in enumerate(gens):
+        d = max(0, -units[i] // den + 1)
+        while units[i] + d * den <= rem_max:
+            pos.append(((i, d), (g.name, d), units[i] + d * den,
+                        g.parity, g.ghost))
             d += 1
-    nonpos.sort(key=algebra.factor_key)
 
     results = []
 
-    def pos_extend(chosen, min_key, rem):
+    def pos_extend(start, rem, chosen, p, gh):
         if rem == 0:
-            mono = Monomial(sorted(chosen, key=algebra.factor_key))
-            results.append(mono)
+            if (parity is None or p % 2 == parity) \
+                    and (ghost is None or gh == ghost):
+                results.append(sorted(chosen))
             return
-        if rem < 0:
-            return
-        for g in algebra.generators:
-            gi = algebra.index(g.name)
-            d = 0
-            while g.weight + d <= 0:
-                d += 1
-            while g.weight + d <= rem:
-                f = (g.name, d)
-                key = (gi, d)
-                if key >= min_key:
-                    nxt = (gi, d) if not g.parity else (gi, d + 1)
-                    pos_extend(chosen + [f], nxt, rem - (g.weight + d))
-                d += 1
+        for j in range(start, len(pos)):
+            kind = pos[j]
+            if kind[2] <= rem:
+                # an odd factor appears at most once
+                pos_extend(j + 1 if kind[3] else j, rem - kind[2],
+                           chosen + [kind], p + kind[3], gh + kind[4])
 
     for mask in range(1 << len(nonpos)):
         subset = [nonpos[i] for i in range(len(nonpos)) if mask >> i & 1]
-        s = sum((algebra.factor_weight(f) for f in subset), Fraction(0))
-        pos_extend(subset, (-1, 0), weight - s)
-
-    out = []
-    seen = set()
-    for m in results:
-        if m in seen:
-            continue
-        seen.add(m)
-        if parity is not None and algebra.mono_parity(m) != parity:
-            continue
-        if ghost is not None and algebra.mono_ghost(m) != ghost:
-            continue
-        out.append(m)
-    out.sort(key=algebra.mono_key)
-    return out
+        pos_extend(0, target - sum(k[2] for k in subset), subset,
+                   sum(k[3] for k in subset), sum(k[4] for k in subset))
+    # sorted by mono_key: the number of factors, then their keys
+    results.sort(key=lambda kinds: (len(kinds), [k[0] for k in kinds]))
+    return [Monomial(k[1] for k in kinds) for kinds in results]
 
 
 # -- total derivatives -----------------------------------------------------

@@ -7,20 +7,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .algebras import bundle, w3, w32, w3_ghosts, w32_ghosts
 from .analysis import derivative_system, weight_basis
+from .errors import WbrstError
 from .fields import FieldExpr, Monomial, OpeAlgebra
 from .linalg import left_nullspace, nullspace, rref, solve, solve_best
 from .scalars import (PoleError, RF_ONE, RF_ZERO, RationalFunction,
                       param_index, rational_roots, MultiPoly, _add_into)
 
 
-class BrstError(Exception):
+class BrstError(WbrstError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class BrstCurrent:
     algebra: OpeAlgebra
     expr: FieldExpr
@@ -34,6 +36,12 @@ class BrstCurrent:
     @property
     def context(self):
         return self.algebra.context()
+
+    @cached_property
+    def self_product(self) -> dict:
+        """All poles of J(z) J(w), computed once per current; every reader
+        shares the one dict, so none may write into it."""
+        return self.context.ope(self.expr, self.expr)
 
 
 @dataclass
@@ -140,7 +148,7 @@ def nilpotency(q: BrstCurrent) -> NilpotencyReport:
     current's self-product is a total derivative; higher poles are
     reported but impose no condition on the charge."""
     ctx = q.context
-    poles = ctx.ope(q.expr, q.expr)
+    poles = q.self_product
     pole1 = poles.get(1, FieldExpr.zero(q.algebra))
     basis, matrix, rhs = derivative_system(ctx, pole1)
     best = FieldExpr(q.algebra, dict(zip(
@@ -162,7 +170,7 @@ def critical_charge(q: BrstCurrent, param="c"):
     Returns None when the obstruction vanishes identically (nilpotent
     for every value)."""
     ctx = q.context
-    pole1 = ctx.ope(q.expr, q.expr).get(1, FieldExpr.zero(q.algebra))
+    pole1 = q.self_product.get(1, FieldExpr.zero(q.algebra))
     if pole1.is_zero:
         return None
     basis, matrix, rhs = derivative_system(ctx, pole1)

@@ -21,25 +21,25 @@ from fractions import Fraction
 
 from .algebras import bundled_text
 from .analysis import jacobi_check, validate_table
-from .brst import (BrstError, brst_w3, brst_w32, critical_charge, nilpotency,
+from .brst import (brst_w3, brst_w32, critical_charge, nilpotency,
                    solve_conventional, unconventional_terms)
-from .fields import FieldError
-from .modes import ModeError, crosscheck_bundle
-from .omega import OmegaAlgebra, OmegaError, build_q, verify_nilpotent
-from .parsing import (ParseError, format_field_expr, format_monomial,
+from .errors import WbrstError
+from .modes import crosscheck_bundle
+from .omega import OmegaAlgebra, build_q, verify_nilpotent
+from .parsing import (format_field_expr, format_monomial,
                       parse_algebra_file, parse_field_expr, parse_qla_file)
-from .scalars import ScalarError, format_rational
+from .scalars import format_rational
 from .tensors import (check_proof_identities, check_qla_axioms,
                       check_twist_axioms)
 
 
-class InputError(Exception):
+class InputError(WbrstError):
     pass
 
 
-# what main reports as bad input (exit 2) rather than a failed check
-BAD_INPUT = (InputError, ParseError, FieldError, ScalarError, ModeError,
-             BrstError, OmegaError, ValueError, OSError)
+# what main reports as bad input (exit 2) rather than a failed check: every
+# exception the package raises on purpose, and unreadable files or values
+BAD_INPUT = (WbrstError, ValueError, OSError)
 
 
 def _read_input(path, kind, a2=None) -> str:
@@ -89,13 +89,12 @@ def _axiom_payload(reports) -> dict:
 
 
 def _residual_item(item):
-    """JSON form of one residual entry: trailing scalar formatted, the
-    leading index part (or message) kept as-is."""
+    """JSON form of one residual entry: [[row multi-index, column
+    multi-index], value] for a matrix entry, else the message."""
     from .scalars import RationalFunction
     *idx, last = item
     if isinstance(last, RationalFunction):
-        return [list(idx[0]) if len(idx) == 1 and isinstance(idx[0], tuple)
-                else list(idx), format_rational(last)]
+        return [idx, format_rational(last)]
     return [str(x) for x in item]
 
 

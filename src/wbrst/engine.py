@@ -6,6 +6,11 @@ formula, the generalized Wick formula for products against a composite,
 and the reordering/quasi-associativity corrections for normal products.
 Everything is memoized per context; coefficients stay exact rational
 functions of the declared parameters.
+
+The self-product of an expression x of definite parity p is graded
+skew-symmetric: [m_j m_i] is the exchange of [m_i m_j] with both parities
+p.  ``ope(x, x)`` therefore sums the monomial pairs i <= j only and gets
+the pairs i > j as one exchange of the summed strict upper triangle.
 """
 
 from __future__ import annotations
@@ -13,11 +18,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from .errors import WbrstError
 from .fields import FieldExpr, Monomial, OpeAlgebra, UNIT
 from .scalars import RationalFunction, _add_into
 
 
-class EngineError(Exception):
+class EngineError(WbrstError):
     pass
 
 
@@ -55,12 +61,34 @@ class OpeContext:
     def ope(self, x: FieldExpr, y: FieldExpr) -> dict:
         """All singular poles {n >= 1: expression} of the product x(z) y(w)."""
         self._fuel = 0
+        if x == y:
+            p = x.parity()
+            if p is not None:
+                return self._self_ope(x, p)
         out = {}
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
                 k = c1 * c2
                 for n, e in self.ope_mono(m1, m2).items():
                     _add_expr(out.setdefault(n, {}), e, k)
+        return self._poles(out)
+
+    def _self_ope(self, x: FieldExpr, p: int) -> dict:
+        """[x x] for x of parity p from the monomial pairs i <= j: the
+        pairs i > j sum to the exchange of the strict upper triangle."""
+        terms = list(x.terms.items())
+        out, upper = {}, {}
+        for i, (m1, c1) in enumerate(terms):
+            for n, e in self.ope_mono(m1, m1).items():
+                _add_expr(out.setdefault(n, {}), e, c1 * c1)
+            for m2, c2 in terms[i + 1:]:
+                k = c1 * c2
+                for n, e in self.ope_mono(m1, m2).items():
+                    _add_expr(upper.setdefault(n, {}), e, k)
+        upper = self._poles(upper)
+        for half in (upper, self._flip(upper, p, p)):
+            for n, e in half.items():
+                _add_expr(out.setdefault(n, {}), e)
         return self._poles(out)
 
     def pole(self, x: FieldExpr, y: FieldExpr, n: int) -> FieldExpr:

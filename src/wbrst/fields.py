@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import WbrstError
 from .scalars import RF_ZERO, RationalFunction, _add_into
 
 
-class FieldError(Exception):
+class FieldError(WbrstError):
     pass
 
 

@@ -43,25 +43,35 @@ def solve(matrix, rhs, zero, one):
 
     ``matrix`` is a list of rows; free variables are set to ``zero``.
     """
+    return solve_columns(matrix, [rhs], zero, one)[0]
+
+
+def solve_columns(matrix, columns, zero, one):
+    """``solve`` for each right-hand side in ``columns``, from one row
+    reduction of ``[matrix | columns]``: a list with one solution, or
+    None, per column."""
     if not matrix:
-        return None if any(rhs) else []
+        return [None if any(rhs) else [] for rhs in columns]
     ncols = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    aug = [list(row) + [rhs[i] for rhs in columns]
+           for i, row in enumerate(matrix)]
     red, pivots = rref(aug, ncols)
-    # inconsistency: a pivot in the augmented column shows up as a row
-    # 0 ... 0 | nonzero surviving below the pivot rows
-    used = [list(r) for r in red]
-    x = [zero] * ncols
-    for row, col in zip(used, pivots):
-        x[col] = row[-1]
-    # verify (also catches inconsistent systems)
-    for row, b in zip(matrix, rhs):
-        acc = zero
-        for a, xi in zip(row, x):
-            acc = acc + a * xi
-        if acc - b:
-            return None
-    return x
+    out = []
+    for j, rhs in enumerate(columns):
+        # pivots lie in the matrix columns only, so an inconsistent column
+        # leaves a row 0 ... 0 | nonzero that the check below catches
+        x = [zero] * ncols
+        for row, col in zip(red, pivots):
+            x[col] = row[ncols + j]
+        for row, b in zip(matrix, rhs):
+            acc = zero
+            for a, xi in zip(row, x):
+                acc = acc + a * xi
+            if acc - b:
+                x = None
+                break
+        out.append(x)
+    return out
 
 
 def solve_best(matrix, rhs, zero, one):

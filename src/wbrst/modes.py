@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, floor, lcm
 
+from .errors import WbrstError
 from .fields import FieldExpr, Monomial
 from .linalg import left_nullspace, rref
 from .scalars import _add_into
 
 
-class ModeError(Exception):
+class ModeError(WbrstError):
     pass
 
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .errors import WbrstError
 from .scalars import RationalFunction, _add_into
 from .tensors import (Mat, QlaData, Tensor, TwistData, antisymmetrizer_mats,
                       braid_mat, embed, flatten, unflatten)
 
 
-class OmegaError(Exception):
+class OmegaError(WbrstError):
     pass
 
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .errors import WbrstError
 from .scalars import PoleError, RationalFunction, param_names
 
 
-class ParseError(Exception):
+class ParseError(WbrstError):
     def __init__(self, message, line=None, column=None):
         loc = ""
         if line is not None:

@@ -15,9 +15,10 @@ Cancellation of two nonconstant polynomials takes their gcd and cofactors
 in a ``sympy.polys`` ring over QQ on the current parameter universe (one
 ring per universe, built on first use), and a bounded cache keeps the
 results.  The gcd is unique up to a unit, so the canonical form does not
-depend on how it was found.  A constant ``RationalFunction`` also keeps its
-value as one ``Fraction``, so arithmetic on constants never looks at the
-two polynomials.
+depend on how it was found.  A constant ``RationalFunction`` keeps its value
+as one ``Fraction``: arithmetic, zero tests, equality and hashing of
+constants read only that value, and a constant made by ``const`` builds its
+two polynomials only when ``num`` or ``den`` is first read.
 
 Every exact sparse sum of the package (polynomial terms, field sums and
 operator-product poles, Omega coefficients, sparse matrices, mode-oracle
@@ -35,13 +36,15 @@ from sympy import Symbol
 from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyRing
 
+from .errors import WbrstError
+
 _PARAMS: list[str] = []
 _PARAM_INDEX: dict[str, int] = {}
 # polynomial ring over QQ per parameter universe, for cancellation
 _RINGS: dict[tuple, PolyRing] = {}
 
 
-class ScalarError(Exception):
+class ScalarError(WbrstError):
     pass
 
 
@@ -331,18 +334,21 @@ class RationalFunction:
     """Normalized ratio of two MultiPolys.  Field operations are exact.
 
     ``_value`` is the value as a Fraction when the ratio is constant, and
-    None otherwise; the constant branches of the operators read only it.
+    None otherwise; the constant branches of the operators, the zero test,
+    equality and the hash read only it.  A constant made by ``const`` does
+    not build its numerator and denominator until ``num`` or ``den`` is
+    first read.
     """
 
-    __slots__ = ("num", "den", "_value", "_hash")
+    __slots__ = ("_num", "_den", "_value", "_hash")
 
     def __init__(self, num: MultiPoly, den: MultiPoly = None, _normalized=False):
         if den is None:
             den = _POLY_ONE
         if not _normalized:
             num, den = _canonical(num, den)
-        self.num = num
-        self.den = den
+        self._num = num
+        self._den = den
         self._value = (num.constant_value() / den.constant_value()
                        if num.is_constant and den.is_constant else None)
         self._hash = None
@@ -351,11 +357,9 @@ class RationalFunction:
 
     @staticmethod
     def const(value) -> "RationalFunction":
-        v = value if type(value) is Fraction else Fraction(value)
         out = object.__new__(RationalFunction)
-        out.num, out.den = _const_polys(v)
-        out._value = v
-        out._hash = None
+        out._num = out._den = out._hash = None
+        out._value = value if type(value) is Fraction else Fraction(value)
         return out
 
     @staticmethod
@@ -363,16 +367,32 @@ class RationalFunction:
         return RationalFunction(MultiPoly.var(name), _POLY_ONE,
                                 _normalized=True)
 
+    # -- numerator and denominator -------------------------------------------
+
+    @property
+    def num(self) -> MultiPoly:
+        if self._num is None:
+            self._num, self._den = _const_polys(self._value)
+        return self._num
+
+    @property
+    def den(self) -> MultiPoly:
+        if self._den is None:
+            self._num, self._den = _const_polys(self._value)
+        return self._den
+
     # -- predicates --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        # an empty numerator: faster than comparing the Fraction with 0
-        return not self.num.terms
+        # zero is the constant 0/1: no nonconstant ratio vanishes
+        v = self._value
+        return v is not None and not v
 
     def __bool__(self) -> bool:
         """Nonzero, as for int and Fraction."""
-        return bool(self.num.terms)
+        v = self._value
+        return v is None or bool(v)
 
     @property
     def is_constant(self) -> bool:
@@ -393,13 +413,14 @@ class RationalFunction:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
         a, b = self._value, other._value
-        if a is not None and b is not None:
-            return RationalFunction.const(a + b)
+        if a is not None:
+            if b is not None:
+                return RationalFunction.const(a + b)
+            if not a:
+                return other
+        elif b is not None and not b:
+            return self
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den,
@@ -410,34 +431,42 @@ class RationalFunction:
     def __neg__(self):
         if self._value is not None:
             return RationalFunction.const(-self._value)
-        return RationalFunction(-self.num, self.den, _normalized=True)
+        return RationalFunction(-self._num, self._den, _normalized=True)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        a, b = self._value, other._value
+        if a is not None and b is not None:
+            return RationalFunction.const(a - b)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if self.is_zero or other.is_zero:
-            return RF_ZERO
         a, b = self._value, other._value
-        if a is not None and b is not None:
-            return RationalFunction.const(a * b)
+        if a is not None:
+            if b is not None:
+                return RationalFunction.const(a * b)
+            if not a:
+                return RF_ZERO
+        elif b is not None and not b:
+            return RF_ZERO
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        if self.is_zero:
-            return RF_ZERO
         a, b = self._value, other._value
-        if a is not None and b is not None:
-            return RationalFunction.const(a / b)
+        if b is not None:
+            if not b:
+                raise ZeroDivisionError("division by zero rational function")
+            if a is not None:
+                return RationalFunction.const(a / b)
+        elif a is not None and not a:
+            return RF_ZERO
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -453,6 +482,8 @@ class RationalFunction:
 
         Raises PoleError when the denominator vanishes under the binding.
         """
+        if self._value is not None:
+            return self
         num = self.num.substitute(bindings)
         den = self.den.substitute(bindings)
         if den.is_zero:
@@ -463,14 +494,19 @@ class RationalFunction:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RationalFunction.const(other)
+            return self._value == other
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        a, b = self._value, other._value
+        if a is not None or b is not None:
+            # a constant equals only a constant
+            return a == b
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            v = self._value
+            self._hash = hash((self._num, self._den) if v is None else v)
         return self._hash
 
     def __repr__(self):

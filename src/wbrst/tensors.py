@@ -15,8 +15,8 @@ sigma^{k1 k2}_{i1 i2}.
 Every identity checked here, except the solvability of C = (1 - sigma) t,
 is a product of such matrices: ``embed`` places a braid matrix on two
 adjacent factors and ``cmat`` contracts two adjacent factors with C.  A
-failing identity reports its first nonzero entries as (row, column, value)
-over the flattened multi-indices.
+failing identity reports its first nonzero entries as (row multi-index,
+column multi-index, value), in the order of the flattened indices.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .linalg import solve
+from .linalg import solve_columns
 from .scalars import RF_ONE, RF_ZERO, RationalFunction, _add_into
 
 
@@ -177,6 +177,15 @@ def unflatten(x, n, k):
     return tuple(reversed(out))
 
 
+def _factors(size, n) -> int:
+    """k with n ** k == size: the number of factors of a space.  For n = 1
+    every space has size 1 and the count reads as 0."""
+    k = 0
+    while n ** k < size:
+        k += 1
+    return k
+
+
 def braid_mat(t: Tensor) -> Mat:
     """Row-convention matrix of a rank-4 tensor on the two-factor space."""
     n = t.n
@@ -299,8 +308,10 @@ def twist_from_phi(phi: Tensor) -> TwistData:
 
 @dataclass
 class AxiomReport:
-    """Named residuals; an empty residual list means the check passed."""
+    """Named residuals of checks on n-dimensional data; an empty residual
+    list means the check passed."""
 
+    n: int
     residuals: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
@@ -308,7 +319,12 @@ class AxiomReport:
         self.residuals[name] = list(residual_entries)
 
     def record_mat(self, name: str, m: Mat, limit=8):
-        self.residuals[name] = m.nonzero_entries(limit)
+        """The first nonzero entries of m as (row multi-index, column
+        multi-index, value)."""
+        kr, kc = _factors(m.nrows, self.n), _factors(m.ncols, self.n)
+        self.residuals[name] = [
+            (unflatten(r, self.n, kr), unflatten(c, self.n, kc), v)
+            for r, c, v in m.nonzero_entries(limit)]
 
     def passed(self, name: str) -> bool:
         return not self.residuals[name]
@@ -326,7 +342,7 @@ def check_qla_axioms(d: QlaData) -> AxiomReport:
     C antisymmetry equations, plus solvability of C = (1 - sigma) t with a
     witness."""
     n = d.n
-    rep = AxiomReport()
+    rep = AxiomReport(n)
     s = braid_mat(d.sigma)
     ident2 = Mat.identity(n * n)
     rep.record_mat("sigma_unitary", s @ s - ident2)
@@ -344,33 +360,20 @@ def check_qla_axioms(d: QlaData) -> AxiomReport:
     rep.record_mat("sigma_c_compat_2", x @ s - s12 @ x)
     rep.record_mat("c_antisymmetry", (ident2 + s) @ c2)
 
-    sig = d.sigma.get
-    cc = d.c.get
-    # existence of t with C^i_{jk} = (delta - sigma)^{lm}_{jk} t^i_{lm}
-    witness = {}
-    ok = True
-    for i in range(n):
-        matrix = []
-        rhs = []
-        for j, k in itertools.product(range(n), repeat=2):
-            row = []
-            for l, m in itertools.product(range(n), repeat=2):
-                v = RF_ONE if (l, m) == (j, k) else RF_ZERO
-                row.append(v - sig((l, m, j, k)))
-            matrix.append(row)
-            rhs.append(cc((i, j, k)))
-        x = solve(matrix, rhs, RF_ZERO, RF_ONE)
-        if x is None:
-            ok = False
-            break
-        for (l, m), v in zip(itertools.product(range(n), repeat=2), x):
-            if not v.is_zero:
-                witness[(i, l, m)] = v
-    if ok:
-        rep.record("t_exists", [])
-        rep.extras["t_witness"] = Tensor(3, n, witness)
-    else:
+    # existence of t with C^i_{jk} = (delta - sigma)^{lm}_{jk} t^i_{lm}:
+    # one row reduction of [1 - sigma | C^1 ... C^n]
+    pairs = list(itertools.product(range(n), repeat=2))
+    matrix = [[(RF_ONE if lm == jk else RF_ZERO) - d.sigma.get(lm + jk)
+               for lm in pairs] for jk in pairs]
+    columns = [[d.c.get((i,) + jk) for jk in pairs] for i in range(n)]
+    xs = solve_columns(matrix, columns, RF_ZERO, RF_ONE)
+    if any(x is None for x in xs):
         rep.record("t_exists", [("no solution of C = (1 - sigma) t",)])
+    else:
+        rep.record("t_exists", [])
+        rep.extras["t_witness"] = Tensor(3, n, {
+            (i,) + lm: v for i, x in enumerate(xs)
+            for lm, v in zip(pairs, x)})
     return rep
 
 
@@ -378,7 +381,7 @@ def check_twist_axioms(sigma: Tensor, twist: TwistData,
                        c: Tensor = None) -> AxiomReport:
     """Residuals of the twist-pair compatibility equations."""
     n = sigma.n
-    rep = AxiomReport()
+    rep = AxiomReport(n)
     s = braid_mat(sigma)
     p = twist.phi_mat
     st = twist.conjugate(s)
@@ -494,7 +497,7 @@ def check_proof_identities(sigma: Tensor, c: Tensor,
     """The higher-twist, antisymmetrizer and structure-constant identities
     used in the nilpotency proof, on up to four tensor factors."""
     n = sigma.n
-    rep = AxiomReport()
+    rep = AxiomReport(n)
     s = braid_mat(sigma)
     st = twist.conjugate(s)
     phi = twist.phi

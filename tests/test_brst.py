@@ -180,3 +180,38 @@ def w3_only_ghosts():
     ])
     alg.set_ope("bT", "cT", {1: FieldExpr.unit(alg)})
     return alg.freeze()
+
+
+# sizes recorded from the enumeration on exact Fraction weights
+@pytest.mark.parametrize("family, weight, parity, ghost, size", [
+    ("w3", 1, 1, 1, 26), ("w3", 0, 1, 1, 10), ("w3", 0, 0, 2, 32),
+    ("w3", 1, 0, 2, 76), ("w32", 1, 1, 1, 62), ("w32", 1, 0, 2, 160),
+    ("w32", Fraction(1, 2), 1, 1, 26), ("w32", Fraction(3, 2), 1, 1, 134),
+    ("w32", Fraction(-1, 2), 1, 1, 4), ("w32", Fraction(5, 2), None, 0, 160),
+    ("w3", 2, None, None, 1372), ("w3", Fraction(1, 2), None, None, 0),
+])
+def test_weight_basis_sizes(family, weight, parity, ghost, size):
+    alg = (brst_w3(0, 0, c=100) if family == "w3" else brst_w32(c=-2)).algebra
+    basis = weight_basis(alg, weight, parity=parity, ghost=ghost)
+    assert len(basis) == size
+    assert len(set(basis)) == size
+    assert basis == sorted(basis, key=alg.mono_key)
+    for m in basis:
+        assert alg.mono_weight(m) == weight
+        assert parity is None or alg.mono_parity(m) == parity
+        assert ghost is None or alg.mono_ghost(m) == ghost
+
+
+def test_weight_basis_lists():
+    w3_alg = brst_w3(0, 0, c=100).algebra
+    assert [m.factors for m in weight_basis(w3_alg, 0, parity=1, ghost=1)] == [
+        (("cT", 1),), (("cW", 2),), (("T", 0), ("cW", 0)),
+        (("bT", 0), ("cT", 0), ("cW", 1)), (("bT", 0), ("cT", 1), ("cW", 0)),
+        (("bT", 0), ("cW", 0), ("cW", 2)), (("bT", 1), ("cT", 0), ("cW", 0)),
+        (("bT", 1), ("cW", 0), ("cW", 1)), (("cT", 0), ("bW", 0), ("cW", 0)),
+        (("bW", 0), ("cW", 0), ("cW", 1))]
+    w32_alg = brst_w32(c=-2).algebra
+    assert [m.factors for m in weight_basis(
+        w32_alg, Fraction(-1, 2), parity=1, ghost=1)] == [
+        (("cp", 0),), (("cm", 0),), (("cT", 0), ("bU", 0), ("cp", 0)),
+        (("cT", 0), ("bU", 0), ("cm", 0))]

@@ -259,3 +259,11 @@ def test_qla_coefficient_may_not_name_a_parameter(tmp_path, capsys, name):
     code, _, err = run(capsys, "qla", "check", path)
     _no_traceback(code, err)
     assert f"unknown parameter '{name}'" in err
+
+
+def test_mixed_parity_argument_is_bad_input(capsys):
+    code, out, err = run(capsys, "cft", "jacobi", "w3_ghosts", "bT+N(bT,cT)",
+                         "cT", "cT", "--json")
+    _no_traceback(code, err)
+    assert out == ""
+    assert "definite parity" in err

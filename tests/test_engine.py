@@ -2,11 +2,15 @@
 normal-ordering identities, and Virasoro ground truths."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wbrst.algebras import w3, w32, w3_ghosts
+from wbrst.analysis import weight_basis
+from wbrst.brst import brst_w3, brst_w32
 from wbrst.engine import OpeContext
 from wbrst.fields import FieldExpr, Monomial, UNIT
 from wbrst.parsing import parse_field_expr
@@ -253,3 +257,59 @@ def test_later_calls_leave_earlier_results_unchanged():
         assert _snapshot(fresh_fn(*fresh_args)) == snap, i
     for result, snap in first:
         assert _snapshot(result) == snap
+
+
+# -- the self-product from half its pairs ----------------------------------
+
+
+def _ordered_double_sum(ctx, x):
+    """[x x] as the plain sum of ope_mono over every ordered monomial pair."""
+    out = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in x.terms.items():
+            for n, e in ctx.ope_mono(m1, m2).items():
+                out[n] = out.get(n, FieldExpr.zero(ctx.algebra)) \
+                    + e.scaled(c1 * c2)
+    return {n: e for n, e in out.items() if not e.is_zero}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: brst_w3(0, 0, c=100),
+    lambda: brst_w3(None, None, c=None),
+    lambda: brst_w32(c=None),
+], ids=["w3_numeric", "w3_symbolic", "w32_symbolic"])
+def test_brst_self_product_equals_ordered_double_sum(make):
+    q = make()
+    assert q.expr.parity() == 1
+    assert q.self_product == _ordered_double_sum(q.context, q.expr)
+    # computed once per current
+    assert q.self_product is q.self_product
+
+
+@lru_cache(maxsize=None)
+def _brst_algebra(family):
+    q = brst_w3(0, 0, c=100) if family == "w3" else brst_w32(c=-2)
+    return q.algebra
+
+
+@st.composite
+def _homogeneous_sums(draw):
+    family, weight, parity, ghost = draw(st.sampled_from([
+        ("w3", 1, 1, 1), ("w3", 0, 0, 2), ("w3", 2, 0, 0),
+        ("w32", Fraction(1, 2), 1, 1), ("w32", 1, 0, 0)]))
+    alg = _brst_algebra(family)
+    basis = weight_basis(alg, weight, parity=parity, ghost=ghost)
+    monos = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=4,
+                          unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                           min_size=len(monos), max_size=len(monos)))
+    return FieldExpr(alg, {m: RationalFunction.const(k)
+                           for m, k in zip(monos, coeffs)})
+
+
+@settings(max_examples=25, deadline=None)
+@given(_homogeneous_sums())
+def test_homogeneous_self_product_equals_ordered_double_sum(x):
+    ctx = x.algebra.context()
+    assert x.parity() is not None
+    assert ctx.ope(x, x) == _ordered_double_sum(ctx, x)

@@ -1,8 +1,8 @@
 """Golden CLI outputs: the ``--json`` stdout and exit code of fixed commands.
 
 Every CLI example of README.md, plus the fully symbolic BRST and critical
-charge reports and a failing axiom check, must print exactly the recorded
-bytes.  Commands run from the root of the repository.  Each file in
+charge reports, three numeric BRST reports and a failing axiom check, must
+print exactly the recorded bytes.  Commands run from the root of the repository.  Each file in
 ``tests/golden/`` holds one command: a first line ``exit N``, then the
 stdout verbatim.  To record them again (only when an output change is
 intended), run ``PYTHONPATH=src python tests/test_golden.py``.
@@ -41,6 +41,10 @@ COMMANDS = (
     "cft critical w3",
     # so3 with C^3_{12} = 2: the residual entries of the failing checks
     "qla check tests/data/so3_bad_c.qla",
+    # the numeric BRST paths: W3^(2), the as-printed a2 table, non-conventional ghosts
+    "cft brst w32 --c 7/3",
+    "cft brst w3 --c 100 --a2 printed",
+    "cft brst w3 --c 100 --g1=-49/6 --g2=-31/5",
 )
 
 

@@ -229,12 +229,24 @@ def test_new_parameter_widens_the_ring():
 
 def test_parameter_names_are_taken_literally():
     # param_index takes any string as a name, ':' and ',' included, which
-    # sympy.symbols would read as a range or a list
-    for name in (":", ","):
-        param_index(name)
-        t = RationalFunction.var(name)
-        assert (C * t + t) / (t * G1) == (C + RF_ONE) / G1
-        assert scalars._ring().ngens == len(param_names())
+    # sympy.symbols would read as a range or a list.  The session registry
+    # is restored afterwards, so later tests cancel in the default ring.
+    saved = (list(scalars._PARAMS), dict(scalars._PARAM_INDEX),
+             dict(scalars._RINGS))
+    try:
+        for name in (":", ","):
+            param_index(name)
+            t = RationalFunction.var(name)
+            assert (C * t + t) / (t * G1) == (C + RF_ONE) / G1
+            assert scalars._ring().ngens == len(param_names())
+    finally:
+        scalars._PARAMS[:] = saved[0]
+        for registry, entries in zip((scalars._PARAM_INDEX, scalars._RINGS),
+                                     saved[1:]):
+            registry.clear()
+            registry.update(entries)
+    assert param_names() == tuple(saved[0])
+    assert scalars._ring().ngens == len(saved[0])
 
 
 def test_cancel_cache_is_bounded():
@@ -250,3 +262,18 @@ def test_cancel_cache_is_bounded():
     # the first entries were evicted; computing them again is still right
     x = ((C + rf(0)) * (G1 + RF_ONE)) / ((C + rf(0)) * (G1 - RF_ONE))
     assert x == expected
+
+
+def test_constants_equal_and_hash_alike_however_made():
+    made = ((C + RF_ONE) / (C + RF_ONE), RationalFunction.const(1), RF_ONE,
+            rf(Fraction(3, 3)))
+    assert made[0].is_constant
+    for x in made:
+        assert x == made[0] and x == 1 and x == Fraction(1)
+        assert hash(x) == hash(made[0])
+        assert x.num == MultiPoly.const(1) and x.den == MultiPoly.const(1)
+    half = RationalFunction.const(Fraction(-1, 2))
+    assert half == (RF_ONE - C) / (C + C - RF_ONE - RF_ONE)
+    assert hash(half) == hash((RF_ONE - C) / (C + C - RF_ONE - RF_ONE))
+    assert format_rational(half) == "-1/2"
+    assert half != C and C != half and RF_ZERO == 0 and not RF_ZERO

@@ -3,10 +3,12 @@
 import itertools
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 from conftest import QLA_FILES, load_qla
+from wbrst.linalg import solve, solve_columns
 from wbrst.omega import OmegaAlgebra, OmegaError, verify_nilpotent
 from wbrst.scalars import RF_ONE, RF_ZERO, RationalFunction
 from wbrst.tensors import (Mat, QlaData, Tensor, antisymmetrizer, braid_mat,
@@ -68,6 +70,29 @@ def test_qla_axioms_report_witness():
                     (d.sigma.get((a, b, i, j)) * t.get((k, a, b))
                      for a in range(d.n) for b in range(d.n)), RF_ZERO)
                 assert lhs == d.c.get((k, i, j)), (k, i, j)
+
+
+@pytest.mark.parametrize("name", QLA_FILES)
+def test_witness_equals_one_solve_per_upper_index(name):
+    # one reduction of [1 - sigma | C^1 ... C^n] gives the t^i that a
+    # separate solve of (1 - sigma) t^i = C^i gives
+    d, _ = load_qla(name)
+    pairs = list(itertools.product(range(d.n), repeat=2))
+    matrix = [[(RF_ONE if lm == jk else RF_ZERO) - d.sigma.get(lm + jk)
+               for lm in pairs] for jk in pairs]
+    t = check_qla_axioms(d).extras["t_witness"]
+    for i in range(d.n):
+        x = solve(matrix, [d.c.get((i,) + jk) for jk in pairs],
+                  RF_ZERO, RF_ONE)
+        assert x == [t.get((i,) + lm) for lm in pairs]
+
+
+def test_solve_columns_flags_each_inconsistent_column():
+    zero, one = Fraction(0), Fraction(1)
+    m = [[one, one], [2 * one, 2 * one]]
+    assert solve_columns(m, [[1, 2], [1, 3], [0, 0]], zero, one) == [
+        [1, 0], None, [0, 0]]
+    assert solve_columns([], [[], [0]], zero, one) == [[], []]
 
 
 def test_antisymmetrizer_permutation():
