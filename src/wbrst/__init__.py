@@ -17,7 +17,7 @@ Layers, bottom up:
 """
 
 from .errors import WbrstError
-from .scalars import (MultiPoly, PoleError, RationalFunction, RF_ONE,
+from .scalars import (PoleError, RationalFunction, RF_ONE,
                       RF_ZERO, format_rational, rational_roots, rf)
 from .fields import FieldExpr, GeneratorDecl, Monomial, OpeAlgebra, UNIT
 from .engine import EngineError, OpeContext

@@ -15,7 +15,7 @@ from .errors import WbrstError
 from .fields import FieldExpr, Monomial, OpeAlgebra
 from .linalg import left_nullspace, nullspace, rref, solve, solve_best
 from .scalars import (PoleError, RF_ONE, RF_ZERO, RationalFunction,
-                      param_index, rational_roots, MultiPoly, _add_into)
+                      rational_roots, _add_into)
 
 
 class BrstError(WbrstError):
@@ -183,14 +183,12 @@ def critical_charge(q: BrstCurrent, param="c"):
             obstructions.append(o)
     if not obstructions:
         return None
-    cidx = param_index(param)
     candidates = None
     for o in obstructions:
-        for poly in _univariate_groups(o.num, cidx):
-            roots = rational_roots(poly)
-            candidates = roots if candidates is None else candidates & roots
-            if not candidates:
-                return set()
+        roots = rational_roots(o, param)
+        candidates = roots if candidates is None else candidates & roots
+        if not candidates:
+            return set()
     out = set()
     for r in sorted(candidates):
         if _verify_root(matrix, rhs, param, r):
@@ -203,20 +201,6 @@ def _dot(y, rhs):
     for yi, ri in zip(y, rhs):
         o = o + yi * ri
     return o
-
-
-def _univariate_groups(poly: MultiPoly, cidx: int):
-    """Split a multivariate numerator into univariate polynomials in the
-    chosen parameter, one per monomial pattern of the other parameters."""
-    groups = {}
-    for exps, coeff in poly.terms.items():
-        ce = exps[cidx] if cidx < len(exps) else 0
-        rest = tuple(0 if i == cidx else e for i, e in enumerate(exps))
-        while rest and rest[-1] == 0:
-            rest = rest[:-1]
-        uni = (0,) * cidx + (ce,) if ce else ()
-        groups.setdefault(rest, {})[uni] = coeff
-    return [MultiPoly(terms) for terms in groups.values()]
 
 
 def _verify_root(matrix, rhs, param, value) -> bool:
@@ -247,29 +231,19 @@ def solve_conventional():
     eqs = [v for _, v in unconventional_terms(q)]
     if not eqs:
         raise BrstError("nothing to solve: no higher-degree terms")
-    i1, i2 = param_index("g1"), param_index("g2")
+    g1, g2 = RationalFunction.var("g1"), RationalFunction.var("g2")
     rows, rhs = [], []
     for v in eqs:
-        if not v.den.is_constant:
-            raise BrstError("coefficient denominator depends on parameters")
-        a1 = a2 = Fraction(0)
-        const = Fraction(0)
-        for exps, coeff in v.num.terms.items():
-            exps = exps + (0,) * (max(i1, i2) + 1 - len(exps))
-            stripped = [e for i, e in enumerate(exps) if i not in (i1, i2)]
-            if any(stripped):
-                raise BrstError("coefficient depends on parameters other "
-                                "than the ghost-sector ones")
-            if exps[i1] == 1 and exps[i2] == 0:
-                a1 += coeff
-            elif exps[i1] == 0 and exps[i2] == 1:
-                a2 += coeff
-            elif exps[i1] == 0 and exps[i2] == 0:
-                const += coeff
-            else:
-                raise BrstError("system is not linear in the parameters")
-        rows.append([a1, a2])
-        rhs.append(-const)
+        const = v.substitute({"g1": 0, "g2": 0})
+        a1 = v.substitute({"g1": 1, "g2": 0}) - const
+        a2 = v.substitute({"g1": 0, "g2": 1}) - const
+        if not (const.is_constant and a1.is_constant and a2.is_constant):
+            raise BrstError("coefficient depends on parameters other "
+                            "than the ghost-sector ones")
+        if v != const + a1 * g1 + a2 * g2:
+            raise BrstError("system is not linear in the parameters")
+        rows.append([a1.constant_value(), a2.constant_value()])
+        rhs.append(-const.constant_value())
     x = solve(rows, rhs, Fraction(0), Fraction(1))
     if x is None:
         raise BrstError("inconsistent system for the ghost parameters")
@@ -513,17 +487,17 @@ def _eliminate(equations, remaining, depth=0):
         if len(vs) != 1:
             continue
         (k,) = vs
-        poly = {}
+        x = RationalFunction.var("x")
+        poly = RF_ZERO
         for key, v in eq.items():
             if not v.is_constant:
                 break
-            _add_into(poly, len(key), v.constant_value())
+            term = v
+            for _ in key:
+                term = term * x
+            poly = poly + term
         else:
-            mp = MultiPoly({_expo(d): q for d, q in poly.items()})
-            try:
-                roots = rational_roots(mp)
-            except Exception:
-                continue
+            roots = rational_roots(poly, "x")
             sols = []
             inner_remaining = remaining - set(assigns) - {k}
             for r in sorted(roots):
@@ -543,14 +517,6 @@ def _eliminate(equations, remaining, depth=0):
                     uniq.append(s)
             return uniq
     return [("stalled", eqs)]
-
-
-_AUX = "brst_aux"
-
-
-def _expo(d):
-    i = param_index(_AUX)
-    return () if d == 0 else (0,) * i + (d,)
 
 
 def _resolve(assigns, order, known):

@@ -20,15 +20,11 @@ from math import comb, factorial
 
 from .errors import WbrstError
 from .fields import FieldExpr, Monomial, OpeAlgebra, UNIT
-from .scalars import RationalFunction, _add_into
+from .scalars import RF_ONE, _add_into
 
 
 class EngineError(WbrstError):
     pass
-
-
-def _frac(x) -> RationalFunction:
-    return RationalFunction.const(x)
 
 
 class OpeContext:
@@ -214,13 +210,13 @@ class OpeContext:
         self._tick()
         alg = self.algebra
         if not m.factors:
-            out = FieldExpr(alg, {Monomial((f,)): _frac(1)})
+            out = FieldExpr(alg, {Monomial((f,)): RF_ONE})
         else:
             g = m.factors[0]
             kf, kg = alg.factor_key(f), alg.factor_key(g)
             odd_f = alg.decl(f[0]).parity
             if kf < kg or (kf == kg and not odd_f):
-                out = FieldExpr(alg, {Monomial((f,) + m.factors): _frac(1)})
+                out = FieldExpr(alg, {Monomial((f,) + m.factors): RF_ONE})
             elif kf == kg:
                 # identical odd factor: 2 N(f, N(f, X)) equals the
                 # reordering correction series
@@ -250,9 +246,9 @@ class OpeContext:
     def nmono2(self, m1: Monomial, m2: Monomial) -> FieldExpr:
         """Canonical form of N(M1, M2) for arbitrary monomials."""
         if not m1.factors:
-            return FieldExpr(self.algebra, {m2: _frac(1)})
+            return FieldExpr(self.algebra, {m2: RF_ONE})
         if not m2.factors:
-            return FieldExpr(self.algebra, {m1: _frac(1)})
+            return FieldExpr(self.algebra, {m1: RF_ONE})
         if len(m1.factors) == 1:
             return self.nmono_single(m1.factors[0], m2)
         key = (m1.factors, m2.factors)
@@ -273,7 +269,7 @@ class OpeContext:
         ps = alg.mono_parity(s)
         sign = -1 if ph and ps else 1
         for l, e in self.ope_mono(Monomial((h,)), m2).items():
-            ds = self._dexpr(FieldExpr(alg, {s: _frac(1)}), l)
+            ds = self._dexpr(FieldExpr(alg, {s: RF_ONE}), l)
             _add_expr(acc, self._nexpr2(ds, e), Fraction(sign, factorial(l)))
         out = FieldExpr(self.algebra, acc)
         self._nprod_memo[key] = out
@@ -289,7 +285,7 @@ class OpeContext:
             out = self._zero()
         elif len(m.factors) == 1:
             name, d = m.factors[0]
-            out = FieldExpr(self.algebra, {Monomial(((name, d + 1),)): _frac(1)})
+            out = FieldExpr(self.algebra, {Monomial(((name, d + 1),)): RF_ONE})
         else:
             h = m.factors[0]
             rest = Monomial(m.factors[1:])

@@ -14,17 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import WbrstError
-from .scalars import RF_ZERO, RationalFunction, _add_into
+from .scalars import RF_ONE, RF_ZERO, RationalFunction, _add_into, rf
 
 
 class FieldError(WbrstError):
     pass
-
-
-def _rf(x):
-    if isinstance(x, RationalFunction):
-        return x
-    return RationalFunction.const(x)
 
 
 @dataclass(frozen=True)
@@ -165,12 +159,12 @@ class FieldExpr:
 
     @staticmethod
     def unit(algebra) -> "FieldExpr":
-        return FieldExpr(algebra, {UNIT: _rf(1)})
+        return FieldExpr(algebra, {UNIT: RF_ONE})
 
     @staticmethod
     def generator(algebra, name) -> "FieldExpr":
         algebra.decl(name)
-        return FieldExpr(algebra, {Monomial(((name, 0),)): _rf(1)})
+        return FieldExpr(algebra, {Monomial(((name, 0),)): RF_ONE})
 
     @staticmethod
     def zero(algebra) -> "FieldExpr":
@@ -195,7 +189,7 @@ class FieldExpr:
         return self.scaled(-1)
 
     def scaled(self, k) -> "FieldExpr":
-        k = _rf(k)
+        k = rf(k)
         if k.is_zero:
             return FieldExpr(self.algebra, {})
         return FieldExpr(self.algebra,

@@ -27,7 +27,7 @@ from math import factorial, floor, lcm
 from .errors import WbrstError
 from .fields import FieldExpr, Monomial
 from .linalg import left_nullspace, rref
-from .scalars import _add_into
+from .scalars import RF_ONE, _add_into
 
 
 class ModeError(WbrstError):
@@ -613,8 +613,8 @@ def crosscheck(algebra, pairs, level, excite=None, modes=(0, 1, -1)) -> dict:
               "checks": [], "ok": True}
     jobs = []
     for x, y in pairs:
-        xe = x if isinstance(x, FieldExpr) else FieldExpr(algebra, {x: _rf1()})
-        ye = y if isinstance(y, FieldExpr) else FieldExpr(algebra, {y: _rf1()})
+        xe = x if isinstance(x, FieldExpr) else FieldExpr(algebra, {x: RF_ONE})
+        ye = y if isinstance(y, FieldExpr) else FieldExpr(algebra, {y: RF_ONE})
         engine = ctx.ope(xe, ye)
         top = max(engine, default=0) + 2
         hsum = _expr_weight(slc, xe) + _expr_weight(slc, ye)
@@ -665,8 +665,8 @@ def crosscheck_bundle(algebra, level, modes=(0,)) -> dict:
     merged = {"level": str(Fraction(level)), "ok": True, "systems": [],
               "checks": []}
     for s in systems:
-        b = FieldExpr(algebra, {Monomial(((s.b, 0),)): _rf1()})
-        c = FieldExpr(algebra, {Monomial(((s.c, 0),)): _rf1()})
+        b = FieldExpr(algebra, {Monomial(((s.b, 0),)): RF_ONE})
+        c = FieldExpr(algebra, {Monomial(((s.c, 0),)): RF_ONE})
         bc = ctx.normal_product(b, c)
         t = ghost_stress(ctx, [(s.b, s.c)])
         pairs = [(Monomial(((s.b, 0),)), Monomial(((s.c, 0),))),
@@ -690,11 +690,6 @@ def stress_central_charge(t, system, level=2) -> Fraction:
     slc = FockSlice([system], level)
     m4 = ope_from_modes(t, t, 4, 0, slc, max_pole=6)
     return 2 * m4.columns[()].get((), Fraction(0))
-
-
-def _rf1():
-    from .scalars import RF_ONE
-    return RF_ONE
 
 
 def _label(x):

@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import WbrstError
-from .scalars import RationalFunction, _add_into
+from .scalars import RF_ONE, _add_into, rf
 from .tensors import (Mat, QlaData, Tensor, TwistData, antisymmetrizer_mats,
                       braid_mat, embed, flatten, unflatten)
 
@@ -33,12 +33,6 @@ _RANK = {"c": 0, "x": 1, "b": 2}
 # sector caps (c-degree, generator degree, b-degree); enough for a
 # square of the differential, which is all the canonical form is for
 P_MAX, Q_MAX, R_MAX = 4, 2, 2
-
-
-def _rf(x):
-    if isinstance(x, RationalFunction):
-        return x
-    return RationalFunction.const(x)
 
 
 class OmegaAlgebra:
@@ -84,11 +78,11 @@ class OmegaAlgebra:
         return OmegaElement(self, terms or {})
 
     def scalar(self, value) -> "OmegaElement":
-        return self.element({(): {(): _rf(value)}})
+        return self.element({(): {(): rf(value)}})
 
     def word(self, letters, coeff) -> "OmegaElement":
         letters = tuple(letters)
-        cf = {tuple(i): _rf(v) for i, v in coeff.items()}
+        cf = {tuple(i): rf(v) for i, v in coeff.items()}
         return self.element({letters: cf}).canonicalized()
 
 
@@ -126,7 +120,7 @@ class OmegaElement:
         return self + other.scaled(-1)
 
     def scaled(self, k) -> "OmegaElement":
-        k = _rf(k)
+        k = rf(k)
         if k.is_zero:
             return OmegaElement(self.algebra, {})
         return OmegaElement(self.algebra,
@@ -292,7 +286,7 @@ def _project_ghosts(alg, word, coeff, p, r):
 def build_q(alg: OmegaAlgebra) -> OmegaElement:
     """The ghost differential c^i chi_i - (1/2) c c phi C b."""
     n = alg.n
-    linear = {(i, i): _rf(1) for i in range(n)}
+    linear = {(i, i): RF_ONE for i in range(n)}
     cubic = {}
     half = Fraction(-1, 2)
     for (m, nn, y, x), pv in alg.twist.phi.items():

@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 
 from .errors import WbrstError
-from .scalars import PoleError, RationalFunction, param_names
+from .scalars import PoleError, RationalFunction
 
 
 class ParseError(WbrstError):
@@ -34,14 +34,18 @@ class ParseError(WbrstError):
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 
+# Deepest parenthesis nesting a line may have.  The parsers recurse once per
+# level, so a bound keeps deep input a ParseError, not a RecursionError.
+MAX_NESTING = 64
+
 
 class _Tokens:
     """Tokens of one line; ``scope`` maps the parameter names a coefficient
-    may use to their values."""
+    may use to their values, or is None to make every name a parameter."""
 
     def __init__(self, text, line, scope):
         self.items = []
-        pos = 0
+        pos = depth = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if not m or m.end() == pos:
@@ -54,6 +58,10 @@ class _Tokens:
                 ch = m.group(3)
                 if not ch.isspace():
                     self.items.append(("op", ch, pos))
+                depth += {"(": 1, ")": -1}.get(ch, 0)
+                if depth > MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than "
+                                     f"{MAX_NESTING} levels", line, pos)
             pos = m.end()
         self.pos = 0
         self.line = line
@@ -109,13 +117,12 @@ def _divide(t: _Tokens, x, y) -> RationalFunction:
 
 
 def _coeff_factor(t: _Tokens) -> RationalFunction:
-    tok = t.peek()
-    if tok[:2] == ("op", "-"):
-        t.next()
+    # a run of unary signs is read in a loop, so its length costs no stack
+    negate = False
+    while t.peek()[:2] in (("op", "-"), ("op", "+")):
+        negate ^= t.next()[1] == "-"
+    if negate:
         return -_coeff_factor(t)
-    if tok[:2] == ("op", "+"):
-        t.next()
-        return _coeff_factor(t)
     x = _coeff_atom(t)
     if t.peek()[:2] == ("op", "^"):
         t.next()
@@ -141,6 +148,8 @@ def _coeff_atom(t: _Tokens) -> RationalFunction:
     if tok[0] == "int":
         return RationalFunction.const(int(tok[1]))
     if tok[0] == "name":
+        if t.scope is None:
+            return RationalFunction.var(tok[1])
         value = t.scope.get(tok[1])
         if value is None:
             raise ParseError(f"unknown parameter {tok[1]!r}", t.line, tok[2])
@@ -154,9 +163,8 @@ def _coeff_atom(t: _Tokens) -> RationalFunction:
 
 def parse_coefficient(text: str, line=None, scope=None) -> RationalFunction:
     """Parse a coefficient; ``scope`` maps the parameter names it may use
-    to their values, by default every session parameter, symbolic."""
-    t = _Tokens(text, line, _param_scope(param_names()) if scope is None
-                else scope)
+    to their values.  Without a scope every name is a symbolic parameter."""
+    t = _Tokens(text, line, scope)
     x = _coeff_expr(t)
     if not t.at_end():
         tok = t.peek()
@@ -177,34 +185,38 @@ def _field_expr(t: _Tokens, algebra, ctx=None):
 
 
 def _field_term(t: _Tokens, algebra, ctx=None):
-    # scalar prefix: anything that parses as a coefficient followed by '*'
-    save = t.pos
-    try:
-        coeff = _coeff_factor(t)
-        is_scalar = True
-    except ParseError:
-        is_scalar = False
-        t.pos = save
-    if is_scalar:
-        if t.peek()[:2] == ("op", "*"):
-            t.next()
-            rest = _field_term(t, algebra, ctx)
-            return rest.scaled(coeff)
-        t.pos = save
-    return _field_atom(t, algebra, ctx)
+    # scalar prefixes: anything that parses as a coefficient followed by '*'
+    coeff = None
+    while True:
+        save = t.pos
+        try:
+            k = _coeff_factor(t)
+        except ParseError:
+            k = None
+        if k is None or t.peek()[:2] != ("op", "*"):
+            t.pos = save
+            break
+        t.next()
+        coeff = k if coeff is None else coeff * k
+    x = _field_atom(t, algebra, ctx)
+    return x if coeff is None else x.scaled(coeff)
 
 
 def _field_atom(t: _Tokens, algebra, ctx=None):
     from .fields import FieldExpr
     if ctx is None:
         ctx = algebra.context()
+    negate = False
+    while t.peek()[:2] == ("op", "-"):
+        t.next()
+        negate = not negate
+    if negate:
+        return -_field_atom(t, algebra, ctx)
     tok = t.next()
     if tok[:2] == ("op", "("):
         x = _field_expr(t, algebra, ctx)
         t.expect("op", ")")
         return x
-    if tok[:2] == ("op", "-"):
-        return -_field_atom(t, algebra, ctx)
     if tok[0] != "name":
         raise ParseError(f"unexpected token {tok[1]!r} in field expression",
                          t.line, tok[2])

@@ -25,13 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .linalg import solve_columns
-from .scalars import RF_ONE, RF_ZERO, RationalFunction, _add_into
-
-
-def _rf(x):
-    if isinstance(x, RationalFunction):
-        return x
-    return RationalFunction.const(x)
+from .scalars import RF_ONE, RF_ZERO, RationalFunction, _add_into, rf
 
 
 class Tensor:
@@ -42,7 +36,7 @@ class Tensor:
         self.n = n
         self.entries = {}
         for idx, val in entries.items():
-            val = _rf(val)
+            val = rf(val)
             if not val.is_zero:
                 if len(idx) != rank or any(not (0 <= i < n) for i in idx):
                     raise ValueError(f"bad index {idx} for rank {rank}, n {n}")
@@ -80,7 +74,7 @@ class Mat:
         return Mat(n, n, {i: {i: RF_ONE} for i in range(n)})
 
     def set(self, r, c, val):
-        val = _rf(val)
+        val = rf(val)
         if val.is_zero:
             self.rows.get(r, {}).pop(c, None)
         else:
@@ -113,7 +107,7 @@ class Mat:
         return self + other.scaled(-1)
 
     def scaled(self, k) -> "Mat":
-        k = _rf(k)
+        k = rf(k)
         if k.is_zero:
             return Mat(self.nrows, self.ncols)
         return Mat(self.nrows, self.ncols,

@@ -217,15 +217,37 @@ def test_parameters_do_not_leak_between_files(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "param :", "param 3/2", "param N(T,W) weight=2", "param k k"])
 def test_param_must_be_one_new_name(tmp_path, capsys, line):
-    from wbrst.scalars import param_names
-    before = param_names()
+    before = _scalar_probe()
     f = tmp_path / "param.alg"
     f.write_text(f"algebra p\n{line}\nfield T weight=2\n"
                  "ope T T : 4 -> (1/2)*one ; 2 -> 2*T ; 1 -> D(T)\n")
     code, _, err = run(capsys, "cft", "validate", str(f))
     _no_traceback(code, err)
     assert "line 2" in err
-    assert param_names() == before
+    assert _scalar_probe() == before
+
+
+def _scalar_probe():
+    """The print form and ring names of a fixed value, which no earlier
+    computation may change."""
+    from wbrst.scalars import format_rational, rf
+    x = rf("(c^2*g2 - g1)/(3*g1 + c)")
+    return format_rational(x), x.num.ring.symbols, x.den.ring.symbols
+
+
+def test_deep_nesting_is_bad_input(tmp_path, capsys):
+    deep = "(" * 2000 + "T" + ")" * 2000
+    code, out, err = run(capsys, "cft", "ope", "w3", deep, "T",
+                         "--set", "c=100")
+    _no_traceback(code, err)
+    assert "nested deeper" in err and out == ""
+    f = tmp_path / "deep.alg"
+    f.write_text("algebra deep\nfield T weight=2\n"
+                 "ope T T : 4 -> " + "(" * 1500 + "1/2" + ")" * 1500
+                 + "*one ; 2 -> 2*T ; 1 -> D(T)\n")
+    code, out, err = run(capsys, "cft", "validate", str(f))
+    _no_traceback(code, err)
+    assert "nested deeper" in err and "line 3" in err
 
 
 def _mutated_qla(tmp_path, name, old, new):

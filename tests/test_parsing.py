@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import ALG_FILES, QLA_FILES, load_alg, read_data
 from wbrst.fields import FieldExpr
-from wbrst.parsing import (ParseError, format_algebra_file, format_field_expr,
-                           format_monomial, parse_algebra_file,
+from wbrst.parsing import (MAX_NESTING, ParseError, format_algebra_file,
+                           format_field_expr, format_monomial,
+                           parse_algebra_file,
                            parse_coefficient, parse_field_expr, parse_qla_file)
 from wbrst.scalars import RF_ONE, RationalFunction as RF
 
@@ -224,3 +225,48 @@ def test_qla_parser_raises_only_bad_input(text):
         parse_qla_file(text)
     except BAD_INPUT:
         pass
+
+
+_FIELD_TOKENS = ("T", "W", "bT", "cT", "bW", "cW", "one", "c", "g1", "zeta",
+                 "0", "2", "3/2", "1/0", "+", "-", "*", "/", "^", "(", ")",
+                 ",", "D(", "D2(", "N(", "D(T)", "N(T,W)", "N(cT,bW)")
+# a token string, or one wrapped in up to twice the allowed nesting
+_FIELD_TEXT = st.one_of(
+    st.lists(st.sampled_from(_FIELD_TOKENS), max_size=10).map(" ".join),
+    st.builds(lambda opener, k, inner, closed: opener * k + inner
+              + ")" * (k if closed else k // 2),
+              st.sampled_from(("(", "D(", "N(T,", "-", "2*", "(-")),
+              st.integers(0, 2 * MAX_NESTING),
+              st.sampled_from(("T", "cT", "one", "c", "zeta", "")),
+              st.booleans()))
+
+
+@pytest.fixture(scope="module")
+def w3_tables():
+    return load_alg("w3.alg"), load_alg("w3_ghosts.alg")
+
+
+@settings(max_examples=80, deadline=None)
+@given(_FIELD_TEXT, st.booleans())
+def test_field_expr_parser_raises_only_bad_input(w3_tables, text, ghosts):
+    from wbrst.cli import BAD_INPUT
+    try:
+        parse_field_expr(text, w3_tables[ghosts])
+    except BAD_INPUT:
+        pass
+
+
+def test_nesting_bound():
+    w3 = load_alg("w3.alg")
+    t = parse_field_expr("T", w3)
+    ok = "(" * MAX_NESTING + "T" + ")" * MAX_NESTING
+    assert parse_field_expr(ok, w3) == t
+    with pytest.raises(ParseError, match="nested deeper") as exc:
+        parse_field_expr("(" + ok + ")", w3, line=4)
+    assert (exc.value.line, exc.value.column) == (4, MAX_NESTING)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_coefficient("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1))
+    # runs of signs and of scalar factors are read in loops, not nested
+    assert parse_field_expr("-" * 4000 + "T", w3) == t
+    assert parse_field_expr("1*" * 4000 + "T", w3) == t
+    assert parse_coefficient("-+" * 4000 + "c") == RF.var("c")

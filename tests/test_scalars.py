@@ -1,5 +1,7 @@
-"""Exact scalar layer: sparse polynomials and rational functions."""
+"""Exact scalar layer: rational functions over per-value rings."""
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -8,22 +10,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbrst import scalars
-from wbrst.scalars import (MultiPoly, PoleError, RationalFunction, RF_ONE,
-                           RF_ZERO, format_poly, format_rational, param_index,
-                           param_names, rational_roots, rf)
-from wbrst.parsing import parse_coefficient
+from wbrst.scalars import (PoleError, RationalFunction, RF_ONE, RF_ZERO,
+                           ScalarError, format_rational, rational_roots, rf)
+from wbrst.parsing import parse_algebra_file, parse_coefficient
 
 C = RationalFunction.var("c")
 G1 = RationalFunction.var("g1")
+G2 = RationalFunction.var("g2")
 
 
-def test_poly_construction_strips_trailing_zeros():
-    i = param_index("c")
-    key_padded = tuple([0] * i + [2] + [0] * 3)
-    p = MultiPoly({key_padded: Fraction(1)})
-    q = MultiPoly.var("c") * MultiPoly.var("c")
-    assert p == q
-    assert set(p.terms) == set(q.terms)
+def _names(x: RationalFunction):
+    return tuple(str(s) for s in x.num.ring.symbols)
+
+
+def _used(x: RationalFunction):
+    """The names that occur in the numerator or denominator of ``x``."""
+    return tuple(str(s) for i, s in enumerate(x.num.ring.symbols)
+                 if any(m[i] for m in (*x.num, *x.den)))
+
+
+def test_ring_holds_exactly_the_names_used():
+    assert _names(C * C) == ("c",)
+    assert _names(G1 * C) == _names(C * G1) == ("c", "g1")
+    # a name the result no longer uses is dropped from its ring
+    x = (C * G1 + G2) * G1 - G2 * G1
+    assert x == C * G1 * G1 and _names(x) == ("c", "g1")
+    assert x.num.ring is (C * G1 * G1).num.ring
+    assert _names((G2 * C + G1) / (G2 * C + G1)) == ()
 
 
 def test_rational_normalization():
@@ -31,7 +44,7 @@ def test_rational_normalization():
     assert x == C + RF_ONE
     y = RF_ONE / (RF_ZERO - C)
     # denominator sign is normalized into the numerator
-    assert y.den.leading_coeff() > 0
+    assert y.den.LC > 0
 
 
 def test_rational_arithmetic_field_laws():
@@ -57,15 +70,34 @@ def test_substitute_and_pole_error():
 def test_rational_roots_univariate():
     # (c - 100)(2c + 1)
     p = (C - rf(100)) * (C + rf("1/2")) * rf(2)
-    assert rational_roots(p.num) == {Fraction(100), Fraction(-1, 2)}
-    assert rational_roots((C * C + RF_ONE).num) == set()
+    assert rational_roots(p, "c") == {Fraction(100), Fraction(-1, 2)}
+    assert rational_roots(C * C + RF_ONE, "c") == set()
+    assert rational_roots(C * (C - 3) / (C + 1), "c") == {0, 3}
+    assert rational_roots(rf(5), "c") == rational_roots(G1, "c") == set()
+    with pytest.raises(ScalarError):
+        rational_roots(RF_ZERO, "c")
+
+
+def test_rational_roots_vanish_in_the_other_names():
+    # roots in c at which the numerator vanishes for every g1 and g2
+    p = (C - 1) * ((C - 2) * G1 + G2 * G2) * (C + rf("1/3"))
+    assert rational_roots(p, "c") == {1, Fraction(-1, 3)}
+    assert rational_roots(p, "g2") == set()
+
+
+def test_rational_roots_of_a_large_constant_term():
+    # trial division over the divisors of the constant term cannot finish
+    big = 10**30 + 57
+    assert rational_roots((C - big) * (C + 3), "c") == {big, -3}
 
 
 def test_format_round_trip():
     x = (C * C - rf("3/7") * G1) / (C + rf(5))
     assert parse_coefficient(format_rational(x)) == x
-    assert parse_coefficient(format_poly(x.num)) == RationalFunction(
-        x.num, MultiPoly.const(1))
+    # names print in sorted order, terms by descending degree
+    y = rf("zeta*b + a^2 - 3")
+    assert format_rational(y) == "a^2+b*zeta-3"
+    assert parse_coefficient(format_rational(y)) == y
 
 
 _fracs = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))
@@ -83,10 +115,10 @@ def test_constant_embedding_matches_fractions(a, b, k):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(0, 3))
 def test_poly_ring_laws(x, y, e):
-    p = MultiPoly.var("c").scale(Fraction(x)) + MultiPoly.const(y)
-    q = MultiPoly.var("g1")
+    p = C * x + y
+    q = G1
     for _ in range(e):
-        q = q * MultiPoly.var("c")
+        q = q * C
     assert p * q == q * p
     assert (p + q) - q == p
     assert p * (q + q) == p * q + p * q
@@ -94,76 +126,112 @@ def test_poly_ring_laws(x, y, e):
 
 # -- cancellation against sympy.cancel -------------------------------------
 
-
-def _symbols():
-    return [sympy.Symbol(n) for n in param_names()]
+_SYMBOLS = sympy.symbols("c g1 g2")
 
 
-def _to_sympy(p: MultiPoly):
-    syms = _symbols()
-    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
-                       * sympy.Mul(*(s ** k for s, k in zip(syms, e)))
-                       for e, c in p.terms.items()))
+def _terms(x):
+    """A polynomial of a value's ring as {((name, exponent), ...): Fraction},
+    with only the nonzero exponents."""
+    names = [str(s) for s in x.ring.symbols]
+    return {tuple((n, k) for n, k in zip(names, m) if k):
+            Fraction(int(c.numerator), int(c.denominator))
+            for m, c in x.items()}
 
 
-def _reference(num: MultiPoly, den: MultiPoly) -> RationalFunction:
-    """num/den cancelled by sympy.cancel, then put in the canonical form
-    (joint content 1, positive leading denominator coefficient in
-    graded-lexicographic order) by hand."""
+def _reference(num: dict, den: dict):
+    """The canonical numerator and denominator of num/den, two polynomials
+    given as {(e_c, e_g1, e_g2): coefficient}, from sympy.cancel and the
+    canonical form put in by hand: integer coefficients of joint content 1,
+    positive leading denominator coefficient in graded-lexicographic
+    order."""
     from math import gcd, lcm
-    syms = _symbols()
-    n, d = sympy.fraction(sympy.cancel(_to_sympy(num) / _to_sympy(den)))
-    pn = sympy.Poly(n, *syms, domain="QQ")
-    pd = sympy.Poly(d, *syms, domain="QQ")
+
+    def expr(p):
+        return sympy.Add(*(k * sympy.Mul(*(s ** e for s, e in zip(_SYMBOLS, m)))
+                           for m, k in p.items()))
+    n, d = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+    pn = sympy.Poly(n, *_SYMBOLS, domain="QQ")
+    pd = sympy.Poly(d, *_SYMBOLS, domain="QQ")
     coeffs = [Fraction(int(q.p), int(q.q))
               for q in pn.coeffs() + pd.coeffs() if q]
     content = Fraction(gcd(*(abs(q.numerator) for q in coeffs)),
                        lcm(*(q.denominator for q in coeffs)))
-    lead = pd.LC(order="grlex")
-    factor = content if lead > 0 else -content
+    factor = content if pd.LC(order="grlex") > 0 else -content
 
-    def poly(p):
-        return MultiPoly({e: Fraction(int(q.p), int(q.q)) / factor
-                          for e, q in p.terms() if q})
-    return RationalFunction(poly(pn), poly(pd), _normalized=True)
+    def terms(p):
+        return {tuple((str(s), e) for s, e in zip(_SYMBOLS, m) if e):
+                Fraction(int(q.p), int(q.q)) / factor
+                for m, q in p.terms() if q}
+    return terms(pn), terms(pd)
+
+
+def _value(p: dict) -> RationalFunction:
+    """The polynomial {(e_c, e_g1, e_g2): coefficient} as a value."""
+    out = RF_ZERO
+    for m, k in p.items():
+        term = rf(k)
+        for v, e in zip((C, G1, G2), m):
+            for _ in range(e):
+                term = term * v
+        out = out + term
+    return out
+
+
+def _product(p: dict, q: dict) -> dict:
+    out = {}
+    for m1, k1 in p.items():
+        for m2, k2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + k1 * k2
+    return {m: k for m, k in out.items() if k}
+
+
+def _check_against_sympy(x: RationalFunction, num: dict, den: dict):
+    ref_num, ref_den = _reference(num, den)
+    assert (_terms(x.num), _terms(x.den)) == (ref_num, ref_den)
+    # the ring is exactly the names the reference uses, sorted
+    used = {n for t in (*ref_num, *ref_den) for n, _ in t}
+    assert _names(x) == tuple(sorted(used))
 
 
 _exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
-_polys = st.dictionaries(_exps, st.integers(-3, 3), min_size=1,
-                         max_size=3).map(MultiPoly)
-_nonzero_polys = _polys.filter(lambda p: not p.is_zero)
+_polys = st.dictionaries(_exps, st.integers(-3, 3).filter(bool), min_size=1,
+                         max_size=3)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_nonzero_polys, _polys, _nonzero_polys)
+@given(_polys, _polys, _polys)
 def test_cancellation_matches_sympy_cancel(shared, a, b):
     # (shared * a) / (shared * b): a common factor to cancel
-    x = RationalFunction(shared * a, shared * b)
-    ref = _reference(shared * a, shared * b)
-    assert x == ref
-    assert format_rational(x) == format_rational(ref)
+    num, den = _product(shared, a), _product(shared, b)
+    x = _value(num) / _value(den)
+    _check_against_sympy(x, num, den)
+    assert parse_coefficient(format_rational(x)) == x
 
 
-# -- the constant slot -----------------------------------------------------
+# -- the constant slot and the ring ----------------------------------------
 
 
-def _check_constant_slot(x: RationalFunction):
-    assert x.is_constant == (x.num.is_constant and x.den.is_constant)
+def _check_canonical(x: RationalFunction):
+    assert x.is_constant == (x.num.is_ground and x.den.is_ground)
     if x.is_constant:
-        assert x.constant_value() == (x.num.constant_value()
-                                      / x.den.constant_value())
+        assert x.constant_value() == (Fraction(int(x.num.LC.numerator))
+                                      / int(x.den.LC.numerator))
     assert x.is_zero == (x.is_constant and x.constant_value() == 0)
+    assert x.num.ring is x.den.ring and _names(x) == _used(x)
+    assert list(_names(x)) == sorted(_names(x))
 
 
 _rfs = st.one_of(
     _fracs.map(rf),
-    st.tuples(_polys, _nonzero_polys).map(lambda t: RationalFunction(*t)))
+    st.tuples(_polys, _polys).map(lambda t: _value(t[0]) / _value(t[1])))
 _points = st.fixed_dictionaries({"c": _fracs, "g1": _fracs, "g2": _fracs})
+_partial = st.dictionaries(st.sampled_from(("c", "g1", "g2", "zzz")), _fracs)
 
 
 @settings(max_examples=80, deadline=None)
-@given(_rfs, _rfs, _points)
-def test_every_operator_keeps_the_constant_slot(x, y, point):
+@given(_rfs, _rfs, _points, _partial)
+def test_every_operator_keeps_the_constant_slot(x, y, point, partial):
     results = [x, y, x + y, x - y, x * y, -x, x + 1, 2 - x, x * 3,
                Fraction(1, 2) * y, x + Fraction(1, 3)]
     if not y.is_zero:
@@ -175,9 +243,13 @@ def test_every_operator_keeps_the_constant_slot(x, y, point):
             pass
         else:
             assert results[-1].is_constant
+        try:
+            results.append(v.substitute(partial))
+        except PoleError:
+            pass
     results += [parse_coefficient(format_rational(v)) for v in list(results)]
     for v in results:
-        _check_constant_slot(v)
+        _check_canonical(v)
 
 
 # -- the sparse accumulate helper -------------------------------------------
@@ -206,47 +278,59 @@ def test_add_into_is_a_sparse_per_key_sum(items):
     assert all(acc.values())
 
 
-# -- the parameter universe and the cancel cache ---------------------------
+# -- per-value rings and the cancel cache ----------------------------------
 
 
 def test_new_parameter_widens_the_ring():
     old = (C * C - G1) / (C + RF_ONE)
-    param_index("scalar_probe")
     t = RationalFunction.var("scalar_probe")
-    assert scalars._ring().ngens == len(param_names())
-    assert "scalar_probe" in [str(s) for s in scalars._ring().symbols]
-    mixed = (old * (t - G1)) / (t - G1)
-    assert mixed == old
+    mixed = old * (t - G1)
+    assert _names(mixed) == ("c", "g1", "scalar_probe")
+    # dividing the new name out drops it again: one ring per value
+    assert mixed / (t - G1) == old
+    assert (mixed / (t - G1)).num.ring is old.num.ring
     y = ((t * C - RF_ONE) * (t + G1)) / ((t * C - RF_ONE) * (G1 - rf(2)))
     assert y == (t + G1) / (G1 - rf(2))
-    num = (t * C - RF_ONE) * (t + G1) * old
-    den = (t * C - RF_ONE) * (C + G1)
-    x = num / den
-    assert x == _reference(num.num * den.den, num.den * den.num)
-    assert format_rational(x) == format_rational(
-        _reference(num.num * den.den, num.den * den.num))
+    assert _names(y) == ("g1", "scalar_probe")
+    # (t*c - 1)(t + g1)(c^2 - g1) / ((t*c - 1)(c + g1)(c + 1)), with t as
+    # the third exponent so that sympy's reference sees three names
+    shared = {(1, 0, 1): 1, (0, 0, 0): -1}
+    num = _product(_product(shared, {(0, 0, 1): 1, (0, 1, 0): 1}),
+                   {(2, 0, 0): 1, (0, 1, 0): -1})
+    den = _product(_product(shared, {(1, 0, 0): 1, (0, 1, 0): 1}),
+                   {(1, 0, 0): 1, (0, 0, 0): 1})
+    x = ((t * C - RF_ONE) * (t + G1) * old) / ((t * C - RF_ONE) * (C + G1))
+    ref_num, ref_den = _reference(num, den)
+
+    def as_t(terms):
+        return {tuple(("scalar_probe" if n == "g2" else n, e) for n, e in m):
+                k for m, k in terms.items()}
+    assert (_terms(x.num), _terms(x.den)) == (as_t(ref_num), as_t(ref_den))
 
 
 def test_parameter_names_are_taken_literally():
-    # param_index takes any string as a name, ':' and ',' included, which
-    # sympy.symbols would read as a range or a list.  The session registry
-    # is restored afterwards, so later tests cancel in the default ring.
-    saved = (list(scalars._PARAMS), dict(scalars._PARAM_INDEX),
-             dict(scalars._RINGS))
-    try:
-        for name in (":", ","):
-            param_index(name)
-            t = RationalFunction.var(name)
-            assert (C * t + t) / (t * G1) == (C + RF_ONE) / G1
-            assert scalars._ring().ngens == len(param_names())
-    finally:
-        scalars._PARAMS[:] = saved[0]
-        for registry, entries in zip((scalars._PARAM_INDEX, scalars._RINGS),
-                                     saved[1:]):
-            registry.clear()
-            registry.update(entries)
-    assert param_names() == tuple(saved[0])
-    assert scalars._ring().ngens == len(saved[0])
+    # a name is any string, ':' and ',' included, which sympy.symbols would
+    # read as a range or a list
+    for name in (":", ","):
+        t = RationalFunction.var(name)
+        assert _names(t) == (name,)
+        x = (C * t + t) / (t * G1)
+        assert x == (C + RF_ONE) / G1 and _names(x) == ("c", "g1")
+        assert _names(C * t) == tuple(sorted(("c", name)))
+    assert _names(C * G1) == ("c", "g1")
+
+
+def test_no_hidden_state_between_computations():
+    def probe():
+        x = (C * C * G2 - G1) / (rf(3) * G1 + C)
+        return format_rational(x), _names(x), hash(x)
+    before = probe()
+    parse_algebra_file("algebra user\nparam a\nfield T weight=2\n"
+                       "ope T T : 4 -> (a/2)*one ; 2 -> 2*T ; 1 -> D(T)\n")
+    colon = RationalFunction.var(":")
+    bound = (C * C + colon * G1).substitute({"zzz": 1, "c": 2})
+    assert bound == rf(4) + colon * G1
+    assert probe() == before
 
 
 def test_cancel_cache_is_bounded():
@@ -271,9 +355,26 @@ def test_constants_equal_and_hash_alike_however_made():
     for x in made:
         assert x == made[0] and x == 1 and x == Fraction(1)
         assert hash(x) == hash(made[0])
-        assert x.num == MultiPoly.const(1) and x.den == MultiPoly.const(1)
+        assert x.num == 1 and x.den == 1 and _names(x) == ()
     half = RationalFunction.const(Fraction(-1, 2))
     assert half == (RF_ONE - C) / (C + C - RF_ONE - RF_ONE)
     assert hash(half) == hash((RF_ONE - C) / (C + C - RF_ONE - RF_ONE))
     assert format_rational(half) == "-1/2"
     assert half != C and C != half and RF_ZERO == 0 and not RF_ZERO
+
+
+def test_only_scalars_imports_sympy():
+    # the scalar format stays behind one module
+    src = pathlib.Path(scalars.__file__).parent
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            if any(m == "sympy" or m.startswith("sympy.") for m in mods):
+                importers.add(path.name)
+    assert importers == {"scalars.py"}
