@@ -199,7 +199,8 @@ def critical_charge(q: BrstCurrent, param="c"):
 def _dot(y, rhs):
     o = RF_ZERO
     for yi, ri in zip(y, rhs):
-        o = o + yi * ri
+        if yi and ri:
+            o = o + yi * ri
     return o
 
 

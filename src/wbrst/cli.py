@@ -189,14 +189,19 @@ def cmd_cft_jacobi(args) -> int:
     return 0 if not bad else 1
 
 
+def _rational(name, value) -> Fraction:
+    """The value of option ``name``, read as ``--set name=value`` is."""
+    return _bindings([f"{name}={value}"])[name]
+
+
 def _build_current(args):
+    c = None if args.symbolic_c else _rational(
+        "c", "-2" if args.c is None else args.c)
     if args.family == "w3":
-        g1 = None if args.g1 == "symbolic" else Fraction(args.g1)
-        g2 = None if args.g2 == "symbolic" else Fraction(args.g2)
-        c = None if args.symbolic_c else Fraction(args.c)
+        g1 = None if args.g1 == "symbolic" else _rational("g1", args.g1)
+        g2 = None if args.g2 == "symbolic" else _rational("g2", args.g2)
         return brst_w3(g1, g2, c=c, a2_mode=(
             "as-printed" if args.a2 == "printed" else "exchange-consistent"))
-    c = None if args.symbolic_c else Fraction(args.c if args.c is not None else -2)
     return brst_w32(c=c)
 
 

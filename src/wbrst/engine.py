@@ -50,7 +50,8 @@ class OpeContext:
 
     def _poles(self, poles: dict) -> dict:
         """{n: FieldExpr} from {n: terms}, the zero poles dropped."""
-        return {n: FieldExpr(self.algebra, t) for n, t in poles.items() if t}
+        return {n: FieldExpr._wrap(self.algebra, t)
+                for n, t in poles.items() if t}
 
     # -- public API --------------------------------------------------------
 
@@ -210,13 +211,14 @@ class OpeContext:
         self._tick()
         alg = self.algebra
         if not m.factors:
-            out = FieldExpr(alg, {Monomial((f,)): RF_ONE})
+            out = FieldExpr._wrap(alg, {Monomial((f,)): RF_ONE})
         else:
             g = m.factors[0]
             kf, kg = alg.factor_key(f), alg.factor_key(g)
             odd_f = alg.decl(f[0]).parity
             if kf < kg or (kf == kg and not odd_f):
-                out = FieldExpr(alg, {Monomial((f,) + m.factors): RF_ONE})
+                out = FieldExpr._wrap(alg,
+                                      {Monomial((f,) + m.factors): RF_ONE})
             elif kf == kg:
                 # identical odd factor: 2 N(f, N(f, X)) equals the
                 # reordering correction series
@@ -226,7 +228,7 @@ class OpeContext:
                                           Monomial((f,))).items():
                     k = Fraction((-1) ** (l - 1), 2 * factorial(l))
                     _add_expr(acc, self._nexpr_right(self._dexpr(e, l), rest), k)
-                out = FieldExpr(self.algebra, acc)
+                out = FieldExpr._wrap(self.algebra, acc)
             else:
                 # swap: N(A, N(B, X)) = +/- N(B, N(A, X)) + corrections
                 rest = Monomial(m.factors[1:])
@@ -239,16 +241,16 @@ class OpeContext:
                                           Monomial((g,))).items():
                     k = Fraction((-1) ** (l - 1), factorial(l))
                     _add_expr(acc, self._nexpr_right(self._dexpr(e, l), rest), k)
-                out = FieldExpr(self.algebra, acc)
+                out = FieldExpr._wrap(self.algebra, acc)
         self._nprod_memo[key] = out
         return out
 
     def nmono2(self, m1: Monomial, m2: Monomial) -> FieldExpr:
         """Canonical form of N(M1, M2) for arbitrary monomials."""
         if not m1.factors:
-            return FieldExpr(self.algebra, {m2: RF_ONE})
+            return FieldExpr._wrap(self.algebra, {m2: RF_ONE})
         if not m2.factors:
-            return FieldExpr(self.algebra, {m1: RF_ONE})
+            return FieldExpr._wrap(self.algebra, {m1: RF_ONE})
         if len(m1.factors) == 1:
             return self.nmono_single(m1.factors[0], m2)
         key = (m1.factors, m2.factors)
@@ -269,9 +271,9 @@ class OpeContext:
         ps = alg.mono_parity(s)
         sign = -1 if ph and ps else 1
         for l, e in self.ope_mono(Monomial((h,)), m2).items():
-            ds = self._dexpr(FieldExpr(alg, {s: RF_ONE}), l)
+            ds = self._dexpr(FieldExpr._wrap(alg, {s: RF_ONE}), l)
             _add_expr(acc, self._nexpr2(ds, e), Fraction(sign, factorial(l)))
-        out = FieldExpr(self.algebra, acc)
+        out = FieldExpr._wrap(self.algebra, acc)
         self._nprod_memo[key] = out
         return out
 
@@ -285,14 +287,15 @@ class OpeContext:
             out = self._zero()
         elif len(m.factors) == 1:
             name, d = m.factors[0]
-            out = FieldExpr(self.algebra, {Monomial(((name, d + 1),)): RF_ONE})
+            out = FieldExpr._wrap(self.algebra,
+                                  {Monomial(((name, d + 1),)): RF_ONE})
         else:
             h = m.factors[0]
             rest = Monomial(m.factors[1:])
             acc = {}
             _add_expr(acc, self.nmono_single((h[0], h[1] + 1), rest))
             _add_expr(acc, self._nexpr_factor(h, self.deriv_mono(rest)))
-            out = FieldExpr(self.algebra, acc)
+            out = FieldExpr._wrap(self.algebra, acc)
         self._deriv_memo[key] = out
         return out
 
@@ -303,27 +306,27 @@ class OpeContext:
             acc = {}
             for m, c in x.terms.items():
                 _add_expr(acc, self.deriv_mono(m), c)
-            x = FieldExpr(self.algebra, acc)
+            x = FieldExpr._wrap(self.algebra, acc)
         return x
 
     def _nexpr_factor(self, f, x: FieldExpr) -> FieldExpr:
         acc = {}
         for m, c in x.terms.items():
             _add_expr(acc, self.nmono_single(f, m), c)
-        return FieldExpr(self.algebra, acc)
+        return FieldExpr._wrap(self.algebra, acc)
 
     def _nexpr_right(self, x: FieldExpr, m2: Monomial) -> FieldExpr:
         acc = {}
         for m, c in x.terms.items():
             _add_expr(acc, self.nmono2(m, m2), c)
-        return FieldExpr(self.algebra, acc)
+        return FieldExpr._wrap(self.algebra, acc)
 
     def _nexpr2(self, x: FieldExpr, y: FieldExpr) -> FieldExpr:
         acc = {}
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
                 _add_expr(acc, self.nmono2(m1, m2), c1 * c2)
-        return FieldExpr(self.algebra, acc)
+        return FieldExpr._wrap(self.algebra, acc)
 
     def _ope_expr_mono(self, x: FieldExpr, m2: Monomial) -> dict:
         out = {}

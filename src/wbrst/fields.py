@@ -30,18 +30,21 @@ class GeneratorDecl:
 
 
 class Monomial:
-    """An ordered tuple of (generator name, derivative order) factors."""
+    """An ordered tuple of (generator name, derivative order) factors.
+    Immutable; its hash is computed once, at construction."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_hash")
 
     def __init__(self, factors=()):
-        object.__setattr__(self, "factors", tuple(factors))
+        factors = tuple(factors)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_hash", hash(factors))
 
     def __setattr__(self, *a):
         raise AttributeError("Monomial is immutable")
 
     def __hash__(self):
-        return hash(self.factors)
+        return self._hash
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.factors == other.factors
@@ -156,6 +159,14 @@ class FieldExpr:
     def __init__(self, algebra: OpeAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = {m: v for m, v in terms.items() if v}
+
+    @staticmethod
+    def _wrap(algebra: OpeAlgebra, terms: dict) -> "FieldExpr":
+        """A FieldExpr that keeps ``terms`` as it is: a dict just made,
+        owned by no one else and holding no zero coefficient."""
+        out = object.__new__(FieldExpr)
+        out.algebra, out.terms = algebra, terms
+        return out
 
     @staticmethod
     def unit(algebra) -> "FieldExpr":

@@ -1,8 +1,14 @@
-"""Exact dense linear algebra over any field-like scalar type.
+"""Exact linear algebra over any field-like scalar type.
 
 Used for nullspace witnesses, total-derivative preimages and the
 mode-oracle's Vandermonde-type solves.  Scalars only need +, -, *, /
 and a truth value that means nonzero (int, Fraction, RationalFunction).
+
+Matrices are dense lists of rows, but elimination skips zeros: each pivot
+row is scaled at its nonzero columns only, and only the rows with a
+nonzero entry in the pivot column are updated, at those columns.  The
+derivative systems of the BRST checks are mostly zeros.  Entries that
+elimination does not touch keep the scalar they came in as.
 """
 
 from __future__ import annotations
@@ -25,12 +31,18 @@ def rref(rows, ncols):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        # the pivot row is zero left of col: every earlier column is a
+        # pivot column cleared in it or a column without a pivot
+        nonzero = [j for j in range(col, len(prow)) if prow[j]]
+        inv = prow[col]
+        for j in nonzero:
+            prow[j] = prow[j] / inv
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                for j in nonzero:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -66,7 +78,8 @@ def solve_columns(matrix, columns, zero, one):
         for row, b in zip(matrix, rhs):
             acc = zero
             for a, xi in zip(row, x):
-                acc = acc + a * xi
+                if a and xi:
+                    acc = acc + a * xi
             if acc - b:
                 x = None
                 break

@@ -22,6 +22,11 @@ denominator are already coprime.  A constant ``RationalFunction`` keeps its
 value as one ``Fraction``: arithmetic, zero tests, equality and hashing of
 constants read only that value.
 
+Products skip the trivial cases before any arithmetic: a factor 1 returns
+the other operand, a factor -1 its negation, and a factor 0 returns zero.
+Most products of the operator-product engine have a unit factor: exchange
+signs, and the coefficient 1 of generators and of reordered monomials.
+
 Every exact sparse sum of the package (field sums and operator-product
 poles, Omega coefficients, sparse matrices, mode-oracle columns,
 substitution) accumulates through the one helper ``_add_into``, which drops
@@ -256,6 +261,17 @@ class RationalFunction:
     def __mul__(self, other):
         other = self._coerce(other)
         a, b = self._value, other._value
+        # a unit factor returns the other operand or its negation
+        if a is not None:
+            if a == 1:
+                return other
+            if a == -1:
+                return -other
+        if b is not None:
+            if b == 1:
+                return self
+            if b == -1:
+                return -self
         if a is not None:
             if b is not None:
                 return RationalFunction.const(a * b)

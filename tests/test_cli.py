@@ -289,3 +289,12 @@ def test_mixed_parity_argument_is_bad_input(capsys):
     _no_traceback(code, err)
     assert out == ""
     assert "definite parity" in err
+
+
+@pytest.mark.parametrize("option", ["--c=1/0", "--g1=1/0", "--g2=1/0"])
+def test_brst_option_dividing_by_zero_is_bad_input(capsys, option):
+    # read as --set reads a binding: exit 2 with an error line
+    code, out, err = run(capsys, "cft", "brst", "w3", option)
+    _no_traceback(code, err)
+    assert out == ""
+    assert f"{option[2:]!r} is not an exact rational" in err

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from wbrst.algebras import w3, w32, w3_ghosts
 from wbrst.analysis import weight_basis
-from wbrst.brst import brst_w3, brst_w32
+from wbrst.brst import brst_w3, brst_w32, nilpotency
 from wbrst.engine import OpeContext
 from wbrst.fields import FieldExpr, Monomial, UNIT
 from wbrst.parsing import parse_field_expr
@@ -313,3 +313,40 @@ def test_homogeneous_self_product_equals_ordered_double_sum(x):
     ctx = x.algebra.context()
     assert x.parity() is not None
     assert ctx.ope(x, x) == _ordered_double_sum(ctx, x)
+
+
+# -- expressions the engine builds without copying --------------------------
+
+
+def _memoized_exprs(ctx):
+    """Every FieldExpr held by a memo of ``ctx``."""
+    for memo in (ctx._ope_memo, ctx._single_memo):
+        for poles in memo.values():
+            assert all(not e.is_zero for e in poles.values())
+            yield from poles.values()
+    yield from ctx._nprod_memo.values()
+    yield from ctx._deriv_memo.values()
+
+
+@pytest.mark.parametrize("make", [lambda: brst_w3(c=100), brst_w32],
+                         ids=["w3", "w32"])
+def test_memoized_expressions_hold_no_zero_coefficient(make):
+    q = make()
+    nilpotency(q)
+    exprs = list(_memoized_exprs(q.context))
+    assert len(exprs) > 500
+    for e in exprs:
+        assert isinstance(e, FieldExpr) and e.algebra is q.algebra
+        assert all(v for v in e.terms.values())
+
+
+def test_monomial_hash_is_cached_and_immutable():
+    a = Monomial((("T", 0), ("W", 1)))
+    b = Monomial([("T", 0), ("W", 1)])
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert hash(a) == hash(a.factors) and hash(UNIT) == hash(())
+    assert a != Monomial((("W", 1), ("T", 0)))
+    for name in ("factors", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, ())
+    assert a.factors == (("T", 0), ("W", 1)) and hash(a) == hash(b)

@@ -1,8 +1,9 @@
 """Golden CLI outputs: the ``--json`` stdout and exit code of fixed commands.
 
 Every CLI example of README.md, plus the fully symbolic BRST and critical
-charge reports, three numeric BRST reports and a failing axiom check, must
-print exactly the recorded bytes.  Commands run from the root of the repository.  Each file in
+charge reports, four numeric BRST reports (one obstructed), a numeric W W
+product and a failing axiom check, must print exactly the recorded bytes.
+Commands run from the root of the repository.  Each file in
 ``tests/golden/`` holds one command: a first line ``exit N``, then the
 stdout verbatim.  To record them again (only when an output change is
 intended), run ``PYTHONPATH=src python tests/test_golden.py``.
@@ -45,6 +46,10 @@ COMMANDS = (
     "cft brst w32 --c 7/3",
     "cft brst w3 --c 100 --a2 printed",
     "cft brst w3 --c 100 --g1=-49/6 --g2=-31/5",
+    # an obstructed numeric check, whose residual comes from solve_best
+    "cft brst w3 --c 25/12",
+    # a numeric OPE with W on both sides
+    "cft ope w3 W W --set c=33",
 )
 
 

@@ -252,6 +252,38 @@ def test_every_operator_keeps_the_constant_slot(x, y, point, partial):
         _check_canonical(v)
 
 
+# -- products with a unit factor --------------------------------------------
+
+
+def _general_product(x: RationalFunction, u: int) -> RationalFunction:
+    """x * u for u = +-1 by the path of any other constant factor."""
+    if x.is_constant:
+        return RationalFunction.const(x.constant_value() * u)
+    return scalars._ratio(x.num.mul_ground(scalars.QQ(u)), x.den)
+
+
+_UNIT_CASES = [
+    (x, unit_type(u), u)
+    for x in (rf(0), rf(1), rf(-1), rf(Fraction(7, 2)), C,
+              (C + RF_ONE) / (G1 - 2), RF_ONE - C * G2)
+    for unit_type in (int, Fraction, rf) for u in (1, -1)
+] + [(x, rf(u), u) for x in (3, Fraction(-3, 4)) for u in (1, -1)]
+
+
+@pytest.mark.parametrize("x, unit, u", _UNIT_CASES, ids=repr)
+def test_unit_factor_products_match_the_general_path(x, unit, u):
+    expected = _general_product(rf(x), u)
+    for got in (x * unit, unit * x):
+        assert isinstance(got, RationalFunction)
+        assert got == expected
+        assert hash(got) == hash(expected)
+        assert format_rational(got) == format_rational(expected)
+        _check_canonical(got)
+    if u == 1 and not rf(x).is_constant:
+        # the fast path returns the operand itself
+        assert x * unit is x and unit * x is x
+
+
 # -- the sparse accumulate helper -------------------------------------------
 
 
