@@ -195,19 +195,28 @@ def _rational(name, value) -> Fraction:
 
 
 def _build_current(args):
+    """The current of ``cft brst``.  An option that does not apply to it
+    is bad input: --g1, --g2 and --a2 on w32 (W3^(2) has no ghost
+    parameters and no as-printed table), and --c with --symbolic-c."""
+    if args.symbolic_c and args.c is not None:
+        raise InputError("--c and --symbolic-c exclude each other")
+    given = [f"--{name}" for name in ("g1", "g2", "a2")
+             if getattr(args, name) is not None]
+    if args.family == "w32" and given:
+        raise InputError(f"w32 takes no {' or '.join(given)}")
+    default_c = "100" if args.family == "w3" else "-2"
     c = None if args.symbolic_c else _rational(
-        "c", "-2" if args.c is None else args.c)
-    if args.family == "w3":
-        g1 = None if args.g1 == "symbolic" else _rational("g1", args.g1)
-        g2 = None if args.g2 == "symbolic" else _rational("g2", args.g2)
-        return brst_w3(g1, g2, c=c, a2_mode=(
-            "as-printed" if args.a2 == "printed" else "exchange-consistent"))
-    return brst_w32(c=c)
+        "c", default_c if args.c is None else args.c)
+    if args.family == "w32":
+        return brst_w32(c=c)
+    g1, g2 = (None if v == "symbolic"
+              else _rational(name, "0" if v is None else v)
+              for name, v in (("g1", args.g1), ("g2", args.g2)))
+    return brst_w3(g1, g2, c=c, a2_mode=(
+        "as-printed" if args.a2 == "printed" else "exchange-consistent"))
 
 
 def cmd_cft_brst(args) -> int:
-    if args.family == "w3" and args.c is None and not args.symbolic_c:
-        args.c = "100"
     q = _build_current(args)
     rep = nilpotency(q)
     payload = rep.to_json()
@@ -308,12 +317,13 @@ def _parser() -> argparse.ArgumentParser:
     c3.set_defaults(fn=cmd_cft_jacobi)
     c4 = csub.add_parser("brst", help="nilpotency of a built-in current")
     c4.add_argument("family", choices=("w3", "w32"))
-    c4.add_argument("--g1", default="0")
-    c4.add_argument("--g2", default="0")
+    # None marks an option not given: w32 rejects --g1, --g2 and --a2
+    c4.add_argument("--g1", default=None, help="w3 only (default 0)")
+    c4.add_argument("--g2", default=None, help="w3 only (default 0)")
     c4.add_argument("--c", default=None)
     c4.add_argument("--symbolic-c", action="store_true")
-    c4.add_argument("--a2", choices=("printed", "consistent"),
-                    default="consistent")
+    c4.add_argument("--a2", choices=("printed", "consistent"), default=None,
+                    help="w3 only (default consistent)")
     c4.set_defaults(fn=cmd_cft_brst)
     c5 = csub.add_parser("critical", help="central charges admitting "
                                           "a nilpotent charge")

@@ -14,14 +14,18 @@ state is an int bitmask over the creation modes: the fields sit in
 ``op_key`` order from the highest bits down, and the offset n of field f
 is bit ``base[f] - n``, so a bit above another belongs to an operator
 further left.  The fermion sign of a mode application is then the
-parity of the popcount above its bit.  The public functions take and
-return the tuple states of ``FockSlice.basis``.
+parity of the popcount above its bit.  Everything from the mode tables
+to the comparison with the engine runs on these bitmasks; tuple states
+appear only at the API edge: the public functions take and return the
+tuple states of ``FockSlice.basis``, and ``crosscheck`` converts only
+the entry it reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import factorial, floor, lcm
 
 from .errors import WbrstError
@@ -87,6 +91,10 @@ class FockSlice:
         self._den = lcm(*(h.denominator for h in weights))
         self._dh = [int(h * self._den) for h in weights]
         self._lvs = [self._excess(self.level_of(st)) for st in self.basis]
+        # the basis states as (field, k) pairs, read once: a state's
+        # bitmask is the sum of its bits base[field] + k
+        self._offsets = [[(self._field(n), int(-m - self.weight(n)))
+                          for n, m in st] for st in self.basis]
         self._plans = {}
         self._exprs = {}
         self._cap = -1
@@ -134,14 +142,19 @@ class FockSlice:
                     m -= 1
         ops.sort(key=self.op_key)
         out = []
+        # drop[i]: the most the ops from i on can lower the level
+        drop = [Fraction(0)] * (len(ops) + 1)
+        for i in range(len(ops) - 1, -1, -1):
+            drop[i] = drop[i + 1] + max(ops[i][1], 0)
 
         def extend(prefix, start, lvl):
             if 0 <= lvl <= self.level:
                 out.append(tuple(prefix))
             for i in range(start, len(ops)):
                 nxt = lvl - ops[i][1]
-                # prune only when no later op can lower the level again
-                if nxt <= self.level or any(o[1] > 0 for o in ops[i + 1:]):
+                # prune when the later ops cannot bring the level back
+                # down into the slice
+                if nxt - drop[i + 1] <= self.level:
                     extend(prefix + [ops[i]], i + 1, nxt)
 
         extend([], 0, Fraction(0))
@@ -183,7 +196,8 @@ class FockSlice:
         # lmin + h_f + k, so k <= (cap - den * h_f) // den
         self._width = [max((cap - dh) // self._den + 1, 1) for dh in self._dh]
         self._base = [sum(self._width[f + 1:]) for f in range(len(self._dh))]
-        self._states = [self._mask(st) for st in self.basis]
+        self._states = [sum(1 << self._base[f] + k for f, k in offs)
+                        for offs in self._offsets]
         self._tuples = {}
         for plan in self._plans.values():
             plan.memo.clear()
@@ -289,9 +303,11 @@ class _Plan:
 class _Expr:
     """Terms of one weight of an expression compiled on a slice:
     ((plan, or None for the unit, int coefficient), ...) over the common
-    denominator ``den``; ``table`` maps (offset, state) to its output."""
+    denominator ``den``; ``table`` maps (offset, state) to its output.
+    ``plan`` is the one plan of an expression that is a single product
+    with coefficient 1, whose outputs are the plan's own, else None."""
 
-    __slots__ = ("weight", "dweight", "terms", "den", "table")
+    __slots__ = ("weight", "dweight", "terms", "den", "table", "plan")
 
     def __init__(self, slc, weight, group):
         self.weight = weight
@@ -300,6 +316,8 @@ class _Expr:
         self.terms = tuple((slc._plan(factors) if factors else None,
                             int(k * self.den)) for factors, k in group)
         self.table = {}
+        (plan, k), *more = self.terms
+        self.plan = plan if k == 1 and not more else None
 
 
 @dataclass
@@ -316,19 +334,26 @@ class ModeMatrix:
     def first_difference(self, other):
         """The first differing entry (state, output, self, other), walking
         states and outputs in insertion order (states in the slice's basis
-        order), so the entry found does not depend on the hash seed.  The
-        dict merges reuse the stored key hashes."""
-        for s in {**self.columns, **other.columns}:
-            a = self.columns.get(s, {})
-            b = other.columns.get(s, {})
-            for o in {**a, **b}:
-                if a.get(o, 0) != b.get(o, 0):
-                    return (s, o, a.get(o, 0), b.get(o, 0))
-        return None
+        order), so the entry found does not depend on the hash seed."""
+        return _first_difference(self.columns, other.columns)
 
     @property
     def is_zero(self):
         return all(not col for col in self.columns.values())
+
+
+def _first_difference(a, b, da=1, db=1):
+    """The first entry (state, output, x, y) at which the columns a / da
+    and b / db differ, walking states and outputs in insertion order; the
+    dict merges reuse the stored key hashes."""
+    for s in {**a, **b}:
+        ca = a.get(s, {})
+        cb = b.get(s, {})
+        for o in {**ca, **cb}:
+            x, y = ca.get(o, 0), cb.get(o, 0)
+            if x * db != y * da:
+                return (s, o, x, y)
+    return None
 
 
 # -- composite modes -------------------------------------------------------
@@ -343,15 +368,54 @@ def _prefactor(d, n):
     return k
 
 
+def _leaf(slc, f, d, n, s):
+    """The mode with offset n of the d-th derivative of field f on state
+    s: (state, int) or None."""
+    k = _prefactor(d, n - d) if d else 1
+    hit = slc._op(f, n - d, s) if k else None
+    return (hit[0], k * hit[1]) if hit else None
+
+
+def _occupied(slc, f, t0, t1, s):
+    """The offsets t0 <= t <= t1, with t0 >= 1, at which an annihilation
+    mode of field f acts on state s, rising: those whose conjugate bit
+    t - 1 is occupied."""
+    fc = f ^ 1
+    t1 = min(t1, slc._width[fc])
+    if t1 < t0:
+        return
+    block = s >> slc._base[fc] + t0 - 1 & (1 << t1 - t0 + 1) - 1
+    while block:
+        low = block & -block
+        block ^= low
+        yield t0 + low.bit_length() - 1
+
+
+def _leaf_range(slc, f, d, lo, hi, s):
+    """The modes with offsets lo .. hi of the d-th derivative of field f
+    on state s, as [(offset, state, int)] in rising order of offset,
+    visiting the annihilation modes only where they act."""
+    out = []
+    for n in range(lo, min(hi, d) + 1):
+        hit = _leaf(slc, f, d, n, s)
+        if hit:
+            out.append((n, *hit))
+    for t in _occupied(slc, f, max(1, lo - d), hi - d, s):
+        out.append((t + d, *_leaf(slc, f, d, t + d, s)))
+    return out
+
+
 def _apply_plan(slc, plan, n, s, lv):
     """The mode with offset n of a compiled product on state s, whose
     level is lv / den above the lowest: {state: int}.  Uses the standard
-    composite-mode double sum with the head split at its weight."""
+    composite-mode double sum with the head split at its weight, taken
+    only at the offsets that can act: the head, and a single-factor tail
+    applied in place, annihilate only at the occupied bits of their
+    conjugate fields."""
     f, d, rest = plan.f, plan.d, plan.rest
     if rest is None:
-        k = _prefactor(d, n - d) if d else 1
-        hit = slc._op(f, n - d, s) if k else None
-        return {hit[0]: k * hit[1]} if hit else {}
+        hit = _leaf(slc, f, d, n, s)
+        return {hit[0]: hit[1]} if hit else {}
     out = plan.memo.get((n, s))
     if out is not None:
         return out
@@ -359,28 +423,41 @@ def _apply_plan(slc, plan, n, s, lv):
     op, den = slc._op, slc._den
     # creation part of the head, offsets j - d for j <= 0, applied after
     # the tail; the tail's output may not fall below the lowest level
-    for j in range(0, n - (lv + plan.dhrest) // den - 1, -1):
-        k = _prefactor(d, j - d) if d else 1
-        for s1, v1 in _apply_plan(slc, rest, n - j, s, lv).items():
-            hit = op(f, j - d, s1)
-            if hit:
-                _add_into(out, hit[0], k * hit[1] * v1)
-    # annihilation part of the head, offsets j - d >= 1, goes first with
-    # the exchange sign; it lifts the level by (ha - j)
-    for j in range(d + 1, (lv + plan.dha) // den + 1):
-        hit = op(f, j - d, s)
+    stop = n - (lv + plan.dhrest) // den - 1
+    if rest.rest is None:
+        tail = [(n - m, s1, v1) for m, s1, v1 in
+                _leaf_range(slc, rest.f, rest.d, n, n - stop - 1, s)]
+    else:
+        tail = [(j, s1, v1) for j in range(0, stop, -1)
+                for s1, v1 in _apply_plan(slc, rest, n - j, s, lv).items()]
+    for j, s1, v1 in tail:
+        hit = op(f, j - d, s1)
         if hit:
-            k = plan.sign * hit[1] * (_prefactor(d, j - d) if d else 1)
-            lv1 = lv + plan.dha - den * j
-            for s2, v2 in _apply_plan(slc, rest, n - j, hit[0], lv1).items():
-                _add_into(out, s2, k * v2)
+            k = _prefactor(d, j - d) if d else 1
+            _add_into(out, hit[0], k * hit[1] * v1)
+    # annihilation part of the head, offsets t = j - d >= 1, goes first
+    # with the exchange sign; it lifts the level by (ha - j)
+    for t in _occupied(slc, f, 1, (lv + plan.dha) // den - d, s):
+        s1, sign = op(f, t, s)
+        k = plan.sign * sign * (_prefactor(d, t) if d else 1)
+        if rest.rest is None:
+            hit = _leaf(slc, rest.f, rest.d, n - t - d, s1)
+            tail = (hit,) if hit else ()
+        else:
+            lv1 = lv + plan.dha - den * (t + d)
+            tail = _apply_plan(slc, rest, n - t - d, s1, lv1).items()
+        for s2, v2 in tail:
+            _add_into(out, s2, k * v2)
     plan.memo[(n, s)] = out
     return out
 
 
 def _apply(slc, ex, n, s, lv):
     """The mode with offset n of a compiled expression on state s, as
-    {state: int} over ex.den; tabulated once per slice."""
+    {state: int} over ex.den; tabulated once per slice (in the plan's own
+    memo when the expression is a single product with coefficient 1)."""
+    if ex.plan is not None:
+        return _apply_plan(slc, ex.plan, n, s, lv)
     out = ex.table.get((n, s))
     if out is None:
         out = {}
@@ -414,23 +491,42 @@ def _mode_level(slc, x, m, level) -> Fraction:
     return level + max(0, -m) + _reach(slc, x)
 
 
-def field_modes(x, m, slc: FockSlice) -> ModeMatrix:
-    """Matrix of the m-th Laurent mode of a monomial or field expression
-    on the slice basis."""
-    m = Fraction(m)
+def _mode_columns(x, m, slc):
+    """The m-th mode of x on the slice basis as ({basis state: {state:
+    int}}, den), the columns in basis order and over the denominator
+    den."""
     parts = slc._compile(x)
     slc._fit(_mode_level(slc, x, m, slc.level))
     # a weight-3/2 field has no modes at integer m
     live = [(ex, int(m + ex.weight)) for ex in parts
             if (m + ex.weight).denominator == 1]
+    den = lcm(*(ex.den for ex, _ in live))
     cols = {}
-    for state, s, lv in zip(slc.basis, slc._states, slc._lvs):
+    for s, lv in zip(slc._states, slc._lvs):
+        if len(live) == 1:  # the tabulated column itself, over ex.den
+            cols[s] = _apply(slc, live[0][0], live[0][1], s, lv)
+            continue
         col = {}
         for ex, n in live:
+            k = den // ex.den
             for o, v in _apply(slc, ex, n, s, lv).items():
-                _add_into(col, slc._tuple(o), Fraction(v, ex.den))
-        cols[state] = col
-    return ModeMatrix(m, cols)
+                _add_into(col, o, k * v)
+        cols[s] = col
+    return cols, den
+
+
+def _matrix(slc, m, cols, den) -> ModeMatrix:
+    """The tuple-keyed ModeMatrix of bitmask columns over den."""
+    return ModeMatrix(m, {
+        state: {slc._tuple(o): Fraction(v, den) for o, v in cols[s].items()}
+        for state, s in zip(slc.basis, slc._states)})
+
+
+def field_modes(x, m, slc: FockSlice) -> ModeMatrix:
+    """Matrix of the m-th Laurent mode of a monomial or field expression
+    on the slice basis."""
+    m = Fraction(m)
+    return _matrix(slc, m, *_mode_columns(x, m, slc))
 
 
 # -- singular products from commutators ------------------------------------
@@ -459,52 +555,45 @@ def _poles_level(slc, a, b, r, max_pole) -> Fraction:
     return out
 
 
-def _sample_solver(ha, samples, nun):
-    """Factor the sample matrix [binom(p + ha - 1, j)] once.  Returns
-    integer rows that give den times each pole unknown from the right-hand
-    side (free unknowns stay zero), den, and integer rows spanning the
-    matrix's left nullspace: the right-hand side is consistent exactly
-    when each of them is orthogonal to it."""
+@cache
+def _sample_solver(ha, nun):
+    """Factor the sample matrix [binom(p + ha - 1, j)] once per (ha, nun).
+    Returns integer rows that give den times each pole unknown from the
+    right-hand side (free unknowns stay zero), den, and integer rows
+    spanning the matrix's left nullspace: the right-hand side is
+    consistent exactly when each of them is orthogonal to it."""
+    samples = _samples(ha, nun)
     mat = [[_gbinom(p + ha - 1, j) for j in range(nun)] for p in samples]
     rows = len(samples)
     unit = [[Fraction(int(i == k)) for k in range(rows)] for i in range(rows)]
     red, pivots = rref([row + e for row, e in zip(mat, unit)], nun)
     inverse = {col: row[nun:] for row, col in zip(red, pivots)}
     den = lcm(*(x.denominator for row in inverse.values() for x in row))
-    inverse = [(col, [int(x * den) for x in row])
-               for col, row in inverse.items()]
+    inverse = tuple((col, tuple(int(x * den) for x in row))
+                    for col, row in inverse.items())
     checks = []
     for y in left_nullspace(mat, rows, nun, Fraction(0), Fraction(1)):
         k = lcm(*(x.denominator for x in y))
-        checks.append([int(x * k) for x in y])
-    return inverse, den, checks
+        checks.append(tuple(int(x * k) for x in y))
+    return inverse, den, tuple(checks)
 
 
-def ope_poles_from_modes(a, b, r, slc: FockSlice, max_pole=8) -> dict:
-    """All pole matrices of the product of a and b at total mode r,
-    reconstructed from mode commutators alone.
-
-    The graded commutator [a_p, b_q] equals
-    sum_j binom(p + h_a - 1, j) ([ab]_{j+1})_{p+q}; varying p at fixed
-    p + q = r gives a linear system solved for the pole-field matrices.
-    ``max_pole`` bounds the number of unknown poles; an inconsistent
-    overdetermined system (a pole above the bound) raises ModeError.
-    Returns {n: ModeMatrix} for n = 1 .. max_pole.
-    """
+def _pole_columns(a, b, r, slc, max_pole):
+    """The pole matrices of ope_poles_from_modes as ([{basis state:
+    {state: int}} for poles 1 .. max_pole], den), the columns in basis
+    order and over the denominator den."""
     ha = _expr_weight(slc, a)
     hb = _expr_weight(slc, b)
     pa = _expr_parity(a)
     pb = _expr_parity(b)
     csign = -1 if pa and pb else 1  # graded commutator sign
-    r = Fraction(r)
     nun = max_pole
-    samples = _samples(ha, nun)
     (ea,), (eb,) = slc._compile(a), slc._compile(b)
     slc._fit(_poles_level(slc, a, b, r, nun))
     den = slc._den
     coms = []
     if (r + ha + hb).denominator == 1:  # else every b_q vanishes
-        for p in samples:
+        for p in _samples(ha, nun):
             na = int(p + ha)
             nb = int(r + ha + hb) - na
             com = []
@@ -521,23 +610,39 @@ def ope_poles_from_modes(a, b, r, slc: FockSlice, max_pole=8) -> dict:
                 com.append(col)
             coms.append(com)
     # solve column by column for the pole matrices
-    inverse, scale, checks = _sample_solver(ha, samples, nun)
-    scale *= ea.den * eb.den
-    poles = {j: {} for j in range(nun)}
-    for i, state in enumerate(slc.basis):
+    inverse, scale, checks = _sample_solver(ha, nun)
+    poles = [{} for _ in range(nun)]
+    for i, s in enumerate(slc._states):
         cols = [com[i] for com in coms]
+        for pole in poles:
+            pole[s] = {}
         for o in set().union(*cols):
             rhs = [col.get(o, 0) for col in cols]
             if any(sum(map(int.__mul__, y, rhs)) for y in checks):
                 raise ModeError("mode commutators need more poles than "
                                 f"max_pole={max_pole}")
-            out = slc._tuple(o)
             for j, row in inverse:
                 v = sum(map(int.__mul__, row, rhs))
                 if v:
-                    poles[j].setdefault(state, {})[out] = Fraction(v, scale)
-    return {j + 1: ModeMatrix(r, {s: poles[j].get(s, {}) for s in slc.basis})
-            for j in range(nun)}
+                    poles[j][s][o] = v
+    return poles, scale * ea.den * eb.den
+
+
+def ope_poles_from_modes(a, b, r, slc: FockSlice, max_pole=8) -> dict:
+    """All pole matrices of the product of a and b at total mode r,
+    reconstructed from mode commutators alone.
+
+    The graded commutator [a_p, b_q] equals
+    sum_j binom(p + h_a - 1, j) ([ab]_{j+1})_{p+q}; varying p at fixed
+    p + q = r gives a linear system solved for the pole-field matrices.
+    ``max_pole`` bounds the number of unknown poles; an inconsistent
+    overdetermined system (a pole above the bound) raises ModeError.
+    Returns {n: ModeMatrix} for n = 1 .. max_pole.
+    """
+    r = Fraction(r)
+    poles, den = _pole_columns(a, b, r, slc, max_pole)
+    return {j + 1: _matrix(slc, r, cols, den)
+            for j, cols in enumerate(poles)}
 
 
 def ope_from_modes(a, b, n, r, slc: FockSlice, max_pole=8) -> ModeMatrix:
@@ -622,33 +727,32 @@ def crosscheck(algebra, pairs, level, excite=None, modes=(0, 1, -1)) -> dict:
             r = -(hsum - 1) + m0  # on the mode lattice of every pole field
             jobs.append((f"[{_label(x)} {_label(y)}]", xe, ye, engine, top, r))
             # widen the slice before any mode table is filled: widening
-            # empties the tables, and the pairs share them
+            # empties the tables and renumbers the states, and the pairs
+            # share the tables and compare columns keyed by those states
             slc._fit(max([_poles_level(slc, xe, ye, r, top)] + [
                 _mode_level(slc, e, r, slc.level) for e in engine.values()]))
     for label, xe, ye, engine, top, r in jobs:
         try:
-            oracle = ope_poles_from_modes(xe, ye, r, slc, max_pole=top)
+            oracle, oden = _pole_columns(xe, ye, r, slc, top)
         except ModeError as err:
             report["ok"] = False
             report["checks"].append({"pair": label, "mode": str(r),
                                      "match": False, "error": str(err)})
             continue
         for n in range(1, top + 1):
-            if n in engine:
-                wanted = field_modes(engine[n], r, slc)
-            else:
-                wanted = ModeMatrix(r, {s: {} for s in slc.basis})
+            wanted, eden = (_mode_columns(engine[n], r, slc) if n in engine
+                            else ({}, 1))
             entry = {"pair": label, "pole": n, "mode": str(r)}
-            diff = oracle[n].first_difference(wanted)
+            diff = _first_difference(oracle[n - 1], wanted, oden, eden)
             if diff is None:
                 entry["match"] = True
             else:
                 s, o, ov, ev = diff
                 entry["match"] = False
-                entry["state"] = repr(s)
-                entry["output"] = repr(o)
-                entry["oracle"] = str(ov)
-                entry["engine"] = str(ev)
+                entry["state"] = repr(slc._tuple(s))
+                entry["output"] = repr(slc._tuple(o))
+                entry["oracle"] = str(Fraction(ov, oden))
+                entry["engine"] = str(Fraction(ev, eden))
                 report["ok"] = False
             report["checks"].append(entry)
     return report

@@ -298,3 +298,21 @@ def test_brst_option_dividing_by_zero_is_bad_input(capsys, option):
     _no_traceback(code, err)
     assert out == ""
     assert f"{option[2:]!r} is not an exact rational" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("w32", "--g1=5/2"), "w32 takes no --g1"),
+    (("w32", "--g2", "0"), "w32 takes no --g2"),
+    (("w32", "--a2", "consistent"), "w32 takes no --a2"),
+    (("w32", "--c=-2", "--g1=5/2", "--a2", "printed"),
+     "w32 takes no --g1 or --a2"),
+    (("w3", "--symbolic-c", "--c=7"),
+     "--c and --symbolic-c exclude each other"),
+    (("w32", "--symbolic-c", "--c", "-2"),
+     "--c and --symbolic-c exclude each other"),
+])
+def test_brst_option_that_does_not_apply_is_bad_input(capsys, argv, message):
+    code, out, err = run(capsys, "cft", "brst", *argv, "--json")
+    _no_traceback(code, err)
+    assert out == ""
+    assert err == f"error: {message}\n"

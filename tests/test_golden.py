@@ -2,7 +2,8 @@
 
 Every CLI example of README.md, plus the fully symbolic BRST and critical
 charge reports, four numeric BRST reports (one obstructed), a numeric W W
-product and a failing axiom check, must print exactly the recorded bytes.
+product, the W3^(2) ghost oracle and a failing axiom check, must print
+exactly the recorded bytes.
 Commands run from the root of the repository.  Each file in
 ``tests/golden/`` holds one command: a first line ``exit N``, then the
 stdout verbatim.  To record them again (only when an output change is
@@ -36,6 +37,8 @@ COMMANDS = (
     "cft critical w32",
     "cft solve-conventional",
     "oracle crosscheck w3_ghosts_free --level 4",
+    # the second oracle benchmark check: half-integer weights (bp, cp)
+    "oracle crosscheck w32_ghosts_free --level 4",
     # symbolic reports, where cancellation does most of the work
     "cft brst w3 --symbolic-c --g1 symbolic --g2 symbolic",
     "cft brst w32 --symbolic-c",

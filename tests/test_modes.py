@@ -8,14 +8,16 @@ import pytest
 from wbrst.algebras import ghost_stress, w32_ghosts, w3_ghosts
 from wbrst.fields import FieldExpr, Monomial
 from wbrst.modes import (BcSystem, FockSlice, ModeError, ModeMatrix,
-                         crosscheck, crosscheck_bundle, field_modes,
-                         ope_from_modes, ope_poles_from_modes,
-                         stress_central_charge, systems_from_algebra)
-from wbrst.scalars import RF_ONE
+                         _mode_level, _mono_weight, _prefactor, crosscheck,
+                         crosscheck_bundle, field_modes, ope_from_modes,
+                         ope_poles_from_modes, stress_central_charge,
+                         systems_from_algebra)
+from wbrst.scalars import RF_ONE, _add_into
 
 
 SYS2 = BcSystem("b", "c", Fraction(2))
 SYS3 = BcSystem("bW", "cW", Fraction(3))
+SYSP = BcSystem("bp", "cp", Fraction(3, 2))
 
 
 def _mono(name, d=0):
@@ -110,6 +112,30 @@ def test_modes_beyond_the_slice_level():
     poles = ope_poles_from_modes(_mono("b"), _mono("c"), 0, slc, max_pole=12)
     assert poles[1] == _identity(slc)
     assert all(poles[n].is_zero for n in range(2, 13))
+
+
+@pytest.mark.parametrize("systems,level", [
+    ([SYS2], 3), ([SYS3], 2), ([BcSystem("bU", "cU", 1)], 4), ([SYSP], 3),
+    ([SYS2, SYSP], 2),
+])
+def test_basis_is_every_state_of_the_slice(systems, level):
+    # the pruned enumeration against every set of creation modes at
+    # levels 0 .. L, c-type modes that lower the level included
+    from itertools import combinations
+    slc = FockSlice(systems, level)
+    ops = []
+    for s in systems:
+        for name in (s.b, s.c):
+            m = -s.weight(name)
+            while -m <= level:
+                ops.append((name, m))
+                m -= 1
+    ops.sort(key=slc.op_key)
+    want = [st for k in range(len(ops) + 1) for st in combinations(ops, k)
+            if 0 <= slc.level_of(st) <= level]
+    want.sort(key=lambda st: (slc.level_of(st), len(st),
+                              tuple(slc.op_key(o) for o in st)))
+    assert slc.basis == want
 
 
 def test_negative_level_is_rejected():
@@ -247,7 +273,118 @@ def test_reported_difference_does_not_depend_on_hash_seed():
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
+def test_mismatch_report_at_excited_states(monkeypatch):
+    # doubling pole 2 of every engine product with two poles or more: the
+    # reported entries, states and outputs printed with their Fraction
+    # mode numbers, match a recording, and every output is excited
+    import json
+    import pathlib
+    from wbrst.engine import OpeContext
+    golden = (pathlib.Path(__file__).resolve().parent / "golden"
+              / "oracle_pole2_doubled_mismatches.json")
+    algebras = {"w3_ghosts": w3_ghosts(0, 0),
+                "w32_ghosts": w32_ghosts(modified=False)}
+    ope = OpeContext.ope
+
+    def doubled(self, x, y):
+        poles = ope(self, x, y)
+        if len(poles) >= 2:
+            poles = dict(poles)
+            poles[2] = poles[2].scaled(2)
+        return poles
+
+    monkeypatch.setattr(OpeContext, "ope", doubled)
+    got = {name: [e for e in crosscheck_bundle(alg, 3, modes=(0, 1, -1))
+                  ["checks"] if not e["match"]]
+           for name, alg in algebras.items()}
+    assert got == json.loads(golden.read_text(encoding="utf-8"))
+    assert [len(v) for v in got.values()] == [18, 33]
+    assert all(e["output"] != "()" for v in got.values() for e in v)
+    assert "Fraction(-3, 1)" in got["w3_ghosts"][0]["output"]
+
+
 def test_systems_from_algebra_rejects_interacting_table():
     from wbrst.algebras import w3
     with pytest.raises(ModeError):
         systems_from_algebra(w3(c=100))
+
+
+# -- the kernel against the previous double sum ------------------------------
+
+def _reference_plan(slc, plan, n, s, lv, memo):
+    """The composite-mode double sum as it was before the occupied-bit
+    kernel: every offset up to the slice level is tried, and a
+    single-factor tail is a recursion that returns a dict."""
+    f, d, rest = plan.f, plan.d, plan.rest
+    if rest is None:
+        k = _prefactor(d, n - d) if d else 1
+        hit = slc._op(f, n - d, s) if k else None
+        return {hit[0]: k * hit[1]} if hit else {}
+    out = memo.get((plan, n, s))
+    if out is not None:
+        return out
+    out = {}
+    op, den = slc._op, slc._den
+    for j in range(0, n - (lv + plan.dhrest) // den - 1, -1):
+        k = _prefactor(d, j - d) if d else 1
+        for s1, v1 in _reference_plan(slc, rest, n - j, s, lv, memo).items():
+            hit = op(f, j - d, s1)
+            if hit:
+                _add_into(out, hit[0], k * hit[1] * v1)
+    for j in range(d + 1, (lv + plan.dha) // den + 1):
+        hit = op(f, j - d, s)
+        if hit:
+            k = plan.sign * hit[1] * (_prefactor(d, j - d) if d else 1)
+            lv1 = lv + plan.dha - den * j
+            for s2, v2 in _reference_plan(slc, rest, n - j, hit[0], lv1,
+                                          memo).items():
+                _add_into(out, s2, k * v2)
+    memo[(plan, n, s)] = out
+    return out
+
+
+def _reference_modes(mono, m, slc):
+    """field_modes of a monomial through the reference double sum, as
+    [(basis state, [(output, value), ...])]."""
+    h = _mono_weight(slc, mono.factors)
+    slc._fit(_mode_level(slc, mono, m, slc.level))
+    plan, memo, cols = slc._plan(mono.factors), {}, []
+    for state, s, lv in zip(slc.basis, slc._states, slc._lvs):
+        col = {}
+        if (m + h).denominator == 1:
+            col = _reference_plan(slc, plan, int(m + h), s, lv, memo)
+        cols.append((state, [(slc._tuple(o), Fraction(v))
+                             for o, v in col.items()]))
+    return cols
+
+
+_KERNEL_CASES = [
+    # one, two and three factors, with derivatives, integer weights
+    ([SYS2], 3, (("b", 0),)),
+    ([SYS2], 3, (("c", 2),)),
+    ([SYS2], 3, (("b", 0), ("c", 0))),
+    ([SYS2], 3, (("b", 1), ("c", 0))),
+    ([SYS2], 3, (("b", 0), ("c", 2))),
+    ([SYS2], 3, (("b", 0), ("c", 0), ("c", 1))),
+    ([SYS2], 3, (("c", 1), ("b", 0), ("c", 0))),
+    ([SYS2], 3, (("b", 2), ("b", 0), ("c", 1))),
+    # half-integer weights, alone and beside an integer-weight system
+    ([SYSP], 3, (("bp", 1),)),
+    ([SYSP], 3, (("bp", 0), ("cp", 0))),
+    ([SYSP], 3, (("cp", 1), ("bp", 0), ("cp", 0))),
+    ([SYS2, SYSP], 2, (("b", 0), ("cp", 1))),
+    ([SYS2, SYSP], 2, (("bp", 0), ("c", 0), ("cp", 0))),
+]
+
+
+@pytest.mark.parametrize("systems,level,factors", _KERNEL_CASES)
+def test_kernel_matches_reference_double_sum(systems, level, factors):
+    # every state's column, in the same order, at modes inside the slice,
+    # half-integer modes, and modes far beyond the slice level
+    mono = Monomial(factors)
+    for m in (0, 1, -1, 2, -3, 5, -8, Fraction(1, 2), Fraction(-7, 2)):
+        m = Fraction(m)
+        want = _reference_modes(mono, m, FockSlice(systems, level))
+        got = field_modes(mono, m, FockSlice(systems, level))
+        assert [(st, list(col.items())) for st, col in got.columns.items()] \
+            == want, m
