@@ -44,13 +44,17 @@ BAD_INPUT = (WbrstError, ValueError, OSError)
 
 def _read_input(path, kind, a2=None) -> str:
     """Contents of a definition file: a filesystem path, or the name of a
-    bundled table (with or without the extension)."""
-    if os.path.exists(path):
+    bundled table (with or without the extension).  ``a2 == "printed"``
+    selects the as-printed w3 table and is bad input for any other."""
+    stem = path[: -len(kind) - 1] if path.endswith("." + kind) else path
+    if a2 == "printed":
+        if stem != "w3" or os.path.exists(path):
+            raise InputError("--a2 printed applies only to the bundled "
+                             f"table w3, not {path}")
+        stem = "w3_printed"
+    elif os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    stem = path[: -len(kind) - 1] if path.endswith("." + kind) else path
-    if kind == "alg" and stem == "w3" and a2 == "printed":
-        stem = "w3_printed"
     try:
         return bundled_text(stem, kind)
     except (FileNotFoundError, ModuleNotFoundError):

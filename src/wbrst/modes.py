@@ -111,10 +111,6 @@ class FockSlice:
         i, kind, _ = self._names[name]
         return (i, kind, m)
 
-    def is_creation(self, op) -> bool:
-        name, m = op
-        return m <= -self.weight(name)
-
     def level_of(self, state) -> Fraction:
         return -sum((m for _, m in state), Fraction(0))
 
@@ -330,12 +326,6 @@ class ModeMatrix:
         if not isinstance(other, ModeMatrix):
             return NotImplemented
         return self.mode == other.mode and self.columns == other.columns
-
-    def first_difference(self, other):
-        """The first differing entry (state, output, self, other), walking
-        states and outputs in insertion order (states in the slice's basis
-        order), so the entry found does not depend on the hash seed."""
-        return _first_difference(self.columns, other.columns)
 
     @property
     def is_zero(self):

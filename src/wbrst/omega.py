@@ -9,19 +9,24 @@ coefficient: twisted antisymmetrization for the ghost blocks (with the
 index order of the c block reversed) and braid symmetrization plus a
 linear remainder for the generator block.
 
+Every relation reads the dataset through the row-convention matrices of
+``tensors`` (sigma, sigma_tilde = phi sigma phi^{-1}, phi and C), turned
+into lookup tables by ``pair_table`` once per algebra: the exchange moves
+b c, b x and x c, and the sigma and C rows of the generator reduction.
+
 Canonical forms make equality decidable, which is what the nilpotency
 check of the ghost differential needs.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .errors import WbrstError
 from .scalars import RF_ONE, _add_into, rf
-from .tensors import (Mat, QlaData, Tensor, TwistData, antisymmetrizer_mats,
-                      braid_mat, embed, flatten, unflatten)
+from .tensors import (Mat, QlaData, TwistData, antisymmetrizer_mats,
+                      braid_mat, c_mat, embed, flatten, pair_table,
+                      quasi_idempotent_rescale, unflatten)
 
 
 class OmegaError(WbrstError):
@@ -43,36 +48,41 @@ class OmegaAlgebra:
         self.twist = twist
         self.n = data.n
         n = self.n
-        self.st_mat = twist.conjugate(braid_mat(data.sigma))
+        s = braid_mat(data.sigma)
+        self.st_mat = twist.conjugate(s)
         ident = Mat.identity(n * n)
         if not (self.st_mat @ self.st_mat - ident).is_zero():
             raise OmegaError("twisted braid matrix is not involutive")
-        st_inv = self.st_mat  # an involution is its own inverse
         st12 = embed(self.st_mat, n, 3, 0)
         st23 = embed(self.st_mat, n, 3, 1)
         if not (st12 @ st23 @ st12 - st23 @ st12 @ st23).is_zero():
             raise OmegaError("twisted braid matrix fails the braid relation")
-        # the recurrence yields quasi-idempotents A_k A_k = lambda A_k with
-        # a data-dependent eigenvalue; canonical forms need A_k / lambda
+        # ghost blocks: the coefficient of b_{j_1} .. b_{j_r} lies in the
+        # image of A_r of sigma_tilde, and that of c^{i_1} .. c^{i_p}, its
+        # indices read in reverse, in the image of A_p.  The recurrence
+        # yields quasi-idempotents A_k A_k = lambda A_k with a data-dependent
+        # eigenvalue; canonical forms need A_k / lambda
         self.antisym = {
             k: _idempotent(m, k)
             for k, m in antisymmetrizer_mats(self.st_mat, n,
                                              max(P_MAX, R_MAX)).items()}
 
-        # lookup tables for the exchange moves, keyed by the known pair
-        self.bc_swap = {}   # (i2, k2) -> [((j1, n1), -st_inv^{n1 k2}_{j1 i2})]
-        for r, row in st_inv.rows.items():
-            j1, i2 = unflatten(r, n, 2)
-            for cc, v in row.items():
-                n1, k2 = unflatten(cc, n, 2)
-                self.bc_swap.setdefault((i2, k2), []).append(((j1, n1), -v))
-        self.bx_swap = {}   # (m, n) -> [((k, l), phi^{kl}_{mn})]
-        self.xc_swap = {}   # (m, n) -> [((l, k), phi^{kn}_{lm})]
-        for (k, l, m, nn), v in twist.phi.items():
-            self.bx_swap.setdefault((m, nn), []).append(((k, l), v))
-            # same tensor read for the chi-c move: the known pair is
-            # (second lower, second upper), the output (first lower, first upper)
-            self.xc_swap.setdefault((nn, l), []).append(((m, k), v))
+        # exchange moves: the known index pair of the out-of-order letters
+        # -> [(index pair of the swapped letters, coefficient)]
+        self.exchange = {
+            # b_i c^k = delta_i^k - (sigma_tilde^{-1})^{nk}_{ji} c^j b_n, and
+            # sigma_tilde^{-1} = sigma_tilde, checked involutive above
+            ("b", "c"): pair_table(self.st_mat.scaled(-1), n,
+                                   partial_transpose=True),
+            # b_m chi_n = phi^{kl}_{mn} chi_k b_l
+            ("b", "x"): pair_table(twist.phi_mat, n),
+            # chi_n c^l = phi^{kl}_{mn} c^m chi_k
+            ("x", "c"): pair_table(twist.phi_mat, n, partial_transpose=True),
+        }
+        # generator pairs: chi_i chi_j - sigma^{kl}_{ij} chi_k chi_l
+        # = C^k_{ij} chi_k
+        self.sigma_rows = pair_table(s, n)
+        self.c_rows = pair_table(c_mat(data.c), n, out_factors=1)
 
     def element(self, terms=None) -> "OmegaElement":
         return OmegaElement(self, terms or {})
@@ -87,7 +97,6 @@ class OmegaAlgebra:
 
 
 def _idempotent(m, k):
-    from .tensors import quasi_idempotent_rescale
     try:
         return quasi_idempotent_rescale(m, f"rank-{k} antisymmetrizer")
     except ValueError as err:
@@ -188,94 +197,72 @@ class OmegaElement:
 
 
 def _exchange(alg, word, coeff, pos):
-    """Rewrite the out-of-order letter pair at (pos, pos+1)."""
-    a, b = word[pos], word[pos + 1]
-    n = alg.n
-    if (a, b) == ("b", "c"):
-        swapped = {}
-        contracted = {}
-        for idx, v in coeff.items():
-            i2, k2 = idx[pos], idx[pos + 1]
-            for (j1, n1), w in alg.bc_swap.get((i2, k2), ()):
-                _add_into(swapped, idx[:pos] + (j1, n1) + idx[pos + 2:], v * w)
-            if i2 == k2:
-                _add_into(contracted, idx[:pos] + idx[pos + 2:], v)
-        new_word = word[:pos] + ("c", "b") + word[pos + 2:]
-        short = word[:pos] + word[pos + 2:]
-        return [(new_word, swapped), (short, contracted)]
-    if (a, b) == ("b", "x"):
-        swapped = {}
-        for idx, v in coeff.items():
-            for (k, l), w in alg.bx_swap.get((idx[pos], idx[pos + 1]), ()):
-                _add_into(swapped, idx[:pos] + (k, l) + idx[pos + 2:], v * w)
-        return [(word[:pos] + ("x", "b") + word[pos + 2:], swapped)]
-    if (a, b) == ("x", "c"):
-        swapped = {}
-        for idx, v in coeff.items():
-            for (l, k), w in alg.xc_swap.get((idx[pos], idx[pos + 1]), ()):
-                _add_into(swapped, idx[:pos] + (l, k) + idx[pos + 2:], v * w)
-        return [(word[:pos] + ("c", "x") + word[pos + 2:], swapped)]
-    raise OmegaError(f"unexpected pair {a}{b}")
+    """Rewrite the out-of-order letter pair at (pos, pos+1); b c also
+    contracts to delta."""
+    pair = word[pos:pos + 2]
+    table = alg.exchange.get(pair)
+    if table is None:
+        raise OmegaError(f"unexpected pair {''.join(pair)}")
+    contracts = pair == ("b", "c")
+    swapped = {}
+    contracted = {}
+    for idx, v in coeff.items():
+        known = idx[pos:pos + 2]
+        for out, w in table.get(known, ()):
+            _add_into(swapped, idx[:pos] + out + idx[pos + 2:], v * w)
+        if contracts and known[0] == known[1]:
+            _add_into(contracted, idx[:pos] + idx[pos + 2:], v)
+    return [(word[:pos] + pair[::-1] + word[pos + 2:], swapped),
+            (word[:pos] + word[pos + 2:], contracted)]
 
 
 def _reduce_block(alg, word, coeff):
     """Canonical form of a block-ordered word: reduce a generator pair,
     then antisymmetrize the ghost blocks."""
-    n = alg.n
     p = word.count("c")
     q = word.count("x")
     r = word.count("b")
     if p > P_MAX or q > Q_MAX or r > R_MAX:
         raise OmegaError(f"sector cap exceeded by word {''.join(word)}")
-    results = []
-    if q == 2:
-        sig = alg.data.sigma
-        cten = alg.data.c
-        half = Fraction(1, 2)
-        sym = {}
-        lin = {}
-        for idx, v in coeff.items():
-            i, j = idx[p], idx[p + 1]
-            _add_into(sym, idx, v * half)
-            for (k1, k2, si, sj), sv in sig.items():
-                if (si, sj) == (i, j):
-                    _add_into(sym, idx[:p] + (k1, k2) + idx[p + 2:],
-                              v * sv * half)
-            for (k, ci, cj), cv in cten.items():
-                if (ci, cj) == (i, j):
-                    _add_into(lin, idx[:p] + (k,) + idx[p + 2:], v * cv * half)
-        results.append(_project_ghosts(alg, word, sym, p, r))
-        if lin:
-            results.extend(
-                _reduce_block(alg, word[:p] + ("x",) + word[p + 2:], lin))
-        return results
-    results.append(_project_ghosts(alg, word, coeff, p, r))
+    if q < 2:
+        return [_project_ghosts(alg, word, coeff, p, r)]
+    # chi_i chi_j = (1/2)(chi_i chi_j + sigma^{kl}_{ij} chi_k chi_l)
+    #               + (1/2) C^k_{ij} chi_k
+    half = Fraction(1, 2)
+    sym = {}
+    lin = {}
+    for idx, v in coeff.items():
+        pair = idx[p:p + 2]
+        _add_into(sym, idx, v * half)
+        for out, w in alg.sigma_rows.get(pair, ()):
+            _add_into(sym, idx[:p] + out + idx[p + 2:], v * w * half)
+        for out, w in alg.c_rows.get(pair, ()):
+            _add_into(lin, idx[:p] + out + idx[p + 2:], v * w * half)
+    results = [_project_ghosts(alg, word, sym, p, r)]
+    if lin:
+        results.extend(
+            _reduce_block(alg, word[:p] + ("x",) + word[p + 2:], lin))
     return results
 
 
 def _project_ghosts(alg, word, coeff, p, r):
+    """Apply A_p to the c block, its indices read in reverse, and A_r to
+    the b block."""
     n = alg.n
-    total = len(word)
-    if p >= 2:
-        a = alg.antisym[p]
+    for start, size, reverse in ((0, p, True), (len(word) - r, r, False)):
+        if size < 2:
+            continue
+        a = alg.antisym[size]
         out = {}
         for idx, v in coeff.items():
-            row = a.rows.get(flatten(tuple(reversed(idx[:p])), n))
+            block = idx[start:start + size]
+            row = a.rows.get(flatten(block[::-1] if reverse else block, n))
             if not row:
                 continue
             for col, w in row.items():
-                new_c = tuple(reversed(unflatten(col, n, p)))
-                _add_into(out, new_c + idx[p:], v * w)
-        coeff = out
-    if r >= 2:
-        a = alg.antisym[r]
-        out = {}
-        for idx, v in coeff.items():
-            row = a.rows.get(flatten(idx[total - r:], n))
-            if not row:
-                continue
-            for col, w in row.items():
-                _add_into(out, idx[:total - r] + unflatten(col, n, r), v * w)
+                new = unflatten(col, n, size)
+                _add_into(out, idx[:start] + (new[::-1] if reverse else new)
+                          + idx[start + size:], v * w)
         coeff = out
     return word, coeff
 
@@ -284,15 +271,16 @@ def _project_ghosts(alg, word, coeff, p, r):
 
 
 def build_q(alg: OmegaAlgebra) -> OmegaElement:
-    """The ghost differential c^i chi_i - (1/2) c c phi C b."""
+    """The ghost differential c^i chi_i - (1/2) c c phi C b: the cubic
+    term is -(1/2) (phi C)^k_{yx} c^x c^y b_k, the c pair read in reverse
+    as in the c block."""
     n = alg.n
     linear = {(i, i): RF_ONE for i in range(n)}
-    cubic = {}
+    phi_c = alg.twist.phi_mat @ c_mat(alg.data.c)
     half = Fraction(-1, 2)
-    for (m, nn, y, x), pv in alg.twist.phi.items():
-        for (k, ci, cj), cv in alg.data.c.items():
-            if (ci, cj) == (m, nn):
-                _add_into(cubic, (x, y, k), pv * cv * half)
+    cubic = {(x, y, k): v * half
+             for (y, x), entries in pair_table(phi_c, n, out_factors=1).items()
+             for (k,), v in entries}
     q = alg.element({("c", "x"): linear, ("c", "c", "b"): cubic})
     return q.canonicalized()
 

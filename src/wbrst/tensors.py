@@ -13,16 +13,23 @@ order of the identity.  A braid matrix becomes M[(i1,i2), (k1,k2)] =
 sigma^{k1 k2}_{i1 i2}.
 
 Every identity checked here, except the solvability of C = (1 - sigma) t,
-is a product of such matrices: ``embed`` places a braid matrix on two
-adjacent factors and ``cmat`` contracts two adjacent factors with C.  A
-failing identity reports its first nonzero entries as (row multi-index,
-column multi-index, value), in the order of the flattened indices.
+is a product of such matrices: ``embed`` places an operator on adjacent
+factors of a larger space, be it a braid matrix, the contraction
+``c_mat(C)`` with [(i, j), k] = C^k_{ij}, or an antisymmetrizer.  A failing
+identity reports its first nonzero entries as (row multi-index, column
+multi-index, value), in the order of the flattened indices.
+
+This module holds the index convention of the data: ``omega`` reads sigma,
+sigma_tilde, phi and C only through these matrices, as the lookup tables
+of ``pair_table``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import factorial
 
 from .linalg import solve_columns
 from .scalars import RF_ONE, RF_ZERO, RationalFunction, _add_into, rf
@@ -120,32 +127,6 @@ class Mat:
     def __eq__(self, other):
         return (isinstance(other, Mat) and (self - other).is_zero())
 
-    def inverse(self) -> "Mat":
-        """Dense Gaussian inverse; raises on singular input."""
-        assert self.nrows == self.ncols
-        n = self.nrows
-        a = [[self.get(r, c) for c in range(n)] for r in range(n)]
-        inv = [[RF_ONE if r == c else RF_ZERO for c in range(n)] for r in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not a[r][col].is_zero), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            p = a[col][col]
-            a[col] = [x / p for x in a[col]]
-            inv[col] = [x / p for x in inv[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        out = Mat(n, n)
-        for r in range(n):
-            for c in range(n):
-                out.set(r, c, inv[r][c])
-        return out
-
     def nonzero_entries(self, limit=None):
         out = []
         for r in sorted(self.rows):
@@ -189,49 +170,53 @@ def braid_mat(t: Tensor) -> Mat:
     return m
 
 
-def mat_to_rank4(m: Mat, n: int) -> Tensor:
-    entries = {}
-    for r, row in m.rows.items():
-        i1, i2 = unflatten(r, n, 2)
-        for c, v in row.items():
-            k1, k2 = unflatten(c, n, 2)
-            entries[(k1, k2, i1, i2)] = v
-    return Tensor(4, n, entries)
-
-
-def embed(m2: Mat, n: int, total: int, pos: int) -> Mat:
-    """id^{pos} (x) m2 (x) id^{total-pos-2} on the total-factor space."""
-    left = total - pos - 2
-    out = Mat(n ** total, n ** total)
-    spect_a = list(itertools.product(range(n), repeat=pos))
-    spect_b = list(itertools.product(range(n), repeat=left))
-    for r, row in m2.rows.items():
-        i1, i2 = unflatten(r, n, 2)
-        for c, v in row.items():
-            k1, k2 = unflatten(c, n, 2)
-            for a in spect_a:
-                for b in spect_b:
-                    out.set(flatten(a + (i1, i2) + b, n),
-                            flatten(a + (k1, k2) + b, n), v)
-    return out
-
-
-def cmat(c: Tensor, total: int, pos: int) -> Mat:
-    """The operator contracting factors (pos, pos+1) into one via C^k_{ij}.
-
-    Row convention: entry [input multi-index, output multi-index]; the
-    remaining factors pass through unchanged (this realizes the delta
-    insertions of the proof identities).
-    """
+def c_mat(c: Tensor) -> Mat:
+    """Row-convention matrix of structure constants, [(i, j), k] = C^k_{ij}:
+    the operator contracting two factors into one."""
     n = c.n
-    out = Mat(n ** total, n ** (total - 1))
-    spect_a = list(itertools.product(range(n), repeat=pos))
-    spect_b = list(itertools.product(range(n), repeat=total - pos - 2))
+    m = Mat(n * n, n)
     for (k, i, j), v in c.items():
-        for a in spect_a:
-            for b in spect_b:
-                out.set(flatten(a + (i, j) + b, n), flatten(a + (k,) + b, n), v)
-    return out
+        m.set(flatten((i, j), n), k, v)
+    return m
+
+
+def embed(m: Mat, n: int, total: int, pos: int) -> Mat:
+    """id^{pos} (x) m (x) id^{rest} on the total-factor space, for m an
+    operator from a to b factors acting on factors pos .. pos + a - 1: a
+    braid matrix, the contraction ``c_mat(C)`` (the other factors pass
+    through: the delta insertions of the proof identities) or a projector."""
+    a, b = _factors(m.nrows, n), _factors(m.ncols, n)
+    rest = n ** (total - pos - a)
+    rows = {}
+    for pre in range(n ** pos):
+        for r, row in m.rows.items():
+            r0 = (pre * m.nrows + r) * rest
+            for t in range(rest):
+                rows[r0 + t] = {(pre * m.ncols + c) * rest + t: v
+                                for c, v in row.items()}
+    return Mat(n ** total, n ** (total - a + b), rows)
+
+
+def pair_table(m: Mat, n: int, out_factors: int = 2,
+               partial_transpose: bool = False) -> dict:
+    """An operator on pairs as a lookup table, in one of two readings.
+
+    Rows: m[(i, j), out] reads (i, j) -> [(out, value), ...], with out the
+    multi-index of an ``out_factors``-factor space.  Partial transpose, for
+    an m on pairs: m[(i, j), (k, l)] reads (j, l) -> [((i, k), value), ...],
+    the second row and column indices known and the first ones produced.
+    """
+    table = {}
+    for r, row in m.rows.items():
+        i, j = divmod(r, n)
+        for c, v in row.items():
+            if partial_transpose:
+                k, l = divmod(c, n)
+                key, out = (j, l), (i, k)
+            else:
+                key, out = (i, j), unflatten(c, n, out_factors)
+            table.setdefault(key, []).append((out, v))
+    return table
 
 
 # -- constructors ----------------------------------------------------------
@@ -265,11 +250,6 @@ def lie_super_twist(parities):
     return Tensor(4, n, phi_e), Tensor(4, n, st_e)
 
 
-def sigma_tilde(sigma: Tensor, twist: "TwistData") -> Tensor:
-    """Twist conjugation sigma_tilde = phi sigma phi^{-1} (written order)."""
-    return mat_to_rank4(twist.conjugate(braid_mat(sigma)), sigma.n)
-
-
 # -- data bundles ----------------------------------------------------------
 
 
@@ -297,7 +277,16 @@ class TwistData:
 def twist_from_phi(phi: Tensor) -> TwistData:
     """Raises ZeroDivisionError when phi is singular."""
     p = braid_mat(phi)
-    return TwistData(phi, p, p.inverse())
+    size = p.nrows
+    # row r of the inverse solves x p = e_r, that is p^T x = e_r
+    transposed = [[p.get(r, c) for r in range(size)] for c in range(size)]
+    units = [[RF_ONE if r == c else RF_ZERO for c in range(size)]
+             for r in range(size)]
+    rows = solve_columns(transposed, units, RF_ZERO, RF_ONE)
+    if None in rows:
+        raise ZeroDivisionError("phi is singular")
+    return TwistData(phi, p, Mat(size, size, {
+        r: {c: v for c, v in enumerate(x) if v} for r, x in enumerate(rows)}))
 
 
 @dataclass
@@ -347,7 +336,8 @@ def check_qla_axioms(d: QlaData) -> AxiomReport:
 
     # Jacobi and the two sigma-C compatibilities on three factors, and
     # (1 + sigma) C = 0 on two
-    c12, c23, c2 = cmat(d.c, 3, 0), cmat(d.c, 3, 1), cmat(d.c, 2, 0)
+    c2 = c_mat(d.c)
+    c12, c23 = embed(c2, n, 3, 0), embed(c2, n, 3, 1)
     rep.record_mat("jacobi", (c12 - s23 @ c12 - c23) @ c2)
     rep.record_mat("sigma_c_compat_1", c12 @ s - s23 @ s12 @ c23)
     x = s23 @ c12 + c23
@@ -393,8 +383,9 @@ def check_twist_axioms(sigma: Tensor, twist: TwistData,
     else:
         rep.record_mat("sigmatilde_unitary", st @ st - Mat.identity(n * n))
     if c is not None:
-        lhs = p12 @ p23 @ cmat(c, 3, 0)
-        rhs = cmat(c, 3, 1) @ p
+        cm = c_mat(c)
+        lhs = p12 @ p23 @ embed(cm, n, 3, 0)
+        rhs = embed(cm, n, 3, 1) @ p
         rep.record_mat("phi_c_compat", lhs - rhs)
     return rep
 
@@ -405,7 +396,6 @@ def check_twist_axioms(sigma: Tensor, twist: TwistData,
 def antisymmetrizer_mats(braid: Mat, n: int, kmax: int) -> dict:
     """A_1..A_kmax for a unitary braid matrix, via the recurrence
     A_{k+1} = (1/k!)(1 - s_k + s_{k-1} s_k - ... + (-1)^k s_1..s_k) A_k."""
-    from fractions import Fraction
     mats = {1: Mat.identity(n)}
     for k in range(1, kmax):
         total = k + 1
@@ -418,29 +408,14 @@ def antisymmetrizer_mats(braid: Mat, n: int, kmax: int) -> dict:
             chain = s_emb[j] if chain is None else s_emb[j] @ chain
             acc = acc + chain.scaled(sign)
             sign = -sign
-        prev = _promote(mats[k], n, k, total)
-        from math import factorial
+        prev = embed(mats[k], n, total, 0)
         mats[total] = acc.scaled(Fraction(1, factorial(k))) @ prev
     return mats
-
-
-def _promote(m: Mat, n: int, k: int, total: int) -> Mat:
-    """m acting on the first k of total factors (identity on the rest)."""
-    if k == total:
-        return m
-    rest = n ** (total - k)
-    out = Mat(n ** total, n ** total)
-    for r, row in m.rows.items():
-        for c, v in row.items():
-            for t in range(rest):
-                out.set(r * rest + t, c * rest + t, v)
-    return out
 
 
 def quasi_idempotent_rescale(m: Mat, label="antisymmetrizer") -> Mat:
     """Rescale m with m @ m = lambda m (lambda a nonzero constant) to a
     projector; the recurrence eigenvalue depends on the braid data."""
-    from fractions import Fraction
     if m.is_zero():
         return m
     sq = m @ m
@@ -513,12 +488,13 @@ def check_proof_identities(sigma: Tensor, c: Tensor,
             rep.record_mat(f"antisym_absorb_k{k}_j{j + 1}", lhs + a)
 
     asig = antisymmetrizer_mats(s, n, 4)
+    cm = c_mat(c)
+    c12 = embed(cm, n, 3, 0)
     # A_4 C_{34} C_{12}delta (1 - sigma_1) = 0
-    lhs = asig[4] @ cmat(c, 4, 2) @ cmat(c, 3, 0) @ (
-        Mat.identity(n * n) - s)
+    lhs = asig[4] @ embed(cm, n, 4, 2) @ c12 @ (Mat.identity(n * n) - s)
     rep.record_mat("ccdelta_identity_1", lhs)
     # A_3 C_{12}delta C_{12} = 0
-    rep.record_mat("ccdelta_identity_2", asig[3] @ cmat(c, 3, 0) @ cmat(c, 2, 0))
+    rep.record_mat("ccdelta_identity_2", asig[3] @ c12 @ cm)
 
     # A_3^{(st)} phi_{123} (1 - sigma_23 sigma_12) = 0
     s12, s23 = embed(s, n, 3, 0), embed(s, n, 3, 1)

@@ -1,9 +1,11 @@
 """Command line interface: exit codes, JSON output, error handling."""
 
 import json
+import pathlib
 
 import pytest
 
+from wbrst.algebras import bundled_text
 from wbrst.cli import main
 
 
@@ -316,3 +318,20 @@ def test_brst_option_that_does_not_apply_is_bad_input(capsys, argv, message):
     _no_traceback(code, err)
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("table", ["w32", "w3_ghosts", "w32.alg", "copy"])
+def test_validate_printed_a2_is_bad_input_for_other_tables(
+        tmp_path, capsys, table):
+    # the as-printed a2 coefficient exists for the bundled w3 table only; a
+    # file, even a copy of w3.alg, is read as it is
+    if table == "copy":
+        table = str(tmp_path / "w3.alg")
+        pathlib.Path(table).write_text(bundled_text("w3", "alg"),
+                                       encoding="utf-8")
+    code, out, err = run(capsys, "cft", "validate", table, "--a2", "printed",
+                         "--json")
+    _no_traceback(code, err)
+    assert out == ""
+    assert err == ("error: --a2 printed applies only to the bundled table "
+                   f"w3, not {table}\n")

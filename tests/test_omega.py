@@ -2,15 +2,18 @@
 differential, with an independent matrix-representation oracle."""
 
 import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import QLA_FILES, load_qla
-from wbrst.omega import OmegaAlgebra, build_q, verify_nilpotent
-from wbrst.scalars import RF_ONE, RationalFunction
-from wbrst.tensors import QlaData, Tensor
+from conftest import QLA_FILES, load_qla, qla_mutations
+from wbrst.omega import OmegaAlgebra, OmegaError, build_q, verify_nilpotent
+from wbrst.scalars import RF_ONE, RationalFunction, _add_into
+from wbrst.tensors import (QlaData, Tensor, flatten, lie_super_twist,
+                           super_permutation, twist_from_phi, unflatten)
 
 
 EPS = {t: 0 for t in itertools.product(range(3), repeat=3)}
@@ -150,6 +153,123 @@ def test_mutated_so3_gives_residual():
     assert ("c", "c", "c", "b") in residual.terms
 
 
+# -- reference implementations: the hand-built exchange tables and the scans
+# over tensor entries that the tables of OmegaAlgebra replace
+
+
+def _reference_tables(alg):
+    """bc_swap, bx_swap, xc_swap, the sigma and C scans of the generator
+    reduction and the cubic term of Q, each as {(known, output): value}."""
+    n = alg.n
+    bc, bx, xc, sig, cst, cubic = {}, {}, {}, {}, {}, {}
+    for r, row in alg.st_mat.rows.items():
+        j1, i2 = unflatten(r, n, 2)
+        for cc, v in row.items():
+            n1, k2 = unflatten(cc, n, 2)
+            bc[((i2, k2), (j1, n1))] = -v
+    for (k, l, m, nn), v in alg.twist.phi.items():
+        bx[((m, nn), (k, l))] = v
+        xc[((nn, l), (m, k))] = v
+    for i, j in itertools.product(range(n), repeat=2):
+        for (k1, k2, si, sj), sv in alg.data.sigma.items():
+            if (si, sj) == (i, j):
+                sig[((i, j), (k1, k2))] = sv
+        for (k, ci, cj), cv in alg.data.c.items():
+            if (ci, cj) == (i, j):
+                cst[((i, j), (k,))] = cv
+    for (m, nn, y, x), pv in alg.twist.phi.items():
+        for (k, ci, cj), cv in alg.data.c.items():
+            if (ci, cj) == (m, nn):
+                _add_into(cubic, (x, y, k), pv * cv * Fraction(-1, 2))
+    return bc, bx, xc, sig, cst, cubic
+
+
+def _flat(table):
+    return {(known, out): v for known, entries in table.items()
+            for out, v in entries}
+
+
+def _super_algebras():
+    for parities in ((1,), (0, 1), (1, 1), (0, 1, 1)):
+        phi, _ = lie_super_twist(parities)
+        n = len(parities)
+        # [x_1, x_j] = x_j for every odd j: a Lie superalgebra
+        c = Tensor(3, n, {
+            e: v for j in range(1, n) if parities[j]
+            for e, v in (((j, 0, j), 1), ((j, j, 0), -1))})
+        data = QlaData(n, parities, super_permutation(parities), c)
+        yield parities, OmegaAlgebra(data, twist_from_phi(phi))
+
+
+def test_tables_match_the_hand_built_reference(color_borel_omega):
+    for label, alg in [("color_borel_q2", color_borel_omega),
+                       *_super_algebras()]:
+        bc, bx, xc, sig, cst, cubic = _reference_tables(alg)
+        assert _flat(alg.exchange[("b", "c")]) == bc, label
+        assert _flat(alg.exchange[("b", "x")]) == bx, label
+        assert _flat(alg.exchange[("x", "c")]) == xc, label
+        assert _flat(alg.sigma_rows) == sig, label
+        assert _flat(alg.c_rows) == cst, label
+        want = alg.element({("c", "x"): {(i, i): RF_ONE for i in range(alg.n)},
+                            ("c", "c", "b"): cubic}).canonicalized()
+        assert build_q(alg) == want, label
+
+
+def test_exchange_rewrites_each_pair_by_its_relation(color_borel_omega):
+    # b c, b x and x c on single index pairs, against the relations read
+    # straight off sigma_tilde and phi
+    alg = color_borel_omega
+    n, st, phi = alg.n, alg.st_mat, alg.twist.phi_mat
+    for i, k in itertools.product(range(n), repeat=2):
+        got = alg.word(("b", "c"), {(i, k): 1})
+        want = alg.scalar(1 if i == k else 0) + alg.word(("c", "b"), {
+            (j, m): -st.get(flatten((j, i), n), flatten((m, k), n))
+            for j, m in itertools.product(range(n), repeat=2)})
+        assert got == want, (i, k)
+        got = alg.word(("b", "x"), {(i, k): 1})
+        want = alg.word(("x", "b"), {
+            (j, m): phi.get(flatten((i, k), n), flatten((j, m), n))
+            for j, m in itertools.product(range(n), repeat=2)})
+        assert got == want, (i, k)
+        got = alg.word(("x", "c"), {(i, k): 1})
+        want = alg.word(("c", "x"), {
+            (m, j): phi.get(flatten((m, i), n), flatten((j, k), n))
+            for j, m in itertools.product(range(n), repeat=2)})
+        assert got == want, (i, k)
+
+
+BRST_VERDICTS = (pathlib.Path(__file__).resolve().parent / "golden"
+                 / "qla_brst_verdicts.json")
+
+
+def qla_brst_verdicts() -> dict:
+    """The Q^2 outcome on each bundled dataset and on each of its
+    single-entry +1 mutations (with the bundled twist): "nilpotent",
+    "obstructed" with the residual sectors, or the OmegaError message."""
+    table = {}
+    for name in QLA_FILES:
+        d, tw = load_qla(name)
+        variants = [("bundled", d)] + [
+            (f"{kind} {' '.join(map(str, idx))} += 1", d2)
+            for kind, idx, d2 in qla_mutations(d)]
+        for label, d2 in variants:
+            try:
+                ok, residual = verify_nilpotent(OmegaAlgebra(d2, tw))
+            except OmegaError as err:
+                verdict = f"error: {err}"
+            else:
+                verdict = "nilpotent" if ok else "obstructed: " + " ".join(
+                    sorted("".join(w) for w in residual.terms))
+            table[f"{name} {label}"] = verdict
+    return table
+
+
+def test_qla_brst_verdicts_match_the_recorded_table():
+    # to record again, run ``PYTHONPATH=src python tests/test_omega.py``
+    assert qla_brst_verdicts() == json.loads(
+        BRST_VERDICTS.read_text(encoding="utf-8"))
+
+
 # -- independent matrix oracle for so(3) -----------------------------------
 
 
@@ -223,3 +343,10 @@ def test_so3_differential_matches_matrix_representation():
             q = [[a - Fraction(e, 2) * b for a, b in zip(r1, r2)]
                  for r1, r2 in zip(q, term)]
     assert _mul(q, q) == [[Fraction(0)] * 24 for _ in range(24)]
+
+
+if __name__ == "__main__":
+    rows = [f" {json.dumps(k)}: {json.dumps(v)}"
+            for k, v in qla_brst_verdicts().items()]
+    BRST_VERDICTS.write_text("{\n" + ",\n".join(rows) + "\n}\n",
+                             encoding="utf-8")
