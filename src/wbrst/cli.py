@@ -29,7 +29,7 @@ from .omega import OmegaAlgebra, build_q, verify_nilpotent
 from .parsing import (format_field_expr, format_monomial,
                       parse_algebra_file, parse_field_expr, parse_qla_file)
 from .scalars import format_rational
-from .tensors import (check_proof_identities, check_qla_axioms,
+from .tensors import (braid_mat, check_proof_identities, check_qla_axioms,
                       check_twist_axioms)
 
 
@@ -104,10 +104,11 @@ def _residual_item(item):
 
 def cmd_qla_check(args) -> int:
     data, twist = _load_qla(args.file)
+    st = twist.conjugate(braid_mat(data.sigma))
     reports = [
         ("axioms", check_qla_axioms(data)),
-        ("twist", check_twist_axioms(data.sigma, twist, data.c)),
-        ("proof", check_proof_identities(data.sigma, data.c, twist)),
+        ("twist", check_twist_axioms(data.sigma, twist, data.c, st)),
+        ("proof", check_proof_identities(data.sigma, data.c, twist, st)),
     ]
     checks = _axiom_payload(reports)
     ok = all(e["pass"] for e in checks.values())
@@ -122,7 +123,7 @@ def cmd_qla_brst(args) -> int:
     data, twist = _load_qla(args.file)
     alg = OmegaAlgebra(data, twist)
     q = build_q(alg)
-    ok, residual = verify_nilpotent(alg)
+    ok, residual = verify_nilpotent(alg, q)
     payload = {"file": args.file,
                "ghost_number": q.ghost_number(),
                "verdict": "nilpotent" if ok else "obstructed"}

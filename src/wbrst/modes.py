@@ -19,6 +19,16 @@ to the comparison with the engine runs on these bitmasks; tuple states
 appear only at the API edge: the public functions take and return the
 tuple states of ``FockSlice.basis``, and ``crosscheck`` converts only
 the entry it reports.
+
+Each composite mode is walked once.  The two-factor terms of an
+expression that share a field pair and a total derivative order, such as
+the two terms of a bc stress tensor, compile to one pair plan: their
+underlying offsets add up to the same total and act at the same offsets,
+so one walk serves every derivative split, each hit weighted by the sum
+of the splits' prefactors.  Longer products recurse onto such plans.
+When both sides of a product compile to the same expression, the
+commutator sample (q, p) is -csign times the sample (p, q), so each
+mirrored pair of samples is computed once.
 """
 
 from __future__ import annotations
@@ -26,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import factorial, floor, lcm
+from itertools import chain
+from math import factorial, floor, gcd, lcm
 
 from .errors import WbrstError
 from .fields import FieldExpr, Monomial
@@ -246,9 +257,21 @@ class FockSlice:
         return s ^ 1 << bit, -1 if (s >> bit + 1).bit_count() & 1 else 1
 
     def _plan(self, factors):
+        """The compiled product of ``factors``, shared by every expression
+        on this slice; a product of two factors is a pair plan."""
+        if len(factors) == 2:
+            (a, d), (b, e) = factors
+            return self._pair(a, b, ((d, e, 1),))
         plan = self._plans.get(factors)
         if plan is None:
             plan = self._plans[factors] = _Plan(self, factors)
+        return plan
+
+    def _pair(self, a, b, splits):
+        key = (a, b, splits)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _Pair(self, a, b, splits)
         return plan
 
     def _compile(self, x):
@@ -269,30 +292,59 @@ class FockSlice:
                 _Expr(self, w, group) for w, group in sorted(groups.items())]
         return parts
 
+    def tabulated(self) -> int:
+        """How many (offset, state) entries the mode tables of this slice
+        hold: the memos of its compiled products and the tables of its
+        expressions of several terms."""
+        return (sum(len(plan.memo) for plan in self._plans.values())
+                + sum(len(ex.table) for parts in self._exprs.values()
+                      for ex in parts))
+
 
 class _Plan:
-    """A right-nested normal product compiled on a slice: the head factor
-    (field f, derivative order d), den times the weights of the head and
-    of the tail, the sign of moving the head across the tail, the tail's
-    plan (None for a single factor) and ``memo``, which maps (offset,
-    state) to the product's output.  ``reach`` is how far, times den, an
-    application can lift a state above both its input and output levels
-    on the way."""
+    """A single factor, or a right-nested normal product of three or more,
+    compiled on a slice: the head factor (field f, derivative order d),
+    den times the weights of the head and of the tail, the sign of moving
+    the head across the tail, the tail's plan (a pair plan or a longer
+    product; None for a single factor) and ``memo``, which maps (offset,
+    state) to the product's output.  ``walk`` is the function that
+    applies the plan."""
 
-    __slots__ = ("f", "d", "dha", "dhrest", "sign", "rest", "reach", "memo")
+    __slots__ = ("walk", "f", "d", "dha", "dhrest", "sign", "rest", "memo")
 
     def __init__(self, slc, factors):
         (name, self.d), tail = factors[0], factors[1:]
         self.f = slc._field(name)
         self.dha = slc._dh[self.f] + slc._den * self.d
         self.rest = slc._plan(tail) if tail else None
+        self.walk = _apply_plan if tail else _apply_leaf
         self.sign = -1 if len(tail) % 2 else 1
         self.dhrest = sum(slc._dh[slc._field(n)] + slc._den * d
                           for n, d in tail)
-        # the head's creation part first lifts the tail's output by up to
-        # -ha, its annihilation part lifts the input by up to ha - 1
-        self.reach = 0 if self.rest is None else (
-            max(0, -self.dha, self.dha - slc._den) + self.rest.reach)
+        self.memo = {}
+
+
+class _Pair:
+    """The two-factor products of one field pair (f, g) and one total
+    derivative order ``de``, compiled on a slice as one walk: the sum of
+    k N(d^d f, d^e g) over ``splits`` ((d, e, k), ...).  The underlying
+    offsets t of f and u of g add up to n - de for every split, and the
+    offsets that can act do not depend on the split, so each hit (t, u)
+    is visited once and weighted by the sum of k prod(-t - i) prod(-u - i)
+    over the splits; ``weights`` keeps that weight by (n - de, u).  dhf
+    and dhg are den times the weights of f and g; ``memo`` maps (offset,
+    state) to the output."""
+
+    __slots__ = ("walk", "f", "g", "de", "splits", "weights", "dhf", "dhg",
+                 "memo")
+
+    def __init__(self, slc, a, b, splits):
+        self.walk = _apply_pair
+        self.f, self.g = slc._field(a), slc._field(b)
+        self.splits = splits
+        self.weights = {}
+        self.de = splits[0][0] + splits[0][1]
+        self.dhf, self.dhg = slc._dh[self.f], slc._dh[self.g]
         self.memo = {}
 
 
@@ -300,8 +352,10 @@ class _Expr:
     """Terms of one weight of an expression compiled on a slice:
     ((plan, or None for the unit, int coefficient), ...) over the common
     denominator ``den``; ``table`` maps (offset, state) to its output.
-    ``plan`` is the one plan of an expression that is a single product
-    with coefficient 1, whose outputs are the plan's own, else None."""
+    The two-factor terms of one field pair and one total derivative order
+    are one pair plan, its coefficients divided by their gcd.  ``plan`` is
+    the one plan of an expression that is a single plan with coefficient
+    1, whose outputs are the plan's own, else None."""
 
     __slots__ = ("weight", "dweight", "terms", "den", "table", "plan")
 
@@ -309,8 +363,25 @@ class _Expr:
         self.weight = weight
         self.dweight = int(weight * slc._den)
         self.den = lcm(*(k.denominator for _, k in group))
-        self.terms = tuple((slc._plan(factors) if factors else None,
-                            int(k * self.den)) for factors, k in group)
+        pairs = {}
+        for factors, k in group:
+            if len(factors) == 2:
+                (a, d), (b, e) = factors
+                pairs.setdefault((a, b, d + e), []).append(
+                    (d, e, int(k * self.den)))
+        terms = []
+        for factors, k in group:
+            if len(factors) != 2:
+                terms.append((slc._plan(factors) if factors else None,
+                              int(k * self.den)))
+                continue
+            (a, d), (b, e) = factors
+            splits = pairs.pop((a, b, d + e), None)
+            if splits is not None:  # at the first term of its pair plan
+                g = gcd(*(k for _, _, k in splits))
+                terms.append((slc._pair(a, b, tuple(
+                    (d, e, k // g) for d, e, k in splits)), g))
+        self.terms = tuple(terms)
         self.table = {}
         (plan, k), *more = self.terms
         self.plan = plan if k == 1 and not more else None
@@ -381,45 +452,85 @@ def _occupied(slc, f, t0, t1, s):
         yield t0 + low.bit_length() - 1
 
 
-def _leaf_range(slc, f, d, lo, hi, s):
-    """The modes with offsets lo .. hi of the d-th derivative of field f
-    on state s, as [(offset, state, int)] in rising order of offset,
-    visiting the annihilation modes only where they act."""
-    out = []
-    for n in range(lo, min(hi, d) + 1):
-        hit = _leaf(slc, f, d, n, s)
+def _apply_leaf(slc, plan, n, s, lv):
+    """The mode with offset n of a single factor on state s: {state: int}."""
+    hit = _leaf(slc, plan.f, plan.d, n, s)
+    return {hit[0]: hit[1]} if hit else {}
+
+
+def _split_sum(splits, t, u):
+    """The weight of the hit (t, u) of a pair plan: the sum over its
+    splits of k prod(-t - i) prod(-u - i), as _prefactor."""
+    out = 0
+    for d, e, k in splits:
+        for i in range(d):
+            k *= -t - i
+        for i in range(e):
+            k *= -u - i
+        out += k
+    return out
+
+
+def _apply_pair(slc, pair, n, s, lv):
+    """The mode with offset n of a pair plan on state s, whose level is
+    lv / den above the lowest: {state: int}.  The composite-mode double
+    sum over underlying offsets t + u = n - de, sum_{t <= 0} f_t g_u -
+    sum_{t >= 1} g_u f_t, each hit weighted by _split_sum, walked once
+    for all splits.  f's creation part, applied after g, runs while g's
+    output stays above the lowest level; f's annihilation part, applied
+    first with the exchange sign, and g's annihilation modes act only at
+    the occupied bits of their conjugate fields.  A hit's weight is taken
+    before its modes are applied, so no mode is applied that no split
+    needs: where a derivative's prefactor vanishes, at f's creation
+    offsets above -d and g's above -e, neither is."""
+    out = pair.memo.get((n, s))
+    if out is not None:
+        return out
+    out = {}
+    op, den, f, g = slc._op, slc._den, pair.f, pair.g
+    splits, weights = pair.splits, pair.weights
+    nn = n - pair.de
+    top = (lv + pair.dhg) // den
+    for u in chain(range(nn, min(top, 0) + 1),
+                   _occupied(slc, g, max(1, nn), top, s)):
+        k = weights.get((nn, u))
+        if k is None:
+            k = weights[nn, u] = _split_sum(splits, nn - u, u)
+        hit = op(g, u, s) if k else None
         if hit:
-            out.append((n, *hit))
-    for t in _occupied(slc, f, max(1, lo - d), hi - d, s):
-        out.append((t + d, *_leaf(slc, f, d, t + d, s)))
+            hit2 = op(f, nn - u, hit[0])
+            if hit2:
+                _add_into(out, hit2[0], k * hit[1] * hit2[1])
+    for t in _occupied(slc, f, 1, (lv + pair.dhf) // den, s):
+        k = weights.get((nn, nn - t))
+        if k is None:
+            k = weights[nn, nn - t] = _split_sum(splits, t, nn - t)
+        if k:
+            s1, sign = op(f, t, s)
+            hit = op(g, nn - t, s1)
+            if hit:
+                _add_into(out, hit[0], -k * sign * hit[1])
+    pair.memo[(n, s)] = out
     return out
 
 
 def _apply_plan(slc, plan, n, s, lv):
-    """The mode with offset n of a compiled product on state s, whose
-    level is lv / den above the lowest: {state: int}.  Uses the standard
-    composite-mode double sum with the head split at its weight, taken
-    only at the offsets that can act: the head, and a single-factor tail
-    applied in place, annihilate only at the occupied bits of their
-    conjugate fields."""
-    f, d, rest = plan.f, plan.d, plan.rest
-    if rest is None:
-        hit = _leaf(slc, f, d, n, s)
-        return {hit[0]: hit[1]} if hit else {}
+    """The mode with offset n of a product of three or more factors on
+    state s, whose level is lv / den above the lowest: {state: int}.
+    Uses the standard composite-mode double sum with the head split at
+    its weight; the head annihilates only at the occupied bits of its
+    conjugate field."""
     out = plan.memo.get((n, s))
     if out is not None:
         return out
     out = {}
-    op, den = slc._op, slc._den
+    f, d, rest = plan.f, plan.d, plan.rest
+    op, den, walk = slc._op, slc._den, rest.walk
     # creation part of the head, offsets j - d for j <= 0, applied after
     # the tail; the tail's output may not fall below the lowest level
     stop = n - (lv + plan.dhrest) // den - 1
-    if rest.rest is None:
-        tail = [(n - m, s1, v1) for m, s1, v1 in
-                _leaf_range(slc, rest.f, rest.d, n, n - stop - 1, s)]
-    else:
-        tail = [(j, s1, v1) for j in range(0, stop, -1)
-                for s1, v1 in _apply_plan(slc, rest, n - j, s, lv).items()]
+    tail = [(j, s1, v1) for j in range(0, stop, -1)
+            for s1, v1 in walk(slc, rest, n - j, s, lv).items()]
     for j, s1, v1 in tail:
         hit = op(f, j - d, s1)
         if hit:
@@ -430,13 +541,8 @@ def _apply_plan(slc, plan, n, s, lv):
     for t in _occupied(slc, f, 1, (lv + plan.dha) // den - d, s):
         s1, sign = op(f, t, s)
         k = plan.sign * sign * (_prefactor(d, t) if d else 1)
-        if rest.rest is None:
-            hit = _leaf(slc, rest.f, rest.d, n - t - d, s1)
-            tail = (hit,) if hit else ()
-        else:
-            lv1 = lv + plan.dha - den * (t + d)
-            tail = _apply_plan(slc, rest, n - t - d, s1, lv1).items()
-        for s2, v2 in tail:
+        lv1 = lv + plan.dha - den * (t + d)
+        for s2, v2 in walk(slc, rest, n - t - d, s1, lv1).items():
             _add_into(out, s2, k * v2)
     plan.memo[(n, s)] = out
     return out
@@ -445,15 +551,16 @@ def _apply_plan(slc, plan, n, s, lv):
 def _apply(slc, ex, n, s, lv):
     """The mode with offset n of a compiled expression on state s, as
     {state: int} over ex.den; tabulated once per slice (in the plan's own
-    memo when the expression is a single product with coefficient 1)."""
-    if ex.plan is not None:
-        return _apply_plan(slc, ex.plan, n, s, lv)
+    memo when the expression is a single plan with coefficient 1)."""
+    plan = ex.plan
+    if plan is not None:
+        return plan.walk(slc, plan, n, s, lv)
     out = ex.table.get((n, s))
     if out is None:
         out = {}
         for plan, k in ex.terms:
             if plan is not None:
-                for s1, v in _apply_plan(slc, plan, n, s, lv).items():
+                for s1, v in plan.walk(slc, plan, n, s, lv).items():
                     _add_into(out, s1, k * v)
             elif n == 0:
                 _add_into(out, s, k)
@@ -469,10 +576,15 @@ def _const(v) -> Fraction:
 
 
 def _reach(slc, x) -> Fraction:
-    monos = [x] if isinstance(x, Monomial) else x.terms
-    return Fraction(max((slc._plan(mono.factors).reach
-                         for mono in monos if mono.factors), default=0),
-                    slc._den)
+    """How far an application of x can lift a state above both its input
+    and output levels on the way: each factor but the last, as the head
+    of the rest, lifts the rest's output by up to -h with its creation
+    part and the input by up to h - 1 with its annihilation part."""
+    den, out = slc._den, 0
+    for mono in [x] if isinstance(x, Monomial) else x.terms:
+        dhs = [slc._dh[slc._field(n)] + den * d for n, d in mono.factors]
+        out = max(out, sum(max(0, -dh, dh - den) for dh in dhs[:-1]))
+    return Fraction(out, den)
 
 
 def _mode_level(slc, x, m, level) -> Fraction:
@@ -583,10 +695,22 @@ def _pole_columns(a, b, r, slc, max_pole):
     den = slc._den
     coms = []
     if (r + ha + hb).denominator == 1:  # else every b_q vanishes
+        # a self-pair's sample (nb, na) is -csign times that of (na, nb),
+        # so a sample whose mirror is done is read off it, and at na = nb
+        # an even one is zero
+        mirror = ea is eb
+        done = {}
         for p in _samples(ha, nun):
             na = int(p + ha)
             nb = int(r + ha + hb) - na
-            com = []
+            if mirror and nb in done:
+                coms.append([{o: -csign * v for o, v in col.items()}
+                             for col in done[nb]])
+                continue
+            if mirror and na == nb and csign == 1:
+                coms.append([{} for _ in slc._states])
+                continue
+            com = done[na] = []
             for s, lv in zip(slc._states, slc._lvs):
                 col = {}
                 lv1 = lv - den * nb + eb.dweight

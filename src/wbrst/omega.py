@@ -285,8 +285,10 @@ def build_q(alg: OmegaAlgebra) -> OmegaElement:
     return q.canonicalized()
 
 
-def verify_nilpotent(alg: OmegaAlgebra):
-    """Square the differential in canonical form; returns (bool, residual)."""
-    q = build_q(alg)
+def verify_nilpotent(alg: OmegaAlgebra, q: OmegaElement = None):
+    """Square the differential in canonical form, ``q`` when the caller
+    has built it already; returns (bool, residual)."""
+    if q is None:
+        q = build_q(alg)
     sq = q * q
     return sq.is_zero(), sq

@@ -361,14 +361,15 @@ def check_qla_axioms(d: QlaData) -> AxiomReport:
     return rep
 
 
-def check_twist_axioms(sigma: Tensor, twist: TwistData,
-                       c: Tensor = None) -> AxiomReport:
-    """Residuals of the twist-pair compatibility equations."""
+def check_twist_axioms(sigma: Tensor, twist: TwistData, c: Tensor = None,
+                       sigma_tilde: Mat = None) -> AxiomReport:
+    """Residuals of the twist-pair compatibility equations; ``sigma_tilde``
+    is twist.conjugate of sigma's braid matrix when the caller has it."""
     n = sigma.n
     rep = AxiomReport(n)
     s = braid_mat(sigma)
     p = twist.phi_mat
-    st = twist.conjugate(s)
+    st = twist.conjugate(s) if sigma_tilde is None else sigma_tilde
 
     s12, s23 = embed(s, n, 3, 0), embed(s, n, 3, 1)
     p12, p23 = embed(p, n, 3, 0), embed(p, n, 3, 1)
@@ -449,11 +450,10 @@ def antisymmetrizer(sigma: Tensor, k: int, check=True) -> Mat:
                                     f"rank-{k} antisymmetrizer")
 
 
-def higher_phi_mat(phi: Tensor, m: int) -> Mat:
+def higher_phi_mat(twist: TwistData, m: int) -> Mat:
     """phi_{1..m} = (phi_1 .. phi_{m-1})(phi_1 .. phi_{m-2}) ... phi_1."""
-    n = phi.n
-    p = braid_mat(phi)
-    emb = [embed(p, n, m, j) for j in range(m - 1)]
+    n = twist.phi.n
+    emb = [embed(twist.phi_mat, n, m, j) for j in range(m - 1)]
     out = Mat.identity(n ** m)
     for top in range(m - 1, 0, -1):
         for j in range(top):
@@ -461,19 +461,19 @@ def higher_phi_mat(phi: Tensor, m: int) -> Mat:
     return out
 
 
-def check_proof_identities(sigma: Tensor, c: Tensor,
-                           twist: TwistData) -> AxiomReport:
+def check_proof_identities(sigma: Tensor, c: Tensor, twist: TwistData,
+                           sigma_tilde: Mat = None) -> AxiomReport:
     """The higher-twist, antisymmetrizer and structure-constant identities
-    used in the nilpotency proof, on up to four tensor factors."""
+    used in the nilpotency proof, on up to four tensor factors;
+    ``sigma_tilde`` as in check_twist_axioms."""
     n = sigma.n
     rep = AxiomReport(n)
     s = braid_mat(sigma)
-    st = twist.conjugate(s)
-    phi = twist.phi
+    st = twist.conjugate(s) if sigma_tilde is None else sigma_tilde
 
     # phi_{1..m} sigma_{1+k} = sigmatilde_{m-k-1} phi_{1..m}
-    for m in (2, 3, 4):
-        big = higher_phi_mat(phi, m)
+    bigs = {m: higher_phi_mat(twist, m) for m in (2, 3, 4)}
+    for m, big in bigs.items():
         for k in range(m - 1):
             lhs = big @ embed(s, n, m, k)
             rhs = embed(st, n, m, m - k - 2) @ big
@@ -498,7 +498,6 @@ def check_proof_identities(sigma: Tensor, c: Tensor,
 
     # A_3^{(st)} phi_{123} (1 - sigma_23 sigma_12) = 0
     s12, s23 = embed(s, n, 3, 0), embed(s, n, 3, 1)
-    big3 = higher_phi_mat(phi, 3)
-    lhs = ast[3] @ big3 @ (Mat.identity(n ** 3) - s23 @ s12)
+    lhs = ast[3] @ bigs[3] @ (Mat.identity(n ** 3) - s23 @ s12)
     rep.record_mat("cubic_obstruction", lhs)
     return rep

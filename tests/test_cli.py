@@ -27,6 +27,39 @@ def test_qla_check_pass(capsys):
     assert all(e["pass"] for e in payload["checks"].values())
 
 
+def test_qla_check_conjugates_sigma_once(monkeypatch, capsys):
+    # sigma_tilde = phi sigma phi^-1 is shared by the twist and proof checks
+    from wbrst.tensors import TwistData
+    calls = []
+    conjugate = TwistData.conjugate
+
+    def counted(self, braid):
+        calls.append(braid)
+        return conjugate(self, braid)
+
+    monkeypatch.setattr(TwistData, "conjugate", counted)
+    code, payload, _ = run_json(capsys, "qla", "check", "so3")
+    assert code == 0 and payload["ok"] is True
+    assert len(calls) == 1
+
+
+def test_qla_brst_builds_q_once(monkeypatch, capsys):
+    import wbrst.cli
+    import wbrst.omega
+    calls = []
+    build_q = wbrst.omega.build_q
+
+    def counted(alg):
+        calls.append(alg)
+        return build_q(alg)
+
+    monkeypatch.setattr(wbrst.cli, "build_q", counted)
+    monkeypatch.setattr(wbrst.omega, "build_q", counted)
+    code, payload, _ = run_json(capsys, "qla", "brst", "so3")
+    assert code == 0 and payload["verdict"] == "nilpotent"
+    assert len(calls) == 1
+
+
 def test_qla_check_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.qla"
     text = (

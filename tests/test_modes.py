@@ -12,7 +12,7 @@ from wbrst.modes import (BcSystem, FockSlice, ModeError, ModeMatrix,
                          crosscheck_bundle, field_modes, ope_from_modes,
                          ope_poles_from_modes, stress_central_charge,
                          systems_from_algebra)
-from wbrst.scalars import RF_ONE, _add_into
+from wbrst.scalars import RF_ONE, _add_into, rf
 
 
 SYS2 = BcSystem("b", "c", Fraction(2))
@@ -311,35 +311,40 @@ def test_systems_from_algebra_rejects_interacting_table():
 
 # -- the kernel against the previous double sum ------------------------------
 
-def _reference_plan(slc, plan, n, s, lv, memo):
-    """The composite-mode double sum as it was before the occupied-bit
-    kernel: every offset up to the slice level is tried, and a
-    single-factor tail is a recursion that returns a dict."""
-    f, d, rest = plan.f, plan.d, plan.rest
-    if rest is None:
+def _reference_plan(slc, factors, n, s, lv, memo):
+    """The composite-mode double sum of a right-nested product as it was
+    before the occupied-bit kernel, read off the factors alone: every
+    offset up to the slice level is tried, and a single-factor tail is a
+    recursion that returns a dict."""
+    (name, d), rest = factors[0], factors[1:]
+    f = slc._field(name)
+    if not rest:
         k = _prefactor(d, n - d) if d else 1
         hit = slc._op(f, n - d, s) if k else None
         return {hit[0]: k * hit[1]} if hit else {}
-    out = memo.get((plan, n, s))
+    out = memo.get((factors, n, s))
     if out is not None:
         return out
     out = {}
     op, den = slc._op, slc._den
-    for j in range(0, n - (lv + plan.dhrest) // den - 1, -1):
+    dha = slc._dh[f] + den * d
+    dhrest = sum(slc._dh[slc._field(m)] + den * e for m, e in rest)
+    sign = -1 if len(rest) % 2 else 1
+    for j in range(0, n - (lv + dhrest) // den - 1, -1):
         k = _prefactor(d, j - d) if d else 1
         for s1, v1 in _reference_plan(slc, rest, n - j, s, lv, memo).items():
             hit = op(f, j - d, s1)
             if hit:
                 _add_into(out, hit[0], k * hit[1] * v1)
-    for j in range(d + 1, (lv + plan.dha) // den + 1):
+    for j in range(d + 1, (lv + dha) // den + 1):
         hit = op(f, j - d, s)
         if hit:
-            k = plan.sign * hit[1] * (_prefactor(d, j - d) if d else 1)
-            lv1 = lv + plan.dha - den * j
+            k = sign * hit[1] * (_prefactor(d, j - d) if d else 1)
+            lv1 = lv + dha - den * j
             for s2, v2 in _reference_plan(slc, rest, n - j, hit[0], lv1,
                                           memo).items():
                 _add_into(out, s2, k * v2)
-    memo[(plan, n, s)] = out
+    memo[(factors, n, s)] = out
     return out
 
 
@@ -348,11 +353,11 @@ def _reference_modes(mono, m, slc):
     [(basis state, [(output, value), ...])]."""
     h = _mono_weight(slc, mono.factors)
     slc._fit(_mode_level(slc, mono, m, slc.level))
-    plan, memo, cols = slc._plan(mono.factors), {}, []
+    memo, cols = {}, []
     for state, s, lv in zip(slc.basis, slc._states, slc._lvs):
         col = {}
         if (m + h).denominator == 1:
-            col = _reference_plan(slc, plan, int(m + h), s, lv, memo)
+            col = _reference_plan(slc, mono.factors, int(m + h), s, lv, memo)
         cols.append((state, [(slc._tuple(o), Fraction(v))
                              for o, v in col.items()]))
     return cols
@@ -388,3 +393,158 @@ def test_kernel_matches_reference_double_sum(systems, level, factors):
         got = field_modes(mono, m, FockSlice(systems, level))
         assert [(st, list(col.items())) for st, col in got.columns.items()] \
             == want, m
+
+
+# -- pair plans and mirrored samples -----------------------------------------
+
+_PAIR_CASES = [
+    # the stress tensor of the weight-(2, -1) system, and 3 and 4 splits
+    ([SYS2], 3, "b", "c", ((0, 1, -2), (1, 0, -1))),
+    ([SYS2], 3, "b", "c", ((0, 2, 1), (1, 1, 3), (2, 0, -1))),
+    ([SYS2], 3, "c", "c", ((0, 3, 2), (1, 2, -1), (2, 1, 5), (3, 0, 1))),
+    # half-integer weights, with fractional coefficients
+    ([SYSP], 3, "bp", "cp",
+     ((0, 1, Fraction(-3, 2)), (1, 0, Fraction(-1, 2)))),
+    ([SYSP], 3, "cp", "bp", ((0, 2, 1), (2, 0, Fraction(1, 3)))),
+    # one field of each system
+    ([SYS2, SYSP], 2, "b", "cp", ((0, 1, 1), (1, 0, -1))),
+    ([SYS2, SYSP], 2, "bp", "c",
+     ((0, 2, 2), (1, 1, -1), (2, 0, Fraction(1, 2)))),
+]
+
+
+def _sum(terms):
+    """A numeric field expression {factors: coefficient}; the oracle reads
+    only its terms."""
+    return FieldExpr(None, {Monomial(f): rf(k) for f, k in terms.items()})
+
+
+@pytest.mark.parametrize("systems,level,a,b,splits", _PAIR_CASES)
+def test_pair_plan_matches_reference_sum(systems, level, a, b, splits):
+    # the terms of one field pair and one total derivative order compile
+    # to one pair plan, whose modes are the sum of the per-term reference
+    # double sums, at modes inside the slice, half-integer modes, and
+    # modes far beyond the slice level
+    expr = _sum({((a, d), (b, e)): k for d, e, k in splits})
+    (ex,) = FockSlice(systems, level)._compile(expr)
+    ((plan, _),) = ex.terms
+    assert len(plan.splits) == len(splits)
+    for m in (0, 1, -1, 2, -3, 5, -8, 8, Fraction(1, 2), Fraction(-7, 2),
+              Fraction(15, 2)):
+        m = Fraction(m)
+        want = {}
+        for d, e, k in splits:
+            mono = Monomial(((a, d), (b, e)))
+            for st, col in _reference_modes(mono, m, FockSlice(systems,
+                                                               level)):
+                want.setdefault(st, {})
+                for o, v in col:
+                    _add_into(want[st], o, k * v)
+        got = field_modes(expr, m, FockSlice(systems, level))
+        assert got.columns == want, m
+
+
+def _full_sample_loop(monkeypatch, a, b, r, slc, max_pole):
+    """ope_poles_from_modes with every sample computed: each compile makes
+    new expressions, so the two sides never share one."""
+    compile_ = FockSlice._compile
+
+    def fresh(self, x):
+        self._exprs.clear()
+        return compile_(self, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(FockSlice, "_compile", fresh)
+        return ope_poles_from_modes(a, b, r, slc, max_pole=max_pole)
+
+
+SYSH = BcSystem("bh", "ch", Fraction(1, 2))
+
+
+@pytest.mark.parametrize("systems,level,terms", [
+    # even: the stress tensor of the weight-(2, -1) system
+    ([SYS2], 3, {(("b", 0), ("c", 1)): -2, (("b", 1), ("c", 0)): -1}),
+    # odd, with a nonzero product: b + c of a weight-(1/2, 1/2) system,
+    # and b + c'' of the weight-(3/2, -1/2) system
+    ([SYSH], 3, {(("bh", 0),): 1, (("ch", 0),): 1}),
+    ([SYSP], 3, {(("bp", 0),): 1, (("cp", 2),): 1}),
+    # odd, with a pole field N(c, c''), so that a sample at na = nb, twice
+    # the square of one mode, is not zero
+    ([SYS2, SYSH], 2,
+     {(("bh", 0),): 1, (("ch", 0),): 1, (("c", 0), ("c", 2), ("ch", 0)): 1}),
+])
+def test_mirrored_samples_match_the_full_loop(monkeypatch, systems, level,
+                                              terms):
+    import wbrst.modes as modes_module
+    x = _sum(terms)
+    calls = []
+    apply = modes_module._apply
+
+    def counted(*args):
+        calls.append(1)
+        return apply(*args)
+
+    monkeypatch.setattr(modes_module, "_apply", counted)
+    for r in (0, -1, 1, 2):
+        del calls[:]
+        mirrored = ope_poles_from_modes(x, x, r, FockSlice(systems, level),
+                                        max_pole=6)
+        fewer = len(calls)
+        del calls[:]
+        full = _full_sample_loop(monkeypatch, x, x, r,
+                                 FockSlice(systems, level), 6)
+        assert mirrored == full, r
+        assert fewer < len(calls), r
+        if r == 0:
+            assert not all(p.is_zero for p in full.values())
+
+
+@pytest.mark.parametrize("name,pair,pole", [
+    ("w3_ghosts_free", "stress", 4),
+    ("w32_ghosts_free", {(("bp", 0),): 1, (("cp", 2),): 1}, 3),
+])
+def test_self_pair_pole_mutation_is_detected(monkeypatch, name, pair, pole):
+    # the engine's top pole of a self-pair plus the unit: the crosscheck,
+    # which reads half the samples off their mirrors, reports it
+    from wbrst.algebras import load_bundled
+    from wbrst.engine import OpeContext
+    alg = load_bundled(name)
+    if pair == "stress":
+        x = ghost_stress(alg.context(), [("bT", "cT")])
+    else:
+        x = FieldExpr(alg, {Monomial(f): rf(k) for f, k in pair.items()})
+    # the unit acts at total mode 0: mode offset 3 for the stress tensor,
+    # 2 for the weight-3/2 field
+    assert crosscheck(alg, [(x, x)], 2, modes=(0, 1, -1, 2, 3))["ok"]
+    ope = OpeContext.ope
+
+    def mutated(self, a, b):
+        poles = ope(self, a, b)
+        if a is x and b is x:
+            poles = dict(poles)
+            poles[pole] = poles[pole] + FieldExpr.unit(alg)
+        return poles
+
+    monkeypatch.setattr(OpeContext, "ope", mutated)
+    rep = crosscheck(alg, [(x, x)], 2, modes=(0, 1, -1, 2, 3))
+    bad = [e for e in rep["checks"] if not e["match"]]
+    assert bad and all(e["pole"] == pole for e in bad)
+
+
+def test_tabulated_entries_are_pinned(monkeypatch):
+    # the (offset, state) entries each slice of the bundle has tabulated:
+    # the crosscheck slice and the central-charge slice of each system; a
+    # second walk of the stress tensor's terms would add to them
+    from wbrst.algebras import load_bundled
+    slices = []
+
+    class Recorded(FockSlice):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            slices.append(self)
+
+    monkeypatch.setattr("wbrst.modes.FockSlice", Recorded)
+    rep = crosscheck_bundle(load_bundled("w3_ghosts_free"), 4)
+    assert rep["ok"]
+    assert [(len(s.basis), s.tabulated()) for s in slices] == [
+        (64, 3541), (18, 454), (126, 7248), (18, 504)]
