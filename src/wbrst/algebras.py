@@ -9,8 +9,8 @@ the builders here load them with the requested parameter values bound.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
-from importlib import resources
 
 from .analysis import substitute_expr
 from .engine import OpeContext
@@ -23,8 +23,9 @@ A2_MODES = ("exchange-consistent", "as-printed")
 
 def bundled_text(stem: str, kind: str) -> str:
     """Contents of the bundled definition file ``data/STEM.KIND``."""
-    return resources.files("wbrst").joinpath("data", f"{stem}.{kind}") \
-        .read_text(encoding="utf-8")
+    path = os.path.join(os.path.dirname(__file__), "data", f"{stem}.{kind}")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_bundled(stem: str, **values) -> OpeAlgebra:

@@ -57,7 +57,7 @@ def _read_input(path, kind, a2=None) -> str:
             return fh.read()
     try:
         return bundled_text(stem, kind)
-    except (FileNotFoundError, ModuleNotFoundError):
+    except FileNotFoundError:
         raise InputError(f"no such file or bundled table: {path}") from None
 
 
@@ -285,74 +285,133 @@ def cmd_oracle_crosscheck(args) -> int:
 # -- wiring ----------------------------------------------------------------
 
 
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+class _Reparse(Exception):
+    """A parse error in the parser of one command, which the full parser
+    reports instead."""
+
+
+class _BranchParser(argparse.ArgumentParser):
+    """The parser of one command branch; subparsers inherit the class."""
+
+    def error(self, message):
+        raise _Reparse
+
+
+GROUPS = {
+    "qla": "quantum Lie algebra datasets",
+    "cft": "operator product tables",
+    "oracle": "Fock-space mode crosscheck",
+}
+
+
+def _file_args(p):
+    p.add_argument("file")
+
+
+def _validate_args(p):
+    p.add_argument("file")
+    p.add_argument("--a2", choices=("printed", "consistent"),
+                   default="consistent")
+
+
+def _ope_args(p):
+    p.add_argument("file")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.add_argument("--set", action="append", metavar="NAME=VALUE")
+
+
+def _jacobi_args(p):
+    p.add_argument("file")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.add_argument("c")
+
+
+def _brst_args(p):
+    p.add_argument("family", choices=("w3", "w32"))
+    # None marks an option not given: w32 rejects --g1, --g2 and --a2
+    p.add_argument("--g1", default=None, help="w3 only (default 0)")
+    p.add_argument("--g2", default=None, help="w3 only (default 0)")
+    p.add_argument("--c", default=None)
+    p.add_argument("--symbolic-c", action="store_true")
+    p.add_argument("--a2", choices=("printed", "consistent"), default=None,
+                   help="w3 only (default consistent)")
+
+
+def _family_args(p):
+    p.add_argument("family", choices=("w3", "w32"))
+
+
+def _no_args(p):
+    pass
+
+
+def _crosscheck_args(p):
+    p.add_argument("file")
+    p.add_argument("--level", type=int, default=4)
+
+
+# (group, command) -> (help, handler, adds the command's arguments)
+COMMANDS = {
+    ("qla", "check"): ("run the axiom and proof suites",
+                       cmd_qla_check, _file_args),
+    ("qla", "brst"): ("build the differential and square it",
+                      cmd_qla_brst, _file_args),
+    ("cft", "validate"): ("grading and exchange consistency",
+                          cmd_cft_validate, _validate_args),
+    ("cft", "ope"): ("singular product of two expressions",
+                     cmd_cft_ope, _ope_args),
+    ("cft", "jacobi"): ("pole-bracket Jacobi residuals",
+                        cmd_cft_jacobi, _jacobi_args),
+    ("cft", "brst"): ("nilpotency of a built-in current",
+                      cmd_cft_brst, _brst_args),
+    ("cft", "critical"): ("central charges admitting a nilpotent charge",
+                          cmd_cft_critical, _family_args),
+    ("cft", "solve-conventional"): (
+        "ghost parameters removing all degree>3 terms",
+        cmd_cft_solve_conventional, _no_args),
+    ("oracle", "crosscheck"): ("engine vs mode matrices",
+                               cmd_oracle_crosscheck, _crosscheck_args),
+}
+
+
+def _parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``only`` a (group, command)
+    key of COMMANDS the branch of that command alone, whose parse errors
+    raise _Reparse."""
+    cls = argparse.ArgumentParser if only is None else _BranchParser
+    p = cls(
         prog="wbrst",
         description="Exact checks for quantum Lie algebra differentials "
                     "and chiral operator product algebra.")
     sub = p.add_subparsers(dest="group", required=True)
-
-    qla = sub.add_parser("qla", help="quantum Lie algebra datasets")
-    qsub = qla.add_subparsers(dest="cmd", required=True)
-    q1 = qsub.add_parser("check", help="run the axiom and proof suites")
-    q1.add_argument("file")
-    q1.set_defaults(fn=cmd_qla_check)
-    q2 = qsub.add_parser("brst", help="build the differential and square it")
-    q2.add_argument("file")
-    q2.set_defaults(fn=cmd_qla_brst)
-
-    cft = sub.add_parser("cft", help="operator product tables")
-    csub = cft.add_subparsers(dest="cmd", required=True)
-    c1 = csub.add_parser("validate", help="grading and exchange consistency")
-    c1.add_argument("file")
-    c1.add_argument("--a2", choices=("printed", "consistent"),
-                    default="consistent")
-    c1.set_defaults(fn=cmd_cft_validate)
-    c2 = csub.add_parser("ope", help="singular product of two expressions")
-    c2.add_argument("file")
-    c2.add_argument("a")
-    c2.add_argument("b")
-    c2.add_argument("--set", action="append", metavar="NAME=VALUE")
-    c2.set_defaults(fn=cmd_cft_ope)
-    c3 = csub.add_parser("jacobi", help="pole-bracket Jacobi residuals")
-    c3.add_argument("file")
-    c3.add_argument("a")
-    c3.add_argument("b")
-    c3.add_argument("c")
-    c3.set_defaults(fn=cmd_cft_jacobi)
-    c4 = csub.add_parser("brst", help="nilpotency of a built-in current")
-    c4.add_argument("family", choices=("w3", "w32"))
-    # None marks an option not given: w32 rejects --g1, --g2 and --a2
-    c4.add_argument("--g1", default=None, help="w3 only (default 0)")
-    c4.add_argument("--g2", default=None, help="w3 only (default 0)")
-    c4.add_argument("--c", default=None)
-    c4.add_argument("--symbolic-c", action="store_true")
-    c4.add_argument("--a2", choices=("printed", "consistent"), default=None,
-                    help="w3 only (default consistent)")
-    c4.set_defaults(fn=cmd_cft_brst)
-    c5 = csub.add_parser("critical", help="central charges admitting "
-                                          "a nilpotent charge")
-    c5.add_argument("family", choices=("w3", "w32"))
-    c5.set_defaults(fn=cmd_cft_critical)
-    c6 = csub.add_parser("solve-conventional",
-                         help="ghost parameters removing all degree>3 terms")
-    c6.set_defaults(fn=cmd_cft_solve_conventional)
-
-    orc = sub.add_parser("oracle", help="Fock-space mode crosscheck")
-    osub = orc.add_subparsers(dest="cmd", required=True)
-    o1 = osub.add_parser("crosscheck", help="engine vs mode matrices")
-    o1.add_argument("file")
-    o1.add_argument("--level", type=int, default=4)
-    o1.set_defaults(fn=cmd_oracle_crosscheck)
-
-    for spp in (q1, q2, c1, c2, c3, c4, c5, c6, o1):
-        spp.add_argument("--json", action="store_true",
+    groups = {}
+    for key, (help_, fn, add_args) in COMMANDS.items():
+        if only not in (None, key):
+            continue
+        group, name = key
+        if group not in groups:
+            groups[group] = sub.add_parser(group, help=GROUPS[group]) \
+                .add_subparsers(dest="cmd", required=True)
+        cmd = groups[group].add_parser(name, help=help_)
+        add_args(cmd)
+        cmd.add_argument("--json", action="store_true",
                          help="emit a JSON report")
+        cmd.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command builds only its own parsers; help above the command level,
+    # an unknown name and every parse error go through the full tree, so
+    # they print argparse's usual messages
+    branch = tuple(argv[:2])
+    try:
+        args = _parser(branch if branch in COMMANDS else None).parse_args(argv)
+    except _Reparse:
+        args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except BAD_INPUT as err:

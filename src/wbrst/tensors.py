@@ -487,7 +487,9 @@ def check_proof_identities(sigma: Tensor, c: Tensor, twist: TwistData,
             lhs = a @ embed(st, n, k, j)
             rep.record_mat(f"antisym_absorb_k{k}_j{j + 1}", lhs + a)
 
-    asig = antisymmetrizer_mats(s, n, 4)
+    # equal braids (sigma_tilde = sigma whenever phi commutes with sigma)
+    # have equal antisymmetrizers
+    asig = ast if st == s else antisymmetrizer_mats(s, n, 4)
     cm = c_mat(c)
     c12 = embed(cm, n, 3, 0)
     # A_4 C_{34} C_{12}delta (1 - sigma_1) = 0

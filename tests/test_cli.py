@@ -174,9 +174,60 @@ def test_oracle_negative_level_is_bad_input(capsys):
 
 
 def test_missing_file_exit_code(capsys):
-    code, _, err = run(capsys, "qla", "check", "no_such_table")
-    assert code == 2
-    assert "no such file" in err
+    for argv in (("qla", "check", "no_such_table"),
+                 ("cft", "validate", "no_such_table.alg")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"no such file or bundled table: {argv[-1]}" in err
+
+
+def test_bundled_text_reads_every_data_file():
+    data = pathlib.Path(__file__).resolve().parent.parent / "src" / "wbrst" / "data"
+    files = sorted(data.iterdir())
+    assert files
+    for f in files:
+        stem, kind = f.name.rsplit(".", 1)
+        assert bundled_text(stem, kind).encode("utf-8") == f.read_bytes()
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (("qla", "check", "so3"), 3),      # the branch of the command alone
+    (("cft", "brst", "w3", "--json"), 3),
+    (("-h",), 13),                     # the full tree
+    (("qla", "-h"), 13),
+    (("bogus",), 13),
+    (("cft", "brst", "w5"), 3 + 13),   # the error comes from the full tree
+])
+def test_command_builds_only_its_parser_branch(monkeypatch, capsys, argv,
+                                               parsers):
+    import argparse
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    try:
+        main(list(argv))
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert len(built) == parsers
+
+
+def test_python_dash_m_runs_the_command_line():
+    import os
+    import subprocess
+    import sys
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-m", "wbrst", "qla", "check",
+                          "so3", "--json"], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["ok"] is True
 
 
 def test_filesystem_path_beats_bundled_name(tmp_path, capsys):

@@ -6,12 +6,15 @@ product, the W3^(2) ghost oracle and a failing axiom check, must print
 exactly the recorded bytes.
 Commands run from the root of the repository.  Each file in
 ``tests/golden/`` holds one command: a first line ``exit N``, then the
-stdout verbatim.  To record them again (only when an output change is
-intended), run ``PYTHONPATH=src python tests/test_golden.py``.
+stdout verbatim.  ``tests/golden/cli_messages.json`` holds the help,
+usage and error messages of ``MESSAGES``: stdout, stderr and exit code
+of each, at a terminal width of 80.  To record them again (only when an
+output change is intended), run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
 import io
+import json
 import os
 import pathlib
 import re
@@ -63,6 +66,26 @@ COMMANDS = (
 )
 
 
+# help, usage and argument errors: each must print what argparse prints from
+# the full parser tree
+MESSAGES = (
+    "-h",
+    "qla -h",
+    "cft -h",
+    "cft brst -h",
+    "qla check -h",
+    "",
+    "bogus",
+    "qla bogus",
+    "qla check",
+    "qla check so3 --bogus",
+    "oracle crosscheck w3_ghosts_free --level 1/2",
+    "cft brst w5",
+    "cft ope w3 T",
+)
+MESSAGES_GOLDEN = GOLDEN / "cli_messages.json"
+
+
 def golden_path(command: str) -> pathlib.Path:
     slug = re.sub(r"[^A-Za-z0-9]+", "_", command).strip("_")
     return GOLDEN / f"{slug}.txt"
@@ -81,14 +104,42 @@ def run_command(command: str) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
+def run_message(command: str) -> dict:
+    """Exit code, stdout and stderr of one command, 80 columns wide."""
+    out, err = io.StringIO(), io.StringIO()
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command.split())
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_golden_output(command):
     expected = golden_path(command).read_text(encoding="utf-8")
     assert run_command(command) == expected
 
 
+@pytest.mark.parametrize("command", MESSAGES)
+def test_golden_message(command):
+    expected = json.loads(MESSAGES_GOLDEN.read_text(encoding="utf-8"))
+    assert run_message(command) == expected[command]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    MESSAGES_GOLDEN.write_text(
+        json.dumps({c: run_message(c) for c in MESSAGES}, indent=2) + "\n",
+        encoding="utf-8")
+    print(f"recorded {MESSAGES_GOLDEN.name}", file=sys.stderr)
     for command in COMMANDS:
         golden_path(command).write_text(run_command(command), encoding="utf-8")
         print(f"recorded {golden_path(command).name}", file=sys.stderr)

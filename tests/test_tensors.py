@@ -62,6 +62,27 @@ def test_bundled_datasets_pass_all_suites(name):
     assert check_proof_identities(d.sigma, d.c, tw).all_pass
 
 
+@pytest.mark.parametrize("name, builds", [("so3.qla", 1),
+                                          ("super_ef.qla", 2)])
+def test_proof_identities_share_equal_antisymmetrizers(monkeypatch, name,
+                                                       builds):
+    # so3 has sigma_tilde = sigma, super_ef does not
+    import wbrst.tensors
+    calls = []
+    build = wbrst.tensors.antisymmetrizer_mats
+
+    def counted(braid, n, kmax):
+        calls.append(braid)
+        return build(braid, n, kmax)
+
+    monkeypatch.setattr(wbrst.tensors, "antisymmetrizer_mats", counted)
+    d, tw = load_qla(name)
+    rep = check_proof_identities(d.sigma, d.c, tw)
+    assert rep.all_pass
+    assert len(calls) == builds
+    assert (calls[0] == calls[-1]) == (builds == 1)
+
+
 def test_qla_axioms_report_witness():
     d, _ = load_qla("so3.qla")
     rep = check_qla_axioms(d)
