@@ -19,8 +19,11 @@ the gcd, and a bounded cache keeps the results.  The gcd is unique up to a
 unit, so the canonical form does not depend on how it was found.  A constant
 combined with a nonconstant needs no gcd, because a canonical numerator and
 denominator are already coprime.  A constant ``RationalFunction`` keeps its
-value as one ``Fraction``: arithmetic, zero tests, equality and hashing of
-constants read only that value.
+value as two machine ints, a numerator and a positive denominator coprime
+to it: arithmetic, zero tests, equality and hashing of constants read only
+those.  Two integers combine with plain int arithmetic; other constants
+take one ``math.gcd`` and build no ``Fraction``.  A constant hashes as the
+``Fraction`` of equal value, and prints as it.
 
 Products skip the trivial cases before any arithmetic: a factor 1 returns
 the other operand, a factor -1 its negation, and a factor 0 returns zero.
@@ -39,6 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
+from sys import hash_info
 
 from sympy import Symbol
 from sympy.polys.domains import QQ
@@ -49,6 +53,7 @@ from .errors import WbrstError
 
 # polynomial ring over QQ per sorted name tuple
 _RINGS: dict[tuple, PolyRing] = {}
+_HASH_MODULUS = hash_info.modulus
 
 
 class ScalarError(WbrstError):
@@ -86,8 +91,17 @@ def _names(ring: PolyRing) -> tuple:
     return tuple(s.name for s in ring.symbols)
 
 
-def _qq(v: Fraction):
-    return QQ(v.numerator, v.denominator)
+def _pair(value) -> tuple:
+    """An exact number (int, Fraction, a string such as "1/2" or "0.5") as
+    its reduced numerator and positive denominator.  A float is inexact
+    and raises ScalarError."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, float):
+        raise ScalarError(f"inexact constant {value!r}: give an int, a "
+                          "Fraction or a string")
+    value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 def _fraction(q) -> Fraction:
@@ -122,8 +136,23 @@ def _ratio(num, den) -> "RationalFunction":
 def _nonconstant(num, den) -> "RationalFunction":
     """Wrap a canonical nonconstant numerator and denominator."""
     out = object.__new__(RationalFunction)
-    out._num, out._den, out._value, out._hash = num, den, None, None
+    out._num, out._den = num, den
+    out._n = out._d = out._hash = None
     return out
+
+
+def _c(n: int, d: int) -> "RationalFunction":
+    """Wrap the constant n/d, for coprime ints n and d > 0."""
+    out = object.__new__(RationalFunction)
+    out._n, out._d = n, d
+    out._num = out._den = out._hash = None
+    return out
+
+
+def _lowest(n: int, d: int) -> "RationalFunction":
+    """The constant n/d in lowest terms, for ints n and d > 0."""
+    g = gcd(n, d)
+    return _c(n // g, d // g)
 
 
 def _canonical(num, den) -> "RationalFunction":
@@ -134,7 +163,8 @@ def _canonical(num, den) -> "RationalFunction":
     if not (num.is_ground or den.is_ground):
         num, den = _cancel_cached(num, den)
     if num.is_ground and den.is_ground:
-        return RationalFunction.const(_fraction(num.LC) / _fraction(den.LC))
+        q = num.LC / den.LC
+        return _c(int(q.numerator), int(q.denominator))
     ring = num.ring
     if ring.ngens > 1:
         used = [any(e) for e in zip(*num, *den)]
@@ -157,23 +187,20 @@ def _common(x, y):
 class RationalFunction:
     """Canonical ratio of two polynomials.  Field operations are exact.
 
-    Values are made by ``const``, ``var``, ``rf`` and arithmetic.
-    ``_value`` is the value as a Fraction when the ratio is constant, and
-    None otherwise; the constant branches of the operators, the zero test,
-    equality and the hash read only it.  ``_num`` and ``_den`` hold the
-    polynomials of a nonconstant.
+    Values are made by ``const``, ``var``, ``rf`` and arithmetic.  A
+    constant keeps its value as ``_n`` / ``_d``: ints, coprime, ``_d`` > 0;
+    the constant branches of the operators, the zero test, equality and the
+    hash read only them.  A nonconstant has ``_n`` and ``_d`` None, and
+    ``_num`` and ``_den`` hold its polynomials.
     """
 
-    __slots__ = ("_num", "_den", "_value", "_hash")
+    __slots__ = ("_num", "_den", "_n", "_d", "_hash")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(value) -> "RationalFunction":
-        out = object.__new__(RationalFunction)
-        out._num = out._den = out._hash = None
-        out._value = value if type(value) is Fraction else Fraction(value)
-        return out
+        return _c(*_pair(value))
 
     @staticmethod
     def var(name: str) -> "RationalFunction":
@@ -185,37 +212,36 @@ class RationalFunction:
     @property
     def num(self):
         """The numerator, a polynomial over the names the value uses."""
-        if self._value is None:
+        if self._d is None:
             return self._num
-        return _ring(()).ground_new(QQ(self._value.numerator))
+        return _ring(()).ground_new(QQ(self._n))
 
     @property
     def den(self):
-        if self._value is None:
+        if self._d is None:
             return self._den
-        return _ring(()).ground_new(QQ(self._value.denominator))
+        return _ring(()).ground_new(QQ(self._d))
 
     # -- predicates --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         # zero is the constant 0/1: no nonconstant ratio vanishes
-        v = self._value
-        return v is not None and not v
+        return self._n == 0
 
     def __bool__(self) -> bool:
-        """Nonzero, as for int and Fraction."""
-        v = self._value
-        return v is None or bool(v)
+        """Nonzero, as for int and Fraction (a nonconstant's ``_n`` is
+        None)."""
+        return self._n != 0
 
     @property
     def is_constant(self) -> bool:
-        return self._value is not None
+        return self._d is not None
 
     def constant_value(self) -> Fraction:
-        if self._value is None:
+        if self._d is None:
             raise ScalarError("not a constant polynomial")
-        return self._value
+        return Fraction(self._n, self._d)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -223,19 +249,23 @@ class RationalFunction:
     def _coerce(x) -> "RationalFunction":
         if isinstance(x, RationalFunction):
             return x
-        return RationalFunction.const(x)
+        return _c(*_pair(x))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self._value, other._value
-        if a is not None:
-            if b is not None:
-                return RationalFunction.const(a + b)
-            self, other, b = other, self, a
-        if b is not None:
-            if not b:
+        if type(other) is not RationalFunction:
+            other = self._coerce(other)
+        d1, d2 = self._d, other._d
+        if d1 is not None:
+            if d2 is not None:
+                if d1 == 1 and d2 == 1:
+                    return _c(self._n + other._n, 1)
+                return _lowest(self._n * d2 + other._n * d1, d1 * d2)
+            self, other, d2 = other, self, d1
+        if d2 is not None:
+            if not other._n:
                 return self
-            return _ratio(self._num + self._den.mul_ground(_qq(b)), self._den)
+            return _ratio(self._num + self._den.mul_ground(QQ(other._n, d2)),
+                          self._den)
         n1, d1, n2, d2 = _common(self, other)
         if d1 == d2:
             return _canonical(n1 + n2, d1)
@@ -244,60 +274,70 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        if self._value is not None:
-            return RationalFunction.const(-self._value)
+        if self._d is not None:
+            return _c(-self._n, self._d)
         return _nonconstant(-self._num, self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        a, b = self._value, other._value
-        if a is not None and b is not None:
-            return RationalFunction.const(a - b)
+        if type(other) is not RationalFunction:
+            other = self._coerce(other)
+        d1, d2 = self._d, other._d
+        if d1 is not None and d2 is not None:
+            if d1 == 1 and d2 == 1:
+                return _c(self._n - other._n, 1)
+            return _lowest(self._n * d2 - other._n * d1, d1 * d2)
         return self + (-other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        a, b = self._value, other._value
+        if type(other) is not RationalFunction:
+            other = self._coerce(other)
+        d1, d2 = self._d, other._d
         # a unit factor returns the other operand or its negation
-        if a is not None:
-            if a == 1:
+        if d1 == 1:
+            if self._n == 1:
                 return other
-            if a == -1:
+            if self._n == -1:
                 return -other
-        if b is not None:
-            if b == 1:
+        if d2 == 1:
+            if other._n == 1:
                 return self
-            if b == -1:
+            if other._n == -1:
                 return -self
-        if a is not None:
-            if b is not None:
-                return RationalFunction.const(a * b)
-            self, b = other, a
-        if b is not None:
-            if not b:
+        if d1 is not None:
+            if d2 is not None:
+                if d1 == 1 and d2 == 1:
+                    return _c(self._n * other._n, 1)
+                return _lowest(self._n * other._n, d1 * d2)
+            self, other, d2 = other, self, d1
+        if d2 is not None:
+            if not other._n:
                 return RF_ZERO
-            return _ratio(self._num.mul_ground(_qq(b)), self._den)
+            return _ratio(self._num.mul_ground(QQ(other._n, d2)), self._den)
         n1, d1, n2, d2 = _common(self, other)
         return _canonical(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self._value, other._value
-        if b is not None:
-            if not b:
+        if type(other) is not RationalFunction:
+            other = self._coerce(other)
+        d1, d2 = self._d, other._d
+        if d2 is not None:
+            n2 = other._n
+            if not n2:
                 raise ZeroDivisionError("division by zero rational function")
-            if a is not None:
-                return RationalFunction.const(a / b)
-            return _ratio(self._num.mul_ground(_qq(1 / b)), self._den)
-        if a is not None:
-            if not a:
+            if n2 < 0:
+                n2, d2 = -n2, -d2
+            if d1 is not None:
+                return _lowest(self._n * d2, d1 * n2)
+            return _ratio(self._num.mul_ground(QQ(d2, n2)), self._den)
+        if d1 is not None:
+            if not self._n:
                 return RF_ZERO
-            return _ratio(other._den.mul_ground(_qq(a)), other._num)
+            return _ratio(other._den.mul_ground(QQ(self._n, d1)), other._num)
         n1, d1, n2, d2 = _common(self, other)
         return _canonical(n1 * d2, d1 * n2)
 
@@ -315,10 +355,10 @@ class RationalFunction:
 
         Raises PoleError when the denominator vanishes under the binding.
         """
-        if self._value is not None:
+        if self._d is not None:
             return self
         names = _names(self._num.ring)
-        at = [_qq(Fraction(bindings[n])) if n in bindings else None
+        at = [QQ(*_pair(bindings[n])) if n in bindings else None
               for n in names]
         if not any(v is not None for v in at):
             return self
@@ -342,22 +382,31 @@ class RationalFunction:
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._value == other
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        a, b = self._value, other._value
-        if a is not None or b is not None:
-            # a constant equals only a constant
-            return a == b
-        # equal values share one ring
-        return (self._num.ring is other._num.ring and self._num == other._num
-                and self._den == other._den)
+        if isinstance(other, RationalFunction):
+            d1, d2 = self._d, other._d
+            if d1 is not None or d2 is not None:
+                # a constant equals only a constant
+                return d1 == d2 and self._n == other._n
+            # equal values share one ring
+            return (self._num.ring is other._num.ring
+                    and self._num == other._num and self._den == other._den)
+        if isinstance(other, int):
+            return self._d == 1 and self._n == other
+        if isinstance(other, Fraction):
+            return self._d == other.denominator and self._n == other.numerator
+        return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            v = self._value
-            self._hash = hash((self._num, self._den) if v is None else v)
+            n, d = self._n, self._d
+            if d is None:
+                self._hash = hash((self._num, self._den))
+            else:
+                # hash(Fraction(n, d)), unless d is a multiple of the modulus
+                try:
+                    self._hash = hash(n * pow(d, -1, _HASH_MODULUS))
+                except ValueError:
+                    self._hash = hash(Fraction(n, d))
         return self._hash
 
     def __repr__(self):
@@ -404,8 +453,8 @@ def _format_poly(p) -> str:
 def format_rational(x: RationalFunction) -> str:
     """``x`` in the coefficient grammar, its terms in descending
     graded-lexicographic order over its sorted names."""
-    if x._value is not None:
-        return str(x._value)
+    if x._d is not None:
+        return str(x._n) if x._d == 1 else f"{x._n}/{x._d}"
     num, den = _format_poly(x._num), _format_poly(x._den)
     if den == "1":
         return num

@@ -82,10 +82,12 @@ class Mat:
 
     def set(self, r, c, val):
         val = rf(val)
-        if val.is_zero:
-            self.rows.get(r, {}).pop(c, None)
-        else:
+        if not val.is_zero:
             self.rows.setdefault(r, {})[c] = val
+        elif (row := self.rows.get(r)) is not None:
+            row.pop(c, None)
+            if not row:
+                del self.rows[r]
 
     def get(self, r, c):
         return self.rows.get(r, {}).get(c, RF_ZERO)
@@ -103,15 +105,21 @@ class Mat:
         return Mat(self.nrows, other.ncols, out)
 
     def __add__(self, other: "Mat") -> "Mat":
+        return self._sum(other, False)
+
+    def __sub__(self, other: "Mat") -> "Mat":
+        return self._sum(other, True)
+
+    def _sum(self, other: "Mat", negate: bool) -> "Mat":
+        """self + other, or self - other when ``negate``: each entry of
+        other goes straight into the sum (negated for a difference), and
+        other is not copied."""
         out = {r: dict(row) for r, row in self.rows.items()}
         for r, row in other.rows.items():
             dst = out.setdefault(r, {})
             for c, v in row.items():
-                _add_into(dst, c, v)
+                _add_into(dst, c, -v if negate else v)
         return Mat(self.nrows, self.ncols, {r: row for r, row in out.items() if row})
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
 
     def scaled(self, k) -> "Mat":
         k = rf(k)

@@ -3,7 +3,7 @@ normal-ordering identities, and Virasoro ground truths."""
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,9 +328,10 @@ def _memoized_exprs(ctx):
     yield from ctx._deriv_memo.values()
 
 
-@pytest.mark.parametrize("make", [lambda: brst_w3(c=100), brst_w32],
+@pytest.mark.parametrize("make, numeric",
+                         [(lambda: brst_w3(c=100), True), (brst_w32, False)],
                          ids=["w3", "w32"])
-def test_memoized_expressions_hold_no_zero_coefficient(make):
+def test_memoized_expressions_hold_no_zero_coefficient(make, numeric):
     q = make()
     nilpotency(q)
     exprs = list(_memoized_exprs(q.context))
@@ -338,6 +339,13 @@ def test_memoized_expressions_hold_no_zero_coefficient(make):
     for e in exprs:
         assert isinstance(e, FieldExpr) and e.algebra is q.algebra
         assert all(v for v in e.terms.values())
+        for v in e.terms.values():
+            # at a numeric c every coefficient is a canonical constant:
+            # coprime ints, the denominator positive
+            assert v.is_constant or not numeric
+            if v.is_constant:
+                assert type(v._n) is int and type(v._d) is int
+                assert v._d > 0 and gcd(v._n, v._d) == 1
 
 
 def test_monomial_hash_is_cached_and_immutable():

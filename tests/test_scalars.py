@@ -1,7 +1,10 @@
 """Exact scalar layer: rational functions over per-value rings."""
 
 import ast
+import fractions
+import math
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -410,3 +413,88 @@ def test_only_scalars_imports_sympy():
             if any(m == "sympy" or m.startswith("sympy.") for m in mods):
                 importers.add(path.name)
     assert importers == {"scalars.py"}
+
+
+# -- constants as a pair of ints --------------------------------------------
+
+
+def _check_pair(x: RationalFunction):
+    """A constant holds a reduced pair of ints with a positive denominator."""
+    n, d = x._n, x._d
+    assert type(n) is int and type(d) is int
+    assert d > 0 and math.gcd(n, d) == 1
+
+
+# a few large values, and values near 0 and +-1, so that sums and products
+# cancel to 0 and +-1 and quotients divide by negatives
+_consts = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                     Fraction(-1, 2), Fraction(2), Fraction(-3, 7)]),
+    _fracs,
+    st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_consts, _consts)
+def test_constant_arithmetic_matches_a_fraction_reference(a, b):
+    x, y = rf(a), rf(b)
+    cases = [(x + y, a + b), (x - y, a - b), (x * y, a * b), (-x, -a),
+             (x + b, a + b), (a - y, a - b), (x * b, a * b), (a * y, a * b),
+             (x + int(b), a + int(b)), (x * int(b), a * int(b))]
+    if b:
+        cases += [(x / y, a / b), (x / -y, a / -b), (a / y, a / b),
+                  (y.inverse(), 1 / b)]
+    for got, want in cases:
+        assert isinstance(got, RationalFunction) and got.is_constant
+        _check_pair(got)
+        value = got.constant_value()
+        assert type(value) is Fraction and value == want
+        assert got == want and want == got and got == rf(want)
+        assert hash(got) == hash(want)
+        assert format_rational(got) == str(want) == str(got)
+        assert bool(got) == bool(want) and got.is_zero == (want == 0)
+    assert (x == y) == (a == b)
+
+
+def test_constant_hash_equals_the_fraction_hash():
+    modulus = sys.hash_info.modulus
+    # the denominator has no inverse modulo the hash modulus
+    for v in (Fraction(1, modulus), Fraction(-5, 2 * modulus), Fraction(-1),
+              Fraction(-1, 2), Fraction(2**70 + 1, 3), Fraction(-(2**61), 7)):
+        assert hash(rf(v)) == hash(v)
+        assert {rf(v): 1} == {v: 1}
+
+
+def test_floats_are_not_exact_constants():
+    for make in (rf, RationalFunction.const, lambda v: RF_ONE + v,
+                 lambda v: RF_ONE * v, lambda v: C.substitute({"c": v})):
+        with pytest.raises(ScalarError, match="inexact"):
+            make(0.1)
+    # strings stay exact
+    assert RationalFunction.const("0.5") == Fraction(1, 2)
+    assert RationalFunction.const("-3/6") == Fraction(-1, 2)
+    assert C.substitute({"c": "0.5"}) == Fraction(1, 2)
+
+
+def test_a_chain_of_constant_arithmetic_runs_no_fraction_code():
+    a, b, c = rf(Fraction(-3, 4)), rf(Fraction(5, 6)), rf(7)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        x = a + b
+        for _ in range(3):
+            x = (x * a - c) / b + 1
+            x = x - x * 2 + c / a - (-x)
+            x = 3 * x / (x + 1) - 2
+        zero, h, s = x - x, hash(x), format_rational(x)
+        equal, nonzero = x == x + 0, bool(x)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert not zero and equal and nonzero
+    assert h == hash(x.constant_value()) and s == str(x.constant_value())

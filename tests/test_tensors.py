@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import QLA_FILES, load_color_borel, load_qla, qla_mutations
 from wbrst.cli import main
@@ -364,3 +366,52 @@ if __name__ == "__main__":
     rows = [f" {json.dumps(k)}: {json.dumps(v)}"
             for k, v in qla_axiom_verdicts().items()]
     VERDICTS.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
+
+
+# -- sparse matrix sums -------------------------------------------------------
+
+
+def _reference_sub(a, b):
+    """a - b as the negated copy of b added to a."""
+    return a + b.scaled(-1)
+
+
+_cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_entries = st.dictionaries(
+    _cells, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)),
+    max_size=10)
+
+
+def _mat(entries):
+    m = Mat(4, 4)
+    for (r, c), v in entries.items():
+        m.set(r, c, v)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_entries, _entries, st.sets(_cells))
+def test_subtraction_matches_adding_the_negated_copy(left, right, shared):
+    # the cells of ``shared`` hold the same value in both, so their
+    # difference cancels, whole rows of it included
+    right = {**right, **{k: left[k] for k in shared if k in left}}
+    a, b = _mat(left), _mat(right)
+    got = a - b
+    assert _same(got, _reference_sub(a, b))
+    assert all(got.rows.values()) and all(v for row in got.rows.values()
+                                          for v in row.values())
+    left, right = ({k: v for k, v in d.items() if v} for d in (left, right))
+    assert (a == b) == _reference_sub(a, b).is_zero() == (left == right)
+    assert _same(a - a, Mat(4, 4)) and a == a
+
+
+def test_setting_zero_drops_an_emptied_row():
+    m = Mat(2, 2)
+    m.set(0, 0, 1)
+    m.set(0, 1, 2)
+    m.set(0, 0, 0)
+    assert m.rows == {0: {1: RF_ONE + RF_ONE}}
+    m.set(0, 1, 0)
+    assert m.rows == {} and m.is_zero() and m == Mat(2, 2)
+    m.set(1, 1, 0)
+    assert m.rows == {}
