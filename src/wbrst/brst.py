@@ -43,6 +43,14 @@ class BrstCurrent:
         shares the one dict, so none may write into it."""
         return self.context.ope(self.expr, self.expr)
 
+    @cached_property
+    def derivative_system(self):
+        """``derivative_system`` of the first pole of ``self_product``,
+        built once per current and shared like it; ``rref`` copies its
+        rows, so no reader changes it."""
+        pole1 = self.self_product.get(1, FieldExpr.zero(self.algebra))
+        return derivative_system(self.context, pole1)
+
 
 @dataclass
 class NilpotencyReport:
@@ -150,7 +158,7 @@ def nilpotency(q: BrstCurrent) -> NilpotencyReport:
     ctx = q.context
     poles = q.self_product
     pole1 = poles.get(1, FieldExpr.zero(q.algebra))
-    basis, matrix, rhs = derivative_system(ctx, pole1)
+    basis, matrix, rhs = q.derivative_system
     best = FieldExpr(q.algebra, dict(zip(
         basis, solve_best(matrix, rhs, RF_ZERO, RF_ONE))))
     residual = pole1 - ctx.derivative(best)
@@ -169,11 +177,9 @@ def critical_charge(q: BrstCurrent, param="c"):
 
     Returns None when the obstruction vanishes identically (nilpotent
     for every value)."""
-    ctx = q.context
-    pole1 = q.self_product.get(1, FieldExpr.zero(q.algebra))
-    if pole1.is_zero:
+    if 1 not in q.self_product:
         return None
-    basis, matrix, rhs = derivative_system(ctx, pole1)
+    basis, matrix, rhs = q.derivative_system
     cokernel = left_nullspace(matrix, len(matrix), len(basis),
                               RF_ZERO, RF_ONE)
     obstructions = []
@@ -277,6 +283,13 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
     one-parameter family of nilpotent currents, and the report then
     names the free directions so the caller can pin them.  Returns
     (BrstCurrent, None) on success, else (None, DeriveReport).
+
+    The conditions take pole 1 of each unordered pair of members (leading
+    and ansatz monomials) once, an off-diagonal pair weighted by 2.  For
+    odd members, [m_j m_i]_1 - [m_i m_j]_1 is, by the exchange formula, a
+    total derivative of a field in the weight-0, ghost-number-2, even
+    slice.  Its monomials are among the derivative images already, so the
+    cokernel is the same, and every cokernel vector annihilates it.
     """
     ctx = algebra.context()
     lead = []
@@ -313,56 +326,7 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
 
     members = [(m, coeff, None) for m, coeff in lead]
     members += [(basis[i], None, k) for k, i in enumerate(ansatz)]
-
-    # obstruction conditions: cokernel of the derivative on the
-    # ghost-number-2 slice applied to the first pole of [J J]
-    pair_vec = {}
-    targets = set()
-    for i, (mi, _, _) in enumerate(members):
-        for j, (mj, _, _) in enumerate(members):
-            e = ctx.ope_mono(mi, mj).get(1)
-            if e is not None and not e.is_zero:
-                pair_vec[(i, j)] = e
-                targets.update(e.terms)
-    exact2 = weight_basis(algebra, 0, parity=0, ghost=2)
-    images2 = [ctx.derivative(FieldExpr(algebra, {m: RF_ONE}))
-               for m in exact2]
-    for im in images2:
-        targets.update(im.terms)
-    targets = sorted(targets, key=algebra.mono_key)
-    dmat = [[im.coefficient(t) for im in images2] for t in targets]
-    cokernel = left_nullspace(dmat, len(targets), len(exact2),
-                              RF_ZERO, RF_ONE)
-
-    # equations as polynomials in the unknowns: key = sorted tuple of
-    # unknown indices (multiplicity allowed), value = rational function
-    equations = []
-    for y in cokernel:
-        # the nonzero entries of y only: most pair products miss them
-        y = {t: w for t, w in zip(targets, y) if w}
-        eq = {}
-        for (i, j), e in pair_vec.items():
-            val = RF_ZERO
-            for mm, v in e.terms.items():
-                w = y.get(mm)
-                if w is not None:
-                    val = val + w * v
-            if not val:
-                continue
-            ki = members[i][2]
-            kj = members[j][2]
-            if ki is not None and kj is not None:
-                key = tuple(sorted((ki, kj)))
-            elif ki is not None or kj is not None:
-                k = ki if ki is not None else kj
-                val = val * (members[j][1] if ki is not None else members[i][1])
-                key = (k,)
-            else:
-                val = val * members[i][1] * members[j][1]
-                key = ()
-            _add_into(eq, key, val)
-        if eq:
-            equations.append(eq)
+    equations = _nilpotency_equations(ctx, members)
 
     nunknown = len(ansatz)
     solutions = _eliminate(equations, set(range(nunknown)))
@@ -394,6 +358,61 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
     for k, i in enumerate(ansatz):
         _add_into(terms, basis[i], solved[k])
     return BrstCurrent(algebra, FieldExpr(algebra, terms)), None
+
+
+def _nilpotency_equations(ctx, members):
+    """The conditions for the current sum of ``members`` to square to zero:
+    the cokernel of the derivative on the weight-0, ghost-number-2, even
+    slice applied to the first pole of [J J].  Each condition is a
+    polynomial in the unknowns, {sorted tuple of unknown indices
+    (multiplicity allowed): RationalFunction}; the zero ones are dropped."""
+    algebra = ctx.algebra
+    pairs = []
+    targets = set()
+    for i, (mi, _, _) in enumerate(members):
+        for j in range(i, len(members)):
+            e = ctx.ope_mono(mi, members[j][0]).get(1)
+            if e is not None:
+                pairs.append((i, j, e))
+                targets.update(e.terms)
+    exact2 = weight_basis(algebra, 0, parity=0, ghost=2)
+    images2 = [ctx.derivative(FieldExpr(algebra, {m: RF_ONE}))
+               for m in exact2]
+    for im in images2:
+        targets.update(im.terms)
+    targets = sorted(targets, key=algebra.mono_key)
+    dmat = [[im.coefficient(t) for im in images2] for t in targets]
+    cokernel = left_nullspace(dmat, len(targets), len(exact2),
+                              RF_ZERO, RF_ONE)
+
+    # target monomial -> [(cokernel index, nonzero weight)]: most pair
+    # products miss most cokernel entries
+    column = {}
+    for yi, y in enumerate(cokernel):
+        for t, w in zip(targets, y):
+            if w:
+                column.setdefault(t, []).append((yi, w))
+    equations = [{} for _ in cokernel]
+    for i, j, e in pairs:
+        vals = {}
+        for mm, v in e.terms.items():
+            for yi, w in column.get(mm, ()):
+                _add_into(vals, yi, w * v)
+        ki, kj = members[i][2], members[j][2]
+        for yi, val in vals.items():
+            if i != j:
+                val = val + val
+            if ki is not None and kj is not None:
+                key = tuple(sorted((ki, kj)))
+            elif ki is not None or kj is not None:
+                k = ki if ki is not None else kj
+                val = val * (members[j][1] if ki is not None else members[i][1])
+                key = (k,)
+            else:
+                val = val * members[i][1] * members[j][1]
+                key = ()
+            _add_into(equations[yi], key, val)
+    return [eq for eq in equations if eq]
 
 
 # -- quadratic system elimination -------------------------------------------

@@ -7,6 +7,13 @@ and the reordering/quasi-associativity corrections for normal products.
 Everything is memoized per context; coefficients stay exact rational
 functions of the declared parameters.
 
+Every singular term of a product of normal-ordered monomials needs at
+least one contraction between their factors (the generalized Wick
+theorem).  So [M1 M2] has no pole when no generator of M1 has a nonzero
+stored product, in either orientation, with a generator of M2.  The rules
+above give the same, by induction on the factors; ``ope_mono`` returns
+the empty result for such a pair at once, without recursing.
+
 The self-product of an expression x of definite parity p is graded
 skew-symmetric: [m_j m_i] is the exchange of [m_i m_j] with both parities
 p.  ``ope(x, x)`` therefore sums the monomial pairs i <= j only and gets
@@ -20,7 +27,7 @@ from math import comb, factorial
 
 from .errors import WbrstError
 from .fields import FieldExpr, Monomial, OpeAlgebra, UNIT
-from .scalars import RF_ONE, _add_into
+from .scalars import RF_ONE, RationalFunction, _add_into, rf
 
 
 class EngineError(WbrstError):
@@ -107,7 +114,7 @@ class OpeContext:
         if hit is not None:
             return hit
         self._tick()
-        if not m1.factors or not m2.factors:
+        if not self._contracts(m1, m2):
             out = {}
         elif len(m1.factors) == 1 and len(m2.factors) == 1:
             out = self._ope_single(m1.factors[0], m2.factors[0])
@@ -119,6 +126,16 @@ class OpeContext:
                              self.algebra.mono_parity(m2))
         self._ope_memo[key] = out
         return out
+
+    def _contracts(self, m1: Monomial, m2: Monomial) -> bool:
+        """Whether a generator of m1 has a nonzero stored product with a
+        generator of m2; false when either monomial is the unit."""
+        names = {f[0] for f in m2.factors}
+        partners = self.algebra.partners
+        for f in m1.factors:
+            if not names.isdisjoint(partners(f[0])):
+                return True
+        return False
 
     def _ope_single(self, f1, f2) -> dict:
         key = (f1, f2)
@@ -339,5 +356,7 @@ class OpeContext:
 def _add_expr(dst: dict, x: FieldExpr, k=None):
     """``dst += k x`` term by term (``k`` None: unscaled).  ``dst`` is a
     dict of terms the caller has just made; ``x`` is never written."""
+    if k is not None and type(k) is not RationalFunction:
+        k = rf(k)
     for m, v in x.terms.items():
         _add_into(dst, m, v if k is None else v * k)

@@ -74,6 +74,7 @@ class OpeAlgebra:
             self._index[g.name] = i
         self.names = tuple(g.name for g in self.generators)
         self._table = {}
+        self._partners = {}
         self._frozen = False
         self._context = None
 
@@ -105,6 +106,9 @@ class OpeAlgebra:
             if not expr.is_zero:
                 clean[n] = expr
         self._table[(a, b)] = clean
+        if clean:
+            self._partners.setdefault(a, set()).add(b)
+            self._partners.setdefault(b, set()).add(a)
 
     def table_entry(self, a, b):
         """(poles, flipped) for the stored orientation containing (a, b)."""
@@ -113,6 +117,11 @@ class OpeAlgebra:
         if (b, a) in self._table:
             return self._table[(b, a)], True
         return None, False
+
+    def partners(self, name):
+        """The generators whose stored product with ``name``, in either
+        orientation, has a nonzero pole."""
+        return self._partners.get(name, ())
 
     def table_items(self):
         return list(self._table.items())

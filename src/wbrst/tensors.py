@@ -133,7 +133,8 @@ class Mat:
         return not self.rows
 
     def __eq__(self, other):
-        return (isinstance(other, Mat) and (self - other).is_zero())
+        return (isinstance(other, Mat) and self.nrows == other.nrows
+                and self.ncols == other.ncols and (self - other).is_zero())
 
     def nonzero_entries(self, limit=None):
         out = []

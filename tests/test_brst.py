@@ -1,18 +1,22 @@
 """BRST currents: nilpotency, critical central charges, the conventional
 ghost-sector point, and ansatz reconstruction."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from wbrst.algebras import bundle, ghost_stress, ghost_stress_w3, w3_ghosts
+from wbrst import brst
+from wbrst.algebras import (bundle, ghost_stress, ghost_stress_w3, w3, w32,
+                            w3_ghosts, w32_ghosts)
 from wbrst.analysis import central_charge, primary_check, weight_basis
 from wbrst.brst import (BrstCurrent, BrstError, brst_w3, brst_w32,
                         critical_charge, derive_brst, nilpotency,
                         solve_conventional, unconventional_terms)
 from wbrst.engine import OpeContext
 from wbrst.fields import FieldExpr, GeneratorDecl, Monomial, OpeAlgebra
-from wbrst.scalars import RF_ONE, RationalFunction as RF
+from wbrst.linalg import left_nullspace
+from wbrst.scalars import RF_ONE, RF_ZERO, RationalFunction as RF, _add_into
 
 
 def test_w3_nilpotent_at_100():
@@ -215,3 +219,142 @@ def test_weight_basis_lists():
         w32_alg, Fraction(-1, 2), parity=1, ghost=1)] == [
         (("cp", 0),), (("cm", 0),), (("cT", 0), ("bU", 0), ("cp", 0)),
         (("cT", 0), ("bU", 0), ("cm", 0))]
+
+
+# -- the nilpotency conditions of derive_brst from unordered pairs ----------
+
+
+def _ordered_pair_equations(ctx, members):
+    """Reference for ``_nilpotency_equations``: pole 1 of every ordered
+    member pair, dotted with each cokernel vector in turn."""
+    algebra = ctx.algebra
+    pair_vec = {}
+    targets = set()
+    for i, (mi, _, _) in enumerate(members):
+        for j, (mj, _, _) in enumerate(members):
+            e = ctx.ope_mono(mi, mj).get(1)
+            if e is not None and not e.is_zero:
+                pair_vec[(i, j)] = e
+                targets.update(e.terms)
+    exact2 = weight_basis(algebra, 0, parity=0, ghost=2)
+    images2 = [ctx.derivative(FieldExpr(algebra, {m: RF_ONE}))
+               for m in exact2]
+    for im in images2:
+        targets.update(im.terms)
+    targets = sorted(targets, key=algebra.mono_key)
+    dmat = [[im.coefficient(t) for im in images2] for t in targets]
+    cokernel = left_nullspace(dmat, len(targets), len(exact2),
+                              RF_ZERO, RF_ONE)
+    equations = []
+    for y in cokernel:
+        y = {t: w for t, w in zip(targets, y) if w}
+        eq = {}
+        for (i, j), e in pair_vec.items():
+            val = RF_ZERO
+            for mm, v in e.terms.items():
+                w = y.get(mm)
+                if w is not None:
+                    val = val + w * v
+            if not val:
+                continue
+            ki = members[i][2]
+            kj = members[j][2]
+            if ki is not None and kj is not None:
+                key = tuple(sorted((ki, kj)))
+            elif ki is not None or kj is not None:
+                k = ki if ki is not None else kj
+                val = val * (members[j][1] if ki is not None else members[i][1])
+                key = (k,)
+            else:
+                val = val * members[i][1] * members[j][1]
+                key = ()
+            _add_into(eq, key, val)
+        if eq:
+            equations.append(eq)
+    return equations
+
+
+def _derive_case(name):
+    """(algebra, leading, pinned, max_degree) of a derivation, on a fresh
+    algebra."""
+    family, _, rest = name.partition(" ")
+    if family == "w3":
+        a2 = "as-printed" if "printed" in rest else "exchange-consistent"
+        alg = bundle("w3_brst", w3(100, a2), w3_ghosts(0, 0))
+        lead = [_mono(alg, ("T", 0), ("cT", 0)), _mono(alg, ("W", 0), ("cW", 0))]
+        pin = [_mono(alg, ("T", 1), ("cW", 0))] if "pinned" in rest else []
+        return alg, lead, pin, None
+    alg = bundle("w32_brst", w32(None if "symbolic" in rest else -2),
+                 w32_ghosts(modified=True))
+    lead = [_mono(alg, ("T", 0), ("cT", 0)), _mono(alg, ("U", 0), ("cU", 0)),
+            _mono(alg, ("Gp", 0), ("cp", 0)), _mono(alg, ("Gm", 0), ("cm", 0))]
+    pin = [_mono(alg, ("U", 1), ("cT", 0)), _mono(alg, ("Gp", 0), ("cm", 0)),
+           _mono(alg, ("Gm", 0), ("cp", 0))]
+    return alg, lead, pin, 3
+
+
+def _mono(alg, *factors):
+    return Monomial(_sorted_factors(alg, factors))
+
+
+def _eliminated(monkeypatch, name, conditions):
+    """The equations that reach ``_eliminate`` (keys, values and order)
+    and the derivation's outcome, with ``conditions`` building them."""
+    seen = []
+    eliminate = brst._eliminate
+
+    def spy(equations, remaining, depth=0):
+        if depth == 0:
+            seen.append([list(eq.items()) for eq in equations])
+        return eliminate(equations, remaining, depth)
+
+    monkeypatch.setattr(brst, "_eliminate", spy)
+    monkeypatch.setattr(brst, "_nilpotency_equations", conditions)
+    alg, lead, pin, max_degree = _derive_case(name)
+    q, rep = derive_brst(alg, lead, pinned=pin, max_degree=max_degree)
+    (equations,) = seen
+    return equations, (q.expr.terms if q else rep.message)
+
+
+@pytest.mark.parametrize("name, outcome", [
+    ("w3", "staged elimination stalled"),
+    ("w3 pinned", None),
+    ("w3 pinned printed", None),
+    ("w32 pinned", None),
+    ("w32 symbolic pinned", "nilpotency system has no rational solution"),
+])
+def test_unordered_pairs_give_the_ordered_pair_equations(monkeypatch, name,
+                                                         outcome):
+    got, result = _eliminated(monkeypatch, name, brst._nilpotency_equations)
+    want, want_result = _eliminated(monkeypatch, name, _ordered_pair_equations)
+    assert got and got == want
+    assert result == want_result
+    if outcome is not None:
+        assert result == outcome
+    else:
+        assert isinstance(result, dict)
+
+
+def test_derive_takes_each_unordered_pair_once(monkeypatch):
+    alg, lead, pin, _ = _derive_case("w3 pinned")
+    ctx = alg.context()
+    ope_mono = ctx.ope_mono
+    calls, sizes = [], []
+
+    def counted(m1, m2):
+        if sys._getframe(1).f_code.co_name == "_nilpotency_equations":
+            calls.append((m1, m2))
+        return ope_mono(m1, m2)
+
+    conditions = brst._nilpotency_equations
+
+    def sized(ctx, members):
+        sizes.append(len(members))
+        return conditions(ctx, members)
+
+    monkeypatch.setattr(ctx, "ope_mono", counted)
+    monkeypatch.setattr(brst, "_nilpotency_equations", sized)
+    q, rep = derive_brst(alg, lead, pinned=pin)
+    assert q is not None, rep and rep.message
+    (n,) = sizes
+    assert len(calls) == len(set(calls)) == n * (n + 1) // 2

@@ -43,6 +43,22 @@ def test_qla_check_conjugates_sigma_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_symbolic_brst_builds_one_derivative_system(monkeypatch, capsys):
+    # nilpotency and critical_charge read the same system of pole 1
+    import wbrst.brst
+    calls = []
+    derivative_system = wbrst.brst.derivative_system
+
+    def counted(ctx, expr):
+        calls.append(expr)
+        return derivative_system(ctx, expr)
+
+    monkeypatch.setattr(wbrst.brst, "derivative_system", counted)
+    code, payload, _ = run_json(capsys, "cft", "brst", "w3", "--symbolic-c")
+    assert code == 1 and payload["critical_roots"] == ["100"]
+    assert len(calls) == 1
+
+
 def test_qla_brst_builds_q_once(monkeypatch, capsys):
     import wbrst.cli
     import wbrst.omega

@@ -8,7 +8,7 @@ from math import factorial, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wbrst.algebras import w3, w32, w3_ghosts
+from wbrst.algebras import bundle, w3, w32, w3_ghosts
 from wbrst.analysis import weight_basis
 from wbrst.brst import brst_w3, brst_w32, nilpotency
 from wbrst.engine import OpeContext
@@ -313,6 +313,58 @@ def test_homogeneous_self_product_equals_ordered_double_sum(x):
     ctx = x.algebra.context()
     assert x.parity() is not None
     assert ctx.ope(x, x) == _ordered_double_sum(ctx, x)
+
+
+# -- products with nothing to contract --------------------------------------
+
+
+class _ContractingEverywhere(OpeContext):
+    """A reference context that claims every generator pair contracts, so
+    it never takes the no-contraction shortcut of ``ope_mono``."""
+
+    def _contracts(self, m1, m2):
+        return bool(m1.factors) and bool(m2.factors)
+
+
+def _assert_same_memos(ctx, ref):
+    """Every entry the two contexts both memoized is the same."""
+    for name in ("_ope_memo", "_single_memo", "_nprod_memo", "_deriv_memo"):
+        mine, theirs = getattr(ctx, name), getattr(ref, name)
+        shared = mine.keys() & theirs.keys()
+        assert shared, name
+        for key in shared:
+            assert mine[key] == theirs[key], (name, key)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: brst_w3(0, 0, c=100),
+    lambda: brst_w3(None, None, c=None),
+    lambda: brst_w32(c=-2),
+    lambda: brst_w32(c=None),
+], ids=["w3_numeric", "w3_symbolic", "w32_numeric", "w32_symbolic"])
+def test_no_contraction_shortcut_keeps_the_self_product(make):
+    q = make()
+    ref = _ContractingEverywhere(q.algebra)
+    assert ref.ope(q.expr, q.expr) == q.self_product
+    _assert_same_memos(q.context, ref)
+
+
+def test_no_contraction_shortcut_keeps_the_derivation_pairs():
+    # every member of the W3 derivation lies in this slice
+    alg = bundle("w3_brst", w3(100), w3_ghosts(0, 0))
+    basis = weight_basis(alg, 1, parity=1, ghost=1)
+    ctx, ref = OpeContext(alg), _ContractingEverywhere(alg)
+    for m1 in basis:
+        for m2 in basis:
+            assert ctx.ope_mono(m1, m2) == ref.ope_mono(m1, m2), (m1, m2)
+    _assert_same_memos(ctx, ref)
+
+
+def test_self_product_skips_products_with_nothing_to_contract():
+    q = brst_w3(c=100)
+    nilpotency(q)
+    # 891 entries when every product is expanded by the rules
+    assert len(q.context._ope_memo) == 484
 
 
 # -- expressions the engine builds without copying --------------------------

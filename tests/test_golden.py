@@ -4,6 +4,9 @@ Every CLI example of README.md, plus the fully symbolic BRST and critical
 charge reports, four numeric BRST reports (one obstructed), a numeric W W
 product, the W3^(2) ghost oracle and a failing axiom check, must print
 exactly the recorded bytes.
+``tests/golden/derive_brst.json`` holds the currents that ``derive_brst``
+derives for the W3 and W3^(2) benchmark cases, as ``format_field_expr``
+prints them, and the report message of the unpinned W3 case.
 Commands run from the root of the repository.  Each file in
 ``tests/golden/`` holds one command: a first line ``exit N``, then the
 stdout verbatim.  ``tests/golden/cli_messages.json`` holds the help,
@@ -22,7 +25,11 @@ import sys
 
 import pytest
 
+from wbrst.algebras import bundle, w3, w32, w3_ghosts, w32_ghosts
+from wbrst.brst import derive_brst
 from wbrst.cli import main
+from wbrst.fields import Monomial
+from wbrst.parsing import format_field_expr
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -84,6 +91,7 @@ MESSAGES = (
     "cft ope w3 T",
 )
 MESSAGES_GOLDEN = GOLDEN / "cli_messages.json"
+DERIVE_GOLDEN = GOLDEN / "derive_brst.json"
 
 
 def golden_path(command: str) -> pathlib.Path:
@@ -122,6 +130,45 @@ def run_message(command: str) -> dict:
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def _mono(alg, *factors):
+    return Monomial(tuple(sorted(factors, key=alg.factor_key)))
+
+
+def run_derivations() -> dict:
+    """The derived current (or the report message) of each derivation:
+    W3 at c = 100 with and without its pin, and W3^(2) at c = -2 with the
+    modified ghosts, pinned and cut at generator-degree 3."""
+    w3_alg = bundle("w3_brst", w3(100), w3_ghosts(0, 0))
+    w3_lead = [_mono(w3_alg, ("T", 0), ("cT", 0)),
+               _mono(w3_alg, ("W", 0), ("cW", 0))]
+    w32_alg = bundle("w32_brst", w32(-2), w32_ghosts(modified=True))
+    cases = {
+        "w3 c=100": (w3_alg, w3_lead, [], None),
+        "w3 c=100 pinned": (w3_alg, w3_lead,
+                            [_mono(w3_alg, ("T", 1), ("cW", 0))], None),
+        "w32 c=-2 pinned max_degree=3": (
+            w32_alg,
+            [_mono(w32_alg, ("T", 0), ("cT", 0)),
+             _mono(w32_alg, ("U", 0), ("cU", 0)),
+             _mono(w32_alg, ("Gp", 0), ("cp", 0)),
+             _mono(w32_alg, ("Gm", 0), ("cm", 0))],
+            [_mono(w32_alg, ("U", 1), ("cT", 0)),
+             _mono(w32_alg, ("Gp", 0), ("cm", 0)),
+             _mono(w32_alg, ("Gm", 0), ("cp", 0))], 3),
+    }
+    out = {}
+    for name, (alg, lead, pin, max_degree) in cases.items():
+        q, rep = derive_brst(alg, lead, pinned=pin, max_degree=max_degree)
+        out[name] = (format_field_expr(q.expr) if q is not None
+                     else {"message": rep.message})
+    return out
+
+
+def test_golden_derivations():
+    expected = json.loads(DERIVE_GOLDEN.read_text(encoding="utf-8"))
+    assert run_derivations() == expected
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_golden_output(command):
     expected = golden_path(command).read_text(encoding="utf-8")
@@ -140,6 +187,9 @@ if __name__ == "__main__":
         json.dumps({c: run_message(c) for c in MESSAGES}, indent=2) + "\n",
         encoding="utf-8")
     print(f"recorded {MESSAGES_GOLDEN.name}", file=sys.stderr)
+    DERIVE_GOLDEN.write_text(json.dumps(run_derivations(), indent=2) + "\n",
+                             encoding="utf-8")
+    print(f"recorded {DERIVE_GOLDEN.name}", file=sys.stderr)
     for command in COMMANDS:
         golden_path(command).write_text(run_command(command), encoding="utf-8")
         print(f"recorded {golden_path(command).name}", file=sys.stderr)

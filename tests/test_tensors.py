@@ -405,6 +405,15 @@ def test_subtraction_matches_adding_the_negated_copy(left, right, shared):
     assert _same(a - a, Mat(4, 4)) and a == a
 
 
+def test_matrices_of_different_shapes_differ():
+    assert Mat(2, 2) != Mat(4, 4) and Mat(2, 3) != Mat(3, 2)
+    a, b = Mat(2, 2), Mat(3, 5)
+    a.set(1, 1, 7)
+    b.set(1, 1, 7)
+    assert a != b
+    assert a == Mat(2, 2, {1: {1: RF_ONE * 7}})
+
+
 def test_setting_zero_drops_an_emptied_row():
     m = Mat(2, 2)
     m.set(0, 0, 1)
