@@ -13,9 +13,9 @@ from .algebras import bundle, w3, w32, w3_ghosts, w32_ghosts
 from .analysis import derivative_system, weight_basis
 from .errors import WbrstError
 from .fields import FieldExpr, Monomial, OpeAlgebra
-from .linalg import left_nullspace, nullspace, rref, solve, solve_best
+from .linalg import left_nullspace, rref, solve, solve_best
 from .scalars import (PoleError, RF_ONE, RF_ZERO, RationalFunction,
-                      rational_roots, _add_into)
+                      common_zeros, rational_roots, _add_into)
 
 
 class BrstError(WbrstError):
@@ -233,30 +233,18 @@ def unconventional_terms(q: BrstCurrent):
 
 def solve_conventional():
     """The unique ghost-sector parameters removing every term of
-    generator-degree four or more from the spin-(2,3) current."""
+    generator-degree four or more from the spin-(2,3) current: the common
+    zero of those terms' coefficients, polynomials in g1 and g2."""
     q = brst_w3(g1=None, g2=None, c=100)
-    eqs = [v for _, v in unconventional_terms(q)]
+    eqs = [{(): v} for _, v in unconventional_terms(q)]
     if not eqs:
         raise BrstError("nothing to solve: no higher-degree terms")
-    g1, g2 = RationalFunction.var("g1"), RationalFunction.var("g2")
-    rows, rhs = [], []
-    for v in eqs:
-        const = v.substitute({"g1": 0, "g2": 0})
-        a1 = v.substitute({"g1": 1, "g2": 0}) - const
-        a2 = v.substitute({"g1": 0, "g2": 1}) - const
-        if not (const.is_constant and a1.is_constant and a2.is_constant):
-            raise BrstError("coefficient depends on parameters other "
-                            "than the ghost-sector ones")
-        if v != const + a1 * g1 + a2 * g2:
-            raise BrstError("system is not linear in the parameters")
-        rows.append([a1.constant_value(), a2.constant_value()])
-        rhs.append(-const.constant_value())
-    x = solve(rows, rhs, Fraction(0), Fraction(1))
-    if x is None:
+    outcome, point = common_zeros(eqs, 0, ("g1", "g2"))
+    if outcome == "none":
         raise BrstError("inconsistent system for the ghost parameters")
-    if nullspace(rows, 2, Fraction(0), Fraction(1)):
+    if outcome != "point":
         raise BrstError("ghost parameters are not uniquely determined")
-    return x[0], x[1]
+    return point["g1"].constant_value(), point["g2"].constant_value()
 
 
 # -- ansatz derivation ------------------------------------------------------
@@ -264,9 +252,8 @@ def solve_conventional():
 
 @dataclass
 class DeriveReport:
-    solved: dict = field(default_factory=dict)
-    remaining: list = field(default_factory=list)
-    message: str = ""
+    message: str
+    remaining: list = field(default_factory=list)  # free monomials of a family
 
 
 def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
@@ -275,13 +262,19 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
     The ansatz runs over the weight-1, ghost-number-1, odd slice with
     derivative directions removed (the current is only defined modulo
     total derivatives); nilpotency modulo derivatives gives quadratic
-    equations solved by staged elimination of variables appearing
-    linearly.  ``max_degree`` restricts the ansatz to monomials of at
-    most that many generator factors (a conventional current has
-    generator-degree 3).  ``pinned`` monomials are forced to zero;
-    similarity transformations by ghost-number-zero charges can make a
-    one-parameter family of nilpotent currents, and the report then
-    names the free directions so the caller can pin them.  Returns
+    equations in the ansatz coefficients.  ``max_degree`` restricts the
+    ansatz to monomials of at most that many generator factors (a
+    conventional current has generator-degree 3).  ``pinned`` monomials
+    are forced to zero.  Table parameters left symbolic stay in the
+    coefficient field, so a result holds for their generic values.
+
+    ``common_zeros`` solves the equations through their reduced
+    lexicographic Gröbner basis, with four outcomes.  A single rational
+    point gives the current.  A basis [1] means no current exists.  A
+    family, which similarity transformations by ghost-number-zero
+    charges can make, is reported with its free directions in
+    ``DeriveReport.remaining``; pinning them selects a point.  Any other
+    basis is reported as not a single rational point.  Returns
     (BrstCurrent, None) on success, else (None, DeriveReport).
 
     The conditions take pole 1 of each unordered pair of members (leading
@@ -328,35 +321,24 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
     members += [(basis[i], None, k) for k, i in enumerate(ansatz)]
     equations = _nilpotency_equations(ctx, members)
 
-    nunknown = len(ansatz)
-    solutions = _eliminate(equations, set(range(nunknown)))
-    if not solutions:
-        return None, DeriveReport(remaining=equations,
-                                  message="nilpotency system has no "
-                                          "rational solution")
-    frees = [s for s in solutions if s[0] == "free"]
-    if frees:
-        names = sorted({basis[ansatz[k]].factors
-                        for s in frees for k in s[1]})
+    outcome, found = common_zeros(equations, len(ansatz))
+    if outcome == "none":
+        return None, DeriveReport("nilpotency system has no rational "
+                                  "solution")
+    if outcome == "family":
+        free = [basis[ansatz[k]] for k in found]
         return None, DeriveReport(
-            remaining=names,
-            message="current is a family; free directions: "
-                    + ", ".join(str(n) for n in names)
-                    + " (pin them to zero to select a point)")
-    stalled = [s for s in solutions if s[0] == "stalled"]
-    if stalled:
-        return None, DeriveReport(remaining=stalled[0][1],
-                                  message="staged elimination stalled")
-    if len(solutions) > 1:
-        return None, DeriveReport(remaining=equations,
-                                  message="current is not unique: "
-                                          f"{len(solutions)} solutions")
-    _, solved = solutions[0]
+            "current is a family; free directions: "
+            + ", ".join(str(m.factors) for m in free)
+            + " (pin them to zero to select a point)", free)
+    if outcome == "other":
+        return None, DeriveReport("nilpotency system is not solved by a "
+                                  "single rational point")
     terms = {}
     for m, coeff in lead:
         _add_into(terms, m, coeff)
     for k, i in enumerate(ansatz):
-        _add_into(terms, basis[i], solved[k])
+        _add_into(terms, basis[i], found[k])
     return BrstCurrent(algebra, FieldExpr(algebra, terms)), None
 
 
@@ -413,143 +395,3 @@ def _nilpotency_equations(ctx, members):
                 key = ()
             _add_into(equations[yi], key, val)
     return [eq for eq in equations if eq]
-
-
-# -- quadratic system elimination -------------------------------------------
-#
-# Equations are polynomials in the unknowns, stored as
-# {sorted tuple of unknown indices: RationalFunction}.
-
-
-def _p_scale(p, k):
-    return {key: v * k for key, v in p.items()}
-
-
-def _p_mul(p, q):
-    out = {}
-    for k1, v1 in p.items():
-        for k2, v2 in q.items():
-            _add_into(out, tuple(sorted(k1 + k2)), v1 * v2)
-    return out
-
-
-def _p_subst(p, k, value):
-    """Substitute unknown k by the polynomial ``value``."""
-    out = {}
-    for key, v in p.items():
-        newkey = tuple(x for x in key if x != k)
-        term = {newkey: v}
-        for _ in range(len(key) - len(newkey)):
-            term = _p_mul(term, value)
-        for tkey, tv in term.items():
-            _add_into(out, tkey, tv)
-    return out
-
-
-def _unknowns_of(p):
-    return {x for key in p for x in key}
-
-
-def _eliminate(equations, remaining, depth=0):
-    """All rational solutions of the quadratic system, found by repeated
-    elimination of unknowns that occur linearly with a constant
-    coefficient, branching over rational roots when only univariate
-    higher-degree equations remain.  ``remaining`` is the set of
-    unknown indices not yet fixed by an enclosing branch.
-
-    Returns a list of entries: ("complete", {k: RationalFunction}),
-    ("free", undetermined-index list) for a solution family, or
-    ("stalled", remaining equations).
-    """
-    if depth > len(remaining) + 4:
-        return [("stalled", equations)]
-    eqs = [e for e in equations if e]
-    if any(set(e) == {()} for e in eqs):
-        return []
-    assigns = {}          # k -> polynomial in later-solved unknowns
-    order = []
-    progress = True
-    while progress and eqs:
-        progress = False
-        best = None
-        for eq in eqs:
-            # only eliminate with constant or linear values; substituting
-            # quadratic expressions makes the system degree explode
-            if max(len(key) for key in eq) > 1:
-                continue
-            for k in sorted(_unknowns_of(eq)):
-                others = len(_unknowns_of(eq) - {k})
-                if best is None or others < best[2]:
-                    best = (eq, k, others)
-            if best is not None and best[2] == 0:
-                break
-        if best is not None:
-            eq, k, _ = best
-            rest = {key: v for key, v in eq.items() if key != (k,)}
-            value = _p_scale(rest, -RF_ONE / eq[(k,)])
-            assigns[k] = value
-            order.append(k)
-            eqs = [e for e in (_p_subst(e, k, value) for e in eqs) if e]
-            if any(set(e) == {()} for e in eqs):
-                return []
-            progress = True
-    if not eqs:
-        free = remaining - set(assigns)
-        if free:
-            # leftover directions satisfy every equation for any value;
-            # the current is a family, not a point
-            return [("free", sorted(free))]
-        sol = _resolve(assigns, order, {})
-        return [("complete", sol)] if sol is not None else []
-    # branch on a univariate equation
-    for eq in eqs:
-        vs = _unknowns_of(eq)
-        if len(vs) != 1:
-            continue
-        (k,) = vs
-        x = RationalFunction.var("x")
-        poly = RF_ZERO
-        for key, v in eq.items():
-            if not v.is_constant:
-                break
-            term = v
-            for _ in key:
-                term = term * x
-            poly = poly + term
-        else:
-            roots = rational_roots(poly, "x")
-            sols = []
-            inner_remaining = remaining - set(assigns) - {k}
-            for r in sorted(roots):
-                sub = [_p_subst(e, k, {(): RationalFunction.const(r)})
-                       for e in eqs]
-                for branch in _eliminate(sub, inner_remaining, depth + 1):
-                    if branch[0] == "complete":
-                        branch[1][k] = RationalFunction.const(r)
-                        full = _resolve(assigns, order, branch[1])
-                        if full is not None:
-                            sols.append(("complete", full))
-                    else:
-                        sols.append(branch)
-            uniq = []
-            for s in sols:
-                if s not in uniq:
-                    uniq.append(s)
-            return uniq
-    return [("stalled", eqs)]
-
-
-def _resolve(assigns, order, known):
-    """Back-substitute the elimination chain into explicit values."""
-    values = dict(known)
-    for k in reversed(order):
-        p = assigns[k]
-        for j in sorted(_unknowns_of(p)):
-            if j not in values:
-                return None
-            p = _p_subst(p, j, {(): values[j]})
-        bad = [key for key in p if key != ()]
-        if bad:
-            return None
-        values[k] = p.get((), RF_ZERO)
-    return values

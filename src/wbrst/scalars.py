@@ -35,6 +35,9 @@ poles, Omega coefficients, sparse matrices, mode-oracle columns,
 substitution) accumulates through the one helper ``_add_into``, which drops
 a key whose sum is zero.  ``int``, ``Fraction`` and ``RationalFunction``
 share its zero test: the truth value, which means nonzero.
+
+``common_zeros`` solves a polynomial system with ``RationalFunction``
+coefficients through its reduced lexicographic Gröbner basis.
 """
 
 from __future__ import annotations
@@ -44,9 +47,11 @@ from functools import lru_cache, reduce
 from math import gcd, lcm
 from sys import hash_info
 
-from sympy import Symbol
+from sympy import Dummy, Symbol
 from sympy.polys.domains import QQ
-from sympy.polys.orderings import grlex
+from sympy.polys.fields import FracField
+from sympy.polys.groebnertools import groebner
+from sympy.polys.orderings import grlex, lex
 from sympy.polys.rings import PolyRing
 
 from .errors import WbrstError
@@ -487,3 +492,92 @@ def rational_roots(value: RationalFunction, name: str) -> set:
     _, factors = common.factor_list()
     return {-_fraction(f.get((0,), QQ(0)) / f[(1,)])
             for f, _ in factors if f.degree() == 1}
+
+
+# -- common zeros of a polynomial system ------------------------------------
+
+
+def common_zeros(equations, nunknown: int, params=()):
+    """The common zeros of polynomial ``equations``, read off their reduced
+    Gröbner basis in lexicographic order (Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 3).
+
+    An equation is {sorted tuple of unknown indices, an index repeated for
+    its power: RationalFunction}, over the unknowns 0 … ``nunknown`` - 1.
+    The names in ``params`` are unknowns too, ordered after the indexed
+    ones; they enter through the coefficients, whose denominators must not
+    use them.  Every other name stays symbolic: the coefficients lie in QQ
+    or in the fraction field of those names, so no denominator is cleared,
+    and the answer holds for generic values of them.
+
+    Returns one of
+    ("none", None): the basis is [1], there is no zero;
+    ("point", values): every unknown leads a linear element with a constant
+    tail; ``values`` maps each unknown, index or name, to its value;
+    ("family", free): every element is linear in the unknown leading it,
+    so the zeros are parametrized by ``free``, the unknowns leading none;
+    ("other", None): any other basis, which is not a single rational point.
+    """
+    params = tuple(params)
+    symbolic = sorted({n for eq in equations for v in eq.values()
+                       for n in _names(v.num.ring)}.difference(params))
+    field = FracField(_ring(tuple(symbolic)).symbols, QQ, grlex) \
+        if symbolic else None
+    ring = PolyRing([Dummy() for _ in range(nunknown)]
+                    + [Symbol(p) for p in params],
+                    field.to_domain() if field else QQ, lex)
+    polys = []
+    for eq in equations:
+        terms = {}
+        for key, v in eq.items():
+            power = tuple(key.count(k) for k in range(nunknown))
+            for p, coeff in _split(v, params, symbolic, field).items():
+                _add_into(terms, power + p, coeff)
+        polys.append(ring.dtype(terms))
+    basis = groebner(polys, ring)
+    if basis == [ring.one]:
+        return "none", None
+    unknowns = [*range(nunknown), *params]
+    led = {}
+    for g in basis:
+        m = g.LM
+        if sum(m) != 1:
+            return "other", None
+        led[m.index(1)] = g
+    free = [u for i, u in enumerate(unknowns) if i not in led]
+    if free:
+        return "family", free
+    return "point", {u: _from_domain(-led[i].coeff(1), field)
+                     for i, u in enumerate(unknowns)}
+
+
+def _split(v: RationalFunction, params, symbolic, field) -> dict:
+    """``v`` as {exponents of ``params``: coefficient}, a coefficient in
+    QQ, or in ``field``, the fraction field over the names ``symbolic``."""
+    names = (*params, *symbolic)
+    at = [names.index(n) for n in _names(v.num.ring)]
+    num, den = {}, {}
+    for poly, parts in ((v.num, num), (v.den, den)):
+        for m, c in poly.items():
+            e = [0] * len(names)
+            for i, k in zip(at, m):
+                e[i] = k
+            parts.setdefault(tuple(e[:len(params)]), {})[
+                tuple(e[len(params):])] = c
+    none = (0,) * len(params)
+    if list(den) != [none]:
+        raise ScalarError(f"the denominator of {v} uses an unknown")
+    den = den[none]
+    if field is None:
+        return {p: part[()] / den[()] for p, part in num.items()}
+    den = field.ring.dtype(den)
+    return {p: field.new(field.ring.dtype(part), den)
+            for p, part in num.items()}
+
+
+def _from_domain(q, field) -> RationalFunction:
+    """A coefficient of ``common_zeros``'s ring as a RationalFunction."""
+    if field is None:
+        return _c(int(q.numerator), int(q.denominator))
+    r = _ring(_names(field.ring))
+    return _canonical(r.dtype(q.numer), r.dtype(q.denom))

@@ -172,10 +172,13 @@ def _mono(alg, *factors):
 def test_derive_w3_current():
     alg = bundle("w3_brst", w3(100), w3_ghosts(0, 0))
     lead = [_mono(alg, ("T", 0), ("cT", 0)), _mono(alg, ("W", 0), ("cW", 0))]
-    # without a pin, similarity transformations keep the quadratic system
-    # from closing; pinning the (T' cW) direction selects a point
+    # without a pin, similarity transformations make a family of currents;
+    # pinning the free direction it names, or the (T' cW) direction,
+    # selects a point
     q0, rep = derive_brst(alg, lead)
     assert q0 is None and rep.message
+    q0, _ = derive_brst(alg, lead, pinned=rep.remaining)
+    assert q0 is not None and nilpotency(q0).nilpotent
     pin = [_mono(alg, ("T", 1), ("cW", 0))]
     q, rep = derive_brst(alg, lead, pinned=pin)
     assert q is not None, rep and rep.message

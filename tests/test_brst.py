@@ -298,17 +298,16 @@ def _mono(alg, *factors):
 
 
 def _eliminated(monkeypatch, name, conditions):
-    """The equations that reach ``_eliminate`` (keys, values and order)
+    """The equations that reach ``common_zeros`` (keys, values and order)
     and the derivation's outcome, with ``conditions`` building them."""
     seen = []
-    eliminate = brst._eliminate
+    common_zeros = brst.common_zeros
 
-    def spy(equations, remaining, depth=0):
-        if depth == 0:
-            seen.append([list(eq.items()) for eq in equations])
-        return eliminate(equations, remaining, depth)
+    def spy(equations, nunknown, params=()):
+        seen.append([list(eq.items()) for eq in equations])
+        return common_zeros(equations, nunknown, params)
 
-    monkeypatch.setattr(brst, "_eliminate", spy)
+    monkeypatch.setattr(brst, "common_zeros", spy)
     monkeypatch.setattr(brst, "_nilpotency_equations", conditions)
     alg, lead, pin, max_degree = _derive_case(name)
     q, rep = derive_brst(alg, lead, pinned=pin, max_degree=max_degree)
@@ -317,7 +316,9 @@ def _eliminated(monkeypatch, name, conditions):
 
 
 @pytest.mark.parametrize("name, outcome", [
-    ("w3", "staged elimination stalled"),
+    pytest.param("w3", "current is a family; free directions: (('bW', 1), "
+                 "('cW', 0), ('cW', 1)) (pin them to zero to select a point)",
+                 id="w3-current is a family"),
     ("w3 pinned", None),
     ("w3 pinned printed", None),
     ("w32 pinned", None),

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from wbrst import scalars
 from wbrst.scalars import (PoleError, RationalFunction, RF_ONE, RF_ZERO,
-                           ScalarError, format_rational, rational_roots, rf)
+                           ScalarError, common_zeros, format_rational,
+                           rational_roots, rf)
 from wbrst.parsing import parse_algebra_file, parse_coefficient
 
 C = RationalFunction.var("c")
@@ -92,6 +93,47 @@ def test_rational_roots_of_a_large_constant_term():
     # trial division over the divisors of the constant term cannot finish
     big = 10**30 + 57
     assert rational_roots((C - big) * (C + 3), "c") == {big, -3}
+
+
+# -- common zeros of polynomial systems ------------------------------------
+
+
+def _eq(**terms):
+    """An equation in unknowns 0 and 1: keyword ``k``, ``x``, ``y``, ``xx``,
+    ``xy`` or ``yy`` names the constant term or a monomial."""
+    keys = {"k": (), "x": (0,), "y": (1,), "xx": (0, 0), "xy": (0, 1),
+            "yy": (1, 1)}
+    return {keys[n]: rf(v) for n, v in terms.items()}
+
+
+@pytest.mark.parametrize("equations, nunknown, params, want", [
+    # x - 1 and x - 2 have no common zero
+    ([_eq(x=1, k=-1), _eq(x=1, k=-2)], 1, (), ("none", None)),
+    # x y = 2 and x = 1: the point (1, 2)
+    ([_eq(xy=1, k=-2), _eq(x=1, k=-1)], 2, (),
+     ("point", {0: rf(1), 1: rf(2)})),
+    # x = y^2 for every y
+    ([_eq(x=1, yy=-1)], 2, (), ("family", [1])),
+    # two rational points, and two irrational ones
+    ([_eq(xx=1, k=-1)], 1, (), ("other", None)),
+    ([_eq(xx=1, k=-2)], 1, (), ("other", None)),
+    # c x = 1 over Q(c): no denominator is cleared
+    ([{(0,): C, (): -RF_ONE}], 1, (), ("point", {0: 1 / C})),
+    # g1 and g2 solved for from their coefficients, c staying symbolic
+    ([{(): G1 + G2 - 1}, {(): G1 - G2 - 3}], 0, ("g1", "g2"),
+     ("point", {"g1": rf(2), "g2": rf(-1)})),
+    ([{(0,): G1, (): -RF_ONE}, _eq(x=1, k=-2), {(): C * G2 - 1}], 1,
+     ("g1", "g2"), ("point", {0: rf(2), "g1": rf("1/2"), "g2": 1 / C})),
+    # a name solved for that no equation uses is free
+    ([{(): G1 - 1}], 0, ("g1", "g2"), ("family", ["g2"])),
+])
+def test_common_zeros(equations, nunknown, params, want):
+    assert common_zeros(equations, nunknown, params) == want
+
+
+def test_common_zeros_refuses_a_denominator_in_an_unknown():
+    with pytest.raises(ScalarError):
+        common_zeros([{(): 1 / G1 - 1}], 0, ("g1",))
 
 
 def test_format_round_trip():
