@@ -28,7 +28,7 @@ from .algebras import (bundle, ghost_stress, w3, w32, w3_ghosts, w32_ghosts,
 from .brst import (BrstCurrent, NilpotencyReport, brst_w3, brst_w32,
                    critical_charge, derive_brst, nilpotency,
                    solve_conventional, unconventional_terms)
-from .tensors import (QlaData, Tensor, TwistData, check_proof_identities,
+from .tensors import (Mat, QlaData, check_proof_identities,
                       check_qla_axioms, check_twist_axioms, lie_super_twist,
                       super_permutation)
 from .omega import OmegaAlgebra, OmegaElement, build_q, verify_nilpotent

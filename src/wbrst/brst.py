@@ -270,7 +270,8 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
 
     ``common_zeros`` solves the equations through their reduced
     lexicographic Gröbner basis, with four outcomes.  A single rational
-    point gives the current.  A basis [1] means no current exists.  A
+    point gives the current.  A basis [1] means no current exists, for
+    generic values of the table parameters left symbolic, if any.  A
     family, which similarity transformations by ghost-number-zero
     charges can make, is reported with its free directions in
     ``DeriveReport.remaining``; pinning them selects a point.  Any other
@@ -323,8 +324,10 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
 
     outcome, found = common_zeros(equations, len(ansatz))
     if outcome == "none":
-        return None, DeriveReport("nilpotency system has no rational "
-                                  "solution")
+        none = ("no solution for generic values of "
+                + ", ".join(algebra.params) if algebra.params
+                else "no rational solution")
+        return None, DeriveReport("nilpotency system has " + none)
     if outcome == "family":
         free = [basis[ansatz[k]] for k in found]
         return None, DeriveReport(

@@ -25,11 +25,11 @@ from .brst import (brst_w3, brst_w32, critical_charge, nilpotency,
                    solve_conventional, unconventional_terms)
 from .errors import WbrstError
 from .modes import crosscheck_bundle
-from .omega import OmegaAlgebra, build_q, verify_nilpotent
+from .omega import OmegaAlgebra, verify_nilpotent
 from .parsing import (format_field_expr, format_monomial,
                       parse_algebra_file, parse_field_expr, parse_qla_file)
 from .scalars import format_rational
-from .tensors import (braid_mat, check_proof_identities, check_qla_axioms,
+from .tensors import (check_proof_identities, check_qla_axioms,
                       check_twist_axioms)
 
 
@@ -103,12 +103,11 @@ def _residual_item(item):
 
 
 def cmd_qla_check(args) -> int:
-    data, twist = _load_qla(args.file)
-    st = twist.conjugate(braid_mat(data.sigma))
+    data = _load_qla(args.file)
     reports = [
         ("axioms", check_qla_axioms(data)),
-        ("twist", check_twist_axioms(data.sigma, twist, data.c, st)),
-        ("proof", check_proof_identities(data.sigma, data.c, twist, st)),
+        ("twist", check_twist_axioms(data)),
+        ("proof", check_proof_identities(data)),
     ]
     checks = _axiom_payload(reports)
     ok = all(e["pass"] for e in checks.values())
@@ -120,10 +119,9 @@ def cmd_qla_check(args) -> int:
 
 
 def cmd_qla_brst(args) -> int:
-    data, twist = _load_qla(args.file)
-    alg = OmegaAlgebra(data, twist)
-    q = build_q(alg)
-    ok, residual = verify_nilpotent(alg, q)
+    alg = OmegaAlgebra(_load_qla(args.file))
+    ok, residual = verify_nilpotent(alg)
+    q = alg.q
     payload = {"file": args.file,
                "ghost_number": q.ghost_number(),
                "verdict": "nilpotent" if ok else "obstructed"}

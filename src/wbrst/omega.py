@@ -10,9 +10,10 @@ index order of the c block reversed) and braid symmetrization plus a
 linear remainder for the generator block.
 
 Every relation reads the dataset through the row-convention matrices of
-``tensors`` (sigma, sigma_tilde = phi sigma phi^{-1}, phi and C), turned
-into lookup tables by ``pair_table`` once per algebra: the exchange moves
-b c, b x and x c, and the sigma and C rows of the generator reduction.
+its ``QlaData`` (sigma, sigma_tilde = phi sigma phi^{-1}, phi and C),
+turned into lookup tables by ``pair_table`` once per algebra: the
+exchange moves b c, b x and x c, and the sigma and C rows of the
+generator reduction.  The differential Q is built once per algebra.
 
 Canonical forms make equality decidable, which is what the nilpotency
 check of the ghost differential needs.
@@ -21,12 +22,12 @@ check of the ghost differential needs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import WbrstError
 from .scalars import RF_ONE, _add_into, rf
-from .tensors import (Mat, QlaData, TwistData, antisymmetrizer_mats,
-                      braid_mat, c_mat, embed, flatten, pair_table,
-                      quasi_idempotent_rescale, unflatten)
+from .tensors import (Mat, QlaData, antisymmetrizer_mats, embed, flatten,
+                      pair_table, quasi_idempotent_rescale, unflatten)
 
 
 class OmegaError(WbrstError):
@@ -43,13 +44,11 @@ P_MAX, Q_MAX, R_MAX = 4, 2, 2
 class OmegaAlgebra:
     """Precomputed exchange data for one quantum Lie algebra dataset."""
 
-    def __init__(self, data: QlaData, twist: TwistData):
+    def __init__(self, data: QlaData):
         self.data = data
-        self.twist = twist
         self.n = data.n
         n = self.n
-        s = braid_mat(data.sigma)
-        self.st_mat = twist.conjugate(s)
+        self.st_mat = data.sigma_tilde
         ident = Mat.identity(n * n)
         if not (self.st_mat @ self.st_mat - ident).is_zero():
             raise OmegaError("twisted braid matrix is not involutive")
@@ -75,14 +74,19 @@ class OmegaAlgebra:
             ("b", "c"): pair_table(self.st_mat.scaled(-1), n,
                                    partial_transpose=True),
             # b_m chi_n = phi^{kl}_{mn} chi_k b_l
-            ("b", "x"): pair_table(twist.phi_mat, n),
+            ("b", "x"): pair_table(data.phi, n),
             # chi_n c^l = phi^{kl}_{mn} c^m chi_k
-            ("x", "c"): pair_table(twist.phi_mat, n, partial_transpose=True),
+            ("x", "c"): pair_table(data.phi, n, partial_transpose=True),
         }
         # generator pairs: chi_i chi_j - sigma^{kl}_{ij} chi_k chi_l
         # = C^k_{ij} chi_k
-        self.sigma_rows = pair_table(s, n)
-        self.c_rows = pair_table(c_mat(data.c), n, out_factors=1)
+        self.sigma_rows = pair_table(data.sigma, n)
+        self.c_rows = pair_table(data.c, n, out_factors=1)
+
+    @cached_property
+    def q(self) -> "OmegaElement":
+        """The ghost differential of ``build_q``."""
+        return build_q(self)
 
     def element(self, terms=None) -> "OmegaElement":
         return OmegaElement(self, terms or {})
@@ -276,7 +280,7 @@ def build_q(alg: OmegaAlgebra) -> OmegaElement:
     as in the c block."""
     n = alg.n
     linear = {(i, i): RF_ONE for i in range(n)}
-    phi_c = alg.twist.phi_mat @ c_mat(alg.data.c)
+    phi_c = alg.data.phi @ alg.data.c
     half = Fraction(-1, 2)
     cubic = {(x, y, k): v * half
              for (y, x), entries in pair_table(phi_c, n, out_factors=1).items()
@@ -285,10 +289,8 @@ def build_q(alg: OmegaAlgebra) -> OmegaElement:
     return q.canonicalized()
 
 
-def verify_nilpotent(alg: OmegaAlgebra, q: OmegaElement = None):
-    """Square the differential in canonical form, ``q`` when the caller
-    has built it already; returns (bool, residual)."""
-    if q is None:
-        q = build_q(alg)
-    sq = q * q
+def verify_nilpotent(alg: OmegaAlgebra):
+    """Square the differential in canonical form; returns (bool,
+    residual)."""
+    sq = alg.q * alg.q
     return sq.is_zero(), sq

@@ -441,23 +441,24 @@ def format_algebra_file(algebra) -> str:
 
 
 def parse_qla_file(text: str):
-    """Build (QlaData, TwistData) from a QLA definition file.
+    """Build a ``QlaData`` from a QLA definition file.
 
     Index convention in files is 1-based; ``sigma i j k l = coeff`` sets
     the entry with upper indices (k, l) and lower indices (i, j), and
     ``c i j k = coeff`` sets the structure constant with upper index k.
     The format declares no parameters, so a coefficient is a number.
+    The twist is given once: by a ``phi = MODE`` line, by explicit
+    ``phi i j k l`` entries, or by both with ``phi = explicit``.
     """
-    from .tensors import (QlaData, Tensor, TwistData, lie_super_twist,
-                          super_permutation, twist_from_phi)
+    from .tensors import (Mat, QlaData, flatten, lie_super_twist,
+                          super_permutation)
 
     n = None
     parities = None
-    sigma_entries = {}
-    c_entries = {}
+    ranks = {"sigma": 4, "c": 3, "phi": 4}
+    entries = []  # (lineno, head, 1-based indices, coefficient)
     phi_mode = None
-    phi_entries = {}
-    phi_line = 1
+    phi_line = None  # the last line that gave phi, mode or entry
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -473,31 +474,26 @@ def parse_qla_file(text: str):
             if any(p not in mapping for p in parts[1:]):
                 raise ParseError("parities are e, even, o or odd", lineno)
             parities = [mapping[p] for p in parts[1:]]
-        elif (head in ("sigma", "c", "phi") and "=" in line
+        elif (head in ranks and "=" in line
               and all(p.isdigit() for p in line.partition("=")[0].split()[1:])
               and len(line.partition("=")[0].split()) > 1):
             lhs, _, rhs = line.partition("=")
-            lparts = lhs.split()
-            idx = tuple(int(x) - 1 for x in lparts[1:])
-            coeff = parse_coefficient(rhs.strip(), lineno, {})
-            if head == "sigma":
-                if len(idx) != 4:
-                    raise ParseError("sigma needs 4 indices", lineno)
-                i, j, k, l = idx
-                sigma_entries[(k, l, i, j)] = coeff
-            elif head == "c":
-                if len(idx) != 3:
-                    raise ParseError("c needs 3 indices", lineno)
-                i, j, k = idx
-                c_entries[(k, i, j)] = coeff
-            else:
-                if len(idx) != 4:
-                    raise ParseError("phi needs 4 indices", lineno)
-                i, j, k, l = idx
-                phi_entries[(k, l, i, j)] = coeff
+            idx = tuple(int(x) for x in lhs.split()[1:])
+            if len(idx) != ranks[head]:
+                raise ParseError(f"{head} needs {ranks[head]} indices", lineno)
+            if head == "phi":
+                if phi_mode not in (None, "explicit"):
+                    raise ParseError("phi given twice", lineno)
                 phi_line = lineno
+            entries.append((lineno, head, idx,
+                            parse_coefficient(rhs.strip(), lineno, {})))
         elif head == "phi":
-            phi_mode = " ".join(p for p in parts[1:] if p != "=")
+            mode = " ".join(p for p in parts[1:] if p != "=")
+            if mode not in ("superperm", "sigma", "explicit"):
+                raise ParseError(f"unknown phi mode {mode!r}", lineno)
+            if phi_mode is not None or (phi_line and mode != "explicit"):
+                raise ParseError("phi given twice", lineno)
+            phi_mode = mode
             phi_line = lineno
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
@@ -507,20 +503,28 @@ def parse_qla_file(text: str):
         parities = [0] * n
     if len(parities) != n:
         raise ParseError("parities length does not match dim", 1)
-    sigma = Tensor(4, n, sigma_entries)
-    c = Tensor(3, n, c_entries)
-    data = QlaData(n, tuple(parities), sigma, c)
+    # sigma and phi at [(i, j), (k, l)], C at [(i, j), k]
+    mats = {"sigma": Mat(n * n, n * n), "c": Mat(n * n, n),
+            "phi": Mat(n * n, n * n)}
+    for lineno, head, idx, coeff in entries:
+        if not all(1 <= i <= n for i in idx):
+            raise ParseError(f"index outside 1..{n} in {head} "
+                             + " ".join(map(str, idx)), lineno)
+        lower, upper = idx[:2], idx[2:]
+        mats[head].set(flatten([i - 1 for i in lower], n),
+                       flatten([i - 1 for i in upper], n), coeff)
+    sigma = mats["sigma"]
     if phi_mode == "superperm":
         phi, _ = lie_super_twist(tuple(parities))
     elif phi_mode == "sigma":
         phi = sigma
-    elif phi_mode == "explicit" or (phi_mode is None and phi_entries):
-        phi = Tensor(4, n, phi_entries)
-    elif phi_mode is None:
-        phi = super_permutation(tuple(parities))
+    elif phi_line is not None:
+        phi = mats["phi"]
     else:
-        raise ParseError(f"unknown phi mode {phi_mode!r}", phi_line)
+        phi = super_permutation(tuple(parities))
+    data = QlaData(n, tuple(parities), sigma, mats["c"], phi)
     try:
-        return data, twist_from_phi(phi)
+        data.phi_inverse  # solved once here and cached for every check
     except ZeroDivisionError:
         raise ParseError("phi is singular", phi_line) from None
+    return data

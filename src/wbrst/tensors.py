@@ -1,69 +1,35 @@
 """Tensor calculus for quantum Lie algebra data {sigma, C, phi}.
 
-A braid matrix sigma^{kl}_{ij} is stored as a rank-4 Tensor with index
-order (k, l, i, j): upper pair first, then lower pair.  Structure
-constants C^k_{ij} are rank 3 with index order (k, i, j).
-
 All the defining identities and the proof identities are products of
 operators written left to right, acting on row vectors (in the algebra the
 ghost coefficients multiply from the left).  We therefore realize every
 operator as a sparse matrix indexed [input multi-index, output multi-index]
 over the flattened space {0..N-1}^k, and multiply matrices in the written
-order of the identity.  A braid matrix becomes M[(i1,i2), (k1,k2)] =
-sigma^{k1 k2}_{i1 i2}.
+order of the identity.  This is the one encoding of a dataset: a braid
+matrix or twist is the matrix [(i, j), (k, l)] = sigma^{kl}_{ij}, and the
+structure constants are the contraction [(i, j), k] = C^k_{ij} of two
+factors into one.
 
 Every identity checked here, except the solvability of C = (1 - sigma) t,
 is a product of such matrices: ``embed`` places an operator on adjacent
-factors of a larger space, be it a braid matrix, the contraction
-``c_mat(C)`` with [(i, j), k] = C^k_{ij}, or an antisymmetrizer.  A failing
-identity reports its first nonzero entries as (row multi-index, column
-multi-index, value), in the order of the flattened indices.
+factors of a larger space, be it a braid matrix, the contraction C or an
+antisymmetrizer.  A failing identity reports its first nonzero entries as
+(row multi-index, column multi-index, value), in the order of the
+flattened indices.
 
-This module holds the index convention of the data: ``omega`` reads sigma,
-sigma_tilde, phi and C only through these matrices, as the lookup tables
-of ``pair_table``.
+``QlaData`` holds these matrices; ``omega`` reads sigma, sigma_tilde, phi
+and C only through them, as the lookup tables of ``pair_table``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import factorial
 
 from .linalg import solve_columns
-from .scalars import RF_ONE, RF_ZERO, RationalFunction, _add_into, rf
-
-
-class Tensor:
-    """Sparse tensor with all index ranges equal to n."""
-
-    def __init__(self, rank: int, n: int, entries: dict):
-        self.rank = rank
-        self.n = n
-        self.entries = {}
-        for idx, val in entries.items():
-            val = rf(val)
-            if not val.is_zero:
-                if len(idx) != rank or any(not (0 <= i < n) for i in idx):
-                    raise ValueError(f"bad index {idx} for rank {rank}, n {n}")
-                self.entries[idx] = val
-
-    def get(self, idx) -> RationalFunction:
-        return self.entries.get(tuple(idx), RF_ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        return (isinstance(other, Tensor) and self.rank == other.rank
-                and self.n == other.n and self.entries == other.entries)
-
-    def items(self):
-        return self.entries.items()
-
-    def __repr__(self):
-        return f"Tensor(rank={self.rank}, n={self.n}, nnz={len(self.entries)})"
+from .scalars import RF_ONE, RF_ZERO, _add_into, rf
 
 
 class Mat:
@@ -170,29 +136,10 @@ def _factors(size, n) -> int:
     return k
 
 
-def braid_mat(t: Tensor) -> Mat:
-    """Row-convention matrix of a rank-4 tensor on the two-factor space."""
-    n = t.n
-    m = Mat(n * n, n * n)
-    for (k1, k2, i1, i2), v in t.items():
-        m.set(flatten((i1, i2), n), flatten((k1, k2), n), v)
-    return m
-
-
-def c_mat(c: Tensor) -> Mat:
-    """Row-convention matrix of structure constants, [(i, j), k] = C^k_{ij}:
-    the operator contracting two factors into one."""
-    n = c.n
-    m = Mat(n * n, n)
-    for (k, i, j), v in c.items():
-        m.set(flatten((i, j), n), k, v)
-    return m
-
-
 def embed(m: Mat, n: int, total: int, pos: int) -> Mat:
     """id^{pos} (x) m (x) id^{rest} on the total-factor space, for m an
     operator from a to b factors acting on factors pos .. pos + a - 1: a
-    braid matrix, the contraction ``c_mat(C)`` (the other factors pass
+    braid matrix, the contraction C (the other factors pass
     through: the delta insertions of the proof identities) or a projector."""
     a, b = _factors(m.nrows, n), _factors(m.ncols, n)
     rest = n ** (total - pos - a)
@@ -231,15 +178,15 @@ def pair_table(m: Mat, n: int, out_factors: int = 2,
 # -- constructors ----------------------------------------------------------
 
 
-def super_permutation(parities) -> Tensor:
+def super_permutation(parities) -> Mat:
     """sigma^{k1 k2}_{i1 i2} = (-1)^{(i1)(i2)} delta^{k1}_{i2} delta^{k2}_{i1}."""
     n = len(parities)
-    entries = {}
+    m = Mat(n * n, n * n)
     for i1 in range(n):
         for i2 in range(n):
-            sign = -1 if parities[i1] and parities[i2] else 1
-            entries[(i2, i1, i1, i2)] = sign
-    return Tensor(4, n, entries)
+            m.set(flatten((i1, i2), n), flatten((i2, i1), n),
+                  -1 if parities[i1] and parities[i2] else 1)
+    return m
 
 
 def lie_super_twist(parities):
@@ -250,52 +197,50 @@ def lie_super_twist(parities):
     sigma_tilde^{kl}_{mn} = (-1)^{(m)(n)+(m)+(n)} delta^k_n delta^l_m.
     """
     n = len(parities)
-    phi_e, st_e = {}, {}
+    phi, st = Mat(n * n, n * n), Mat(n * n, n * n)
     for m in range(n):
         for nn in range(n):
             pm, pn = parities[m], parities[nn]
-            phi_e[(nn, m, m, nn)] = -1 if (pn * (pm + 1)) % 2 else 1
-            st_e[(nn, m, m, nn)] = -1 if (pm * pn + pm + pn) % 2 else 1
-    return Tensor(4, n, phi_e), Tensor(4, n, st_e)
+            r, c = flatten((m, nn), n), flatten((nn, m), n)
+            phi.set(r, c, -1 if (pn * (pm + 1)) % 2 else 1)
+            st.set(r, c, -1 if (pm * pn + pm + pn) % 2 else 1)
+    return phi, st
 
 
-# -- data bundles ----------------------------------------------------------
+# -- the dataset -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class QlaData:
+    """A quantum Lie algebra dataset on n generators: the braid matrix
+    sigma and the twist phi at [(i, j), (k, l)] = sigma^{kl}_{ij}, and the
+    structure constants c at [(i, j), k] = C^k_{ij}."""
     n: int
     parities: tuple
-    sigma: Tensor
-    c: Tensor
+    sigma: Mat
+    c: Mat
+    phi: Mat
 
+    @cached_property
+    def phi_inverse(self) -> Mat:
+        """Raises ZeroDivisionError when phi is singular."""
+        p = self.phi
+        size = p.nrows
+        # row r of the inverse solves x p = e_r, that is p^T x = e_r
+        transposed = [[p.get(r, c) for r in range(size)] for c in range(size)]
+        units = [[RF_ONE if r == c else RF_ZERO for c in range(size)]
+                 for r in range(size)]
+        rows = solve_columns(transposed, units, RF_ZERO, RF_ONE)
+        if None in rows:
+            raise ZeroDivisionError("phi is singular")
+        return Mat(size, size, {r: {c: v for c, v in enumerate(x) if v}
+                                for r, x in enumerate(rows)})
 
-@dataclass
-class TwistData:
-    """A twist phi with its braid matrix and that matrix's inverse, which
-    is computed once here and shared by every check of the twist."""
-    phi: Tensor
-    phi_mat: Mat
-    phi_inverse_mat: Mat
-
-    def conjugate(self, braid: Mat) -> Mat:
-        """phi braid phi^{-1} (written order); sigma_tilde for sigma."""
-        return self.phi_mat @ braid @ self.phi_inverse_mat
-
-
-def twist_from_phi(phi: Tensor) -> TwistData:
-    """Raises ZeroDivisionError when phi is singular."""
-    p = braid_mat(phi)
-    size = p.nrows
-    # row r of the inverse solves x p = e_r, that is p^T x = e_r
-    transposed = [[p.get(r, c) for r in range(size)] for c in range(size)]
-    units = [[RF_ONE if r == c else RF_ZERO for c in range(size)]
-             for r in range(size)]
-    rows = solve_columns(transposed, units, RF_ZERO, RF_ONE)
-    if None in rows:
-        raise ZeroDivisionError("phi is singular")
-    return TwistData(phi, p, Mat(size, size, {
-        r: {c: v for c, v in enumerate(x) if v} for r, x in enumerate(rows)}))
+    @cached_property
+    def sigma_tilde(self) -> Mat:
+        """phi sigma phi^{-1} (written order), the braid of the twisted
+        ghosts."""
+        return self.phi @ self.sigma @ self.phi_inverse
 
 
 @dataclass
@@ -335,7 +280,7 @@ def check_qla_axioms(d: QlaData) -> AxiomReport:
     witness."""
     n = d.n
     rep = AxiomReport(n)
-    s = braid_mat(d.sigma)
+    s = d.sigma
     ident2 = Mat.identity(n * n)
     rep.record_mat("sigma_unitary", s @ s - ident2)
 
@@ -345,7 +290,7 @@ def check_qla_axioms(d: QlaData) -> AxiomReport:
 
     # Jacobi and the two sigma-C compatibilities on three factors, and
     # (1 + sigma) C = 0 on two
-    c2 = c_mat(d.c)
+    c2 = d.c
     c12, c23 = embed(c2, n, 3, 0), embed(c2, n, 3, 1)
     rep.record_mat("jacobi", (c12 - s23 @ c12 - c23) @ c2)
     rep.record_mat("sigma_c_compat_1", c12 @ s - s23 @ s12 @ c23)
@@ -355,30 +300,29 @@ def check_qla_axioms(d: QlaData) -> AxiomReport:
 
     # existence of t with C^i_{jk} = (delta - sigma)^{lm}_{jk} t^i_{lm}:
     # one row reduction of [1 - sigma | C^1 ... C^n]
-    pairs = list(itertools.product(range(n), repeat=2))
-    matrix = [[(RF_ONE if lm == jk else RF_ZERO) - d.sigma.get(lm + jk)
+    # (rows jk, columns lm), and t^i_{lm} is the witness t at [(l, m), i]
+    pairs = range(n * n)
+    matrix = [[(RF_ONE if lm == jk else RF_ZERO) - s.get(jk, lm)
                for lm in pairs] for jk in pairs]
-    columns = [[d.c.get((i,) + jk) for jk in pairs] for i in range(n)]
+    columns = [[c2.get(jk, i) for jk in pairs] for i in range(n)]
     xs = solve_columns(matrix, columns, RF_ZERO, RF_ONE)
     if any(x is None for x in xs):
         rep.record("t_exists", [("no solution of C = (1 - sigma) t",)])
     else:
         rep.record("t_exists", [])
-        rep.extras["t_witness"] = Tensor(3, n, {
-            (i,) + lm: v for i, x in enumerate(xs)
-            for lm, v in zip(pairs, x)})
+        t = Mat(n * n, n)
+        for i, x in enumerate(xs):
+            for lm, v in enumerate(x):
+                t.set(lm, i, v)
+        rep.extras["t_witness"] = t
     return rep
 
 
-def check_twist_axioms(sigma: Tensor, twist: TwistData, c: Tensor = None,
-                       sigma_tilde: Mat = None) -> AxiomReport:
-    """Residuals of the twist-pair compatibility equations; ``sigma_tilde``
-    is twist.conjugate of sigma's braid matrix when the caller has it."""
-    n = sigma.n
+def check_twist_axioms(d: QlaData) -> AxiomReport:
+    """Residuals of the twist-pair compatibility equations."""
+    n = d.n
     rep = AxiomReport(n)
-    s = braid_mat(sigma)
-    p = twist.phi_mat
-    st = twist.conjugate(s) if sigma_tilde is None else sigma_tilde
+    s, p, st = d.sigma, d.phi, d.sigma_tilde
 
     s12, s23 = embed(s, n, 3, 0), embed(s, n, 3, 1)
     p12, p23 = embed(p, n, 3, 0), embed(p, n, 3, 1)
@@ -392,11 +336,8 @@ def check_twist_axioms(sigma: Tensor, twist: TwistData, c: Tensor = None,
         rep.record("sigmatilde_unitary", [("sigma itself is not unitary",)])
     else:
         rep.record_mat("sigmatilde_unitary", st @ st - Mat.identity(n * n))
-    if c is not None:
-        cm = c_mat(c)
-        lhs = p12 @ p23 @ embed(cm, n, 3, 0)
-        rhs = embed(cm, n, 3, 1) @ p
-        rep.record_mat("phi_c_compat", lhs - rhs)
+    lhs = p12 @ p23 @ embed(d.c, n, 3, 0)
+    rep.record_mat("phi_c_compat", lhs - embed(d.c, n, 3, 1) @ p)
     return rep
 
 
@@ -445,43 +386,25 @@ def quasi_idempotent_rescale(m: Mat, label="antisymmetrizer") -> Mat:
     return out
 
 
-def antisymmetrizer(sigma: Tensor, k: int, check=True) -> Mat:
-    """The rank-k antisymmetrizing projector for a unitary braid matrix."""
-    n = sigma.n
-    s = braid_mat(sigma)
-    if check:
-        if not (s @ s - Mat.identity(n * n)).is_zero():
-            raise ValueError("antisymmetrizer needs a unitary braid matrix")
-        s12, s23 = embed(s, n, 3, 0), embed(s, n, 3, 1)
-        if not (s12 @ s23 @ s12 - s23 @ s12 @ s23).is_zero():
-            raise ValueError("antisymmetrizer needs the braid relation")
-    return quasi_idempotent_rescale(antisymmetrizer_mats(s, n, k)[k],
-                                    f"rank-{k} antisymmetrizer")
-
-
-def higher_phi_mat(twist: TwistData, m: int) -> Mat:
+def higher_phi_mat(d: QlaData, m: int) -> Mat:
     """phi_{1..m} = (phi_1 .. phi_{m-1})(phi_1 .. phi_{m-2}) ... phi_1."""
-    n = twist.phi.n
-    emb = [embed(twist.phi_mat, n, m, j) for j in range(m - 1)]
-    out = Mat.identity(n ** m)
+    emb = [embed(d.phi, d.n, m, j) for j in range(m - 1)]
+    out = Mat.identity(d.n ** m)
     for top in range(m - 1, 0, -1):
         for j in range(top):
             out = out @ emb[j]
     return out
 
 
-def check_proof_identities(sigma: Tensor, c: Tensor, twist: TwistData,
-                           sigma_tilde: Mat = None) -> AxiomReport:
+def check_proof_identities(d: QlaData) -> AxiomReport:
     """The higher-twist, antisymmetrizer and structure-constant identities
-    used in the nilpotency proof, on up to four tensor factors;
-    ``sigma_tilde`` as in check_twist_axioms."""
-    n = sigma.n
+    used in the nilpotency proof, on up to four tensor factors."""
+    n = d.n
     rep = AxiomReport(n)
-    s = braid_mat(sigma)
-    st = twist.conjugate(s) if sigma_tilde is None else sigma_tilde
+    s, st = d.sigma, d.sigma_tilde
 
     # phi_{1..m} sigma_{1+k} = sigmatilde_{m-k-1} phi_{1..m}
-    bigs = {m: higher_phi_mat(twist, m) for m in (2, 3, 4)}
+    bigs = {m: higher_phi_mat(d, m) for m in (2, 3, 4)}
     for m, big in bigs.items():
         for k in range(m - 1):
             lhs = big @ embed(s, n, m, k)
@@ -499,7 +422,7 @@ def check_proof_identities(sigma: Tensor, c: Tensor, twist: TwistData,
     # equal braids (sigma_tilde = sigma whenever phi commutes with sigma)
     # have equal antisymmetrizers
     asig = ast if st == s else antisymmetrizer_mats(s, n, 4)
-    cm = c_mat(c)
+    cm = d.c
     c12 = embed(cm, n, 3, 0)
     # A_4 C_{34} C_{12}delta (1 - sigma_1) = 0
     lhs = asig[4] @ embed(cm, n, 4, 2) @ c12 @ (Mat.identity(n * n) - s)

@@ -1,5 +1,6 @@
 """Shared fixtures: bundled datasets and small helper algebras."""
 
+import dataclasses
 import itertools
 import pathlib
 
@@ -7,8 +8,8 @@ import pytest
 
 from wbrst.omega import OmegaAlgebra
 from wbrst.parsing import parse_algebra_file, parse_qla_file
-from wbrst.scalars import RF_ONE, RF_ZERO
-from wbrst.tensors import QlaData, Tensor
+from wbrst.scalars import RF_ONE
+from wbrst.tensors import Mat, flatten
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "wbrst" / "data"
 TEST_DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -38,19 +39,26 @@ ALG_FILES = ("w3.alg", "w3_printed.alg", "w3_ghosts.alg", "w3_ghosts_free.alg",
              "w32.alg", "w32_ghosts.alg", "w32_ghosts_free.alg")
 
 
+def shifted(m, row, col, by=RF_ONE):
+    """A copy of the matrix m with ``by`` added at [row, col]."""
+    out = Mat(m.nrows, m.ncols, {r: dict(es) for r, es in m.rows.items()})
+    out.set(row, col, m.get(row, col) + by)
+    return out
+
+
 def qla_mutations(d):
     """(kind, index, data) for every single-entry +1 mutation of sigma and
-    of C, in index order: n^4 + n^3 datasets."""
-    for idx in itertools.product(range(d.n), repeat=4):
-        ent = dict(d.sigma.items())
-        ent[idx] = ent.get(idx, RF_ZERO) + RF_ONE
-        yield ("sigma", idx,
-               QlaData(d.n, d.parities, Tensor(4, d.n, ent), d.c))
-    for idx in itertools.product(range(d.n), repeat=3):
-        ent = dict(d.c.items())
-        ent[idx] = ent.get(idx, RF_ZERO) + RF_ONE
-        yield ("c", idx,
-               QlaData(d.n, d.parities, d.sigma, Tensor(3, d.n, ent)))
+    of C, with the dataset's own phi, in index order: n^4 + n^3 datasets.
+    The index is 0-based, upper indices first: (k, l, i, j) for
+    sigma^{kl}_{ij} and (k, i, j) for C^k_{ij}, as the recorded verdict
+    tables name them."""
+    n = d.n
+    for k, l, i, j in itertools.product(range(n), repeat=4):
+        yield ("sigma", (k, l, i, j), dataclasses.replace(d, sigma=shifted(
+            d.sigma, flatten((i, j), n), flatten((k, l), n))))
+    for k, i, j in itertools.product(range(n), repeat=3):
+        yield ("c", (k, i, j), dataclasses.replace(
+            d, c=shifted(d.c, flatten((i, j), n), k)))
 
 
 @pytest.fixture(scope="session")
@@ -60,10 +68,9 @@ def qla_datasets():
 
 @pytest.fixture(scope="session")
 def omega_algebras(qla_datasets):
-    return {name: OmegaAlgebra(d, tw)
-            for name, (d, tw) in qla_datasets.items()}
+    return {name: OmegaAlgebra(d) for name, d in qla_datasets.items()}
 
 
 @pytest.fixture(scope="session")
 def color_borel_omega():
-    return OmegaAlgebra(*load_color_borel())
+    return OmegaAlgebra(load_color_borel())

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import QLA_FILES, load_alg, load_qla
+from conftest import QLA_FILES, load_alg, load_qla, qla_mutations
 from wbrst.algebras import (bundle, rebase_expr, verify_ghost_transform_w3,
                             verify_ghost_transform_w32, w3, w32, w32_ghosts,
                             w3_ghosts)
@@ -17,9 +17,9 @@ from wbrst.brst import (brst_w3, brst_w32, critical_charge, derive_brst,
 from wbrst.fields import FieldExpr, Monomial, UNIT
 from wbrst.modes import crosscheck_bundle
 from wbrst.omega import OmegaAlgebra, OmegaError, verify_nilpotent
-from wbrst.scalars import RF_ZERO, RationalFunction as RF
-from wbrst.tensors import (QlaData, Tensor, check_proof_identities,
-                           check_qla_axioms, check_twist_axioms)
+from wbrst.scalars import RationalFunction as RF
+from wbrst.tensors import (check_proof_identities, check_qla_axioms,
+                           check_twist_axioms)
 
 
 def _gen(alg, name):
@@ -109,43 +109,31 @@ def test_total_stress_tensor():
 
 @pytest.mark.parametrize("name", QLA_FILES)
 def test_qla_datasets_pass_all_checks(name):
-    d, tw = load_qla(name)
+    d = load_qla(name)
     assert check_qla_axioms(d).all_pass
-    assert check_twist_axioms(d.sigma, tw, d.c).all_pass
-    assert check_proof_identities(d.sigma, d.c, tw).all_pass
-    ok, residual = verify_nilpotent(OmegaAlgebra(d, tw))
+    assert check_twist_axioms(d).all_pass
+    assert check_proof_identities(d).all_pass
+    ok, residual = verify_nilpotent(OmegaAlgebra(d))
     assert ok, residual
 
 
 @pytest.mark.parametrize("name", QLA_FILES)
 def test_every_qla_mutation_caught(name):
-    d, tw = load_qla(name)
-    one = RF.const(1)
-
     def caught(d2):
         if not check_qla_axioms(d2).all_pass:
             return True
-        if not check_twist_axioms(d2.sigma, tw, d2.c).all_pass:
+        if not check_twist_axioms(d2).all_pass:
             return True
-        if not check_proof_identities(d2.sigma, d2.c, tw).all_pass:
+        if not check_proof_identities(d2).all_pass:
             return True
         try:
-            ok, _ = verify_nilpotent(OmegaAlgebra(d2, tw))
+            ok, _ = verify_nilpotent(OmegaAlgebra(d2))
         except OmegaError:
             return True
         return not ok
 
-    missed = []
-    for idx in itertools.product(range(d.n), repeat=4):
-        ent = {k: v for k, v in d.sigma.items()}
-        ent[idx] = ent.get(idx, RF_ZERO) + one
-        if not caught(QlaData(d.n, d.parities, Tensor(4, d.n, ent), d.c)):
-            missed.append(("sigma", idx))
-    for idx in itertools.product(range(d.n), repeat=3):
-        ent = {k: v for k, v in d.c.items()}
-        ent[idx] = ent.get(idx, RF_ZERO) + one
-        if not caught(QlaData(d.n, d.parities, d.sigma, Tensor(3, d.n, ent))):
-            missed.append(("c", idx))
+    missed = [(kind, idx) for kind, idx, d2 in qla_mutations(load_qla(name))
+              if not caught(d2)]
     assert missed == []
 
 

@@ -29,15 +29,18 @@ def test_qla_check_pass(capsys):
 
 def test_qla_check_conjugates_sigma_once(monkeypatch, capsys):
     # sigma_tilde = phi sigma phi^-1 is shared by the twist and proof checks
-    from wbrst.tensors import TwistData
+    from functools import cached_property
+    from wbrst.tensors import QlaData
     calls = []
-    conjugate = TwistData.conjugate
+    conjugate = QlaData.sigma_tilde.func
 
-    def counted(self, braid):
-        calls.append(braid)
-        return conjugate(self, braid)
+    def counted(self):
+        calls.append(self)
+        return conjugate(self)
 
-    monkeypatch.setattr(TwistData, "conjugate", counted)
+    prop = cached_property(counted)
+    prop.__set_name__(QlaData, "sigma_tilde")
+    monkeypatch.setattr(QlaData, "sigma_tilde", prop)
     code, payload, _ = run_json(capsys, "qla", "check", "so3")
     assert code == 0 and payload["ok"] is True
     assert len(calls) == 1
@@ -60,7 +63,6 @@ def test_symbolic_brst_builds_one_derivative_system(monkeypatch, capsys):
 
 
 def test_qla_brst_builds_q_once(monkeypatch, capsys):
-    import wbrst.cli
     import wbrst.omega
     calls = []
     build_q = wbrst.omega.build_q
@@ -69,7 +71,6 @@ def test_qla_brst_builds_q_once(monkeypatch, capsys):
         calls.append(alg)
         return build_q(alg)
 
-    monkeypatch.setattr(wbrst.cli, "build_q", counted)
     monkeypatch.setattr(wbrst.omega, "build_q", counted)
     code, payload, _ = run_json(capsys, "qla", "brst", "so3")
     assert code == 0 and payload["verdict"] == "nilpotent"
@@ -372,6 +373,25 @@ def test_qla_brst_outside_the_omega_domain(tmp_path, capsys, name, old, new):
     code, out, err = run(capsys, "qla", "brst", path)
     _no_traceback(code, err)
     assert "involutive" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    # under dim 1 the index 2 is out of range, reported as the file writes it
+    ("dim 1\nsigma 1 1 1 2 = 1\n", "index outside 1..1 in sigma 1 1 1 2 "
+                                    "at line 2"),
+    ("dim 1\nsigma 1 1 1 2 = 0\n", "index outside 1..1 in sigma 1 1 1 2 "
+                                    "at line 2"),
+    ("dim 1\nsigma 1 1 1 1 = 1\nphi = sigma\nphi 1 1 1 1 = 5\n",
+     "phi given twice at line 4"),
+    ("dim 1\nphi = superperm\nphi 1 1 1 1 = 5\n", "phi given twice at line 3"),
+])
+@pytest.mark.parametrize("cmd", ["check", "brst"])
+def test_qla_file_faults_are_bad_input(tmp_path, capsys, cmd, text, message):
+    path = tmp_path / "faulty.qla"
+    path.write_text(text)
+    code, out, err = run(capsys, "qla", cmd, str(path))
+    _no_traceback(code, err)
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("name", ["g2", "zzz"])

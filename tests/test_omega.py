@@ -1,6 +1,7 @@
 """Ghost-extended constraint algebra: canonical forms, products, and the
 differential, with an independent matrix-representation oracle."""
 
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -9,11 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import QLA_FILES, load_qla, qla_mutations
+from conftest import QLA_FILES, load_qla, qla_mutations, shifted
 from wbrst.omega import OmegaAlgebra, OmegaError, build_q, verify_nilpotent
 from wbrst.scalars import RF_ONE, RationalFunction, _add_into
-from wbrst.tensors import (QlaData, Tensor, flatten, lie_super_twist,
-                           super_permutation, twist_from_phi, unflatten)
+from wbrst.tensors import (Mat, QlaData, flatten, lie_super_twist,
+                           super_permutation, unflatten)
 
 
 EPS = {t: 0 for t in itertools.product(range(3), repeat=3)}
@@ -144,11 +145,9 @@ def test_differential_squares_to_zero(name, omega_algebras):
 def test_mutated_so3_gives_residual():
     # shifting C^1_{12} breaks the Jacobi-type cancellation and leaves a
     # three-ghost residual in the square of the differential
-    d, tw = load_qla("so3.qla")
-    ent = {k: v for k, v in d.c.items()}
-    ent[(0, 0, 1)] = RF_ONE
-    d2 = QlaData(d.n, d.parities, d.sigma, Tensor(3, d.n, ent))
-    ok, residual = verify_nilpotent(OmegaAlgebra(d2, tw))
+    d = load_qla("so3.qla")
+    d2 = dataclasses.replace(d, c=shifted(d.c, flatten((0, 1), 3), 0))
+    ok, residual = verify_nilpotent(OmegaAlgebra(d2))
     assert not ok
     assert ("c", "c", "c", "b") in residual.terms
 
@@ -157,28 +156,53 @@ def test_mutated_so3_gives_residual():
 # over tensor entries that the tables of OmegaAlgebra replace
 
 
+def _upper_lower(m, n, upper):
+    """The entries of a row-convention matrix on pairs, with ``upper``
+    upper indices, keyed (upper..., lower...): (k, l, i, j) for
+    sigma^{kl}_{ij} at [(i, j), (k, l)], and (k, i, j) for C^k_{ij} at
+    [(i, j), k]."""
+    out = {}
+    for r, row in m.rows.items():
+        lower = divmod(r, n)
+        for col, v in row.items():
+            out[(divmod(col, n) if upper == 2 else (col,)) + lower] = v
+    return out
+
+
+def _c_mat(entries, n):
+    """The matrix [(i, j), k] of structure constants C^k_{ij} keyed
+    (k, i, j)."""
+    m = Mat(n * n, n)
+    for (k, i, j), v in entries.items():
+        m.set(i * n + j, k, v)
+    return m
+
+
 def _reference_tables(alg):
     """bc_swap, bx_swap, xc_swap, the sigma and C scans of the generator
     reduction and the cubic term of Q, each as {(known, output): value}."""
     n = alg.n
+    phi = _upper_lower(alg.data.phi, n, 2).items()
+    sigma = _upper_lower(alg.data.sigma, n, 2).items()
+    c = _upper_lower(alg.data.c, n, 1).items()
     bc, bx, xc, sig, cst, cubic = {}, {}, {}, {}, {}, {}
     for r, row in alg.st_mat.rows.items():
         j1, i2 = unflatten(r, n, 2)
         for cc, v in row.items():
             n1, k2 = unflatten(cc, n, 2)
             bc[((i2, k2), (j1, n1))] = -v
-    for (k, l, m, nn), v in alg.twist.phi.items():
+    for (k, l, m, nn), v in phi:
         bx[((m, nn), (k, l))] = v
         xc[((nn, l), (m, k))] = v
     for i, j in itertools.product(range(n), repeat=2):
-        for (k1, k2, si, sj), sv in alg.data.sigma.items():
+        for (k1, k2, si, sj), sv in sigma:
             if (si, sj) == (i, j):
                 sig[((i, j), (k1, k2))] = sv
-        for (k, ci, cj), cv in alg.data.c.items():
+        for (k, ci, cj), cv in c:
             if (ci, cj) == (i, j):
                 cst[((i, j), (k,))] = cv
-    for (m, nn, y, x), pv in alg.twist.phi.items():
-        for (k, ci, cj), cv in alg.data.c.items():
+    for (m, nn, y, x), pv in phi:
+        for (k, ci, cj), cv in c:
             if (ci, cj) == (m, nn):
                 _add_into(cubic, (x, y, k), pv * cv * Fraction(-1, 2))
     return bc, bx, xc, sig, cst, cubic
@@ -194,11 +218,10 @@ def _super_algebras():
         phi, _ = lie_super_twist(parities)
         n = len(parities)
         # [x_1, x_j] = x_j for every odd j: a Lie superalgebra
-        c = Tensor(3, n, {
-            e: v for j in range(1, n) if parities[j]
-            for e, v in (((j, 0, j), 1), ((j, j, 0), -1))})
-        data = QlaData(n, parities, super_permutation(parities), c)
-        yield parities, OmegaAlgebra(data, twist_from_phi(phi))
+        c = _c_mat({e: v for j in range(1, n) if parities[j]
+                    for e, v in (((j, 0, j), 1), ((j, j, 0), -1))}, n)
+        yield parities, OmegaAlgebra(
+            QlaData(n, parities, super_permutation(parities), c, phi))
 
 
 def test_tables_match_the_hand_built_reference(color_borel_omega):
@@ -219,7 +242,7 @@ def test_exchange_rewrites_each_pair_by_its_relation(color_borel_omega):
     # b c, b x and x c on single index pairs, against the relations read
     # straight off sigma_tilde and phi
     alg = color_borel_omega
-    n, st, phi = alg.n, alg.st_mat, alg.twist.phi_mat
+    n, st, phi = alg.n, alg.st_mat, alg.data.phi
     for i, k in itertools.product(range(n), repeat=2):
         got = alg.word(("b", "c"), {(i, k): 1})
         want = alg.scalar(1 if i == k else 0) + alg.word(("c", "b"), {
@@ -248,13 +271,13 @@ def qla_brst_verdicts() -> dict:
     "obstructed" with the residual sectors, or the OmegaError message."""
     table = {}
     for name in QLA_FILES:
-        d, tw = load_qla(name)
+        d = load_qla(name)
         variants = [("bundled", d)] + [
             (f"{kind} {' '.join(map(str, idx))} += 1", d2)
             for kind, idx, d2 in qla_mutations(d)]
         for label, d2 in variants:
             try:
-                ok, residual = verify_nilpotent(OmegaAlgebra(d2, tw))
+                ok, residual = verify_nilpotent(OmegaAlgebra(d2))
             except OmegaError as err:
                 verdict = f"error: {err}"
             else:

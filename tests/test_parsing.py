@@ -93,23 +93,22 @@ def test_unknown_directive_rejected():
 
 
 def test_qla_one_based_indices():
-    d, tw = parse_qla_file(read_data("so3.qla"))
+    d = parse_qla_file(read_data("so3.qla"))
     assert d.n == 3
-    # file line `c 1 2 3 = 1` lands on key (upper, lower, lower) = (2, 0, 1)
-    assert d.c.get((2, 0, 1)) == RF_ONE
-    assert d.c.get((2, 1, 0)) == -RF_ONE
+    # file line `c 1 2 3 = 1` lands on [(lower, lower), upper] = [(0, 1), 2]
+    assert d.c.get(0 * 3 + 1, 2) == RF_ONE
+    assert d.c.get(1 * 3 + 0, 2) == -RF_ONE
 
 
 def test_qla_phi_modes():
     from wbrst.tensors import lie_super_twist, super_permutation
-    d, tw = parse_qla_file(read_data("super_ef.qla"))
-    phi, _ = lie_super_twist(d.parities)
-    assert tw.phi.items() == phi.items()
-    d2, tw2 = parse_qla_file(read_data("lyubashenko.qla"))
-    assert tw2.phi.items() == d2.sigma.items()
-    d3, tw3 = parse_qla_file("dim 2\nsigma 1 2 2 1 = 1\nsigma 2 1 1 2 = 1\n"
-                             "sigma 1 1 1 1 = 1\nsigma 2 2 2 2 = 1\n")
-    assert tw3.phi.items() == super_permutation((0, 0)).items()
+    d = parse_qla_file(read_data("super_ef.qla"))
+    assert d.phi == lie_super_twist(d.parities)[0]
+    d2 = parse_qla_file(read_data("lyubashenko.qla"))
+    assert d2.phi == d2.sigma
+    d3 = parse_qla_file("dim 2\nsigma 1 2 2 1 = 1\nsigma 2 1 1 2 = 1\n"
+                        "sigma 1 1 1 1 = 1\nsigma 2 2 2 2 = 1\n")
+    assert d3.phi == super_permutation((0, 0))
 
 
 def test_qla_missing_dim_rejected():
@@ -124,7 +123,7 @@ def test_qla_parity_length_mismatch():
 
 @pytest.mark.parametrize("name", QLA_FILES)
 def test_qla_files_parse(name):
-    d, tw = parse_qla_file(read_data(name))
+    d = parse_qla_file(read_data(name))
     assert d.n >= 2
     assert len(d.parities) == d.n
 
@@ -181,6 +180,16 @@ def test_algebra_file_faults_name_the_line(text, line):
     ("dim 2\nsigma 1 1 1 1 = 1\nsigma 2 2 2 2 = 1\n"
      "phi 1 1 1 1 = 1\nphi 1 2 1 2 = 1\n", 5),
     ("dim\n", 1),
+    # an index outside 1..dim, whatever the value
+    ("dim 1\nsigma 1 1 1 1 = 1\nsigma 1 1 1 2 = 1\n", 3),
+    ("dim 1\nsigma 1 1 1 2 = 0\nsigma 1 1 1 1 = 1\n", 2),
+    ("dim 2\nc 1 2 3 = 1\n", 2),
+    ("dim 2\nphi = explicit\nphi 0 1 1 1 = 0\n", 3),
+    # phi given twice
+    ("dim 1\nsigma 1 1 1 1 = 1\nphi = sigma\nphi 1 1 1 1 = 5\n", 4),
+    ("dim 1\nphi 1 1 1 1 = 5\nphi = superperm\n", 3),
+    ("dim 1\nphi = superperm\nphi = sigma\n", 3),
+    ("dim 1\nphi = explicit\nphi 1 1 1 1 = 1\nphi = explicit\n", 4),
 ])
 def test_qla_file_faults_name_the_line(text, line):
     with pytest.raises(ParseError) as exc:

@@ -1,7 +1,9 @@
 """Tensor layer: braid data, axiom suites, antisymmetrizers, twists."""
 
+import dataclasses
 import itertools
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -10,58 +12,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import QLA_FILES, load_color_borel, load_qla, qla_mutations
+from conftest import (QLA_FILES, TEST_DATA, load_color_borel, load_qla,
+                      qla_mutations, shifted)
 from wbrst.cli import main
 from wbrst.linalg import solve, solve_columns
 from wbrst.omega import OmegaAlgebra, OmegaError, verify_nilpotent
 from wbrst.parsing import ParseError, parse_qla_file
-from wbrst.scalars import RF_ONE, RF_ZERO
-from wbrst.tensors import (Mat, QlaData, Tensor, antisymmetrizer, braid_mat,
-                           c_mat, check_proof_identities, check_qla_axioms,
+from wbrst.scalars import RF_ONE, RF_ZERO, rf
+from wbrst.tensors import (Mat, QlaData, antisymmetrizer_mats,
+                           check_proof_identities, check_qla_axioms,
                            check_twist_axioms, embed, flatten,
-                           lie_super_twist, super_permutation,
-                           twist_from_phi, unflatten)
+                           lie_super_twist, quasi_idempotent_rescale,
+                           super_permutation, unflatten)
+
+
+def _twisted(sigma, phi):
+    """A dataset with braid sigma, twist phi and C = 0."""
+    n = math.isqrt(sigma.nrows)
+    return QlaData(n, (0,) * n, sigma, Mat(n * n, n), phi)
 
 
 def test_super_permutation_signs():
+    # entries at [(i1, i2), (k1, k2)]
     # all even: the plain flip
     s = super_permutation((0, 0))
-    assert s.get((1, 0, 0, 1)) == RF_ONE
-    assert s.get((0, 1, 0, 1)) == RF_ZERO
+    assert s.get(flatten((0, 1), 2), flatten((1, 0), 2)) == RF_ONE
+    assert s.get(flatten((0, 1), 2), flatten((0, 1), 2)) == RF_ZERO
     # a single odd generator: a 1x1 sign
     s1 = super_permutation((1,))
-    assert s1.get((0, 0, 0, 0)) == -RF_ONE
+    assert s1.get(0, 0) == -RF_ONE
     # mixed: only the odd-odd block picks up the sign
     sm = super_permutation((0, 1))
-    assert sm.get((1, 1, 1, 1)) == -RF_ONE
-    assert sm.get((1, 0, 0, 1)) == RF_ONE
+    assert sm.get(flatten((1, 1), 2), flatten((1, 1), 2)) == -RF_ONE
+    assert sm.get(flatten((0, 1), 2), flatten((1, 0), 2)) == RF_ONE
 
 
 def test_lie_super_twist_conjugation_identity():
     for parities in ((0, 0), (1,), (0, 1), (1, 1), (0, 1, 1)):
         phi, st = lie_super_twist(parities)
-        sigma = super_permutation(parities)
-        m = braid_mat(st)
-        assert twist_from_phi(phi).conjugate(braid_mat(sigma)) == m
+        assert _twisted(super_permutation(parities), phi).sigma_tilde == st
         n = len(parities)
-        assert (m @ m - Mat.identity(n * n)).is_zero()
+        assert (st @ st - Mat.identity(n * n)).is_zero()
 
 
 def test_sigma_tilde_trivial_cases():
     # phi = sigma, and phi the identity: sigma_tilde = sigma
-    s = braid_mat(super_permutation((0, 0, 0)))
-    ident = Tensor(4, 3, {(i, j, i, j): 1
-                          for i, j in itertools.product(range(3), repeat=2)})
-    for phi in (super_permutation((0, 0, 0)), ident):
-        assert _same(twist_from_phi(phi).conjugate(s), s)
+    s = super_permutation((0, 0, 0))
+    for phi in (super_permutation((0, 0, 0)), Mat.identity(9)):
+        assert _same(_twisted(s, phi).sigma_tilde, s)
 
 
 @pytest.mark.parametrize("name", QLA_FILES)
 def test_bundled_datasets_pass_all_suites(name):
-    d, tw = load_qla(name)
+    d = load_qla(name)
     assert check_qla_axioms(d).all_pass
-    assert check_twist_axioms(d.sigma, tw, d.c).all_pass
-    assert check_proof_identities(d.sigma, d.c, tw).all_pass
+    assert check_twist_axioms(d).all_pass
+    assert check_proof_identities(d).all_pass
 
 
 @pytest.mark.parametrize("name, builds", [("so3.qla", 1),
@@ -78,42 +84,40 @@ def test_proof_identities_share_equal_antisymmetrizers(monkeypatch, name,
         return build(braid, n, kmax)
 
     monkeypatch.setattr(wbrst.tensors, "antisymmetrizer_mats", counted)
-    d, tw = load_qla(name)
-    rep = check_proof_identities(d.sigma, d.c, tw)
+    rep = check_proof_identities(load_qla(name))
     assert rep.all_pass
     assert len(calls) == builds
     assert (calls[0] == calls[-1]) == (builds == 1)
 
 
 def test_qla_axioms_report_witness():
-    d, _ = load_qla("so3.qla")
+    d = load_qla("so3.qla")
     rep = check_qla_axioms(d)
     assert rep.passed("t_exists")
-    # the witness really solves C = (1 - sigma) t
+    # the witness t^k_{ab}, at [(a, b), k], really solves C = (1 - sigma) t
     t = rep.extras.get("t_witness")
     assert t is not None
-    for k in range(d.n):
-        for i in range(d.n):
-            for j in range(d.n):
-                lhs = t.get((k, i, j)) - sum(
-                    (d.sigma.get((a, b, i, j)) * t.get((k, a, b))
-                     for a in range(d.n) for b in range(d.n)), RF_ZERO)
-                assert lhs == d.c.get((k, i, j)), (k, i, j)
+    n = d.n
+    for k, i, j in itertools.product(range(n), repeat=3):
+        ij = flatten((i, j), n)
+        lhs = t.get(ij, k) - sum(
+            (d.sigma.get(ij, flatten((a, b), n)) * t.get(flatten((a, b), n), k)
+             for a in range(n) for b in range(n)), RF_ZERO)
+        assert lhs == d.c.get(ij, k), (k, i, j)
 
 
 @pytest.mark.parametrize("name", QLA_FILES)
 def test_witness_equals_one_solve_per_upper_index(name):
     # one reduction of [1 - sigma | C^1 ... C^n] gives the t^i that a
     # separate solve of (1 - sigma) t^i = C^i gives
-    d, _ = load_qla(name)
-    pairs = list(itertools.product(range(d.n), repeat=2))
-    matrix = [[(RF_ONE if lm == jk else RF_ZERO) - d.sigma.get(lm + jk)
+    d = load_qla(name)
+    pairs = range(d.n ** 2)
+    matrix = [[(RF_ONE if lm == jk else RF_ZERO) - d.sigma.get(jk, lm)
                for lm in pairs] for jk in pairs]
     t = check_qla_axioms(d).extras["t_witness"]
     for i in range(d.n):
-        x = solve(matrix, [d.c.get((i,) + jk) for jk in pairs],
-                  RF_ZERO, RF_ONE)
-        assert x == [t.get((i,) + lm) for lm in pairs]
+        x = solve(matrix, [d.c.get(jk, i) for jk in pairs], RF_ZERO, RF_ONE)
+        assert x == [t.get(lm, i) for lm in pairs]
 
 
 def test_solve_columns_flags_each_inconsistent_column():
@@ -124,16 +128,20 @@ def test_solve_columns_flags_each_inconsistent_column():
     assert solve_columns([], [[], [0]], zero, one) == [[], []]
 
 
+def _antisymmetrizer(parities, k):
+    """The rank-k antisymmetrizing projector of the graded permutation."""
+    a = antisymmetrizer_mats(super_permutation(parities), len(parities), k)
+    return quasi_idempotent_rescale(a[k])
+
+
 def test_antisymmetrizer_permutation():
-    sigma = super_permutation((0, 0))
-    a2 = antisymmetrizer(sigma, 2)
+    a2 = _antisymmetrizer((0, 0), 2)
     assert (a2 @ a2 - a2).is_zero()
     # no rank-3 antisymmetric tensors in two dimensions
-    a3 = antisymmetrizer(sigma, 3)
+    a3 = _antisymmetrizer((0, 0), 3)
     assert a3.is_zero()
     # in three dimensions the rank-3 projector has trace 1
-    s3 = super_permutation((0, 0, 0))
-    a = antisymmetrizer(s3, 3)
+    a = _antisymmetrizer((0, 0, 0), 3)
     assert (a @ a - a).is_zero()
     trace = RF_ZERO
     for i in range(27):
@@ -147,17 +155,17 @@ def test_antisymmetrizer_idempotent_on_bundled(omega_algebras):
             assert (a @ a - a).is_zero(), k
 
 
-def _mutation_caught(d2, tw) -> bool:
+def _mutation_caught(d2) -> bool:
     """Escalating battery: axiom suite, twist suite, proof identities,
     and finally the squared ghost differential."""
     if not check_qla_axioms(d2).all_pass:
         return True
-    if not check_twist_axioms(d2.sigma, tw, d2.c).all_pass:
+    if not check_twist_axioms(d2).all_pass:
         return True
-    if not check_proof_identities(d2.sigma, d2.c, tw).all_pass:
+    if not check_proof_identities(d2).all_pass:
         return True
     try:
-        ok, _ = verify_nilpotent(OmegaAlgebra(d2, tw))
+        ok, _ = verify_nilpotent(OmegaAlgebra(d2))
     except OmegaError:
         return True
     return not ok
@@ -171,7 +179,7 @@ def qla_axiom_verdicts() -> dict:
     bundled dataset and on each of its single-entry +1 mutations."""
     table = {}
     for name in QLA_FILES:
-        d, _ = load_qla(name)
+        d = load_qla(name)
         variants = [("bundled", d)] + [
             (f"{kind} {' '.join(map(str, idx))} += 1", d2)
             for kind, idx, d2 in qla_mutations(d)]
@@ -190,26 +198,22 @@ def test_qla_axiom_verdicts_match_the_recorded_table():
 
 @pytest.mark.parametrize("name", QLA_FILES)
 def test_every_single_entry_mutation_is_caught(name):
-    d, tw = load_qla(name)
-    missed = [(kind, idx) for kind, idx, d2 in qla_mutations(d)
-              if not _mutation_caught(d2, tw)]
+    missed = [(kind, idx) for kind, idx, d2 in qla_mutations(load_qla(name))
+              if not _mutation_caught(d2)]
     assert missed == []
 
 
 def test_so3_flipped_structure_constant_breaks_jacobi():
-    d, _ = load_qla("so3.qla")
-    ent = {k: v for k, v in d.c.items()}
-    ent[(2, 0, 1)] = -RF_ONE  # C^3_{12}: +1 -> -1, nothing else
-    d2 = QlaData(d.n, d.parities, d.sigma, Tensor(3, d.n, ent))
+    d = load_qla("so3.qla")
+    # C^3_{12}, at [(1, 2), 3] 1-based: +1 -> -1, nothing else
+    d2 = dataclasses.replace(d, c=shifted(d.c, flatten((0, 1), 3), 2, rf(-2)))
     rep = check_qla_axioms(d2)
     assert not rep.passed("jacobi")
 
 
 def test_so3_mutated_c_is_caught_by_axiom_suite():
-    d, _ = load_qla("so3.qla")
-    ent = {k: v for k, v in d.c.items()}
-    ent[(2, 0, 1)] = ent[(2, 0, 1)] + RF_ONE
-    d2 = QlaData(d.n, d.parities, d.sigma, Tensor(3, d.n, ent))
+    d = load_qla("so3.qla")
+    d2 = dataclasses.replace(d, c=shifted(d.c, flatten((0, 1), 3), 2))
     rep = check_qla_axioms(d2)
     assert not rep.all_pass
     assert not rep.passed("c_antisymmetry") or not rep.passed("jacobi")
@@ -217,16 +221,14 @@ def test_so3_mutated_c_is_caught_by_axiom_suite():
 
 def test_twist_round_trip_inverse():
     phi, _ = lie_super_twist((0, 1))
-    tw = twist_from_phi(phi)
-    assert (tw.phi_mat - braid_mat(phi)).is_zero()
-    m = braid_mat(tw.phi) @ tw.phi_inverse_mat
-    assert (m - Mat.identity(4)).is_zero()
-    assert (tw.phi_inverse_mat @ braid_mat(tw.phi) - Mat.identity(4)).is_zero()
+    d = _twisted(super_permutation((0, 1)), phi)
+    assert (d.phi @ d.phi_inverse - Mat.identity(4)).is_zero()
+    assert (d.phi_inverse @ d.phi - Mat.identity(4)).is_zero()
 
 
 # -- reference implementations: the builders that the one ``embed`` replaces
 # (a braid-only embed, cmat and _promote) and the dense Gaussian inverse
-# that the linalg inverse of ``twist_from_phi`` replaces
+# that the linalg inverse of ``QlaData.phi_inverse`` replaces
 
 
 def _reference_embed(m2, n, total, pos):
@@ -245,15 +247,17 @@ def _reference_embed(m2, n, total, pos):
     return out
 
 
-def _reference_cmat(c, total, pos):
-    n = c.n
+def _reference_cmat(c, n, total, pos):
     out = Mat(n ** total, n ** (total - 1))
     spect_a = list(itertools.product(range(n), repeat=pos))
     spect_b = list(itertools.product(range(n), repeat=total - pos - 2))
-    for (k, i, j), v in c.items():
-        for a in spect_a:
-            for b in spect_b:
-                out.set(flatten(a + (i, j) + b, n), flatten(a + (k,) + b, n), v)
+    for r, row in c.rows.items():
+        i, j = divmod(r, n)
+        for k, v in row.items():
+            for a in spect_a:
+                for b in spect_b:
+                    out.set(flatten(a + (i, j) + b, n),
+                            flatten(a + (k,) + b, n), v)
     return out
 
 
@@ -294,11 +298,12 @@ def _reference_inverse(m):
     return out
 
 
-def _random_tensor(rng, rank, n, density=0.5):
-    return Tensor(rank, n, {
-        idx: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        for idx in itertools.product(range(n), repeat=rank)
-        if rng.random() < density})
+def _random_mat(rng, nrows, ncols, density=0.5):
+    m = Mat(nrows, ncols)
+    for r, c in itertools.product(range(nrows), range(ncols)):
+        if rng.random() < density:
+            m.set(r, c, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    return m
 
 
 def _same(a, b):
@@ -308,14 +313,14 @@ def _same(a, b):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_embed_matches_the_reference_builders(n):
     rng = random.Random(n)
-    s = braid_mat(_random_tensor(rng, 4, n))
-    c = _random_tensor(rng, 3, n)
+    s = _random_mat(rng, n * n, n * n)
+    c = _random_mat(rng, n * n, n)
     for total in (2, 3, 4):
         for pos in range(total - 1):
             assert _same(embed(s, n, total, pos),
                          _reference_embed(s, n, total, pos)), (total, pos)
-            assert _same(embed(c_mat(c), n, total, pos),
-                         _reference_cmat(c, total, pos)), (total, pos)
+            assert _same(embed(c, n, total, pos),
+                         _reference_cmat(c, n, total, pos)), (total, pos)
         for k in range(1, total + 1):
             m = Mat(n ** k, n ** k)
             for r in range(n ** k):
@@ -328,23 +333,47 @@ def test_embed_matches_the_reference_builders(n):
 
 def _phis():
     rng = random.Random(5)
-    yield from (load_qla(name)[1].phi for name in QLA_FILES)
-    yield load_color_borel()[1].phi
+    yield from (load_qla(name).phi for name in QLA_FILES)
+    yield load_color_borel().phi
     for parities in ((1,), (0, 1), (0, 1, 1)):
         yield lie_super_twist(parities)[0]
     for n in (1, 2, 3):
-        yield _random_tensor(rng, 4, n, density=0.7)
+        yield _random_mat(rng, n * n, n * n, density=0.7)
 
 
 def test_twist_inverse_matches_the_dense_gaussian_inverse():
     for phi in _phis():
+        d = _twisted(Mat(phi.nrows, phi.ncols), phi)
         try:
-            want = _reference_inverse(braid_mat(phi))
+            want = _reference_inverse(phi)
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
-                twist_from_phi(phi)
+                d.phi_inverse
             continue
-        assert _same(twist_from_phi(phi).phi_inverse_mat, want), phi
+        assert _same(d.phi_inverse, want), phi
+
+
+def test_color_borel_sigma_is_read_in_row_convention():
+    # the only non-symmetric braid: each ``sigma i j k l = v`` line is the
+    # entry [(i, j), (k, l)] (1-based), and likewise ``c i j k = v`` the
+    # entry [(i, j), k]; sigma_tilde is phi sigma phi^{-1}
+    text = (TEST_DATA / "color_borel_q2.qla").read_text(encoding="utf-8")
+    d = parse_qla_file(text)
+    n = d.n
+    lines = [line.split("#")[0].split() for line in text.splitlines()]
+    read = {"sigma": 0, "c": 0}
+    for parts in lines:
+        if parts and parts[0] in read and "=" in parts:
+            idx = [int(x) - 1 for x in parts[1:parts.index("=")]]
+            want = rf(Fraction(parts[-1]))
+            row, col = idx[0] * n + idx[1], idx[2:]
+            col = col[0] * n + col[1] if parts[0] == "sigma" else col[0]
+            assert getattr(d, parts[0]).get(row, col) == want, parts
+            read[parts[0]] += 1
+    assert read == {"sigma": 25, "c": 14}
+    assert any(d.sigma.get(r, c) != d.sigma.get(c, r)
+               for r in range(n * n) for c in range(n * n))
+    assert _same(d.sigma_tilde, d.phi @ d.sigma @ _reference_inverse(d.phi))
 
 
 def test_singular_phi_is_bad_input(tmp_path, capsys):
