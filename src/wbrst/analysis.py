@@ -1,7 +1,8 @@
 """Structural checks on operator product tables and expressions.
 
-Graded bases, total-derivative tests, Jacobi identities, central charge
-and primariness extraction, and sign automorphisms of a table.
+Graded bases, the derivative matrix of a slice (which the BRST checks
+reduce as well), total-derivative tests, Jacobi identities, central
+charge and primariness extraction, and sign automorphisms of a table.
 """
 
 from __future__ import annotations
@@ -90,33 +91,34 @@ def weight_basis(algebra: OpeAlgebra, weight, parity=None, ghost=None):
 # -- total derivatives -----------------------------------------------------
 
 
-def derivative_system(ctx: OpeContext, expr: FieldExpr):
-    """(basis, matrix, rhs): expr is the derivative of sum_m x_m m, with
-    m running over the basis of one weight less and the same parity and
-    ghost number, exactly when matrix @ x = rhs.  Rows run over every
-    monomial of expr and of the derivatives of the basis."""
+def derivative_system(ctx: OpeContext, weight, parity, ghost, extra):
+    """(basis, targets, matrix) of the derivative on one slice: basis is
+    the ``weight_basis`` of the given weight, parity and ghost number,
+    targets are the monomials of ``extra`` and of the derivatives of the
+    basis, in ``mono_key`` order, and matrix[t][m] is the coefficient of
+    targets[t] in the derivative of basis[m].  The package builds every
+    derivative matrix here."""
     alg = ctx.algebra
-    if expr.is_zero:
-        return [], [], []
-    w, p, g = expr.weight(), expr.parity(), expr.ghost()
-    if w is None or p is None or g is None:
-        raise AnalysisError("expression is not homogeneous")
-    basis = weight_basis(alg, w - 1, parity=p, ghost=g)
+    basis = weight_basis(alg, weight, parity=parity, ghost=ghost)
     images = [ctx.derivative(FieldExpr(alg, {m: RF_ONE})) for m in basis]
-    target = set(expr.terms)
+    targets = set(extra)
     for im in images:
-        target.update(im.terms)
-    target = sorted(target, key=alg.mono_key)
-    matrix = [[im.coefficient(t) for im in images] for t in target]
-    rhs = [expr.coefficient(t) for t in target]
-    return basis, matrix, rhs
+        targets.update(im.terms)
+    targets = sorted(targets, key=alg.mono_key)
+    matrix = [[im.coefficient(t) for im in images] for t in targets]
+    return basis, targets, matrix
 
 
 def is_total_derivative(ctx: OpeContext, expr: FieldExpr):
     """(True, preimage) when expr equals the derivative of some field of
     one weight less with the same parity and ghost number."""
-    basis, matrix, rhs = derivative_system(ctx, expr)
-    x = solve(matrix, rhs, RF_ZERO, RF_ONE)
+    if expr.is_zero:
+        return True, expr
+    w, p, g = expr.weight(), expr.parity(), expr.ghost()
+    if w is None or p is None or g is None:
+        raise AnalysisError("expression is not homogeneous")
+    basis, targets, matrix = derivative_system(ctx, w - 1, p, g, expr.terms)
+    x = solve(matrix, [expr.coefficient(t) for t in targets])
     if x is None:
         return False, None
     return True, FieldExpr(ctx.algebra, dict(zip(basis, x)))

@@ -1,6 +1,11 @@
 """BRST currents for the two quadratic W-algebras, nilpotency modulo
 total derivatives, critical central charges, the conventional-form
 parameter point, and an ansatz-based derivation of the currents.
+
+Nilpotency and the critical charges read one row reduction per current,
+``BrstCurrent.reduction``: its pivot rows give the derivative preimage of
+pole 1 of J(z)J(w), and its rows below the rank the obstructions, whose
+common zeros are the critical charges.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from .algebras import bundle, w3, w32, w3_ghosts, w32_ghosts
 from .analysis import derivative_system, weight_basis
 from .errors import WbrstError
 from .fields import FieldExpr, Monomial, OpeAlgebra
-from .linalg import left_nullspace, rref, solve, solve_best
+from .linalg import left_nullspace, rref, solve, solve_columns
 from .scalars import (PoleError, RF_ONE, RF_ZERO, RationalFunction,
                       common_zeros, rational_roots, _add_into)
 
@@ -44,12 +49,19 @@ class BrstCurrent:
         return self.context.ope(self.expr, self.expr)
 
     @cached_property
-    def derivative_system(self):
-        """``derivative_system`` of the first pole of ``self_product``,
-        built once per current and shared like it; ``rref`` copies its
-        rows, so no reader changes it."""
+    def reduction(self):
+        """(basis, matrix, rhs, x, obstructions): the derivative system of
+        the first pole of ``self_product`` on the weight-0, ghost-number-2,
+        even slice, and its one ``solve_columns`` reduction.  Pole 1 is
+        the derivative of sum_m x_m m exactly when there are no
+        obstructions.  Built once per current and shared like
+        ``self_product``, so no reader may change it."""
         pole1 = self.self_product.get(1, FieldExpr.zero(self.algebra))
-        return derivative_system(self.context, pole1)
+        basis, targets, matrix = derivative_system(self.context, 0, 0, 2,
+                                                   pole1.terms)
+        rhs = [pole1.coefficient(t) for t in targets]
+        (x, obstructions), = solve_columns(matrix, [rhs])
+        return basis, matrix, rhs, x, obstructions
 
 
 @dataclass
@@ -155,15 +167,13 @@ def nilpotency(q: BrstCurrent) -> NilpotencyReport:
     """The charge squares to zero exactly when the first pole of the
     current's self-product is a total derivative; higher poles are
     reported but impose no condition on the charge."""
-    ctx = q.context
     poles = q.self_product
-    pole1 = poles.get(1, FieldExpr.zero(q.algebra))
-    basis, matrix, rhs = q.derivative_system
-    best = FieldExpr(q.algebra, dict(zip(
-        basis, solve_best(matrix, rhs, RF_ZERO, RF_ONE))))
-    residual = pole1 - ctx.derivative(best)
-    if residual.is_zero:
-        return NilpotencyReport("nilpotent", poles, residual, best)
+    basis, _, _, x, obstructions = q.reduction
+    best = FieldExpr(q.algebra, dict(zip(basis, x)))
+    if not obstructions:
+        return NilpotencyReport("nilpotent", poles,
+                                FieldExpr.zero(q.algebra), best)
+    residual = poles[1] - q.context.derivative(best)
     return NilpotencyReport("obstructed", poles, residual, None)
 
 
@@ -172,21 +182,13 @@ def nilpotency(q: BrstCurrent) -> NilpotencyReport:
 
 def critical_charge(q: BrstCurrent, param="c"):
     """Rational values of the parameter at which the charge becomes
-    nilpotent: common rational roots of the obstruction numerators
-    (verified by re-evaluation), excluding coefficient poles.
+    nilpotent: common rational roots of the numerators of the
+    obstructions of ``q.reduction`` (verified by re-evaluation),
+    excluding coefficient poles.
 
     Returns None when the obstruction vanishes identically (nilpotent
     for every value)."""
-    if 1 not in q.self_product:
-        return None
-    basis, matrix, rhs = q.derivative_system
-    cokernel = left_nullspace(matrix, len(matrix), len(basis),
-                              RF_ZERO, RF_ONE)
-    obstructions = []
-    for y in cokernel:
-        o = _dot(y, rhs)
-        if not o.is_zero:
-            obstructions.append(o)
+    _, matrix, rhs, _, obstructions = q.reduction
     if not obstructions:
         return None
     candidates = None
@@ -202,14 +204,6 @@ def critical_charge(q: BrstCurrent, param="c"):
     return out
 
 
-def _dot(y, rhs):
-    o = RF_ZERO
-    for yi, ri in zip(y, rhs):
-        if yi and ri:
-            o = o + yi * ri
-    return o
-
-
 def _verify_root(matrix, rhs, param, value) -> bool:
     """Re-check candidate values on the specialized linear system; the
     generic-rank cokernel can miss conditions that appear at special
@@ -219,7 +213,7 @@ def _verify_root(matrix, rhs, param, value) -> bool:
         b = [a.substitute({param: value}) for a in rhs]
     except PoleError:
         return False
-    return solve(m, b, RF_ZERO, RF_ONE) is not None
+    return solve(m, b) is not None
 
 
 # -- conventional form ------------------------------------------------------
@@ -294,22 +288,17 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
             lead.append((item, RF_ONE))
     for m in pinned:
         lead.append((m, RF_ZERO))
-    basis = weight_basis(algebra, 1, parity=1, ghost=1)
+    # gauge: remove the image of the derivative from the ansatz.  The
+    # targets are the weight-1 slice, and the pivots of the images, taken
+    # as rows, are the derivative directions
+    _, basis, dmat = derivative_system(
+        ctx, 0, 1, 1, weight_basis(algebra, 1, parity=1, ghost=1))
     index = {m: i for i, m in enumerate(basis)}
     for m, _ in lead:
         if m not in index:
             raise BrstError(f"leading term {m.factors} is not in the "
                             "weight-1 slice")
-    # gauge: remove the image of the derivative from the ansatz
-    exact = weight_basis(algebra, 0, parity=1, ghost=1)
-    rows = []
-    for m in exact:
-        im = ctx.derivative(FieldExpr(algebra, {m: RF_ONE}))
-        row = [RF_ZERO] * len(basis)
-        for mm, v in im.terms.items():
-            row[index[mm]] = v
-        rows.append(row)
-    _, pivots = rref(rows, len(basis))
+    _, pivots = rref(list(zip(*dmat)), len(basis))
     lead_idx = {index[m] for m, _ in lead}
     if lead_idx & set(pivots):
         raise BrstError("a leading term is itself a total derivative "
@@ -351,24 +340,16 @@ def _nilpotency_equations(ctx, members):
     slice applied to the first pole of [J J].  Each condition is a
     polynomial in the unknowns, {sorted tuple of unknown indices
     (multiplicity allowed): RationalFunction}; the zero ones are dropped."""
-    algebra = ctx.algebra
     pairs = []
-    targets = set()
+    monomials = set()
     for i, (mi, _, _) in enumerate(members):
         for j in range(i, len(members)):
             e = ctx.ope_mono(mi, members[j][0]).get(1)
             if e is not None:
                 pairs.append((i, j, e))
-                targets.update(e.terms)
-    exact2 = weight_basis(algebra, 0, parity=0, ghost=2)
-    images2 = [ctx.derivative(FieldExpr(algebra, {m: RF_ONE}))
-               for m in exact2]
-    for im in images2:
-        targets.update(im.terms)
-    targets = sorted(targets, key=algebra.mono_key)
-    dmat = [[im.coefficient(t) for im in images2] for t in targets]
-    cokernel = left_nullspace(dmat, len(targets), len(exact2),
-                              RF_ZERO, RF_ONE)
+                monomials.update(e.terms)
+    exact2, targets, dmat = derivative_system(ctx, 0, 0, 2, monomials)
+    cokernel = left_nullspace(dmat, len(targets), len(exact2))
 
     # target monomial -> [(cokernel index, nonzero weight)]: most pair
     # products miss most cokernel entries

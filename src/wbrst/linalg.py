@@ -1,8 +1,17 @@
 """Exact linear algebra over any field-like scalar type.
 
-Used for nullspace witnesses, total-derivative preimages and the
-mode-oracle's Vandermonde-type solves.  Scalars only need +, -, *, /
-and a truth value that means nonzero (int, Fraction, RationalFunction).
+One row reduction answers every question the package asks of a linear
+system: ``rref`` of ``[matrix | columns]`` keeps all its rows, the pivot
+rows first.  The pivot rows give one solution per column; the rows below
+the rank are zero in the matrix columns, and their entries in the other
+columns are a cokernel basis of the matrix applied to those columns.  So
+a column is in the image exactly when its entries there are all zero, and
+with an identity block appended they are the cokernel basis itself.
+
+Scalars only need +, -, *, / and a truth value that means nonzero
+(Fraction, RationalFunction).  The ints 0 and 1 combine exactly with
+both, so free variables are 0 and identity blocks are 0 and 1; the
+matrix columns themselves hold field scalars, since int / int is a float.
 
 Matrices are dense lists of rows, but elimination skips zeros: each pivot
 row is scaled at its nonzero columns only, and only the rows with a
@@ -15,7 +24,10 @@ from __future__ import annotations
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form.  Returns (new_rows, pivot_column_list).
+    """Reduced row echelon form in the first ``ncols`` columns, carried
+    across every column.  Returns (new_rows, pivot_column_list): every
+    row, the pivot rows first, so the rows from ``len(pivots)`` on are
+    zero in the first ``ncols`` columns.
 
     ``rows`` is a list of lists of scalars; the input is not modified.
     """
@@ -47,79 +59,42 @@ def rref(rows, ncols):
         r += 1
         if r == len(rows):
             break
-    return rows[:r], pivots
+    return rows, pivots
 
 
-def solve(matrix, rhs, zero, one):
-    """One solution of ``matrix @ x = rhs`` or None if inconsistent.
-
-    ``matrix`` is a list of rows; free variables are set to ``zero``.
-    """
-    return solve_columns(matrix, [rhs], zero, one)[0]
-
-
-def solve_columns(matrix, columns, zero, one):
-    """``solve`` for each right-hand side in ``columns``, from one row
-    reduction of ``[matrix | columns]``: a list with one solution, or
-    None, per column."""
-    if not matrix:
-        return [None if any(rhs) else [] for rhs in columns]
-    ncols = len(matrix[0])
-    aug = [list(row) + [rhs[i] for rhs in columns]
+def solve_columns(matrix, columns):
+    """(x, obstructions) for each right-hand side b in ``columns``, from
+    one row reduction of ``[matrix | columns]``.  x solves the consistent
+    part of ``matrix @ x = b``, free variables 0; the obstructions are the
+    nonzero entries of b's column in the rows below the rank, a cokernel
+    basis applied to b.  b is in the image exactly when there are none,
+    and then x solves it."""
+    ncols = len(matrix[0]) if matrix else 0
+    aug = [list(row) + [b[i] for b in columns]
            for i, row in enumerate(matrix)]
     red, pivots = rref(aug, ncols)
+    below = red[len(pivots):]
     out = []
-    for j, rhs in enumerate(columns):
-        # pivots lie in the matrix columns only, so an inconsistent column
-        # leaves a row 0 ... 0 | nonzero that the check below catches
-        x = [zero] * ncols
+    for j in range(ncols, ncols + len(columns)):
+        x = [0] * ncols
         for row, col in zip(red, pivots):
-            x[col] = row[ncols + j]
-        for row, b in zip(matrix, rhs):
-            acc = zero
-            for a, xi in zip(row, x):
-                if a and xi:
-                    acc = acc + a * xi
-            if acc - b:
-                x = None
-                break
-        out.append(x)
+            x[col] = row[j]
+        out.append((x, [row[j] for row in below if row[j]]))
     return out
 
 
-def solve_best(matrix, rhs, zero, one):
-    """A solution of the consistent part of ``matrix @ x = rhs``.
+def solve(matrix, rhs):
+    """One solution of ``matrix @ x = rhs``, free variables 0, or None if
+    there is none."""
+    (x, obstructions), = solve_columns(matrix, [rhs])
+    return None if obstructions else x
 
-    Always returns some x (free variables set to zero, inconsistent
-    directions ignored); the caller decides what to do with the residual
-    ``rhs - matrix @ x``.
-    """
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+
+def left_nullspace(matrix, nrows, ncols):
+    """Basis of the row vectors y with ``y @ matrix = 0``, for a matrix
+    of ``nrows`` rows and ``ncols`` columns: the identity part of the rows
+    below the rank of ``[matrix | 1]``, nrows minus the rank of them."""
+    aug = [list(row) + [int(i == k) for k in range(nrows)]
+           for i, row in enumerate(matrix)]
     red, pivots = rref(aug, ncols)
-    x = [zero] * ncols
-    for row, col in zip(red, pivots):
-        x[col] = row[-1]
-    return x
-
-
-def nullspace(matrix, ncols, zero, one):
-    """Basis of the right nullspace of ``matrix`` (list of column vectors)."""
-    red, pivots = rref(matrix, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for row, pc in zip(red, pivots):
-            v[pc] = zero - row[fc]
-        basis.append(v)
-    return basis
-
-
-def left_nullspace(matrix, nrows, ncols, zero, one):
-    """Basis of row vectors y with y @ matrix = 0."""
-    transposed = [[matrix[i][j] for i in range(nrows)] for j in range(ncols)]
-    return nullspace(transposed, nrows, zero, one)
+    return [row[ncols:] for row in red[len(pivots):]]

@@ -41,7 +41,7 @@ from math import factorial, floor, gcd, lcm
 
 from .errors import WbrstError
 from .fields import FieldExpr, Monomial
-from .linalg import left_nullspace, rref
+from .linalg import rref
 from .scalars import RF_ONE, _add_into
 
 
@@ -659,22 +659,25 @@ def _poles_level(slc, a, b, r, max_pole) -> Fraction:
 
 @cache
 def _sample_solver(ha, nun):
-    """Factor the sample matrix [binom(p + ha - 1, j)] once per (ha, nun).
-    Returns integer rows that give den times each pole unknown from the
-    right-hand side (free unknowns stay zero), den, and integer rows
-    spanning the matrix's left nullspace: the right-hand side is
-    consistent exactly when each of them is orthogonal to it."""
+    """Factor the sample matrix [binom(p + ha - 1, j)] once per (ha, nun),
+    by one row reduction of [matrix | 1].  Returns integer rows that give
+    den times each pole unknown from the right-hand side (free unknowns
+    stay zero), read from the pivot rows, den, and integer rows spanning
+    the matrix's left nullspace, read from the rows below the rank: the
+    right-hand side is consistent exactly when each of them is orthogonal
+    to it."""
     samples = _samples(ha, nun)
-    mat = [[_gbinom(p + ha - 1, j) for j in range(nun)] for p in samples]
     rows = len(samples)
-    unit = [[Fraction(int(i == k)) for k in range(rows)] for i in range(rows)]
-    red, pivots = rref([row + e for row, e in zip(mat, unit)], nun)
+    red, pivots = rref([[_gbinom(p + ha - 1, j) for j in range(nun)]
+                        + [int(i == k) for k in range(rows)]
+                        for i, p in enumerate(samples)], nun)
     inverse = {col: row[nun:] for row, col in zip(red, pivots)}
     den = lcm(*(x.denominator for row in inverse.values() for x in row))
     inverse = tuple((col, tuple(int(x * den) for x in row))
                     for col, row in inverse.items())
     checks = []
-    for y in left_nullspace(mat, rows, nun, Fraction(0), Fraction(1)):
+    for row in red[len(pivots):]:
+        y = row[nun:]
         k = lcm(*(x.denominator for x in y))
         checks.append(tuple(int(x * k) for x in y))
     return inverse, den, tuple(checks)

@@ -309,10 +309,13 @@ def parse_algebra_file(text: str, bindings=None):
     """Build an OpeAlgebra from its definition-file form.
 
     Coefficients may name only the parameters the file declares with
-    ``param``.  ``bindings`` maps declared parameters to exact rationals;
-    a bound parameter is read as that constant while the file is parsed
-    and is not a parameter of the result.  A coefficient whose
-    denominator vanishes at the bound values raises PoleError.
+    ``param``.  A ``def`` names a coefficient that later lines use by its
+    name; it may not reuse the name of a parameter, a field or an earlier
+    def, and the ``algebra`` line is given once.  ``bindings`` maps
+    declared parameters to exact rationals; a bound parameter is read as
+    that constant while the file is parsed and is not a parameter of the
+    result.  A coefficient whose denominator vanishes at the bound values
+    raises PoleError.
     """
     from .fields import GeneratorDecl, OpeAlgebra
 
@@ -328,6 +331,8 @@ def parse_algebra_file(text: str, bindings=None):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "algebra":
+            if name is not None:
+                raise ParseError("algebra given twice", lineno)
             name = rest
         elif head == "param":
             for pname in rest.split():
@@ -357,6 +362,15 @@ def parse_algebra_file(text: str, bindings=None):
             raise ParseError(f"unknown directive {head!r}", lineno)
     if name is None:
         raise ParseError("missing 'algebra NAME' header", 1)
+    # a def is substituted as text, so it may not shadow another name
+    taken = dict.fromkeys(declared, "a parameter")
+    taken.update(dict.fromkeys((g.name for g in gens), "a field"))
+    for lineno, rest in def_lines:
+        dname = rest.partition("=")[0].strip()
+        if dname in taken:
+            raise ParseError(f"def {dname!r} reuses the name of "
+                             + taken[dname], lineno)
+        taken[dname] = "an earlier def"
     for p in bindings:
         if p not in declared:
             raise ParseError(f"unknown parameter {p!r}; table parameters: "
@@ -448,7 +462,9 @@ def parse_qla_file(text: str):
     ``c i j k = coeff`` sets the structure constant with upper index k.
     The format declares no parameters, so a coefficient is a number.
     The twist is given once: by a ``phi = MODE`` line, by explicit
-    ``phi i j k l`` entries, or by both with ``phi = explicit``.
+    ``phi i j k l`` entries, or by both with ``phi = explicit``.  Each
+    ``dim`` and ``parities`` line, and each entry index, is given at most
+    once.
     """
     from .tensors import (Mat, QlaData, flatten, lie_super_twist,
                           super_permutation)
@@ -456,7 +472,7 @@ def parse_qla_file(text: str):
     n = None
     parities = None
     ranks = {"sigma": 4, "c": 3, "phi": 4}
-    entries = []  # (lineno, head, 1-based indices, coefficient)
+    entries = {}  # (head, 1-based indices) -> (lineno, coefficient)
     phi_mode = None
     phi_line = None  # the last line that gave phi, mode or entry
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -465,6 +481,9 @@ def parse_qla_file(text: str):
             continue
         parts = line.split()
         head = parts[0]
+        if head == "dim" and n is not None \
+                or head == "parities" and parities is not None:
+            raise ParseError(f"{head} given twice", lineno)
         if head == "dim":
             n = _number(int, " ".join(parts[1:]), "dim", lineno)
             if n < 1:
@@ -485,8 +504,11 @@ def parse_qla_file(text: str):
                 if phi_mode not in (None, "explicit"):
                     raise ParseError("phi given twice", lineno)
                 phi_line = lineno
-            entries.append((lineno, head, idx,
-                            parse_coefficient(rhs.strip(), lineno, {})))
+            if (head, idx) in entries:
+                raise ParseError(f"{head} " + " ".join(map(str, idx))
+                                 + " given twice", lineno)
+            entries[head, idx] = (lineno,
+                                  parse_coefficient(rhs.strip(), lineno, {}))
         elif head == "phi":
             mode = " ".join(p for p in parts[1:] if p != "=")
             if mode not in ("superperm", "sigma", "explicit"):
@@ -506,7 +528,7 @@ def parse_qla_file(text: str):
     # sigma and phi at [(i, j), (k, l)], C at [(i, j), k]
     mats = {"sigma": Mat(n * n, n * n), "c": Mat(n * n, n),
             "phi": Mat(n * n, n * n)}
-    for lineno, head, idx, coeff in entries:
+    for (head, idx), (lineno, coeff) in entries.items():
         if not all(1 <= i <= n for i in idx):
             raise ParseError(f"index outside 1..{n} in {head} "
                              + " ".join(map(str, idx)), lineno)

@@ -228,13 +228,12 @@ class QlaData:
         size = p.nrows
         # row r of the inverse solves x p = e_r, that is p^T x = e_r
         transposed = [[p.get(r, c) for r in range(size)] for c in range(size)]
-        units = [[RF_ONE if r == c else RF_ZERO for c in range(size)]
-                 for r in range(size)]
-        rows = solve_columns(transposed, units, RF_ZERO, RF_ONE)
-        if None in rows:
+        units = [[int(r == c) for c in range(size)] for r in range(size)]
+        rows = solve_columns(transposed, units)
+        if any(obstructions for _, obstructions in rows):
             raise ZeroDivisionError("phi is singular")
         return Mat(size, size, {r: {c: v for c, v in enumerate(x) if v}
-                                for r, x in enumerate(rows)})
+                                for r, (x, _) in enumerate(rows)})
 
     @cached_property
     def sigma_tilde(self) -> Mat:
@@ -305,13 +304,13 @@ def check_qla_axioms(d: QlaData) -> AxiomReport:
     matrix = [[(RF_ONE if lm == jk else RF_ZERO) - s.get(jk, lm)
                for lm in pairs] for jk in pairs]
     columns = [[c2.get(jk, i) for jk in pairs] for i in range(n)]
-    xs = solve_columns(matrix, columns, RF_ZERO, RF_ONE)
-    if any(x is None for x in xs):
+    xs = solve_columns(matrix, columns)
+    if any(obstructions for _, obstructions in xs):
         rep.record("t_exists", [("no solution of C = (1 - sigma) t",)])
     else:
         rep.record("t_exists", [])
         t = Mat(n * n, n)
-        for i, x in enumerate(xs):
+        for i, (x, _) in enumerate(xs):
             for lm, v in enumerate(x):
                 t.set(lm, i, v)
         rep.extras["t_witness"] = t

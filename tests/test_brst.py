@@ -243,8 +243,7 @@ def _ordered_pair_equations(ctx, members):
         targets.update(im.terms)
     targets = sorted(targets, key=algebra.mono_key)
     dmat = [[im.coefficient(t) for im in images2] for t in targets]
-    cokernel = left_nullspace(dmat, len(targets), len(exact2),
-                              RF_ZERO, RF_ONE)
+    cokernel = left_nullspace(dmat, len(targets), len(exact2))
     equations = []
     for y in cokernel:
         y = {t: w for t, w in zip(targets, y) if w}

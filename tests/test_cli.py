@@ -47,19 +47,27 @@ def test_qla_check_conjugates_sigma_once(monkeypatch, capsys):
 
 
 def test_symbolic_brst_builds_one_derivative_system(monkeypatch, capsys):
-    # nilpotency and critical_charge read the same system of pole 1
+    # nilpotency and critical_charge read the same system of pole 1 and
+    # its one reduction; the second reduction re-checks the root c = 100
     import wbrst.brst
-    calls = []
-    derivative_system = wbrst.brst.derivative_system
+    import wbrst.linalg
+    calls, reductions = [], []
+    derivative_system, rref = wbrst.brst.derivative_system, wbrst.linalg.rref
 
-    def counted(ctx, expr):
-        calls.append(expr)
-        return derivative_system(ctx, expr)
+    def counted(*args):
+        calls.append(args)
+        return derivative_system(*args)
+
+    def counted_rref(rows, ncols):
+        reductions.append(ncols)
+        return rref(rows, ncols)
 
     monkeypatch.setattr(wbrst.brst, "derivative_system", counted)
+    monkeypatch.setattr(wbrst.linalg, "rref", counted_rref)
     code, payload, _ = run_json(capsys, "cft", "brst", "w3", "--symbolic-c")
     assert code == 1 and payload["critical_roots"] == ["100"]
     assert len(calls) == 1
+    assert len(reductions) == 2
 
 
 def test_qla_brst_builds_q_once(monkeypatch, capsys):
@@ -384,6 +392,11 @@ def test_qla_brst_outside_the_omega_domain(tmp_path, capsys, name, old, new):
     ("dim 1\nsigma 1 1 1 1 = 1\nphi = sigma\nphi 1 1 1 1 = 5\n",
      "phi given twice at line 4"),
     ("dim 1\nphi = superperm\nphi 1 1 1 1 = 5\n", "phi given twice at line 3"),
+    # a repeated line is bad input, not a silent overwrite
+    ("dim 1\nsigma 1 1 1 1 = 1\nsigma 1 1 1 1 = 7\ndim 3\n",
+     "sigma 1 1 1 1 given twice at line 3"),
+    ("dim 1\nsigma 1 1 1 1 = 1\ndim 3\n", "dim given twice at line 3"),
+    ("dim 1\nparities e\nparities o\n", "parities given twice at line 3"),
 ])
 @pytest.mark.parametrize("cmd", ["check", "brst"])
 def test_qla_file_faults_are_bad_input(tmp_path, capsys, cmd, text, message):
@@ -392,6 +405,27 @@ def test_qla_file_faults_are_bad_input(tmp_path, capsys, cmd, text, message):
     code, out, err = run(capsys, "qla", cmd, str(path))
     _no_traceback(code, err)
     assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("lines, message", [
+    # a def substituted for a bound parameter would drop the binding
+    ("param c\nfield T weight=2\ndef c = 5\n",
+     "def 'c' reuses the name of a parameter at line 4"),
+    ("field T weight=2\ndef T = 5\nparam c\n",
+     "def 'T' reuses the name of a field at line 3"),
+    ("param c\nfield T weight=2\ndef k = 5\ndef k = 6\n",
+     "def 'k' reuses the name of an earlier def at line 5"),
+    ("param c\nalgebra y\nfield T weight=2\n",
+     "algebra given twice at line 3"),
+])
+def test_alg_file_shadowing_is_bad_input(tmp_path, capsys, lines, message):
+    path = tmp_path / "shadow.alg"
+    path.write_text("algebra x\n" + lines
+                    + "ope T T : 4 -> c*one ; 2 -> 2*T ; 1 -> D(T)\n")
+    code, out, err = run(capsys, "cft", "ope", str(path), "T", "T",
+                         "--set", "c=7")
+    _no_traceback(code, err)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("name", ["g2", "zzz"])

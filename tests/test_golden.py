@@ -1,9 +1,10 @@
 """Golden CLI outputs: the ``--json`` stdout and exit code of fixed commands.
 
 Every CLI example of README.md, plus the fully symbolic BRST and critical
-charge reports, four numeric BRST reports (one obstructed), a numeric W W
-product, the W3^(2) ghost oracle and a failing axiom check, must print
-exactly the recorded bytes.
+charge reports, the critical root of the as-printed table and of
+non-conventional ghosts, four numeric BRST reports (one obstructed), a
+numeric W W product, the W3^(2) ghost oracle and a failing axiom check,
+must print exactly the recorded bytes.
 ``tests/golden/derive_brst.json`` holds the currents that ``derive_brst``
 derives for the W3 and W3^(2) benchmark cases, as ``format_field_expr``
 prints them, and the report message of the unpinned W3 case.
@@ -66,8 +67,13 @@ COMMANDS = (
     "cft brst w32 --c 7/3",
     "cft brst w3 --c 100 --a2 printed",
     "cft brst w3 --c 100 --g1=-49/6 --g2=-31/5",
-    # an obstructed numeric check, whose residual comes from solve_best
+    # an obstructed numeric check: its residual is pole 1 less the derivative
+    # of the preimage read from the pivot rows
     "cft brst w3 --c 25/12",
+    # the critical root of the as-printed a2 table and of non-conventional
+    # ghosts, read from obstructions that depend on the cokernel basis
+    "cft brst w3 --symbolic-c --a2 printed",
+    "cft brst w3 --symbolic-c --g1 1/3 --g2 2/5",
     # a numeric OPE with W on both sides
     "cft ope w3 W W --set c=33",
 )

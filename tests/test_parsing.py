@@ -168,6 +168,13 @@ def test_coefficient_at_a_pole_raises_pole_error():
     ("algebra x\nfield A weight=2 parity=weird\n", 2),
     ("algebra x\nfield A weight=1/0\n", 2),
     ("algebra x\nfield A weight=2\nope A A : x -> one\n", 3),
+    # each name means one thing: a def may not reuse a parameter, field or
+    # def name, wherever that is declared, and the algebra is named once
+    ("algebra x\nparam c\ndef c = 5\n", 3),
+    ("algebra x\ndef c = 5\nparam c\n", 2),
+    ("algebra x\nfield A weight=2\ndef A = 5\n", 3),
+    ("algebra x\ndef k = 1\ndef k = 2\n", 3),
+    ("algebra x\nfield A weight=2\nalgebra y\n", 3),
 ])
 def test_algebra_file_faults_name_the_line(text, line):
     with pytest.raises(ParseError) as exc:
@@ -190,6 +197,12 @@ def test_algebra_file_faults_name_the_line(text, line):
     ("dim 1\nphi 1 1 1 1 = 5\nphi = superperm\n", 3),
     ("dim 1\nphi = superperm\nphi = sigma\n", 3),
     ("dim 1\nphi = explicit\nphi 1 1 1 1 = 1\nphi = explicit\n", 4),
+    # a line given twice, whatever the values
+    ("dim 1\ndim 1\n", 2),
+    ("dim 2\nparities e e\nparities e o\n", 3),
+    ("dim 1\nsigma 1 1 1 1 = 1\nsigma 1 1 1 1 = 1\n", 3),
+    ("dim 2\nc 1 2 1 = 1\nc 2 1 1 = -1\nc 1 2 1 = 2\n", 4),
+    ("dim 1\nphi = explicit\nphi 1 1 1 1 = 1\nphi 1 1 1 1 = 0\n", 4),
 ])
 def test_qla_file_faults_name_the_line(text, line):
     with pytest.raises(ParseError) as exc:

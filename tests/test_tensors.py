@@ -116,16 +116,18 @@ def test_witness_equals_one_solve_per_upper_index(name):
                for lm in pairs] for jk in pairs]
     t = check_qla_axioms(d).extras["t_witness"]
     for i in range(d.n):
-        x = solve(matrix, [d.c.get(jk, i) for jk in pairs], RF_ZERO, RF_ONE)
+        x = solve(matrix, [d.c.get(jk, i) for jk in pairs])
         assert x == [t.get(lm, i) for lm in pairs]
 
 
 def test_solve_columns_flags_each_inconsistent_column():
-    zero, one = Fraction(0), Fraction(1)
+    # x solves the consistent part of each column; 1 x + 1 y = 1 and
+    # 2 x + 2 y = 3 leave the obstruction 3 - 2 * 1 in the row below the rank
+    one = Fraction(1)
     m = [[one, one], [2 * one, 2 * one]]
-    assert solve_columns(m, [[1, 2], [1, 3], [0, 0]], zero, one) == [
-        [1, 0], None, [0, 0]]
-    assert solve_columns([], [[], [0]], zero, one) == [[], []]
+    assert solve_columns(m, [[1, 2], [1, 3], [0, 0]]) == [
+        ([1, 0], []), ([1, 0], [1]), ([0, 0], [])]
+    assert solve_columns([], [[]]) == [([], [])]
 
 
 def _antisymmetrizer(parities, k):
