@@ -3,31 +3,28 @@
 Independent cross-validation of the operator product engine: composite
 fields are expanded into Laurent modes acting on explicit states, the
 singular products are reconstructed from mode commutators, and the
-resulting matrices are compared entry by entry with the engine output.
-All arithmetic is exact; parameterized tables must be specialized to
-numbers before they reach the oracle.
+matrices are compared entry by entry with the engine output.  All
+arithmetic is exact; parameterized tables must be specialized to numbers
+first.
 
 Inside a slice the work is done on integers.  A mode m of a field of
 weight h is labelled by its offset n = m + h, so creation modes are the
-offsets n <= 0 and a derivative's prefactor is an integer product.  A
-state is an int bitmask over the creation modes: the fields sit in
-``op_key`` order from the highest bits down, and the offset n of field f
-is bit ``base[f] - n``, so a bit above another belongs to an operator
-further left.  The fermion sign of a mode application is then the
-parity of the popcount above its bit.  Everything from the mode tables
-to the comparison with the engine runs on these bitmasks; tuple states
-appear only at the API edge: the public functions take and return the
-tuple states of ``FockSlice.basis``, and ``crosscheck`` converts only
-the entry it reports.
+offsets n <= 0 and a derivative's prefactor is an integer product.
+Levels and the bounds of the encoding are ints scaled by ``den``, the
+lcm of the weights' denominators.  A state is an int bitmask over the
+creation modes: the fields sit in ``op_key`` order from the highest bits
+down, and the offset n of field f is bit ``base[f] - n``, so a bit above
+another belongs to an operator further left.  A mode flips one bit, and
+its fermion sign is the parity of the popcount above it.
+Tuple states appear only at the API edge.
 
-Each composite mode is walked once.  The two-factor terms of an
-expression that share a field pair and a total derivative order, such as
-the two terms of a bc stress tensor, compile to one pair plan: their
-underlying offsets add up to the same total and act at the same offsets,
-so one walk serves every derivative split, each hit weighted by the sum
-of the splits' prefactors.  Longer products recurse onto such plans.
-When both sides of a product compile to the same expression, the
-commutator sample (q, p) is -csign times the sample (p, q), so each
+The two-factor terms of an expression that share a field pair and a
+total derivative order, such as the two terms of a bc stress tensor,
+compile to one pair plan, walked once for every split.  The pair walk
+applies its modes inline and tries annihilation modes only at occupied
+bits; longer products recurse onto it, so it is the tail of every
+composite.  When both sides of a product compile to the same expression,
+the commutator sample (q, p) is -csign times the sample (p, q), so each
 mirrored pair of samples is computed once.
 """
 
@@ -36,8 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain
-from math import factorial, floor, gcd, lcm
+from math import factorial, floor, gcd, lcm, prod
 
 from .errors import WbrstError
 from .fields import FieldExpr, Monomial
@@ -89,27 +85,21 @@ class FockSlice:
                     raise ModeError(f"duplicate field name {name!r}")
                 names[name] = (i, kind, s.weight(name))
         self._names = names
-        if excite is None:
-            excite = self.systems
-        self.excite = tuple(excite)
-        self.basis = self._enumerate()
-        self.index = {s: i for i, s in enumerate(self.basis)}
-        self._lmin = self.min_level()
+        self.excite = self.systems if excite is None else tuple(excite)
         # field f = 2 * system + kind is op_key order, and f ^ 1 is the
         # conjugate field; weights and levels are scaled by _den to ints
         self._fields = list(names)
         weights = [names[n][2] for n in self._fields]
-        self._den = lcm(*(h.denominator for h in weights))
-        self._dh = [int(h * self._den) for h in weights]
-        self._lvs = [self._excess(self.level_of(st)) for st in self.basis]
-        # the basis states as (field, k) pairs, read once: a state's
-        # bitmask is the sum of its bits base[field] + k
-        self._offsets = [[(self._field(n), int(-m - self.weight(n)))
-                          for n, m in st] for st in self.basis]
+        self._den = den = lcm(*(h.denominator for h in weights))
+        self._dh = [int(h * den) for h in weights]
+        # den times min_level: every creation mode m > 0 applied
+        self._dlmin = -sum(sum(range(-dh, 0, -den)) for dh in self._dh)
+        self._enumerate()
+        self.index = {s: i for i, s in enumerate(self.basis)}
         self._plans = {}
         self._exprs = {}
         self._cap = -1
-        self._fit(self.level)
+        self._fit(self._excess(self.level))
 
     def weight(self, name) -> Fraction:
         try:
@@ -128,46 +118,41 @@ class FockSlice:
     def min_level(self) -> Fraction:
         """The smallest level any state can have (c-type zero and
         negative-level creation modes pull below the vacuum)."""
-        low = Fraction(0)
-        for s in self.systems:
-            for name in (s.b, s.c):
-                h = s.weight(name)
-                m = -h  # largest creation mode
-                while m > 0:
-                    low -= m
-                    m -= 1
-        return low
+        return Fraction(self._dlmin, self._den)
 
     def _enumerate(self):
-        ops = []
+        """Set the basis in order, with den times each state's height
+        above the lowest level (``_lvs``) and its bits' (field, -k) pairs
+        (``_offsets``)."""
+        den, top = self._den, floor(self._den * self.level)
+        ops = []  # (field, -k, den times the level it adds, the op)
         for s in self.excite:
             for name in (s.b, s.c):
-                h = self._names[name][2]
-                m = -h
-                while -m <= self.level:
-                    ops.append((name, m))
-                    m -= 1
-        ops.sort(key=self.op_key)
-        out = []
+                f = self._field(name)
+                for k, dl in enumerate(range(self._dh[f], top + 1, den)):
+                    ops.append((f, -k, dl, (name, Fraction(-dl, den))))
+        ops.sort()  # op_key order
         # drop[i]: the most the ops from i on can lower the level
-        drop = [Fraction(0)] * (len(ops) + 1)
+        drop = [0] * (len(ops) + 1)
         for i in range(len(ops) - 1, -1, -1):
-            drop[i] = drop[i + 1] + max(ops[i][1], 0)
+            drop[i] = drop[i + 1] + max(-ops[i][2], 0)
+        out = []
 
         def extend(prefix, start, lvl):
-            if 0 <= lvl <= self.level:
-                out.append(tuple(prefix))
+            if 0 <= lvl <= top:
+                out.append((lvl, len(prefix), prefix))
             for i in range(start, len(ops)):
-                nxt = lvl - ops[i][1]
+                nxt = lvl + ops[i][2]
                 # prune when the later ops cannot bring the level back
                 # down into the slice
-                if nxt - drop[i + 1] <= self.level:
-                    extend(prefix + [ops[i]], i + 1, nxt)
+                if nxt - drop[i + 1] <= top:
+                    extend(prefix + (i,), i + 1, nxt)
 
-        extend([], 0, Fraction(0))
-        out.sort(key=lambda st: (self.level_of(st), len(st),
-                                 tuple(self.op_key(o) for o in st)))
-        return out
+        extend((), 0, 0)
+        out.sort()  # by level, length and op_key order
+        self.basis = [tuple(ops[i][3] for i in st) for _, _, st in out]
+        self._lvs = [lvl - self._dlmin for lvl, _, _ in out]
+        self._offsets = [[ops[i][:2] for i in st] for _, _, st in out]
 
     def apply_op(self, op, state):
         """X_m applied to one state; returns {state: Fraction}."""
@@ -176,7 +161,7 @@ class FockSlice:
         if n != int(n):
             return {}
         lvl = self.level_of(state)
-        self._fit(max(lvl, lvl - m))
+        self._fit(self._excess(max(lvl, lvl - m)))
         hit = self._op(self._field(name), int(n), self._mask(state))
         return {self._tuple(hit[0]): Fraction(hit[1])} if hit else {}
 
@@ -189,13 +174,12 @@ class FockSlice:
 
     def _excess(self, level):
         """_den times the height of ``level`` above the lowest level."""
-        return floor(self._den * (level - self._lmin))
+        return floor(self._den * level) - self._dlmin
 
-    def _fit(self, level):
-        """Widen the encoding to hold every state of level at most
-        ``level``.  Widening renumbers the states, so it re-encodes the
-        basis and empties the mode tables."""
-        cap = self._excess(level)
+    def _fit(self, cap):
+        """Widen the encoding to hold every state at most cap / den above
+        the lowest level.  Widening renumbers the states, so it re-encodes
+        the basis and empties the mode tables."""
         if cap <= self._cap:
             return
         self._cap = cap
@@ -203,7 +187,7 @@ class FockSlice:
         # lmin + h_f + k, so k <= (cap - den * h_f) // den
         self._width = [max((cap - dh) // self._den + 1, 1) for dh in self._dh]
         self._base = [sum(self._width[f + 1:]) for f in range(len(self._dh))]
-        self._states = [sum(1 << self._base[f] + k for f, k in offs)
+        self._states = [sum(1 << self._base[f] - mk for f, mk in offs)
                         for offs in self._offsets]
         self._tuples = {}
         for plan in self._plans.values():
@@ -222,6 +206,9 @@ class FockSlice:
             if k >= self._width[f]:
                 raise ModeError(f"{(name, m)!r} is outside the slice encoding")
             s |= 1 << self._base[f] + int(k)
+        keys = [self.op_key(op) for op in state]
+        if keys != sorted(set(keys)):
+            raise ModeError(f"{state!r} is not in increasing op_key order")
         return s
 
     def _tuple(self, s):
@@ -305,10 +292,9 @@ class _Plan:
     """A single factor, or a right-nested normal product of three or more,
     compiled on a slice: the head factor (field f, derivative order d),
     den times the weights of the head and of the tail, the sign of moving
-    the head across the tail, the tail's plan (a pair plan or a longer
-    product; None for a single factor) and ``memo``, which maps (offset,
-    state) to the product's output.  ``walk`` is the function that
-    applies the plan."""
+    the head across the tail, the tail's plan (None for a single factor),
+    ``memo`` from (offset, state) to the output and ``walk``, the
+    function that applies the plan."""
 
     __slots__ = ("walk", "f", "d", "dha", "dhrest", "sign", "rest", "memo")
 
@@ -328,11 +314,10 @@ class _Pair:
     """The two-factor products of one field pair (f, g) and one total
     derivative order ``de``, compiled on a slice as one walk: the sum of
     k N(d^d f, d^e g) over ``splits`` ((d, e, k), ...).  The underlying
-    offsets t of f and u of g add up to n - de for every split, and the
-    offsets that can act do not depend on the split, so each hit (t, u)
-    is visited once and weighted by the sum of k prod(-t - i) prod(-u - i)
-    over the splits; ``weights`` keeps that weight by (n - de, u).  dhf
-    and dhg are den times the weights of f and g; ``memo`` maps (offset,
+    offsets t of f and u of g add up to n - de for every split, so each
+    hit (t, u) is visited once, weighted by the sum of k prod(-t - i)
+    prod(-u - i) over the splits (``weights`` by (n - de, u)).  dhf and
+    dhg are den times the weights of f and g; ``memo`` maps (offset,
     state) to the output."""
 
     __slots__ = ("walk", "f", "g", "de", "splits", "weights", "dhf", "dhg",
@@ -355,13 +340,20 @@ class _Expr:
     The two-factor terms of one field pair and one total derivative order
     are one pair plan, its coefficients divided by their gcd.  ``plan`` is
     the one plan of an expression that is a single plan with coefficient
-    1, whose outputs are the plan's own, else None."""
+    1, else None.  ``reach`` is den times how far an application can lift
+    a state above its input and output levels on the way: each factor but
+    the last by up to max(-h, h - 1)."""
 
-    __slots__ = ("weight", "dweight", "terms", "den", "table", "plan")
+    __slots__ = ("weight", "dweight", "terms", "den", "table", "plan",
+                 "reach")
 
     def __init__(self, slc, weight, group):
+        den = slc._den
         self.weight = weight
-        self.dweight = int(weight * slc._den)
+        self.dweight = int(weight * den)
+        self.reach = max(sum(max(0, -dh, dh - den) for dh in (
+            slc._dh[slc._field(n)] + den * d for n, d in factors[:-1]))
+            for factors, _ in group)
         self.den = lcm(*(k.denominator for _, k in group))
         pairs = {}
         for factors, k in group:
@@ -392,11 +384,6 @@ class ModeMatrix:
     """Sparse operator matrix: basis state -> {output state: value}."""
     mode: Fraction
     columns: dict = field(default_factory=dict)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModeMatrix):
-            return NotImplemented
-        return self.mode == other.mode and self.columns == other.columns
 
     @property
     def is_zero(self):
@@ -429,33 +416,12 @@ def _prefactor(d, n):
     return k
 
 
-def _leaf(slc, f, d, n, s):
-    """The mode with offset n of the d-th derivative of field f on state
-    s: (state, int) or None."""
-    k = _prefactor(d, n - d) if d else 1
-    hit = slc._op(f, n - d, s) if k else None
-    return (hit[0], k * hit[1]) if hit else None
-
-
-def _occupied(slc, f, t0, t1, s):
-    """The offsets t0 <= t <= t1, with t0 >= 1, at which an annihilation
-    mode of field f acts on state s, rising: those whose conjugate bit
-    t - 1 is occupied."""
-    fc = f ^ 1
-    t1 = min(t1, slc._width[fc])
-    if t1 < t0:
-        return
-    block = s >> slc._base[fc] + t0 - 1 & (1 << t1 - t0 + 1) - 1
-    while block:
-        low = block & -block
-        block ^= low
-        yield t0 + low.bit_length() - 1
-
-
 def _apply_leaf(slc, plan, n, s, lv):
     """The mode with offset n of a single factor on state s: {state: int}."""
-    hit = _leaf(slc, plan.f, plan.d, n, s)
-    return {hit[0]: hit[1]} if hit else {}
+    d = plan.d
+    k = _prefactor(d, n - d) if d else 1
+    hit = slc._op(plan.f, n - d, s) if k else None
+    return {hit[0]: k * hit[1]} if hit else {}
 
 
 def _split_sum(splits, t, u):
@@ -475,41 +441,85 @@ def _apply_pair(slc, pair, n, s, lv):
     """The mode with offset n of a pair plan on state s, whose level is
     lv / den above the lowest: {state: int}.  The composite-mode double
     sum over underlying offsets t + u = n - de, sum_{t <= 0} f_t g_u -
-    sum_{t >= 1} g_u f_t, each hit weighted by _split_sum, walked once
-    for all splits.  f's creation part, applied after g, runs while g's
-    output stays above the lowest level; f's annihilation part, applied
-    first with the exchange sign, and g's annihilation modes act only at
-    the occupied bits of their conjugate fields.  A hit's weight is taken
-    before its modes are applied, so no mode is applied that no split
-    needs: where a derivative's prefactor vanishes, at f's creation
-    offsets above -d and g's above -e, neither is."""
+    sum_{t >= 1} g_u f_t, walked once for all splits.  A hit's modes are
+    applied, inline as _op applies them, only where its _split_sum is not
+    zero.  g's creation modes act while its output stays above the lowest
+    level, annihilation modes at the occupied bits of their conjugates."""
     out = pair.memo.get((n, s))
     if out is not None:
         return out
     out = {}
-    op, den, f, g = slc._op, slc._den, pair.f, pair.g
-    splits, weights = pair.splits, pair.weights
+    den, base, width = slc._den, slc._base, slc._width
+    f, g, splits = pair.f, pair.g, pair.splits
     nn = n - pair.de
+    weights = pair.weights
+    # g's offset u is bit bg - u (creation) or bgc + u; f's nn - u, bf + u
+    bg, bgc, bf = base[g], base[g ^ 1] - 1, base[f] - nn
+    wg, wgc, wf = width[g], width[g ^ 1], width[f] + nn
     top = (lv + pair.dhg) // den
-    for u in chain(range(nn, min(top, 0) + 1),
-                   _occupied(slc, g, max(1, nn), top, s)):
+    us = list(range(nn, (top if top < 0 else 0) + 1))
+    lo = nn if nn > 1 else 1
+    hi = top if top < wgc else wgc
+    block = s >> bgc + lo & (1 << hi - lo + 1) - 1 if hi >= lo else 0
+    while block:
+        low = block & -block
+        block ^= low
+        us.append(lo - 1 + low.bit_length())
+    for u in us:
         k = weights.get((nn, u))
         if k is None:
             k = weights[nn, u] = _split_sum(splits, nn - u, u)
-        hit = op(g, u, s) if k else None
-        if hit:
-            hit2 = op(f, nn - u, hit[0])
-            if hit2:
-                _add_into(out, hit2[0], k * hit[1] * hit2[1])
-    for t in _occupied(slc, f, 1, (lv + pair.dhf) // den, s):
-        k = weights.get((nn, nn - t))
+        if not k:
+            continue
+        if u <= 0:
+            if -u >= wg:
+                raise ModeError("mode outside the slice encoding")
+            gb = bg - u
+            if s >> gb & 1:
+                continue
+        else:
+            gb = bgc + u
+        s1 = s ^ 1 << gb
+        if u >= wf:
+            raise ModeError("mode outside the slice encoding")
+        fb = bf + u
+        if s1 >> fb & 1:
+            continue
+        s2 = s1 | 1 << fb
+        if ((s >> gb + 1).bit_count() + (s1 >> fb).bit_count()) & 1:
+            k = -k
+        _add_into(out, s2, k)
+    bfc = base[f ^ 1] - 1
+    hi = (lv + pair.dhf) // den
+    if hi > width[f ^ 1]:
+        hi = width[f ^ 1]
+    block = s >> bfc + 1 & (1 << hi) - 1 if hi > 0 else 0
+    while block:
+        low = block & -block
+        block ^= low
+        t = low.bit_length()
+        u = nn - t
+        k = weights.get((nn, u))
         if k is None:
-            k = weights[nn, nn - t] = _split_sum(splits, t, nn - t)
-        if k:
-            s1, sign = op(f, t, s)
-            hit = op(g, nn - t, s1)
-            if hit:
-                _add_into(out, hit[0], -k * sign * hit[1])
+            k = weights[nn, u] = _split_sum(splits, t, u)
+        if not k:
+            continue
+        fb = bfc + t
+        s1 = s ^ 1 << fb
+        if u <= 0:
+            if -u >= wg:
+                raise ModeError("mode outside the slice encoding")
+            gb = bg - u
+            if s1 >> gb & 1:
+                continue
+        else:
+            gb = bgc + u
+            if u > wgc or not s1 >> gb & 1:
+                continue
+        s2 = s1 ^ 1 << gb
+        if not ((s >> fb + 1).bit_count() + (s1 >> gb + 1).bit_count()) & 1:
+            k = -k
+        _add_into(out, s2, k)
     pair.memo[(n, s)] = out
     return out
 
@@ -536,9 +546,14 @@ def _apply_plan(slc, plan, n, s, lv):
         if hit:
             k = _prefactor(d, j - d) if d else 1
             _add_into(out, hit[0], k * hit[1] * v1)
-    # annihilation part of the head, offsets t = j - d >= 1, goes first
-    # with the exchange sign; it lifts the level by (ha - j)
-    for t in _occupied(slc, f, 1, (lv + plan.dha) // den - d, s):
+    # annihilation part of the head, offsets t = j - d >= 1 at occupied
+    # bits, goes first with the exchange sign; it lifts the level by ha - j
+    hi = min((lv + plan.dha) // den - d, slc._width[f ^ 1])
+    block = s >> slc._base[f ^ 1] & (1 << hi) - 1 if hi > 0 else 0
+    while block:
+        low = block & -block
+        block ^= low
+        t = low.bit_length()
         s1, sign = op(f, t, s)
         k = plan.sign * sign * (_prefactor(d, t) if d else 1)
         lv1 = lv + plan.dha - den * (t + d)
@@ -575,30 +590,17 @@ def _const(v) -> Fraction:
     return v.constant_value()
 
 
-def _reach(slc, x) -> Fraction:
-    """How far an application of x can lift a state above both its input
-    and output levels on the way: each factor but the last, as the head
-    of the rest, lifts the rest's output by up to -h with its creation
-    part and the input by up to h - 1 with its annihilation part."""
-    den, out = slc._den, 0
-    for mono in [x] if isinstance(x, Monomial) else x.terms:
-        dhs = [slc._dh[slc._field(n)] + den * d for n, d in mono.factors]
-        out = max(out, sum(max(0, -dh, dh - den) for dh in dhs[:-1]))
-    return Fraction(out, den)
+def _mode_cap(slc, parts, m):
+    """The _fit bound of the mode m of compiled parts on the basis: it
+    lifts a state by up to max(0, -m) and the reach."""
+    return (slc._excess(slc.level + max(0, -m))
+            + max((ex.reach for ex in parts), default=0))
 
 
-def _mode_level(slc, x, m, level) -> Fraction:
-    """The highest level the mode m of x reaches on states of level at
-    most ``level`` (the bound _fit needs)."""
-    return level + max(0, -m) + _reach(slc, x)
-
-
-def _mode_columns(x, m, slc):
-    """The m-th mode of x on the slice basis as ({basis state: {state:
-    int}}, den), the columns in basis order and over the denominator
-    den."""
-    parts = slc._compile(x)
-    slc._fit(_mode_level(slc, x, m, slc.level))
+def _mode_columns(parts, m, slc):
+    """The m-th mode of a compiled expression on the slice basis as
+    ({basis state: {state: int}}, den), the columns in basis order and
+    over the denominator den; the slice must fit _mode_cap."""
     # a weight-3/2 field has no modes at integer m
     live = [(ex, int(m + ex.weight)) for ex in parts
             if (m + ex.weight).denominator == 1]
@@ -628,84 +630,62 @@ def field_modes(x, m, slc: FockSlice) -> ModeMatrix:
     """Matrix of the m-th Laurent mode of a monomial or field expression
     on the slice basis."""
     m = Fraction(m)
-    return _matrix(slc, m, *_mode_columns(x, m, slc))
+    parts = slc._compile(x)
+    slc._fit(_mode_cap(slc, parts, m))
+    return _matrix(slc, m, *_mode_columns(parts, m, slc))
 
 
 # -- singular products from commutators ------------------------------------
 
 
-def _gbinom(x: Fraction, j: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(j):
-        out *= x - i
-    return out / factorial(j)
-
-
-def _samples(ha, max_pole):
-    return [-ha + i - max_pole // 2 for i in range(max_pole + 3)]
-
-
-def _poles_level(slc, a, b, r, max_pole) -> Fraction:
-    """The highest level the commutators of ope_poles_from_modes reach:
-    b_q then a_p, and a_p then b_q, on the basis."""
-    top = slc.level
-    out = top
-    for p in _samples(_expr_weight(slc, a), max_pole):
-        q = r - p
-        out = max(out, _mode_level(slc, a, p, max(top, top - q)),
-                  _mode_level(slc, b, q, max(top, top - p)))
-    return out
+def _poles_cap(slc, a, b, r, max_pole):
+    """The _fit bound of _pole_columns: a_p b_q and b_q a_p lift a basis
+    state by up to max(0, -p) + max(0, -q), convex in p, and a reach."""
+    ea, eb = _single(slc, a), _single(slc, b)
+    lo = -ea.weight - max_pole // 2  # the first sample
+    lift = max(max(0, -p) + max(0, p - r) for p in (lo, lo + max_pole + 2))
+    return slc._excess(slc.level + lift) + max(ea.reach, eb.reach)
 
 
 @cache
-def _sample_solver(ha, nun):
-    """Factor the sample matrix [binom(p + ha - 1, j)] once per (ha, nun),
-    by one row reduction of [matrix | 1].  Returns integer rows that give
-    den times each pole unknown from the right-hand side (free unknowns
-    stay zero), read from the pivot rows, den, and integer rows spanning
-    the matrix's left nullspace, read from the rows below the rank: the
-    right-hand side is consistent exactly when each of them is orthogonal
-    to it."""
-    samples = _samples(ha, nun)
-    rows = len(samples)
-    red, pivots = rref([[_gbinom(p + ha - 1, j) for j in range(nun)]
-                        + [int(i == k) for k in range(rows)]
-                        for i, p in enumerate(samples)], nun)
-    inverse = {col: row[nun:] for row, col in zip(red, pivots)}
-    den = lcm(*(x.denominator for row in inverse.values() for x in row))
-    inverse = tuple((col, tuple(int(x * den) for x in row))
-                    for col, row in inverse.items())
-    checks = []
+def _sample_solver(nun):
+    """Factor the sample matrix [binom(p + h_a - 1, j)] = [binom(na - 1,
+    j)] once per nun, by one row reduction of [matrix | 1].  Returns the
+    pivot columns, integer rows and den: a pivot row gives den times its
+    unknown (free unknowns are 0), and the right-hand side is consistent
+    when it is orthogonal to the rows below the rank."""
+    nas = range(-(nun // 2), nun + 3 - nun // 2)  # as _pole_columns
+    red, pivots = rref([[Fraction(prod(range(na - j, na)), factorial(j))
+                         for j in range(nun)] + [int(na == nb) for nb in nas]
+                        for na in nas], nun)
+    inverse = [row[nun:] for row in red[:len(pivots)]]
+    den = lcm(*(x.denominator for row in inverse for x in row))
+    rows = [tuple(int(x * den) for x in row) for row in inverse]
     for row in red[len(pivots):]:
-        y = row[nun:]
-        k = lcm(*(x.denominator for x in y))
-        checks.append(tuple(int(x * k) for x in y))
-    return inverse, den, tuple(checks)
+        k = lcm(*(x.denominator for x in row[nun:]))
+        rows.append(tuple(int(x * k) for x in row[nun:]))
+    return tuple(pivots), tuple(rows), den
 
 
 def _pole_columns(a, b, r, slc, max_pole):
     """The pole matrices of ope_poles_from_modes as ([{basis state:
     {state: int}} for poles 1 .. max_pole], den), the columns in basis
-    order and over the denominator den."""
-    ha = _expr_weight(slc, a)
-    hb = _expr_weight(slc, b)
-    pa = _expr_parity(a)
-    pb = _expr_parity(b)
-    csign = -1 if pa and pb else 1  # graded commutator sign
+    order and over the denominator den; the slice must fit _poles_cap."""
+    ea, eb = _single(slc, a), _single(slc, b)
+    ha = ea.weight
+    csign = -1 if _expr_parity(a) and _expr_parity(b) else 1
     nun = max_pole
-    (ea,), (eb,) = slc._compile(a), slc._compile(b)
-    slc._fit(_poles_level(slc, a, b, r, nun))
     den = slc._den
     coms = []
-    if (r + ha + hb).denominator == 1:  # else every b_q vanishes
+    nab = r + ha + eb.weight
+    if nab.denominator == 1:  # else every b_q vanishes
         # a self-pair's sample (nb, na) is -csign times that of (na, nb),
         # so a sample whose mirror is done is read off it, and at na = nb
         # an even one is zero
         mirror = ea is eb
         done = {}
-        for p in _samples(ha, nun):
-            na = int(p + ha)
-            nb = int(r + ha + hb) - na
+        for na in range(-(nun // 2), nun + 3 - nun // 2):  # p + ha
+            nb = int(nab) - na
             if mirror and nb in done:
                 coms.append([{o: -csign * v for o, v in col.items()}
                              for col in done[nb]])
@@ -714,34 +694,40 @@ def _pole_columns(a, b, r, slc, max_pole):
                 coms.append([{} for _ in slc._states])
                 continue
             com = done[na] = []
+            # b_nb then a_na, and a_na then b_nb with the sign -csign
+            sides = ((eb, nb, ea, na, eb.dweight - den * nb, 1),
+                     (ea, na, eb, nb, ea.dweight - den * na, -csign))
             for s, lv in zip(slc._states, slc._lvs):
                 col = {}
-                lv1 = lv - den * nb + eb.dweight
-                for s1, v1 in _apply(slc, eb, nb, s, lv).items():
-                    for s2, v2 in _apply(slc, ea, na, s1, lv1).items():
-                        _add_into(col, s2, v1 * v2)
-                lv1 = lv - den * na + ea.dweight
-                for s1, v1 in _apply(slc, ea, na, s, lv).items():
-                    for s2, v2 in _apply(slc, eb, nb, s1, lv1).items():
-                        _add_into(col, s2, -csign * v1 * v2)
+                for x, nx, y, ny, dl, sign in sides:
+                    for s1, v1 in _apply(slc, x, nx, s, lv).items():
+                        v1 *= sign
+                        for s2, v2 in _apply(slc, y, ny, s1, lv + dl).items():
+                            v2 = col.get(s2, 0) + v1 * v2
+                            if v2:
+                                col[s2] = v2
+                            else:
+                                del col[s2]
                 com.append(col)
             coms.append(com)
     # solve column by column for the pole matrices
-    inverse, scale, checks = _sample_solver(ha, nun)
+    pivots, rows, scale = _sample_solver(nun)
     poles = [{} for _ in range(nun)]
     for i, s in enumerate(slc._states):
         cols = [com[i] for com in coms]
+        gets = [col.get for col in cols]
         for pole in poles:
             pole[s] = {}
+        out = [poles[j][s] for j in pivots]
         for o in set().union(*cols):
-            rhs = [col.get(o, 0) for col in cols]
-            if any(sum(map(int.__mul__, y, rhs)) for y in checks):
+            rhs = [get(o, 0) for get in gets]
+            vs = [sum(map(int.__mul__, row, rhs)) for row in rows]
+            if any(vs[len(out):]):
                 raise ModeError("mode commutators need more poles than "
                                 f"max_pole={max_pole}")
-            for j, row in inverse:
-                v = sum(map(int.__mul__, row, rhs))
+            for col, v in zip(out, vs):
                 if v:
-                    poles[j][s][o] = v
+                    col[o] = v
     return poles, scale * ea.den * eb.den
 
 
@@ -757,6 +743,7 @@ def ope_poles_from_modes(a, b, r, slc: FockSlice, max_pole=8) -> dict:
     Returns {n: ModeMatrix} for n = 1 .. max_pole.
     """
     r = Fraction(r)
+    slc._fit(_poles_cap(slc, a, b, r, max_pole))
     poles, den = _pole_columns(a, b, r, slc, max_pole)
     return {j + 1: _matrix(slc, r, cols, den)
             for j, cols in enumerate(poles)}
@@ -767,20 +754,22 @@ def ope_from_modes(a, b, n, r, slc: FockSlice, max_pole=8) -> ModeMatrix:
     reconstructed from mode commutators; see ope_poles_from_modes."""
     if not 1 <= n <= max_pole:
         raise ModeError("pole order out of range")
-    return ope_poles_from_modes(a, b, r, slc, max_pole=max_pole)[n]
+    r = Fraction(r)
+    slc._fit(_poles_cap(slc, a, b, r, max_pole))
+    poles, den = _pole_columns(a, b, r, slc, max_pole)
+    return _matrix(slc, r, poles[n - 1], den)
 
 
 def _mono_weight(slc, factors):
     return sum((slc.weight(n) + d for n, d in factors), Fraction(0))
 
 
-def _expr_weight(slc, x):
-    if isinstance(x, Monomial):
-        return _mono_weight(slc, x.factors)
-    ws = {_mono_weight(slc, m.factors) for m in x.terms}
-    if len(ws) != 1:
+def _single(slc, x):
+    """The one compiled part of an expression of a single weight."""
+    parts = slc._compile(x)
+    if len(parts) != 1:
         raise ModeError("expression must have a single weight")
-    return ws.pop()
+    return parts[0]
 
 
 def _expr_parity(x):
@@ -828,26 +817,29 @@ def crosscheck(algebra, pairs, level, excite=None, modes=(0, 1, -1)) -> dict:
     systems = systems_from_algebra(algebra)
     if excite is not None:
         by_name = {s.b: s for s in systems} | {s.c: s for s in systems}
-        excite = tuple(dict.fromkeys(by_name[n] for n in excite))
+        try:
+            excite = tuple(dict.fromkeys(by_name[n] for n in excite))
+        except KeyError as err:
+            raise ModeError(f"unknown field {err.args[0]!r}") from None
     slc = FockSlice(systems, level, excite=excite)
     ctx = algebra.context()
     report = {"level": str(slc.level), "states": len(slc.basis),
               "checks": [], "ok": True}
-    jobs = []
+    jobs, caps = [], []
     for x, y in pairs:
         xe = x if isinstance(x, FieldExpr) else FieldExpr(algebra, {x: RF_ONE})
         ye = y if isinstance(y, FieldExpr) else FieldExpr(algebra, {y: RF_ONE})
-        engine = ctx.ope(xe, ye)
+        engine = {n: slc._compile(e) for n, e in ctx.ope(xe, ye).items()}
         top = max(engine, default=0) + 2
-        hsum = _expr_weight(slc, xe) + _expr_weight(slc, ye)
+        hsum = _single(slc, xe).weight + _single(slc, ye).weight
         for m0 in modes:
             r = -(hsum - 1) + m0  # on the mode lattice of every pole field
             jobs.append((f"[{_label(x)} {_label(y)}]", xe, ye, engine, top, r))
-            # widen the slice before any mode table is filled: widening
-            # empties the tables and renumbers the states, and the pairs
-            # share the tables and compare columns keyed by those states
-            slc._fit(max([_poles_level(slc, xe, ye, r, top)] + [
-                _mode_level(slc, e, r, slc.level) for e in engine.values()]))
+            caps.append(_poles_cap(slc, xe, ye, r, top))
+            caps.extend(_mode_cap(slc, parts, r) for parts in engine.values())
+    # widen the slice before any mode table is filled: widening empties
+    # the tables and renumbers the states, which every pair shares
+    slc._fit(max(caps, default=0))
     for label, xe, ye, engine, top, r in jobs:
         try:
             oracle, oden = _pole_columns(xe, ye, r, slc, top)

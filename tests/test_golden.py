@@ -5,6 +5,9 @@ charge reports, the critical root of the as-printed table and of
 non-conventional ghosts, four numeric BRST reports (one obstructed), a
 numeric W W product, the W3^(2) ghost oracle and a failing axiom check,
 must print exactly the recorded bytes.
+``tests/golden/oracle_crosscheck_digests.json`` holds the sha256 of the
+``oracle crosscheck TABLE --level L --json`` stdout of both free ghost
+tables at levels 0 to 8, where the whole reports are too long to keep.
 ``tests/golden/derive_brst.json`` holds the currents that ``derive_brst``
 derives for the W3 and W3^(2) benchmark cases, as ``format_field_expr``
 prints them, and the report message of the unpinned W3 case.
@@ -17,6 +20,7 @@ output change is intended), run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -98,6 +102,7 @@ MESSAGES = (
 )
 MESSAGES_GOLDEN = GOLDEN / "cli_messages.json"
 DERIVE_GOLDEN = GOLDEN / "derive_brst.json"
+DIGESTS_GOLDEN = GOLDEN / "oracle_crosscheck_digests.json"
 
 
 def golden_path(command: str) -> pathlib.Path:
@@ -170,6 +175,26 @@ def run_derivations() -> dict:
     return out
 
 
+def run_digests() -> dict:
+    """The sha256 of each oracle crosscheck's stdout, by table and level;
+    every one of them exits 0."""
+    out = {}
+    for table in ("w3_ghosts_free", "w32_ghosts_free"):
+        out[table] = {}
+        for level in range(9):
+            text = run_command(f"oracle crosscheck {table} --level {level}")
+            code, stdout = text.split("\n", 1)
+            assert code == "exit 0", (table, level)
+            out[table][str(level)] = hashlib.sha256(
+                stdout.encode()).hexdigest()
+    return out
+
+
+def test_golden_oracle_digests():
+    expected = json.loads(DIGESTS_GOLDEN.read_text(encoding="utf-8"))
+    assert run_digests() == expected
+
+
 def test_golden_derivations():
     expected = json.loads(DERIVE_GOLDEN.read_text(encoding="utf-8"))
     assert run_derivations() == expected
@@ -196,6 +221,9 @@ if __name__ == "__main__":
     DERIVE_GOLDEN.write_text(json.dumps(run_derivations(), indent=2) + "\n",
                              encoding="utf-8")
     print(f"recorded {DERIVE_GOLDEN.name}", file=sys.stderr)
+    DIGESTS_GOLDEN.write_text(json.dumps(run_digests(), indent=2) + "\n",
+                              encoding="utf-8")
+    print(f"recorded {DIGESTS_GOLDEN.name}", file=sys.stderr)
     for command in COMMANDS:
         golden_path(command).write_text(run_command(command), encoding="utf-8")
         print(f"recorded {golden_path(command).name}", file=sys.stderr)

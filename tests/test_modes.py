@@ -8,7 +8,7 @@ import pytest
 from wbrst.algebras import ghost_stress, w32_ghosts, w3_ghosts
 from wbrst.fields import FieldExpr, Monomial
 from wbrst.modes import (BcSystem, FockSlice, ModeError, ModeMatrix,
-                         _mode_level, _mono_weight, _prefactor, crosscheck,
+                         _mode_cap, _mono_weight, _prefactor, crosscheck,
                          crosscheck_bundle, field_modes, ope_from_modes,
                          ope_poles_from_modes, stress_central_charge,
                          systems_from_algebra)
@@ -87,6 +87,17 @@ def test_apply_op_fermion_signs_across_two_systems():
         assert slc.apply_op(op, st) == {out: sign}, op
     assert slc.apply_op(("c", 0), st) == {}    # c_0 is already there
     assert slc.apply_op(("c", 2), st) == {}    # no b_-2 to remove
+
+
+def test_apply_op_needs_states_in_op_key_order():
+    # a fermionic state is an ordered product: its reverse is minus it and
+    # a repeated mode makes it zero, so neither stands for the state
+    slc = FockSlice([BcSystem("bT", "cT", 2)], 3)
+    st = (("cT", -1), ("cT", 1))
+    assert slc.apply_op(("cT", -3), st) == {(("cT", -3),) + st: 1}
+    for bad in (st[::-1], (("cT", -1), ("cT", -1))):
+        with pytest.raises(ModeError, match="op_key order"):
+            slc.apply_op(("cT", -3), bad)
 
 
 def test_half_integer_weight_field_at_integer_mode_is_zero():
@@ -303,6 +314,26 @@ def test_mismatch_report_at_excited_states(monkeypatch):
     assert "Fraction(-3, 1)" in got["w3_ghosts"][0]["output"]
 
 
+def test_crosscheck_names_an_unknown_excited_field():
+    alg = w3_ghosts(0, 0)
+    with pytest.raises(ModeError, match="unknown field 'zz'"):
+        crosscheck(alg, [(_mono("bT"), _mono("cT"))], 2, excite=["zz"])
+
+
+def test_ope_from_modes_converts_one_pole(monkeypatch):
+    import wbrst.modes as modes_module
+    alg = w3_ghosts(0, 0)
+    s = systems_from_algebra(alg)[0]
+    t = ghost_stress(alg.context(), [(s.b, s.c)])
+    want = ope_poles_from_modes(t, t, 0, FockSlice([s], 2), max_pole=6)[4]
+    calls = []
+    matrix = modes_module._matrix
+    monkeypatch.setattr(modes_module, "_matrix",
+                        lambda *args: calls.append(1) or matrix(*args))
+    assert ope_from_modes(t, t, 4, 0, FockSlice([s], 2), max_pole=6) == want
+    assert len(calls) == 1
+
+
 def test_systems_from_algebra_rejects_interacting_table():
     from wbrst.algebras import w3
     with pytest.raises(ModeError):
@@ -352,7 +383,7 @@ def _reference_modes(mono, m, slc):
     """field_modes of a monomial through the reference double sum, as
     [(basis state, [(output, value), ...])]."""
     h = _mono_weight(slc, mono.factors)
-    slc._fit(_mode_level(slc, mono, m, slc.level))
+    slc._fit(_mode_cap(slc, slc._compile(mono), m))
     memo, cols = {}, []
     for state, s, lv in zip(slc.basis, slc._states, slc._lvs):
         col = {}
@@ -410,6 +441,10 @@ _PAIR_CASES = [
     ([SYS2, SYSP], 2, "b", "cp", ((0, 1, 1), (1, 0, -1))),
     ([SYS2, SYSP], 2, "bp", "c",
      ((0, 2, 2), (1, 1, -1), (2, 0, Fraction(1, 2)))),
+    # a prefactor that vanishes at g's offsets 0 and -1, and d(N(b, c)),
+    # whose weight -(t + u) vanishes at every hit of the offset 1
+    ([SYS2], 3, "b", "c", ((0, 2, 1),)),
+    ([SYS2], 3, "b", "c", ((0, 1, 1), (1, 0, 1))),
 ]
 
 
