@@ -21,8 +21,9 @@ from .scalars import (PoleError, RationalFunction, RF_ONE,
                       RF_ZERO, format_rational, rational_roots, rf)
 from .fields import FieldExpr, GeneratorDecl, Monomial, OpeAlgebra, UNIT
 from .engine import EngineError, OpeContext
-from .analysis import (central_charge, is_total_derivative, jacobi_check,
-                       primary_check, validate_table, weight_basis)
+from .analysis import (apply_map, central_charge, check_homomorphism,
+                       is_total_derivative, jacobi_check, primary_check,
+                       validate_table, weight_basis)
 from .algebras import (bundle, ghost_stress, w3, w32, w3_ghosts, w32_ghosts,
                        verify_ghost_transform_w3, verify_ghost_transform_w32)
 from .brst import (BrstCurrent, NilpotencyReport, brst_w3, brst_w32,

@@ -1,10 +1,13 @@
 """Ready-made operator product tables: the spin-3 extension of the
 Virasoro algebra, its quasi-superconformal cousin with two weight-3/2
 bosonic currents, their (possibly non-canonical) ghost sectors, and the
-checks relating the two ghost systems.
+maps relating the two ghost systems of each family.
 
 The tables themselves are the bundled definition files ``data/*.alg``;
 the builders here load them with the requested parameter values bound.
+Each ghost map sends the generators of one sector to composites of the
+other, and ``analysis.check_homomorphism`` checks it on every pole of
+every generator pair.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .analysis import substitute_expr
+from .analysis import apply_map, check_homomorphism, substitute_expr
 from .engine import OpeContext
-from .fields import FieldExpr, Monomial, OpeAlgebra
+from .fields import FieldExpr, OpeAlgebra
 from .parsing import parse_algebra_file
 from .scalars import RationalFunction as RF
 
@@ -37,16 +40,6 @@ def load_bundled(stem: str, **values) -> OpeAlgebra:
 
 def _gen(alg, name):
     return FieldExpr.generator(alg, name)
-
-
-def rebase_expr(expr: FieldExpr, algebra: OpeAlgebra) -> FieldExpr:
-    """The same linear combination of monomials read in another algebra."""
-    out = {}
-    for m, v in expr.terms.items():
-        for name, _ in m.factors:
-            algebra.decl(name)
-        out[Monomial(m.factors)] = v
-    return FieldExpr(algebra, out)
 
 
 # -- matter algebras -------------------------------------------------------
@@ -101,26 +94,26 @@ def bundle(name, *parts) -> OpeAlgebra:
             if p not in params:
                 params.append(p)
     alg = OpeAlgebra(name, gens, params=tuple(params))
+    # the parts' generators are disjoint and keep their order, so a
+    # canonical monomial of a part is canonical in the union
     for part in parts:
         for (a, b), poles in part.table_items():
-            alg.set_ope(a, b, {n: rebase_expr(e, alg)
+            alg.set_ope(a, b, {n: FieldExpr(alg, e.terms)
                                for n, e in poles.items()})
     return alg.freeze()
 
 
-# -- ghost stress tensor and the two-sector correspondence ----------------
+# -- ghost stress tensor and the two-sector correspondences --------------
 
 
-def ghost_stress(ctx: OpeContext, pairs, fields=None) -> FieldExpr:
+def ghost_stress(ctx: OpeContext, pairs) -> FieldExpr:
     """sum over (b, c) pairs of (1 - w_b) (db c) - w_b (b dc), the stress
     tensor making c and b primary of weights 1 - w_b and w_b."""
     alg = ctx.algebra
-    fields = fields or {}
     out = FieldExpr.zero(alg)
     for bname, cname in pairs:
         lam = alg.decl(bname).weight
-        b = fields.get(bname, _gen(alg, bname))
-        c = fields.get(cname, _gen(alg, cname))
+        b, c = _gen(alg, bname), _gen(alg, cname)
         out = out + ctx.normal_product(ctx.derivative(b), c).scaled(
             RF.const(1 - lam))
         out = out - ctx.normal_product(b, ctx.derivative(c)).scaled(
@@ -128,39 +121,23 @@ def ghost_stress(ctx: OpeContext, pairs, fields=None) -> FieldExpr:
     return out
 
 
-def ghost_stress_w3(ctx: OpeContext, fields=None) -> FieldExpr:
-    return ghost_stress(ctx, (("bT", "cT"), ("bW", "cW")), fields)
+def ghost_stress_w3(ctx: OpeContext) -> FieldExpr:
+    return ghost_stress(ctx, (("bT", "cT"), ("bW", "cW")))
 
 
-def _compare_to_table(ctx, fields, reference: OpeAlgebra, label):
-    """Operator products of the composite ``fields`` against the table of
-    ``reference`` evaluated on its own generators."""
-    issues = []
-    ref_ctx = reference.context()
-    names = list(fields)
-    z = FieldExpr.zero(ctx.algebra)
-    for x in names:
-        for y in names:
-            got = ctx.ope(fields[x], fields[y])
-            want = {n: rebase_expr(e, ctx.algebra) for n, e in ref_ctx.ope(
-                _gen(reference, x), _gen(reference, y)).items()}
-            for n in sorted(set(got) | set(want), reverse=True):
-                if not (got.get(n, z) - want.get(n, z)).is_zero:
-                    issues.append(f"{label}: ope {x} {y} pole {n} mismatch")
-    return issues
-
-
-def verify_ghost_transform_w3():
-    """The inverse ghost map: composites in the two-parameter sector that
-    obey the canonical contractions, plus invariance of the ghost stress
-    tensor when g1 = 0.  Returns (ok, issues)."""
+def w3_ghost_map():
+    """The canonical sector ``w3_ghosts(0, 0)`` as composites in the
+    two-parameter one: rho fixes bT and cW, and
+    rho(cT) = cT - (g1 + g2)/2 N(bT, N(dcW, cW)),
+    rho(bW) = bW - (g1 - g2)/2 N(dbT, N(bT, cW)).
+    Returns (source algebra, target context, rho)."""
     tilde = w3_ghosts()
     ctx = tilde.context()
     g1, g2 = RF.var("g1"), RF.var("g2")
     bt, ct = _gen(tilde, "bT"), _gen(tilde, "cT")
     bw, cw = _gen(tilde, "bW"), _gen(tilde, "cW")
     half = RF.const(Fraction(1, 2))
-    fields = {
+    rho = {
         "bT": bt,
         "cT": ct - ctx.normal_product(
             bt, ctx.normal_product(ctx.derivative(cw), cw)).scaled(
@@ -170,29 +147,38 @@ def verify_ghost_transform_w3():
                 (g1 - g2) * half),
         "cW": cw,
     }
-    issues = _compare_to_table(ctx, fields, w3_ghosts(0, 0),
-                               "canonical composite")
-    t_tilde = ghost_stress_w3(ctx)
-    t_composite = ghost_stress_w3(ctx, fields)
-    diff = substitute_expr(t_composite - t_tilde, {"g1": 0})
+    return w3_ghosts(0, 0), ctx, rho
+
+
+def w32_ghost_map():
+    """The fixed quadratic fermionic sector as composites in the canonical
+    one: rho fixes every generator but
+    rho(bT) = bT - 2 N(cT, N(dbU, bU)) and rho(cU) = cU - 4 N(bU, N(cp, cm)).
+    Returns (source algebra, target context, rho)."""
+    canon = w32_ghosts(modified=False)
+    ctx = canon.context()
+    rho = {name: _gen(canon, name) for name in canon.names}
+    ct, bu = rho["cT"], rho["bU"]
+    rho["bT"] = rho["bT"] - ctx.normal_product(
+        ct, ctx.normal_product(ctx.derivative(bu), bu)).scaled(2)
+    rho["cU"] = rho["cU"] - ctx.normal_product(
+        bu, ctx.normal_product(rho["cp"], rho["cm"])).scaled(4)
+    return w32_ghosts(modified=True), ctx, rho
+
+
+def verify_ghost_transform_w3():
+    """The map of ``w3_ghost_map`` preserves operator products, and at
+    g1 = 0 it fixes the ghost stress tensor.  Returns (ok, issues)."""
+    canon, ctx, rho = w3_ghost_map()
+    ok, issues = check_homomorphism(canon, ctx, rho)
+    diff = substitute_expr(apply_map(ctx, rho, ghost_stress_w3(
+        canon.context())) - ghost_stress_w3(ctx), {"g1": 0})
     if not diff.is_zero:
         issues.append("ghost stress tensor changes at g1 = 0")
     return not issues, issues
 
 
 def verify_ghost_transform_w32():
-    """Composites in the canonical fermionic sector reproducing the fixed
-    quadratic ghost table.  Returns (ok, issues)."""
-    canon = w32_ghosts(modified=False)
-    ctx = canon.context()
-    ct, bu = _gen(canon, "cT"), _gen(canon, "bU")
-    cp, cm = _gen(canon, "cp"), _gen(canon, "cm")
-    fields = {name: _gen(canon, name)
-              for name in ("cT", "bU", "cp", "bp", "cm", "bm")}
-    fields["bT"] = _gen(canon, "bT") - ctx.normal_product(
-        ct, ctx.normal_product(ctx.derivative(bu), bu)).scaled(2)
-    fields["cU"] = _gen(canon, "cU") - ctx.normal_product(
-        bu, ctx.normal_product(cp, cm)).scaled(4)
-    issues = _compare_to_table(ctx, fields, w32_ghosts(modified=True),
-                               "quadratic composite")
-    return not issues, issues
+    """The map of ``w32_ghost_map`` preserves operator products.
+    Returns (ok, issues)."""
+    return check_homomorphism(*w32_ghost_map())

@@ -2,7 +2,10 @@
 
 Graded bases, the derivative matrix of a slice (which the BRST checks
 reduce as well), total-derivative tests, Jacobi identities, central
-charge and primariness extraction, and sign automorphisms of a table.
+charge and primariness extraction, and maps between tables: a map of
+the generators of one table to expressions of another, applied as a
+homomorphism through normal products and derivatives, and checked pole
+by pole on every generator pair.
 """
 
 from __future__ import annotations
@@ -233,31 +236,45 @@ def validate_table(algebra: OpeAlgebra):
     return issues
 
 
-# -- automorphisms ---------------------------------------------------------
+# -- maps between tables ---------------------------------------------------
 
 
-def transform_signs(expr: FieldExpr, signs: dict) -> FieldExpr:
-    out = {}
+def apply_map(ctx: OpeContext, rho: dict, expr: FieldExpr) -> FieldExpr:
+    """rho(expr) in the algebra of ctx, for rho a map from generator names
+    to expressions of that algebra, applied as a homomorphism: each
+    monomial N(d^k1 f1, N(d^k2 f2, ...)) of expr becomes
+    N(d^k1 rho(f1), N(d^k2 rho(f2), ...)), its coefficient kept."""
+    alg = ctx.algebra
+    out = FieldExpr.zero(alg)
     for m, v in expr.terms.items():
-        s = 1
-        for name, _ in m.factors:
-            s *= signs.get(name, 1)
-        out[m] = v if s == 1 else -v
-    return FieldExpr(expr.algebra, out)
+        image = FieldExpr.unit(alg)
+        for name, k in reversed(m.factors):
+            image = ctx.normal_product(ctx.derivative(rho[name], k), image)
+        out = out + image.scaled(v)
+    return out
 
 
-def apply_automorphism(algebra: OpeAlgebra, signs: dict):
-    """Check that flipping the signs of the listed generators preserves
-    the table.  Returns (ok, issues)."""
-    for name, s in signs.items():
-        algebra.decl(name)
-        if s not in (1, -1):
-            raise AnalysisError("signs must be +1 or -1")
+def check_homomorphism(source: OpeAlgebra, ctx: OpeContext, rho: dict):
+    """Whether rho, a map from every generator of source to an expression
+    of the algebra of ctx, preserves operator products: for every ordered
+    generator pair (a, b) and pole n, [rho(a) rho(b)]_n equals
+    rho([a b]_n).  Returns (ok, issues)."""
+    if set(rho) != set(source.names):
+        raise AnalysisError("the map must send each generator of "
+                            f"{source.name} to one expression")
+    if any(e.algebra is not ctx.algebra for e in rho.values()):
+        raise AnalysisError("the map's images must be expressions of "
+                            f"{ctx.algebra.name}")
+    src = source.context()
+    z = FieldExpr.zero(ctx.algebra)
     issues = []
-    for (a, b), poles in algebra.table_items():
-        s = signs.get(a, 1) * signs.get(b, 1)
-        for n, expr in poles.items():
-            mapped = transform_signs(expr, signs)
-            if mapped != (expr if s == 1 else -expr):
-                issues.append(f"ope {a} {b} pole {n} breaks the sign map")
+    for a in source.names:
+        for b in source.names:
+            got = ctx.ope(rho[a], rho[b])
+            want = {n: apply_map(ctx, rho, e) for n, e in src.ope(
+                FieldExpr.generator(source, a),
+                FieldExpr.generator(source, b)).items()}
+            for n in sorted(set(got) | set(want), reverse=True):
+                if not (got.get(n, z) - want.get(n, z)).is_zero:
+                    issues.append(f"ope {a} {b} pole {n} breaks the map")
     return not issues, issues

@@ -95,9 +95,6 @@ class OpeContext:
                 _add_expr(out.setdefault(n, {}), e)
         return self._poles(out)
 
-    def pole(self, x: FieldExpr, y: FieldExpr, n: int) -> FieldExpr:
-        return self.ope(x, y).get(n, self._zero())
-
     def normal_product(self, x: FieldExpr, y: FieldExpr) -> FieldExpr:
         self._fuel = 0
         return self._nexpr2(x, y)

@@ -95,7 +95,6 @@ class FockSlice:
         # den times min_level: every creation mode m > 0 applied
         self._dlmin = -sum(sum(range(-dh, 0, -den)) for dh in self._dh)
         self._enumerate()
-        self.index = {s: i for i, s in enumerate(self.basis)}
         self._plans = {}
         self._exprs = {}
         self._cap = -1

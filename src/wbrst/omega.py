@@ -26,8 +26,8 @@ from functools import cached_property
 
 from .errors import WbrstError
 from .scalars import RF_ONE, _add_into, rf
-from .tensors import (Mat, QlaData, antisymmetrizer_mats, embed, flatten,
-                      pair_table, quasi_idempotent_rescale, unflatten)
+from .tensors import (Mat, QlaData, antisymmetrizer_projectors, embed,
+                      flatten, pair_table, unflatten)
 
 
 class OmegaError(WbrstError):
@@ -57,14 +57,11 @@ class OmegaAlgebra:
         if not (st12 @ st23 @ st12 - st23 @ st12 @ st23).is_zero():
             raise OmegaError("twisted braid matrix fails the braid relation")
         # ghost blocks: the coefficient of b_{j_1} .. b_{j_r} lies in the
-        # image of A_r of sigma_tilde, and that of c^{i_1} .. c^{i_p}, its
-        # indices read in reverse, in the image of A_p.  The recurrence
-        # yields quasi-idempotents A_k A_k = lambda A_k with a data-dependent
-        # eigenvalue; canonical forms need A_k / lambda
-        self.antisym = {
-            k: _idempotent(m, k)
-            for k, m in antisymmetrizer_mats(self.st_mat, n,
-                                             max(P_MAX, R_MAX)).items()}
+        # image of the projector A_r of sigma_tilde, and that of
+        # c^{i_1} .. c^{i_p}, its indices read in reverse, in the image of
+        # A_p; the two checks above make the closed form a projector
+        self.antisym = antisymmetrizer_projectors(self.st_mat, n,
+                                                  max(P_MAX, R_MAX))
 
         # exchange moves: the known index pair of the out-of-order letters
         # -> [(index pair of the swapped letters, coefficient)]
@@ -98,13 +95,6 @@ class OmegaAlgebra:
         letters = tuple(letters)
         cf = {tuple(i): rf(v) for i, v in coeff.items()}
         return self.element({letters: cf}).canonicalized()
-
-
-def _idempotent(m, k):
-    try:
-        return quasi_idempotent_rescale(m, f"rank-{k} antisymmetrizer")
-    except ValueError as err:
-        raise OmegaError(str(err)) from None
 
 
 class OmegaElement:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .linalg import solve_columns
 from .scalars import RF_ONE, RF_ZERO, _add_into, rf
@@ -363,26 +363,16 @@ def antisymmetrizer_mats(braid: Mat, n: int, kmax: int) -> dict:
     return mats
 
 
-def quasi_idempotent_rescale(m: Mat, label="antisymmetrizer") -> Mat:
-    """Rescale m with m @ m = lambda m (lambda a nonzero constant) to a
-    projector; the recurrence eigenvalue depends on the braid data."""
-    if m.is_zero():
-        return m
-    sq = m @ m
-    lam = None
-    for r, row in m.rows.items():
-        for c, v in row.items():
-            if not v.is_zero:
-                lam = sq.get(r, c) / v
-                break
-        if lam is not None:
-            break
-    if lam.is_zero or not lam.is_constant:
-        raise ValueError(f"{label} is not quasi-idempotent")
-    out = m.scaled(Fraction(1) / lam.constant_value())
-    if not (out @ out - out).is_zero():
-        raise ValueError(f"{label} is not quasi-idempotent")
-    return out
+def antisymmetrizer_projectors(braid: Mat, n: int, kmax: int) -> dict:
+    """The antisymmetrizing projectors of a braid matrix that is
+    involutive and obeys the braid relation.  Such a braid makes the
+    permutations a representation of S_k, in which the signed sum S of
+    all k! of them obeys S S = k! S; ``antisymmetrizer_mats`` builds A_k =
+    prod_{j<k} (1/j!) S, so the projector S / k! is A_k times
+    prod_{j<k} j! / k!."""
+    return {k: a.scaled(Fraction(prod(map(factorial, range(1, k))),
+                                 factorial(k)))
+            for k, a in antisymmetrizer_mats(braid, n, kmax).items()}
 
 
 def higher_phi_mat(d: QlaData, m: int) -> Mat:

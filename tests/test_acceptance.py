@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import QLA_FILES, load_alg, load_qla, qla_mutations
-from wbrst.algebras import (bundle, rebase_expr, verify_ghost_transform_w3,
+from wbrst.algebras import (bundle, verify_ghost_transform_w3,
                             verify_ghost_transform_w32, w3, w32, w32_ghosts,
                             w3_ghosts)
 from wbrst.analysis import (central_charge, is_total_derivative, jacobi_check,
@@ -171,9 +171,10 @@ def test_derive_w3_current():
     q, rep = derive_brst(alg, lead, pinned=pin)
     assert q is not None, rep and rep.message
     assert nilpotency(q).nilpotent
+    # brst_w3 builds the same union, so its terms are canonical in alg
     ref = brst_w3(0, 0, c=100)
     ok, _ = is_total_derivative(alg.context(),
-                                q.expr - rebase_expr(ref.expr, alg))
+                                q.expr - FieldExpr(alg, ref.expr.terms))
     assert ok
 
 
@@ -206,5 +207,5 @@ def test_derive_w3_current2():
     assert nilpotency(q).nilpotent
     ref = brst_w32(c=-2)
     ok, _ = is_total_derivative(alg.context(),
-                                q.expr - rebase_expr(ref.expr, alg))
+                                q.expr - FieldExpr(alg, ref.expr.terms))
     assert ok

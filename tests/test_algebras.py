@@ -1,5 +1,5 @@
 """Bundled operator product tables: consistency, Jacobi identities,
-automorphisms, and the ghost-sector correspondences."""
+sign automorphisms, and the ghost-sector maps."""
 
 from fractions import Fraction
 
@@ -7,10 +7,11 @@ import pytest
 
 from wbrst.algebras import (bundle, ghost_stress, ghost_stress_w3,
                             verify_ghost_transform_w3,
-                            verify_ghost_transform_w32, w3, w32, w32_ghosts,
-                            w3_ghosts)
-from wbrst.analysis import (apply_automorphism, central_charge, jacobi_check,
-                            primary_check, validate_table)
+                            verify_ghost_transform_w32, w3, w32, w32_ghost_map,
+                            w32_ghosts, w3_ghost_map, w3_ghosts)
+from wbrst.analysis import (AnalysisError, apply_map, central_charge,
+                            check_homomorphism, jacobi_check, primary_check,
+                            validate_table)
 from wbrst.engine import OpeContext
 from wbrst.fields import FieldExpr, GeneratorDecl, OpeAlgebra
 from wbrst.scalars import RationalFunction as RF
@@ -52,8 +53,9 @@ def test_as_printed_deviation_is_a_third_derivative():
     ctx = good.context()
     d3t = ctx.derivative(_gen(good, "T"), 3)
     coeff = RF.const(16) / (RF.const(30) * RF.var("c") + RF.const(132))
-    from wbrst.algebras import rebase_expr
-    got = rebase_expr(pole_bad, good) - pole_good
+    # both tables declare the same generators in the same order, so the
+    # terms of one are canonical in the other
+    got = FieldExpr(good, pole_bad.terms) - pole_good
     assert got == d3t.scaled(-coeff) or got == d3t.scaled(coeff)
 
 
@@ -129,21 +131,45 @@ def test_matter_central_charges():
             assert got == c * (RF.const(7) - RF.const(9) * c) / (RF.const(1) + c)
 
 
+def _sign_map(alg, signs):
+    return {n: _gen(alg, n).scaled(signs.get(n, 1)) for n in alg.names}
+
+
 def test_sign_automorphism_w3():
     alg = w3()
-    ok, issues = apply_automorphism(alg, {"W": -1})
+    ctx = alg.context()
+    rho = _sign_map(alg, {"W": -1})
+    ok, issues = check_homomorphism(alg, ctx, rho)
     assert ok, issues
-    ok, issues = apply_automorphism(alg, {"T": -1})
+    # [T W]_2 = 3W is read through the map, not copied: the copy would
+    # break the automorphism
+    pole2 = ctx.ope(_gen(alg, "T"), _gen(alg, "W"))[2]
+    mapped = apply_map(ctx, rho, pole2)
+    assert mapped == -pole2 and mapped != pole2
+    ok, issues = check_homomorphism(alg, ctx, _sign_map(alg, {"T": -1}))
     assert not ok
 
 
 def test_sign_automorphism_w32():
     # Gp -> -Gp, Gm -> -Gm preserves the table
     alg = w32()
-    ok, issues = apply_automorphism(alg, {"Gp": -1, "Gm": -1})
+    ctx = alg.context()
+    ok, issues = check_homomorphism(
+        alg, ctx, _sign_map(alg, {"Gp": -1, "Gm": -1}))
     assert ok, issues
-    ok, _ = apply_automorphism(alg, {"Gp": -1})
+    ok, _ = check_homomorphism(alg, ctx, _sign_map(alg, {"Gp": -1}))
     assert not ok
+
+
+def test_homomorphism_check_rejects_partial_maps():
+    alg = w3()
+    rho = _sign_map(alg, {})
+    del rho["W"]
+    with pytest.raises(AnalysisError):
+        check_homomorphism(alg, alg.context(), rho)
+    other = w3(c=100)
+    with pytest.raises(AnalysisError):
+        check_homomorphism(alg, alg.context(), _sign_map(other, {}))
 
 
 def test_ghost_transform_w3():
@@ -154,6 +180,43 @@ def test_ghost_transform_w3():
 def test_ghost_transform_w32():
     ok, issues = verify_ghost_transform_w32()
     assert ok, issues
+
+
+def _composite_mutations():
+    """(label, source, context, rho) with the factor of one composite term
+    of a ghost map, (g1 + g2)/2, (g1 - g2)/2, 2 or 4, raised by 1."""
+    canon, ctx, rho = w3_ghost_map()
+    bt, cw = rho["bT"], rho["cW"]
+    n, d = ctx.normal_product, ctx.derivative
+    yield "w3 cT", canon, ctx, {**rho, "cT": rho["cT"] - n(bt, n(d(cw), cw))}
+    yield "w3 bW", canon, ctx, {**rho, "bW": rho["bW"] - n(d(bt), n(bt, cw))}
+    mod, ctx, rho = w32_ghost_map()
+    ct, bu = rho["cT"], rho["bU"]
+    n, d = ctx.normal_product, ctx.derivative
+    yield "w32 bT", mod, ctx, {**rho, "bT": rho["bT"] - n(ct, n(d(bu), bu))}
+    yield "w32 cU", mod, ctx, {
+        **rho, "cU": rho["cU"] - n(bu, n(rho["cp"], rho["cm"]))}
+
+
+def test_ghost_map_mutations_are_reported():
+    for label, source, ctx, rho in _composite_mutations():
+        ok, issues = check_homomorphism(source, ctx, rho)
+        assert not ok and issues, label
+
+
+def test_ghost_map_images_the_canonical_stress_tensor():
+    # rho of the canonical ghost stress tensor is the same combination of
+    # the composites, built in the target sector
+    canon, ctx, rho = w3_ghost_map()
+    got = apply_map(ctx, rho, ghost_stress_w3(canon.context()))
+    want = FieldExpr.zero(ctx.algebra)
+    for b, c in (("bT", "cT"), ("bW", "cW")):
+        lam = canon.decl(b).weight
+        want = (want + ctx.normal_product(ctx.derivative(rho[b]), rho[c])
+                .scaled(1 - lam)
+                - ctx.normal_product(rho[b], ctx.derivative(rho[c]))
+                .scaled(lam))
+    assert got == want
 
 
 def test_bundle_cross_pairs_regular():

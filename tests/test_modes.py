@@ -479,6 +479,23 @@ def test_pair_plan_matches_reference_sum(systems, level, a, b, splits):
         assert got.columns == want, m
 
 
+def test_pair_walk_applies_no_mode_at_a_zero_weight(monkeypatch):
+    # N(b, d^2 c) weighs each hit with (-u)(-u - 1), zero at c's offsets
+    # 0 and -1: those hits are skipped, so no zero is ever added
+    import wbrst.modes
+    added = []
+
+    def recorded(dst, key, value):
+        added.append(value)
+        _add_into(dst, key, value)
+
+    monkeypatch.setattr(wbrst.modes, "_add_into", recorded)
+    expr = _sum({(("b", 0), ("c", 2)): 1})
+    for m in range(-3, 4):
+        field_modes(expr, Fraction(m), FockSlice([SYS2], 3))
+    assert added and 0 not in added
+
+
 def _full_sample_loop(monkeypatch, a, b, r, slc, max_pole):
     """ope_poles_from_modes with every sample computed: each compile makes
     new expressions, so the two sides never share one."""
