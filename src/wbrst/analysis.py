@@ -97,18 +97,19 @@ def weight_basis(algebra: OpeAlgebra, weight, parity=None, ghost=None):
 def derivative_system(ctx: OpeContext, weight, parity, ghost, extra):
     """(basis, targets, matrix) of the derivative on one slice: basis is
     the ``weight_basis`` of the given weight, parity and ghost number,
-    targets are the monomials of ``extra`` and of the derivatives of the
-    basis, in ``mono_key`` order, and matrix[t][m] is the coefficient of
-    targets[t] in the derivative of basis[m].  The package builds every
-    derivative matrix here."""
+    targets numbers the monomials of ``extra`` and of the derivatives of
+    the basis in ``mono_key`` order, and row targets[t] of matrix is the
+    sparse row {m: coefficient of t in the derivative of basis[m]} that
+    ``linalg`` reduces.  The package builds every derivative matrix here."""
     alg = ctx.algebra
     basis = weight_basis(alg, weight, parity=parity, ghost=ghost)
     images = [ctx.derivative(FieldExpr(alg, {m: RF_ONE})) for m in basis]
-    targets = set(extra)
-    for im in images:
-        targets.update(im.terms)
-    targets = sorted(targets, key=alg.mono_key)
-    matrix = [[im.coefficient(t) for im in images] for t in targets]
+    targets = set(extra).union(*(im.terms for im in images))
+    targets = {t: i for i, t in enumerate(sorted(targets, key=alg.mono_key))}
+    matrix = [{} for _ in targets]
+    for m, im in enumerate(images):
+        for t, v in im.terms.items():
+            matrix[targets[t]][m] = v
     return basis, targets, matrix
 
 
@@ -121,10 +122,10 @@ def is_total_derivative(ctx: OpeContext, expr: FieldExpr):
     if w is None or p is None or g is None:
         raise AnalysisError("expression is not homogeneous")
     basis, targets, matrix = derivative_system(ctx, w - 1, p, g, expr.terms)
-    x = solve(matrix, [expr.coefficient(t) for t in targets])
+    x = solve(matrix, {targets[t]: v for t, v in expr.terms.items()})
     if x is None:
         return False, None
-    return True, FieldExpr(ctx.algebra, dict(zip(basis, x)))
+    return True, FieldExpr(ctx.algebra, {basis[m]: v for m, v in x.items()})
 
 
 # -- identities ------------------------------------------------------------

@@ -59,7 +59,7 @@ class BrstCurrent:
         pole1 = self.self_product.get(1, FieldExpr.zero(self.algebra))
         basis, targets, matrix = derivative_system(self.context, 0, 0, 2,
                                                    pole1.terms)
-        rhs = [pole1.coefficient(t) for t in targets]
+        rhs = {targets[t]: v for t, v in pole1.terms.items()}
         (x, obstructions), = solve_columns(matrix, [rhs])
         return basis, matrix, rhs, x, obstructions
 
@@ -169,7 +169,7 @@ def nilpotency(q: BrstCurrent) -> NilpotencyReport:
     reported but impose no condition on the charge."""
     poles = q.self_product
     basis, _, _, x, obstructions = q.reduction
-    best = FieldExpr(q.algebra, dict(zip(basis, x)))
+    best = FieldExpr(q.algebra, {basis[m]: v for m, v in x.items()})
     if not obstructions:
         return NilpotencyReport("nilpotent", poles,
                                 FieldExpr.zero(q.algebra), best)
@@ -205,15 +205,16 @@ def critical_charge(q: BrstCurrent, param="c"):
 
 
 def _verify_root(matrix, rhs, param, value) -> bool:
-    """Re-check candidate values on the specialized linear system; the
-    generic-rank cokernel can miss conditions that appear at special
-    parameter values."""
+    """Re-check candidate values on the specialized linear system, whose
+    entries that vanish there drop out; the generic-rank cokernel can miss
+    conditions that appear at special parameter values."""
+    at = {param: value}
     try:
-        m = [[a.substitute({param: value}) for a in row] for row in matrix]
-        b = [a.substitute({param: value}) for a in rhs]
+        m = [{j: v for j, a in row.items() if (v := a.substitute(at))}
+             for row in (*matrix, rhs)]
     except PoleError:
         return False
-    return solve(m, b) is not None
+    return solve(m[:-1], m[-1]) is not None
 
 
 # -- conventional form ------------------------------------------------------
@@ -289,16 +290,18 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
     for m in pinned:
         lead.append((m, RF_ZERO))
     # gauge: remove the image of the derivative from the ansatz.  The
-    # targets are the weight-1 slice, and the pivots of the images, taken
-    # as rows, are the derivative directions
-    _, basis, dmat = derivative_system(
-        ctx, 0, 1, 1, weight_basis(algebra, 1, parity=1, ghost=1))
+    # derivative maps the weight-0 slice into the weight-1 slice, and the
+    # pivots of the images, taken as rows, are the derivative directions
+    basis = weight_basis(algebra, 1, parity=1, ghost=1)
     index = {m: i for i, m in enumerate(basis)}
     for m, _ in lead:
         if m not in index:
             raise BrstError(f"leading term {m.factors} is not in the "
                             "weight-1 slice")
-    _, pivots = rref(list(zip(*dmat)), len(basis))
+    images = [ctx.derivative(FieldExpr(algebra, {m: RF_ONE}))
+              for m in weight_basis(algebra, 0, parity=1, ghost=1)]
+    _, pivots = rref([{index[t]: v for t, v in im.terms.items()}
+                      for im in images], len(basis))
     lead_idx = {index[m] for m, _ in lead}
     if lead_idx & set(pivots):
         raise BrstError("a leading term is itself a total derivative "
@@ -351,18 +354,17 @@ def _nilpotency_equations(ctx, members):
     exact2, targets, dmat = derivative_system(ctx, 0, 0, 2, monomials)
     cokernel = left_nullspace(dmat, len(targets), len(exact2))
 
-    # target monomial -> [(cokernel index, nonzero weight)]: most pair
+    # target row -> [(cokernel index, nonzero weight)]: most pair
     # products miss most cokernel entries
     column = {}
     for yi, y in enumerate(cokernel):
-        for t, w in zip(targets, y):
-            if w:
-                column.setdefault(t, []).append((yi, w))
+        for t, w in y.items():
+            column.setdefault(t, []).append((yi, w))
     equations = [{} for _ in cokernel]
     for i, j, e in pairs:
         vals = {}
         for mm, v in e.terms.items():
-            for yi, w in column.get(mm, ()):
+            for yi, w in column.get(targets[mm], ()):
                 _add_into(vals, yi, w * v)
         ki, kj = members[i][2], members[j][2]
         for yi, val in vals.items():

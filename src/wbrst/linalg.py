@@ -8,53 +8,50 @@ columns are a cokernel basis of the matrix applied to those columns.  So
 a column is in the image exactly when its entries there are all zero, and
 with an identity block appended they are the cokernel basis itself.
 
-Scalars only need +, -, *, / and a truth value that means nonzero
-(Fraction, RationalFunction).  The ints 0 and 1 combine exactly with
-both, so free variables are 0 and identity blocks are 0 and 1; the
-matrix columns themselves hold field scalars, since int / int is a float.
+A row is a sparse dict {column: nonzero scalar}, as in ``tensors.Mat``;
+a right-hand side is a column {row: nonzero scalar}, and a solution
+{column: nonzero scalar}, its free variables 0 and absent.  Elimination
+updates only the rows that hold the pivot column, at the pivot row's
+columns, and drops the entries that cancel; the entries it does not
+touch keep the scalar they came in as.
 
-Matrices are dense lists of rows, but elimination skips zeros: each pivot
-row is scaled at its nonzero columns only, and only the rows with a
-nonzero entry in the pivot column are updated, at those columns.  The
-derivative systems of the BRST checks are mostly zeros.  Entries that
-elimination does not touch keep the scalar they came in as.
+Scalars only need +, -, *, / and a truth value that means nonzero
+(Fraction, RationalFunction).  The int 1 of an identity block combines
+exactly with both, but int / int is a float, so matrix entries are field
+scalars.
 """
 
 from __future__ import annotations
 
+from .scalars import _add_into
+
 
 def rref(rows, ncols):
-    """Reduced row echelon form in the first ``ncols`` columns, carried
+    """Reduced row echelon form in the columns 0 .. ``ncols`` - 1, carried
     across every column.  Returns (new_rows, pivot_column_list): every
-    row, the pivot rows first, so the rows from ``len(pivots)`` on are
-    zero in the first ``ncols`` columns.
+    row, the pivot rows first, so the rows from ``len(pivots)`` on have no
+    entry in the first ``ncols`` columns.  The pivot of a column is the
+    first row at or below the current rank that holds it.
 
-    ``rows`` is a list of lists of scalars; the input is not modified.
+    ``rows`` is a list of sparse rows; the input is not modified.
     """
-    rows = [list(r) for r in rows]
+    rows = [dict(r) for r in rows]
     pivots = []
     r = 0
     for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
+        piv = next((i for i in range(r, len(rows)) if col in rows[i]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
-        # the pivot row is zero left of col: every earlier column is a
-        # pivot column cleared in it or a column without a pivot
-        nonzero = [j for j in range(col, len(prow)) if prow[j]]
         inv = prow[col]
-        for j in nonzero:
-            prow[j] = prow[j] / inv
+        for j, v in prow.items():
+            prow[j] = v / inv
         for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != r:
-                for j in nonzero:
-                    row[j] = row[j] - f * prow[j]
+            if i != r and col in row:
+                f = -row[col]
+                for j, v in prow.items():
+                    _add_into(row, j, f * v)
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -69,17 +66,17 @@ def solve_columns(matrix, columns):
     nonzero entries of b's column in the rows below the rank, a cokernel
     basis applied to b.  b is in the image exactly when there are none,
     and then x solves it."""
-    ncols = len(matrix[0]) if matrix else 0
-    aug = [list(row) + [b[i] for b in columns]
-           for i, row in enumerate(matrix)]
+    ncols = 1 + max((max(row) for row in matrix if row), default=-1)
+    aug = [dict(row) for row in matrix]
+    for k, b in enumerate(columns):
+        for i, v in b.items():
+            aug[i][ncols + k] = v
     red, pivots = rref(aug, ncols)
     below = red[len(pivots):]
     out = []
     for j in range(ncols, ncols + len(columns)):
-        x = [0] * ncols
-        for row, col in zip(red, pivots):
-            x[col] = row[j]
-        out.append((x, [row[j] for row in below if row[j]]))
+        x = {col: row[j] for row, col in zip(red, pivots) if j in row}
+        out.append((x, [row[j] for row in below if j in row]))
     return out
 
 
@@ -93,8 +90,9 @@ def solve(matrix, rhs):
 def left_nullspace(matrix, nrows, ncols):
     """Basis of the row vectors y with ``y @ matrix = 0``, for a matrix
     of ``nrows`` rows and ``ncols`` columns: the identity part of the rows
-    below the rank of ``[matrix | 1]``, nrows minus the rank of them."""
-    aug = [list(row) + [int(i == k) for k in range(nrows)]
-           for i, row in enumerate(matrix)]
-    red, pivots = rref(aug, ncols)
-    return [row[ncols:] for row in red[len(pivots):]]
+    below the rank of ``[matrix | 1]``, nrows minus the rank of them, each
+    as {row of the matrix: nonzero scalar}."""
+    red, pivots = rref([{**row, ncols + i: 1} for i, row in enumerate(matrix)],
+                       ncols)
+    return [{j - ncols: v for j, v in row.items()}
+            for row in red[len(pivots):]]

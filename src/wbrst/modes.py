@@ -654,15 +654,17 @@ def _sample_solver(nun):
     unknown (free unknowns are 0), and the right-hand side is consistent
     when it is orthogonal to the rows below the rank."""
     nas = range(-(nun // 2), nun + 3 - nun // 2)  # as _pole_columns
-    red, pivots = rref([[Fraction(prod(range(na - j, na)), factorial(j))
-                         for j in range(nun)] + [int(na == nb) for nb in nas]
-                        for na in nas], nun)
-    inverse = [row[nun:] for row in red[:len(pivots)]]
-    den = lcm(*(x.denominator for row in inverse for x in row))
-    rows = [tuple(int(x * den) for x in row) for row in inverse]
+    red, pivots = rref([
+        {j: x for j in range(nun)
+         if (x := Fraction(prod(range(na - j, na)), factorial(j)))}
+        | {nun + k: 1} for k, na in enumerate(nas)], nun)
+    # the identity block of each row, dense
+    red = [[row.get(nun + k, 0) for k in range(len(nas))] for row in red]
+    den = lcm(*(x.denominator for row in red[:len(pivots)] for x in row))
+    rows = [tuple(int(x * den) for x in row) for row in red[:len(pivots)]]
     for row in red[len(pivots):]:
-        k = lcm(*(x.denominator for x in row[nun:]))
-        rows.append(tuple(int(x * k) for x in row[nun:]))
+        k = lcm(*(x.denominator for x in row))
+        rows.append(tuple(int(x * k) for x in row))
     return tuple(pivots), tuple(rows), den
 
 

@@ -5,9 +5,9 @@ Elements are sums of words in three letter types: 'c' (upper-index ghost),
 word contracted with a sparse coefficient tensor.  The defining exchange
 relations let every word be brought to the block order c..c x..x b..b,
 and the quadratic relations inside each block single out a canonical
-coefficient: twisted antisymmetrization for the ghost blocks (with the
-index order of the c block reversed) and braid symmetrization plus a
-linear remainder for the generator block.
+coefficient: twisted antisymmetrization for the ghost blocks, each read
+in its written index order, and braid symmetrization plus a linear
+remainder for the generator block.
 
 Every relation reads the dataset through the row-convention matrices of
 its ``QlaData`` (sigma, sigma_tilde = phi sigma phi^{-1}, phi and C),
@@ -58,8 +58,8 @@ class OmegaAlgebra:
             raise OmegaError("twisted braid matrix fails the braid relation")
         # ghost blocks: the coefficient of b_{j_1} .. b_{j_r} lies in the
         # image of the projector A_r of sigma_tilde, and that of
-        # c^{i_1} .. c^{i_p}, its indices read in reverse, in the image of
-        # A_p; the two checks above make the closed form a projector
+        # c^{i_1} .. c^{i_p} in the image of A_p, both indexed in written
+        # order; the two checks above make the closed form a projector
         self.antisym = antisymmetrizer_projectors(self.st_mat, n,
                                                   max(P_MAX, R_MAX))
 
@@ -178,15 +178,9 @@ class OmegaElement:
             return None
         return numbers.pop()
 
-    def sorted_terms(self):
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            cf = self.terms[word]
-            yield word, [(idx, cf[idx]) for idx in sorted(cf)]
-
     def __repr__(self):
-        bits = []
-        for word, entries in self.sorted_terms():
-            bits.append(f"{''.join(word) or '1'}:{len(entries)}")
+        bits = [f"{''.join(w) or '1'}:{len(self.terms[w])}"
+                for w in sorted(self.terms, key=lambda w: (len(w), w))]
         return f"OmegaElement({', '.join(bits) or '0'})"
 
 
@@ -240,22 +234,23 @@ def _reduce_block(alg, word, coeff):
 
 
 def _project_ghosts(alg, word, coeff, p, r):
-    """Apply A_p to the c block, its indices read in reverse, and A_r to
-    the b block."""
+    """Apply A_p to the c block and A_r to the b block, in written order.
+    So c^i c^j = -sigma_tilde^{kl}_{ij} c^k c^l, the relation the b c
+    exchange implies: b_m c^k c^l has the linear part delta_m^k c^l -
+    sigma_tilde^{lk}_{jm} c^j, which vanishes on the relation.  For a
+    color braid that is c^i c^j = -eps(deg i, deg j) c^j c^i."""
     n = alg.n
-    for start, size, reverse in ((0, p, True), (len(word) - r, r, False)):
+    for start, size in ((0, p), (len(word) - r, r)):
         if size < 2:
             continue
         a = alg.antisym[size]
         out = {}
         for idx, v in coeff.items():
-            block = idx[start:start + size]
-            row = a.rows.get(flatten(block[::-1] if reverse else block, n))
+            row = a.rows.get(flatten(idx[start:start + size], n))
             if not row:
                 continue
             for col, w in row.items():
-                new = unflatten(col, n, size)
-                _add_into(out, idx[:start] + (new[::-1] if reverse else new)
+                _add_into(out, idx[:start] + unflatten(col, n, size)
                           + idx[start + size:], v * w)
         coeff = out
     return word, coeff
@@ -266,8 +261,8 @@ def _project_ghosts(alg, word, coeff, p, r):
 
 def build_q(alg: OmegaAlgebra) -> OmegaElement:
     """The ghost differential c^i chi_i - (1/2) c c phi C b: the cubic
-    term is -(1/2) (phi C)^k_{yx} c^x c^y b_k, the c pair read in reverse
-    as in the c block."""
+    term is -(1/2) (phi C)^k_{yx} c^x c^y b_k, the ghosts in the opposite
+    order to the lower index pair of phi C."""
     n = alg.n
     linear = {(i, i): RF_ONE for i in range(n)}
     phi_c = alg.data.phi @ alg.data.c

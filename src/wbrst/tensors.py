@@ -28,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import factorial, prod
 
-from .linalg import solve_columns
+from .linalg import rref, solve_columns
 from .scalars import RF_ONE, RF_ZERO, _add_into, rf
 
 
@@ -224,16 +224,15 @@ class QlaData:
     @cached_property
     def phi_inverse(self) -> Mat:
         """Raises ZeroDivisionError when phi is singular."""
-        p = self.phi
-        size = p.nrows
-        # row r of the inverse solves x p = e_r, that is p^T x = e_r
-        transposed = [[p.get(r, c) for r in range(size)] for c in range(size)]
-        units = [[int(r == c) for c in range(size)] for r in range(size)]
-        rows = solve_columns(transposed, units)
-        if any(obstructions for _, obstructions in rows):
+        size = self.phi.nrows
+        # [phi | 1] reduces to [1 | phi^{-1}]
+        red, pivots = rref([{**self.phi.rows.get(r, {}), size + r: 1}
+                            for r in range(size)], size)
+        if len(pivots) < size:
             raise ZeroDivisionError("phi is singular")
-        return Mat(size, size, {r: {c: v for c, v in enumerate(x) if v}
-                                for r, (x, _) in enumerate(rows)})
+        return Mat(size, size, {r: {c - size: v for c, v in row.items()
+                                    if c >= size}
+                                for r, row in enumerate(red)})
 
     @cached_property
     def sigma_tilde(self) -> Mat:
@@ -300,18 +299,20 @@ def check_qla_axioms(d: QlaData) -> AxiomReport:
     # existence of t with C^i_{jk} = (delta - sigma)^{lm}_{jk} t^i_{lm}:
     # one row reduction of [1 - sigma | C^1 ... C^n]
     # (rows jk, columns lm), and t^i_{lm} is the witness t at [(l, m), i]
-    pairs = range(n * n)
-    matrix = [[(RF_ONE if lm == jk else RF_ZERO) - s.get(jk, lm)
-               for lm in pairs] for jk in pairs]
-    columns = [[c2.get(jk, i) for jk in pairs] for i in range(n)]
-    xs = solve_columns(matrix, columns)
+    one_minus_s = (ident2 - s).rows
+    columns = [{} for _ in range(n)]
+    for jk, row in c2.rows.items():
+        for i, v in row.items():
+            columns[i][jk] = v
+    xs = solve_columns([one_minus_s.get(jk, {}) for jk in range(n * n)],
+                       columns)
     if any(obstructions for _, obstructions in xs):
         rep.record("t_exists", [("no solution of C = (1 - sigma) t",)])
     else:
         rep.record("t_exists", [])
         t = Mat(n * n, n)
         for i, (x, _) in enumerate(xs):
-            for lm, v in enumerate(x):
+            for lm, v in x.items():
                 t.set(lm, i, v)
         rep.extras["t_witness"] = t
     return rep

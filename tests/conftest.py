@@ -20,14 +20,15 @@ def read_data(name: str) -> str:
 
 
 def load_qla(name: str):
-    return parse_qla_file(read_data(name))
+    """A dataset by file name: a bundled one, else one of ``tests/data``."""
+    path = DATA / name if (DATA / name).exists() else TEST_DATA / name
+    return parse_qla_file(path.read_text(encoding="utf-8"))
 
 
 def load_color_borel():
-    """The color Lie algebra of ``tests/data/color_borel_q2.qla``: the only
-    shipped braid that is not a symmetric matrix, with C != 0."""
-    return parse_qla_file(
-        (TEST_DATA / "color_borel_q2.qla").read_text(encoding="utf-8"))
+    """The color Lie algebra of ``tests/data/color_borel_q2.qla``: a braid
+    that is not a symmetric matrix, with C != 0."""
+    return load_qla("color_borel_q2.qla")
 
 
 def load_alg(name: str):
@@ -35,6 +36,10 @@ def load_alg(name: str):
 
 
 QLA_FILES = ("so3.qla", "super_ef.qla", "lyubashenko.qla")
+# the datasets whose single-entry +1 mutations the recorded verdict tables
+# cover: the bundled ones and the abelian color algebra of tests/data (the
+# color Borel's 750 mutations would cost too much)
+MUTATED_QLA_FILES = QLA_FILES + ("color_abelian_q2.qla",)
 ALG_FILES = ("w3.alg", "w3_printed.alg", "w3_ghosts.alg", "w3_ghosts_free.alg",
              "w32.alg", "w32_ghosts.alg", "w32_ghosts_free.alg")
 

@@ -13,6 +13,9 @@ from fractions import Fraction
 import pytest
 
 import wbrst.cli
+import wbrst.linalg
+from wbrst.algebras import w3_ghosts
+from wbrst.analysis import derivative_system
 from wbrst.fields import OpeAlgebra
 from wbrst.linalg import left_nullspace
 from wbrst.modes import BcSystem, FockSlice
@@ -69,6 +72,41 @@ def test_linalg_cells_read_left_nullspace_shape():
     # the tracer counts left_nullspace's cells as args[1] * args[2]
     params = list(inspect.signature(left_nullspace).parameters)
     assert params == ["matrix", "nrows", "ncols"]
+
+
+def _compiled(tree, name):
+    """The top-level function ``name`` of a parsed benchmark module,
+    compiled on its own: the module is not imported and nothing is
+    written next to it."""
+    node, = (n for n in tree.body
+             if isinstance(n, ast.FunctionDef) and n.name == name)
+    namespace = {}
+    exec(compile(ast.Module([node], type_ignores=[]), name, "exec"),
+         namespace)
+    return namespace[name]
+
+
+def test_linalg_cells_count_real_arguments():
+    # the tracer calls _linalg_cells on the positional arguments of every
+    # linalg entry point; on sparse rows it must still give a count
+    cells = _compiled(TRACING, "_linalg_cells")
+    basis, targets, matrix = derivative_system(w3_ghosts().context(),
+                                               0, 0, 2, ())
+    assert any(matrix)
+    first = {t: row[0] for t, row in enumerate(matrix) if 0 in row}
+    calls = [
+        ("rref", (matrix, len(basis))),
+        ("solve", (matrix, first)),
+        ("solve_columns", (matrix, [first, {}])),
+        ("left_nullspace", (matrix, len(targets), len(basis))),
+        ("rref", ([], 0)),
+        ("solve", ([], {})),
+        ("solve_columns", ([{}], [{0: Fraction(1)}])),
+        ("left_nullspace", ([], 0, 3)),
+    ]
+    for name, args in calls:
+        getattr(wbrst.linalg, name)(*args)
+        assert isinstance(cells(name, args), int), name
 
 
 def test_worker_imports_exist():

@@ -242,11 +242,12 @@ def _ordered_pair_equations(ctx, members):
     for im in images2:
         targets.update(im.terms)
     targets = sorted(targets, key=algebra.mono_key)
-    dmat = [[im.coefficient(t) for im in images2] for t in targets]
+    dmat = [{m: im.terms[t] for m, im in enumerate(images2) if t in im.terms}
+            for t in targets]
     cokernel = left_nullspace(dmat, len(targets), len(exact2))
     equations = []
     for y in cokernel:
-        y = {t: w for t, w in zip(targets, y) if w}
+        y = {targets[k]: w for k, w in y.items()}
         eq = {}
         for (i, j), e in pair_vec.items():
             val = RF_ZERO

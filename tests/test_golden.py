@@ -60,13 +60,13 @@ COMMANDS = (
     "cft critical w3",
     # so3 with C^3_{12} = 2: the residual entries of the failing checks
     "qla check tests/data/so3_bad_c.qla",
-    # the color Lie algebra of README.md "Known gap": the only shipped braid
-    # that is not a symmetric matrix with C != 0.  The brst golden pins the
-    # known wrong answer (Q^2 != 0 where the Chevalley-Eilenberg differential
-    # of a color Lie algebra squares to zero); the fix of that gap records
-    # it again
+    # the two color Lie algebras of README.md: braids that are not symmetric
+    # matrices, where Q^2 = 0 (the Chevalley-Eilenberg differential of a
+    # color Lie algebra) only if the c block is read in written order
     "qla check tests/data/color_borel_q2.qla",
     "qla brst tests/data/color_borel_q2.qla",
+    "qla check tests/data/color_abelian_q2.qla",
+    "qla brst tests/data/color_abelian_q2.qla",
     # the numeric BRST paths: W3^(2), the as-printed a2 table, non-conventional ghosts
     "cft brst w32 --c 7/3",
     "cft brst w3 --c 100 --a2 printed",

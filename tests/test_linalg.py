@@ -1,4 +1,4 @@
-"""Exact linear algebra: zero-skipping elimination against a dense
+"""Exact linear algebra: sparse-row elimination against a dense
 reference, and the answers read from one reduction against independent
 checks."""
 
@@ -43,10 +43,9 @@ def dense_rref(rows, ncols):
     return rows, pivots
 
 
-def dense_solve(matrix, rhs):
+def dense_solve(matrix, ncols, rhs):
     """x from the pivot rows of dense [matrix | rhs], free variables 0,
     and the nonzero entries of its rows below the rank in the rhs column."""
-    ncols = len(matrix[0])
     red, pivots = dense_rref([row + [b] for row, b in zip(matrix, rhs)],
                              ncols)
     x = [0] * ncols
@@ -63,6 +62,11 @@ def dense_left_nullspace(matrix, ncols):
     return [row[ncols:] for row in red[len(pivots):]]
 
 
+def sparse(row):
+    """The nonzero entries of a dense row, {column: value}."""
+    return {j: v for j, v in enumerate(row) if v}
+
+
 def _times(matrix, x, zero):
     out = []
     for row in matrix:
@@ -75,9 +79,12 @@ def _times(matrix, x, zero):
 
 def _same(got, want):
     """Equal, entry by entry, with the same scalar type at each entry."""
-    if isinstance(want, list):
-        return (isinstance(got, list) and len(got) == len(want)
+    if isinstance(want, (list, tuple)):
+        return (isinstance(got, type(want)) and len(got) == len(want)
                 and all(_same(g, w) for g, w in zip(got, want)))
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(_same(got[k], w) for k, w in want.items()))
     if want is None:
         return got is None
     return type(got) is type(want) and got == want and str(got) == str(want)
@@ -93,58 +100,73 @@ _FUNCTIONS = [RF_ONE, rf(-1), rf(Fraction(3, 4)), C, C + RF_ONE,
 
 @st.composite
 def _systems(draw, nonzero, zero):
-    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     entry = st.one_of(st.just(zero), st.just(zero), st.just(zero),
                       st.sampled_from(nonzero))
     matrix = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                            min_size=nrows, max_size=nrows))
-    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
-        matrix[i] = [zero] * ncols
-    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
-        for row in matrix:
-            row[j] = zero
+    if nrows:
+        for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+            matrix[i] = [zero] * ncols
+    if ncols:
+        for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+            for row in matrix:
+                row[j] = zero
     rhs = draw(st.lists(entry, min_size=nrows, max_size=nrows))
     if draw(st.booleans()):
         # consistent: the image of a drawn vector
         x = draw(st.lists(entry, min_size=ncols, max_size=ncols))
         rhs = _times(matrix, x, zero)
-    return matrix, rhs
+    return matrix, ncols, rhs
 
 
-def _check_against_dense(matrix, rhs, zero):
-    ncols = len(matrix[0])
-    before = [list(row) for row in matrix]
-    red, pivots = rref(matrix, ncols)
-    assert _same([red, pivots], list(dense_rref(matrix, ncols)))
-    assert all(not a for row in red[len(pivots):] for a in row)
+def _check_against_dense(matrix, ncols, rhs, zero):
+    rows = [sparse(row) for row in matrix]
+    before = [dict(row) for row in rows]
+
+    # every row, pivot rows first and the rows below the rank after them,
+    # as the dense reduction leaves it, without its zeros
+    red, pivots = rref(rows, ncols)
+    want_red, want_pivots = dense_rref(matrix, ncols)
+    assert pivots == want_pivots
+    assert _same(red, [sparse(row) for row in want_red])
+    assert not any(j < ncols for row in red[len(pivots):] for j in row)
     aug = [row + [b] for row, b in zip(matrix, rhs)]
-    assert _same(list(rref(aug, ncols)), list(dense_rref(aug, ncols)))
+    red, pivots = rref([sparse(row) for row in aug], ncols)
+    want_red, want_pivots = dense_rref(aug, ncols)
+    assert pivots == want_pivots
+    assert _same(red, [sparse(row) for row in want_red])
 
     # the image of a column of the matrix is always consistent
-    first = [row[0] for row in matrix]
-    got = solve_columns(matrix, [rhs, first])
-    want = [dense_solve(matrix, rhs), dense_solve(matrix, first)]
-    assert _same([x for x, _ in got], [x for x, _ in want])
-    assert [o for _, o in got] == [o for _, o in want]
+    first = [row[0] if ncols else zero for row in matrix]
+    got = solve_columns(rows, [sparse(rhs), sparse(first)])
+    want = [dense_solve(matrix, ncols, rhs),
+            dense_solve(matrix, ncols, first)]
+    assert _same(got, [(sparse(x), o) for x, o in want])
     assert not got[1][1]
     # no obstructions exactly when x solves the system: the check that
     # solve_columns leaves out, made here independently
     for (x, obstructions), b in zip(got, (rhs, first)):
-        assert (not obstructions) == (_times(matrix, x, zero) == b)
+        dense_x = [x.get(j, 0) for j in range(ncols)]
+        assert (not obstructions) == (_times(matrix, dense_x, zero) == b)
     x, obstructions = got[0]
-    assert solve(matrix, rhs) == (None if obstructions else x)
+    assert solve(rows, sparse(rhs)) == (None if obstructions else x)
 
     # a left nullspace basis: y @ matrix = 0 for each of nrows - rank
     # independent rows
-    ys = left_nullspace(matrix, len(matrix), ncols)
-    assert ys == dense_left_nullspace(matrix, ncols)
-    assert len(ys) == len(matrix) - len(pivots)
+    ys = left_nullspace(rows, len(rows), ncols)
+    # equal values: the dense reference turns every identity entry it
+    # updates into a field scalar, the sparse one only those it changes
+    assert ys == [sparse(y) for y in dense_left_nullspace(matrix, ncols)]
+    assert len(ys) == len(rows) - len(pivots)
     for y in ys:
-        assert not any(_times([list(col) for col in zip(*matrix)], y, zero))
+        assert all(not sum((y.get(i, 0) * row[j]
+                            for i, row in enumerate(matrix)), zero)
+                   for j in range(ncols))
     # the untouched identity entries are ints, and int / int is a float
-    exact = [[zero + a for a in y] for y in ys]
-    assert len(dense_rref(exact, len(matrix))[1]) == len(ys)
-    assert matrix == before  # the input is not modified
+    exact = [[zero + y.get(i, 0) for i in range(len(rows))] for y in ys]
+    assert len(dense_rref(exact, len(rows))[1]) == len(ys)
+    assert rows == before  # the input is not modified
 
 
 @settings(max_examples=150, deadline=None)
@@ -160,13 +182,14 @@ def test_rational_function_elimination_matches_dense(system):
 
 
 def test_zero_matrix_and_inconsistent_column():
-    z = Fraction(0)
-    assert rref([[z, z], [z, z]], 2) == ([[z, z], [z, z]], [])
+    assert rref([{}, {}], 2) == ([{}, {}], [])
+    assert rref([], 3) == ([], [])
     # 0 x = 1 has no solution: its obstruction is the 1 itself, and x
     # keeps the free variables at 0
-    assert solve_columns([[z, z]], [[Fraction(1)]]) == [([0, 0], [1])]
-    assert solve([[z, z]], [Fraction(1)]) is None
+    assert solve_columns([{}], [{0: Fraction(1)}]) == [({}, [1])]
+    assert solve([{}], {0: Fraction(1)}) is None
+    assert solve_columns([], [{}]) == [({}, [])]
     # every row vector annihilates the zero matrix
-    assert left_nullspace([[z, z], [z, z]], 2, 2) == [[1, 0], [0, 1]]
-    assert left_nullspace([[], []], 2, 0) == [[1, 0], [0, 1]]
+    assert left_nullspace([{}, {}], 2, 2) == [{0: 1}, {1: 1}]
+    assert left_nullspace([{}, {}], 2, 0) == [{0: 1}, {1: 1}]
     assert left_nullspace([], 0, 3) == []

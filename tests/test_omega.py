@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import QLA_FILES, load_qla, qla_mutations, shifted
+from conftest import (MUTATED_QLA_FILES, QLA_FILES, load_qla, qla_mutations,
+                      shifted)
 from wbrst.omega import OmegaAlgebra, OmegaError, build_q, verify_nilpotent
 from wbrst.scalars import RF_ONE, RationalFunction, _add_into
 from wbrst.tensors import (Mat, QlaData, flatten, lie_super_twist,
@@ -261,16 +262,26 @@ def test_exchange_rewrites_each_pair_by_its_relation(color_borel_omega):
         assert got == want, (i, k)
 
 
+def test_color_ghosts_anticommute_up_to_the_bicharacter():
+    # degrees (1,0) and (0,1), eps(a, b) = 2^(a1 b2 - a2 b1): the ghosts
+    # obey c^1 c^2 = -eps((1,0), (0,1)) c^2 c^1 = -2 c^2 c^1, and with that
+    # Q = c^i chi_i squares to zero although chi_1 chi_2 = 2 chi_2 chi_1
+    alg = OmegaAlgebra(load_qla("color_abelian_q2.qla"))
+    assert alg.word("cc", {(0, 1): 1}) == alg.word("cc", {(1, 0): -2})
+    assert alg.word("xx", {(0, 1): 1}) == alg.word("xx", {(1, 0): 2})
+    assert verify_nilpotent(alg)[0]
+
+
 BRST_VERDICTS = (pathlib.Path(__file__).resolve().parent / "golden"
                  / "qla_brst_verdicts.json")
 
 
 def qla_brst_verdicts() -> dict:
-    """The Q^2 outcome on each bundled dataset and on each of its
-    single-entry +1 mutations (with the bundled twist): "nilpotent",
+    """The Q^2 outcome on each dataset of MUTATED_QLA_FILES and on each of
+    its single-entry +1 mutations (with the dataset's twist): "nilpotent",
     "obstructed" with the residual sectors, or the OmegaError message."""
     table = {}
-    for name in QLA_FILES:
+    for name in MUTATED_QLA_FILES:
         d = load_qla(name)
         variants = [("bundled", d)] + [
             (f"{kind} {' '.join(map(str, idx))} += 1", d2)

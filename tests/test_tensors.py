@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (QLA_FILES, TEST_DATA, load_color_borel, load_qla,
-                      qla_mutations, shifted)
+from conftest import (MUTATED_QLA_FILES, QLA_FILES, TEST_DATA,
+                      load_color_borel, load_qla, qla_mutations, shifted)
 from wbrst.cli import main
 from wbrst.linalg import solve, solve_columns
 from wbrst.omega import OmegaAlgebra, OmegaError, verify_nilpotent
@@ -111,22 +111,23 @@ def test_witness_equals_one_solve_per_upper_index(name):
     # separate solve of (1 - sigma) t^i = C^i gives
     d = load_qla(name)
     pairs = range(d.n ** 2)
-    matrix = [[(RF_ONE if lm == jk else RF_ZERO) - d.sigma.get(jk, lm)
-               for lm in pairs] for jk in pairs]
+    matrix = [{lm: v for lm in pairs if (v := (RF_ONE if lm == jk else RF_ZERO)
+                                         - d.sigma.get(jk, lm))}
+              for jk in pairs]
     t = check_qla_axioms(d).extras["t_witness"]
     for i in range(d.n):
-        x = solve(matrix, [d.c.get(jk, i) for jk in pairs])
-        assert x == [t.get(lm, i) for lm in pairs]
+        x = solve(matrix, {jk: v for jk in pairs if (v := d.c.get(jk, i))})
+        assert x == {lm: v for lm in pairs if (v := t.get(lm, i))}
 
 
 def test_solve_columns_flags_each_inconsistent_column():
     # x solves the consistent part of each column; 1 x + 1 y = 1 and
     # 2 x + 2 y = 3 leave the obstruction 3 - 2 * 1 in the row below the rank
     one = Fraction(1)
-    m = [[one, one], [2 * one, 2 * one]]
-    assert solve_columns(m, [[1, 2], [1, 3], [0, 0]]) == [
-        ([1, 0], []), ([1, 0], [1]), ([0, 0], [])]
-    assert solve_columns([], [[]]) == [([], [])]
+    m = [{0: one, 1: one}, {0: 2 * one, 1: 2 * one}]
+    assert solve_columns(m, [{0: 1, 1: 2}, {0: 1, 1: 3}, {}]) == [
+        ({0: 1}, []), ({0: 1}, [1]), ({}, [])]
+    assert solve_columns([], [{}]) == [({}, [])]
 
 
 def _antisymmetrizer(parities, k):
@@ -179,9 +180,10 @@ VERDICTS = pathlib.Path(__file__).resolve().parent / "golden" / "qla_axiom_verdi
 
 def qla_axiom_verdicts() -> dict:
     """Pass/fail of every named check of ``check_qla_axioms`` on each
-    bundled dataset and on each of its single-entry +1 mutations."""
+    dataset of MUTATED_QLA_FILES and on each of its single-entry +1
+    mutations."""
     table = {}
-    for name in QLA_FILES:
+    for name in MUTATED_QLA_FILES:
         d = load_qla(name)
         variants = [("bundled", d)] + [
             (f"{kind} {' '.join(map(str, idx))} += 1", d2)
@@ -199,7 +201,7 @@ def test_qla_axiom_verdicts_match_the_recorded_table():
     assert qla_axiom_verdicts() == json.loads(VERDICTS.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", QLA_FILES)
+@pytest.mark.parametrize("name", MUTATED_QLA_FILES)
 def test_every_single_entry_mutation_is_caught(name):
     missed = [(kind, idx) for kind, idx, d2 in qla_mutations(load_qla(name))
               if not _mutation_caught(d2)]
