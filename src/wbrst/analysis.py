@@ -249,7 +249,7 @@ def apply_map(ctx: OpeContext, rho: dict, expr: FieldExpr) -> FieldExpr:
     out = FieldExpr.zero(alg)
     for m, v in expr.terms.items():
         image = FieldExpr.unit(alg)
-        for name, k in reversed(m.factors):
+        for name, k in reversed(m):
             image = ctx.normal_product(ctx.derivative(rho[name], k), image)
         out = out + image.scaled(v)
     return out

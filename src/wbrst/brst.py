@@ -222,7 +222,7 @@ def _verify_root(matrix, rhs, param, value) -> bool:
 
 def unconventional_terms(q: BrstCurrent):
     """Terms of generator-degree at least four, in canonical order."""
-    out = [(m, v) for m, v in q.expr.sorted_terms() if len(m.factors) >= 4]
+    out = [(m, v) for m, v in q.expr.sorted_terms() if len(m) >= 4]
     return out
 
 
@@ -308,7 +308,7 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
                         "direction")
     ansatz = [i for i in range(len(basis))
               if i not in pivots and i not in lead_idx
-              and (max_degree is None or len(basis[i].factors) <= max_degree)]
+              and (max_degree is None or len(basis[i]) <= max_degree)]
 
     members = [(m, coeff, None) for m, coeff in lead]
     members += [(basis[i], None, k) for k, i in enumerate(ansatz)]

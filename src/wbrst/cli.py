@@ -155,6 +155,8 @@ def _bindings(pairs) -> dict:
     out = {}
     for item in pairs or ():
         name, _, value = item.partition("=")
+        if name in out:
+            raise InputError(f"binding of {name!r} given twice")
         try:
             out[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):

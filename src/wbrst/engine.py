@@ -5,7 +5,10 @@ plus five rewriting rules: the two derivative rules, the exchange (flip)
 formula, the generalized Wick formula for products against a composite,
 and the reordering/quasi-associativity corrections for normal products.
 Everything is memoized per context; coefficients stay exact rational
-functions of the declared parameters.
+functions of the declared parameters.  The exact constants of the rules
+(the signs over l!, 1/l!, the binomials, -n and the exchange weights) are
+built once each as ``RationalFunction``s, so a rule application makes no
+``Fraction`` and converts no number.
 
 Every singular term of a product of normal-ordered monomials needs at
 least one contraction between their factors (the generalized Wick
@@ -23,11 +26,19 @@ the pairs i > j as one exchange of the summed strict upper triangle.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .errors import WbrstError
-from .fields import FieldExpr, Monomial, OpeAlgebra, UNIT
-from .scalars import RF_ONE, RationalFunction, _add_into, rf
+from .fields import FieldExpr, Monomial, OpeAlgebra
+from .scalars import RF_ONE, RationalFunction
+
+
+@lru_cache(maxsize=None)
+def _const(n: int, d: int = 1) -> RationalFunction:
+    """The rule constant n/d, built once: a few dozen values, and more
+    only as products reach higher pole orders."""
+    return RationalFunction.const(Fraction(n, d))
 
 
 class EngineError(WbrstError):
@@ -106,16 +117,16 @@ class OpeContext:
     # -- operator products on monomials ------------------------------------
 
     def ope_mono(self, m1: Monomial, m2: Monomial) -> dict:
-        key = (m1.factors, m2.factors)
+        key = (m1, m2)
         hit = self._ope_memo.get(key)
         if hit is not None:
             return hit
         self._tick()
         if not self._contracts(m1, m2):
             out = {}
-        elif len(m1.factors) == 1 and len(m2.factors) == 1:
-            out = self._ope_single(m1.factors[0], m2.factors[0])
-        elif len(m2.factors) >= 2:
+        elif len(m1) == 1 and len(m2) == 1:
+            out = self._ope_single(m1[0], m2[0])
+        elif len(m2) >= 2:
             out = self._wick(m1, m2)
         else:
             rev = self.ope_mono(m2, m1)
@@ -127,46 +138,63 @@ class OpeContext:
     def _contracts(self, m1: Monomial, m2: Monomial) -> bool:
         """Whether a generator of m1 has a nonzero stored product with a
         generator of m2; false when either monomial is the unit."""
-        names = {f[0] for f in m2.factors}
+        names = {f[0] for f in m2}
         partners = self.algebra.partners
-        for f in m1.factors:
+        for f in m1:
             if not names.isdisjoint(partners(f[0])):
                 return True
         return False
 
     def _ope_single(self, f1, f2) -> dict:
-        key = (f1, f2)
-        hit = self._single_memo.get(key)
+        """[f1 f2] for two factors.  [D(A) B]_(n+1) is -n [A B]_n, and
+        [A D(B)]_n is D([A B]_n) + (n - 1) [A B]_(n-1).  The derivative
+        orders are taken off one at a time, the left ones first, down to
+        a memoized product or the stored table entry, and the products
+        are built back up in a loop, each memoized: a recursion per order
+        would overflow the stack at a thousand orders."""
+        memo = self._single_memo
+        hit = memo.get((f1, f2))
         if hit is not None:
             return hit
-        self._tick()
         (n1, d1), (n2, d2) = f1, f2
-        if d1 > 0:
-            base = self._ope_single((n1, d1 - 1), f2)
-            out = {n + 1: e.scaled(-n) for n, e in base.items()}
-        elif d2 > 0:
-            base = self._ope_single(f1, (n2, d2 - 1))
-            out = {}
-            top = max(base, default=0) + 1
-            for n in range(1, top + 1):
-                acc = out[n] = {}
-                if n in base:
-                    _add_expr(acc, self._dexpr(base[n], 1))
-                if n - 1 in base and n > 1:
-                    _add_expr(acc, base[n - 1], n - 1)
-            out = self._poles(out)
-        else:
-            poles, flipped = self.algebra.table_entry(n1, n2)
-            if poles is None:
-                out = {}
-            elif not flipped:
-                out = dict(poles)
+        chain = [(d1, d2)]
+        out = None
+        while d1 or d2:
+            if d1:
+                d1 -= 1
             else:
-                p1 = self.algebra.decl(n1).parity
-                p2 = self.algebra.decl(n2).parity
-                out = self._flip(poles, p1, p2)
-        self._single_memo[key] = out
+                d2 -= 1
+            out = memo.get(((n1, d1), (n2, d2)))
+            if out is not None:
+                break
+            chain.append((d1, d2))
+        for d1, d2 in reversed(chain):
+            self._tick()
+            if d1:
+                out = {n + 1: e.scaled(_const(-n)) for n, e in out.items()}
+            elif d2:
+                base, out = out, {}
+                for n in range(1, max(base, default=0) + 2):
+                    acc = out[n] = {}
+                    if n in base:
+                        _add_expr(acc, self._dexpr(base[n], 1))
+                    if n - 1 in base and n > 1:
+                        _add_expr(acc, base[n - 1], _const(n - 1))
+                out = self._poles(out)
+            else:
+                out = self._table_poles(n1, n2)
+            memo[((n1, d1), (n2, d2))] = out
         return out
+
+    def _table_poles(self, n1, n2) -> dict:
+        """[n1 n2] for two generators, from the stored orientation."""
+        poles, flipped = self.algebra.table_entry(n1, n2)
+        if poles is None:
+            return {}
+        if not flipped:
+            return dict(poles)
+        return self._flip(poles, self.algebra.decl(n1).parity,
+                          self.algebra.decl(n2).parity)
 
     def _flip(self, poles: dict, p1: int, p2: int) -> dict:
         """[A B]_n from all poles of [B A] by the exchange formula."""
@@ -178,17 +206,17 @@ class OpeContext:
             for l in range(n, top + 1):
                 if l not in poles:
                     continue
-                k = Fraction((-1) ** l, factorial(l - n)) * sign
+                k = _const(sign * (-1) ** l, factorial(l - n))
                 _add_expr(acc, self._dexpr(poles[l], l - n), k)
         return self._poles(out)
 
     def _wick(self, a: Monomial, b: Monomial) -> dict:
         """[A N(h, T)]_n for composite right factor."""
         alg = self.algebra
-        h = b.factors[0]
-        t = Monomial(b.factors[1:])
-        sign = -1 if (alg.mono_parity(a)
-                      and alg.decl(h[0]).parity) else 1
+        h = b[0]
+        t = Monomial(b[1:])
+        sign = _const(-1 if (alg.mono_parity(a)
+                             and alg.decl(h[0]).parity) else 1)
         p_rest = self.ope_mono(a, t)
         p_head = self.ope_mono(a, Monomial((h,)))
         inner = {m: self._ope_expr_mono(e, t) for m, e in p_head.items()}
@@ -204,7 +232,7 @@ class OpeContext:
             for m in p_head:
                 if m > n:
                     continue
-                k = comb(n - 1, n - m)
+                k = _const(comb(n - 1, n - m))
                 if m == n:
                     term = self._nexpr_right(p_head[m], t)
                 else:
@@ -218,42 +246,41 @@ class OpeContext:
 
     def nmono_single(self, f, m: Monomial) -> FieldExpr:
         """Canonical form of N(f, M) for a single factor f."""
-        key = (f, m.factors)
+        key = (f, m)
         hit = self._nprod_memo.get(key)
         if hit is not None:
             return hit
         self._tick()
         alg = self.algebra
-        if not m.factors:
+        if not m:
             out = FieldExpr._wrap(alg, {Monomial((f,)): RF_ONE})
         else:
-            g = m.factors[0]
+            g = m[0]
             kf, kg = alg.factor_key(f), alg.factor_key(g)
             odd_f = alg.decl(f[0]).parity
             if kf < kg or (kf == kg and not odd_f):
-                out = FieldExpr._wrap(alg,
-                                      {Monomial((f,) + m.factors): RF_ONE})
+                out = FieldExpr._wrap(alg, {Monomial((f, *m)): RF_ONE})
             elif kf == kg:
                 # identical odd factor: 2 N(f, N(f, X)) equals the
                 # reordering correction series
-                rest = Monomial(m.factors[1:])
+                rest = Monomial(m[1:])
                 acc = {}
                 for l, e in self.ope_mono(Monomial((f,)),
                                           Monomial((f,))).items():
-                    k = Fraction((-1) ** (l - 1), 2 * factorial(l))
+                    k = _const((-1) ** (l - 1), 2 * factorial(l))
                     _add_expr(acc, self._nexpr_right(self._dexpr(e, l), rest), k)
                 out = FieldExpr._wrap(self.algebra, acc)
             else:
                 # swap: N(A, N(B, X)) = +/- N(B, N(A, X)) + corrections
-                rest = Monomial(m.factors[1:])
+                rest = Monomial(m[1:])
                 pf, pg = alg.decl(f[0]).parity, alg.decl(g[0]).parity
-                sign = -1 if pf and pg else 1
+                sign = _const(-1 if pf and pg else 1)
                 acc = {}
                 _add_expr(acc, self._nexpr_factor(g, self.nmono_single(f, rest)),
                           sign)
                 for l, e in self.ope_mono(Monomial((f,)),
                                           Monomial((g,))).items():
-                    k = Fraction((-1) ** (l - 1), factorial(l))
+                    k = _const((-1) ** (l - 1), factorial(l))
                     _add_expr(acc, self._nexpr_right(self._dexpr(e, l), rest), k)
                 out = FieldExpr._wrap(self.algebra, acc)
         self._nprod_memo[key] = out
@@ -261,56 +288,55 @@ class OpeContext:
 
     def nmono2(self, m1: Monomial, m2: Monomial) -> FieldExpr:
         """Canonical form of N(M1, M2) for arbitrary monomials."""
-        if not m1.factors:
+        if not m1:
             return FieldExpr._wrap(self.algebra, {m2: RF_ONE})
-        if not m2.factors:
+        if not m2:
             return FieldExpr._wrap(self.algebra, {m1: RF_ONE})
-        if len(m1.factors) == 1:
-            return self.nmono_single(m1.factors[0], m2)
-        key = (m1.factors, m2.factors)
+        if len(m1) == 1:
+            return self.nmono_single(m1[0], m2)
+        key = (m1, m2)
         hit = self._nprod_memo.get(key)
         if hit is not None:
             return hit
         self._tick()
         alg = self.algebra
-        h = m1.factors[0]
-        s = Monomial(m1.factors[1:])
+        h = m1[0]
+        s = Monomial(m1[1:])
         # N(N(h, S), C) = N(h, N(S, C)) + quasi-associativity corrections
         acc = {}
         _add_expr(acc, self._nexpr_factor(h, self.nmono2(s, m2)))
         for l, e in self.ope_mono(s, m2).items():
             dh = (h[0], h[1] + l)
-            _add_expr(acc, self._nexpr_factor(dh, e), Fraction(1, factorial(l)))
+            _add_expr(acc, self._nexpr_factor(dh, e), _const(1, factorial(l)))
         ph = alg.decl(h[0]).parity
         ps = alg.mono_parity(s)
         sign = -1 if ph and ps else 1
         for l, e in self.ope_mono(Monomial((h,)), m2).items():
             ds = self._dexpr(FieldExpr._wrap(alg, {s: RF_ONE}), l)
-            _add_expr(acc, self._nexpr2(ds, e), Fraction(sign, factorial(l)))
+            _add_expr(acc, self._nexpr2(ds, e), _const(sign, factorial(l)))
         out = FieldExpr._wrap(self.algebra, acc)
         self._nprod_memo[key] = out
         return out
 
     def deriv_mono(self, m: Monomial) -> FieldExpr:
-        key = m.factors
-        hit = self._deriv_memo.get(key)
+        hit = self._deriv_memo.get(m)
         if hit is not None:
             return hit
         self._tick()
-        if not m.factors:
+        if not m:
             out = self._zero()
-        elif len(m.factors) == 1:
-            name, d = m.factors[0]
+        elif len(m) == 1:
+            name, d = m[0]
             out = FieldExpr._wrap(self.algebra,
                                   {Monomial(((name, d + 1),)): RF_ONE})
         else:
-            h = m.factors[0]
-            rest = Monomial(m.factors[1:])
+            h = m[0]
+            rest = Monomial(m[1:])
             acc = {}
             _add_expr(acc, self.nmono_single((h[0], h[1] + 1), rest))
             _add_expr(acc, self._nexpr_factor(h, self.deriv_mono(rest)))
             out = FieldExpr._wrap(self.algebra, acc)
-        self._deriv_memo[key] = out
+        self._deriv_memo[m] = out
         return out
 
     # -- expression-level helpers -------------------------------------------
@@ -350,10 +376,19 @@ class OpeContext:
         return self._poles(out)
 
 
-def _add_expr(dst: dict, x: FieldExpr, k=None):
+def _add_expr(dst: dict, x: FieldExpr, k: RationalFunction = None):
     """``dst += k x`` term by term (``k`` None: unscaled).  ``dst`` is a
-    dict of terms the caller has just made; ``x`` is never written."""
-    if k is not None and type(k) is not RationalFunction:
-        k = rf(k)
+    dict of terms the caller has just made; ``x`` is never written.  The
+    terms of ``x`` and ``k`` are nonzero, so a new key never gets zero;
+    a key whose sum is zero is dropped."""
+    get = dst.get
     for m, v in x.terms.items():
-        _add_into(dst, m, v if k is None else v * k)
+        if k is not None:
+            v = v * k
+        cur = get(m)
+        if cur is None:
+            dst[m] = v
+        elif v := cur + v:
+            dst[m] = v
+        else:
+            del dst[m]

@@ -2,7 +2,9 @@
 
 A monomial is a right-nested normal product N(f1, N(f2, ... fk)) of
 derivatives of generators, with the factors in a fixed total order
-(registration index, then derivative order).  Repeating an identical odd
+(registration index, then derivative order).  It is a tuple of its
+factors, each a (generator name, derivative order) pair, so hashing and
+comparing monomials is tuple work.  Repeating an identical odd
 factor is forbidden in canonical monomials; the reordering engine in
 ``engine.py`` rewrites such products into the basis.  A FieldExpr is a
 finite sum of monomials with exact rational-function coefficients.
@@ -29,31 +31,18 @@ class GeneratorDecl:
     ghost: int = 0
 
 
-class Monomial:
-    """An ordered tuple of (generator name, derivative order) factors.
-    Immutable; its hash is computed once, at construction."""
+class Monomial(tuple):
+    """An ordered tuple of (generator name, derivative order) factors."""
 
-    __slots__ = ("factors", "_hash")
+    __slots__ = ()
 
-    def __init__(self, factors=()):
-        factors = tuple(factors)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_hash", hash(factors))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Monomial is immutable")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.factors == other.factors
-
-    def __len__(self):
-        return len(self.factors)
+    @property
+    def factors(self) -> tuple:
+        """The factors as a plain tuple."""
+        return tuple(self)
 
     def __repr__(self):
-        return f"Monomial{self.factors}"
+        return f"Monomial{tuple(self)}"
 
 
 UNIT = Monomial()
@@ -73,6 +62,7 @@ class OpeAlgebra:
                 raise FieldError(f"duplicate generator {g.name!r}")
             self._index[g.name] = i
         self.names = tuple(g.name for g in self.generators)
+        self._parity = {}
         self._table = {}
         self._partners = {}
         self._frozen = False
@@ -144,20 +134,24 @@ class OpeAlgebra:
         return self.decl(name).weight + k
 
     def mono_weight(self, mono: Monomial) -> Fraction:
-        return sum((self.factor_weight(f) for f in mono.factors), Fraction(0))
+        return sum((self.factor_weight(f) for f in mono), Fraction(0))
 
     def mono_parity(self, mono: Monomial) -> int:
-        return sum(self.decl(f[0]).parity for f in mono.factors) % 2
+        """The parity of ``mono``, from a table of the monomials asked."""
+        p = self._parity.get(mono)
+        if p is None:
+            p = self._parity[mono] = sum(
+                self.decl(name).parity for name, _ in mono) % 2
+        return p
 
     def mono_ghost(self, mono: Monomial) -> int:
-        return sum(self.decl(f[0]).ghost for f in mono.factors)
+        return sum(self.decl(f[0]).ghost for f in mono)
 
     def factor_key(self, factor):
         return (self._index[factor[0]], factor[1])
 
     def mono_key(self, mono: Monomial):
-        return (len(mono.factors),
-                tuple(self.factor_key(f) for f in mono.factors))
+        return (len(mono), tuple(self.factor_key(f) for f in mono))
 
 
 class FieldExpr:

@@ -775,8 +775,8 @@ def _single(slc, x):
 
 def _expr_parity(x):
     if isinstance(x, Monomial):
-        return len(x.factors) % 2
-    ps = {len(m.factors) % 2 for m in x.terms}
+        return len(x) % 2
+    ps = {len(m) % 2 for m in x.terms}
     if len(ps) != 1:
         raise ModeError("expression must have a single parity")
     return ps.pop()

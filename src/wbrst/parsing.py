@@ -268,7 +268,7 @@ def parse_field_expr(text: str, algebra, line=None, ctx=None, bindings=None):
 
 def format_monomial(mono) -> str:
     """Right-nested N(...) form of a canonical monomial."""
-    if not mono.factors:
+    if not mono:
         return "one"
 
     def factor_str(f):
@@ -279,8 +279,8 @@ def format_monomial(mono) -> str:
             return f"D({name})"
         return f"D{k}({name})"
 
-    out = factor_str(mono.factors[-1])
-    for f in reversed(mono.factors[:-1]):
+    out = factor_str(mono[-1])
+    for f in reversed(mono[:-1]):
         out = f"N({factor_str(f)},{out})"
     return out
 

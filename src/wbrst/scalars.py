@@ -2,23 +2,29 @@
 
 Coefficients everywhere in this package are ``RationalFunction`` values.  A
 nonconstant value is a ratio of two ``PolyElement``s of a ``sympy.polys``
-ring over QQ in graded-lexicographic order.  The ring's generators are
+ring over ZZ in graded-lexicographic order.  The ring's generators are
 exactly the names the value uses, sorted, and one ring is built per name
 tuple.  An operation on values over different names maps them into the
 ring over the sorted union of their names, and its result drops the names
-it no longer uses.  So equal values share one ring and one hash, and the
+it no longer uses; both moves rewrite the exponent tuples by a map cached
+per pair of rings.  So equal values share one ring and one hash, and the
 names one computation uses never change the ring, the cache keys or the
 print order of another's values.
 
 Canonical form of a ratio: numerator and denominator are coprime polynomials
 with integer coefficients of joint content 1, and the denominator's leading
-coefficient (graded-lexicographic order) is positive.  Zero is 0/1.
+coefficient (graded-lexicographic order) is positive.  Zero is 0/1.  A
+result is brought to it by dividing by the ``math.gcd`` of its
+coefficients.  Rationals enter only at the edges: ``substitute`` binds
+over QQ and then clears the denominators, and ``common_zeros`` takes and
+gives coefficients over QQ.
 
 Cancellation of two nonconstant polynomials takes their ring cofactors by
 the gcd, and a bounded cache keeps the results.  The gcd is unique up to a
 unit, so the canonical form does not depend on how it was found.  A constant
 combined with a nonconstant needs no gcd, because a canonical numerator and
-denominator are already coprime.  A constant ``RationalFunction`` keeps its
+denominator are already coprime: the constant's numerator and denominator
+multiply theirs, as ints.  A constant ``RationalFunction`` keeps its
 value as two machine ints, a numerator and a positive denominator coprime
 to it: arithmetic, zero tests, equality and hashing of constants read only
 those.  Two integers combine with plain int arithmetic; other constants
@@ -37,7 +43,8 @@ a key whose sum is zero.  ``int``, ``Fraction`` and ``RationalFunction``
 share its zero test: the truth value, which means nonzero.
 
 ``common_zeros`` solves a polynomial system with ``RationalFunction``
-coefficients through its reduced lexicographic Gröbner basis.
+coefficients through its reduced lexicographic Gröbner basis, its
+equations given lowest total degree first.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from math import gcd, lcm
 from sys import hash_info
 
 from sympy import Dummy, Symbol
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import FracField
 from sympy.polys.groebnertools import groebner
 from sympy.polys.orderings import grlex, lex
@@ -56,7 +63,7 @@ from sympy.polys.rings import PolyRing
 
 from .errors import WbrstError
 
-# polynomial ring over QQ per sorted name tuple
+# polynomial ring over ZZ per sorted name tuple
 _RINGS: dict[tuple, PolyRing] = {}
 _HASH_MODULUS = hash_info.modulus
 
@@ -88,12 +95,29 @@ def _ring(names: tuple) -> PolyRing:
     r = _RINGS.get(names)
     if r is None:
         # Symbols, not strings: sympy would parse ':' or ',' in a name
-        r = _RINGS[names] = PolyRing([Symbol(n) for n in names], QQ, grlex)
+        r = _RINGS[names] = PolyRing([Symbol(n) for n in names], ZZ, grlex)
     return r
 
 
 def _names(ring: PolyRing) -> tuple:
     return tuple(s.name for s in ring.symbols)
+
+
+# one per pair of rings, as ``_RINGS`` holds one ring per name tuple
+@lru_cache(maxsize=None)
+def _exponent_map(source: PolyRing, target: PolyRing):
+    """The map of a polynomial of ``source`` into ``target`` by names: a
+    name ``target`` lacks must not occur, a name ``source`` lacks gets
+    exponent 0."""
+    names = _names(source)
+    picks = [names.index(n) if n in names else len(names)
+             for n in _names(target)]
+    new = target.dtype
+
+    def move(p):
+        return new({tuple([(*m, 0)[i] for i in picks]): c
+                    for m, c in p.items()})
+    return move
 
 
 def _pair(value) -> tuple:
@@ -109,10 +133,6 @@ def _pair(value) -> tuple:
     return value.numerator, value.denominator
 
 
-def _fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
 # Bounded: one pass of the cft benchmark workload makes about 80 distinct
 # cancellations, the whole test suite about 600.  perfbench's tracing
 # rebinds it through ``__wrapped__``.
@@ -125,17 +145,32 @@ def _cancel_cached(num, den):
 
 
 def _ratio(num, den) -> "RationalFunction":
-    """num/den for coprime polynomials of one ring that use all its names,
-    not both constant, scaled to integer coefficients of joint content 1
-    and a positive leading denominator coefficient."""
-    coeffs = (*num.values(), *den.values())
-    k = QQ(lcm(*(int(c.denominator) for c in coeffs)),
-           gcd(*(int(c.numerator) for c in coeffs)))
+    """num/den for polynomials of one ring that use all its names, not
+    both constant, with no common factor but an integer: divided by the
+    gcd of their coefficients, signed so that the leading denominator
+    coefficient is positive."""
+    k = gcd(*num.values(), *den.values())
     if den.LC < 0:
         k = -k
     if k != 1:
-        num, den = num.mul_ground(k), den.mul_ground(k)
+        num = num.new([(m, c // k) for m, c in num.items()])
+        den = den.new([(m, c // k) for m, c in den.items()])
     return _nonconstant(num, den)
+
+
+def _integral(ring: PolyRing, num: dict, den: dict) -> tuple:
+    """Two polynomials {exponents: rational} as polynomials of ``ring``,
+    both times the lcm of their coefficients' denominators."""
+    k = lcm(*(int(c.denominator) for c in (*num.values(), *den.values())))
+    return tuple(
+        ring.dtype({m: int(c.numerator) * (k // int(c.denominator))
+                    for m, c in p.items()})
+        for p in (num, den))
+
+
+def _scale(p, k: int):
+    """The polynomial ``p`` times the nonzero int ``k``."""
+    return p if k == 1 else p.mul_ground(k)
 
 
 def _nonconstant(num, den) -> "RationalFunction":
@@ -168,25 +203,26 @@ def _canonical(num, den) -> "RationalFunction":
     if not (num.is_ground or den.is_ground):
         num, den = _cancel_cached(num, den)
     if num.is_ground and den.is_ground:
-        q = num.LC / den.LC
-        return _c(int(q.numerator), int(q.denominator))
+        n, d = int(num.LC), int(den.LC)
+        return _lowest(-n, -d) if d < 0 else _lowest(n, d)
     ring = num.ring
     if ring.ngens > 1:
         used = [any(e) for e in zip(*num, *den)]
         if not all(used):
-            ring = _ring(tuple(n for n, u in zip(_names(ring), used) if u))
-            num, den = num.set_ring(ring), den.set_ring(ring)
+            move = _exponent_map(ring, _ring(
+                tuple(n for n, u in zip(_names(ring), used) if u)))
+            num, den = move(num), move(den)
     return _ratio(num, den)
 
 
 def _common(x, y):
     """Numerators and denominators of two nonconstants over one ring."""
-    r = x._num.ring
-    if y._num.ring is r:
+    r1, r2 = x._num.ring, y._num.ring
+    if r1 is r2:
         return x._num, x._den, y._num, y._den
-    r = _ring(tuple(sorted({*_names(r), *_names(y._num.ring)})))
-    return (x._num.set_ring(r), x._den.set_ring(r),
-            y._num.set_ring(r), y._den.set_ring(r))
+    r = _ring(tuple(sorted({*_names(r1), *_names(r2)})))
+    m1, m2 = _exponent_map(r1, r), _exponent_map(r2, r)
+    return m1(x._num), m1(x._den), m2(y._num), m2(y._den)
 
 
 class RationalFunction:
@@ -219,13 +255,13 @@ class RationalFunction:
         """The numerator, a polynomial over the names the value uses."""
         if self._d is None:
             return self._num
-        return _ring(()).ground_new(QQ(self._n))
+        return _ring(()).ground_new(self._n)
 
     @property
     def den(self):
         if self._d is None:
             return self._den
-        return _ring(()).ground_new(QQ(self._d))
+        return _ring(()).ground_new(self._d)
 
     # -- predicates --------------------------------------------------------
 
@@ -269,8 +305,9 @@ class RationalFunction:
         if d2 is not None:
             if not other._n:
                 return self
-            return _ratio(self._num + self._den.mul_ground(QQ(other._n, d2)),
-                          self._den)
+            return _ratio(_scale(self._num, d2)
+                          + self._den.mul_ground(other._n),
+                          _scale(self._den, d2))
         n1, d1, n2, d2 = _common(self, other)
         if d1 == d2:
             return _canonical(n1 + n2, d1)
@@ -320,7 +357,8 @@ class RationalFunction:
         if d2 is not None:
             if not other._n:
                 return RF_ZERO
-            return _ratio(self._num.mul_ground(QQ(other._n, d2)), self._den)
+            return _ratio(self._num.mul_ground(other._n),
+                          _scale(self._den, d2))
         n1, d1, n2, d2 = _common(self, other)
         return _canonical(n1 * n2, d1 * d2)
 
@@ -338,11 +376,12 @@ class RationalFunction:
                 n2, d2 = -n2, -d2
             if d1 is not None:
                 return _lowest(self._n * d2, d1 * n2)
-            return _ratio(self._num.mul_ground(QQ(d2, n2)), self._den)
+            return _ratio(_scale(self._num, d2), _scale(self._den, n2))
         if d1 is not None:
             if not self._n:
                 return RF_ZERO
-            return _ratio(other._den.mul_ground(QQ(self._n, d1)), other._num)
+            return _ratio(other._den.mul_ground(self._n),
+                          _scale(other._num, d1))
         n1, d1, n2, d2 = _common(self, other)
         return _canonical(n1 * d2, d1 * n2)
 
@@ -377,12 +416,12 @@ class RationalFunction:
                         c *= v ** k
                 _add_into(out, tuple(k for k, v in zip(m, at) if v is None),
                           c)
-            return ring.dtype(out)
+            return out
 
-        den = bind(self._den)
+        num, den = bind(self._num), bind(self._den)
         if not den:
             raise PoleError(f"substitution {bindings} hits a denominator zero")
-        return _canonical(bind(self._num), den)
+        return _canonical(*_integral(ring, num, den))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -490,7 +529,7 @@ def rational_roots(value: RationalFunction, name: str) -> set:
     common = reduce(lambda f, g: f.gcd(g),
                     (ring.dtype(terms) for terms in groups.values()))
     _, factors = common.factor_list()
-    return {-_fraction(f.get((0,), QQ(0)) / f[(1,)])
+    return {Fraction(-int(f.get((0,), 0)), int(f[(1,)]))
             for f, _ in factors if f.degree() == 1}
 
 
@@ -534,6 +573,11 @@ def common_zeros(equations, nunknown: int, params=()):
             for p, coeff in _split(v, params, symbolic, field).items():
                 _add_into(terms, power + p, coeff)
         polys.append(ring.dtype(terms))
+    # the reduced basis is unique, whatever the order of its input.  Lowest
+    # total degree first, sympy's initial interreduction eliminates with
+    # the linear equations first: the unpinned W3^(2) derivation of the
+    # tests takes 0.2 s so, and over two minutes in the order it is made
+    polys.sort(key=lambda p: (max(map(sum, p), default=0), len(p)))
     basis = groebner(polys, ring)
     if basis == [ring.one]:
         return "none", None
@@ -569,9 +613,10 @@ def _split(v: RationalFunction, params, symbolic, field) -> dict:
         raise ScalarError(f"the denominator of {v} uses an unknown")
     den = den[none]
     if field is None:
-        return {p: part[()] / den[()] for p, part in num.items()}
-    den = field.ring.dtype(den)
-    return {p: field.new(field.ring.dtype(part), den)
+        return {p: QQ(part[()], den[()]) for p, part in num.items()}
+    new = field.ring.dtype
+    den = new({m: QQ(c) for m, c in den.items()})
+    return {p: field.new(new({m: QQ(c) for m, c in part.items()}), den)
             for p, part in num.items()}
 
 
@@ -579,5 +624,4 @@ def _from_domain(q, field) -> RationalFunction:
     """A coefficient of ``common_zeros``'s ring as a RationalFunction."""
     if field is None:
         return _c(int(q.numerator), int(q.denominator))
-    r = _ring(_names(field.ring))
-    return _canonical(r.dtype(q.numer), r.dtype(q.denom))
+    return _canonical(*_integral(_ring(_names(field.ring)), q.numer, q.denom))

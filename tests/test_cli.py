@@ -133,6 +133,23 @@ def test_cft_ope_bad_binding(capsys):
     assert "unknown parameter" in err
 
 
+def test_cft_ope_duplicate_binding(capsys):
+    # a name bound twice is refused, as the file parsers refuse it
+    code, out, err = run(capsys, "cft", "ope", "w3", "W", "W",
+                         "--set", "c=1", "--set", "c=2")
+    assert code == 2 and out == ""
+    assert "'c' given twice" in err
+
+
+def test_cft_ope_of_a_high_derivative(capsys):
+    # the derivative orders of a factor are taken off in a loop, not by
+    # one recursion each: 1000 of them exceed Python's recursion limit
+    code, payload, _ = run_json(capsys, "cft", "ope", "w3", "D1000(T)", "T",
+                                "--set", "c=1")
+    assert code == 0
+    assert max(map(int, payload["poles"])) == 1004
+
+
 def test_cft_jacobi(capsys):
     code, payload, _ = run_json(capsys, "cft", "jacobi", "w3", "T", "T", "W")
     assert code == 0

@@ -400,6 +400,22 @@ def test_memoized_expressions_hold_no_zero_coefficient(make, numeric):
                 assert v._d > 0 and gcd(v._n, v._d) == 1
 
 
+@pytest.mark.parametrize("g1, g2, c, sizes, fuel", [
+    (0, 0, 100, (484, 391, 34, 85), 950),
+    (None, None, None, (1077, 834, 62, 104), 2025),
+])
+def test_self_product_rewrites_as_recorded(g1, g2, c, sizes, fuel):
+    # the memo sizes after building the current and squaring it, and the
+    # rule applications of the square: a change to how the engine stores
+    # its data must leave the work it does as it is
+    q = brst_w3(g1, g2, c=c)
+    q.self_product
+    ctx = q.context
+    assert tuple(len(getattr(ctx, name)) for name in (
+        "_ope_memo", "_nprod_memo", "_single_memo", "_deriv_memo")) == sizes
+    assert ctx._fuel == fuel
+
+
 def test_monomial_hash_is_cached_and_immutable():
     a = Monomial((("T", 0), ("W", 1)))
     b = Monomial([("T", 0), ("W", 1)])

@@ -10,7 +10,7 @@ must print exactly the recorded bytes.
 tables at levels 0 to 8, where the whole reports are too long to keep.
 ``tests/golden/derive_brst.json`` holds the currents that ``derive_brst``
 derives for the W3 and W3^(2) benchmark cases, as ``format_field_expr``
-prints them, and the report message of the unpinned W3 case.
+prints them, and the report messages of the unpinned cases.
 Commands run from the root of the repository.  Each file in
 ``tests/golden/`` holds one command: a first line ``exit N``, then the
 stdout verbatim.  ``tests/golden/cli_messages.json`` holds the help,
@@ -148,24 +148,26 @@ def _mono(alg, *factors):
 def run_derivations() -> dict:
     """The derived current (or the report message) of each derivation:
     W3 at c = 100 with and without its pin, and W3^(2) at c = -2 with the
-    modified ghosts, pinned and cut at generator-degree 3."""
+    modified ghosts, cut at generator-degree 3, with and without its
+    pins."""
     w3_alg = bundle("w3_brst", w3(100), w3_ghosts(0, 0))
     w3_lead = [_mono(w3_alg, ("T", 0), ("cT", 0)),
                _mono(w3_alg, ("W", 0), ("cW", 0))]
     w32_alg = bundle("w32_brst", w32(-2), w32_ghosts(modified=True))
+    w32_lead = [_mono(w32_alg, ("T", 0), ("cT", 0)),
+                _mono(w32_alg, ("U", 0), ("cU", 0)),
+                _mono(w32_alg, ("Gp", 0), ("cp", 0)),
+                _mono(w32_alg, ("Gm", 0), ("cm", 0))]
     cases = {
         "w3 c=100": (w3_alg, w3_lead, [], None),
         "w3 c=100 pinned": (w3_alg, w3_lead,
                             [_mono(w3_alg, ("T", 1), ("cW", 0))], None),
         "w32 c=-2 pinned max_degree=3": (
-            w32_alg,
-            [_mono(w32_alg, ("T", 0), ("cT", 0)),
-             _mono(w32_alg, ("U", 0), ("cU", 0)),
-             _mono(w32_alg, ("Gp", 0), ("cp", 0)),
-             _mono(w32_alg, ("Gm", 0), ("cm", 0))],
+            w32_alg, w32_lead,
             [_mono(w32_alg, ("U", 1), ("cT", 0)),
              _mono(w32_alg, ("Gp", 0), ("cm", 0)),
              _mono(w32_alg, ("Gm", 0), ("cp", 0))], 3),
+        "w32 c=-2 max_degree=3": (w32_alg, w32_lead, [], 3),
     }
     out = {}
     for name, (alg, lead, pin, max_degree) in cases.items():

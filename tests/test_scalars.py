@@ -254,6 +254,58 @@ def test_cancellation_matches_sympy_cancel(shared, a, b):
     assert parse_coefficient(format_rational(x)) == x
 
 
+def _sum(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for m, k in q.items():
+        out[m] = out.get(m, 0) + k
+    return {m: k for m, k in out.items() if k}
+
+
+def _over(used):
+    """Polynomials {(e_c, e_g1, e_g2): coefficient} in the names marked
+    in ``used``."""
+    exps = st.tuples(*(st.integers(0, 2) if u else st.just(0) for u in used))
+    return st.dictionaries(exps, st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=3)
+
+
+# pairs of name sets, (c, g1, g2) marked: disjoint, overlapping in one
+# name, and one inside the other
+_NAME_SETS = [((1, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1)),
+              ((1, 1, 0), (0, 1, 1)), ((1, 1, 1), (0, 1, 0))]
+
+
+def _check_integral(x: RationalFunction):
+    """A nonconstant has int coefficients of joint content 1."""
+    if not x.is_constant:
+        coeffs = [*x.num.values(), *x.den.values()]
+        assert all(type(k) is int for k in coeffs)
+        assert math.gcd(*coeffs) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(_NAME_SETS), _fracs.filter(bool))
+def test_arithmetic_across_name_sets_matches_sympy_cancel(data, names, k):
+    # x over the first names, scaled by a rational constant, and y over
+    # the second: each result is joined through the union of their rings
+    px, qx = data.draw(_over(names[0])), data.draw(_over(names[0]))
+    py, qy = data.draw(_over(names[1])), data.draw(_over(names[1]))
+    px = _product(px, {(0, 0, 0): k})
+    x = _value(px) / _value(qx)
+    y = _value(py) / _value(qy)
+    cases = [(x + y, _sum(_product(px, qy), _product(py, qx)),
+              _product(qx, qy)),
+             (x * y, _product(px, py), _product(qx, qy)),
+             (x / y, _product(px, qy), _product(qx, py))]
+    for got, num, den in cases:
+        if not num:
+            assert got.is_zero
+            continue
+        _check_against_sympy(got, num, den)
+        _check_integral(got)
+        _check_canonical(got)
+
+
 # -- the constant slot and the ring ----------------------------------------
 
 
@@ -265,6 +317,7 @@ def _check_canonical(x: RationalFunction):
     assert x.is_zero == (x.is_constant and x.constant_value() == 0)
     assert x.num.ring is x.den.ring and _names(x) == _used(x)
     assert list(_names(x)) == sorted(_names(x))
+    _check_integral(x)
 
 
 _rfs = st.one_of(
@@ -304,7 +357,7 @@ def _general_product(x: RationalFunction, u: int) -> RationalFunction:
     """x * u for u = +-1 by the path of any other constant factor."""
     if x.is_constant:
         return RationalFunction.const(x.constant_value() * u)
-    return scalars._ratio(x.num.mul_ground(scalars.QQ(u)), x.den)
+    return scalars._ratio(x.num.mul_ground(u), x.den)
 
 
 _UNIT_CASES = [
