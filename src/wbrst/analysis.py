@@ -132,38 +132,29 @@ def is_total_derivative(ctx: OpeContext, expr: FieldExpr):
 
 
 def jacobi_check(ctx: OpeContext, a: FieldExpr, b: FieldExpr, c: FieldExpr):
-    """Residuals of the pole-bracket Jacobi identity; empty list = pass."""
+    """Residuals (p, q, value) of the pole-bracket Jacobi identity, sorted
+    by (p, q); empty list = pass."""
     pa, pb = a.parity(), b.parity()
     if pa is None or pb is None:
         raise AnalysisError("arguments must have definite parity")
     sign = -1 if pa and pb else 1
     ab, ac, bc = ctx.ope(a, b), ctx.ope(a, c), ctx.ope(b, c)
-    t1 = {q: ctx.ope(a, e) for q, e in bc.items()}
-    t2 = {p: ctx.ope(b, e) for p, e in ac.items()}
-    t3 = {l: ctx.ope(e, c) for l, e in ab.items()}
-    top = 1
-    for d in (ab, ac, bc):
-        top = max(top, max(d, default=0))
-    for sub in (*t1.values(), *t2.values(), *t3.values()):
-        top = max(top, max(sub, default=0))
-    bad = []
+    # the pole pair (p, q) of [a [b c]_q]_p - sign [b [a c]_p]_q
+    # - sum_l binom(p - 1, l - 1) [[a b]_l c]_(p+q-l)
     z = FieldExpr.zero(ctx.algebra)
-    for p in range(1, 2 * top + 1):
-        for q in range(1, 2 * top + 1):
-            r = z
-            for qq, sub in t1.items():
-                if qq == q and p in sub:
-                    r = r + sub[p]
-            for pp, sub in t2.items():
-                if pp == p and q in sub:
-                    r = r - sub[q].scaled(sign)
-            for l, sub in t3.items():
-                m = p + q - l
-                if m in sub and l <= p:
-                    r = r - sub[m].scaled(comb(p - 1, l - 1))
-            if not r.is_zero:
-                bad.append((p, q, r))
-    return bad
+    acc = {}
+    for q, e in bc.items():
+        for p, r in ctx.ope(a, e).items():
+            acc[p, q] = acc.get((p, q), z) + r
+    for p, e in ac.items():
+        for q, r in ctx.ope(b, e).items():
+            acc[p, q] = acc.get((p, q), z) - r.scaled(sign)
+    for l, e in ab.items():
+        for m, r in ctx.ope(e, c).items():
+            for p in range(l, l + m):
+                q = l + m - p
+                acc[p, q] = acc.get((p, q), z) - r.scaled(comb(p - 1, l - 1))
+    return [(p, q, r) for (p, q), r in sorted(acc.items()) if not r.is_zero]
 
 
 def central_charge(ctx: OpeContext, t: FieldExpr) -> RationalFunction:

@@ -404,6 +404,8 @@ def _parser(only=None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # an exact checker reads and prints its values whole, however long
+    sys.set_int_max_str_digits(0)
     # a command builds only its own parsers; help above the command level,
     # an unknown name and every parse error go through the full tree, so
     # they print argparse's usual messages

@@ -4,11 +4,15 @@ All computations reduce to a stored singular table for generator pairs
 plus five rewriting rules: the two derivative rules, the exchange (flip)
 formula, the generalized Wick formula for products against a composite,
 and the reordering/quasi-associativity corrections for normal products.
-Everything is memoized per context; coefficients stay exact rational
-functions of the declared parameters.  The exact constants of the rules
-(the signs over l!, 1/l!, the binomials, -n and the exchange weights) are
-built once each as ``RationalFunction``s, so a rule application makes no
-``Fraction`` and converts no number.
+Each rule is one closed sum: every pole it reads feeds the poles it
+reaches directly, with no scan up to a top pole, and the derivatives of
+a pole are taken one step at a time, so a thousand derivative orders
+need no recursion.  Everything is memoized per context; coefficients
+stay exact rational functions of the declared parameters.  The exact
+constants of the rules (the signs over l!, 1/l!, the binomials, the
+rising factorials and the exchange weights) are built once each as
+``RationalFunction``s, so a rule application makes no ``Fraction`` and
+converts no number.
 
 Every singular term of a product of normal-ordered monomials needs at
 least one contraction between their factors (the generalized Wick
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .errors import WbrstError
 from .fields import FieldExpr, Monomial, OpeAlgebra
@@ -146,44 +150,33 @@ class OpeContext:
         return False
 
     def _ope_single(self, f1, f2) -> dict:
-        """[f1 f2] for two factors.  [D(A) B]_(n+1) is -n [A B]_n, and
-        [A D(B)]_n is D([A B]_n) + (n - 1) [A B]_(n-1).  The derivative
-        orders are taken off one at a time, the left ones first, down to
-        a memoized product or the stored table entry, and the products
-        are built back up in a loop, each memoized: a recursion per order
-        would overflow the stack at a thousand orders."""
-        memo = self._single_memo
-        hit = memo.get((f1, f2))
+        """[D^a(A) D^b(B)] for two factors, from the table entry [A B] in
+        closed form.  [A D^b(B)]_(m+k) gets binom(b, k) m(m+1)...(m+k-1)
+        D^(b-k)([A B]_m), and [D^a(X) Y]_(n+a) is (-1)^a n(n+1)...(n+a-1)
+        [X Y]_n; so the pole N = m + a + b - j gets (-1)^a binom(b, j)
+        m(m+1)...(N-1) D^j([A B]_m).  Each pole is differentiated one step
+        at a time, and [A B] itself is memoized, so a table entry stored
+        the other way round is flipped once."""
+        key = (f1, f2)
+        hit = self._single_memo.get(key)
         if hit is not None:
             return hit
-        (n1, d1), (n2, d2) = f1, f2
-        chain = [(d1, d2)]
-        out = None
-        while d1 or d2:
-            if d1:
-                d1 -= 1
-            else:
-                d2 -= 1
-            out = memo.get(((n1, d1), (n2, d2)))
-            if out is not None:
-                break
-            chain.append((d1, d2))
-        for d1, d2 in reversed(chain):
-            self._tick()
-            if d1:
-                out = {n + 1: e.scaled(_const(-n)) for n, e in out.items()}
-            elif d2:
-                base, out = out, {}
-                for n in range(1, max(base, default=0) + 2):
-                    acc = out[n] = {}
-                    if n in base:
-                        _add_expr(acc, self._dexpr(base[n], 1))
-                    if n - 1 in base and n > 1:
-                        _add_expr(acc, base[n - 1], _const(n - 1))
-                out = self._poles(out)
-            else:
-                out = self._table_poles(n1, n2)
-            memo[((n1, d1), (n2, d2))] = out
+        self._tick()
+        (n1, a), (n2, b) = f1, f2
+        if not (a or b):
+            out = self._table_poles(n1, n2)
+        else:
+            out = {}
+            for m, e in self._ope_single((n1, 0), (n2, 0)).items():
+                for j in range(b + 1):
+                    if j:
+                        e = self._dexpr(e, 1)
+                    n = m + a + b - j
+                    k = (-1) ** a * comb(b, j) * perm(n - 1, n - m)
+                    _add_expr(out.setdefault(n, {}), e,
+                              None if k == 1 else _const(k))
+            out = self._poles(out)
+        self._single_memo[key] = out
         return out
 
     def _table_poles(self, n1, n2) -> dict:
@@ -197,49 +190,36 @@ class OpeContext:
                           self.algebra.decl(n2).parity)
 
     def _flip(self, poles: dict, p1: int, p2: int) -> dict:
-        """[A B]_n from all poles of [B A] by the exchange formula."""
+        """[A B] from the poles of [B A] by the exchange formula: the pole
+        l of [B A] adds sign (-1)^l / (l - n)! D^(l-n)([B A]_l) to every
+        pole n <= l."""
         sign = -1 if p1 and p2 else 1
         out = {}
-        top = max(poles, default=0)
-        for n in range(1, top + 1):
-            acc = out[n] = {}
-            for l in range(n, top + 1):
-                if l not in poles:
-                    continue
-                k = _const(sign * (-1) ** l, factorial(l - n))
-                _add_expr(acc, self._dexpr(poles[l], l - n), k)
+        for l, e in poles.items():
+            for n in range(l, 0, -1):
+                if n < l:
+                    e = self._dexpr(e, 1)
+                _add_expr(out.setdefault(n, {}), e,
+                          _const(sign * (-1) ** l, factorial(l - n)))
         return self._poles(out)
 
     def _wick(self, a: Monomial, b: Monomial) -> dict:
-        """[A N(h, T)]_n for composite right factor."""
+        """[A N(h, T)] for a composite right factor: the pole n gets
+        sign N(h, [A T]_n), N([A h]_n, T) and binom(n - 1, j) [[A h]_m T]_j
+        for every m + j = n."""
         alg = self.algebra
         h = b[0]
         t = Monomial(b[1:])
         sign = _const(-1 if (alg.mono_parity(a)
                              and alg.decl(h[0]).parity) else 1)
-        p_rest = self.ope_mono(a, t)
-        p_head = self.ope_mono(a, Monomial((h,)))
-        inner = {m: self._ope_expr_mono(e, t) for m, e in p_head.items()}
-        top = max(p_rest, default=0)
-        for m, sub in inner.items():
-            top = max(top, m + max(sub, default=0))
-        top = max(top, max(p_head, default=0))
         out = {}
-        for n in range(1, top + 1):
-            acc = out[n] = {}
-            if n in p_rest:
-                _add_expr(acc, self._nexpr_factor(h, p_rest[n]), sign)
-            for m in p_head:
-                if m > n:
-                    continue
-                k = _const(comb(n - 1, n - m))
-                if m == n:
-                    term = self._nexpr_right(p_head[m], t)
-                else:
-                    term = inner[m].get(n - m)
-                    if term is None:
-                        continue
-                _add_expr(acc, term, k)
+        for n, e in self.ope_mono(a, t).items():
+            _add_expr(out.setdefault(n, {}), self._nexpr_factor(h, e), sign)
+        for m, e in self.ope_mono(a, Monomial((h,))).items():
+            _add_expr(out.setdefault(m, {}), self._nexpr_right(e, t))
+            for j, sub in self._ope_expr_mono(e, t).items():
+                _add_expr(out.setdefault(m + j, {}), sub,
+                          _const(comb(m + j - 1, j)))
         return self._poles(out)
 
     # -- normal ordering ----------------------------------------------------
@@ -260,27 +240,21 @@ class OpeContext:
             odd_f = alg.decl(f[0]).parity
             if kf < kg or (kf == kg and not odd_f):
                 out = FieldExpr._wrap(alg, {Monomial((f, *m)): RF_ONE})
-            elif kf == kg:
-                # identical odd factor: 2 N(f, N(f, X)) equals the
-                # reordering correction series
-                rest = Monomial(m[1:])
-                acc = {}
-                for l, e in self.ope_mono(Monomial((f,)),
-                                          Monomial((f,))).items():
-                    k = _const((-1) ** (l - 1), 2 * factorial(l))
-                    _add_expr(acc, self._nexpr_right(self._dexpr(e, l), rest), k)
-                out = FieldExpr._wrap(self.algebra, acc)
             else:
-                # swap: N(A, N(B, X)) = +/- N(B, N(A, X)) + corrections
+                # swap: N(A, N(B, X)) = +/- N(B, N(A, X)) + corrections; for
+                # B = A odd the swap term is -N(A, N(A, X)), so the
+                # corrections alone are twice the product
                 rest = Monomial(m[1:])
-                pf, pg = alg.decl(f[0]).parity, alg.decl(g[0]).parity
-                sign = _const(-1 if pf and pg else 1)
+                same = kf == kg
                 acc = {}
-                _add_expr(acc, self._nexpr_factor(g, self.nmono_single(f, rest)),
-                          sign)
+                if not same:
+                    sign = _const(-1 if odd_f and alg.decl(g[0]).parity
+                                  else 1)
+                    swapped = self.nmono_single(f, rest)
+                    _add_expr(acc, self._nexpr_factor(g, swapped), sign)
                 for l, e in self.ope_mono(Monomial((f,)),
                                           Monomial((g,))).items():
-                    k = _const((-1) ** (l - 1), factorial(l))
+                    k = _const((-1) ** (l - 1), (1 + same) * factorial(l))
                     _add_expr(acc, self._nexpr_right(self._dexpr(e, l), rest), k)
                 out = FieldExpr._wrap(self.algebra, acc)
         self._nprod_memo[key] = out

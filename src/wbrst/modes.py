@@ -33,11 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import factorial, floor, gcd, lcm, prod
+from math import comb, floor, gcd, lcm
 
 from .errors import WbrstError
 from .fields import FieldExpr, Monomial
-from .linalg import rref
 from .scalars import RF_ONE, _add_into
 
 
@@ -92,7 +91,9 @@ class FockSlice:
         weights = [names[n][2] for n in self._fields]
         self._den = den = lcm(*(h.denominator for h in weights))
         self._dh = [int(h * den) for h in weights]
-        # den times min_level: every creation mode m > 0 applied
+        # den times the lowest level of any state: every creation mode
+        # m > 0 applied (c-type zero and negative-level modes pull below
+        # the vacuum)
         self._dlmin = -sum(sum(range(-dh, 0, -den)) for dh in self._dh)
         self._enumerate()
         self._plans = {}
@@ -113,11 +114,6 @@ class FockSlice:
 
     def level_of(self, state) -> Fraction:
         return -sum((m for _, m in state), Fraction(0))
-
-    def min_level(self) -> Fraction:
-        """The smallest level any state can have (c-type zero and
-        negative-level creation modes pull below the vacuum)."""
-        return Fraction(self._dlmin, self._den)
 
     def _enumerate(self):
         """Set the basis in order, with den times each state's height
@@ -648,24 +644,20 @@ def _poles_cap(slc, a, b, r, max_pole):
 
 @cache
 def _sample_solver(nun):
-    """Factor the sample matrix [binom(p + h_a - 1, j)] = [binom(na - 1,
-    j)] once per nun, by one row reduction of [matrix | 1].  Returns the
-    pivot columns, integer rows and den: a pivot row gives den times its
-    unknown (free unknowns are 0), and the right-hand side is consistent
-    when it is orthogonal to the rows below the rank."""
-    nas = range(-(nun // 2), nun + 3 - nun // 2)  # as _pole_columns
-    red, pivots = rref([
-        {j: x for j in range(nun)
-         if (x := Fraction(prod(range(na - j, na)), factorial(j)))}
-        | {nun + k: 1} for k, na in enumerate(nas)], nun)
-    # the identity block of each row, dense
-    red = [[row.get(nun + k, 0) for k in range(len(nas))] for row in red]
-    den = lcm(*(x.denominator for row in red[:len(pivots)] for x in row))
-    rows = [tuple(int(x * den) for x in row) for row in red[:len(pivots)]]
-    for row in red[len(pivots):]:
-        k = lcm(*(x.denominator for x in row))
-        rows.append(tuple(int(x * k) for x in row))
-    return tuple(pivots), tuple(rows), den
+    """The integer left inverse of the sample matrix [binom(x, j)], x =
+    p + h_a - 1 at the nun + 3 samples x0, x0 + 1, ... of _pole_columns,
+    x0 = -(nun // 2) - 1.  The differences D_i = sum_k (-1)^(i-k)
+    binom(i, k) S_k of the samples S_k are D_i = sum_(j >= i) binom(x0,
+    j - i) C_j, a unit-triangular system in the unknowns C_j, so C_i =
+    sum_(i <= j < nun) binom(-x0, j - i) D_j.  Returns nun + 3 rows over
+    the samples: the nun unknowns, then D_nun .. D_nun+2, which vanish
+    exactly when the samples are consistent."""
+    x0 = -(nun // 2) - 1
+    diffs = [[(-1) ** (i + k) * comb(i, k) for k in range(nun + 3)]
+             for i in range(nun + 3)]
+    rows = [[sum(comb(-x0, j - i) * diffs[j][k] for j in range(i, nun))
+             for k in range(nun + 3)] for i in range(nun)]
+    return tuple(map(tuple, rows + diffs[nun:]))
 
 
 def _pole_columns(a, b, r, slc, max_pole):
@@ -712,24 +704,24 @@ def _pole_columns(a, b, r, slc, max_pole):
                 com.append(col)
             coms.append(com)
     # solve column by column for the pole matrices
-    pivots, rows, scale = _sample_solver(nun)
+    rows = _sample_solver(nun)
     poles = [{} for _ in range(nun)]
     for i, s in enumerate(slc._states):
         cols = [com[i] for com in coms]
         gets = [col.get for col in cols]
         for pole in poles:
             pole[s] = {}
-        out = [poles[j][s] for j in pivots]
+        out = [pole[s] for pole in poles]
         for o in set().union(*cols):
             rhs = [get(o, 0) for get in gets]
             vs = [sum(map(int.__mul__, row, rhs)) for row in rows]
-            if any(vs[len(out):]):
+            if any(vs[nun:]):
                 raise ModeError("mode commutators need more poles than "
                                 f"max_pole={max_pole}")
             for col, v in zip(out, vs):
                 if v:
                     col[o] = v
-    return poles, scale * ea.den * eb.den
+    return poles, ea.den * eb.den
 
 
 def ope_poles_from_modes(a, b, r, slc: FockSlice, max_pole=8) -> dict:

@@ -14,6 +14,7 @@ from wbrst.analysis import (AnalysisError, apply_map, central_charge,
                             validate_table)
 from wbrst.engine import OpeContext
 from wbrst.fields import FieldExpr, GeneratorDecl, OpeAlgebra
+from wbrst.parsing import format_field_expr
 from wbrst.scalars import RationalFunction as RF
 
 
@@ -93,7 +94,30 @@ def test_jacobi_detects_mutated_coefficient():
                            2: t.scaled(3), 1: sc.derivative(t)})
     alg.freeze()
     ctx = alg.context()
-    assert jacobi_check(ctx, t, t, t) != []
+    assert [(p, q, format_field_expr(r))
+            for p, q, r in jacobi_check(ctx, t, t, t)] == [
+        (2, 1, "(-1)*D(T)"), (2, 2, "(-3)*T"), (2, 4, "(-1)*one"),
+        (3, 1, "(-6)*T"), (3, 3, "(-1)*one"), (4, 2, "(-1)*one"),
+        (5, 1, "(-2)*one")]
+
+
+def test_jacobi_residuals_of_the_as_printed_table():
+    # the as-printed first pole of [W W] breaks the identity: every
+    # residual, sorted by (p, q)
+    alg = w3(c=100, a2_mode="as-printed")
+    w, t = _gen(alg, "W"), _gen(alg, "T")
+    got = [(p, q, format_field_expr(r))
+           for p, q, r in jacobi_check(alg.context(), w, w, t)]
+    assert got == [
+        (1, 2, "(4/783)*D3(T)"), (1, 4, "(8/261)*D(T)"),
+        (1, 5, "(64/261)*T"), (1, 7, "(8000/261)*one"),
+        (2, 1, "(-4/783)*D3(T)"), (2, 3, "(8/261)*D(T)"),
+        (2, 4, "(64/261)*T"), (2, 6, "(8000/261)*one"),
+        (3, 2, "(8/261)*D(T)"), (3, 3, "(64/261)*T"),
+        (3, 5, "(8000/261)*one"), (4, 1, "(8/261)*D(T)"),
+        (4, 2, "(64/261)*T"), (4, 4, "(8000/261)*one"),
+        (5, 1, "(64/261)*T"), (5, 3, "(8000/261)*one"),
+        (6, 2, "(8000/261)*one"), (7, 1, "(8000/261)*one")]
 
 
 def test_ghost_stress_central_charges():

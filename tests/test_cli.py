@@ -142,12 +142,22 @@ def test_cft_ope_duplicate_binding(capsys):
 
 
 def test_cft_ope_of_a_high_derivative(capsys):
-    # the derivative orders of a factor are taken off in a loop, not by
-    # one recursion each: 1000 of them exceed Python's recursion limit
+    # the derivative orders of a factor cost no recursion each: 1000 of
+    # them would exceed Python's recursion limit
     code, payload, _ = run_json(capsys, "cft", "ope", "w3", "D1000(T)", "T",
                                 "--set", "c=1")
     assert code == 0
     assert max(map(int, payload["poles"])) == 1004
+
+
+def test_cft_ope_at_a_value_of_over_4300_digits(capsys):
+    # Python's default limit on int-to-str conversion would refuse this
+    # value as bad input
+    c = "1" + "0" * 4398 + "1"
+    code, payload, _ = run_json(capsys, "cft", "ope", "w3", "T", "T",
+                                "--set", f"c={c}")
+    assert code == 0
+    assert payload["poles"]["4"] == f"({c}/2)*one"
 
 
 def test_cft_jacobi(capsys):

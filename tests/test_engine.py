@@ -70,6 +70,25 @@ def test_flip_matches_direct_evaluation(w3_ctx):
         assert direct[n] == flipped[n], n
 
 
+@pytest.mark.parametrize("make", [w3, w3_ghosts])
+def test_derivative_rules_agree_with_the_exchange(make):
+    # [D^a A D^b B] from the two derivative rules equals the exchange of
+    # [D^b B D^a A], for every generator pair and a, b <= 3: the rules
+    # for left and right derivatives are tied to each other through the
+    # exchange formula
+    alg = make()
+    ctx = alg.context()
+    for na in alg.names:
+        for nb in alg.names:
+            pa, pb = alg.decl(na).parity, alg.decl(nb).parity
+            for a in range(4):
+                x = ctx.derivative(FieldExpr.generator(alg, na), a)
+                for b in range(4):
+                    y = ctx.derivative(FieldExpr.generator(alg, nb), b)
+                    assert ctx.ope(x, y) == ctx._flip(ctx.ope(y, x), pa, pb), \
+                        (na, a, nb, b)
+
+
 def test_ope_bilinear(w3_ctx):
     ctx = w3_ctx
     t, w = _gen(ctx, "T"), _gen(ctx, "W")

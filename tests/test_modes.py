@@ -1,17 +1,19 @@
 """Mode-level oracle: Laurent-mode matrices on finite Fock slices and
 operator products reconstructed from commutators alone."""
 
+import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from wbrst.algebras import ghost_stress, w32_ghosts, w3_ghosts
 from wbrst.fields import FieldExpr, Monomial
 from wbrst.modes import (BcSystem, FockSlice, ModeError, ModeMatrix,
-                         _mode_cap, _mono_weight, _prefactor, crosscheck,
-                         crosscheck_bundle, field_modes, ope_from_modes,
-                         ope_poles_from_modes, stress_central_charge,
-                         systems_from_algebra)
+                         _mode_cap, _mono_weight, _prefactor, _sample_solver,
+                         crosscheck, crosscheck_bundle, field_modes,
+                         ope_from_modes, ope_poles_from_modes,
+                         stress_central_charge, systems_from_algebra)
 from wbrst.scalars import RF_ONE, _add_into, rf
 
 
@@ -182,6 +184,34 @@ def test_max_pole_too_small_is_detected():
     t = ghost_stress(ctx, [(s.b, s.c)])
     with pytest.raises(ModeError):
         ope_poles_from_modes(t, t, 0, slc, max_pole=2)
+
+
+def _binom(x, j):
+    """binom(x, j) for any integer x, as the sample matrix has it."""
+    return prod(range(x - j + 1, x + 1)) // factorial(j)
+
+
+@pytest.mark.parametrize("max_pole", range(1, 11))
+def test_sample_solver_reads_the_poles_back(max_pole):
+    # samples sum_j binom(x, j) C_j at the window of _pole_columns, x =
+    # p + h_a - 1: the first max_pole rows give C back and the three
+    # consistency rows vanish; a term of degree max_pole .. max_pole + 2
+    # makes a consistency row nonzero
+    rows = _sample_solver(max_pole)
+    assert len(rows) == max_pole + 3
+    xs = [na - 1 for na in range(-(max_pole // 2),
+                                 max_pole + 3 - max_pole // 2)]
+    rng = random.Random(max_pole)
+    for _ in range(5):
+        cs = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(max_pole)]
+        samples = [sum(_binom(x, j) * v for j, v in enumerate(cs))
+                   for x in xs]
+        got = [sum(map(int.__mul__, row, samples)) for row in rows]
+        assert got == cs + [0, 0, 0]
+    for degree in range(max_pole, max_pole + 3):
+        samples = [_binom(x, degree) for x in xs]
+        assert any(sum(map(int.__mul__, row, samples))
+                   for row in rows[max_pole:])
 
 
 @pytest.mark.parametrize("lam,expect", [
