@@ -58,7 +58,6 @@ class OpeContext:
         self._fuel = 0
         self._ope_memo = {}
         self._nprod_memo = {}
-        self._single_memo = {}
         self._deriv_memo = {}
 
     def _tick(self):
@@ -155,29 +154,22 @@ class OpeContext:
         D^(b-k)([A B]_m), and [D^a(X) Y]_(n+a) is (-1)^a n(n+1)...(n+a-1)
         [X Y]_n; so the pole N = m + a + b - j gets (-1)^a binom(b, j)
         m(m+1)...(N-1) D^j([A B]_m).  Each pole is differentiated one step
-        at a time, and [A B] itself is memoized, so a table entry stored
-        the other way round is flipped once."""
-        key = (f1, f2)
-        hit = self._single_memo.get(key)
-        if hit is not None:
-            return hit
-        self._tick()
+        at a time.  ``ope_mono`` memoizes the result and [A B] itself, so a
+        table entry stored the other way round is flipped once."""
         (n1, a), (n2, b) = f1, f2
         if not (a or b):
-            out = self._table_poles(n1, n2)
-        else:
-            out = {}
-            for m, e in self._ope_single((n1, 0), (n2, 0)).items():
-                for j in range(b + 1):
-                    if j:
-                        e = self._dexpr(e, 1)
-                    n = m + a + b - j
-                    k = (-1) ** a * comb(b, j) * perm(n - 1, n - m)
-                    _add_expr(out.setdefault(n, {}), e,
-                              None if k == 1 else _const(k))
-            out = self._poles(out)
-        self._single_memo[key] = out
-        return out
+            return self._table_poles(n1, n2)
+        out = {}
+        for m, e in self.ope_mono(Monomial(((n1, 0),)),
+                                  Monomial(((n2, 0),))).items():
+            for j in range(b + 1):
+                if j:
+                    e = self._dexpr(e, 1)
+                n = m + a + b - j
+                k = (-1) ** a * comb(b, j) * perm(n - 1, n - m)
+                _add_expr(out.setdefault(n, {}), e,
+                          None if k == 1 else _const(k))
+        return self._poles(out)
 
     def _table_poles(self, n1, n2) -> dict:
         """[n1 n2] for two generators, from the stored orientation."""

@@ -1,16 +1,21 @@
 """Parsers and printers for the textual formats.
 
-Three layers share one tokenizer:
+One tokenizer and one expression grammar serve every format.  An
+expression's value is a coefficient (an exact ``RationalFunction``) or a
+field expression:
 
-* coefficient expressions -- integers, fractions ``p/q``, parameter names,
-  ``+ - * / ( )`` and ``^`` for powers; a division by a coefficient that
-  is zero raises PoleError;
+* coefficients -- integers, parameter names, ``+ - * / ( )`` and ``^``
+  for integer powers; a division by a coefficient that is zero raises
+  PoleError;
 * field expressions -- ``one``, generator names, ``D(x)`` / ``Dk(x)``
-  derivatives, right-nested normal products ``N(x,y)``, sums and scalar
-  multiples;
+  derivatives, right-nested normal products ``N(x,y)``, sums, and
+  multiples ``k*x`` by a coefficient ``k`` on the left;
 * the algebra and QLA definition files.
 
-Printing always emits the same grammar; parse(print(x)) is the identity.
+A name is looked up in one scope: ``D``/``Dk``/``N`` before "(", then the
+parameters, bound values and ``def`` values, then ``one``, then the
+generators.  Printing always emits the same grammar; parse(print(x)) is
+the identity.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .engine import OpeContext
 from .errors import WbrstError
-from .scalars import PoleError, RationalFunction
+from .fields import FieldExpr, GeneratorDecl, OpeAlgebra
+from .scalars import RF_ONE, PoleError, RationalFunction, format_rational
 
 
 class ParseError(WbrstError):
@@ -34,16 +41,18 @@ class ParseError(WbrstError):
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 
-# Deepest parenthesis nesting a line may have.  The parsers recurse once per
+# Deepest parenthesis nesting a line may have.  The parser recurses once per
 # level, so a bound keeps deep input a ParseError, not a RecursionError.
 MAX_NESTING = 64
 
 
 class _Tokens:
-    """Tokens of one line; ``scope`` maps the parameter names a coefficient
-    may use to their values, or is None to make every name a parameter."""
+    """Tokens of one line and the names its expressions may use: ``scope``
+    maps each parameter, bound value and def to its coefficient, or is None
+    to make every name a parameter; over an ``algebra`` the other names are
+    fields, built in ``ctx``."""
 
-    def __init__(self, text, line, scope):
+    def __init__(self, text, line, scope, algebra=None, ctx=None):
         self.items = []
         pos = depth = 0
         while pos < len(text):
@@ -66,6 +75,8 @@ class _Tokens:
         self.pos = 0
         self.line = line
         self.scope = scope
+        self.algebra = algebra
+        self.ctx = ctx
 
     def peek(self):
         if self.pos < len(self.items):
@@ -88,24 +99,112 @@ class _Tokens:
         return self.pos >= len(self.items)
 
 
-# -- coefficient grammar ---------------------------------------------------
+# -- expression grammar ----------------------------------------------------
+#
+#   sum     -> product (("+" | "-") product)*
+#   product -> signed (("*" | "/") signed)*
+#   signed  -> ("+" | "-")* power
+#   power   -> atom ("^" "-"? INT)?
+#   atom    -> INT | "(" sum ")" | D(sum) | Dk(sum) | N(sum, sum) | NAME
+#
+# "+" and "-" join two values of one kind, "*" scales a coefficient or a
+# field by the coefficient on its left, and "/" and "^" take coefficients.
+# Runs of signs and of factors are loops, so their length costs no stack.
 
 
-def _coeff_expr(t: _Tokens) -> RationalFunction:
-    x = _coeff_term(t)
+def _sum(t: _Tokens):
+    x = _product(t)
     while t.peek()[:2] in (("op", "+"), ("op", "-")):
-        op = t.next()[1]
-        y = _coeff_term(t)
-        x = x + y if op == "+" else x - y
+        tok = t.next()
+        y = _product(t)
+        if isinstance(x, FieldExpr) != isinstance(y, FieldExpr):
+            raise ParseError(f"{tok[1]!r} joins a coefficient and a field",
+                             t.line, tok[2])
+        x = x + y if tok[1] == "+" else x - y
     return x
 
 
-def _coeff_term(t: _Tokens) -> RationalFunction:
-    x = _coeff_factor(t)
+def _product(t: _Tokens):
+    x = _signed(t)
     while t.peek()[:2] in (("op", "*"), ("op", "/")):
-        op = t.next()[1]
-        y = _coeff_factor(t)
-        x = x * y if op == "*" else _divide(t, x, y)
+        tok = t.next()
+        _kind(t, x, tok, "a coefficient on its left")
+        y = _signed(t)
+        if tok[1] == "/":
+            x = _divide(t, x, _kind(t, y, tok, "a coefficient on its right"))
+        else:
+            x = y.scaled(x) if isinstance(y, FieldExpr) else x * y
+    return x
+
+
+def _signed(t: _Tokens):
+    negate = False
+    while t.peek()[:2] in (("op", "-"), ("op", "+")):
+        negate ^= t.next()[1] == "-"
+    x = _power(t)
+    return -x if negate else x
+
+
+def _power(t: _Tokens):
+    x = _atom(t)
+    if t.peek()[:2] != ("op", "^"):
+        return x
+    _kind(t, x, t.next(), "a coefficient on its left")
+    negative = t.peek()[:2] == ("op", "-")
+    if negative:
+        t.next()
+    out = RF_ONE
+    for _ in range(int(t.expect("int")[1])):
+        out = out * x
+    return _divide(t, RF_ONE, out) if negative else out
+
+
+def _atom(t: _Tokens):
+    tok = t.next()
+    kind, name, column = tok
+    if kind == "int":
+        return RationalFunction.const(int(name))
+    if tok[:2] == ("op", "("):
+        x = _sum(t)
+        t.expect("op", ")")
+        return x
+    if kind != "name":
+        raise ParseError(f"unexpected token {name!r}", t.line, column)
+    alg = t.algebra
+    if alg is not None and t.peek()[:2] == ("op", "("):
+        m = re.fullmatch(r"D(\d*)", name)
+        if m or name == "N":
+            t.next()
+            x = _kind(t, _sum(t), tok, "a field")
+            if m:
+                t.expect("op", ")")
+                return t.ctx.derivative(x, int(m.group(1) or 1))
+            t.expect("op", ",")
+            y = _kind(t, _sum(t), tok, "a field")
+            t.expect("op", ")")
+            return t.ctx.normal_product(x, y)
+    if t.scope is None:
+        return RationalFunction.var(name)
+    value = t.scope.get(name)
+    if value is not None:
+        return value
+    if alg is None:
+        raise ParseError(f"unknown parameter {name!r}", t.line, column)
+    if name == "one":
+        return FieldExpr.unit(alg)
+    if name in alg.names:
+        return FieldExpr.generator(alg, name)
+    raise ParseError(f"unknown field or parameter name {name!r}",
+                     t.line, column)
+
+
+def _kind(t: _Tokens, x, tok, wanted):
+    """``x`` if it is the kind of value ``wanted``, else a ParseError that
+    ``tok`` takes ``wanted``."""
+    if isinstance(x, FieldExpr) != (wanted == "a field"):
+        got = "a field" if isinstance(x, FieldExpr) else "a coefficient"
+        raise ParseError(f"{tok[1]!r} takes {wanted}, not {got}",
+                         t.line, tok[2])
     return x
 
 
@@ -116,134 +215,24 @@ def _divide(t: _Tokens, x, y) -> RationalFunction:
     return x / y
 
 
-def _coeff_factor(t: _Tokens) -> RationalFunction:
-    # a run of unary signs is read in a loop, so its length costs no stack
-    negate = False
-    while t.peek()[:2] in (("op", "-"), ("op", "+")):
-        negate ^= t.next()[1] == "-"
-    if negate:
-        return -_coeff_factor(t)
-    x = _coeff_atom(t)
-    if t.peek()[:2] == ("op", "^"):
-        t.next()
-        sign = 1
-        if t.peek()[:2] == ("op", "-"):
-            t.next()
-            sign = -1
-        n = int(t.expect("int")[1]) * sign
-        if n >= 0:
-            out = RationalFunction.const(1)
-            for _ in range(n):
-                out = out * x
-            return out
-        out = RationalFunction.const(1)
-        for _ in range(-n):
-            out = _divide(t, out, x)
-        return out
+def _parse(text, line, scope, algebra=None, ctx=None):
+    """The value of ``text``, read to its end: over an ``algebra`` a field
+    expression, else a coefficient."""
+    t = _Tokens(text, line, scope, algebra, ctx)
+    x = _sum(t)
+    if not t.at_end():
+        tok = t.peek()
+        raise ParseError(f"trailing input {tok[1]!r}", line, tok[2])
+    if algebra is not None and not isinstance(x, FieldExpr):
+        raise ParseError("a coefficient is not a field expression; "
+                         "scale a field, as in 2*one", line)
     return x
-
-
-def _coeff_atom(t: _Tokens) -> RationalFunction:
-    tok = t.next()
-    if tok[0] == "int":
-        return RationalFunction.const(int(tok[1]))
-    if tok[0] == "name":
-        if t.scope is None:
-            return RationalFunction.var(tok[1])
-        value = t.scope.get(tok[1])
-        if value is None:
-            raise ParseError(f"unknown parameter {tok[1]!r}", t.line, tok[2])
-        return value
-    if tok[:2] == ("op", "("):
-        x = _coeff_expr(t)
-        t.expect("op", ")")
-        return x
-    raise ParseError(f"unexpected token {tok[1]!r} in coefficient", t.line, tok[2])
 
 
 def parse_coefficient(text: str, line=None, scope=None) -> RationalFunction:
     """Parse a coefficient; ``scope`` maps the parameter names it may use
     to their values.  Without a scope every name is a symbolic parameter."""
-    t = _Tokens(text, line, scope)
-    x = _coeff_expr(t)
-    if not t.at_end():
-        tok = t.peek()
-        raise ParseError(f"trailing input {tok[1]!r} in coefficient", line, tok[2])
-    return x
-
-
-# -- field expression grammar ----------------------------------------------
-
-
-def _field_expr(t: _Tokens, algebra, ctx=None):
-    x = _field_term(t, algebra, ctx)
-    while t.peek()[:2] in (("op", "+"), ("op", "-")):
-        op = t.next()[1]
-        y = _field_term(t, algebra, ctx)
-        x = x + y if op == "+" else x - y
-    return x
-
-
-def _field_term(t: _Tokens, algebra, ctx=None):
-    # scalar prefixes: anything that parses as a coefficient followed by '*'
-    coeff = None
-    while True:
-        save = t.pos
-        try:
-            k = _coeff_factor(t)
-        except ParseError:
-            k = None
-        if k is None or t.peek()[:2] != ("op", "*"):
-            t.pos = save
-            break
-        t.next()
-        coeff = k if coeff is None else coeff * k
-    x = _field_atom(t, algebra, ctx)
-    return x if coeff is None else x.scaled(coeff)
-
-
-def _field_atom(t: _Tokens, algebra, ctx=None):
-    from .fields import FieldExpr
-    if ctx is None:
-        ctx = algebra.context()
-    negate = False
-    while t.peek()[:2] == ("op", "-"):
-        t.next()
-        negate = not negate
-    if negate:
-        return -_field_atom(t, algebra, ctx)
-    tok = t.next()
-    if tok[:2] == ("op", "("):
-        x = _field_expr(t, algebra, ctx)
-        t.expect("op", ")")
-        return x
-    if tok[0] != "name":
-        raise ParseError(f"unexpected token {tok[1]!r} in field expression",
-                         t.line, tok[2])
-    name = tok[1]
-    if name == "one":
-        return FieldExpr.unit(algebra)
-    m = re.fullmatch(r"D(\d*)", name)
-    if m and t.peek()[:2] == ("op", "("):
-        k = int(m.group(1)) if m.group(1) else 1
-        t.expect("op", "(")
-        inner = _field_expr(t, algebra, ctx)
-        t.expect("op", ")")
-        out = inner
-        for _ in range(k):
-            out = ctx.derivative(out)
-        return out
-    if name == "N" and t.peek()[:2] == ("op", "("):
-        t.expect("op", "(")
-        left = _field_expr(t, algebra, ctx)
-        t.expect("op", ",")
-        right = _field_expr(t, algebra, ctx)
-        t.expect("op", ")")
-        return ctx.normal_product(left, right)
-    if name in algebra.names:
-        return FieldExpr.generator(algebra, name)
-    raise ParseError(f"unknown field or parameter name {name!r}",
-                     t.line, tok[2])
+    return _parse(text, line, scope)
 
 
 def _param_scope(params, bindings=None) -> dict:
@@ -258,12 +247,8 @@ def parse_field_expr(text: str, algebra, line=None, ctx=None, bindings=None):
     algebra's parameters and the names of ``bindings``, the values bound
     when the table was loaded.  ``ctx`` may supply a scratch context so an
     algebra under construction is not frozen by the parse."""
-    t = _Tokens(text, line, _param_scope(algebra.params, bindings))
-    x = _field_expr(t, algebra, ctx)
-    if not t.at_end():
-        tok = t.peek()
-        raise ParseError(f"trailing input {tok[1]!r} in field expression", line, tok[2])
-    return x
+    return _parse(text, line, _param_scope(algebra.params, bindings),
+                  algebra, ctx or algebra.context())
 
 
 def format_monomial(mono) -> str:
@@ -286,7 +271,6 @@ def format_monomial(mono) -> str:
 
 
 def format_field_expr(expr) -> str:
-    from .scalars import format_rational
     if expr.is_zero:
         return "0*one"
     parts = []
@@ -294,12 +278,8 @@ def format_field_expr(expr) -> str:
         cs = format_rational(coeff)
         if not re.fullmatch(r"\d+", cs):
             cs = f"({cs})"
-        term = f"{cs}*{format_monomial(mono)}"
-        if parts:
-            parts.append(" + " + term)
-        else:
-            parts.append(term)
-    return "".join(parts)
+        parts.append(f"{cs}*{format_monomial(mono)}")
+    return " + ".join(parts)
 
 
 # -- algebra definition files ----------------------------------------------
@@ -309,20 +289,21 @@ def parse_algebra_file(text: str, bindings=None):
     """Build an OpeAlgebra from its definition-file form.
 
     Coefficients may name only the parameters the file declares with
-    ``param``.  A ``def`` names a coefficient that later lines use by its
-    name; it may not reuse the name of a parameter, a field or an earlier
-    def, and the ``algebra`` line is given once.  ``bindings`` maps
-    declared parameters to exact rationals; a bound parameter is read as
-    that constant while the file is parsed and is not a parameter of the
-    result.  A coefficient whose denominator vanishes at the bound values
-    raises PoleError.
+    ``param``.  A ``def`` names a coefficient, which the ``ope`` lines and
+    later defs use by its name.  Each name means one thing: a field may not
+    be named ``one``, a parameter may not reuse the name of a field or
+    ``one``, and a def may not reuse any of these or an earlier def's; the
+    ``algebra`` line is given once.
+    ``bindings`` maps declared parameters to exact rationals; a bound
+    parameter is read as that constant while the file is parsed and is not
+    a parameter of the result.  A coefficient whose denominator vanishes at
+    the bound values raises PoleError.
     """
-    from .fields import GeneratorDecl, OpeAlgebra
-
     bindings = bindings or {}
     name = None
     gens = []
     declared = []
+    taken = {"one": "the unit"}  # what each name already means
     def_lines, ope_lines = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -343,6 +324,9 @@ def parse_algebra_file(text: str, bindings=None):
                 if pname in declared:
                     raise ParseError(f"parameter {pname!r} declared twice",
                                      lineno)
+                if pname in taken:
+                    raise ParseError(f"parameter {pname!r} reuses the name "
+                                     f"of {taken[pname]}", lineno)
                 declared.append(pname)
         elif head == "field":
             gname, *items = rest.split() or [""]
@@ -351,9 +335,16 @@ def parse_algebra_file(text: str, bindings=None):
             if not gname or "weight" not in attrs or parity is None:
                 raise ParseError("expected field NAME weight=W "
                                  "[parity=even|odd] [ghost=G]", lineno)
+            if gname == "one":
+                raise ParseError("field 'one' reuses the name of the unit",
+                                 lineno)
+            if gname in declared:
+                raise ParseError(f"parameter {gname!r} reuses the name of "
+                                 "a field", lineno)
             weight = _number(Fraction, attrs["weight"], "weight", lineno)
             ghost = _number(int, attrs.get("ghost", "0"), "ghost", lineno)
             gens.append(GeneratorDecl(gname, weight, parity, ghost))
+            taken[gname] = "a field"
         elif head == "def":
             def_lines.append((lineno, rest))
         elif head == "ope":
@@ -362,9 +353,7 @@ def parse_algebra_file(text: str, bindings=None):
             raise ParseError(f"unknown directive {head!r}", lineno)
     if name is None:
         raise ParseError("missing 'algebra NAME' header", 1)
-    # a def is substituted as text, so it may not shadow another name
-    taken = dict.fromkeys(declared, "a parameter")
-    taken.update(dict.fromkeys((g.name for g in gens), "a field"))
+    taken.update(dict.fromkeys(declared, "a parameter"))
     for lineno, rest in def_lines:
         dname = rest.partition("=")[0].strip()
         if dname in taken:
@@ -389,15 +378,12 @@ def parse_algebra_file(text: str, bindings=None):
 
 def _parse_table(algebra, def_lines, ope_lines, bindings):
     """Read the ``def`` and ``ope`` lines of a definition file into
-    ``algebra``."""
-    from .engine import OpeContext
-
+    ``algebra``: each def's value joins the scope of the later defs and of
+    every ope line."""
     scope = _param_scope(algebra.params, bindings)
-    defs: dict[str, RationalFunction] = {}
     for lineno, rest in def_lines:
         dname, _, dexpr = rest.partition("=")
-        defs[dname.strip()] = parse_coefficient(
-            _substitute_defs(dexpr.strip(), defs), lineno, scope)
+        scope[dname.strip()] = parse_coefficient(dexpr.strip(), lineno, scope)
     scratch = OpeContext(algebra)
     for lineno, rest in ope_lines:
         headpart, _, body = rest.partition(":")
@@ -411,9 +397,8 @@ def _parse_table(algebra, def_lines, ope_lines, bindings):
             for chunk in body.split(";"):
                 n_str, _, expr_str = chunk.partition("->")
                 n = _number(int, n_str.strip(), "pole order", lineno)
-                expr_str = _substitute_defs(expr_str.strip(), defs)
-                poles[n] = parse_field_expr(expr_str, algebra, lineno,
-                                            ctx=scratch, bindings=bindings)
+                poles[n] = _parse(expr_str.strip(), lineno, scope, algebra,
+                                  scratch)
         algebra.set_ope(a, b, poles)
 
 
@@ -423,15 +408,6 @@ def _number(kind, text, what, lineno):
         return kind(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{what} {text!r} is not a number", lineno) from None
-
-
-def _substitute_defs(expr: str, defs) -> str:
-    # textual substitution of earlier `def` names, longest names first
-    for dname in sorted(defs, key=len, reverse=True):
-        from .scalars import format_rational
-        expr = re.sub(rf"\b{re.escape(dname)}\b",
-                      "(" + format_rational(defs[dname]) + ")", expr)
-    return expr
 
 
 def format_algebra_file(algebra) -> str:

@@ -126,6 +126,25 @@ def test_cft_ope_with_binding(capsys):
     assert payload["poles"]["4"] == "50*one"
 
 
+def test_cft_ope_scaled_by_a_quotient(capsys):
+    # any coefficient scales a field from the left, p/q unparenthesized
+    code, payload, _ = run_json(capsys, "cft", "ope", "w3", "2/3*T", "T",
+                                "--set", "c=100")
+    assert code == 0
+    assert payload["poles"] == {"4": "(100/3)*one", "2": "(4/3)*T",
+                                "1": "(2/3)*D(T)"}
+
+
+@pytest.mark.parametrize("arg", ["T*2", "T/2", "2", "T + 2", "2 - T",
+                                 "D(c)", "N(T,c)", "T^2", "1/0*T",
+                                 "(2*T)*3"])
+def test_cft_ope_coefficient_out_of_place_is_bad_input(capsys, arg):
+    code, out, err = run(capsys, "cft", "ope", "w3", arg, "T",
+                         "--set", "c=100")
+    _no_traceback(code, err)
+    assert out == ""
+
+
 def test_cft_ope_bad_binding(capsys):
     code, _, err = run(capsys, "cft", "ope", "w3", "T", "T",
                        "--set", "zeta=1")
@@ -444,6 +463,13 @@ def test_qla_file_faults_are_bad_input(tmp_path, capsys, cmd, text, message):
      "def 'k' reuses the name of an earlier def at line 5"),
     ("param c\nalgebra y\nfield T weight=2\n",
      "algebra given twice at line 3"),
+    # a parameter named like a field would read as either one
+    ("field T weight=2\nparam c T\n",
+     "parameter 'T' reuses the name of a field at line 3"),
+    ("param c T\nfield T weight=2\n",
+     "parameter 'T' reuses the name of a field at line 3"),
+    ("param c one\nfield T weight=2\n",
+     "parameter 'one' reuses the name of the unit at line 2"),
 ])
 def test_alg_file_shadowing_is_bad_input(tmp_path, capsys, lines, message):
     path = tmp_path / "shadow.alg"

@@ -347,7 +347,7 @@ class _ContractingEverywhere(OpeContext):
 
 def _assert_same_memos(ctx, ref):
     """Every entry the two contexts both memoized is the same."""
-    for name in ("_ope_memo", "_single_memo", "_nprod_memo", "_deriv_memo"):
+    for name in ("_ope_memo", "_nprod_memo", "_deriv_memo"):
         mine, theirs = getattr(ctx, name), getattr(ref, name)
         shared = mine.keys() & theirs.keys()
         assert shared, name
@@ -391,10 +391,9 @@ def test_self_product_skips_products_with_nothing_to_contract():
 
 def _memoized_exprs(ctx):
     """Every FieldExpr held by a memo of ``ctx``."""
-    for memo in (ctx._ope_memo, ctx._single_memo):
-        for poles in memo.values():
-            assert all(not e.is_zero for e in poles.values())
-            yield from poles.values()
+    for poles in ctx._ope_memo.values():
+        assert all(not e.is_zero for e in poles.values())
+        yield from poles.values()
     yield from ctx._nprod_memo.values()
     yield from ctx._deriv_memo.values()
 
@@ -420,8 +419,8 @@ def test_memoized_expressions_hold_no_zero_coefficient(make, numeric):
 
 
 @pytest.mark.parametrize("g1, g2, c, sizes, fuel", [
-    (0, 0, 100, (484, 391, 34, 85), 950),
-    (None, None, None, (1077, 834, 62, 104), 2025),
+    (0, 0, 100, (484, 391, 85), 916),
+    (None, None, None, (1077, 834, 104), 1964),
 ])
 def test_self_product_rewrites_as_recorded(g1, g2, c, sizes, fuel):
     # the memo sizes after building the current and squaring it, and the
@@ -431,7 +430,7 @@ def test_self_product_rewrites_as_recorded(g1, g2, c, sizes, fuel):
     q.self_product
     ctx = q.context
     assert tuple(len(getattr(ctx, name)) for name in (
-        "_ope_memo", "_nprod_memo", "_single_memo", "_deriv_memo")) == sizes
+        "_ope_memo", "_nprod_memo", "_deriv_memo")) == sizes
     assert ctx._fuel == fuel
 
 

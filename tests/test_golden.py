@@ -8,6 +8,9 @@ must print exactly the recorded bytes.
 ``tests/golden/oracle_crosscheck_digests.json`` holds the sha256 of the
 ``oracle crosscheck TABLE --level L --json`` stdout of both free ghost
 tables at levels 0 to 8, where the whole reports are too long to keep.
+``tests/golden/bundled_tables.txt`` holds ``format_algebra_file`` of the
+bundled tables, loaded symbolic and with parameter values bound, so what
+the parser reads from each definition file is pinned byte for byte.
 ``tests/golden/derive_brst.json`` holds the currents that ``derive_brst``
 derives for the W3 and W3^(2) benchmark cases, as ``format_field_expr``
 prints them, and the report messages of the unpinned cases.
@@ -30,11 +33,13 @@ import sys
 
 import pytest
 
-from wbrst.algebras import bundle, w3, w32, w3_ghosts, w32_ghosts
+from fractions import Fraction
+
+from wbrst.algebras import bundle, load_bundled, w3, w32, w3_ghosts, w32_ghosts
 from wbrst.brst import derive_brst
 from wbrst.cli import main
 from wbrst.fields import Monomial
-from wbrst.parsing import format_field_expr
+from wbrst.parsing import format_algebra_file, format_field_expr
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -103,6 +108,16 @@ MESSAGES = (
 MESSAGES_GOLDEN = GOLDEN / "cli_messages.json"
 DERIVE_GOLDEN = GOLDEN / "derive_brst.json"
 DIGESTS_GOLDEN = GOLDEN / "oracle_crosscheck_digests.json"
+TABLES_GOLDEN = GOLDEN / "bundled_tables.txt"
+
+# (stem, bound values) of each bundled table load the golden pins
+TABLE_LOADS = (
+    ("w3", {}), ("w3", {"c": 100}), ("w3_printed", {}),
+    ("w3_ghosts", {}), ("w3_ghosts", {"g1": 0, "g2": 0}),
+    ("w3_ghosts", {"g1": Fraction(1, 3), "g2": Fraction(2, 5)}),
+    ("w3_ghosts_free", {}), ("w32", {}), ("w32", {"c": -2}),
+    ("w32_ghosts", {}), ("w32_ghosts_free", {}),
+)
 
 
 def golden_path(command: str) -> pathlib.Path:
@@ -177,6 +192,17 @@ def run_derivations() -> dict:
     return out
 
 
+def run_tables() -> str:
+    """``format_algebra_file`` of each load of ``TABLE_LOADS``, each after
+    a comment line naming the table and its bound values."""
+    out = []
+    for stem, values in TABLE_LOADS:
+        at = " ".join(f"{p}={v}" for p, v in values.items())
+        out.append(f"# {stem} {at or 'symbolic'}\n"
+                   + format_algebra_file(load_bundled(stem, **values)))
+    return "".join(out)
+
+
 def run_digests() -> dict:
     """The sha256 of each oracle crosscheck's stdout, by table and level;
     every one of them exits 0."""
@@ -190,6 +216,10 @@ def run_digests() -> dict:
             out[table][str(level)] = hashlib.sha256(
                 stdout.encode()).hexdigest()
     return out
+
+
+def test_golden_bundled_tables():
+    assert run_tables() == TABLES_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_golden_oracle_digests():
@@ -223,6 +253,8 @@ if __name__ == "__main__":
     DERIVE_GOLDEN.write_text(json.dumps(run_derivations(), indent=2) + "\n",
                              encoding="utf-8")
     print(f"recorded {DERIVE_GOLDEN.name}", file=sys.stderr)
+    TABLES_GOLDEN.write_text(run_tables(), encoding="utf-8")
+    print(f"recorded {TABLES_GOLDEN.name}", file=sys.stderr)
     DIGESTS_GOLDEN.write_text(json.dumps(run_digests(), indent=2) + "\n",
                               encoding="utf-8")
     print(f"recorded {DIGESTS_GOLDEN.name}", file=sys.stderr)

@@ -51,19 +51,68 @@ def test_coefficient_round_trip():
         assert parse_coefficient(format_rational(v)) == v
 
 
-def test_field_expr_round_trip():
-    alg = load_alg("w3.alg")
+def _round_trip_exprs(alg):
     ctx = alg.context()
     t = FieldExpr.generator(alg, "T")
     w = FieldExpr.generator(alg, "W")
-    exprs = [
+    return [
         t,
         ctx.derivative(t, 2),
         ctx.normal_product(t, t).scaled(RF.var("c")),
         ctx.normal_product(t, ctx.normal_product(t, w)) - w.scaled(3),
     ]
-    for e in exprs:
-        assert parse_field_expr(format_field_expr(e), alg, ctx=ctx) == e
+
+
+def test_field_expr_round_trip():
+    alg = load_alg("w3.alg")
+    for e in _round_trip_exprs(alg):
+        assert parse_field_expr(format_field_expr(e), alg,
+                                ctx=alg.context()) == e
+
+
+def _poly_in_c(coeffs):
+    out = RF.const(0)
+    for k in coeffs:
+        out = out * RF.var("c") + RF.const(k)
+    return out
+
+
+# coefficients printed as one product or quotient, with no parentheses
+# around the numerator: a rational times c^n, over a polynomial in c; so
+# p/q, c^2, -c/2 and 2*c^3/(c^2+1) all occur
+_SCALES = st.builds(
+    lambda a, n, den: RF.const(a) * _poly_in_c([1] + [0] * n) / _poly_in_c(den),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.integers(0, 3),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SCALES, st.integers(0, 3))
+def test_any_coefficient_scales_a_field_from_the_left(w3_tables, k, i):
+    from wbrst.scalars import format_rational
+    alg = w3_tables[0]
+    text = format_field_expr(_round_trip_exprs(alg)[i])
+    assert (parse_field_expr(f"{format_rational(k)}*({text})", alg)
+            == parse_field_expr(text, alg).scaled(k))
+
+
+def test_a_quotient_scales_a_field_without_parentheses():
+    alg = load_alg("w3.alg")
+    t = FieldExpr.generator(alg, "T")
+    assert parse_field_expr("2/3*T", alg) == t.scaled(Fraction(2, 3))
+    assert parse_field_expr("c/2*T", alg) == parse_field_expr("(c/2)*T", alg)
+    assert parse_field_expr("2*c^2/3*T - c*T", alg) == t.scaled(
+        RF.var("c") * RF.var("c") * Fraction(2, 3) - RF.var("c"))
+
+
+def test_signs_and_negative_powers():
+    alg = load_alg("w3.alg")
+    t, c = FieldExpr.generator(alg, "T"), RF.var("c")
+    assert parse_field_expr("-T", alg) == t.scaled(-1)
+    assert parse_field_expr("2*-T + -(-T)", alg) == t.scaled(-1)
+    assert parse_field_expr("c^-2*T", alg) == t.scaled(1 / (c * c))
+    assert parse_coefficient("-c^2") == -(c * c)
 
 
 def test_monomial_formatting_right_nested():
@@ -144,6 +193,20 @@ def test_def_substitution():
     assert pole4.terms[UNIT] == RF.var("c") / 2
 
 
+def test_def_is_a_named_value():
+    # a def is in scope for the later defs and for every ope line, also
+    # one written above it, and it keeps its value inside any expression
+    text = ("algebra d\nparam c\nfield T weight=2\n"
+            "ope T T : 4 -> -h^2*one ; 2 -> 2*T ; 1 -> D(T)\n"
+            "def k = c/2\ndef h = k - 1\n")
+    pole4 = parse_algebra_file(text).table_entry("T", "T")[0][4]
+    from wbrst.fields import UNIT
+    h = RF.var("c") / 2 - 1
+    assert pole4.terms[UNIT] == -(h * h)
+    with pytest.raises(ParseError, match="unknown parameter 'k' at line 2"):
+        parse_algebra_file("algebra d\ndef h = k\ndef k = 1\n")
+
+
 def test_bindings_are_constants_at_parse_time():
     alg = parse_algebra_file(read_data("w3.alg"), {"c": 100})
     assert alg.params == ()
@@ -175,6 +238,13 @@ def test_coefficient_at_a_pole_raises_pole_error():
     ("algebra x\nfield A weight=2\ndef A = 5\n", 3),
     ("algebra x\ndef k = 1\ndef k = 2\n", 3),
     ("algebra x\nfield A weight=2\nalgebra y\n", 3),
+    # a parameter may not reuse the name of a field, in either order, or
+    # the name of the unit; nor may a def or a field
+    ("algebra x\nparam T\nfield T weight=2\n", 3),
+    ("algebra x\nfield T weight=2\nparam c T\n", 3),
+    ("algebra x\nparam one\n", 2),
+    ("algebra x\ndef one = 2\n", 2),
+    ("algebra x\nfield A weight=2\nfield one weight=2\n", 3),
 ])
 def test_algebra_file_faults_name_the_line(text, line):
     with pytest.raises(ParseError) as exc:
