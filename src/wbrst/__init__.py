@@ -18,7 +18,7 @@ Layers, bottom up:
 
 from .errors import WbrstError
 from .scalars import (PoleError, RationalFunction, RF_ONE,
-                      RF_ZERO, format_rational, rational_roots, rf)
+                      RF_ZERO, format_rational, rf)
 from .fields import FieldExpr, GeneratorDecl, Monomial, OpeAlgebra, UNIT
 from .engine import EngineError, OpeContext
 from .analysis import (apply_map, central_charge, check_homomorphism,

@@ -4,8 +4,10 @@ parameter point, and an ansatz-based derivation of the currents.
 
 Nilpotency and the critical charges read one row reduction per current,
 ``BrstCurrent.reduction``: its pivot rows give the derivative preimage of
-pole 1 of J(z)J(w), and its rows below the rank the obstructions, whose
-common zeros are the critical charges.
+pole 1 of J(z)J(w), and its rows below the rank the obstructions.  The
+critical charge is the common zero of their numerators, which
+``common_zeros`` solves for as it does the conventional point and the
+derived current.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import WbrstError
 from .fields import FieldExpr, Monomial, OpeAlgebra
 from .linalg import left_nullspace, rref, solve, solve_columns
 from .scalars import (PoleError, RF_ONE, RF_ZERO, RationalFunction,
-                      common_zeros, rational_roots, _add_into)
+                      common_zeros, _add_into, _canonical)
 
 
 class BrstError(WbrstError):
@@ -181,33 +183,29 @@ def nilpotency(q: BrstCurrent) -> NilpotencyReport:
 
 
 def critical_charge(q: BrstCurrent, param="c"):
-    """Rational values of the parameter at which the charge becomes
-    nilpotent: common rational roots of the numerators of the
-    obstructions of ``q.reduction`` (verified by re-evaluation),
-    excluding coefficient poles.
-
-    Returns None when the obstruction vanishes identically (nilpotent
-    for every value)."""
+    """{value} of the parameter at which the charge becomes nilpotent, the
+    common zero of the obstructions' numerators, re-checked there; set()
+    when there is none or the check fails; None with no obstructions.
+    Zeros not one rational value (several, irrational, or depending on
+    other names) raise BrstError; no bundled current has them."""
     _, matrix, rhs, _, obstructions = q.reduction
-    if not obstructions:
+    eqs = [{(): _canonical(o.num, o.num.ring.one)} for o in obstructions]
+    outcome, point = common_zeros(eqs, 0, (param,))
+    if outcome == "none":
+        return set()
+    if outcome == "family":
         return None
-    candidates = None
-    for o in obstructions:
-        roots = rational_roots(o, param)
-        candidates = roots if candidates is None else candidates & roots
-        if not candidates:
-            return set()
-    out = set()
-    for r in sorted(candidates):
-        if _verify_root(matrix, rhs, param, r):
-            out.add(r)
-    return out
+    if outcome != "point" or not point[param].is_constant:
+        raise BrstError(f"the obstructions vanish at no single rational "
+                        f"value of {param}")
+    value = point[param].constant_value()
+    return {value} if _verify_root(matrix, rhs, param, value) else set()
 
 
 def _verify_root(matrix, rhs, param, value) -> bool:
-    """Re-check candidate values on the specialized linear system, whose
-    entries that vanish there drop out; the generic-rank cokernel can miss
-    conditions that appear at special parameter values."""
+    """Re-check a value on the linear system specialized there: the generic
+    reduction misses a rank drop at the value, and a pole there, as of a
+    denominator the obstructions' numerators cleared, rejects it."""
     at = {param: value}
     try:
         m = [{j: v for j, a in row.items() if (v := a.substitute(at))}
@@ -222,8 +220,7 @@ def _verify_root(matrix, rhs, param, value) -> bool:
 
 def unconventional_terms(q: BrstCurrent):
     """Terms of generator-degree at least four, in canonical order."""
-    out = [(m, v) for m, v in q.expr.sorted_terms() if len(m) >= 4]
-    return out
+    return [(m, v) for m, v in q.expr.sorted_terms() if len(m) >= 4]
 
 
 def solve_conventional():
@@ -232,8 +229,6 @@ def solve_conventional():
     zero of those terms' coefficients, polynomials in g1 and g2."""
     q = brst_w3(g1=None, g2=None, c=100)
     eqs = [{(): v} for _, v in unconventional_terms(q)]
-    if not eqs:
-        raise BrstError("nothing to solve: no higher-degree terms")
     outcome, point = common_zeros(eqs, 0, ("g1", "g2"))
     if outcome == "none":
         raise BrstError("inconsistent system for the ghost parameters")

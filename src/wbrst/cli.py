@@ -221,15 +221,18 @@ def _build_current(args):
         "as-printed" if args.a2 == "printed" else "exchange-consistent"))
 
 
+def _roots(roots):
+    """A ``critical_charge`` answer as printed."""
+    return "all" if roots is None else [str(r) for r in sorted(roots)]
+
+
 def cmd_cft_brst(args) -> int:
     q = _build_current(args)
     rep = nilpotency(q)
     payload = rep.to_json()
     payload["family"] = args.family
     if args.symbolic_c:
-        roots = critical_charge(q, "c")
-        payload["critical_roots"] = (
-            "all" if roots is None else [str(r) for r in sorted(roots)])
+        payload["critical_roots"] = _roots(critical_charge(q, "c"))
     extra = unconventional_terms(q)
     payload["unconventional_terms"] = [
         {"monomial": format_monomial(m), "coefficient": format_rational(v)}
@@ -250,11 +253,10 @@ def cmd_cft_critical(args) -> int:
         q = brst_w3(0, 0, c=None)
     else:
         q = brst_w32(c=None)
-    roots = critical_charge(q, "c")
-    values = "all" if roots is None else [str(r) for r in sorted(roots)]
+    values = _roots(critical_charge(q, "c"))
     payload = {"family": args.family, "roots": values}
     _emit(payload, args.json, [f"roots: {values}"])
-    return 0 if (roots is None or roots) else 1
+    return 0 if values else 1
 
 
 def cmd_cft_solve_conventional(args) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .engine import OpeContext
 from .errors import WbrstError
@@ -44,6 +45,10 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 # Deepest parenthesis nesting a line may have.  The parser recurses once per
 # level, so a bound keeps deep input a ParseError, not a RecursionError.
 MAX_NESTING = 64
+
+# Largest power x^n a coefficient may write, in coefficient bits summed over
+# its terms, bounded before it is computed: (c+1)^100000 would take gigabytes.
+MAX_POWER_BITS = 1 << 23
 
 
 class _Tokens:
@@ -153,10 +158,21 @@ def _power(t: _Tokens):
     negative = t.peek()[:2] == ("op", "-")
     if negative:
         t.next()
-    out = RF_ONE
-    for _ in range(int(t.expect("int")[1])):
-        out = out * x
-    return _divide(t, RF_ONE, out) if negative else out
+    tok = t.expect("int")
+    n = int(tok[1])
+    if _power_bits(x.num, n) + _power_bits(x.den, n) > MAX_POWER_BITS:
+        raise ParseError(f"power ^{n} would exceed {MAX_POWER_BITS} "
+                         "coefficient bits", t.line, tok[2])
+    return _divide(t, RF_ONE, x ** n) if negative else x ** n
+
+
+def _power_bits(p, n: int) -> int:
+    """A bound on the coefficient bits of p^n: a polynomial p in k names of
+    total degree d has at most C(d + k, k) terms, so p^n at most
+    C(nd + k, k), each at most (C(d + k, k) max|coefficient of p|)^n."""
+    k, d = p.ring.ngens, max(map(sum, p), default=0)
+    b = max((abs(c).bit_length() for c in p.values()), default=0)
+    return comb(n * d + k, k) * n * (b + comb(d + k, k).bit_length())
 
 
 def _atom(t: _Tokens):

@@ -50,7 +50,7 @@ equations given lowest total degree first.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, lcm
 from sys import hash_info
 
@@ -388,6 +388,16 @@ class RationalFunction:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
+    def __pow__(self, k: int):
+        """``self`` to the int power ``k`` >= 0, with no gcd: powers of a
+        canonical numerator and denominator are canonical."""
+        if self._d is not None or not k:
+            return _c(self._n ** k, self._d ** k) if k else RF_ONE
+        num, den = self._num, self._den
+        for _ in range(k - 1):
+            num, den = num * self._num, den * self._den
+        return _nonconstant(num, den)
+
     def inverse(self):
         return RF_ONE / self
 
@@ -507,30 +517,6 @@ def format_rational(x: RationalFunction) -> str:
     if len(x._den) > 1 or "*" in den or "^" in den:
         den = f"({den})"
     return f"{num}/{den}"
-
-
-# -- rational roots --------------------------------------------------------
-
-
-def rational_roots(value: RationalFunction, name: str) -> set:
-    """The rationals r such that the numerator of ``value`` vanishes at
-    ``name`` = r for every value of its other names: the rational roots of
-    the gcd of its coefficients as a polynomial in the other names."""
-    if value.is_zero:
-        raise ScalarError("rational_roots of zero")
-    names = _names(value.num.ring)
-    if name not in names:
-        return set()
-    i = names.index(name)
-    groups: dict[tuple, dict] = {}
-    for m, c in value.num.items():
-        groups.setdefault(m[:i] + m[i + 1:], {})[(m[i],)] = c
-    ring = _ring((name,))
-    common = reduce(lambda f, g: f.gcd(g),
-                    (ring.dtype(terms) for terms in groups.values()))
-    _, factors = common.factor_list()
-    return {Fraction(-int(f.get((0,), 0)), int(f[(1,)]))
-            for f, _ in factors if f.degree() == 1}
 
 
 # -- common zeros of a polynomial system ------------------------------------

@@ -3,6 +3,7 @@ ghost-sector point, and ansatz reconstruction."""
 
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,7 @@ from wbrst.brst import (BrstCurrent, BrstError, brst_w3, brst_w32,
                         solve_conventional, unconventional_terms)
 from wbrst.engine import OpeContext
 from wbrst.fields import FieldExpr, GeneratorDecl, Monomial, OpeAlgebra
-from wbrst.linalg import left_nullspace
+from wbrst.linalg import left_nullspace, solve_columns
 from wbrst.scalars import RF_ONE, RF_ZERO, RationalFunction as RF, _add_into
 
 
@@ -81,6 +82,37 @@ def test_mutated_current_has_no_critical_charge():
         g("bT"), ctx.normal_product(ctx.derivative(g("cT")), g("cT"))).scaled(
             Fraction(1, 2))
     assert critical_charge(BrstCurrent(q.algebra, q.expr + delta)) == set()
+
+
+C = RF.var("c")
+
+
+def _reduced(rows, rhs):
+    """A stand-in current whose ``reduction`` is the system ``rows`` @ x =
+    ``rhs``, reduced at generic c: ``critical_charge`` reads nothing else."""
+    (x, obstructions), = solve_columns(rows, [rhs])
+    return SimpleNamespace(reduction=(None, rows, rhs, x, obstructions))
+
+
+@pytest.mark.parametrize("rows, rhs, want", [
+    # x = 1 and x = c - 1 meet at c = 2
+    ([{0: RF_ONE}, {0: RF_ONE}], {0: RF_ONE, 1: C - 1}, {2}),
+    # the obstruction c + 1 vanishes where the matrix has a pole
+    ([{0: 1 / (C + 1)}, {0: 1 / (C + 1)}], {0: RF_ONE, 1: C + 2}, set()),
+    # the obstruction c - 2 vanishes where the rank drops to 0, leaving
+    # the rows 0 = 1
+    ([{0: C - 2}, {0: C - 2}], {0: RF_ONE, 1: C - 1}, set()),
+    # no obstruction: nilpotent at every c
+    ([{0: RF_ONE}, {0: RF_ONE}], {0: RF_ONE, 1: RF_ONE}, None),
+])
+def test_critical_charge_rechecks_the_common_zero(rows, rhs, want):
+    assert critical_charge(_reduced(rows, rhs)) == want
+
+
+def test_critical_charge_refuses_two_roots():
+    q = _reduced([{0: RF_ONE}, {0: RF_ONE}], {0: RF_ONE, 1: C * C})
+    with pytest.raises(BrstError):
+        critical_charge(q)
 
 
 def test_solve_conventional_point():

@@ -348,6 +348,18 @@ def test_division_by_zero_in_a_user_table(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_power_beyond_the_bound_is_bad_input(tmp_path, capsys):
+    # the same text on an .alg line and in a cft ope argument
+    f = tmp_path / "power.alg"
+    f.write_text("algebra power\nparam c\nfield T weight=2\n"
+                 "ope T T : 4 -> ((c+1)^100000)*one ; 2 -> 2*T ; 1 -> D(T)\n")
+    code, _, err = run(capsys, "cft", "validate", str(f))
+    _no_traceback(code, err)
+    assert "line 4" in err
+    code, _, err = run(capsys, "cft", "ope", "w3", "(c+1)^100000*T", "T")
+    _no_traceback(code, err)
+
+
 def test_undeclared_parameter_is_bad_input(tmp_path, capsys):
     f = tmp_path / "undeclared.alg"
     f.write_text("algebra v\nfield T weight=2\n"

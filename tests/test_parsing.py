@@ -362,3 +362,22 @@ def test_nesting_bound():
     assert parse_field_expr("-" * 4000 + "T", w3) == t
     assert parse_field_expr("1*" * 4000 + "T", w3) == t
     assert parse_coefficient("-+" * 4000 + "c") == RF.var("c")
+
+
+@pytest.mark.parametrize("text", ["(c+1)^100000", "((c+1)^99)^99",
+                                  "((3^999)^999)^999", "(a+b+c+d+e)^500",
+                                  "(c+1)^-100000", "1^1000000000"])
+def test_power_bound(text):
+    # refused from the exponent and the base, before any multiplication
+    with pytest.raises(ParseError, match="power") as exc:
+        parse_coefficient(text, line=3)
+    assert exc.value.line == 3
+
+
+def test_power_within_the_bound():
+    c = RF.var("c")
+    assert parse_coefficient("(c+1)^1000").substitute({"c": 1}) == 2**1000
+    assert parse_coefficient("(3^999)^999") == RF.const(3**(999 * 999))
+    x = (c + 2) / (c + 1)
+    assert parse_coefficient("((c+2)/(c+1))^-3") == 1 / (x * x * x)
+    assert parse_coefficient("(c-c)^0") == parse_coefficient("c^0") == RF_ONE

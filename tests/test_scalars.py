@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from wbrst import scalars
 from wbrst.scalars import (PoleError, RationalFunction, RF_ONE, RF_ZERO,
-                           ScalarError, common_zeros, format_rational,
-                           rational_roots, rf)
+                           ScalarError, common_zeros, format_rational, rf)
 from wbrst.parsing import parse_algebra_file, parse_coefficient
 
 C = RationalFunction.var("c")
@@ -71,30 +70,6 @@ def test_substitute_and_pole_error():
     assert y.substitute({"c": Fraction(2)}) == G1 + G1
 
 
-def test_rational_roots_univariate():
-    # (c - 100)(2c + 1)
-    p = (C - rf(100)) * (C + rf("1/2")) * rf(2)
-    assert rational_roots(p, "c") == {Fraction(100), Fraction(-1, 2)}
-    assert rational_roots(C * C + RF_ONE, "c") == set()
-    assert rational_roots(C * (C - 3) / (C + 1), "c") == {0, 3}
-    assert rational_roots(rf(5), "c") == rational_roots(G1, "c") == set()
-    with pytest.raises(ScalarError):
-        rational_roots(RF_ZERO, "c")
-
-
-def test_rational_roots_vanish_in_the_other_names():
-    # roots in c at which the numerator vanishes for every g1 and g2
-    p = (C - 1) * ((C - 2) * G1 + G2 * G2) * (C + rf("1/3"))
-    assert rational_roots(p, "c") == {1, Fraction(-1, 3)}
-    assert rational_roots(p, "g2") == set()
-
-
-def test_rational_roots_of_a_large_constant_term():
-    # trial division over the divisors of the constant term cannot finish
-    big = 10**30 + 57
-    assert rational_roots((C - big) * (C + 3), "c") == {big, -3}
-
-
 # -- common zeros of polynomial systems ------------------------------------
 
 
@@ -126,6 +101,18 @@ def _eq(**terms):
      ("g1", "g2"), ("point", {0: rf(2), "g1": rf("1/2"), "g2": 1 / C})),
     # a name solved for that no equation uses is free
     ([{(): G1 - 1}], 0, ("g1", "g2"), ("family", ["g2"])),
+    # one equation in c: two rational roots, no real root, one root whose
+    # big integers stay exact, and a cubic over Q(g1, g2) whose roots 1
+    # and -1/3 hold for every g1 and g2 but the third does not
+    ([{(): (C - 100) * (2 * C + 1)}], 0, ("c",), ("other", None)),
+    ([{(): C * C + 1}], 0, ("c",), ("other", None)),
+    ([{(): C - (10**30 + 57)}], 0, ("c",),
+     ("point", {"c": rf(10**30 + 57)})),
+    ([{(): (C - 1) * ((C - 2) * G1 + G2 * G2) * (3 * C + 1)}], 0, ("c",),
+     ("other", None)),
+    # a nonzero constant, and a value free of c, vanish at no c
+    ([{(): rf(5)}], 0, ("c",), ("none", None)),
+    ([{(): G1}], 0, ("c",), ("none", None)),
 ])
 def test_common_zeros(equations, nunknown, params, want):
     assert common_zeros(equations, nunknown, params) == want
