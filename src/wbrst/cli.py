@@ -8,16 +8,19 @@ Subcommand groups:
   BRST currents, critical charges;
 * ``oracle`` -- Fock-space mode crosscheck of the engine.
 
+One table, ``COMMANDS``, drives both readers of a command line: ``_match``
+reads a plain one without loading argparse, the argparse tree the rest.
+
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad input.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .algebras import bundled_text
 from .analysis import jacobi_check, validate_table
@@ -287,140 +290,137 @@ def cmd_oracle_crosscheck(args) -> int:
 # -- wiring ----------------------------------------------------------------
 
 
-class _Reparse(Exception):
-    """A parse error in the parser of one command, which the full parser
-    reports instead."""
+GROUPS = {"qla": "quantum Lie algebra datasets",
+          "cft": "operator product tables",
+          "oracle": "Fock-space mode crosscheck"}
 
+_FILE = (("file", {}),)
+_FAMILY = (("family", {"choices": ("w3", "w32")}),)
+_A2 = ("printed", "consistent")
+_JSON = ("--json", {"action": "store_true", "help": "emit a JSON report"})
 
-class _BranchParser(argparse.ArgumentParser):
-    """The parser of one command branch; subparsers inherit the class."""
-
-    def error(self, message):
-        raise _Reparse
-
-
-GROUPS = {
-    "qla": "quantum Lie algebra datasets",
-    "cft": "operator product tables",
-    "oracle": "Fock-space mode crosscheck",
-}
-
-
-def _file_args(p):
-    p.add_argument("file")
-
-
-def _validate_args(p):
-    p.add_argument("file")
-    p.add_argument("--a2", choices=("printed", "consistent"),
-                   default="consistent")
-
-
-def _ope_args(p):
-    p.add_argument("file")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--set", action="append", metavar="NAME=VALUE")
-
-
-def _jacobi_args(p):
-    p.add_argument("file")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-
-
-def _brst_args(p):
-    p.add_argument("family", choices=("w3", "w32"))
-    # None marks an option not given: w32 rejects --g1, --g2 and --a2
-    p.add_argument("--g1", default=None, help="w3 only (default 0)")
-    p.add_argument("--g2", default=None, help="w3 only (default 0)")
-    p.add_argument("--c", default=None)
-    p.add_argument("--symbolic-c", action="store_true")
-    p.add_argument("--a2", choices=("printed", "consistent"), default=None,
-                   help="w3 only (default consistent)")
-
-
-def _family_args(p):
-    p.add_argument("family", choices=("w3", "w32"))
-
-
-def _no_args(p):
-    pass
-
-
-def _crosscheck_args(p):
-    p.add_argument("file")
-    p.add_argument("--level", type=int, default=4)
-
-
-# (group, command) -> (help, handler, adds the command's arguments)
+# (group, command) -> (help, handler, arguments), each argument a (name,
+# add_argument keywords) pair; _parser and _match add _JSON to each
 COMMANDS = {
-    ("qla", "check"): ("run the axiom and proof suites",
-                       cmd_qla_check, _file_args),
-    ("qla", "brst"): ("build the differential and square it",
-                      cmd_qla_brst, _file_args),
-    ("cft", "validate"): ("grading and exchange consistency",
-                          cmd_cft_validate, _validate_args),
-    ("cft", "ope"): ("singular product of two expressions",
-                     cmd_cft_ope, _ope_args),
-    ("cft", "jacobi"): ("pole-bracket Jacobi residuals",
-                        cmd_cft_jacobi, _jacobi_args),
-    ("cft", "brst"): ("nilpotency of a built-in current",
-                      cmd_cft_brst, _brst_args),
+    ("qla", "check"): ("run the axiom and proof suites", cmd_qla_check, _FILE),
+    ("qla", "brst"): ("build the differential and square it", cmd_qla_brst,
+                      _FILE),
+    ("cft", "validate"): ("grading and exchange consistency", cmd_cft_validate,
+                          _FILE + (("--a2", {"choices": _A2,
+                                             "default": "consistent"}),)),
+    ("cft", "ope"): ("singular product of two expressions", cmd_cft_ope,
+                     _FILE + (("a", {}), ("b", {}), ("--set", {
+                         "action": "append", "metavar": "NAME=VALUE"}))),
+    ("cft", "jacobi"): ("pole-bracket Jacobi residuals", cmd_cft_jacobi,
+                        _FILE + (("a", {}), ("b", {}), ("c", {}))),
+    # None marks an option not given: w32 rejects --g1, --g2 and --a2
+    ("cft", "brst"): ("nilpotency of a built-in current", cmd_cft_brst,
+                      _FAMILY + (("--g1", {"help": "w3 only (default 0)"}),
+                                 ("--g2", {"help": "w3 only (default 0)"}),
+                                 ("--c", {}),
+                                 ("--symbolic-c", {"action": "store_true"}),
+                                 ("--a2", {"choices": _A2, "help":
+                                           "w3 only (default consistent)"}))),
     ("cft", "critical"): ("central charges admitting a nilpotent charge",
-                          cmd_cft_critical, _family_args),
+                          cmd_cft_critical, _FAMILY),
     ("cft", "solve-conventional"): (
         "ghost parameters removing all degree>3 terms",
-        cmd_cft_solve_conventional, _no_args),
-    ("oracle", "crosscheck"): ("engine vs mode matrices",
-                               cmd_oracle_crosscheck, _crosscheck_args),
+        cmd_cft_solve_conventional, ()),
+    ("oracle", "crosscheck"): (
+        "engine vs mode matrices", cmd_oracle_crosscheck,
+        _FILE + (("--level", {"type": int, "default": 4}),)),
 }
 
 
-def _parser(only=None) -> argparse.ArgumentParser:
-    """The parser of every command, or with ``only`` a (group, command)
-    key of COMMANDS the branch of that command alone, whose parse errors
-    raise _Reparse."""
-    cls = argparse.ArgumentParser if only is None else _BranchParser
-    p = cls(
-        prog="wbrst",
-        description="Exact checks for quantum Lie algebra differentials "
-                    "and chiral operator product algebra.")
+def _parser():
+    """The argparse tree of every command, for what _match leaves."""
+    import argparse
+    p = argparse.ArgumentParser(prog="wbrst", description=(
+        "Exact checks for quantum Lie algebra differentials "
+        "and chiral operator product algebra."))
     sub = p.add_subparsers(dest="group", required=True)
     groups = {}
-    for key, (help_, fn, add_args) in COMMANDS.items():
-        if only not in (None, key):
-            continue
-        group, name = key
+    for (group, name), (help_, fn, arguments) in COMMANDS.items():
         if group not in groups:
             groups[group] = sub.add_parser(group, help=GROUPS[group]) \
                 .add_subparsers(dest="cmd", required=True)
         cmd = groups[group].add_parser(name, help=help_)
-        add_args(cmd)
-        cmd.add_argument("--json", action="store_true",
-                         help="emit a JSON report")
+        for arg, kwargs in arguments + (_JSON,):
+            cmd.add_argument(arg, **kwargs)
         cmd.set_defaults(fn=fn)
     return p
 
 
+def _match(argv):
+    """The namespace the argparse tree builds for a plain ``argv``: group
+    and command, then exact option names, each once unless it appends,
+    valued as ``--opt=value`` or by a next token not starting with ``-``,
+    and the positionals.  None for help, an abbreviation, ``--``, a value
+    starting with ``-`` and every error, which argparse reads."""
+    entry = COMMANDS.get(tuple(argv[:2]))
+    if entry is None:
+        return None
+    args = {"group": argv[0], "cmd": argv[1], "fn": entry[1]}
+    options, positionals, given = {}, [], []
+    for name, kwargs in entry[2] + (_JSON,):
+        if name.startswith("-"):
+            dest = name[2:].replace("-", "_")
+            options[name] = dest, kwargs
+            flag = kwargs.get("action") == "store_true"
+            args[dest] = kwargs.get("default", False if flag else None)
+        else:
+            positionals.append((name, kwargs))
+    tokens = iter(argv[2:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if not positionals:
+                return None
+            given.append((*positionals.pop(0), token))
+            continue
+        name, eq, text = token.partition("=")
+        if name not in options:  # unknown, abbreviated or repeated
+            return None
+        dest, kwargs = options.pop(name)
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            args[dest] = True
+            continue
+        if kwargs.get("action") == "append":
+            options[name] = dest, kwargs
+        if not eq:
+            text = next(tokens, "-")  # a missing value fails as "-"
+            if text.startswith("-"):
+                return None
+        given.append((dest, kwargs, text))
+    if positionals:
+        return None
+    try:
+        for dest, kwargs, text in given:
+            value = kwargs.get("type", str)(text)
+            if value not in kwargs.get("choices", (value,)):
+                return None
+            args[dest] = value if kwargs.get("action") != "append" \
+                else (args[dest] or []) + [value]
+    except ValueError:
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # an exact checker reads and prints its values whole, however long
+    limit = sys.get_int_max_str_digits()
+    # an exact checker reads and prints its values whole, however long;
+    # the caller's limit is back when main returns or argparse exits
     sys.set_int_max_str_digits(0)
-    # a command builds only its own parsers; help above the command level,
-    # an unknown name and every parse error go through the full tree, so
-    # they print argparse's usual messages
-    branch = tuple(argv[:2])
     try:
-        args = _parser(branch if branch in COMMANDS else None).parse_args(argv)
-    except _Reparse:
-        args = _parser().parse_args(argv)
-    try:
+        args = _match(argv) or _parser().parse_args(argv)
         return args.fn(args)
     except BAD_INPUT as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wbrst.algebras import bundled_text
-from wbrst.cli import main
+from wbrst.cli import COMMANDS, _match, _parser, main
 
 
 def run(capsys, *argv):
@@ -262,15 +263,15 @@ def test_bundled_text_reads_every_data_file():
 
 
 @pytest.mark.parametrize("argv, parsers", [
-    (("qla", "check", "so3"), 3),      # the branch of the command alone
-    (("cft", "brst", "w3", "--json"), 3),
-    (("-h",), 13),                     # the full tree
+    (("qla", "check", "so3"), 0),      # _match reads a valid command
+    (("cft", "brst", "w3", "--json"), 0),
+    (("-h",), 13),                     # help and errors: the full tree once
     (("qla", "-h"), 13),
     (("bogus",), 13),
-    (("cft", "brst", "w5"), 3 + 13),   # the error comes from the full tree
+    (("cft", "brst", "w5"), 13),
 ])
-def test_command_builds_only_its_parser_branch(monkeypatch, capsys, argv,
-                                               parsers):
+def test_only_help_and_errors_build_the_parser_tree(monkeypatch, capsys,
+                                                    argv, parsers):
     import argparse
     built = []
     init = argparse.ArgumentParser.__init__
@@ -286,6 +287,123 @@ def test_command_builds_only_its_parser_branch(monkeypatch, capsys, argv,
         pass
     capsys.readouterr()
     assert len(built) == parsers
+
+
+def test_command_runs_without_importing_argparse():
+    import os
+    import subprocess
+    import sys
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("import contextlib, io, sys\n"
+            "from wbrst.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['qla', 'check', 'so3', '--json'])\n"
+            "print(code, 'argparse' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.stdout.split() == ["0", "False"], out.stderr
+
+
+# every form of command line the benchmark issues (perfbench/generate.py)
+_BENCH_ARGVS = (
+    "qla check so3", "qla brst super_ef", "qla check lyubashenko",
+    "qla check /tmp/x.qla", "qla brst /tmp/x.qla",
+    "cft critical w3", "cft critical w32",
+    "cft brst w3 --symbolic-c --g1 symbolic --g2 symbolic",
+    "cft brst w32 --symbolic-c",
+    "cft validate w3", "cft validate w3 --a2 printed",
+    "cft jacobi w3 T T W", "cft jacobi w32_ghosts bT cp bm",
+    "cft brst w3 --c=-22/5", "cft brst w32 --c=7/3", "cft brst w3 --c=100",
+    "cft brst w3 --c=100 --g1=-49/6 --g2=-31/5",
+    "cft brst w3 --g1=0 --g2=-16/261",
+    "cft solve-conventional",
+    "cft ope w3 W W --set c=33", "cft ope w3 W W --set c=-22/5",
+    "oracle crosscheck w3_ghosts_free --level 4",
+    "oracle crosscheck w32_ghosts_free --level 4",
+)
+
+
+@pytest.mark.parametrize("command", _BENCH_ARGVS)
+def test_match_reads_every_benchmark_command(command):
+    argv = command.split() + ["--json"]
+    args = _match(argv)
+    assert args is not None
+    assert vars(args) == vars(_parser().parse_args(argv))
+
+
+# bare words, some failing a type or a choice
+_WORDS = ("qla", "check", "so3", "w3", "w32", "w5", "T", "W", "c=33",
+          "printed", "consistent", "symbolic", "4", "1/2", "x", "")
+# exact and abbreviated options, "=" forms, values starting with "-", "--",
+# "-" and help
+_OPTIONS = (
+    "-2", "-16/261", "--", "-", "-h", "--help", "--json", "--js",
+    "--json=1", "--c", "--c=-22/5", "--c=", "--g1", "--g2", "--g2=-16/261",
+    "--g", "--symbolic-c", "--symbolic", "--symbolic-c=", "--a2",
+    "--a2=printed", "--a2=x", "--set", "--set=c=1", "--se", "--level",
+    "--level=4", "--level=x", "--lev",
+)
+_TOKENS = st.sampled_from(_WORDS + _OPTIONS)
+_VALUES = st.sampled_from(_WORDS + ("-2", "-16/261", "-", "--", "-h"))
+
+
+@st.composite
+def _argvs(draw):
+    """A command with as many words as it has positionals, a few of its
+    options, alone, with a next token or with ``=``, and perhaps one more
+    token, in any order; or any tokens at all."""
+    if draw(st.booleans()):
+        return draw(st.lists(_TOKENS, max_size=6))
+    key = draw(st.sampled_from(sorted(COMMANDS)))
+    n = sum(not name.startswith("-") for name, _ in COMMANDS[key][2])
+    words = draw(st.lists(st.sampled_from(_WORDS), min_size=n, max_size=n))
+    own = st.sampled_from(["--json"] + [
+        name for name, _ in COMMANDS[key][2] if name.startswith("-")])
+    option = (st.tuples(own) | st.tuples(own, _VALUES)
+              | st.builds(lambda o, v: (f"{o}={v}",), own, _VALUES))
+    items = ([(w,) for w in words] + draw(st.lists(option, max_size=3))
+             + draw(st.lists(st.tuples(_TOKENS), max_size=1)))
+    items = draw(st.permutations(items))
+    return list(key) + [token for item in items for token in item]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+def test_match_agrees_with_argparse(argv):
+    import contextlib
+    import io
+    args = _match(argv)
+    if args is None:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(_parser().parse_args(argv))
+    except SystemExit:
+        expected = "an argparse error"
+    assert vars(args) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("qla", "check", "so3"),                                # exit 0
+    ("qla", "check", str(pathlib.Path(__file__).resolve().parent
+                         / "data" / "so3_bad_c.qla")),      # exit 1
+    ("qla", "check", "no_such_table"),                      # exit 2
+    ("qla", "check", "so3", "--bogus"),                     # argparse exits
+])
+def test_main_restores_the_int_str_digit_limit(capsys, argv):
+    import sys
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        try:
+            main(list(argv))
+        except SystemExit:
+            pass
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+    capsys.readouterr()
 
 
 def test_python_dash_m_runs_the_command_line():

@@ -104,6 +104,9 @@ MESSAGES = (
     "oracle crosscheck w3_ghosts_free --level 1/2",
     "cft brst w5",
     "cft ope w3 T",
+    # a value starting with "-" that is not a plain number needs the "="
+    # form: argparse reads -16/261 as an option
+    "cft brst w3 --g2 -16/261",
 )
 MESSAGES_GOLDEN = GOLDEN / "cli_messages.json"
 DERIVE_GOLDEN = GOLDEN / "derive_brst.json"
