@@ -34,7 +34,7 @@ from .tensors import (Mat, QlaData, check_proof_identities,
                       super_permutation)
 from .omega import OmegaAlgebra, OmegaElement, build_q, verify_nilpotent
 from .modes import (BcSystem, FockSlice, ModeMatrix, crosscheck,
-                    crosscheck_bundle, field_modes, ope_from_modes,
+                    crosscheck_bundle, field_modes, ope_poles_from_modes,
                     systems_from_algebra)
 from .parsing import (ParseError, format_algebra_file, format_field_expr,
                       parse_algebra_file, parse_field_expr, parse_qla_file)

@@ -340,15 +340,31 @@ def _parser():
         "and chiral operator product algebra."))
     sub = p.add_subparsers(dest="group", required=True)
     groups = {}
+    p.commands = {}  # (group, command) -> its parser, for its usage errors
     for (group, name), (help_, fn, arguments) in COMMANDS.items():
         if group not in groups:
             groups[group] = sub.add_parser(group, help=GROUPS[group]) \
                 .add_subparsers(dest="cmd", required=True)
-        cmd = groups[group].add_parser(name, help=help_)
+        cmd = p.commands[group, name] = groups[group].add_parser(
+            name, help=help_)
         for arg, kwargs in arguments + (_JSON,):
             cmd.add_argument(arg, **kwargs)
         cmd.set_defaults(fn=fn)
     return p
+
+
+def _parsed(argv):
+    """The namespace the argparse tree builds for ``argv``.  argparse
+    drops a value that is exactly ``--`` and leaves [] in its place, or
+    in an ``append`` list; that is its usage error for a missing value."""
+    p = _parser()
+    args = p.parse_args(argv)
+    for name, _ in COMMANDS[args.group, args.cmd][2]:
+        value = getattr(args, name.lstrip("-").replace("-", "_"))
+        if value == [] or isinstance(value, list) and [] in value:
+            p.commands[args.group, args.cmd].error(
+                f"argument {name}: expected one argument")
+    return args
 
 
 def _match(argv):
@@ -356,7 +372,7 @@ def _match(argv):
     and command, then exact option names, each once unless it appends,
     valued as ``--opt=value`` or by a next token not starting with ``-``,
     and the positionals.  None for help, an abbreviation, ``--``, a value
-    starting with ``-`` and every error, which argparse reads."""
+    starting with ``-`` or ``=--`` and every error, which argparse reads."""
     entry = COMMANDS.get(tuple(argv[:2]))
     if entry is None:
         return None
@@ -392,6 +408,8 @@ def _match(argv):
             text = next(tokens, "-")  # a missing value fails as "-"
             if text.startswith("-"):
                 return None
+        elif text == "--":  # argparse drops it and reads no value
+            return None
         given.append((dest, kwargs, text))
     if positionals:
         return None
@@ -414,7 +432,7 @@ def main(argv=None) -> int:
     # the caller's limit is back when main returns or argparse exits
     sys.set_int_max_str_digits(0)
     try:
-        args = _match(argv) or _parser().parse_args(argv)
+        args = _match(argv) or _parsed(argv)
         return args.fn(args)
     except BAD_INPUT as err:
         print(f"error: {err}", file=sys.stderr)

@@ -7,3 +7,15 @@ as a failed check.
 
 class WbrstError(Exception):
     pass
+
+
+def rebuilt(text):
+    """The exception that another process sent as "Class: message": a
+    WbrstError subclass as itself, any other as a RuntimeError."""
+    name, _, message = text.partition(": ")
+    todo = [WbrstError]
+    for cls in todo:
+        if cls.__name__ == name:
+            return cls(message)
+        todo += cls.__subclasses__()
+    return RuntimeError(text)

@@ -5,37 +5,36 @@ fields are expanded into Laurent modes acting on explicit states, the
 singular products are reconstructed from mode commutators, and the
 matrices are compared entry by entry with the engine output.  All
 arithmetic is exact; parameterized tables must be specialized to numbers
-first.
+first.  A bundle's bc systems run in up to one process per usable CPU,
+with the output of one process.
 
 Inside a slice the work is done on integers.  A mode m of a field of
-weight h is labelled by its offset n = m + h, so creation modes are the
-offsets n <= 0 and a derivative's prefactor is an integer product.
-Levels and the bounds of the encoding are ints scaled by ``den``, the
-lcm of the weights' denominators.  A state is an int bitmask over the
-creation modes: the fields sit in ``op_key`` order from the highest bits
-down, and the offset n of field f is bit ``base[f] - n``, so a bit above
-another belongs to an operator further left.  A mode flips one bit, and
-its fermion sign is the parity of the popcount above it.
-Tuple states appear only at the API edge.
+weight h has the offset n = m + h: creation modes are n <= 0, and a
+derivative's prefactor is an integer product.  Levels are ints scaled by
+``den``, the lcm of the weights' denominators.  A state is an int bitmask
+over the creation modes, the fields in ``op_key`` order from the highest
+bits down: offset n of field f is bit ``base[f] - n``, so a bit above
+another belongs to an operator further left.  A mode flips one bit, with
+the fermion sign of the popcount above it.  Tuple states appear only at
+the API edge.
 
-The two-factor terms of an expression that share a field pair and a
-total derivative order, such as the two terms of a bc stress tensor,
-compile to one pair plan, walked once for every split.  The pair walk
-applies its modes inline and tries annihilation modes only at occupied
-bits; longer products recurse onto it, so it is the tail of every
-composite.  When both sides of a product compile to the same expression,
-the commutator sample (q, p) is -csign times the sample (p, q), so each
-mirrored pair of samples is computed once.
+The two-factor terms of one field pair and total derivative order, such
+as the two terms of a bc stress tensor, compile to one pair plan walked
+once for every split; longer products recurse onto it.  When both sides
+of a product are one expression, the commutator sample (q, p) is -csign
+times the sample (p, q), so mirrored samples are computed once.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, floor, gcd, lcm
 
-from .errors import WbrstError
+from .errors import WbrstError, rebuilt
 from .fields import FieldExpr, Monomial
 from .scalars import RF_ONE, _add_into
 
@@ -85,8 +84,7 @@ class FockSlice:
                 names[name] = (i, kind, s.weight(name))
         self._names = names
         self.excite = self.systems if excite is None else tuple(excite)
-        # field f = 2 * system + kind is op_key order, and f ^ 1 is the
-        # conjugate field; weights and levels are scaled by _den to ints
+        # field f = 2 * system + kind is op_key order, f ^ 1 its conjugate
         self._fields = list(names)
         weights = [names[n][2] for n in self._fields]
         self._den = den = lcm(*(h.denominator for h in weights))
@@ -96,9 +94,7 @@ class FockSlice:
         # the vacuum)
         self._dlmin = -sum(sum(range(-dh, 0, -den)) for dh in self._dh)
         self._enumerate()
-        self._plans = {}
-        self._exprs = {}
-        self._cap = -1
+        self._plans, self._exprs, self._cap = {}, {}, -1
         self._fit(self._excess(self.level))
 
     def weight(self, name) -> Fraction:
@@ -116,9 +112,8 @@ class FockSlice:
         return -sum((m for _, m in state), Fraction(0))
 
     def _enumerate(self):
-        """Set the basis in order, with den times each state's height
-        above the lowest level (``_lvs``) and its bits' (field, -k) pairs
-        (``_offsets``)."""
+        """Set the basis in order, den times each state's height above
+        the lowest level (``_lvs``) and its (field, -k) bits (``_offsets``)."""
         den, top = self._den, floor(self._den * self.level)
         ops = []  # (field, -k, den times the level it adds, the op)
         for s in self.excite:
@@ -221,8 +216,8 @@ class FockSlice:
 
     def _op(self, f, n, s):
         """The mode with offset n of field f on state s: (state, +-1) or
-        None.  A creation mode sets its own bit; an annihilation mode
-        clears the bit of the conjugate creation mode 1 - n."""
+        None.  A creation mode sets its bit, an annihilation mode clears
+        that of the conjugate creation mode 1 - n."""
         if n <= 0:
             if -n >= self._width[f]:
                 raise ModeError("mode outside the slice encoding")
@@ -275,21 +270,19 @@ class FockSlice:
         return parts
 
     def tabulated(self) -> int:
-        """How many (offset, state) entries the mode tables of this slice
-        hold: the memos of its compiled products and the tables of its
-        expressions of several terms."""
+        """How many (offset, state) entries the memos of this slice's
+        compiled products and the tables of its expressions hold."""
         return (sum(len(plan.memo) for plan in self._plans.values())
                 + sum(len(ex.table) for parts in self._exprs.values()
                       for ex in parts))
 
 
 class _Plan:
-    """A single factor, or a right-nested normal product of three or more,
-    compiled on a slice: the head factor (field f, derivative order d),
-    den times the weights of the head and of the tail, the sign of moving
-    the head across the tail, the tail's plan (None for a single factor),
-    ``memo`` from (offset, state) to the output and ``walk``, the
-    function that applies the plan."""
+    """A single factor, or a right-nested product of three or more,
+    compiled on a slice: the head's field f and derivative order d, den
+    times the weights of head and tail, the sign of moving the head
+    across the tail, the tail's plan (None for one factor), ``memo`` from
+    (offset, state) to the output and ``walk``, the function applying it."""
 
     __slots__ = ("walk", "f", "d", "dha", "dhrest", "sign", "rest", "memo")
 
@@ -306,14 +299,12 @@ class _Plan:
 
 
 class _Pair:
-    """The two-factor products of one field pair (f, g) and one total
+    """The two-factor products of one field pair (f, g) and total
     derivative order ``de``, compiled on a slice as one walk: the sum of
-    k N(d^d f, d^e g) over ``splits`` ((d, e, k), ...).  The underlying
-    offsets t of f and u of g add up to n - de for every split, so each
-    hit (t, u) is visited once, weighted by the sum of k prod(-t - i)
-    prod(-u - i) over the splits (``weights`` by (n - de, u)).  dhf and
-    dhg are den times the weights of f and g; ``memo`` maps (offset,
-    state) to the output."""
+    k N(d^d f, d^e g) over ``splits`` ((d, e, k), ...).  The offsets t of
+    f and u of g add up to n - de for every split, so each hit (t, u) is
+    visited once, with its _split_sum (``weights`` by (n - de, u)).  dhf,
+    dhg: den times the weights; ``memo``: (offset, state) to output."""
 
     __slots__ = ("walk", "f", "g", "de", "splits", "weights", "dhf", "dhg",
                  "memo")
@@ -321,31 +312,27 @@ class _Pair:
     def __init__(self, slc, a, b, splits):
         self.walk = _apply_pair
         self.f, self.g = slc._field(a), slc._field(b)
-        self.splits = splits
-        self.weights = {}
+        self.splits, self.weights, self.memo = splits, {}, {}
         self.de = splits[0][0] + splits[0][1]
         self.dhf, self.dhg = slc._dh[self.f], slc._dh[self.g]
-        self.memo = {}
 
 
 class _Expr:
     """Terms of one weight of an expression compiled on a slice:
-    ((plan, or None for the unit, int coefficient), ...) over the common
-    denominator ``den``; ``table`` maps (offset, state) to its output.
-    The two-factor terms of one field pair and one total derivative order
-    are one pair plan, its coefficients divided by their gcd.  ``plan`` is
-    the one plan of an expression that is a single plan with coefficient
-    1, else None.  ``reach`` is den times how far an application can lift
-    a state above its input and output levels on the way: each factor but
-    the last by up to max(-h, h - 1)."""
+    ((plan, or None for the unit, int coefficient), ...) over ``den``;
+    ``table`` maps (offset, state) to the output.  The two-factor terms of
+    one field pair and total derivative order are one pair plan, the gcd
+    of their coefficients taken out.  ``plan``: the plan of a single plan
+    with coefficient 1, else None.  ``reach``: den times how far an
+    application can lift a state above its input and output levels, each
+    factor but the last by up to max(-h, h - 1)."""
 
     __slots__ = ("weight", "dweight", "terms", "den", "table", "plan",
                  "reach")
 
     def __init__(self, slc, weight, group):
         den = slc._den
-        self.weight = weight
-        self.dweight = int(weight * den)
+        self.weight, self.dweight = weight, int(weight * den)
         self.reach = max(sum(max(0, -dh, dh - den) for dh in (
             slc._dh[slc._field(n)] + den * d for n, d in factors[:-1]))
             for factors, _ in group)
@@ -382,20 +369,19 @@ class ModeMatrix:
 
     @property
     def is_zero(self):
-        return all(not col for col in self.columns.values())
+        return not any(self.columns.values())
 
 
-def _first_difference(a, b, da=1, db=1):
+def _first_difference(a, b, da, db):
     """The first entry (state, output, x, y) at which the columns a / da
-    and b / db differ, walking states and outputs in insertion order; the
-    dict merges reuse the stored key hashes."""
+    and b / db differ, in insertion order; the dict merges reuse the
+    stored key hashes."""
     for s in {**a, **b}:
-        ca = a.get(s, {})
-        cb = b.get(s, {})
+        ca, cb = a.get(s, {}), b.get(s, {})
         for o in {**ca, **cb}:
             x, y = ca.get(o, 0), cb.get(o, 0)
             if x * db != y * da:
-                return (s, o, x, y)
+                return s, o, x, y
     return None
 
 
@@ -421,25 +407,17 @@ def _apply_leaf(slc, plan, n, s, lv):
 
 def _split_sum(splits, t, u):
     """The weight of the hit (t, u) of a pair plan: the sum over its
-    splits of k prod(-t - i) prod(-u - i), as _prefactor."""
-    out = 0
-    for d, e, k in splits:
-        for i in range(d):
-            k *= -t - i
-        for i in range(e):
-            k *= -u - i
-        out += k
-    return out
+    splits of k prod(-t - i) prod(-u - i)."""
+    return sum(k * _prefactor(d, t) * _prefactor(e, u) for d, e, k in splits)
 
 
 def _apply_pair(slc, pair, n, s, lv):
     """The mode with offset n of a pair plan on state s, whose level is
-    lv / den above the lowest: {state: int}.  The composite-mode double
-    sum over underlying offsets t + u = n - de, sum_{t <= 0} f_t g_u -
-    sum_{t >= 1} g_u f_t, walked once for all splits.  A hit's modes are
-    applied, inline as _op applies them, only where its _split_sum is not
-    zero.  g's creation modes act while its output stays above the lowest
-    level, annihilation modes at the occupied bits of their conjugates."""
+    lv / den above the lowest: {state: int}.  The double sum over offsets
+    t + u = n - de, sum_{t <= 0} f_t g_u - sum_{t >= 1} g_u f_t, for all
+    splits at once; a hit's modes are applied inline, as by _op, where
+    its _split_sum is not zero.  g's creation modes act while the output
+    stays above the lowest level, annihilation modes at occupied bits."""
     out = pair.memo.get((n, s))
     if out is not None:
         return out
@@ -521,10 +499,9 @@ def _apply_pair(slc, pair, n, s, lv):
 
 def _apply_plan(slc, plan, n, s, lv):
     """The mode with offset n of a product of three or more factors on
-    state s, whose level is lv / den above the lowest: {state: int}.
-    Uses the standard composite-mode double sum with the head split at
-    its weight; the head annihilates only at the occupied bits of its
-    conjugate field."""
+    state s, whose level is lv / den above the lowest: {state: int}: the
+    composite-mode double sum with the head split at its weight; the
+    head annihilates only at occupied bits."""
     out = plan.memo.get((n, s))
     if out is not None:
         return out
@@ -539,7 +516,7 @@ def _apply_plan(slc, plan, n, s, lv):
     for j, s1, v1 in tail:
         hit = op(f, j - d, s1)
         if hit:
-            k = _prefactor(d, j - d) if d else 1
+            k = _prefactor(d, j - d)
             _add_into(out, hit[0], k * hit[1] * v1)
     # annihilation part of the head, offsets t = j - d >= 1 at occupied
     # bits, goes first with the exchange sign; it lifts the level by ha - j
@@ -550,7 +527,7 @@ def _apply_plan(slc, plan, n, s, lv):
         block ^= low
         t = low.bit_length()
         s1, sign = op(f, t, s)
-        k = plan.sign * sign * (_prefactor(d, t) if d else 1)
+        k = plan.sign * sign * _prefactor(d, t)
         lv1 = lv + plan.dha - den * (t + d)
         for s2, v2 in walk(slc, rest, n - t - d, s1, lv1).items():
             _add_into(out, s2, k * v2)
@@ -560,8 +537,8 @@ def _apply_plan(slc, plan, n, s, lv):
 
 def _apply(slc, ex, n, s, lv):
     """The mode with offset n of a compiled expression on state s, as
-    {state: int} over ex.den; tabulated once per slice (in the plan's own
-    memo when the expression is a single plan with coefficient 1)."""
+    {state: int} over ex.den, tabulated once per slice (in ex.plan's memo
+    when there is one)."""
     plan = ex.plan
     if plan is not None:
         return plan.walk(slc, plan, n, s, lv)
@@ -594,8 +571,8 @@ def _mode_cap(slc, parts, m):
 
 def _mode_columns(parts, m, slc):
     """The m-th mode of a compiled expression on the slice basis as
-    ({basis state: {state: int}}, den), the columns in basis order and
-    over the denominator den; the slice must fit _mode_cap."""
+    ({basis state: {state: int}}, den), in basis order; the slice must
+    fit _mode_cap."""
     # a weight-3/2 field has no modes at integer m
     live = [(ex, int(m + ex.weight)) for ex in parts
             if (m + ex.weight).denominator == 1]
@@ -645,13 +622,11 @@ def _poles_cap(slc, a, b, r, max_pole):
 @cache
 def _sample_solver(nun):
     """The integer left inverse of the sample matrix [binom(x, j)], x =
-    p + h_a - 1 at the nun + 3 samples x0, x0 + 1, ... of _pole_columns,
-    x0 = -(nun // 2) - 1.  The differences D_i = sum_k (-1)^(i-k)
-    binom(i, k) S_k of the samples S_k are D_i = sum_(j >= i) binom(x0,
-    j - i) C_j, a unit-triangular system in the unknowns C_j, so C_i =
-    sum_(i <= j < nun) binom(-x0, j - i) D_j.  Returns nun + 3 rows over
-    the samples: the nun unknowns, then D_nun .. D_nun+2, which vanish
-    exactly when the samples are consistent."""
+    p + h_a - 1 at the nun + 3 samples x0 = -(nun // 2) - 1, x0 + 1, ...
+    of _pole_columns.  The differences D_i = sum_k (-1)^(i-k) binom(i, k)
+    S_k of the samples are sum_(j >= i) binom(x0, j - i) C_j, so C_i =
+    sum_(i <= j < nun) binom(-x0, j - i) D_j.  Returns nun + 3 rows: the
+    unknowns, then D_nun .. D_nun+2, zero exactly when consistent."""
     x0 = -(nun // 2) - 1
     diffs = [[(-1) ** (i + k) * comb(i, k) for k in range(nun + 3)]
              for i in range(nun + 3)]
@@ -660,21 +635,17 @@ def _sample_solver(nun):
     return tuple(map(tuple, rows + diffs[nun:]))
 
 
-def _pole_columns(a, b, r, slc, max_pole):
-    """The pole matrices of ope_poles_from_modes as ([{basis state:
-    {state: int}} for poles 1 .. max_pole], den), the columns in basis
-    order and over the denominator den; the slice must fit _poles_cap."""
+def _pole_columns(a, b, r, slc, nun):
+    """ope_poles_from_modes as ([{basis state: {state: int}} for poles
+    1 .. nun], den), in basis order; the slice must fit _poles_cap."""
     ea, eb = _single(slc, a), _single(slc, b)
-    ha = ea.weight
     csign = -1 if _expr_parity(a) and _expr_parity(b) else 1
-    nun = max_pole
     den = slc._den
     coms = []
-    nab = r + ha + eb.weight
+    nab = r + ea.weight + eb.weight
     if nab.denominator == 1:  # else every b_q vanishes
-        # a self-pair's sample (nb, na) is -csign times that of (na, nb),
-        # so a sample whose mirror is done is read off it, and at na = nb
-        # an even one is zero
+        # a self-pair's sample (nb, na) is -csign times that of (na, nb):
+        # read off its mirror, and zero at na = nb when even
         mirror = ea is eb
         done = {}
         for na in range(-(nun // 2), nun + 3 - nun // 2):  # p + ha
@@ -717,7 +688,7 @@ def _pole_columns(a, b, r, slc, max_pole):
             vs = [sum(map(int.__mul__, row, rhs)) for row in rows]
             if any(vs[nun:]):
                 raise ModeError("mode commutators need more poles than "
-                                f"max_pole={max_pole}")
+                                f"max_pole={nun}")
             for col, v in zip(out, vs):
                 if v:
                     col[o] = v
@@ -726,31 +697,18 @@ def _pole_columns(a, b, r, slc, max_pole):
 
 def ope_poles_from_modes(a, b, r, slc: FockSlice, max_pole=8) -> dict:
     """All pole matrices of the product of a and b at total mode r,
-    reconstructed from mode commutators alone.
+    reconstructed from mode commutators alone: {n: ModeMatrix} for n = 1
+    .. max_pole.
 
-    The graded commutator [a_p, b_q] equals
-    sum_j binom(p + h_a - 1, j) ([ab]_{j+1})_{p+q}; varying p at fixed
-    p + q = r gives a linear system solved for the pole-field matrices.
-    ``max_pole`` bounds the number of unknown poles; an inconsistent
-    overdetermined system (a pole above the bound) raises ModeError.
-    Returns {n: ModeMatrix} for n = 1 .. max_pole.
-    """
+    The graded commutator [a_p, b_q] equals sum_j binom(p + h_a - 1, j)
+    ([ab]_{j+1})_{p+q}; varying p at fixed p + q = r gives a linear
+    system for the pole-field matrices.  A pole above ``max_pole`` makes
+    it inconsistent and raises ModeError."""
     r = Fraction(r)
     slc._fit(_poles_cap(slc, a, b, r, max_pole))
     poles, den = _pole_columns(a, b, r, slc, max_pole)
     return {j + 1: _matrix(slc, r, cols, den)
             for j, cols in enumerate(poles)}
-
-
-def ope_from_modes(a, b, n, r, slc: FockSlice, max_pole=8) -> ModeMatrix:
-    """Matrix of the mode r of the n-th pole of the product of a and b,
-    reconstructed from mode commutators; see ope_poles_from_modes."""
-    if not 1 <= n <= max_pole:
-        raise ModeError("pole order out of range")
-    r = Fraction(r)
-    slc._fit(_poles_cap(slc, a, b, r, max_pole))
-    poles, den = _pole_columns(a, b, r, slc, max_pole)
-    return _matrix(slc, r, poles[n - 1], den)
 
 
 def _mono_weight(slc, factors):
@@ -820,8 +778,8 @@ def crosscheck(algebra, pairs, level, excite=None, modes=(0, 1, -1)) -> dict:
               "checks": [], "ok": True}
     jobs, caps = [], []
     for x, y in pairs:
-        xe = x if isinstance(x, FieldExpr) else FieldExpr(algebra, {x: RF_ONE})
-        ye = y if isinstance(y, FieldExpr) else FieldExpr(algebra, {y: RF_ONE})
+        xe, ye = (e if isinstance(e, FieldExpr) else
+                  FieldExpr(algebra, {e: RF_ONE}) for e in (x, y))
         engine = {n: slc._compile(e) for n, e in ctx.ope(xe, ye).items()}
         top = max(engine, default=0) + 2
         hsum = _single(slc, xe).weight + _single(slc, ye).weight
@@ -844,17 +802,14 @@ def crosscheck(algebra, pairs, level, excite=None, modes=(0, 1, -1)) -> dict:
         for n in range(1, top + 1):
             wanted, eden = (_mode_columns(engine[n], r, slc) if n in engine
                             else ({}, 1))
-            entry = {"pair": label, "pole": n, "mode": str(r)}
+            entry = {"pair": label, "pole": n, "mode": str(r), "match": True}
             diff = _first_difference(oracle[n - 1], wanted, oden, eden)
-            if diff is None:
-                entry["match"] = True
-            else:
+            if diff is not None:
                 s, o, ov, ev = diff
-                entry["match"] = False
-                entry["state"] = repr(slc._tuple(s))
-                entry["output"] = repr(slc._tuple(o))
-                entry["oracle"] = str(Fraction(ov, oden))
-                entry["engine"] = str(Fraction(ev, eden))
+                entry.update(match=False, state=repr(slc._tuple(s)),
+                             output=repr(slc._tuple(o)),
+                             oracle=str(Fraction(ov, oden)),
+                             engine=str(Fraction(ev, eden)))
                 report["ok"] = False
             report["checks"].append(entry)
     return report
@@ -864,37 +819,84 @@ def crosscheck_bundle(algebra, level, modes=(0,)) -> dict:
     """Run crosscheck over a standard pair list for each bc system of a
     free algebra, one single-system slice at a time: contraction,
     derivative, ghost current and stress tensor products.  The merged
-    report also lists the per-system stress central charges."""
+    report also lists the per-system stress central charges.
+
+    The systems are dealt round robin to this process and forked workers,
+    up to one per usable CPU; the report, or the first failing system's
+    error, is that of one process."""
     from .algebras import ghost_stress
     systems = systems_from_algebra(algebra)
     ctx = algebra.context()
     merged = {"level": str(Fraction(level)), "ok": True, "systems": [],
               "checks": []}
-    for s in systems:
-        b = FieldExpr(algebra, {Monomial(((s.b, 0),)): RF_ONE})
-        c = FieldExpr(algebra, {Monomial(((s.c, 0),)): RF_ONE})
-        bc = ctx.normal_product(b, c)
-        t = ghost_stress(ctx, [(s.b, s.c)])
-        pairs = [(Monomial(((s.b, 0),)), Monomial(((s.c, 0),))),
-                 (Monomial(((s.b, 1),)), Monomial(((s.c, 0),))),
-                 (bc, bc), (t, b), (t, c), (t, t)]
-        rep = crosscheck(algebra, pairs, level,
-                         excite=[s.b, s.c], modes=modes)
-        cc = stress_central_charge(t, s, level=2)
-        merged["systems"].append({"b": s.b, "c": s.c,
-                                  "weight": str(s.lam),
-                                  "states": rep["states"],
-                                  "central_charge": str(cc)})
-        merged["checks"].extend(rep["checks"])
-        merged["ok"] = merged["ok"] and rep["ok"]
+    w = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        w = max(1, min(len(os.sched_getaffinity(0)), len(systems)))
+
+    def share(k):  # reports of systems k, k + w, ...; an error ends them
+        out = []
+        for s in systems[k::w]:
+            try:
+                mb, mc = Monomial(((s.b, 0),)), Monomial(((s.c, 0),))
+                b, c = (FieldExpr(algebra, {m: RF_ONE}) for m in (mb, mc))
+                bc = ctx.normal_product(b, c)
+                t = ghost_stress(ctx, [(s.b, s.c)])
+                pairs = [(mb, mc), (Monomial(((s.b, 1),)), mc), (bc, bc),
+                         (t, b), (t, c), (t, t)]
+                rep = crosscheck(algebra, pairs, level,
+                                 excite=[s.b, s.c], modes=modes)
+                cc = stress_central_charge(t, s, level=2)
+            except Exception as err:
+                return out + [err]
+            out.append(({"b": s.b, "c": s.c, "weight": str(s.lam),
+                         "states": rep["states"],
+                         "central_charge": str(cc)},
+                        rep["checks"], rep["ok"]))
+        return out
+
+    shares, children = [], []
+    try:
+        for k in range(1, w):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if not pid:  # a worker writes only to its pipe
+                code = 1
+                try:
+                    with open(wr, "w", encoding="utf-8") as pipe:
+                        json.dump([x if isinstance(x, tuple) else
+                                   f"{type(x).__name__}: {x}"
+                                   for x in share(k)], pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wr)
+            children.append((pid, r))
+        shares.append(share(0))
+    finally:  # reap every worker, whatever happened here
+        for pid, r in children:
+            with open(r, encoding="utf-8") as pipe:
+                line = pipe.read()
+            if os.waitpid(pid, 0)[1] or not line:
+                line = '["a crosscheck worker ended without a report"]'
+            shares.append(json.loads(line))
+    for i in range(len(systems)):
+        rep = shares[i % w][i // w]
+        if isinstance(rep, Exception):
+            raise rep
+        if isinstance(rep, str):
+            raise rebuilt(rep)
+        system, checks, ok = rep
+        merged["systems"].append(system)
+        merged["checks"].extend(checks)
+        merged["ok"] = merged["ok"] and ok
     return merged
 
 
 def stress_central_charge(t, system, level=2) -> Fraction:
     """Twice the vacuum coefficient of the fourth pole of the stress
     self-product, reconstructed from mode commutators alone."""
-    slc = FockSlice([system], level)
-    m4 = ope_from_modes(t, t, 4, 0, slc, max_pole=6)
+    m4 = ope_poles_from_modes(t, t, 0, FockSlice([system], level),
+                              max_pole=6)[4]
     return 2 * m4.columns[()].get((), Fraction(0))
 
 

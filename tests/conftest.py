@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import os
 import pathlib
 
 import pytest
@@ -13,6 +14,19 @@ from wbrst.tensors import Mat, flatten
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "wbrst" / "data"
 TEST_DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_the_test():
+    """Fail a test that leaves a child process, running or unreaped;
+    subprocess.run waits for its own."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the test: waitpid gave "
+                f"{(pid, status)}")
 
 
 def read_data(name: str) -> str:

@@ -4,7 +4,7 @@ import json
 import pathlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wbrst.algebras import bundled_text
 from wbrst.cli import COMMANDS, _match, _parser, main
@@ -368,8 +368,17 @@ def _argvs(draw):
     return list(key) + [token for item in items for token in item]
 
 
+# values of exactly "--", which argparse drops
+_DASHED_VALUES = (["cft", "ope", "qla", "qla", "qla", "--set=--"],
+                  ["oracle", "crosscheck", "w3_ghosts_free", "--level=--"],
+                  ["cft", "brst", "w3", "--a2=--"])
+
+
 @settings(max_examples=500, deadline=None)
 @given(_argvs())
+@example(_DASHED_VALUES[0])
+@example(_DASHED_VALUES[1])
+@example(_DASHED_VALUES[2])
 def test_match_agrees_with_argparse(argv):
     import contextlib
     import io
@@ -382,6 +391,16 @@ def test_match_agrees_with_argparse(argv):
     except SystemExit:
         expected = "an argparse error"
     assert vars(args) == expected
+
+
+@pytest.mark.parametrize("argv", _DASHED_VALUES + (
+    ["cft", "brst", "w3", "--c=--"], ["cft", "ope", "w3", "W", "--", "--"],
+    ["cft", "ope", "w3", "W", "W", "--set=c=1", "--set=--"]))
+def test_a_value_of_two_dashes_is_a_missing_value(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

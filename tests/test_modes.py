@@ -12,7 +12,7 @@ from wbrst.fields import FieldExpr, Monomial
 from wbrst.modes import (BcSystem, FockSlice, ModeError, ModeMatrix,
                          _mode_cap, _mono_weight, _prefactor, _sample_solver,
                          crosscheck, crosscheck_bundle, field_modes,
-                         ope_from_modes, ope_poles_from_modes,
+                         ope_poles_from_modes,
                          stress_central_charge, systems_from_algebra)
 from wbrst.scalars import RF_ONE, _add_into, rf
 
@@ -314,6 +314,17 @@ def test_reported_difference_does_not_depend_on_hash_seed():
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
+def _usable_cpus(monkeypatch, n):
+    """Let crosscheck_bundle see n usable CPUs, so that it deals its
+    systems to up to n processes; returns the list of its forks."""
+    import os
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
 def test_mismatch_report_at_excited_states(monkeypatch):
     # doubling pole 2 of every engine product with two poles or more: the
     # reported entries, states and outputs printed with their Fraction
@@ -335,6 +346,7 @@ def test_mismatch_report_at_excited_states(monkeypatch):
         return poles
 
     monkeypatch.setattr(OpeContext, "ope", doubled)
+    _usable_cpus(monkeypatch, 2)  # the workers inherit the patched ope
     got = {name: [e for e in crosscheck_bundle(alg, 3, modes=(0, 1, -1))
                   ["checks"] if not e["match"]]
            for name, alg in algebras.items()}
@@ -344,24 +356,78 @@ def test_mismatch_report_at_excited_states(monkeypatch):
     assert "Fraction(-3, 1)" in got["w3_ghosts"][0]["output"]
 
 
+@pytest.mark.parametrize("table, systems", [("w3_ghosts_free", 2),
+                                            ("w32_ghosts_free", 4)])
+@pytest.mark.parametrize("level", [2, 4])
+def test_one_and_several_workers_print_the_same_bytes(monkeypatch, capsys,
+                                                      table, systems, level):
+    from wbrst.cli import main
+    outs = []
+    for cpus in (1, 2, 4):  # with 2, w32's workers take two systems each
+        forks = _usable_cpus(monkeypatch, cpus)
+        argv = ["oracle", "crosscheck", table, "--level", str(level)]
+        assert main(argv + ["--json"]) == 0
+        assert len(forks) == min(cpus, systems) - 1
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def _failing_charge(monkeypatch, failing, error):
+    """Make stress_central_charge raise error for the systems whose b
+    field is in ``failing``, naming the field."""
+    import wbrst.modes as modes_module
+    charge = modes_module.stress_central_charge
+
+    def patched(t, system, level=2):
+        if system.b in failing:
+            raise error(f"no charge for {system.b}")
+        return charge(t, system, level)
+
+    monkeypatch.setattr(modes_module, "stress_central_charge", patched)
+
+
+@pytest.mark.parametrize("table, failing, shown", [
+    ("w3_ghosts_free", ("bT",), "bT"),        # in the caller's share
+    ("w3_ghosts_free", ("bW",), "bW"),        # in the worker's share
+    ("w3_ghosts_free", ("bT", "bW"), "bT"),
+    ("w32_ghosts_free", ("bU", "bp"), "bU"),  # the worker's system is first
+])
+def test_a_worker_error_is_the_one_process_error(monkeypatch, capsys, table,
+                                                 failing, shown):
+    import os
+    from wbrst.cli import main
+    _usable_cpus(monkeypatch, 2)
+    _failing_charge(monkeypatch, failing, ModeError)
+    assert main(["oracle", "crosscheck", table, "--level", "2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: no charge for {shown}\n")
+    with pytest.raises(ChildProcessError):  # every worker is reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing, raised, message", [
+    ("bT", ZeroDivisionError, "no charge for bT"),
+    ("bW", RuntimeError, "ZeroDivisionError: no charge for bW"),
+])
+def test_a_crash_in_any_share_stays_a_crash(monkeypatch, capsys, failing,
+                                            raised, message):
+    import os
+    from wbrst.cli import main
+    _usable_cpus(monkeypatch, 2)
+    _failing_charge(monkeypatch, (failing,), ZeroDivisionError)
+    with pytest.raises(raised) as info:
+        main(["oracle", "crosscheck", "w3_ghosts_free", "--level", "2"])
+    assert str(info.value) == message
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_crosscheck_names_an_unknown_excited_field():
     alg = w3_ghosts(0, 0)
     with pytest.raises(ModeError, match="unknown field 'zz'"):
         crosscheck(alg, [(_mono("bT"), _mono("cT"))], 2, excite=["zz"])
-
-
-def test_ope_from_modes_converts_one_pole(monkeypatch):
-    import wbrst.modes as modes_module
-    alg = w3_ghosts(0, 0)
-    s = systems_from_algebra(alg)[0]
-    t = ghost_stress(alg.context(), [(s.b, s.c)])
-    want = ope_poles_from_modes(t, t, 0, FockSlice([s], 2), max_pole=6)[4]
-    calls = []
-    matrix = modes_module._matrix
-    monkeypatch.setattr(modes_module, "_matrix",
-                        lambda *args: calls.append(1) or matrix(*args))
-    assert ope_from_modes(t, t, 4, 0, FockSlice([s], 2), max_pole=6) == want
-    assert len(calls) == 1
 
 
 def test_systems_from_algebra_rejects_interacting_table():
@@ -616,8 +682,10 @@ def test_self_pair_pole_mutation_is_detected(monkeypatch, name, pair, pole):
 def test_tabulated_entries_are_pinned(monkeypatch):
     # the (offset, state) entries each slice of the bundle has tabulated:
     # the crosscheck slice and the central-charge slice of each system; a
-    # second walk of the stress tensor's terms would add to them
+    # second walk of the stress tensor's terms would add to them.  One
+    # usable CPU keeps every slice in this process, where it is counted
     from wbrst.algebras import load_bundled
+    _usable_cpus(monkeypatch, 1)
     slices = []
 
     class Recorded(FockSlice):
