@@ -26,8 +26,8 @@ from .analysis import (apply_map, central_charge, check_homomorphism,
                        validate_table, weight_basis)
 from .algebras import (bundle, ghost_stress, w3, w32, w3_ghosts, w32_ghosts,
                        verify_ghost_transform_w3, verify_ghost_transform_w32)
-from .brst import (BrstCurrent, NilpotencyReport, brst_w3, brst_w32,
-                   critical_charge, derive_brst, nilpotency,
+from .brst import (BrstCurrent, CurrentFile, NilpotencyReport, brst_w3,
+                   brst_w32, critical_charge, derive_brst, nilpotency,
                    solve_conventional, unconventional_terms)
 from .tensors import (Mat, QlaData, check_proof_identities,
                       check_qla_axioms, check_twist_axioms, lie_super_twist,

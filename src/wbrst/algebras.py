@@ -3,9 +3,9 @@ Virasoro algebra, its quasi-superconformal cousin with two weight-3/2
 bosonic currents, their (possibly non-canonical) ghost sectors, and the
 maps relating the two ghost systems of each family.
 
-The tables themselves are the bundled definition files ``data/*.alg``;
-the builders here load them with the requested parameter values bound.
-Each ghost map sends the generators of one sector to composites of the
+The tables are the bundled files ``data/*.alg``, which the builders
+here load with the requested parameter values bound.  A ghost map sends
+each generator of one sector to an expression, written as text, in the
 other, and ``analysis.check_homomorphism`` checks it on every pole of
 every generator pair.
 """
@@ -13,13 +13,11 @@ every generator pair.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 
 from .analysis import apply_map, check_homomorphism, substitute_expr
 from .engine import OpeContext
 from .fields import FieldExpr, OpeAlgebra
-from .parsing import parse_algebra_file
-from .scalars import RationalFunction as RF
+from .parsing import parse_algebra_file, parse_field_expr
 
 A2_MODES = ("exchange-consistent", "as-printed")
 
@@ -36,10 +34,6 @@ def load_bundled(stem: str, **values) -> OpeAlgebra:
     value bound to it; a parameter given None stays symbolic."""
     bindings = {p: v for p, v in values.items() if v is not None}
     return parse_algebra_file(bundled_text(stem, "alg"), bindings)
-
-
-def _gen(alg, name):
-    return FieldExpr.generator(alg, name)
 
 
 # -- matter algebras -------------------------------------------------------
@@ -113,11 +107,9 @@ def ghost_stress(ctx: OpeContext, pairs) -> FieldExpr:
     out = FieldExpr.zero(alg)
     for bname, cname in pairs:
         lam = alg.decl(bname).weight
-        b, c = _gen(alg, bname), _gen(alg, cname)
-        out = out + ctx.normal_product(ctx.derivative(b), c).scaled(
-            RF.const(1 - lam))
-        out = out - ctx.normal_product(b, ctx.derivative(c)).scaled(
-            RF.const(lam))
+        b, c = (FieldExpr.generator(alg, n) for n in (bname, cname))
+        out = out + ctx.normal_product(ctx.derivative(b), c).scaled(1 - lam) \
+            - ctx.normal_product(b, ctx.derivative(c)).scaled(lam)
     return out
 
 
@@ -125,45 +117,30 @@ def ghost_stress_w3(ctx: OpeContext) -> FieldExpr:
     return ghost_stress(ctx, (("bT", "cT"), ("bW", "cW")))
 
 
+def _ghost_map(source, target, images):
+    """(source, target context, rho): rho reads the image of each
+    generator of ``source``, its text in ``images`` or its name, over
+    ``target``."""
+    return source, target.context(), {
+        n: parse_field_expr(images.get(n, n), target) for n in source.names}
+
+
 def w3_ghost_map():
     """The canonical sector ``w3_ghosts(0, 0)`` as composites in the
-    two-parameter one: rho fixes bT and cW, and
-    rho(cT) = cT - (g1 + g2)/2 N(bT, N(dcW, cW)),
-    rho(bW) = bW - (g1 - g2)/2 N(dbT, N(bT, cW)).
+    two-parameter one: rho fixes bT and cW, and moves cT and bW.
     Returns (source algebra, target context, rho)."""
-    tilde = w3_ghosts()
-    ctx = tilde.context()
-    g1, g2 = RF.var("g1"), RF.var("g2")
-    bt, ct = _gen(tilde, "bT"), _gen(tilde, "cT")
-    bw, cw = _gen(tilde, "bW"), _gen(tilde, "cW")
-    half = RF.const(Fraction(1, 2))
-    rho = {
-        "bT": bt,
-        "cT": ct - ctx.normal_product(
-            bt, ctx.normal_product(ctx.derivative(cw), cw)).scaled(
-                (g1 + g2) * half),
-        "bW": bw - ctx.normal_product(
-            ctx.derivative(bt), ctx.normal_product(bt, cw)).scaled(
-                (g1 - g2) * half),
-        "cW": cw,
-    }
-    return w3_ghosts(0, 0), ctx, rho
+    return _ghost_map(w3_ghosts(0, 0), w3_ghosts(), {
+        "cT": "cT - (g1+g2)/2*N(bT,N(D(cW),cW))",
+        "bW": "bW - (g1-g2)/2*N(D(bT),N(bT,cW))"})
 
 
 def w32_ghost_map():
     """The fixed quadratic fermionic sector as composites in the canonical
-    one: rho fixes every generator but
-    rho(bT) = bT - 2 N(cT, N(dbU, bU)) and rho(cU) = cU - 4 N(bU, N(cp, cm)).
+    one: rho fixes every generator but bT and cU.
     Returns (source algebra, target context, rho)."""
-    canon = w32_ghosts(modified=False)
-    ctx = canon.context()
-    rho = {name: _gen(canon, name) for name in canon.names}
-    ct, bu = rho["cT"], rho["bU"]
-    rho["bT"] = rho["bT"] - ctx.normal_product(
-        ct, ctx.normal_product(ctx.derivative(bu), bu)).scaled(2)
-    rho["cU"] = rho["cU"] - ctx.normal_product(
-        bu, ctx.normal_product(rho["cp"], rho["cm"])).scaled(4)
-    return w32_ghosts(modified=True), ctx, rho
+    return _ghost_map(w32_ghosts(modified=True), w32_ghosts(modified=False),
+                      {"bT": "bT - 2*N(cT,N(D(bU),bU))",
+                       "cU": "cU - 4*N(bU,N(cp,cm))"})
 
 
 def verify_ghost_transform_w3():

@@ -133,7 +133,9 @@ def is_total_derivative(ctx: OpeContext, expr: FieldExpr):
 
 def jacobi_check(ctx: OpeContext, a: FieldExpr, b: FieldExpr, c: FieldExpr):
     """Residuals (p, q, value) of the pole-bracket Jacobi identity, sorted
-    by (p, q); empty list = pass."""
+    by (p, q); empty list = pass, as for a zero argument."""
+    if not (a.terms and b.terms and c.terms):
+        return []
     pa, pb = a.parity(), b.parity()
     if pa is None or pb is None:
         raise AnalysisError("arguments must have definite parity")

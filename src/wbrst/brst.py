@@ -1,13 +1,12 @@
-"""BRST currents for the two quadratic W-algebras, nilpotency modulo
-total derivatives, critical central charges, the conventional-form
-parameter point, and an ansatz-based derivation of the currents.
+"""BRST currents, their nilpotency modulo total derivatives, critical
+central charges, the conventional-form parameter point, and an
+ansatz-based derivation of a current.
 
-Nilpotency and the critical charges read one row reduction per current,
+A current is a ``.brst`` file, read by ``CurrentFile``.  Nilpotency and
+the critical charges read one row reduction per current,
 ``BrstCurrent.reduction``: its pivot rows give the derivative preimage of
-pole 1 of J(z)J(w), and its rows below the rank the obstructions.  The
-critical charge is the common zero of their numerators, which
-``common_zeros`` solves for as it does the conventional point and the
-derived current.
+pole 1 of J(z)J(w), its rows below the rank the obstructions, whose
+common zero ``common_zeros`` solves for.
 """
 
 from __future__ import annotations
@@ -16,11 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .algebras import bundle, w3, w32, w3_ghosts, w32_ghosts
+from .algebras import A2_MODES, bundle, bundled_text
 from .analysis import derivative_system, weight_basis
 from .errors import WbrstError
 from .fields import FieldExpr, Monomial, OpeAlgebra
 from .linalg import left_nullspace, rref, solve, solve_columns
+from .parsing import (ParseError, _number, format_field_expr,
+                      parse_algebra_file, parse_field_expr)
 from .scalars import (PoleError, RF_ONE, RF_ZERO, RationalFunction,
                       common_zeros, _add_into, _canonical)
 
@@ -78,7 +79,6 @@ class NilpotencyReport:
         return self.verdict == "nilpotent"
 
     def to_json(self):
-        from .parsing import format_field_expr
         return {
             "verdict": self.verdict,
             "obstruction": "0" if self.obstruction.is_zero
@@ -89,77 +89,78 @@ class NilpotencyReport:
         }
 
 
-def _coef(value, name):
-    if value is None:
-        return RationalFunction.var(name)
-    return RationalFunction.const(Fraction(value))
+# -- current files ----------------------------------------------------------
+
+
+def _table(name, lineno):
+    """Text and declared parameters of the bundled table ``name``."""
+    try:
+        text = bundled_text(name, "alg")
+    except FileNotFoundError:
+        raise ParseError(f"unknown table {name!r}", lineno) from None
+    return text, [p for line in text.splitlines()
+                  if (w := line.split("#", 1)[0].split())[:1] == ["param"]
+                  for p in w[1:]]
+
+
+class CurrentFile:
+    """A ``.brst`` file: ``tables NAME ...`` names the bundled tables of
+    the current, ``default NAME=VALUE ...`` binds what the command line
+    leaves unset, and ``term EXPR`` lines sum to the current.  ``params``
+    are those its tables declare."""
+
+    def __init__(self, text):
+        self.tables, self.terms, self.defaults = None, [], {}
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            head, _, rest = raw.split("#", 1)[0].strip().partition(" ")
+            if head == "tables" and self.tables is None:
+                self.tables = {t: _table(t, lineno) for t in rest.split()}
+                self.params = [*dict.fromkeys(
+                    p for _, ps in self.tables.values() for p in ps)]
+            elif head == "default" and self.tables:
+                for name, _, value in (x.partition("=") for x in rest.split()):
+                    if name not in self.params or name in self.defaults:
+                        raise ParseError(f"default {name!r} is not a new "
+                                         "parameter of the tables", lineno)
+                    self.defaults[name] = _number(Fraction, value, name, lineno)
+            elif head == "term":
+                self.terms.append((lineno, rest))
+            elif head:
+                raise ParseError(f"unknown or misplaced directive {head!r}",
+                                 lineno)
+        if not self.tables:
+            raise ParseError("missing 'tables NAME ...' line", 1)
+
+    def current(self, values=(), printed=False) -> BrstCurrent:
+        """The current with each parameter bound to its value in
+        ``values``, else to its default; None leaves it symbolic.
+        ``printed`` reads the bundled table w3, if any, as printed."""
+        bound = {**self.defaults, **dict(values)}
+        for p in bound:
+            if p not in self.params:
+                raise BrstError(f"no table of the current declares {p!r}")
+        bound = {p: v for p, v in bound.items() if v is not None}
+        alg = bundle("+".join(self.tables), *(parse_algebra_file(
+            bundled_text("w3_printed", "alg") if printed and t == "w3"
+            else text, {p: bound[p] for p in ps if p in bound})
+            for t, (text, ps) in self.tables.items()))
+        expr = FieldExpr.zero(alg)
+        for lineno, text in self.terms:
+            expr = expr + parse_field_expr(text, alg, lineno, bindings=bound)
+        return BrstCurrent(alg, expr)
 
 
 def brst_w3(g1=0, g2=0, c=None, a2_mode="exchange-consistent") -> BrstCurrent:
-    """The eight-term current for the spin-(2,3) algebra with the
-    two-parameter ghost sector; g1 = g2 = 0 is the canonical form and
-    None makes a parameter symbolic."""
-    gv1, gv2 = _coef(g1, "g1"), _coef(g2, "g2")
-    alg = bundle("w3_brst", w3(c, a2_mode), w3_ghosts(g1, g2))
-    ctx = alg.context()
-    g = lambda n: FieldExpr.generator(alg, n)
-    d = ctx.derivative
-    n2 = ctx.normal_product
-    n3 = lambda x, y, z: n2(x, n2(y, z))
-    t, w = g("T"), g("W")
-    bt, ct, bw, cw = g("bT"), g("cT"), g("bW"), g("cW")
-    gsum = gv1 + gv2
-    q712 = RationalFunction.const(Fraction(17, 12))
-    q54 = RationalFunction.const(Fraction(5, 4))
-    half = RationalFunction.const(Fraction(1, 2))
-    expr = (
-        n2(ct, t) + n2(cw, w)
-        - n3(bt, d(ct), ct)
-        - n3(bt, d(cw, 3), cw).scaled(
-            RationalFunction.const(Fraction(125, 1566)) + q712 * gsum)
-        - n3(ct, bw, d(cw))
-        - n3(d(bt), d(cw, 2), cw).scaled(
-            RationalFunction.const(Fraction(25, 522)) + q54 * gsum)
-        + n3(d(ct), bw, cw).scaled(2)
-        - n2(t, n3(bt, d(cw), cw)).scaled(
-            RationalFunction.const(Fraction(8, 261)) + half * gsum)
-        - n2(d(bt), n3(bt, ct, n2(d(cw), cw))).scaled(gv1)
-    )
-    return BrstCurrent(alg, expr)
+    """The current of ``data/w3.brst``; None makes a parameter symbolic."""
+    if a2_mode not in A2_MODES:
+        raise ValueError(f"a2_mode must be one of {A2_MODES}")
+    return CurrentFile(bundled_text("w3", "brst")).current(
+        {"g1": g1, "g2": g2, "c": c}, printed=a2_mode == "as-printed")
 
 
 def brst_w32(c=None) -> BrstCurrent:
-    """The nineteen-term cubic current for the weight-(2, 1, 3/2, 3/2)
-    algebra with its fixed quadratic ghost sector."""
-    alg = bundle("w32_brst", w32(c), w32_ghosts())
-    ctx = alg.context()
-    g = lambda n: FieldExpr.generator(alg, n)
-    d = ctx.derivative
-    n2 = ctx.normal_product
-    n3 = lambda x, y, z: n2(x, n2(y, z))
-    t, u, gp, gm = g("T"), g("U"), g("Gp"), g("Gm")
-    bt, ct, bu, cu = g("bT"), g("cT"), g("bU"), g("cU")
-    cp, bp, cm, bm = g("cp"), g("bp"), g("cm"), g("bm")
-    h = Fraction(1, 2)
-    expr = (
-        n2(ct, t) + n2(cu, u) + n2(cp, gp) + n2(cm, gm)
-        + n3(cu, bp, cp) - n3(cu, bm, cm)
-        + n3(d(ct), bu, cu).scaled(h)
-        + n3(ct, d(bu), cu).scaled(h)
-        - n3(ct, bu, d(cu)).scaled(h)
-        + n3(d(ct), bp, cp).scaled(Fraction(3, 4))
-        + n3(ct, d(bp), cp).scaled(Fraction(1, 4))
-        - n3(ct, bp, d(cp)).scaled(Fraction(3, 4))
-        + n3(d(ct), bm, cm).scaled(Fraction(3, 4))
-        + n3(ct, d(bm), cm).scaled(Fraction(1, 4))
-        - n3(ct, bm, d(cm)).scaled(Fraction(3, 4))
-        + n3(bu, cp, d(cm)).scaled(4)
-        + n3(d(bu), cp, cm).scaled(3)
-        + n3(bu, d(cp), cm).scaled(2)
-        - n3(bt, d(ct), ct)
-        - n3(bt, cp, cm).scaled(2)
-    )
-    return BrstCurrent(alg, expr)
+    """The current of ``data/w32.brst``; None makes c symbolic."""
+    return CurrentFile(bundled_text("w32", "brst")).current({"c": c})
 
 
 # -- nilpotency -------------------------------------------------------------
@@ -249,31 +250,29 @@ class DeriveReport:
 def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
     """Reconstruct a nilpotent current from its leading terms.
 
-    The ansatz runs over the weight-1, ghost-number-1, odd slice with
-    derivative directions removed (the current is only defined modulo
-    total derivatives); nilpotency modulo derivatives gives quadratic
-    equations in the ansatz coefficients.  ``max_degree`` restricts the
-    ansatz to monomials of at most that many generator factors (a
-    conventional current has generator-degree 3).  ``pinned`` monomials
-    are forced to zero.  Table parameters left symbolic stay in the
-    coefficient field, so a result holds for their generic values.
+    The ansatz runs over the weight-1, ghost-number-1, odd slice less its
+    derivative directions (a current is defined modulo total
+    derivatives); nilpotency gives quadratic equations in the ansatz
+    coefficients.  ``max_degree`` keeps monomials of at most that many
+    generator factors (a conventional current has 3); ``pinned``
+    monomials are forced to zero.  Table parameters left symbolic stay in
+    the coefficient field, so a result holds for their generic values.
 
     ``common_zeros`` solves the equations through their reduced
-    lexicographic Gröbner basis, with four outcomes.  A single rational
-    point gives the current.  A basis [1] means no current exists, for
-    generic values of the table parameters left symbolic, if any.  A
-    family, which similarity transformations by ghost-number-zero
-    charges can make, is reported with its free directions in
-    ``DeriveReport.remaining``; pinning them selects a point.  Any other
-    basis is reported as not a single rational point.  Returns
-    (BrstCurrent, None) on success, else (None, DeriveReport).
+    lexicographic Gröbner basis.  A single rational point gives the
+    current; a basis [1] means no current exists (for generic values of
+    the symbolic table parameters); a family, which similarity
+    transformations by ghost-number-zero charges can make, is reported
+    with its free directions in ``DeriveReport.remaining``, and pinning
+    them selects a point; any other basis is not a single rational point.
+    Returns (BrstCurrent, None) on success, else (None, DeriveReport).
 
     The conditions take pole 1 of each unordered pair of members (leading
     and ansatz monomials) once, an off-diagonal pair weighted by 2.  For
     odd members, [m_j m_i]_1 - [m_i m_j]_1 is, by the exchange formula, a
     total derivative of a field in the weight-0, ghost-number-2, even
-    slice.  Its monomials are among the derivative images already, so the
-    cokernel is the same, and every cokernel vector annihilates it.
+    slice, whose monomials are already derivative images: the cokernel is
+    the same, and every cokernel vector annihilates it.
     """
     ctx = algebra.context()
     lead = []

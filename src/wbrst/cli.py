@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 from .algebras import bundled_text
 from .analysis import jacobi_check, validate_table
-from .brst import (brst_w3, brst_w32, critical_charge, nilpotency,
+from .brst import (CurrentFile, critical_charge, nilpotency,
                    solve_conventional, unconventional_terms)
 from .errors import WbrstError
 from .modes import crosscheck_bundle
@@ -203,25 +203,25 @@ def _rational(name, value) -> Fraction:
 
 
 def _build_current(args):
-    """The current of ``cft brst``.  An option that does not apply to it
-    is bad input: --g1, --g2 and --a2 on w32 (W3^(2) has no ghost
-    parameters and no as-printed table), and --c with --symbolic-c."""
+    """The current of ``cft brst``: --c, --g1 and --g2 bind the parameter
+    of their name (``symbolic``, or --symbolic-c, leaves it unbound), the
+    file's defaults the rest.  An option for a parameter no table has,
+    --a2 off the table w3, and --c with --symbolic-c are bad input."""
     if args.symbolic_c and args.c is not None:
         raise InputError("--c and --symbolic-c exclude each other")
-    given = [f"--{name}" for name in ("g1", "g2", "a2")
-             if getattr(args, name) is not None]
-    if args.family == "w32" and given:
-        raise InputError(f"w32 takes no {' or '.join(given)}")
-    default_c = "100" if args.family == "w3" else "-2"
-    c = None if args.symbolic_c else _rational(
-        "c", default_c if args.c is None else args.c)
-    if args.family == "w32":
-        return brst_w32(c=c)
-    g1, g2 = (None if v == "symbolic"
-              else _rational(name, "0" if v is None else v)
-              for name, v in (("g1", args.g1), ("g2", args.g2)))
-    return brst_w3(g1, g2, c=c, a2_mode=(
-        "as-printed" if args.a2 == "printed" else "exchange-consistent"))
+    cur = CurrentFile(_read_input(args.file, "brst"))
+    given = {p: v for p, v in (("c", "symbolic" if args.symbolic_c
+                                else args.c), ("g1", args.g1),
+                               ("g2", args.g2)) if v is not None}
+    wrong = ["--symbolic-c" if p == "c" and args.symbolic_c else f"--{p}"
+             for p in given if p not in cur.params]
+    if args.a2 is not None and "w3" not in cur.tables:
+        wrong.append("--a2")
+    if wrong:
+        raise InputError(f"{args.file} takes no {' or '.join(wrong)}")
+    return cur.current({p: None if v == "symbolic" else _rational(p, v)
+                        for p, v in given.items()},
+                       printed=args.a2 == "printed")
 
 
 def _roots(roots):
@@ -233,8 +233,8 @@ def cmd_cft_brst(args) -> int:
     q = _build_current(args)
     rep = nilpotency(q)
     payload = rep.to_json()
-    payload["family"] = args.family
-    if args.symbolic_c:
+    payload["family"] = args.file
+    if "c" in q.algebra.params:
         payload["critical_roots"] = _roots(critical_charge(q, "c"))
     extra = unconventional_terms(q)
     payload["unconventional_terms"] = [
@@ -252,12 +252,9 @@ def cmd_cft_brst(args) -> int:
 
 
 def cmd_cft_critical(args) -> int:
-    if args.family == "w3":
-        q = brst_w3(0, 0, c=None)
-    else:
-        q = brst_w32(c=None)
+    q = CurrentFile(_read_input(args.file, "brst")).current({"c": None})
     values = _roots(critical_charge(q, "c"))
-    payload = {"family": args.family, "roots": values}
+    payload = {"family": args.file, "roots": values}
     _emit(payload, args.json, [f"roots: {values}"])
     return 0 if values else 1
 
@@ -295,7 +292,6 @@ GROUPS = {"qla": "quantum Lie algebra datasets",
           "oracle": "Fock-space mode crosscheck"}
 
 _FILE = (("file", {}),)
-_FAMILY = (("family", {"choices": ("w3", "w32")}),)
 _A2 = ("printed", "consistent")
 _JSON = ("--json", {"action": "store_true", "help": "emit a JSON report"})
 
@@ -313,16 +309,13 @@ COMMANDS = {
                          "action": "append", "metavar": "NAME=VALUE"}))),
     ("cft", "jacobi"): ("pole-bracket Jacobi residuals", cmd_cft_jacobi,
                         _FILE + (("a", {}), ("b", {}), ("c", {}))),
-    # None marks an option not given: w32 rejects --g1, --g2 and --a2
+    # None marks an option not given, left to the current file's default
     ("cft", "brst"): ("nilpotency of a built-in current", cmd_cft_brst,
-                      _FAMILY + (("--g1", {"help": "w3 only (default 0)"}),
-                                 ("--g2", {"help": "w3 only (default 0)"}),
-                                 ("--c", {}),
-                                 ("--symbolic-c", {"action": "store_true"}),
-                                 ("--a2", {"choices": _A2, "help":
-                                           "w3 only (default consistent)"}))),
+                      _FILE + (("--g1", {}), ("--g2", {}), ("--c", {}),
+                               ("--symbolic-c", {"action": "store_true"}),
+                               ("--a2", {"choices": _A2}))),
     ("cft", "critical"): ("central charges admitting a nilpotent charge",
-                          cmd_cft_critical, _FAMILY),
+                          cmd_cft_critical, _FILE),
     ("cft", "solve-conventional"): (
         "ghost parameters removing all degree>3 terms",
         cmd_cft_solve_conventional, ()),

@@ -389,8 +389,13 @@ class RationalFunction:
         return self._coerce(other) / self
 
     def __pow__(self, k: int):
-        """``self`` to the int power ``k`` >= 0, with no gcd: powers of a
-        canonical numerator and denominator are canonical."""
+        """``self`` to the int power ``k`` (of its inverse if negative),
+        with no gcd: powers of a canonical numerator and denominator are
+        canonical."""
+        if not isinstance(k, int):
+            raise TypeError(f"exponent {k!r} is not an int")
+        if k < 0:
+            return self.inverse() ** -k
         if self._d is not None or not k:
             return _c(self._n ** k, self._d ** k) if k else RF_ONE
         num, den = self._num, self._den

@@ -262,13 +262,25 @@ def test_bundled_text_reads_every_data_file():
         assert bundled_text(stem, kind).encode("utf-8") == f.read_bytes()
 
 
+def test_package_data_ships_every_data_file():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    import fnmatch
+    root = pathlib.Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["wbrst"]
+    package = root / "src" / "wbrst"
+    for f in (package / "data").iterdir():
+        name = f.relative_to(package).as_posix()
+        assert any(fnmatch.fnmatch(name, g) for g in globs), name
+
+
 @pytest.mark.parametrize("argv, parsers", [
     (("qla", "check", "so3"), 0),      # _match reads a valid command
     (("cft", "brst", "w3", "--json"), 0),
     (("-h",), 13),                     # help and errors: the full tree once
     (("qla", "-h"), 13),
     (("bogus",), 13),
-    (("cft", "brst", "w5"), 13),
+    (("cft", "brst", "w5"), 0),        # a missing file is bad input
 ])
 def test_only_help_and_errors_build_the_parser_tree(monkeypatch, capsys,
                                                     argv, parsers):
@@ -641,6 +653,15 @@ def test_qla_coefficient_may_not_name_a_parameter(tmp_path, capsys, name):
     assert f"unknown parameter '{name}'" in err
 
 
+def test_jacobi_with_a_zero_argument_has_no_residual(capsys):
+    # the identity is trilinear, so a zero argument has nothing to check,
+    # whatever the parities of the others
+    for argv in (("0*one", "T", "W"), ("T", "0*one", "W"), ("T", "W", "0*one"),
+                 ("0*one", "T+N(T,T)", "W")):
+        code, payload, _ = run_json(capsys, "cft", "jacobi", "w3", *argv)
+        assert (code, payload["ok"], payload["residuals"]) == (0, True, [])
+
+
 def test_mixed_parity_argument_is_bad_input(capsys):
     code, out, err = run(capsys, "cft", "jacobi", "w3_ghosts", "bT+N(bT,cT)",
                          "cT", "cT", "--json")
@@ -674,6 +695,80 @@ def test_brst_option_that_does_not_apply_is_bad_input(capsys, argv, message):
     _no_traceback(code, err)
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+MUTATED = str(pathlib.Path(__file__).resolve().parent / "data"
+              / "w3_mutated.brst")
+
+
+def test_mutated_current_file_fails_its_checks(capsys):
+    # w3.brst with the coefficient 125/1566 changed to 125/1567
+    assert pathlib.Path(MUTATED).read_text() == bundled_text(
+        "w3", "brst").replace("125/1566", "125/1567")
+    code, payload, _ = run_json(capsys, "cft", "brst", MUTATED)
+    assert (code, payload["verdict"], payload["family"]) == (
+        1, "obstructed", MUTATED)
+    code, payload, _ = run_json(capsys, "cft", "critical", MUTATED)
+    assert (code, payload["roots"]) == (1, [])
+    code, payload, _ = run_json(capsys, "cft", "brst", "w3")
+    assert (code, payload["verdict"]) == (0, "nilpotent")
+
+
+def test_current_file_on_the_w3_table_takes_every_option(capsys):
+    # the options follow the tables a current lives on, not its name
+    code, payload, _ = run_json(capsys, "cft", "brst", MUTATED, "--c",
+                                "symbolic", "--g1=0", "--g2=-16/261",
+                                "--a2", "printed")
+    assert code == 1 and payload["critical_roots"] == []
+
+
+@pytest.mark.parametrize("text, cmd, message", [
+    ("tables w3 w3_ghosts\nterm N(cT,T)\nterms N(cW,W)\n", "brst",
+     "unknown or misplaced directive 'terms' at line 3"),
+    ("default c=1\ntables w3 w3_ghosts\n", "brst",
+     "unknown or misplaced directive 'default' at line 1"),
+    ("tables w3\ntables w3_ghosts\n", "critical",
+     "unknown or misplaced directive 'tables' at line 2"),
+    ("term N(cT,T)\n", "brst", "missing 'tables NAME ...' line at line 1"),
+    ("tables w3 w5_ghosts\nterm N(cT,T)\n", "brst",
+     "unknown table 'w5_ghosts' at line 1"),
+    ("tables w3 w3_ghosts\ndefault k=1\n", "brst",
+     "default 'k' is not a new parameter of the tables at line 2"),
+    ("tables w3 w3_ghosts\ndefault c=1 g1=0\ndefault c=2\n", "brst",
+     "default 'c' is not a new parameter of the tables at line 3"),
+    ("tables w3 w3_ghosts\ndefault c=1/0\n", "brst",
+     "c '1/0' is not a number at line 2"),
+    ("tables w3 w3_ghosts\nterm N(cT,T)\nterm N(cT,Q)\n", "brst",
+     "unknown field or parameter name 'Q' at line 3, column 5"),
+    # a term of weight 2 beside terms of weight 1
+    ("tables w3 w3_ghosts\nterm N(cT,T)\nterm N(cT,N(T,T))\n", "brst",
+     "current must be odd with weight 1 and ghost number +1"),
+    ("tables w3 w3_ghosts\nterm N(bT,T)\n", "critical",
+     "current must be odd with weight 1 and ghost number +1"),
+    ("tables w32_ghosts\nterm N(bT,N(cT,D(cT)))\n", "critical",
+     "no table of the current declares 'c'"),
+])
+def test_current_file_faults_are_bad_input(tmp_path, capsys, text, cmd,
+                                           message):
+    path = tmp_path / "faulty.brst"
+    path.write_text(text)
+    code, out, err = run(capsys, "cft", cmd, str(path), "--json")
+    _no_traceback(code, err)
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--g1=0",), "takes no --g1"),
+    (("--symbolic-c",), "takes no --symbolic-c"),
+    (("--c=5", "--a2", "printed"), "takes no --c or --a2"),
+])
+def test_option_off_the_current_tables_is_bad_input(tmp_path, capsys, argv,
+                                                    message):
+    path = tmp_path / "ghosts.brst"
+    path.write_text("tables w32_ghosts\nterm N(bT,N(cT,D(cT)))\n")
+    code, out, err = run(capsys, "cft", "brst", str(path), *argv)
+    _no_traceback(code, err)
+    assert err == f"error: {path} {message}\n"
 
 
 @pytest.mark.parametrize("table", ["w32", "w3_ghosts", "w32.alg", "copy"])

@@ -11,6 +11,9 @@ tables at levels 0 to 8, where the whole reports are too long to keep.
 ``tests/golden/bundled_tables.txt`` holds ``format_algebra_file`` of the
 bundled tables, loaded symbolic and with parameter values bound, so what
 the parser reads from each definition file is pinned byte for byte.
+``tests/golden/brst_currents.txt`` holds ``format_field_expr`` of the
+bundled BRST currents at fixed parameter values, as their ``.brst`` files
+define them.
 ``tests/golden/derive_brst.json`` holds the currents that ``derive_brst``
 derives for the W3 and W3^(2) benchmark cases, as ``format_field_expr``
 prints them, and the report messages of the unpinned cases.
@@ -36,7 +39,7 @@ import pytest
 from fractions import Fraction
 
 from wbrst.algebras import bundle, load_bundled, w3, w32, w3_ghosts, w32_ghosts
-from wbrst.brst import derive_brst
+from wbrst.brst import brst_w3, brst_w32, derive_brst
 from wbrst.cli import main
 from wbrst.fields import Monomial
 from wbrst.parsing import format_algebra_file, format_field_expr
@@ -112,6 +115,7 @@ MESSAGES_GOLDEN = GOLDEN / "cli_messages.json"
 DERIVE_GOLDEN = GOLDEN / "derive_brst.json"
 DIGESTS_GOLDEN = GOLDEN / "oracle_crosscheck_digests.json"
 TABLES_GOLDEN = GOLDEN / "bundled_tables.txt"
+CURRENTS_GOLDEN = GOLDEN / "brst_currents.txt"
 
 # (stem, bound values) of each bundled table load the golden pins
 TABLE_LOADS = (
@@ -120,6 +124,15 @@ TABLE_LOADS = (
     ("w3_ghosts", {"g1": Fraction(1, 3), "g2": Fraction(2, 5)}),
     ("w3_ghosts_free", {}), ("w32", {}), ("w32", {"c": -2}),
     ("w32_ghosts", {}), ("w32_ghosts_free", {}),
+)
+
+# (builder, keyword arguments) of each bundled current the golden pins
+CURRENT_LOADS = (
+    (brst_w3, {"g1": 0, "g2": 0, "c": 100}),
+    (brst_w3, {"g1": None, "g2": None, "c": None}),
+    (brst_w3, {"g1": Fraction(1, 3), "g2": Fraction(2, 5), "c": None}),
+    (brst_w3, {"g1": 0, "g2": 0, "c": 100, "a2_mode": "as-printed"}),
+    (brst_w32, {"c": None}), (brst_w32, {"c": -2}),
 )
 
 
@@ -206,6 +219,17 @@ def run_tables() -> str:
     return "".join(out)
 
 
+def run_currents() -> str:
+    """``format_field_expr`` of each current of ``CURRENT_LOADS``, each
+    after a comment line naming the builder and its arguments."""
+    out = []
+    for builder, kwargs in CURRENT_LOADS:
+        at = " ".join(f"{k}={v}" for k, v in kwargs.items())
+        out.append(f"# {builder.__name__} {at}\n"
+                   + format_field_expr(builder(**kwargs).expr) + "\n")
+    return "".join(out)
+
+
 def run_digests() -> dict:
     """The sha256 of each oracle crosscheck's stdout, by table and level;
     every one of them exits 0."""
@@ -223,6 +247,10 @@ def run_digests() -> dict:
 
 def test_golden_bundled_tables():
     assert run_tables() == TABLES_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_golden_brst_currents():
+    assert run_currents() == CURRENTS_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_golden_oracle_digests():
@@ -258,6 +286,8 @@ if __name__ == "__main__":
     print(f"recorded {DERIVE_GOLDEN.name}", file=sys.stderr)
     TABLES_GOLDEN.write_text(run_tables(), encoding="utf-8")
     print(f"recorded {TABLES_GOLDEN.name}", file=sys.stderr)
+    CURRENTS_GOLDEN.write_text(run_currents(), encoding="utf-8")
+    print(f"recorded {CURRENTS_GOLDEN.name}", file=sys.stderr)
     DIGESTS_GOLDEN.write_text(json.dumps(run_digests(), indent=2) + "\n",
                               encoding="utf-8")
     print(f"recorded {DIGESTS_GOLDEN.name}", file=sys.stderr)

@@ -580,3 +580,25 @@ def test_a_chain_of_constant_arithmetic_runs_no_fraction_code():
     assert calls == []
     assert not zero and equal and nonzero
     assert h == hash(x.constant_value()) and s == str(x.constant_value())
+
+
+def test_negative_power_is_the_inverse_power():
+    c = rf("c")
+    assert c ** -1 == RF_ONE / c
+    assert (c + 1) ** -2 == RF_ONE / ((c + 1) * (c + 1))
+    half = rf(2) ** -1
+    assert half == rf("1/2")
+    assert type(half._n) is int and type(half._d) is int
+    assert rf(-2) ** -3 == rf("-1/8")
+    assert rf("(c-1)/(c+2)") ** -1 == rf("(c+2)/(c-1)")
+    with pytest.raises(ZeroDivisionError):
+        RF_ZERO ** -1
+    assert RF_ZERO ** 0 == RF_ONE
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0, Fraction(2), "2"])
+def test_power_takes_only_an_int(k):
+    with pytest.raises(TypeError):
+        rf("c") ** k
+    with pytest.raises(TypeError):
+        rf(3) ** k
