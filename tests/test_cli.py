@@ -710,8 +710,6 @@ def test_mutated_current_file_fails_its_checks(capsys):
         1, "obstructed", MUTATED)
     code, payload, _ = run_json(capsys, "cft", "critical", MUTATED)
     assert (code, payload["roots"]) == (1, [])
-    code, payload, _ = run_json(capsys, "cft", "brst", "w3")
-    assert (code, payload["verdict"]) == (0, "nilpotent")
 
 
 def test_current_file_on_the_w3_table_takes_every_option(capsys):
