@@ -175,11 +175,14 @@ def _mutation_caught(d2) -> bool:
     return not ok
 
 
-VERDICTS = pathlib.Path(__file__).resolve().parent / "golden" / "qla_axiom_verdicts.json"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+# each suite whose pass/fail table is recorded, and its golden file
+VERDICTS = {check_qla_axioms: GOLDEN / "qla_axiom_verdicts.json",
+            check_proof_identities: GOLDEN / "qla_proof_verdicts.json"}
 
 
-def qla_axiom_verdicts() -> dict:
-    """Pass/fail of every named check of ``check_qla_axioms`` on each
+def qla_verdicts(check) -> dict:
+    """Pass/fail of every named check of the suite ``check`` on each
     dataset of MUTATED_QLA_FILES and on each of its single-entry +1
     mutations."""
     table = {}
@@ -189,16 +192,25 @@ def qla_axiom_verdicts() -> dict:
             (f"{kind} {' '.join(map(str, idx))} += 1", d2)
             for kind, idx, d2 in qla_mutations(d)]
         for label, d2 in variants:
-            rep = check_qla_axioms(d2)
-            table[f"{name} {label}"] = {check: rep.passed(check)
-                                        for check in sorted(rep.residuals)}
+            rep = check(d2)
+            table[f"{name} {label}"] = {entry: rep.passed(entry)
+                                        for entry in sorted(rep.residuals)}
     return table
 
 
 def test_qla_axiom_verdicts_match_the_recorded_table():
     # recorded before the axiom checks became Mat identities; to record
     # again, run ``PYTHONPATH=src python tests/test_tensors.py``
-    assert qla_axiom_verdicts() == json.loads(VERDICTS.read_text(encoding="utf-8"))
+    assert qla_verdicts(check_qla_axioms) == json.loads(
+        VERDICTS[check_qla_axioms].read_text(encoding="utf-8"))
+
+
+def test_qla_proof_verdicts_match_the_recorded_table():
+    # recorded with the antisymmetrizers at the scale prod_{j<k} 1/j!, not
+    # as projectors: every proof identity is linear and homogeneous in A_k,
+    # so no verdict depends on the scale
+    assert qla_verdicts(check_proof_identities) == json.loads(
+        VERDICTS[check_proof_identities].read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", MUTATED_QLA_FILES)
@@ -397,9 +409,10 @@ def test_singular_phi_is_bad_input(tmp_path, capsys):
 
 
 if __name__ == "__main__":
-    rows = [f" {json.dumps(k)}: {json.dumps(v)}"
-            for k, v in qla_axiom_verdicts().items()]
-    VERDICTS.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
+    for check, path in VERDICTS.items():
+        rows = [f" {json.dumps(k)}: {json.dumps(v)}"
+                for k, v in qla_verdicts(check).items()]
+        path.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
 
 
 # -- sparse matrix sums -------------------------------------------------------
