@@ -100,7 +100,8 @@ def derivative_system(ctx: OpeContext, weight, parity, ghost, extra):
     targets numbers the monomials of ``extra`` and of the derivatives of
     the basis in ``mono_key`` order, and row targets[t] of matrix is the
     sparse row {m: coefficient of t in the derivative of basis[m]} that
-    ``linalg`` reduces.  The package builds every derivative matrix here."""
+    ``linalg`` reduces.  Every derivative system the package solves is
+    built here; only ``derive_brst``'s gauge builds its own images."""
     alg = ctx.algebra
     basis = weight_basis(alg, weight, parity=parity, ghost=ghost)
     images = [ctx.derivative(FieldExpr(alg, {m: RF_ONE})) for m in basis]

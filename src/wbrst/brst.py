@@ -18,12 +18,12 @@ from functools import cached_property
 from .algebras import A2_MODES, bundle, bundled_text
 from .analysis import derivative_system, weight_basis
 from .errors import WbrstError
-from .fields import FieldExpr, Monomial, OpeAlgebra
-from .linalg import left_nullspace, rref, solve, solve_columns
+from .fields import FieldExpr, OpeAlgebra
+from .linalg import rref, solve, solve_columns
 from .parsing import (ParseError, _number, format_field_expr,
                       parse_algebra_file, parse_field_expr)
-from .scalars import (PoleError, RF_ONE, RF_ZERO, RationalFunction,
-                      common_zeros, _add_into, _canonical)
+from .scalars import (PoleError, RF_ONE, RF_ZERO, common_zeros, _add_into,
+                      _canonical)
 
 
 class BrstError(WbrstError):
@@ -72,7 +72,6 @@ class NilpotencyReport:
     verdict: str                  # "nilpotent" or "obstructed"
     poles: dict                   # full self-product
     obstruction: FieldExpr        # first pole reduced modulo derivatives
-    preimage: FieldExpr | None    # derivative preimage when nilpotent
 
     @property
     def nilpotent(self) -> bool:
@@ -112,7 +111,8 @@ class CurrentFile:
     def __init__(self, text):
         self.tables, self.terms, self.defaults = None, [], {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            head, _, rest = raw.split("#", 1)[0].strip().partition(" ")
+            line = raw.split("#", 1)[0].rstrip()
+            head, _, rest = line.strip().partition(" ")
             if head == "tables" and self.tables is None:
                 self.tables = {t: _table(t, lineno) for t in rest.split()}
                 self.params = [*dict.fromkeys(
@@ -124,7 +124,7 @@ class CurrentFile:
                                          "parameter of the tables", lineno)
                     self.defaults[name] = _number(Fraction, value, name, lineno)
             elif head == "term":
-                self.terms.append((lineno, rest))
+                self.terms.append((lineno, rest, len(line) - len(rest)))
             elif head:
                 raise ParseError(f"unknown or misplaced directive {head!r}",
                                  lineno)
@@ -145,8 +145,9 @@ class CurrentFile:
             else text, {p: bound[p] for p in ps if p in bound})
             for t, (text, ps) in self.tables.items()))
         expr = FieldExpr.zero(alg)
-        for lineno, text in self.terms:
-            expr = expr + parse_field_expr(text, alg, lineno, bindings=bound)
+        for lineno, text, column in self.terms:
+            expr = expr + parse_field_expr(text, alg, lineno, bindings=bound,
+                                           column=column)
         return BrstCurrent(alg, expr)
 
 
@@ -172,12 +173,11 @@ def nilpotency(q: BrstCurrent) -> NilpotencyReport:
     reported but impose no condition on the charge."""
     poles = q.self_product
     basis, _, _, x, obstructions = q.reduction
-    best = FieldExpr(q.algebra, {basis[m]: v for m, v in x.items()})
     if not obstructions:
-        return NilpotencyReport("nilpotent", poles,
-                                FieldExpr.zero(q.algebra), best)
-    residual = poles[1] - q.context.derivative(best)
-    return NilpotencyReport("obstructed", poles, residual, None)
+        return NilpotencyReport("nilpotent", poles, FieldExpr.zero(q.algebra))
+    best = FieldExpr(q.algebra, {basis[m]: v for m, v in x.items()})
+    return NilpotencyReport("obstructed", poles,
+                            poles[1] - q.context.derivative(best))
 
 
 # -- critical charge --------------------------------------------------------
@@ -190,7 +190,8 @@ def critical_charge(q: BrstCurrent, param="c"):
     Zeros not one rational value (several, irrational, or depending on
     other names) raise BrstError; no bundled current has them."""
     _, matrix, rhs, _, obstructions = q.reduction
-    eqs = [{(): _canonical(o.num, o.num.ring.one)} for o in obstructions]
+    eqs = [{(): _canonical(o.num, o.num.ring.one)}
+           for o in obstructions.values()]
     outcome, point = common_zeros(eqs, 0, (param,))
     if outcome == "none":
         return set()
@@ -275,14 +276,7 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
     the same, and every cokernel vector annihilates it.
     """
     ctx = algebra.context()
-    lead = []
-    for item in leading:
-        if isinstance(item, tuple) and isinstance(item[0], Monomial):
-            lead.append((item[0], RationalFunction.const(Fraction(item[1]))))
-        else:
-            lead.append((item, RF_ONE))
-    for m in pinned:
-        lead.append((m, RF_ZERO))
+    lead = [(m, RF_ONE) for m in leading] + [(m, RF_ZERO) for m in pinned]
     # gauge: remove the image of the derivative from the ansatz.  The
     # derivative maps the weight-0 slice into the weight-1 slice, and the
     # pivots of the images, taken as rows, are the derivative directions
@@ -333,45 +327,32 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
 
 def _nilpotency_equations(ctx, members):
     """The conditions for the current sum of ``members`` to square to zero:
-    the cokernel of the derivative on the weight-0, ghost-number-2, even
-    slice applied to the first pole of [J J].  Each condition is a
-    polynomial in the unknowns, {sorted tuple of unknown indices
-    (multiplicity allowed): RationalFunction}; the zero ones are dropped."""
+    the obstructions of the first pole of [J J] modulo the derivative
+    image of the weight-0, ghost-number-2, even slice, one condition per
+    cokernel vector.  One ``solve_columns`` reduction takes pole 1 of each
+    unordered member pair as a column.  Each condition is a polynomial in
+    the unknowns, {sorted tuple of unknown indices (multiplicity allowed):
+    RationalFunction}; the zero ones are dropped."""
     pairs = []
-    monomials = set()
     for i, (mi, _, _) in enumerate(members):
         for j in range(i, len(members)):
             e = ctx.ope_mono(mi, members[j][0]).get(1)
             if e is not None:
-                pairs.append((i, j, e))
-                monomials.update(e.terms)
-    exact2, targets, dmat = derivative_system(ctx, 0, 0, 2, monomials)
-    cokernel = left_nullspace(dmat, len(targets), len(exact2))
-
-    # target row -> [(cokernel index, nonzero weight)]: most pair
-    # products miss most cokernel entries
-    column = {}
-    for yi, y in enumerate(cokernel):
-        for t, w in y.items():
-            column.setdefault(t, []).append((yi, w))
-    equations = [{} for _ in cokernel]
-    for i, j, e in pairs:
-        vals = {}
-        for mm, v in e.terms.items():
-            for yi, w in column.get(targets[mm], ()):
-                _add_into(vals, yi, w * v)
-        ki, kj = members[i][2], members[j][2]
-        for yi, val in vals.items():
-            if i != j:
-                val = val + val
-            if ki is not None and kj is not None:
-                key = tuple(sorted((ki, kj)))
-            elif ki is not None or kj is not None:
-                k = ki if ki is not None else kj
-                val = val * (members[j][1] if ki is not None else members[i][1])
-                key = (k,)
-            else:
-                val = val * members[i][1] * members[j][1]
-                key = ()
-            _add_into(equations[yi], key, val)
-    return [eq for eq in equations if eq]
+                pairs.append((i, j, e.terms))
+    _, targets, dmat = derivative_system(
+        ctx, 0, 0, 2, {m for _, _, terms in pairs for m in terms})
+    columns = solve_columns(dmat, [{targets[m]: v for m, v in terms.items()}
+                                   for _, _, terms in pairs])
+    equations = {}
+    for (i, j, _), (_, obstructions) in zip(pairs, columns):
+        # the pair's monomial in the unknowns, and its known coefficients
+        # (an off-diagonal pair twice)
+        (_, ci, ki), (_, cj, kj) = members[i], members[j]
+        key = tuple(sorted(k for k in (ki, kj) if k is not None))
+        scale = RF_ONE if i == j else RF_ONE + RF_ONE
+        for c in (ci, cj):
+            if c is not None:
+                scale = scale * c
+        for yi, val in obstructions.items():
+            _add_into(equations.setdefault(yi, {}), key, val * scale)
+    return [eq for _, eq in sorted(equations.items()) if eq]

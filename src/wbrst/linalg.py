@@ -4,9 +4,9 @@ One row reduction answers every question the package asks of a linear
 system: ``rref`` of ``[matrix | columns]`` keeps all its rows, the pivot
 rows first.  The pivot rows give one solution per column; the rows below
 the rank are zero in the matrix columns, and their entries in the other
-columns are a cokernel basis of the matrix applied to those columns.  So
-a column is in the image exactly when its entries there are all zero, and
-with an identity block appended they are the cokernel basis itself.
+columns are a cokernel basis of the matrix applied to those columns, one
+row per basis vector.  So a column is in the image exactly when its
+entries there are all zero, and those of the unit columns are the basis.
 
 A row is a sparse dict {column: nonzero scalar}, as in ``tensors.Mat``;
 a right-hand side is a column {row: nonzero scalar}, and a solution
@@ -63,9 +63,9 @@ def solve_columns(matrix, columns):
     """(x, obstructions) for each right-hand side b in ``columns``, from
     one row reduction of ``[matrix | columns]``.  x solves the consistent
     part of ``matrix @ x = b``, free variables 0; the obstructions are the
-    nonzero entries of b's column in the rows below the rank, a cokernel
-    basis applied to b.  b is in the image exactly when there are none,
-    and then x solves it."""
+    nonzero {k: y_k @ b}, y_k the cokernel basis of the k-th row below the
+    rank, one basis for every column.  b is in the image exactly when
+    there are none, and then x solves it."""
     ncols = 1 + max((max(row) for row in matrix if row), default=-1)
     aug = [dict(row) for row in matrix]
     for k, b in enumerate(columns):
@@ -76,7 +76,7 @@ def solve_columns(matrix, columns):
     out = []
     for j in range(ncols, ncols + len(columns)):
         x = {col: row[j] for row, col in zip(red, pivots) if j in row}
-        out.append((x, [row[j] for row in below if j in row]))
+        out.append((x, {k: row[j] for k, row in enumerate(below) if j in row}))
     return out
 
 
@@ -85,14 +85,3 @@ def solve(matrix, rhs):
     there is none."""
     (x, obstructions), = solve_columns(matrix, [rhs])
     return None if obstructions else x
-
-
-def left_nullspace(matrix, nrows, ncols):
-    """Basis of the row vectors y with ``y @ matrix = 0``, for a matrix
-    of ``nrows`` rows and ``ncols`` columns: the identity part of the rows
-    below the rank of ``[matrix | 1]``, nrows minus the rank of them, each
-    as {row of the matrix: nonzero scalar}."""
-    red, pivots = rref([{**row, ncols + i: 1} for i, row in enumerate(matrix)],
-                       ncols)
-    return [{j - ncols: v for j, v in row.items()}
-            for row in red[len(pivots):]]

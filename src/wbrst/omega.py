@@ -7,7 +7,9 @@ relations let every word be brought to the block order c..c x..x b..b,
 and the quadratic relations inside each block single out a canonical
 coefficient: twisted antisymmetrization for the ghost blocks, each read
 in its written index order, and braid symmetrization plus a linear
-remainder for the generator block.
+remainder for the generator block.  The ghost blocks are the images of
+the projectors A_k of sigma_tilde from ``tensors``, the matrices that
+the proof identities of the nilpotency proof are checked on.
 
 Every relation reads the dataset through the row-convention matrices of
 its ``QlaData`` (sigma, sigma_tilde = phi sigma phi^{-1}, phi and C),
@@ -59,7 +61,8 @@ class OmegaAlgebra:
         # ghost blocks: the coefficient of b_{j_1} .. b_{j_r} lies in the
         # image of the projector A_r of sigma_tilde, and that of
         # c^{i_1} .. c^{i_p} in the image of A_p, both indexed in written
-        # order; the two checks above make the closed form a projector
+        # order; the two checks above make the coset recurrence of
+        # ``antisymmetrizer_projectors`` give projectors
         self.antisym = antisymmetrizer_projectors(self.st_mat, n,
                                                   max(P_MAX, R_MAX))
 

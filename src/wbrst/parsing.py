@@ -55,27 +55,29 @@ class _Tokens:
     """Tokens of one line and the names its expressions may use: ``scope``
     maps each parameter, bound value and def to its coefficient, or is None
     to make every name a parameter; over an ``algebra`` the other names are
-    fields, built in ``ctx``."""
+    fields, built in ``ctx``.  ``text`` starts at ``column`` of its line,
+    and each token records the column of its first character."""
 
-    def __init__(self, text, line, scope, algebra=None, ctx=None):
+    def __init__(self, text, line, scope, algebra=None, ctx=None, column=0):
         self.items = []
         pos = depth = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if not m or m.end() == pos:
                 break
+            at = column + m.start(m.lastindex)  # the token's own column
             if m.group(1) is not None:
-                self.items.append(("int", m.group(1), pos))
+                self.items.append(("int", m.group(1), at))
             elif m.group(2) is not None:
-                self.items.append(("name", m.group(2), pos))
+                self.items.append(("name", m.group(2), at))
             else:
                 ch = m.group(3)
                 if not ch.isspace():
-                    self.items.append(("op", ch, pos))
+                    self.items.append(("op", ch, at))
                 depth += {"(": 1, ")": -1}.get(ch, 0)
                 if depth > MAX_NESTING:
                     raise ParseError(f"parentheses nested deeper than "
-                                     f"{MAX_NESTING} levels", line, pos)
+                                     f"{MAX_NESTING} levels", line, at)
             pos = m.end()
         self.pos = 0
         self.line = line
@@ -231,10 +233,10 @@ def _divide(t: _Tokens, x, y) -> RationalFunction:
     return x / y
 
 
-def _parse(text, line, scope, algebra=None, ctx=None):
+def _parse(text, line, scope, algebra=None, ctx=None, column=0):
     """The value of ``text``, read to its end: over an ``algebra`` a field
     expression, else a coefficient."""
-    t = _Tokens(text, line, scope, algebra, ctx)
+    t = _Tokens(text, line, scope, algebra, ctx, column)
     x = _sum(t)
     if not t.at_end():
         tok = t.peek()
@@ -258,13 +260,15 @@ def _param_scope(params, bindings=None) -> dict:
     return {**{p: RationalFunction.var(p) for p in params}, **bound}
 
 
-def parse_field_expr(text: str, algebra, line=None, ctx=None, bindings=None):
-    """Parse a field expression over ``algebra``.  Coefficients may use the
-    algebra's parameters and the names of ``bindings``, the values bound
-    when the table was loaded.  ``ctx`` may supply a scratch context so an
-    algebra under construction is not frozen by the parse."""
+def parse_field_expr(text: str, algebra, line=None, ctx=None, bindings=None,
+                     column=0):
+    """Parse a field expression over ``algebra``, ``text`` starting at
+    ``column`` of its line.  Coefficients may use the algebra's parameters
+    and the names of ``bindings``, the values bound when the table was
+    loaded.  ``ctx`` may supply a scratch context so an algebra under
+    construction is not frozen by the parse."""
     return _parse(text, line, _param_scope(algebra.params, bindings),
-                  algebra, ctx or algebra.context())
+                  algebra, ctx or algebra.context(), column)
 
 
 def format_monomial(mono) -> str:
@@ -322,11 +326,12 @@ def parse_algebra_file(text: str, bindings=None):
     taken = {"one": "the unit"}  # what each name already means
     def_lines, ope_lines = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].rstrip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
+        head, _, rest = line.strip().partition(" ")
         rest = rest.strip()
+        at = len(line) - len(rest)  # the column of rest
         if head == "algebra":
             if name is not None:
                 raise ParseError("algebra given twice", lineno)
@@ -362,15 +367,15 @@ def parse_algebra_file(text: str, bindings=None):
             gens.append(GeneratorDecl(gname, weight, parity, ghost))
             taken[gname] = "a field"
         elif head == "def":
-            def_lines.append((lineno, rest))
+            def_lines.append((lineno, rest, at))
         elif head == "ope":
-            ope_lines.append((lineno, rest))
+            ope_lines.append((lineno, rest, at))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if name is None:
         raise ParseError("missing 'algebra NAME' header", 1)
     taken.update(dict.fromkeys(declared, "a parameter"))
-    for lineno, rest in def_lines:
+    for lineno, rest, _ in def_lines:
         dname = rest.partition("=")[0].strip()
         if dname in taken:
             raise ParseError(f"def {dname!r} reuses the name of "
@@ -395,26 +400,28 @@ def parse_algebra_file(text: str, bindings=None):
 def _parse_table(algebra, def_lines, ope_lines, bindings):
     """Read the ``def`` and ``ope`` lines of a definition file into
     ``algebra``: each def's value joins the scope of the later defs and of
-    every ope line."""
+    every ope line.  Each line comes with the column where its ``rest``
+    starts."""
     scope = _param_scope(algebra.params, bindings)
-    for lineno, rest in def_lines:
+    for lineno, rest, at in def_lines:
         dname, _, dexpr = rest.partition("=")
-        scope[dname.strip()] = parse_coefficient(dexpr.strip(), lineno, scope)
+        scope[dname.strip()] = _parse(dexpr, lineno, scope,
+                                      column=at + len(dname) + 1)
     scratch = OpeContext(algebra)
-    for lineno, rest in ope_lines:
+    for lineno, rest, at in ope_lines:
         headpart, _, body = rest.partition(":")
         pair = headpart.split()
         if len(pair) != 2:
             raise ParseError("ope line needs two field names", lineno)
         a, b = pair
         poles = {}
-        body = body.strip()
-        if body:
-            for chunk in body.split(";"):
-                n_str, _, expr_str = chunk.partition("->")
-                n = _number(int, n_str.strip(), "pole order", lineno)
-                poles[n] = _parse(expr_str.strip(), lineno, scope, algebra,
-                                  scratch)
+        at += len(headpart) + 1
+        for chunk in body.split(";") if body.strip() else ():
+            n_str, _, expr_str = chunk.partition("->")
+            n = _number(int, n_str.strip(), "pole order", lineno)
+            poles[n] = _parse(expr_str, lineno, scope, algebra, scratch,
+                              at + len(n_str) + 2)
+            at += len(chunk) + 1
         algebra.set_ope(a, b, poles)
 
 
@@ -499,8 +506,8 @@ def parse_qla_file(text: str):
             if (head, idx) in entries:
                 raise ParseError(f"{head} " + " ".join(map(str, idx))
                                  + " given twice", lineno)
-            entries[head, idx] = (lineno,
-                                  parse_coefficient(rhs.strip(), lineno, {}))
+            entries[head, idx] = (lineno, _parse(rhs, lineno, {},
+                                                 column=raw.index("=") + 1))
         elif head == "phi":
             mode = " ".join(p for p in parts[1:] if p != "=")
             if mode not in ("superperm", "sigma", "explicit"):

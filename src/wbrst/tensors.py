@@ -18,7 +18,9 @@ antisymmetrizer.  A failing identity reports its first nonzero entries as
 flattened indices.
 
 ``QlaData`` holds these matrices; ``omega`` reads sigma, sigma_tilde, phi
-and C only through them, as the lookup tables of ``pair_table``.
+and C only through them, as the lookup tables of ``pair_table``, and its
+ghost blocks through ``antisymmetrizer_projectors``, the one construction
+of the antisymmetrizers that the proof identities use as well.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import factorial, prod
 
 from .linalg import rref, solve_columns
 from .scalars import RF_ONE, RF_ZERO, _add_into, rf
@@ -344,36 +345,26 @@ def check_twist_axioms(d: QlaData) -> AxiomReport:
 # -- antisymmetrizers and proof identities ---------------------------------
 
 
-def antisymmetrizer_mats(braid: Mat, n: int, kmax: int) -> dict:
-    """A_1..A_kmax for a unitary braid matrix, via the recurrence
-    A_{k+1} = (1/k!)(1 - s_k + s_{k-1} s_k - ... + (-1)^k s_1..s_k) A_k."""
+def antisymmetrizer_projectors(braid: Mat, n: int, kmax: int) -> dict:
+    """A_1..A_kmax, the antisymmetrizing projectors of a braid matrix that
+    is involutive and obeys the braid relation.  Such a braid makes the
+    permutations a representation of S_k, and A_k is the signed sum of
+    all k! of them over k!.  The signed coset representatives of S_k in
+    S_{k+1} give the recurrence
+        A_{k+1} = (1/(k+1)) (1 - s_k + s_{k-1} s_k - ...
+                             + (-1)^k s_1..s_k) (A_k (x) 1)."""
     mats = {1: Mat.identity(n)}
     for k in range(1, kmax):
         total = k + 1
         s_emb = [embed(braid, n, total, j) for j in range(k)]  # s_1..s_k
-        acc = Mat.identity(n ** total)
-        chain = None
-        sign = -1
+        acc, chain = Mat.identity(n ** total), None
         # terms: -s_k, +s_{k-1} s_k, ..., (-1)^k s_1...s_k
         for j in range(k - 1, -1, -1):
             chain = s_emb[j] if chain is None else s_emb[j] @ chain
-            acc = acc + chain.scaled(sign)
-            sign = -sign
+            acc = acc + chain.scaled((-1) ** (k - j))
         prev = embed(mats[k], n, total, 0)
-        mats[total] = acc.scaled(Fraction(1, factorial(k))) @ prev
+        mats[total] = acc.scaled(Fraction(1, total)) @ prev
     return mats
-
-
-def antisymmetrizer_projectors(braid: Mat, n: int, kmax: int) -> dict:
-    """The antisymmetrizing projectors of a braid matrix that is
-    involutive and obeys the braid relation.  Such a braid makes the
-    permutations a representation of S_k, in which the signed sum S of
-    all k! of them obeys S S = k! S; ``antisymmetrizer_mats`` builds A_k =
-    prod_{j<k} (1/j!) S, so the projector S / k! is A_k times
-    prod_{j<k} j! / k!."""
-    return {k: a.scaled(Fraction(prod(map(factorial, range(1, k))),
-                                 factorial(k)))
-            for k, a in antisymmetrizer_mats(braid, n, kmax).items()}
 
 
 def higher_phi_mat(d: QlaData, m: int) -> Mat:
@@ -402,7 +393,7 @@ def check_proof_identities(d: QlaData) -> AxiomReport:
             rep.record_mat(f"higher_twist_m{m}_k{k}", lhs - rhs)
 
     # A_k^{(st)} st_j = -A_k^{(st)} for j < k <= 4
-    ast = antisymmetrizer_mats(st, n, 4)
+    ast = antisymmetrizer_projectors(st, n, 4)
     for k in (2, 3, 4):
         a = ast[k]
         for j in range(k - 1):
@@ -411,7 +402,7 @@ def check_proof_identities(d: QlaData) -> AxiomReport:
 
     # equal braids (sigma_tilde = sigma whenever phi commutes with sigma)
     # have equal antisymmetrizers
-    asig = ast if st == s else antisymmetrizer_mats(s, n, 4)
+    asig = ast if st == s else antisymmetrizer_projectors(s, n, 4)
     cm = d.c
     c12 = embed(cm, n, 3, 0)
     # A_4 C_{34} C_{12}delta (1 - sigma_1) = 0

@@ -6,7 +6,6 @@ are parsed, never imported, so running this test writes nothing there."""
 
 import ast
 import importlib
-import inspect
 import pathlib
 from fractions import Fraction
 
@@ -17,7 +16,6 @@ import wbrst.linalg
 from wbrst.algebras import w3_ghosts
 from wbrst.analysis import derivative_system
 from wbrst.fields import OpeAlgebra
-from wbrst.linalg import left_nullspace
 from wbrst.modes import BcSystem, FockSlice
 from wbrst.scalars import _cancel_cached
 
@@ -68,12 +66,6 @@ def test_traced_cache_and_slice_basis_exist():
     assert len(FockSlice([BcSystem("b", "c", Fraction(2))], 1).basis) > 0
 
 
-def test_linalg_cells_read_left_nullspace_shape():
-    # the tracer counts left_nullspace's cells as args[1] * args[2]
-    params = list(inspect.signature(left_nullspace).parameters)
-    assert params == ["matrix", "nrows", "ncols"]
-
-
 def _compiled(tree, name):
     """The top-level function ``name`` of a parsed benchmark module,
     compiled on its own: the module is not imported and nothing is
@@ -90,19 +82,16 @@ def test_linalg_cells_count_real_arguments():
     # the tracer calls _linalg_cells on the positional arguments of every
     # linalg entry point; on sparse rows it must still give a count
     cells = _compiled(TRACING, "_linalg_cells")
-    basis, targets, matrix = derivative_system(w3_ghosts().context(),
-                                               0, 0, 2, ())
+    basis, _, matrix = derivative_system(w3_ghosts().context(), 0, 0, 2, ())
     assert any(matrix)
     first = {t: row[0] for t, row in enumerate(matrix) if 0 in row}
     calls = [
         ("rref", (matrix, len(basis))),
         ("solve", (matrix, first)),
         ("solve_columns", (matrix, [first, {}])),
-        ("left_nullspace", (matrix, len(targets), len(basis))),
         ("rref", ([], 0)),
         ("solve", ([], {})),
         ("solve_columns", ([{}], [{0: Fraction(1)}])),
-        ("left_nullspace", ([], 0, 3)),
     ]
     for name, args in calls:
         getattr(wbrst.linalg, name)(*args)

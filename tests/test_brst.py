@@ -16,7 +16,7 @@ from wbrst.brst import (BrstCurrent, BrstError, brst_w3, brst_w32,
                         solve_conventional, unconventional_terms)
 from wbrst.engine import OpeContext
 from wbrst.fields import FieldExpr, GeneratorDecl, Monomial, OpeAlgebra
-from wbrst.linalg import left_nullspace, solve_columns
+from wbrst.linalg import solve_columns
 from wbrst.scalars import RF_ONE, RF_ZERO, RationalFunction as RF, _add_into
 
 
@@ -276,10 +276,14 @@ def _ordered_pair_equations(ctx, members):
     targets = sorted(targets, key=algebra.mono_key)
     dmat = [{m: im.terms[t] for m, im in enumerate(images2) if t in im.terms}
             for t in targets]
-    cokernel = left_nullspace(dmat, len(targets), len(exact2))
+    # cokernel vector k: the obstructions in row k of the unit columns
+    cokernel = {}
+    for t, (_, obstructions) in enumerate(solve_columns(
+            dmat, [{t: RF_ONE} for t in range(len(targets))])):
+        for k, w in obstructions.items():
+            cokernel.setdefault(k, {})[targets[t]] = w
     equations = []
-    for y in cokernel:
-        y = {targets[k]: w for k, w in y.items()}
+    for _, y in sorted(cokernel.items()):
         eq = {}
         for (i, j), e in pair_vec.items():
             val = RF_ZERO

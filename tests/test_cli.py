@@ -737,7 +737,7 @@ def test_current_file_on_the_w3_table_takes_every_option(capsys):
     ("tables w3 w3_ghosts\ndefault c=1/0\n", "brst",
      "c '1/0' is not a number at line 2"),
     ("tables w3 w3_ghosts\nterm N(cT,T)\nterm N(cT,Q)\n", "brst",
-     "unknown field or parameter name 'Q' at line 3, column 5"),
+     "unknown field or parameter name 'Q' at line 3, column 10"),
     # a term of weight 2 beside terms of weight 1
     ("tables w3 w3_ghosts\nterm N(cT,T)\nterm N(cT,N(T,T))\n", "brst",
      "current must be odd with weight 1 and ghost number +1"),

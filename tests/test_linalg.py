@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbrst.linalg import left_nullspace, rref, solve, solve_columns
+from wbrst.linalg import rref, solve, solve_columns
 from wbrst.scalars import RF_ONE, RF_ZERO, RationalFunction, rf
 
 C = RationalFunction.var("c")
@@ -45,13 +45,15 @@ def dense_rref(rows, ncols):
 
 def dense_solve(matrix, ncols, rhs):
     """x from the pivot rows of dense [matrix | rhs], free variables 0,
-    and the nonzero entries of its rows below the rank in the rhs column."""
+    and the nonzero entries of its rows below the rank in the rhs column,
+    keyed by their row below the rank."""
     red, pivots = dense_rref([row + [b] for row, b in zip(matrix, rhs)],
                              ncols)
     x = [0] * ncols
     for row, col in zip(red, pivots):
         x[col] = row[ncols]
-    return x, [row[ncols] for row in red[len(pivots):] if row[ncols]]
+    return x, {k: row[ncols] for k, row in enumerate(red[len(pivots):])
+               if row[ncols]}
 
 
 def dense_left_nullspace(matrix, ncols):
@@ -153,8 +155,14 @@ def _check_against_dense(matrix, ncols, rhs, zero):
     assert solve(rows, sparse(rhs)) == (None if obstructions else x)
 
     # a left nullspace basis: y @ matrix = 0 for each of nrows - rank
-    # independent rows
-    ys = left_nullspace(rows, len(rows), ncols)
+    # independent rows, y_k read from the obstructions in row k of the
+    # unit columns
+    ys = {}
+    for i, (_, obstructions) in enumerate(solve_columns(
+            rows, [{i: 1} for i in range(len(rows))])):
+        for k, w in obstructions.items():
+            ys.setdefault(k, {})[i] = w
+    ys = [ys[k] for k in range(len(rows) - len(pivots))]
     # equal values: the dense reference turns every identity entry it
     # updates into a field scalar, the sparse one only those it changes
     assert ys == [sparse(y) for y in dense_left_nullspace(matrix, ncols)]
@@ -186,10 +194,11 @@ def test_zero_matrix_and_inconsistent_column():
     assert rref([], 3) == ([], [])
     # 0 x = 1 has no solution: its obstruction is the 1 itself, and x
     # keeps the free variables at 0
-    assert solve_columns([{}], [{0: Fraction(1)}]) == [({}, [1])]
+    assert solve_columns([{}], [{0: Fraction(1)}]) == [({}, {0: 1})]
     assert solve([{}], {0: Fraction(1)}) is None
-    assert solve_columns([], [{}]) == [({}, [])]
-    # every row vector annihilates the zero matrix
-    assert left_nullspace([{}, {}], 2, 2) == [{0: 1}, {1: 1}]
-    assert left_nullspace([{}, {}], 2, 0) == [{0: 1}, {1: 1}]
-    assert left_nullspace([], 0, 3) == []
+    assert solve_columns([], [{}]) == [({}, {})]
+    # every row vector annihilates the zero matrix: the unit columns are
+    # obstructed each in its own row
+    assert solve_columns([{}, {}], [{0: 1}, {1: 1}]) == [({}, {0: 1}),
+                                                         ({}, {1: 1})]
+    assert solve_columns([], []) == []

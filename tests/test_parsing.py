@@ -280,6 +280,23 @@ def test_qla_file_faults_name_the_line(text, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("parse, text, line, column", [
+    # 0-based columns from the start of the line to the token itself, not
+    # to the whitespace before it
+    (parse_algebra_file, "algebra x\nfield T weight=2\nfield W weight=3\n"
+     "ope T W : 2 -> 3*Q\n", 4, 17),
+    (parse_algebra_file, "algebra x\nfield T weight=2\n"
+     "  ope T T : 4 -> 2*one ; 2 ->  2*X ; 1 -> D(T)\n", 3, 33),
+    (parse_algebra_file, "algebra x\nfield T weight=2\ndef k = 2*q\n", 3, 10),
+    (parse_qla_file, "dim 1\nc 1 1 1 = 2*q\n", 2, 12),
+    (parse_qla_file, "dim 1\n   sigma 1 1 1 1 =  2*q  # a = 1\n", 2, 22),
+], ids=["ope", "ope-indented-second-pole", "def", "qla", "qla-indented"])
+def test_fault_columns_count_from_the_line_start(parse, text, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def _lines(heads, tokens):
     line = st.builds(lambda head, rest: " ".join((head, *rest)),
                      st.sampled_from(heads),

@@ -76,13 +76,13 @@ def test_proof_identities_share_equal_antisymmetrizers(monkeypatch, name,
     # so3 has sigma_tilde = sigma, super_ef does not
     import wbrst.tensors
     calls = []
-    build = wbrst.tensors.antisymmetrizer_mats
+    build = wbrst.tensors.antisymmetrizer_projectors
 
     def counted(braid, n, kmax):
         calls.append(braid)
         return build(braid, n, kmax)
 
-    monkeypatch.setattr(wbrst.tensors, "antisymmetrizer_mats", counted)
+    monkeypatch.setattr(wbrst.tensors, "antisymmetrizer_projectors", counted)
     rep = check_proof_identities(load_qla(name))
     assert rep.all_pass
     assert len(calls) == builds
@@ -122,12 +122,13 @@ def test_witness_equals_one_solve_per_upper_index(name):
 
 def test_solve_columns_flags_each_inconsistent_column():
     # x solves the consistent part of each column; 1 x + 1 y = 1 and
-    # 2 x + 2 y = 3 leave the obstruction 3 - 2 * 1 in the row below the rank
+    # 2 x + 2 y = 3 leave the obstruction 3 - 2 * 1 in the row below the
+    # rank, row 0 of them
     one = Fraction(1)
     m = [{0: one, 1: one}, {0: 2 * one, 1: 2 * one}]
     assert solve_columns(m, [{0: 1, 1: 2}, {0: 1, 1: 3}, {}]) == [
-        ({0: 1}, []), ({0: 1}, [1]), ({}, [])]
-    assert solve_columns([], [{}]) == [({}, [])]
+        ({0: 1}, {}), ({0: 1}, {0: 1}), ({}, {})]
+    assert solve_columns([], [{}]) == [({}, {})]
 
 
 def _antisymmetrizer(parities, k):
