@@ -12,11 +12,12 @@ Inside a slice the work is done on integers.  A mode m of a field of
 weight h has the offset n = m + h: creation modes are n <= 0, and a
 derivative's prefactor is an integer product.  Levels are ints scaled by
 ``den``, the lcm of the weights' denominators.  A state is an int bitmask
-over the creation modes, the fields in ``op_key`` order from the highest
-bits down: offset n of field f is bit ``base[f] - n``, so a bit above
-another belongs to an operator further left.  A mode flips one bit, with
-the fermion sign of the popcount above it.  Tuple states appear only at
-the API edge.
+over the creation modes, the product of its modes from the highest bit
+down: with F fields in the slice, the offset -k of field f is bit
+k * F + (F - 1 - f), so every mode has a bit and no width is needed.  A
+mode flips one bit, with the fermion sign of the popcount above it.
+Tuple states, in ``op_key`` order, appear only at the API edge, times the
+sign of reordering their modes into bit order.
 
 The two-factor terms of one field pair and total derivative order, such
 as the two terms of a bc stress tensor, compile to one pair plan walked
@@ -89,13 +90,13 @@ class FockSlice:
         weights = [names[n][2] for n in self._fields]
         self._den = den = lcm(*(h.denominator for h in weights))
         self._dh = [int(h * den) for h in weights]
+        self._nf = len(weights)
         # den times the lowest level of any state: every creation mode
         # m > 0 applied (c-type zero and negative-level modes pull below
         # the vacuum)
         self._dlmin = -sum(sum(range(-dh, 0, -den)) for dh in self._dh)
         self._enumerate()
-        self._plans, self._exprs, self._cap = {}, {}, -1
-        self._fit(self._excess(self.level))
+        self._plans, self._exprs, self._tuples = {}, {}, {}
 
     def weight(self, name) -> Fraction:
         try:
@@ -113,7 +114,7 @@ class FockSlice:
 
     def _enumerate(self):
         """Set the basis in order, den times each state's height above
-        the lowest level (``_lvs``) and its (field, -k) bits (``_offsets``)."""
+        the lowest level (``_lvs``) and its bitmask (``_states``)."""
         den, top = self._den, floor(self._den * self.level)
         ops = []  # (field, -k, den times the level it adds, the op)
         for s in self.excite:
@@ -142,7 +143,8 @@ class FockSlice:
         out.sort()  # by level, length and op_key order
         self.basis = [tuple(ops[i][3] for i in st) for _, _, st in out]
         self._lvs = [lvl - self._dlmin for lvl, _, _ in out]
-        self._offsets = [[ops[i][:2] for i in st] for _, _, st in out]
+        self._states = [sum(1 << self._bit(*ops[i][:2]) for i in st)
+                        for _, _, st in out]
 
     def apply_op(self, op, state):
         """X_m applied to one state; returns {state: Fraction}."""
@@ -150,10 +152,12 @@ class FockSlice:
         n = m + self.weight(name)
         if n != int(n):
             return {}
-        lvl = self.level_of(state)
-        self._fit(self._excess(max(lvl, lvl - m)))
-        hit = self._op(self._field(name), int(n), self._mask(state))
-        return {self._tuple(hit[0]): Fraction(hit[1])} if hit else {}
+        s, sign = self._mask(state)
+        hit = self._op(self._field(name), int(n), s)
+        if not hit:
+            return {}
+        out, osign = self._tuple(hit[0])
+        return {out: Fraction(sign * osign * hit[1])}
 
     # -- the integer encoding ----------------------------------------------
 
@@ -162,73 +166,53 @@ class FockSlice:
         i, kind, _ = self._names[name]
         return 2 * i + kind
 
-    def _excess(self, level):
-        """_den times the height of ``level`` above the lowest level."""
-        return floor(self._den * level) - self._dlmin
-
-    def _fit(self, cap):
-        """Widen the encoding to hold every state at most cap / den above
-        the lowest level.  Widening renumbers the states, so it re-encodes
-        the basis and empties the mode tables."""
-        if cap <= self._cap:
-            return
-        self._cap = cap
-        # a state holding field f's offset -k has a level of at least
-        # lmin + h_f + k, so k <= (cap - den * h_f) // den
-        self._width = [max((cap - dh) // self._den + 1, 1) for dh in self._dh]
-        self._base = [sum(self._width[f + 1:]) for f in range(len(self._dh))]
-        self._states = [sum(1 << self._base[f] - mk for f, mk in offs)
-                        for offs in self._offsets]
-        self._tuples = {}
-        for plan in self._plans.values():
-            plan.memo.clear()
-        for parts in self._exprs.values():
-            for ex in parts:
-                ex.table.clear()
+    def _bit(self, f, n):
+        """The bit of field f's creation mode at offset n <= 0."""
+        return self._nf * (1 - n) - 1 - f
 
     def _mask(self, state):
-        s = 0
+        """The bitmask of a tuple state and the sign of its reordering."""
+        s, fks = 0, []
         for name, m in state:
             f = self._field(name)
             k = -(m + self.weight(name))
             if k < 0 or k != int(k):
                 raise ModeError(f"{(name, m)!r} is not a creation mode")
-            if k >= self._width[f]:
-                raise ModeError(f"{(name, m)!r} is outside the slice encoding")
-            s |= 1 << self._base[f] + int(k)
+            s |= 1 << self._bit(f, -int(k))
+            fks.append((f, k))
         keys = [self.op_key(op) for op in state]
         if keys != sorted(set(keys)):
             raise ModeError(f"{state!r} is not in increasing op_key order")
-        return s
+        return s, _reorder_sign(fks)
 
     def _tuple(self, s):
-        """The tuple state of a bitmask, in op_key order."""
+        """The tuple state of a bitmask, in op_key order, and the sign of
+        its reordering."""
         out = self._tuples.get(s)
         if out is None:
-            ops = []
-            for f, name in enumerate(self._fields):
-                block, h = s >> self._base[f], self._names[name][2]
-                for k in range(self._width[f] - 1, -1, -1):
-                    if block >> k & 1:
-                        ops.append((name, -k - h))
-            out = self._tuples[s] = tuple(ops)
+            nf, fks, x = self._nf, [], s
+            while x:
+                p = x.bit_length() - 1
+                x ^= 1 << p
+                k, lane = divmod(p, nf)
+                fks.append((nf - 1 - lane, k))
+            fks.sort(key=lambda fk: (fk[0], -fk[1]))  # op_key order
+            names = self._fields
+            out = self._tuples[s] = (
+                tuple((names[f], -k - self._names[names[f]][2])
+                      for f, k in fks), _reorder_sign(fks))
         return out
 
     def _op(self, f, n, s):
         """The mode with offset n of field f on state s: (state, +-1) or
-        None.  A creation mode sets its bit, an annihilation mode clears
-        that of the conjugate creation mode 1 - n."""
+        None.  A creation mode sets its bit (_bit's, inlined), an
+        annihilation mode clears that of the conjugate creation mode 1 - n."""
         if n <= 0:
-            if -n >= self._width[f]:
-                raise ModeError("mode outside the slice encoding")
-            bit = self._base[f] - n
+            bit = self._nf * (1 - n) - 1 - f
             if s >> bit & 1:
                 return None
             return s | 1 << bit, -1 if (s >> bit).bit_count() & 1 else 1
-        f ^= 1
-        if n > self._width[f]:
-            return None
-        bit = self._base[f] + n - 1
+        bit = self._nf * n - 1 - (f ^ 1)
         if not s >> bit & 1:
             return None
         return s ^ 1 << bit, -1 if (s >> bit + 1).bit_count() & 1 else 1
@@ -323,19 +307,12 @@ class _Expr:
     ``table`` maps (offset, state) to the output.  The two-factor terms of
     one field pair and total derivative order are one pair plan, the gcd
     of their coefficients taken out.  ``plan``: the plan of a single plan
-    with coefficient 1, else None.  ``reach``: den times how far an
-    application can lift a state above its input and output levels, each
-    factor but the last by up to max(-h, h - 1)."""
+    with coefficient 1, else None."""
 
-    __slots__ = ("weight", "dweight", "terms", "den", "table", "plan",
-                 "reach")
+    __slots__ = ("weight", "dweight", "terms", "den", "table", "plan")
 
     def __init__(self, slc, weight, group):
-        den = slc._den
-        self.weight, self.dweight = weight, int(weight * den)
-        self.reach = max(sum(max(0, -dh, dh - den) for dh in (
-            slc._dh[slc._field(n)] + den * d for n, d in factors[:-1]))
-            for factors, _ in group)
+        self.weight, self.dweight = weight, int(weight * slc._den)
         self.den = lcm(*(k.denominator for _, k in group))
         pairs = {}
         for factors, k in group:
@@ -361,6 +338,13 @@ class _Expr:
         self.plan = plan if k == 1 and not more else None
 
 
+def _reorder_sign(fks):
+    """The sign of reordering creation modes (field, k) from op_key order
+    into bit order: two modes swap when the first has the lower k."""
+    swaps = sum(k < j for i, (_, k) in enumerate(fks) for _, j in fks[i + 1:])
+    return -1 if swaps & 1 else 1
+
+
 @dataclass
 class ModeMatrix:
     """Sparse operator matrix: basis state -> {output state: value}."""
@@ -372,16 +356,19 @@ class ModeMatrix:
         return not any(self.columns.values())
 
 
-def _first_difference(a, b, da, db):
-    """The first entry (state, output, x, y) at which the columns a / da
-    and b / db differ, in insertion order; the dict merges reuse the
+def _first_difference(slc, a, b, da, db):
+    """The first state, in insertion order, at which the bitmask columns
+    a / da and b / db differ, and its differing output that comes first
+    in op_key order: (state, output, x, y); the dict merges reuse the
     stored key hashes."""
     for s in {**a, **b}:
         ca, cb = a.get(s, {}), b.get(s, {})
-        for o in {**ca, **cb}:
-            x, y = ca.get(o, 0), cb.get(o, 0)
-            if x * db != y * da:
-                return s, o, x, y
+        diff = [o for o in {**ca, **cb}
+                if ca.get(o, 0) * db != cb.get(o, 0) * da]
+        if diff:
+            o = min(diff, key=lambda o: [slc.op_key(op)
+                                         for op in slc._tuple(o)[0]])
+            return s, o, ca.get(o, 0), cb.get(o, 0)
     return None
 
 
@@ -422,22 +409,27 @@ def _apply_pair(slc, pair, n, s, lv):
     if out is not None:
         return out
     out = {}
-    den, base, width = slc._den, slc._base, slc._width
+    den, nf = slc._den, slc._nf
     f, g, splits = pair.f, pair.g, pair.splits
     nn = n - pair.de
     weights = pair.weights
-    # g's offset u is bit bg - u (creation) or bgc + u; f's nn - u, bf + u
-    bg, bgc, bf = base[g], base[g ^ 1] - 1, base[f] - nn
-    wg, wgc, wf = width[g], width[g ^ 1], width[f] + nn
+    # field x's creation offset u <= 0 is bit bx - nf * u, and its
+    # annihilation offset u >= 1 clears bit bxc + nf * u, of x ^ 1; c
+    # such bits from one on, nf apart, are masked by ((1 << nf * c) - 1)
+    # // rep, rep = (1 << nf) - 1
+    rep = (1 << nf) - 1
+    bg, bf = nf - 1 - g, nf - 1 - f
+    bgc, bfc = -1 - (g ^ 1), -1 - (f ^ 1)
     top = (lv + pair.dhg) // den
     us = list(range(nn, (top if top < 0 else 0) + 1))
     lo = nn if nn > 1 else 1
-    hi = top if top < wgc else wgc
-    block = s >> bgc + lo & (1 << hi - lo + 1) - 1 if hi >= lo else 0
-    while block:
-        low = block & -block
-        block ^= low
-        us.append(lo - 1 + low.bit_length())
+    # g's annihilation offsets lo .. top, at held bits
+    x = (s >> bgc + nf * lo & ((1 << nf * (top - lo + 1)) - 1) // rep
+         if top >= lo else 0)
+    while x:
+        low = x & -x
+        x ^= low
+        us.append(lo + (low.bit_length() - 1) // nf)
     for u in us:
         k = weights.get((nn, u))
         if k is None:
@@ -445,49 +437,40 @@ def _apply_pair(slc, pair, n, s, lv):
         if not k:
             continue
         if u <= 0:
-            if -u >= wg:
-                raise ModeError("mode outside the slice encoding")
-            gb = bg - u
+            gb = bg - nf * u
             if s >> gb & 1:
                 continue
         else:
-            gb = bgc + u
+            gb = bgc + nf * u
         s1 = s ^ 1 << gb
-        if u >= wf:
-            raise ModeError("mode outside the slice encoding")
-        fb = bf + u
+        fb = bf - nf * (nn - u)
         if s1 >> fb & 1:
             continue
         s2 = s1 | 1 << fb
         if ((s >> gb + 1).bit_count() + (s1 >> fb).bit_count()) & 1:
             k = -k
         _add_into(out, s2, k)
-    bfc = base[f ^ 1] - 1
     hi = (lv + pair.dhf) // den
-    if hi > width[f ^ 1]:
-        hi = width[f ^ 1]
-    block = s >> bfc + 1 & (1 << hi) - 1 if hi > 0 else 0
-    while block:
-        low = block & -block
-        block ^= low
-        t = low.bit_length()
+    x = s >> bfc + nf & ((1 << nf * hi) - 1) // rep if hi > 0 else 0
+    while x:  # f's annihilation offsets 1 .. hi, at held bits
+        low = x & -x
+        x ^= low
+        t = (low.bit_length() - 1) // nf + 1
         u = nn - t
         k = weights.get((nn, u))
         if k is None:
             k = weights[nn, u] = _split_sum(splits, t, u)
         if not k:
             continue
-        fb = bfc + t
+        fb = bfc + nf * t
         s1 = s ^ 1 << fb
         if u <= 0:
-            if -u >= wg:
-                raise ModeError("mode outside the slice encoding")
-            gb = bg - u
+            gb = bg - nf * u
             if s1 >> gb & 1:
                 continue
         else:
-            gb = bgc + u
-            if u > wgc or not s1 >> gb & 1:
+            gb = bgc + nf * u
+            if not s1 >> gb & 1:
                 continue
         s2 = s1 ^ 1 << gb
         if not ((s >> fb + 1).bit_count() + (s1 >> gb + 1).bit_count()) & 1:
@@ -519,13 +502,15 @@ def _apply_plan(slc, plan, n, s, lv):
             k = _prefactor(d, j - d)
             _add_into(out, hit[0], k * hit[1] * v1)
     # annihilation part of the head, offsets t = j - d >= 1 at occupied
-    # bits, goes first with the exchange sign; it lifts the level by ha - j
-    hi = min((lv + plan.dha) // den - d, slc._width[f ^ 1])
-    block = s >> slc._base[f ^ 1] & (1 << hi) - 1 if hi > 0 else 0
-    while block:
-        low = block & -block
-        block ^= low
-        t = low.bit_length()
+    # bits (masked as in _apply_pair), goes first with the exchange sign;
+    # it lifts the level by ha - j
+    nf, hi = slc._nf, (lv + plan.dha) // den - d
+    x = (s >> nf - 1 - (f ^ 1) & ((1 << nf * hi) - 1) // ((1 << nf) - 1)
+         if hi > 0 else 0)
+    while x:
+        low = x & -x
+        x ^= low
+        t = (low.bit_length() - 1) // nf + 1
         s1, sign = op(f, t, s)
         k = plan.sign * sign * _prefactor(d, t)
         lv1 = lv + plan.dha - den * (t + d)
@@ -562,17 +547,9 @@ def _const(v) -> Fraction:
     return v.constant_value()
 
 
-def _mode_cap(slc, parts, m):
-    """The _fit bound of the mode m of compiled parts on the basis: it
-    lifts a state by up to max(0, -m) and the reach."""
-    return (slc._excess(slc.level + max(0, -m))
-            + max((ex.reach for ex in parts), default=0))
-
-
 def _mode_columns(parts, m, slc):
     """The m-th mode of a compiled expression on the slice basis as
-    ({basis state: {state: int}}, den), in basis order; the slice must
-    fit _mode_cap."""
+    ({basis state: {state: int}}, den), in basis order."""
     # a weight-3/2 field has no modes at integer m
     live = [(ex, int(m + ex.weight)) for ex in parts
             if (m + ex.weight).denominator == 1]
@@ -592,31 +569,26 @@ def _mode_columns(parts, m, slc):
 
 
 def _matrix(slc, m, cols, den) -> ModeMatrix:
-    """The tuple-keyed ModeMatrix of bitmask columns over den."""
-    return ModeMatrix(m, {
-        state: {slc._tuple(o): Fraction(v, den) for o, v in cols[s].items()}
-        for state, s in zip(slc.basis, slc._states)})
+    """The tuple-keyed ModeMatrix of bitmask columns over den, each entry
+    times the reordering signs of its two states."""
+    out = {}
+    for s in slc._states:
+        state, sign = slc._tuple(s)
+        col = out[state] = {}
+        for o, v in cols[s].items():
+            o, osign = slc._tuple(o)
+            col[o] = Fraction(sign * osign * v, den)
+    return ModeMatrix(m, out)
 
 
 def field_modes(x, m, slc: FockSlice) -> ModeMatrix:
     """Matrix of the m-th Laurent mode of a monomial or field expression
     on the slice basis."""
     m = Fraction(m)
-    parts = slc._compile(x)
-    slc._fit(_mode_cap(slc, parts, m))
-    return _matrix(slc, m, *_mode_columns(parts, m, slc))
+    return _matrix(slc, m, *_mode_columns(slc._compile(x), m, slc))
 
 
 # -- singular products from commutators ------------------------------------
-
-
-def _poles_cap(slc, a, b, r, max_pole):
-    """The _fit bound of _pole_columns: a_p b_q and b_q a_p lift a basis
-    state by up to max(0, -p) + max(0, -q), convex in p, and a reach."""
-    ea, eb = _single(slc, a), _single(slc, b)
-    lo = -ea.weight - max_pole // 2  # the first sample
-    lift = max(max(0, -p) + max(0, p - r) for p in (lo, lo + max_pole + 2))
-    return slc._excess(slc.level + lift) + max(ea.reach, eb.reach)
 
 
 @cache
@@ -637,7 +609,7 @@ def _sample_solver(nun):
 
 def _pole_columns(a, b, r, slc, nun):
     """ope_poles_from_modes as ([{basis state: {state: int}} for poles
-    1 .. nun], den), in basis order; the slice must fit _poles_cap."""
+    1 .. nun], den), in basis order."""
     ea, eb = _single(slc, a), _single(slc, b)
     csign = -1 if _expr_parity(a) and _expr_parity(b) else 1
     den = slc._den
@@ -705,7 +677,6 @@ def ope_poles_from_modes(a, b, r, slc: FockSlice, max_pole=8) -> dict:
     system for the pole-field matrices.  A pole above ``max_pole`` makes
     it inconsistent and raises ModeError."""
     r = Fraction(r)
-    slc._fit(_poles_cap(slc, a, b, r, max_pole))
     poles, den = _pole_columns(a, b, r, slc, max_pole)
     return {j + 1: _matrix(slc, r, cols, den)
             for j, cols in enumerate(poles)}
@@ -723,10 +694,12 @@ def _single(slc, x):
     return parts[0]
 
 
+def _monomials(x):
+    return (x,) if isinstance(x, Monomial) else x.terms
+
+
 def _expr_parity(x):
-    if isinstance(x, Monomial):
-        return len(x) % 2
-    ps = {len(m) % 2 for m in x.terms}
+    ps = {len(m) % 2 for m in _monomials(x)}
     if len(ps) != 1:
         raise ModeError("expression must have a single parity")
     return ps.pop()
@@ -764,7 +737,9 @@ def systems_from_algebra(algebra) -> tuple:
 def crosscheck(algebra, pairs, level, excite=None, modes=(0, 1, -1)) -> dict:
     """Compare engine poles with mode-commutator reconstructions for each
     pair of fields, as matrices on the slice.  Returns a JSON-friendly
-    report; ``ok`` is True when every matrix matches exactly."""
+    report; ``ok`` is True when every matrix matches exactly.  The slice
+    holds every system of the algebra, or with ``excite`` the excited
+    systems and those the pairs name."""
     systems = systems_from_algebra(algebra)
     if excite is not None:
         by_name = {s.b: s for s in systems} | {s.c: s for s in systems}
@@ -772,46 +747,45 @@ def crosscheck(algebra, pairs, level, excite=None, modes=(0, 1, -1)) -> dict:
             excite = tuple(dict.fromkeys(by_name[n] for n in excite))
         except KeyError as err:
             raise ModeError(f"unknown field {err.args[0]!r}") from None
+        named = {n for pair in pairs for x in pair for mono in _monomials(x)
+                 for n, _ in mono.factors}
+        systems = [s for s in systems
+                   if s in excite or s.b in named or s.c in named]
     slc = FockSlice(systems, level, excite=excite)
     ctx = algebra.context()
     report = {"level": str(slc.level), "states": len(slc.basis),
               "checks": [], "ok": True}
-    jobs, caps = [], []
     for x, y in pairs:
         xe, ye = (e if isinstance(e, FieldExpr) else
                   FieldExpr(algebra, {e: RF_ONE}) for e in (x, y))
         engine = {n: slc._compile(e) for n, e in ctx.ope(xe, ye).items()}
         top = max(engine, default=0) + 2
         hsum = _single(slc, xe).weight + _single(slc, ye).weight
+        label = f"[{_label(x)} {_label(y)}]"
         for m0 in modes:
             r = -(hsum - 1) + m0  # on the mode lattice of every pole field
-            jobs.append((f"[{_label(x)} {_label(y)}]", xe, ye, engine, top, r))
-            caps.append(_poles_cap(slc, xe, ye, r, top))
-            caps.extend(_mode_cap(slc, parts, r) for parts in engine.values())
-    # widen the slice before any mode table is filled: widening empties
-    # the tables and renumbers the states, which every pair shares
-    slc._fit(max(caps, default=0))
-    for label, xe, ye, engine, top, r in jobs:
-        try:
-            oracle, oden = _pole_columns(xe, ye, r, slc, top)
-        except ModeError as err:
-            report["ok"] = False
-            report["checks"].append({"pair": label, "mode": str(r),
-                                     "match": False, "error": str(err)})
-            continue
-        for n in range(1, top + 1):
-            wanted, eden = (_mode_columns(engine[n], r, slc) if n in engine
-                            else ({}, 1))
-            entry = {"pair": label, "pole": n, "mode": str(r), "match": True}
-            diff = _first_difference(oracle[n - 1], wanted, oden, eden)
-            if diff is not None:
-                s, o, ov, ev = diff
-                entry.update(match=False, state=repr(slc._tuple(s)),
-                             output=repr(slc._tuple(o)),
-                             oracle=str(Fraction(ov, oden)),
-                             engine=str(Fraction(ev, eden)))
+            try:
+                oracle, oden = _pole_columns(xe, ye, r, slc, top)
+            except ModeError as err:
                 report["ok"] = False
-            report["checks"].append(entry)
+                report["checks"].append({"pair": label, "mode": str(r),
+                                         "match": False, "error": str(err)})
+                continue
+            for n in range(1, top + 1):
+                wanted, eden = (_mode_columns(engine[n], r, slc)
+                                if n in engine else ({}, 1))
+                entry = {"pair": label, "pole": n, "mode": str(r),
+                         "match": True}
+                diff = _first_difference(slc, oracle[n - 1], wanted, oden,
+                                         eden)
+                if diff is not None:
+                    (s, sign), (o, osign) = map(slc._tuple, diff[:2])
+                    ov, ev = (sign * osign * v for v in diff[2:])
+                    entry.update(match=False, state=repr(s), output=repr(o),
+                                 oracle=str(Fraction(ov, oden)),
+                                 engine=str(Fraction(ev, eden)))
+                    report["ok"] = False
+                report["checks"].append(entry)
     return report
 
 
@@ -895,9 +869,8 @@ def crosscheck_bundle(algebra, level, modes=(0,)) -> dict:
 def stress_central_charge(t, system, level=2) -> Fraction:
     """Twice the vacuum coefficient of the fourth pole of the stress
     self-product, reconstructed from mode commutators alone."""
-    m4 = ope_poles_from_modes(t, t, 0, FockSlice([system], level),
-                              max_pole=6)[4]
-    return 2 * m4.columns[()].get((), Fraction(0))
+    poles, den = _pole_columns(t, t, 0, FockSlice([system], level), 6)
+    return Fraction(2 * poles[3][0].get(0, 0), den)  # the vacuum is 0
 
 
 def _label(x):

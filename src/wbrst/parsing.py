@@ -56,7 +56,8 @@ class _Tokens:
     maps each parameter, bound value and def to its coefficient, or is None
     to make every name a parameter; over an ``algebra`` the other names are
     fields, built in ``ctx``.  ``text`` starts at ``column`` of its line,
-    and each token records the column of its first character."""
+    and each token records the column of its first character; the end of
+    input is at the column just past the text's last character."""
 
     def __init__(self, text, line, scope, algebra=None, ctx=None, column=0):
         self.items = []
@@ -79,6 +80,7 @@ class _Tokens:
                     raise ParseError(f"parentheses nested deeper than "
                                      f"{MAX_NESTING} levels", line, at)
             pos = m.end()
+        self.end = column + len(text.rstrip())
         self.pos = 0
         self.line = line
         self.scope = scope
@@ -88,7 +90,7 @@ class _Tokens:
     def peek(self):
         if self.pos < len(self.items):
             return self.items[self.pos]
-        return ("eof", "", -1)
+        return ("eof", "", self.end)
 
     def next(self):
         tok = self.peek()

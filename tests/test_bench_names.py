@@ -1,11 +1,14 @@
 """Every name of the package that the benchmark under ``perfbench/``
-reaches by name still exists.  The tracer finds its layers, counted
-methods and cache by name, and the worker imports the package; a rename
-here would break the benchmark, not the package.  The benchmark files
-are parsed, never imported, so running this test writes nothing there."""
+reaches by name still exists, and every command line it issues parses.
+The tracer finds its layers, counted methods and cache by name, and the
+worker imports the package; a rename here would break the benchmark, not
+the package.  The benchmark files are parsed or executed from their
+source, never imported, so running this test writes nothing there."""
 
 import ast
 import importlib
+import itertools
+import json
 import pathlib
 from fractions import Fraction
 
@@ -111,3 +114,30 @@ def test_worker_imports_exist():
     # the worker sorts factors by the algebra's key and runs the CLI
     assert callable(OpeAlgebra.factor_key)
     assert callable(wbrst.cli.main)
+
+
+def test_every_benchmark_command_parses_without_argparse(tmp_path):
+    # every command line of every workload, seeds 1-3 and passes 0-2 (the
+    # derive_brst library calls aside), takes the CLI's plain-argv path:
+    # the option spellings the benchmark issues stay valid, and no
+    # benchmark command pays for building the argparse tree.  The module
+    # is executed from its source, not imported, and its .qla files go
+    # to tmp_path
+    source = BENCH / "generate.py"
+    generate = {}
+    exec(compile(source.read_text(encoding="utf-8"), str(source), "exec"),
+         generate)
+    answers = json.loads((BENCH / "known_answers.json").read_text(
+        encoding="utf-8"))
+    data = pathlib.Path(wbrst.cli.__file__).parent / "data"
+    argvs = []
+    for name, seed, k in itertools.product(("cft", "qla", "oracle"),
+                                           (1, 2, 3), range(3)):
+        workdir = tmp_path / f"{name}-{seed}-{k}"
+        workdir.mkdir()
+        argvs += [argv for check in generate["workload"](
+                      name, seed, k, answers, data, workdir)
+                  for argv in check["commands"] if argv[0] != "derive_brst"]
+    assert {argv[0] for argv in argvs} == {"cft", "qla", "oracle"}
+    assert [argv for argv in argvs
+            if wbrst.cli._match(argv + ["--json"]) is None] == []

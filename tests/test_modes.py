@@ -10,7 +10,7 @@ import pytest
 from wbrst.algebras import ghost_stress, w32_ghosts, w3_ghosts
 from wbrst.fields import FieldExpr, Monomial
 from wbrst.modes import (BcSystem, FockSlice, ModeError, ModeMatrix,
-                         _mode_cap, _mono_weight, _prefactor, _sample_solver,
+                         _mono_weight, _prefactor, _sample_solver,
                          crosscheck, crosscheck_bundle, field_modes,
                          ope_poles_from_modes,
                          stress_central_charge, systems_from_algebra)
@@ -125,6 +125,18 @@ def test_modes_beyond_the_slice_level():
     poles = ope_poles_from_modes(_mono("b"), _mono("c"), 0, slc, max_pole=12)
     assert poles[1] == _identity(slc)
     assert all(poles[n].is_zero for n in range(2, 13))
+
+
+def test_a_deep_mode_keeps_the_tables():
+    # every mode has its own bit, so a mode far below the slice level adds
+    # its entries beside those of the modes applied before it
+    expr = _sum({(("b", 0), ("c", 1)): -2, (("b", 1), ("c", 0)): -1})
+    slc = FockSlice([SYS2], 3)
+    first = field_modes(expr, 0, slc)
+    field_modes(expr, -40, slc)
+    entries = slc.tabulated()
+    assert field_modes(expr, 0, slc) == first
+    assert slc.tabulated() == entries
 
 
 @pytest.mark.parametrize("systems,level", [
@@ -477,16 +489,20 @@ def _reference_plan(slc, factors, n, s, lv, memo):
 
 def _reference_modes(mono, m, slc):
     """field_modes of a monomial through the reference double sum, as
-    [(basis state, [(output, value), ...])]."""
+    [(basis state, [(output, value), ...])], each value times the signs
+    that reorder the two bitmask states into tuple states."""
     h = _mono_weight(slc, mono.factors)
-    slc._fit(_mode_cap(slc, slc._compile(mono), m))
     memo, cols = {}, []
-    for state, s, lv in zip(slc.basis, slc._states, slc._lvs):
+    for s, lv in zip(slc._states, slc._lvs):
         col = {}
         if (m + h).denominator == 1:
             col = _reference_plan(slc, mono.factors, int(m + h), s, lv, memo)
-        cols.append((state, [(slc._tuple(o), Fraction(v))
-                             for o, v in col.items()]))
+        state, sign = slc._tuple(s)
+        out = []
+        for o, v in col.items():
+            o, osign = slc._tuple(o)
+            out.append((o, Fraction(sign * osign * v)))
+        cols.append((state, out))
     return cols
 
 
@@ -681,9 +697,10 @@ def test_self_pair_pole_mutation_is_detected(monkeypatch, name, pair, pole):
 
 def test_tabulated_entries_are_pinned(monkeypatch):
     # the (offset, state) entries each slice of the bundle has tabulated:
-    # the crosscheck slice and the central-charge slice of each system; a
-    # second walk of the stress tensor's terms would add to them.  One
-    # usable CPU keeps every slice in this process, where it is counted
+    # the crosscheck slice and the central-charge slice of each system,
+    # each holding that system alone; a second walk of the stress tensor's
+    # terms would add to them.  One usable CPU keeps every slice in this
+    # process, where it is counted
     from wbrst.algebras import load_bundled
     _usable_cpus(monkeypatch, 1)
     slices = []
@@ -696,5 +713,6 @@ def test_tabulated_entries_are_pinned(monkeypatch):
     monkeypatch.setattr("wbrst.modes.FockSlice", Recorded)
     rep = crosscheck_bundle(load_bundled("w3_ghosts_free"), 4)
     assert rep["ok"]
+    assert [len(s.systems) for s in slices] == [1, 1, 1, 1]
     assert [(len(s.basis), s.tabulated()) for s in slices] == [
         (64, 3541), (18, 454), (126, 7248), (18, 504)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ALG_FILES, QLA_FILES, load_alg, read_data
+from wbrst.brst import CurrentFile
 from wbrst.fields import FieldExpr
 from wbrst.parsing import (MAX_NESTING, ParseError, format_algebra_file,
                            format_field_expr, format_monomial,
@@ -280,6 +281,10 @@ def test_qla_file_faults_name_the_line(text, line):
     assert exc.value.line == line
 
 
+def _current(text):
+    return CurrentFile(text).current()
+
+
 @pytest.mark.parametrize("parse, text, line, column", [
     # 0-based columns from the start of the line to the token itself, not
     # to the whitespace before it
@@ -290,7 +295,15 @@ def test_qla_file_faults_name_the_line(text, line):
     (parse_algebra_file, "algebra x\nfield T weight=2\ndef k = 2*q\n", 3, 10),
     (parse_qla_file, "dim 1\nc 1 1 1 = 2*q\n", 2, 12),
     (parse_qla_file, "dim 1\n   sigma 1 1 1 1 =  2*q  # a = 1\n", 2, 22),
-], ids=["ope", "ope-indented-second-pole", "def", "qla", "qla-indented"])
+    # input that ends inside an expression: the column just past its last
+    # character, before any trailing space, comment or next pole
+    (parse_algebra_file, "algebra x\nfield T weight=2\ndef k = 2*\n", 3, 10),
+    (parse_algebra_file, "algebra x\nfield T weight=2\n"
+     "ope T T : 2 -> N(T,  ; 1 -> D(T)\n", 3, 19),
+    (_current, "tables w3 w3_ghosts\nterm N(cT,T) +  # open\n", 2, 14),
+    (parse_qla_file, "dim 1\nc 1 1 1 = 2*  \n", 2, 12),
+], ids=["ope", "ope-indented-second-pole", "def", "qla", "qla-indented",
+        "def-end", "ope-end", "term-end", "qla-end"])
 def test_fault_columns_count_from_the_line_start(parse, text, line, column):
     with pytest.raises(ParseError) as exc:
         parse(text)
