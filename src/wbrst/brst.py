@@ -114,7 +114,11 @@ class CurrentFile:
             line = raw.split("#", 1)[0].rstrip()
             head, _, rest = line.strip().partition(" ")
             if head == "tables" and self.tables is None:
-                self.tables = {t: _table(t, lineno) for t in rest.split()}
+                self.tables = {}
+                for t in rest.split():
+                    if t in self.tables:
+                        raise ParseError(f"table {t!r} given twice", lineno)
+                    self.tables[t] = _table(t, lineno)
                 self.params = [*dict.fromkeys(
                     p for _, ps in self.tables.values() for p in ps)]
             elif head == "default" and self.tables:

@@ -7,8 +7,11 @@ and the reordering/quasi-associativity corrections for normal products.
 Each rule is one closed sum: every pole it reads feeds the poles it
 reaches directly, with no scan up to a top pole, and the derivatives of
 a pole are taken one step at a time, so a thousand derivative orders
-need no recursion.  Everything is memoized per context; coefficients
-stay exact rational functions of the declared parameters.  The exact
+need no recursion.  Everything is memoized per context, and every sum
+goes through one accumulator, ``OpeContext._add``, which meters the work:
+a public call (``ope``, ``normal_product``, ``derivative``) that adds
+more than ``MAX_FUEL`` terms raises ``EngineError``.  Coefficients stay
+exact rational functions of the declared parameters.  The exact
 constants of the rules (the signs over l!, 1/l!, the binomials, the
 rising factorials and the exchange weights) are built once each as
 ``RationalFunction``s, so a rule application makes no ``Fraction`` and
@@ -45,6 +48,11 @@ def _const(n: int, d: int = 1) -> RationalFunction:
     return RationalFunction.const(Fraction(n, d))
 
 
+# The most terms one public call may add into its sums: thirty times the
+# most that a benchmark check, or a test other than a deep nest, adds.
+MAX_FUEL = 1_000_000
+
+
 class EngineError(WbrstError):
     pass
 
@@ -52,19 +60,12 @@ class EngineError(WbrstError):
 class OpeContext:
     """Memoized evaluator bound to one frozen algebra."""
 
-    def __init__(self, algebra: OpeAlgebra, fuel_limit: int = 5_000_000):
+    def __init__(self, algebra: OpeAlgebra):
         self.algebra = algebra
-        self.fuel_limit = fuel_limit
         self._fuel = 0
         self._ope_memo = {}
         self._nprod_memo = {}
         self._deriv_memo = {}
-
-    def _tick(self):
-        self._fuel += 1
-        if self._fuel > self.fuel_limit:
-            raise EngineError("rewriting fuel exhausted; "
-                              "the computation does not close in budget")
 
     def _zero(self):
         return FieldExpr.zero(self.algebra)
@@ -88,7 +89,7 @@ class OpeContext:
             for m2, c2 in y.terms.items():
                 k = c1 * c2
                 for n, e in self.ope_mono(m1, m2).items():
-                    _add_expr(out.setdefault(n, {}), e, k)
+                    self._add(out.setdefault(n, {}), e, k)
         return self._poles(out)
 
     def _self_ope(self, x: FieldExpr, p: int) -> dict:
@@ -98,15 +99,15 @@ class OpeContext:
         out, upper = {}, {}
         for i, (m1, c1) in enumerate(terms):
             for n, e in self.ope_mono(m1, m1).items():
-                _add_expr(out.setdefault(n, {}), e, c1 * c1)
+                self._add(out.setdefault(n, {}), e, c1 * c1)
             for m2, c2 in terms[i + 1:]:
                 k = c1 * c2
                 for n, e in self.ope_mono(m1, m2).items():
-                    _add_expr(upper.setdefault(n, {}), e, k)
+                    self._add(upper.setdefault(n, {}), e, k)
         upper = self._poles(upper)
         for half in (upper, self._flip(upper, p, p)):
             for n, e in half.items():
-                _add_expr(out.setdefault(n, {}), e)
+                self._add(out.setdefault(n, {}), e)
         return self._poles(out)
 
     def normal_product(self, x: FieldExpr, y: FieldExpr) -> FieldExpr:
@@ -124,7 +125,6 @@ class OpeContext:
         hit = self._ope_memo.get(key)
         if hit is not None:
             return hit
-        self._tick()
         if not self._contracts(m1, m2):
             out = {}
         elif len(m1) == 1 and len(m2) == 1:
@@ -167,7 +167,7 @@ class OpeContext:
                     e = self._dexpr(e, 1)
                 n = m + a + b - j
                 k = (-1) ** a * comb(b, j) * perm(n - 1, n - m)
-                _add_expr(out.setdefault(n, {}), e,
+                self._add(out.setdefault(n, {}), e,
                           None if k == 1 else _const(k))
         return self._poles(out)
 
@@ -191,7 +191,7 @@ class OpeContext:
             for n in range(l, 0, -1):
                 if n < l:
                     e = self._dexpr(e, 1)
-                _add_expr(out.setdefault(n, {}), e,
+                self._add(out.setdefault(n, {}), e,
                           _const(sign * (-1) ** l, factorial(l - n)))
         return self._poles(out)
 
@@ -206,11 +206,11 @@ class OpeContext:
                              and alg.decl(h[0]).parity) else 1)
         out = {}
         for n, e in self.ope_mono(a, t).items():
-            _add_expr(out.setdefault(n, {}), self._nexpr_factor(h, e), sign)
+            self._add(out.setdefault(n, {}), self._nexpr_factor(h, e), sign)
         for m, e in self.ope_mono(a, Monomial((h,))).items():
-            _add_expr(out.setdefault(m, {}), self._nexpr_right(e, t))
+            self._add(out.setdefault(m, {}), self._nexpr_right(e, t))
             for j, sub in self._ope_expr_mono(e, t).items():
-                _add_expr(out.setdefault(m + j, {}), sub,
+                self._add(out.setdefault(m + j, {}), sub,
                           _const(comb(m + j - 1, j)))
         return self._poles(out)
 
@@ -222,7 +222,6 @@ class OpeContext:
         hit = self._nprod_memo.get(key)
         if hit is not None:
             return hit
-        self._tick()
         alg = self.algebra
         if not m:
             out = FieldExpr._wrap(alg, {Monomial((f,)): RF_ONE})
@@ -243,11 +242,11 @@ class OpeContext:
                     sign = _const(-1 if odd_f and alg.decl(g[0]).parity
                                   else 1)
                     swapped = self.nmono_single(f, rest)
-                    _add_expr(acc, self._nexpr_factor(g, swapped), sign)
+                    self._add(acc, self._nexpr_factor(g, swapped), sign)
                 for l, e in self.ope_mono(Monomial((f,)),
                                           Monomial((g,))).items():
                     k = _const((-1) ** (l - 1), (1 + same) * factorial(l))
-                    _add_expr(acc, self._nexpr_right(self._dexpr(e, l), rest), k)
+                    self._add(acc, self._nexpr_right(self._dexpr(e, l), rest), k)
                 out = FieldExpr._wrap(self.algebra, acc)
         self._nprod_memo[key] = out
         return out
@@ -264,22 +263,21 @@ class OpeContext:
         hit = self._nprod_memo.get(key)
         if hit is not None:
             return hit
-        self._tick()
         alg = self.algebra
         h = m1[0]
         s = Monomial(m1[1:])
         # N(N(h, S), C) = N(h, N(S, C)) + quasi-associativity corrections
         acc = {}
-        _add_expr(acc, self._nexpr_factor(h, self.nmono2(s, m2)))
+        self._add(acc, self._nexpr_factor(h, self.nmono2(s, m2)))
         for l, e in self.ope_mono(s, m2).items():
             dh = (h[0], h[1] + l)
-            _add_expr(acc, self._nexpr_factor(dh, e), _const(1, factorial(l)))
+            self._add(acc, self._nexpr_factor(dh, e), _const(1, factorial(l)))
         ph = alg.decl(h[0]).parity
         ps = alg.mono_parity(s)
         sign = -1 if ph and ps else 1
         for l, e in self.ope_mono(Monomial((h,)), m2).items():
             ds = self._dexpr(FieldExpr._wrap(alg, {s: RF_ONE}), l)
-            _add_expr(acc, self._nexpr2(ds, e), _const(sign, factorial(l)))
+            self._add(acc, self._nexpr2(ds, e), _const(sign, factorial(l)))
         out = FieldExpr._wrap(self.algebra, acc)
         self._nprod_memo[key] = out
         return out
@@ -288,7 +286,6 @@ class OpeContext:
         hit = self._deriv_memo.get(m)
         if hit is not None:
             return hit
-        self._tick()
         if not m:
             out = self._zero()
         elif len(m) == 1:
@@ -299,8 +296,8 @@ class OpeContext:
             h = m[0]
             rest = Monomial(m[1:])
             acc = {}
-            _add_expr(acc, self.nmono_single((h[0], h[1] + 1), rest))
-            _add_expr(acc, self._nexpr_factor(h, self.deriv_mono(rest)))
+            self._add(acc, self.nmono_single((h[0], h[1] + 1), rest))
+            self._add(acc, self._nexpr_factor(h, self.deriv_mono(rest)))
             out = FieldExpr._wrap(self.algebra, acc)
         self._deriv_memo[m] = out
         return out
@@ -311,50 +308,53 @@ class OpeContext:
         for _ in range(k):
             acc = {}
             for m, c in x.terms.items():
-                _add_expr(acc, self.deriv_mono(m), c)
+                self._add(acc, self.deriv_mono(m), c)
             x = FieldExpr._wrap(self.algebra, acc)
         return x
 
     def _nexpr_factor(self, f, x: FieldExpr) -> FieldExpr:
         acc = {}
         for m, c in x.terms.items():
-            _add_expr(acc, self.nmono_single(f, m), c)
+            self._add(acc, self.nmono_single(f, m), c)
         return FieldExpr._wrap(self.algebra, acc)
 
     def _nexpr_right(self, x: FieldExpr, m2: Monomial) -> FieldExpr:
         acc = {}
         for m, c in x.terms.items():
-            _add_expr(acc, self.nmono2(m, m2), c)
+            self._add(acc, self.nmono2(m, m2), c)
         return FieldExpr._wrap(self.algebra, acc)
 
     def _nexpr2(self, x: FieldExpr, y: FieldExpr) -> FieldExpr:
         acc = {}
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
-                _add_expr(acc, self.nmono2(m1, m2), c1 * c2)
+                self._add(acc, self.nmono2(m1, m2), c1 * c2)
         return FieldExpr._wrap(self.algebra, acc)
 
     def _ope_expr_mono(self, x: FieldExpr, m2: Monomial) -> dict:
         out = {}
         for m, c in x.terms.items():
             for n, e in self.ope_mono(m, m2).items():
-                _add_expr(out.setdefault(n, {}), e, c)
+                self._add(out.setdefault(n, {}), e, c)
         return self._poles(out)
 
-
-def _add_expr(dst: dict, x: FieldExpr, k: RationalFunction = None):
-    """``dst += k x`` term by term (``k`` None: unscaled).  ``dst`` is a
-    dict of terms the caller has just made; ``x`` is never written.  The
-    terms of ``x`` and ``k`` are nonzero, so a new key never gets zero;
-    a key whose sum is zero is dropped."""
-    get = dst.get
-    for m, v in x.terms.items():
-        if k is not None:
-            v = v * k
-        cur = get(m)
-        if cur is None:
-            dst[m] = v
-        elif v := cur + v:
-            dst[m] = v
-        else:
-            del dst[m]
+    def _add(self, dst: dict, x: FieldExpr, k: RationalFunction = None):
+        """``dst += k x`` term by term (``k`` None: unscaled), one unit of
+        fuel per term.  ``dst`` is a dict of terms the caller has just made;
+        ``x`` is never written.  Its terms and ``k`` are nonzero, so a new
+        key never gets zero; a key whose sum is zero is dropped."""
+        self._fuel += len(x.terms)
+        if self._fuel > MAX_FUEL:
+            raise EngineError("rewriting fuel exhausted: the computation "
+                              f"adds more than {MAX_FUEL} terms")
+        get = dst.get
+        for m, v in x.terms.items():
+            if k is not None:
+                v = v * k
+            cur = get(m)
+            if cur is None:
+                dst[m] = v
+            elif v := cur + v:
+                dst[m] = v
+            else:
+                del dst[m]

@@ -867,10 +867,13 @@ def crosscheck_bundle(algebra, level, modes=(0,)) -> dict:
 
 
 def stress_central_charge(t, system, level=2) -> Fraction:
-    """Twice the vacuum coefficient of the fourth pole of the stress
-    self-product, reconstructed from mode commutators alone."""
-    poles, den = _pole_columns(t, t, 0, FockSlice([system], level), 6)
-    return Fraction(2 * poles[3][0].get(0, 0), den)  # the vacuum is 0
+    """c = 2 <0|L_2 L_-2|0>, the vacuum value of the modes of t alone
+    (offsets 4 and 0 of a weight-2 field) on a slice of ``level``."""
+    slc = FockSlice([system], level)
+    ex, lv = _single(slc, t), slc._lvs[0]  # the vacuum is state 0, first
+    vev = sum(v * _apply(slc, ex, 4, s, lv + ex.dweight).get(0, 0)
+              for s, v in _apply(slc, ex, 0, 0, lv).items())
+    return Fraction(2 * vev, ex.den ** 2)
 
 
 def _label(x):

@@ -367,14 +367,16 @@ def antisymmetrizer_projectors(braid: Mat, n: int, kmax: int) -> dict:
     return mats
 
 
-def higher_phi_mat(d: QlaData, m: int) -> Mat:
-    """phi_{1..m} = (phi_1 .. phi_{m-1})(phi_1 .. phi_{m-2}) ... phi_1."""
-    emb = [embed(d.phi, d.n, m, j) for j in range(m - 1)]
-    out = Mat.identity(d.n ** m)
-    for top in range(m - 1, 0, -1):
-        for j in range(top):
-            out = out @ emb[j]
-    return out
+def higher_phi_mats(d: QlaData, mmax: int) -> dict:
+    """phi_{1..m} for m = 2 .. mmax, by the recurrence phi_{1..m} =
+    (phi_1 .. phi_{m-1})(phi_{1..m-1} (x) 1) from phi_{1..2} = phi_1; the
+    chain phi_1 .. phi_{m-1} grows by one product per m as well."""
+    n, chain = d.n, d.phi
+    mats = {2: chain}
+    for m in range(3, mmax + 1):
+        chain = embed(chain, n, m, 0) @ embed(d.phi, n, m, m - 2)
+        mats[m] = chain @ embed(mats[m - 1], n, m, 0)
+    return mats
 
 
 def check_proof_identities(d: QlaData) -> AxiomReport:
@@ -385,7 +387,7 @@ def check_proof_identities(d: QlaData) -> AxiomReport:
     s, st = d.sigma, d.sigma_tilde
 
     # phi_{1..m} sigma_{1+k} = sigmatilde_{m-k-1} phi_{1..m}
-    bigs = {m: higher_phi_mat(d, m) for m in (2, 3, 4)}
+    bigs = higher_phi_mats(d, 4)
     for m, big in bigs.items():
         for k in range(m - 1):
             lhs = big @ embed(s, n, m, k)

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -568,6 +569,18 @@ def test_deep_nesting_is_bad_input(tmp_path, capsys):
     assert "nested deeper" in err and "line 3" in err
 
 
+def test_runaway_normal_product_spends_its_fuel(capsys):
+    # the rules would take minutes to parse this nest of ten fields; the
+    # engine's fuel meter stops them, as bad input, within seconds
+    nest = "N(W," * 9 + "T" + ")" * 9
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cft", "ope", "w3", nest, "one",
+                         "--set", "c=100")
+    assert time.perf_counter() - start < 10
+    _no_traceback(code, err)
+    assert out == "" and "rewriting fuel exhausted" in err
+
+
 def _mutated_qla(tmp_path, name, old, new):
     from conftest import read_data
     text = read_data(f"{name}.qla")
@@ -730,6 +743,11 @@ def test_current_file_on_the_w3_table_takes_every_option(capsys):
     ("term N(cT,T)\n", "brst", "missing 'tables NAME ...' line at line 1"),
     ("tables w3 w5_ghosts\nterm N(cT,T)\n", "brst",
      "unknown table 'w5_ghosts' at line 1"),
+    # a table named twice is refused, not merged into one
+    ("# w3 twice\ntables w3 w3\nterm N(cT,T)\n", "brst",
+     "table 'w3' given twice at line 2"),
+    ("tables w3 w3_ghosts w3\nterm N(cT,T)\n", "critical",
+     "table 'w3' given twice at line 1"),
     ("tables w3 w3_ghosts\ndefault k=1\n", "brst",
      "default 'k' is not a new parameter of the tables at line 2"),
     ("tables w3 w3_ghosts\ndefault c=1 g1=0\ndefault c=2\n", "brst",

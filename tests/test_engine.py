@@ -419,13 +419,14 @@ def test_memoized_expressions_hold_no_zero_coefficient(make, numeric):
 
 
 @pytest.mark.parametrize("g1, g2, c, sizes, fuel", [
-    (0, 0, 100, (484, 391, 85), 916),
-    (None, None, None, (1077, 834, 104), 1964),
+    (0, 0, 100, (484, 391, 85), 2314),
+    (None, None, None, (1077, 834, 104), 7731),
 ])
 def test_self_product_rewrites_as_recorded(g1, g2, c, sizes, fuel):
     # the memo sizes after building the current and squaring it, and the
-    # rule applications of the square: a change to how the engine stores
-    # its data must leave the work it does as it is
+    # fuel of the square, the terms its rules add into their sums: a
+    # change to how the engine stores its data must leave the work it
+    # does as it is
     q = brst_w3(g1, g2, c=c)
     q.self_product
     ctx = q.context

@@ -3,8 +3,9 @@
 Every CLI example of README.md, plus the fully symbolic BRST and critical
 charge reports, the critical root of the as-printed table and of
 non-conventional ghosts, four numeric BRST reports (one obstructed), a
-numeric W W product, the W3^(2) ghost oracle and a failing axiom check,
-must print exactly the recorded bytes.
+numeric W W product, a product of a depth-5 nested normal product, the
+W3^(2) ghost oracle and a failing axiom check, must print exactly the
+recorded bytes.
 ``tests/golden/oracle_crosscheck_digests.json`` holds the sha256 of the
 ``oracle crosscheck TABLE --level L --json`` stdout of both free ghost
 tables at levels 0 to 8, where the whole reports are too long to keep.
@@ -88,6 +89,8 @@ COMMANDS = (
     "cft brst w3 --symbolic-c --g1 1/3 --g2 2/5",
     # a numeric OPE with W on both sides
     "cft ope w3 W W --set c=33",
+    # a nested normal product: deeper ones spend the engine's fuel
+    "cft ope w3 N(W,N(W,N(W,N(W,T)))) T --set c=100",
 )
 
 
