@@ -16,7 +16,7 @@ from math import comb, lcm
 from .engine import OpeContext
 from .errors import WbrstError
 from .fields import FieldExpr, Monomial, OpeAlgebra
-from .linalg import solve
+from .linalg import normal_form, rref
 from .scalars import RF_ONE, RF_ZERO, RationalFunction
 
 
@@ -95,38 +95,41 @@ def weight_basis(algebra: OpeAlgebra, weight, parity=None, ghost=None):
 
 
 def derivative_system(ctx: OpeContext, weight, parity, ghost, extra):
-    """(basis, targets, matrix) of the derivative on one slice: basis is
-    the ``weight_basis`` of the given weight, parity and ghost number,
-    targets numbers the monomials of ``extra`` and of the derivatives of
-    the basis in ``mono_key`` order, and row targets[t] of matrix is the
-    sparse row {m: coefficient of t in the derivative of basis[m]} that
-    ``linalg`` reduces.  Every derivative system the package solves is
-    built here; only ``derive_brst``'s gauge builds its own images."""
+    """(basis, targets, rows) of the derivative on one slice: basis is the
+    ``weight_basis`` of the given weight, parity and ghost number, targets
+    numbers the monomials of ``extra`` and of the derivatives of the basis
+    in ``mono_key`` order, and rows[m] is the derivative of basis[m] as
+    the sparse row {targets[t]: coefficient of t}.  Every derivative image
+    the package reduces is built here; its normal form modulo these rows
+    (``linalg.normal_form``) clears the targets in ``mono_key`` order."""
     alg = ctx.algebra
     basis = weight_basis(alg, weight, parity=parity, ghost=ghost)
     images = [ctx.derivative(FieldExpr(alg, {m: RF_ONE})) for m in basis]
     targets = set(extra).union(*(im.terms for im in images))
     targets = {t: i for i, t in enumerate(sorted(targets, key=alg.mono_key))}
-    matrix = [{} for _ in targets]
-    for m, im in enumerate(images):
-        for t, v in im.terms.items():
-            matrix[targets[t]][m] = v
-    return basis, targets, matrix
+    rows = [{targets[t]: v for t, v in im.terms.items()} for im in images]
+    return basis, targets, rows
 
 
 def is_total_derivative(ctx: OpeContext, expr: FieldExpr):
-    """(True, preimage) when expr equals the derivative of some field of
-    one weight less with the same parity and ghost number."""
+    """(True, preimage) when expr is the derivative of a field of one weight
+    less with its parity and ghost number, else (False, None): the normal
+    form of expr modulo the derivative rows, each with a unit block, is
+    zero over the targets, and minus its unit block is the preimage."""
     if expr.is_zero:
         return True, expr
     w, p, g = expr.weight(), expr.parity(), expr.ghost()
     if w is None or p is None or g is None:
         raise AnalysisError("expression is not homogeneous")
-    basis, targets, matrix = derivative_system(ctx, w - 1, p, g, expr.terms)
-    x = solve(matrix, {targets[t]: v for t, v in expr.terms.items()})
-    if x is None:
+    basis, targets, rows = derivative_system(ctx, w - 1, p, g, expr.terms)
+    n = len(targets)
+    red, pivots = rref([{**row, n + m: 1} for m, row in enumerate(rows)], n)
+    rest = normal_form(red, pivots,
+                       {targets[t]: v for t, v in expr.terms.items()})
+    if any(j < n for j in rest):
         return False, None
-    return True, FieldExpr(ctx.algebra, {basis[m]: v for m, v in x.items()})
+    return True, FieldExpr(ctx.algebra,
+                           {basis[j - n]: -v for j, v in rest.items()})
 
 
 # -- identities ------------------------------------------------------------

@@ -3,10 +3,10 @@ central charges, the conventional-form parameter point, and an
 ansatz-based derivation of a current.
 
 A current is a ``.brst`` file, read by ``CurrentFile``.  Nilpotency and
-the critical charges read one row reduction per current,
-``BrstCurrent.reduction``: its pivot rows give the derivative preimage of
-pole 1 of J(z)J(w), its rows below the rank the obstructions, whose
-common zero ``common_zeros`` solves for.
+the critical charges read one normal form per current,
+``BrstCurrent.reduction``: pole 1 of J(z)J(w) modulo total derivatives,
+the obstruction, whose coefficients' common zero ``common_zeros`` solves
+for.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .algebras import A2_MODES, bundle, bundled_text
 from .analysis import derivative_system, weight_basis
 from .errors import WbrstError
 from .fields import FieldExpr, OpeAlgebra
-from .linalg import rref, solve, solve_columns
+from .linalg import normal_form, rref
 from .parsing import (ParseError, _number, format_field_expr,
                       parse_algebra_file, parse_field_expr)
 from .scalars import (PoleError, RF_ONE, RF_ZERO, common_zeros, _add_into,
@@ -53,18 +53,17 @@ class BrstCurrent:
 
     @cached_property
     def reduction(self):
-        """(basis, matrix, rhs, x, obstructions): the derivative system of
-        the first pole of ``self_product`` on the weight-0, ghost-number-2,
-        even slice, and its one ``solve_columns`` reduction.  Pole 1 is
-        the derivative of sum_m x_m m exactly when there are no
-        obstructions.  Built once per current and shared like
-        ``self_product``, so no reader may change it."""
+        """(targets, rows, pole1, normal): the ``derivative_system`` of
+        pole 1 of ``self_product`` on the weight-0, ghost-number-2, even
+        slice, pole 1 as a vector over its targets, and the normal form of
+        pole 1 modulo the rows, zero exactly when pole 1 is a total
+        derivative.  Shared like ``self_product``: no reader may change it."""
         pole1 = self.self_product.get(1, FieldExpr.zero(self.algebra))
-        basis, targets, matrix = derivative_system(self.context, 0, 0, 2,
-                                                   pole1.terms)
-        rhs = {targets[t]: v for t, v in pole1.terms.items()}
-        (x, obstructions), = solve_columns(matrix, [rhs])
-        return basis, matrix, rhs, x, obstructions
+        _, targets, rows = derivative_system(self.context, 0, 0, 2,
+                                             pole1.terms)
+        pole1 = {targets[t]: v for t, v in pole1.terms.items()}
+        normal = normal_form(*rref(rows, len(targets)), pole1)
+        return list(targets), rows, pole1, normal
 
 
 @dataclass
@@ -175,27 +174,23 @@ def nilpotency(q: BrstCurrent) -> NilpotencyReport:
     """The charge squares to zero exactly when the first pole of the
     current's self-product is a total derivative; higher poles are
     reported but impose no condition on the charge."""
-    poles = q.self_product
-    basis, _, _, x, obstructions = q.reduction
-    if not obstructions:
-        return NilpotencyReport("nilpotent", poles, FieldExpr.zero(q.algebra))
-    best = FieldExpr(q.algebra, {basis[m]: v for m, v in x.items()})
-    return NilpotencyReport("obstructed", poles,
-                            poles[1] - q.context.derivative(best))
+    targets, _, _, normal = q.reduction
+    return NilpotencyReport("obstructed" if normal else "nilpotent",
+                            q.self_product, FieldExpr(q.algebra, {
+                                targets[t]: v for t, v in normal.items()}))
 
 
 # -- critical charge --------------------------------------------------------
 
 
 def critical_charge(q: BrstCurrent, param="c"):
-    """{value} of the parameter at which the charge becomes nilpotent, the
-    common zero of the obstructions' numerators, re-checked there; set()
-    when there is none or the check fails; None with no obstructions.
-    Zeros not one rational value (several, irrational, or depending on
-    other names) raise BrstError; no bundled current has them."""
-    _, matrix, rhs, _, obstructions = q.reduction
+    """{value} of the parameter where the charge becomes nilpotent: the common
+    zero of the numerators of the obstruction's coefficients, re-checked there;
+    set() when there is none or the check fails; None with no obstruction.
+    Zeros not one rational value (several, irrational, or depending on other
+    names) raise BrstError; no bundled current has them."""
     eqs = [{(): _canonical(o.num, o.num.ring.one)}
-           for o in obstructions.values()]
+           for o in q.reduction[3].values()]
     outcome, point = common_zeros(eqs, 0, (param,))
     if outcome == "none":
         return set()
@@ -205,20 +200,22 @@ def critical_charge(q: BrstCurrent, param="c"):
         raise BrstError(f"the obstructions vanish at no single rational "
                         f"value of {param}")
     value = point[param].constant_value()
-    return {value} if _verify_root(matrix, rhs, param, value) else set()
+    return {value} if _verify_root(q.reduction, param, value) else set()
 
 
-def _verify_root(matrix, rhs, param, value) -> bool:
-    """Re-check a value on the linear system specialized there: the generic
-    reduction misses a rank drop at the value, and a pole there, as of a
-    denominator the obstructions' numerators cleared, rejects it."""
+def _verify_root(reduction, param, value) -> bool:
+    """Re-reduce pole 1 with the rows specialized at the value: the generic
+    reduction misses a rank drop there, and a pole there, as of a
+    denominator the coefficients' numerators cleared, rejects it."""
+    targets, rows, pole1, _ = reduction
     at = {param: value}
     try:
-        m = [{j: v for j, a in row.items() if (v := a.substitute(at))}
-             for row in (*matrix, rhs)]
+        *rows, pole1 = [{j: v for j, a in row.items()
+                         if (v := a.substitute(at))}
+                        for row in (*rows, pole1)]
     except PoleError:
         return False
-    return solve(m[:-1], m[-1]) is not None
+    return not normal_form(*rref(rows, len(targets)), pole1)
 
 
 # -- conventional form ------------------------------------------------------
@@ -276,24 +273,22 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
     and ansatz monomials) once, an off-diagonal pair weighted by 2.  For
     odd members, [m_j m_i]_1 - [m_i m_j]_1 is, by the exchange formula, a
     total derivative of a field in the weight-0, ghost-number-2, even
-    slice, whose monomials are already derivative images: the cokernel is
-    the same, and every cokernel vector annihilates it.
+    slice, so both orders have the same normal form modulo total
+    derivatives.
     """
     ctx = algebra.context()
     lead = [(m, RF_ONE) for m in leading] + [(m, RF_ZERO) for m in pinned]
-    # gauge: remove the image of the derivative from the ansatz.  The
-    # derivative maps the weight-0 slice into the weight-1 slice, and the
-    # pivots of the images, taken as rows, are the derivative directions
-    basis = weight_basis(algebra, 1, parity=1, ghost=1)
-    index = {m: i for i, m in enumerate(basis)}
+    # gauge: the derivative maps the weight-0 slice into the weight-1
+    # slice, its targets, and the pivots of its rows are the derivative
+    # directions, which the ansatz leaves out
+    _, index, rows = derivative_system(
+        ctx, 0, 1, 1, weight_basis(algebra, 1, parity=1, ghost=1))
+    basis = list(index)
     for m, _ in lead:
         if m not in index:
             raise BrstError(f"leading term {m.factors} is not in the "
                             "weight-1 slice")
-    images = [ctx.derivative(FieldExpr(algebra, {m: RF_ONE}))
-              for m in weight_basis(algebra, 0, parity=1, ghost=1)]
-    _, pivots = rref([{index[t]: v for t, v in im.terms.items()}
-                      for im in images], len(basis))
+    _, pivots = rref(rows, len(basis))
     lead_idx = {index[m] for m, _ in lead}
     if lead_idx & set(pivots):
         raise BrstError("a leading term is itself a total derivative "
@@ -331,11 +326,11 @@ def derive_brst(algebra: OpeAlgebra, leading, pinned=(), max_degree=None):
 
 def _nilpotency_equations(ctx, members):
     """The conditions for the current sum of ``members`` to square to zero:
-    the obstructions of the first pole of [J J] modulo the derivative
-    image of the weight-0, ghost-number-2, even slice, one condition per
-    cokernel vector.  One ``solve_columns`` reduction takes pole 1 of each
-    unordered member pair as a column.  Each condition is a polynomial in
-    the unknowns, {sorted tuple of unknown indices (multiplicity allowed):
+    the coefficients of the normal form of pole 1 of [J J] modulo the
+    derivatives of the weight-0, ghost-number-2, even slice, one per
+    target in ``mono_key`` order, from one ``rref`` and the normal form of
+    pole 1 of each unordered member pair.  Each is a polynomial in the
+    unknowns, {sorted tuple of unknown indices (multiplicity allowed):
     RationalFunction}; the zero ones are dropped."""
     pairs = []
     for i, (mi, _, _) in enumerate(members):
@@ -343,12 +338,11 @@ def _nilpotency_equations(ctx, members):
             e = ctx.ope_mono(mi, members[j][0]).get(1)
             if e is not None:
                 pairs.append((i, j, e.terms))
-    _, targets, dmat = derivative_system(
+    _, targets, rows = derivative_system(
         ctx, 0, 0, 2, {m for _, _, terms in pairs for m in terms})
-    columns = solve_columns(dmat, [{targets[m]: v for m, v in terms.items()}
-                                   for _, _, terms in pairs])
+    red, pivots = rref(rows, len(targets))
     equations = {}
-    for (i, j, _), (_, obstructions) in zip(pairs, columns):
+    for i, j, terms in pairs:
         # the pair's monomial in the unknowns, and its known coefficients
         # (an off-diagonal pair twice)
         (_, ci, ki), (_, cj, kj) = members[i], members[j]
@@ -357,6 +351,7 @@ def _nilpotency_equations(ctx, members):
         for c in (ci, cj):
             if c is not None:
                 scale = scale * c
-        for yi, val in obstructions.items():
-            _add_into(equations.setdefault(yi, {}), key, val * scale)
+        for t, val in normal_form(red, pivots, {
+                targets[m]: v for m, v in terms.items()}).items():
+            _add_into(equations.setdefault(t, {}), key, val * scale)
     return [eq for _, eq in sorted(equations.items()) if eq]

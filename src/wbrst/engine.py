@@ -10,12 +10,13 @@ a pole are taken one step at a time, so a thousand derivative orders
 need no recursion.  Everything is memoized per context, and every sum
 goes through one accumulator, ``OpeContext._add``, which meters the work:
 a public call (``ope``, ``normal_product``, ``derivative``) that adds
-more than ``MAX_FUEL`` terms raises ``EngineError``.  Coefficients stay
-exact rational functions of the declared parameters.  The exact
-constants of the rules (the signs over l!, 1/l!, the binomials, the
-rising factorials and the exchange weights) are built once each as
-``RationalFunction``s, so a rule application makes no ``Fraction`` and
-converts no number.
+more than ``MAX_FUEL`` terms raises ``EngineError`` and empties the
+context's memos, so a retry is refused like the first call.
+Coefficients stay exact rational functions of the declared parameters.
+The exact constants of the rules (the signs over l!, 1/l!, the
+binomials, the rising factorials and the exchange weights) are built
+once each as ``RationalFunction``s, so a rule application makes no
+``Fraction`` and converts no number.
 
 Every singular term of a product of normal-ordered monomials needs at
 least one contraction between their factors (the generalized Wick
@@ -345,6 +346,9 @@ class OpeContext:
         key never gets zero; a key whose sum is zero is dropped."""
         self._fuel += len(x.terms)
         if self._fuel > MAX_FUEL:
+            # memo hits spend no fuel: no retry may find this call's memos
+            for memo in (self._ope_memo, self._nprod_memo, self._deriv_memo):
+                memo.clear()
             raise EngineError("rewriting fuel exhausted: the computation "
                               f"adds more than {MAX_FUEL} terms")
         get = dst.get

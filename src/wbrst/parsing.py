@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice, product
 from math import comb
 
 from .engine import OpeContext
@@ -403,13 +404,15 @@ def _parse_table(algebra, def_lines, ope_lines, bindings):
     """Read the ``def`` and ``ope`` lines of a definition file into
     ``algebra``: each def's value joins the scope of the later defs and of
     every ope line.  Each line comes with the column where its ``rest``
-    starts."""
+    starts.  A pole is normal-ordered with the products stored so far, so
+    a line that gives a product an earlier line (or its own) read is refused."""
     scope = _param_scope(algebra.params, bindings)
     for lineno, rest, at in def_lines:
         dname, _, dexpr = rest.partition("=")
         scope[dname.strip()] = _parse(dexpr, lineno, scope,
                                       column=at + len(dname) + 1)
     scratch = OpeContext(algebra)
+    read, seen = {}, 0  # each generator pair: the first line that read it
     for lineno, rest, at in ope_lines:
         headpart, _, body = rest.partition(":")
         pair = headpart.split()
@@ -424,6 +427,14 @@ def _parse_table(algebra, def_lines, ope_lines, bindings):
             poles[n] = _parse(expr_str, lineno, scope, algebra, scratch,
                               at + len(n_str) + 2)
             at += len(chunk) + 1
+        # each product the scratch context computes is memoized, in order
+        for m1, m2 in islice(scratch._ope_memo, seen, None):
+            for f, g in product(m1, m2):
+                read.setdefault(frozenset((f[0], g[0])), lineno)
+        seen = len(scratch._ope_memo)
+        if first := read.get(frozenset(pair)):
+            raise ParseError(f"line {first} reads the product {a} {b} before "
+                             "it is given", lineno)
         algebra.set_ope(a, b, poles)
 
 

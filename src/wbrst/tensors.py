@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from .linalg import rref, solve_columns
+from .linalg import normal_form, rref
 from .scalars import RF_ONE, RF_ZERO, _add_into, rf
 
 
@@ -298,24 +298,26 @@ def check_qla_axioms(d: QlaData) -> AxiomReport:
     rep.record_mat("c_antisymmetry", (ident2 + s) @ c2)
 
     # existence of t with C^i_{jk} = (delta - sigma)^{lm}_{jk} t^i_{lm}:
-    # one row reduction of [1 - sigma | C^1 ... C^n]
-    # (rows jk, columns lm), and t^i_{lm} is the witness t at [(l, m), i]
-    one_minus_s = (ident2 - s).rows
-    columns = [{} for _ in range(n)]
-    for jk, row in c2.rows.items():
-        for i, v in row.items():
-            columns[i][jk] = v
-    xs = solve_columns([one_minus_s.get(jk, {}) for jk in range(n * n)],
-                       columns)
-    if any(obstructions for _, obstructions in xs):
-        rep.record("t_exists", [("no solution of C = (1 - sigma) t",)])
-    else:
-        rep.record("t_exists", [])
-        t = Mat(n * n, n)
-        for i, (x, _) in enumerate(xs):
-            for lm, v in x.items():
-                t.set(lm, i, v)
-        rep.extras["t_witness"] = t
+    # C^i is in the span of the columns lm of 1 - sigma, rows over jk with
+    # a unit block, when its normal form is zero over jk, and then minus
+    # its unit block is t^i_{lm}, the witness t at [(l, m), i]
+    nn = n * n
+    columns = [{nn + lm: 1} for lm in range(nn)]
+    for jk, row in (ident2 - s).rows.items():
+        for lm, v in row.items():
+            columns[lm][jk] = v
+    red, pivots = rref(columns, nn)
+    t = Mat(nn, n)
+    for i in range(n):
+        rest = normal_form(red, pivots, {jk: v for jk, row in c2.rows.items()
+                                         if (v := row.get(i))})
+        if any(jk < nn for jk in rest):
+            rep.record("t_exists", [("no solution of C = (1 - sigma) t",)])
+            return rep
+        for lm, v in rest.items():
+            t.set(lm - nn, i, -v)
+    rep.record("t_exists", [])
+    rep.extras["t_witness"] = t
     return rep
 
 

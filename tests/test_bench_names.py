@@ -7,6 +7,7 @@ source, never imported, so running this test writes nothing there."""
 
 import ast
 import importlib
+import inspect
 import itertools
 import json
 import pathlib
@@ -83,19 +84,25 @@ def _compiled(tree, name):
 
 def test_linalg_cells_count_real_arguments():
     # the tracer calls _linalg_cells on the positional arguments of every
-    # linalg entry point; on sparse rows it must still give a count
+    # linalg entry point; on sparse rows it must still give a count, and
+    # every public function of the module is called here
     cells = _compiled(TRACING, "_linalg_cells")
-    basis, _, matrix = derivative_system(w3_ghosts().context(), 0, 0, 2, ())
-    assert any(matrix)
-    first = {t: row[0] for t, row in enumerate(matrix) if 0 in row}
+    _, targets, rows = derivative_system(w3_ghosts().context(), 0, 0, 2,
+                                         ())
+    assert any(rows)
+    red, pivots = wbrst.linalg.rref(rows, len(targets))
     calls = [
-        ("rref", (matrix, len(basis))),
-        ("solve", (matrix, first)),
-        ("solve_columns", (matrix, [first, {}])),
+        ("rref", (rows, len(targets))),
+        ("normal_form", (red, pivots, rows[0])),
         ("rref", ([], 0)),
-        ("solve", ([], {})),
-        ("solve_columns", ([{}], [{0: Fraction(1)}])),
+        ("normal_form", ([], [], {})),
+        ("normal_form", ([], [], {0: Fraction(1)})),
     ]
+    public = {name for name, fn in inspect.getmembers(wbrst.linalg,
+                                                      inspect.isfunction)
+              if fn.__module__ == wbrst.linalg.__name__
+              and not name.startswith("_")}
+    assert public == {name for name, _ in calls}
     for name, args in calls:
         getattr(wbrst.linalg, name)(*args)
         assert isinstance(cells(name, args), int), name

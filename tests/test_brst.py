@@ -7,17 +7,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from wbrst import brst
+from test_golden import golden_path, run_command
+from wbrst import analysis, brst, linalg
 from wbrst.algebras import (bundle, ghost_stress, ghost_stress_w3, w3, w32,
                             w3_ghosts, w32_ghosts)
-from wbrst.analysis import central_charge, primary_check, weight_basis
+from wbrst.analysis import (central_charge, is_total_derivative,
+                            primary_check, weight_basis)
 from wbrst.brst import (BrstCurrent, BrstError, brst_w3, brst_w32,
                         critical_charge, derive_brst, nilpotency,
                         solve_conventional, unconventional_terms)
 from wbrst.engine import OpeContext
 from wbrst.fields import FieldExpr, GeneratorDecl, Monomial, OpeAlgebra
-from wbrst.linalg import solve_columns
-from wbrst.scalars import RF_ONE, RF_ZERO, RationalFunction as RF, _add_into
+from wbrst.linalg import normal_form, rref
+from wbrst.scalars import RF_ONE, RationalFunction as RF, _add_into
 
 
 def test_w3_nilpotent_at_100():
@@ -57,6 +59,27 @@ def test_w3_nilpotent_for_all_ghost_parameters():
     assert rep.nilpotent
 
 
+def test_total_derivative_preimage():
+    # pole 1 of the nilpotent current, and derivatives of sums over a few
+    # slices: the preimage differentiates back to the expression
+    q = brst_w3(0, 0, c=100)
+    ctx = q.context
+    pole1 = q.self_product[1]
+    ok, preimage = is_total_derivative(ctx, pole1)
+    assert ok and not preimage.is_zero
+    assert ctx.derivative(preimage) == pole1
+    for weight, parity, ghost in [(0, 0, 2), (0, 1, 1), (1, 1, 1), (2, 0, 0)]:
+        basis = weight_basis(q.algebra, weight, parity=parity, ghost=ghost)
+        assert basis
+        expr = ctx.derivative(FieldExpr(q.algebra, {
+            m: RF.const(k + 1) for k, m in enumerate(basis)}))
+        ok, preimage = is_total_derivative(ctx, expr)
+        assert ok and ctx.derivative(preimage) == expr
+    # an obstructed pole 1 is not a total derivative
+    q = brst_w3(0, 0, c=50)
+    assert is_total_derivative(q.context, q.self_product[1]) == (False, None)
+
+
 def test_critical_charge_invariant_under_total_derivative():
     q = brst_w3(0, 0, c=None)
     ctx = q.context
@@ -88,22 +111,23 @@ C = RF.var("c")
 
 
 def _reduced(rows, rhs):
-    """A stand-in current whose ``reduction`` is the system ``rows`` @ x =
-    ``rhs``, reduced at generic c: ``critical_charge`` reads nothing else."""
-    (x, obstructions), = solve_columns(rows, [rhs])
-    return SimpleNamespace(reduction=(None, rows, rhs, x, obstructions))
+    """A stand-in current whose ``reduction`` is ``rhs`` modulo the
+    derivative ``rows`` over two targets, reduced at generic c:
+    ``critical_charge`` reads nothing else."""
+    return SimpleNamespace(reduction=([0, 1], rows, rhs,
+                                      normal_form(*rref(rows, 2), rhs)))
 
 
 @pytest.mark.parametrize("rows, rhs, want", [
     # x = 1 and x = c - 1 meet at c = 2
-    ([{0: RF_ONE}, {0: RF_ONE}], {0: RF_ONE, 1: C - 1}, {2}),
-    # the obstruction c + 1 vanishes where the matrix has a pole
-    ([{0: 1 / (C + 1)}, {0: 1 / (C + 1)}], {0: RF_ONE, 1: C + 2}, set()),
+    ([{0: RF_ONE, 1: RF_ONE}], {0: RF_ONE, 1: C - 1}, {2}),
+    # the obstruction c + 1 vanishes where the row has a pole
+    ([{0: 1 / (C + 1), 1: 1 / (C + 1)}], {0: RF_ONE, 1: C + 2}, set()),
     # the obstruction c - 2 vanishes where the rank drops to 0, leaving
-    # the rows 0 = 1
-    ([{0: C - 2}, {0: C - 2}], {0: RF_ONE, 1: C - 1}, set()),
+    # the whole vector
+    ([{0: C - 2, 1: C - 2}], {0: RF_ONE, 1: C - 1}, set()),
     # no obstruction: nilpotent at every c
-    ([{0: RF_ONE}, {0: RF_ONE}], {0: RF_ONE, 1: RF_ONE}, None),
+    ([{0: RF_ONE, 1: RF_ONE}], {0: RF_ONE, 1: RF_ONE}, None),
 ])
 def test_critical_charge_rechecks_the_common_zero(rows, rhs, want):
     assert critical_charge(_reduced(rows, rhs)) == want
@@ -256,9 +280,39 @@ def test_weight_basis_lists():
 # -- the nilpotency conditions of derive_brst from unordered pairs ----------
 
 
+def _reduce(vec, red):
+    """``vec`` less the multiples of the pivot rows ``red``, {pivot: row},
+    that clear each pivot."""
+    for col, row in red.items():
+        f = vec.get(col)
+        if f:
+            for j, b in row.items():
+                _add_into(vec, j, -f * b)
+    return vec
+
+
+def _echelon(rows):
+    """{pivot: row} of the reduced echelon form of the row space of sparse
+    rows, each column in turn taken from the last row that holds it."""
+    rows, red = [dict(r) for r in rows], {}
+    for col in sorted({j for r in rows for j in r}):
+        k = next((k for k in reversed(range(len(rows))) if col in rows[k]),
+                 None)
+        if k is None:
+            continue
+        piv = rows.pop(k)
+        piv = {j: v / piv[col] for j, v in piv.items()}
+        for r in (*red.values(), *rows):
+            _reduce(r, {col: piv})
+        red[col] = piv
+    return red
+
+
 def _ordered_pair_equations(ctx, members):
     """Reference for ``_nilpotency_equations``: pole 1 of every ordered
-    member pair, dotted with each cokernel vector in turn."""
+    member pair, reduced by an elimination of its own modulo the
+    derivative images of the weight-0, ghost-number-2, even slice, over
+    the targets in ``mono_key`` order; one equation per target."""
     algebra = ctx.algebra
     pair_vec = {}
     targets = set()
@@ -274,25 +328,14 @@ def _ordered_pair_equations(ctx, members):
     for im in images2:
         targets.update(im.terms)
     targets = sorted(targets, key=algebra.mono_key)
-    dmat = [{m: im.terms[t] for m, im in enumerate(images2) if t in im.terms}
-            for t in targets]
-    # cokernel vector k: the obstructions in row k of the unit columns
-    cokernel = {}
-    for t, (_, obstructions) in enumerate(solve_columns(
-            dmat, [{t: RF_ONE} for t in range(len(targets))])):
-        for k, w in obstructions.items():
-            cokernel.setdefault(k, {})[targets[t]] = w
-    equations = []
-    for _, y in sorted(cokernel.items()):
-        eq = {}
-        for (i, j), e in pair_vec.items():
-            val = RF_ZERO
-            for mm, v in e.terms.items():
-                w = y.get(mm)
-                if w is not None:
-                    val = val + w * v
-            if not val:
-                continue
+    index = {t: k for k, t in enumerate(targets)}
+    red = _echelon([{index[t]: v for t, v in im.terms.items()}
+                    for im in images2])
+    equations = {}
+    for (i, j), e in pair_vec.items():
+        vec = _reduce({index[t]: v for t, v in e.terms.items()}, red)
+        for t, val in sorted(vec.items()):
+            eq = equations.setdefault(t, {})
             ki = members[i][2]
             kj = members[j][2]
             if ki is not None and kj is not None:
@@ -305,9 +348,7 @@ def _ordered_pair_equations(ctx, members):
                 val = val * members[i][1] * members[j][1]
                 key = ()
             _add_into(eq, key, val)
-        if eq:
-            equations.append(eq)
-    return equations
+    return [eq for _, eq in sorted(equations.items()) if eq]
 
 
 def _derive_case(name):
@@ -371,6 +412,67 @@ def test_unordered_pairs_give_the_ordered_pair_equations(monkeypatch, name,
         assert result == outcome
     else:
         assert isinstance(result, dict)
+
+
+# -- the pivot rule ----------------------------------------------------------
+
+
+def _sparsest_rref(rows, ncols):
+    """``linalg.rref`` under another pivot rule: the pivot of a column is
+    the row with the fewest entries among those at or below the rank that
+    hold it."""
+    rows = [dict(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        holding = [i for i in range(r, len(rows)) if col in rows[i]]
+        if not holding:
+            continue
+        piv = min(holding, key=lambda i: len(rows[i]))
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        inv = prow[col]
+        for j, v in prow.items():
+            prow[j] = v / inv
+        for i, row in enumerate(rows):
+            if i != r and col in row:
+                f = -row[col]
+                for j, v in prow.items():
+                    _add_into(row, j, f * v)
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def _sparsest_pivots(monkeypatch):
+    """Put ``_sparsest_rref`` in every module of the package that binds
+    ``rref``."""
+    modules = [m for name, m in list(sys.modules.items())
+               if name.split(".")[0] == "wbrst"
+               and getattr(m, "rref", None) is linalg.rref]
+    assert {brst, analysis} <= set(modules)
+    for module in modules:
+        monkeypatch.setattr(module, "rref", _sparsest_rref)
+
+
+@pytest.mark.parametrize("command", [
+    "cft brst w3 --symbolic-c --g1 symbolic --g2 symbolic",
+    "cft brst w3 --symbolic-c --g1 1/3 --g2 2/5",
+])
+def test_golden_obstructions_do_not_depend_on_the_pivot_rule(monkeypatch,
+                                                             command):
+    # the obstruction is the normal form of pole 1 modulo total
+    # derivatives, which any pivot rule reaches
+    _sparsest_pivots(monkeypatch)
+    assert run_command(command) == golden_path(command).read_text(
+        encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["w3", "w3 pinned", "w3 pinned printed",
+                                  "w32 pinned", "w32 symbolic pinned"])
+def test_derive_equations_do_not_depend_on_the_pivot_rule(monkeypatch, name):
+    want = _eliminated(monkeypatch, name, brst._nilpotency_equations)
+    _sparsest_pivots(monkeypatch)
+    assert _eliminated(monkeypatch, name, brst._nilpotency_equations) == want
 
 
 def test_derive_takes_each_unordered_pair_once(monkeypatch):

@@ -52,9 +52,8 @@ def test_symbolic_brst_builds_one_derivative_system(monkeypatch, capsys):
     # nilpotency and critical_charge read the same system of pole 1 and
     # its one reduction; the second reduction re-checks the root c = 100
     import wbrst.brst
-    import wbrst.linalg
     calls, reductions = [], []
-    derivative_system, rref = wbrst.brst.derivative_system, wbrst.linalg.rref
+    derivative_system, rref = wbrst.brst.derivative_system, wbrst.brst.rref
 
     def counted(*args):
         calls.append(args)
@@ -65,7 +64,7 @@ def test_symbolic_brst_builds_one_derivative_system(monkeypatch, capsys):
         return rref(rows, ncols)
 
     monkeypatch.setattr(wbrst.brst, "derivative_system", counted)
-    monkeypatch.setattr(wbrst.linalg, "rref", counted_rref)
+    monkeypatch.setattr(wbrst.brst, "rref", counted_rref)
     code, payload, _ = run_json(capsys, "cft", "brst", "w3", "--symbolic-c")
     assert code == 1 and payload["critical_roots"] == ["100"]
     assert len(calls) == 1

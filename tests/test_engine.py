@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from wbrst.algebras import bundle, w3, w32, w3_ghosts
 from wbrst.analysis import weight_basis
 from wbrst.brst import brst_w3, brst_w32, nilpotency
+from wbrst import engine
 from wbrst.engine import OpeContext
 from wbrst.fields import FieldExpr, Monomial, UNIT
 from wbrst.parsing import parse_field_expr
@@ -433,6 +434,20 @@ def test_self_product_rewrites_as_recorded(g1, g2, c, sizes, fuel):
     assert tuple(len(getattr(ctx, name)) for name in (
         "_ope_memo", "_nprod_memo", "_deriv_memo")) == sizes
     assert ctx._fuel == fuel
+
+
+def test_a_refused_call_leaves_no_memos(monkeypatch):
+    # memo hits spend no fuel: were the memos of a refused call kept, a
+    # retry on the same context would spend less and, after a few, return
+    monkeypatch.setattr(engine, "MAX_FUEL", 30_000)
+    alg = w3(100)
+    ctx = alg.context()
+    x = parse_field_expr("N(W,N(W,N(W,N(W,T))))", alg)
+    t = FieldExpr.generator(alg, "T")
+    for _ in range(6):
+        with pytest.raises(engine.EngineError, match="fuel exhausted"):
+            ctx.ope(x, t)
+        assert not (ctx._ope_memo or ctx._nprod_memo or ctx._deriv_memo)
 
 
 def test_monomial_hash_is_cached_and_immutable():

@@ -80,11 +80,11 @@ COMMANDS = (
     "cft brst w32 --c 7/3",
     "cft brst w3 --c 100 --a2 printed",
     "cft brst w3 --c 100 --g1=-49/6 --g2=-31/5",
-    # an obstructed numeric check: its residual is pole 1 less the derivative
-    # of the preimage read from the pivot rows
+    # an obstructed numeric check: its residual is the normal form of pole 1
+    # modulo total derivatives
     "cft brst w3 --c 25/12",
     # the critical root of the as-printed a2 table and of non-conventional
-    # ghosts, read from obstructions that depend on the cokernel basis
+    # ghosts, read from the coefficients of the normal form of pole 1
     "cft brst w3 --symbolic-c --a2 printed",
     "cft brst w3 --symbolic-c --g1 1/3 --g2 2/5",
     # a numeric OPE with W on both sides

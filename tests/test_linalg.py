@@ -1,13 +1,13 @@
 """Exact linear algebra: sparse-row elimination against a dense
-reference, and the answers read from one reduction against independent
-checks."""
+reference, and the normal form read from one reduction against
+independent checks."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbrst.linalg import rref, solve, solve_columns
+from wbrst.linalg import normal_form, rref
 from wbrst.scalars import RF_ONE, RF_ZERO, RationalFunction, rf
 
 C = RationalFunction.var("c")
@@ -18,6 +18,7 @@ G1 = RationalFunction.var("g1")
 
 
 def dense_rref(rows, ncols):
+    """Every row of the dense reduced echelon form, the pivot rows first."""
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -43,25 +44,8 @@ def dense_rref(rows, ncols):
     return rows, pivots
 
 
-def dense_solve(matrix, ncols, rhs):
-    """x from the pivot rows of dense [matrix | rhs], free variables 0,
-    and the nonzero entries of its rows below the rank in the rhs column,
-    keyed by their row below the rank."""
-    red, pivots = dense_rref([row + [b] for row, b in zip(matrix, rhs)],
-                             ncols)
-    x = [0] * ncols
-    for row, col in zip(red, pivots):
-        x[col] = row[ncols]
-    return x, {k: row[ncols] for k, row in enumerate(red[len(pivots):])
-               if row[ncols]}
-
-
-def dense_left_nullspace(matrix, ncols):
-    """The identity part of the rows below the rank of dense [matrix | 1]."""
-    n = len(matrix)
-    red, pivots = dense_rref([row + [int(i == k) for k in range(n)]
-                              for i, row in enumerate(matrix)], ncols)
-    return [row[ncols:] for row in red[len(pivots):]]
+def dense_rank(rows, ncols):
+    return len(dense_rref(rows, ncols)[1])
 
 
 def sparse(row):
@@ -115,65 +99,58 @@ def _systems(draw, nonzero, zero):
             for row in matrix:
                 row[j] = zero
     rhs = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    vector = draw(st.lists(entry, min_size=ncols, max_size=ncols))
     if draw(st.booleans()):
-        # consistent: the image of a drawn vector
-        x = draw(st.lists(entry, min_size=ncols, max_size=ncols))
-        rhs = _times(matrix, x, zero)
-    return matrix, ncols, rhs
+        # in the row space: a drawn combination of the rows
+        y = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+        vector = _times(list(map(list, zip(*matrix))), y, zero) if nrows \
+            else [zero] * ncols
+    return matrix, ncols, rhs, vector
 
 
-def _check_against_dense(matrix, ncols, rhs, zero):
+def _check_against_dense(matrix, ncols, rhs, vector, zero):
     rows = [sparse(row) for row in matrix]
     before = [dict(row) for row in rows]
 
-    # every row, pivot rows first and the rows below the rank after them,
-    # as the dense reduction leaves it, without its zeros
+    # the pivot rows, as the dense reduction leaves them, without their
+    # zeros; the rows below the rank are dropped
     red, pivots = rref(rows, ncols)
     want_red, want_pivots = dense_rref(matrix, ncols)
     assert pivots == want_pivots
-    assert _same(red, [sparse(row) for row in want_red])
-    assert not any(j < ncols for row in red[len(pivots):] for j in row)
+    assert _same(red, [sparse(row) for row in want_red[:len(pivots)]])
     aug = [row + [b] for row, b in zip(matrix, rhs)]
-    red, pivots = rref([sparse(row) for row in aug], ncols)
+    red_aug, pivots_aug = rref([sparse(row) for row in aug], ncols)
     want_red, want_pivots = dense_rref(aug, ncols)
-    assert pivots == want_pivots
-    assert _same(red, [sparse(row) for row in want_red])
+    assert pivots_aug == want_pivots
+    assert _same(red_aug,
+                 [sparse(row) for row in want_red[:len(want_pivots)]])
 
-    # the image of a column of the matrix is always consistent
-    first = [row[0] if ncols else zero for row in matrix]
-    got = solve_columns(rows, [sparse(rhs), sparse(first)])
-    want = [dense_solve(matrix, ncols, rhs),
-            dense_solve(matrix, ncols, first)]
-    assert _same(got, [(sparse(x), o) for x, o in want])
-    assert not got[1][1]
-    # no obstructions exactly when x solves the system: the check that
-    # solve_columns leaves out, made here independently
-    for (x, obstructions), b in zip(got, (rhs, first)):
-        dense_x = [x.get(j, 0) for j in range(ncols)]
-        assert (not obstructions) == (_times(matrix, dense_x, zero) == b)
-    x, obstructions = got[0]
-    assert solve(rows, sparse(rhs)) == (None if obstructions else x)
+    # the reduced echelon form of a row space is unique: the reversed rows
+    # reduce to the same pivot rows, and give the same normal form
+    v = sparse(vector)
+    nf = normal_form(red, pivots, v)
+    assert rref(rows[::-1], ncols) == (red, pivots)
+    assert normal_form(*rref(rows[::-1], ncols), v) == nf
 
-    # a left nullspace basis: y @ matrix = 0 for each of nrows - rank
-    # independent rows, y_k read from the obstructions in row k of the
-    # unit columns
-    ys = {}
-    for i, (_, obstructions) in enumerate(solve_columns(
-            rows, [{i: 1} for i in range(len(rows))])):
-        for k, w in obstructions.items():
-            ys.setdefault(k, {})[i] = w
-    ys = [ys[k] for k in range(len(rows) - len(pivots))]
-    # equal values: the dense reference turns every identity entry it
-    # updates into a field scalar, the sparse one only those it changes
-    assert ys == [sparse(y) for y in dense_left_nullspace(matrix, ncols)]
-    assert len(ys) == len(rows) - len(pivots)
-    for y in ys:
-        assert all(not sum((y.get(i, 0) * row[j]
-                            for i, row in enumerate(matrix)), zero)
-                   for j in range(ncols))
-    # the untouched identity entries are ints, and int / int is a float
-    exact = [[zero + y.get(i, 0) for i in range(len(rows))] for y in ys]
-    assert len(dense_rref(exact, len(rows))[1]) == len(ys)
+    # nf is zero at every pivot, and v - nf lies in the row space; so nf is
+    # zero exactly when v lies there too
+    assert not set(nf) & set(pivots)
+    diff = [vector[j] - nf.get(j, zero) for j in range(ncols)]
+    rank = len(pivots)
+    assert dense_rank(matrix + [diff], ncols) == rank
+    assert (not nf) == (dense_rank(matrix + [vector], ncols) == rank)
+
+    # with a unit block, minus the block of the normal form combines the
+    # input rows into v - nf
+    n = len(rows)
+    red_unit, pivots_unit = rref([{**row, ncols + i: 1}
+                                  for i, row in enumerate(rows)], ncols)
+    assert pivots_unit == pivots
+    nf_unit = normal_form(red_unit, pivots_unit, v)
+    assert {j: w for j, w in nf_unit.items() if j < ncols} == nf
+    y = [-nf_unit.get(ncols + i, 0) for i in range(n)]
+    assert [sum((y[i] * matrix[i][j] for i in range(n)), zero)
+            for j in range(ncols)] == diff
     assert rows == before  # the input is not modified
 
 
@@ -190,15 +167,15 @@ def test_rational_function_elimination_matches_dense(system):
 
 
 def test_zero_matrix_and_inconsistent_column():
-    assert rref([{}, {}], 2) == ([{}, {}], [])
+    assert rref([{}, {}], 2) == ([], [])
     assert rref([], 3) == ([], [])
-    # 0 x = 1 has no solution: its obstruction is the 1 itself, and x
-    # keeps the free variables at 0
-    assert solve_columns([{}], [{0: Fraction(1)}]) == [({}, {0: 1})]
-    assert solve([{}], {0: Fraction(1)}) is None
-    assert solve_columns([], [{}]) == [({}, {})]
-    # every row vector annihilates the zero matrix: the unit columns are
-    # obstructed each in its own row
-    assert solve_columns([{}, {}], [{0: 1}, {1: 1}]) == [({}, {0: 1}),
-                                                         ({}, {1: 1})]
-    assert solve_columns([], []) == []
+    # nothing to subtract: the normal form is the vector itself
+    assert normal_form([], [], {0: Fraction(1)}) == {0: 1}
+    assert normal_form([], [], {}) == {}
+    # x + y and 2x + 2y span one line: x + 2y reduces to y, and the
+    # combination 3x + 3y to nothing
+    one = Fraction(1)
+    red, pivots = rref([{0: one, 1: one}, {0: 2 * one, 1: 2 * one}], 2)
+    assert (red, pivots) == ([{0: 1, 1: 1}], [0])
+    assert normal_form(red, pivots, {0: one, 1: 2 * one}) == {1: 1}
+    assert normal_form(red, pivots, {0: 3 * one, 1: 3 * one}) == {}

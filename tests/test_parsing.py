@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ALG_FILES, QLA_FILES, load_alg, read_data
+from wbrst.analysis import validate_table
 from wbrst.brst import CurrentFile
-from wbrst.fields import FieldExpr
+from wbrst.cli import main
+from wbrst.fields import FieldExpr, Monomial
 from wbrst.parsing import (MAX_NESTING, ParseError, format_algebra_file,
                            format_field_expr, format_monomial,
                            parse_algebra_file,
@@ -225,6 +227,35 @@ def test_coefficient_at_a_pole_raises_pole_error():
     from wbrst.scalars import PoleError
     with pytest.raises(PoleError, match="line 7"):
         parse_algebra_file(read_data("w3.alg"), {"c": Fraction(-22, 5)})
+
+
+def test_a_table_reads_the_same_in_any_order_or_is_refused(tmp_path, capsys):
+    # N(D(T),T) is normal-ordered with the product T T
+    text = read_data("w3.alg").replace("N(T,D(T))", "N(D(T),T)")
+    lines = text.splitlines(keepends=True)
+    tt, ww = (next(i for i, line in enumerate(lines) if line.startswith(head))
+              for head in ("ope T T", "ope W W"))
+    # the T T line first: the W W pole 1 gets the reordering's corrections,
+    # so it is not the bundled table's
+    alg = parse_algebra_file(text, {"c": 100})
+    pole1 = alg.table_entry("W", "W")[0][1]
+    assert pole1.terms[Monomial((("T", 3),))] == RF.const(Fraction(11, 261))
+    assert len(validate_table(alg)) == 1
+    # the W W line first would read T T as zero: the T T line is refused
+    moved = "".join(lines[:tt] + [lines[ww]] + lines[tt:ww] + lines[ww + 1:])
+    want = (f"line {tt + 1} reads the product T T before it is given at "
+            f"line {tt + 2}")
+    with pytest.raises(ParseError, match=want):
+        parse_algebra_file(moved, {"c": 100})
+    path = tmp_path / "w3_moved.alg"
+    path.write_text(moved, encoding="utf-8")
+    assert main(["cft", "validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+    # a line that reads its own product is refused as well
+    with pytest.raises(ParseError, match="line 3 reads the product A A "
+                       "before it is given at line 3"):
+        parse_algebra_file("algebra x\nfield A weight=2\n"
+                           "ope A A : 4 -> one ; 2 -> N(D(A),A)\n")
 
 
 @pytest.mark.parametrize("text, line", [
