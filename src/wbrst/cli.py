@@ -16,6 +16,7 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 bad input.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -424,6 +425,12 @@ def main(argv=None) -> int:
     # an exact checker reads and prints its values whole, however long;
     # the caller's limit is back when main returns or argparse exits
     sys.set_int_max_str_digits(0)
+    # the collections a command triggers skip the heap that importing the
+    # package left (mostly sympy's), and a forked child does not write to
+    # its parent's pages walking it; a caller's own freeze is left alone
+    froze = not gc.get_freeze_count()
+    if froze:
+        gc.freeze()
     try:
         args = _match(argv) or _parsed(argv)
         return args.fn(args)
@@ -431,6 +438,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     finally:
+        if froze:
+            gc.unfreeze()
         sys.set_int_max_str_digits(limit)
 
 

@@ -40,6 +40,11 @@ from .fields import FieldExpr, Monomial
 from .scalars import RF_ONE, _add_into
 
 
+# The most states one slice may hold: thirty times the largest slice that
+# a test or benchmark check builds (w32_ghosts_free at level 2, 4184).
+MAX_STATES = 130_000
+
+
 class ModeError(WbrstError):
     pass
 
@@ -70,6 +75,7 @@ class FockSlice:
     m > -h_A.  The basis holds all states of level 0 through L whose
     excitations come from the ``excite`` subset of systems (default all);
     operators may map basis states to arbitrary states outside the basis.
+    A basis of more than ``MAX_STATES`` states raises ``ModeError``.
     """
 
     def __init__(self, systems, level, excite=None):
@@ -117,10 +123,18 @@ class FockSlice:
         the lowest level (``_lvs``) and its bitmask (``_states``)."""
         den, top = self._den, floor(self._den * self.level)
         ops = []  # (field, -k, den times the level it adds, the op)
+        # the vacuum and each mode that does not lower the level are
+        # states, counted without listing the modes of a huge level
+        known = 1
         for s in self.excite:
             for name in (s.b, s.c):
                 f = self._field(name)
-                for k, dl in enumerate(range(self._dh[f], top + 1, den)):
+                dh = self._dh[f]
+                first = dh % den if dh < 0 else dh  # the first dl >= 0
+                known += max(0, (top - first) // den + 1)
+                if known > MAX_STATES:
+                    self._too_many()
+                for k, dl in enumerate(range(dh, top + 1, den)):
                     ops.append((f, -k, dl, (name, Fraction(-dl, den))))
         ops.sort()  # op_key order
         # drop[i]: the most the ops from i on can lower the level
@@ -132,6 +146,8 @@ class FockSlice:
         def extend(prefix, start, lvl):
             if 0 <= lvl <= top:
                 out.append((lvl, len(prefix), prefix))
+                if len(out) > MAX_STATES:
+                    self._too_many()
             for i in range(start, len(ops)):
                 nxt = lvl + ops[i][2]
                 # prune when the later ops cannot bring the level back
@@ -145,6 +161,10 @@ class FockSlice:
         self._lvs = [lvl - self._dlmin for lvl, _, _ in out]
         self._states = [sum(1 << self._bit(*ops[i][:2]) for i in st)
                         for _, _, st in out]
+
+    def _too_many(self):
+        raise ModeError(f"the slice at level {self.level} holds more than "
+                        f"{MAX_STATES} states")
 
     def apply_op(self, op, state):
         """X_m applied to one state; returns {state: Fraction}."""

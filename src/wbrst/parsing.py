@@ -193,13 +193,14 @@ def _atom(t: _Tokens):
         raise ParseError(f"unexpected token {name!r}", t.line, column)
     alg = t.algebra
     if alg is not None and t.peek()[:2] == ("op", "("):
-        m = re.fullmatch(r"D(\d*)", name)
-        if m or name == "N":
+        # D followed by no digit or by ASCII digits (a name is ASCII)
+        deriv = name[:1] == "D" and (name == "D" or name[1:].isdigit())
+        if deriv or name == "N":
             t.next()
             x = _kind(t, _sum(t), tok, "a field")
-            if m:
+            if deriv:
                 t.expect("op", ")")
-                return t.ctx.derivative(x, int(m.group(1) or 1))
+                return t.ctx.derivative(x, int(name[1:] or 1))
             t.expect("op", ",")
             y = _kind(t, _sum(t), tok, "a field")
             t.expect("op", ")")
@@ -299,7 +300,7 @@ def format_field_expr(expr) -> str:
     parts = []
     for mono, coeff in expr.sorted_terms():
         cs = format_rational(coeff)
-        if not re.fullmatch(r"\d+", cs):
+        if not cs.isdigit():
             cs = f"({cs})"
         parts.append(f"{cs}*{format_monomial(mono)}")
     return " + ".join(parts)

@@ -437,6 +437,65 @@ def test_main_restores_the_int_str_digit_limit(capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("qla", "check", "so3"), 0),
+    (("qla", "check", str(pathlib.Path(__file__).resolve().parent
+                          / "data" / "so3_bad_c.qla")), 1),
+    (("qla", "check", "no_such_table"), 2),
+    (("qla", "check", "--help"), 0),                        # argparse exits
+    (("qla", "check", "so3", "--bogus"), 2),                # argparse exits
+])
+def test_main_freezes_the_heap_for_its_command_only(monkeypatch, capsys,
+                                                    argv, code):
+    import gc
+
+    import wbrst.cli
+    during = []
+    load = wbrst.cli._load_qla
+
+    def spy(path):
+        during.append(gc.get_freeze_count())
+        return load(path)
+
+    monkeypatch.setattr(wbrst.cli, "_load_qla", spy)
+    before = gc.get_freeze_count(), gc.isenabled()
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+    assert all(n > 0 for n in during)  # frozen while the command ran
+    capsys.readouterr()
+
+
+def test_main_leaves_a_callers_freeze_in_place(capsys):
+    import gc
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert main(["qla", "check", "so3"]) == 0
+        # still frozen, and the command's own objects were not added
+        assert 0 < gc.get_freeze_count() <= frozen
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+
+
+def test_importing_the_command_line_freezes_nothing():
+    import os
+    import subprocess
+    import sys
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("import gc\n"
+            "import wbrst.cli\n"
+            "print(gc.get_freeze_count(), gc.isenabled())\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.stdout.split() == ["0", "True"], out.stderr
+
+
 def test_python_dash_m_runs_the_command_line():
     import os
     import subprocess
@@ -578,6 +637,17 @@ def test_runaway_normal_product_spends_its_fuel(capsys):
     assert time.perf_counter() - start < 10
     _no_traceback(code, err)
     assert out == "" and "rewriting fuel exhausted" in err
+
+
+def test_a_huge_oracle_level_is_bad_input(capsys):
+    # the slice would list one mode per level; it is refused from the
+    # count of modes, before any is listed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "crosscheck", "w3_ghosts_free",
+                         "--level", "100000000")
+    assert time.perf_counter() - start < 1
+    _no_traceback(code, err)
+    assert out == "" and "holds more than" in err
 
 
 def _mutated_qla(tmp_path, name, old, new):

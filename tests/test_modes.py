@@ -7,6 +7,7 @@ from math import factorial, prod
 
 import pytest
 
+from wbrst import modes
 from wbrst.algebras import ghost_stress, w32_ghosts, w3_ghosts
 from wbrst.fields import FieldExpr, Monomial
 from wbrst.modes import (BcSystem, FockSlice, ModeError, ModeMatrix,
@@ -167,6 +168,22 @@ def test_negative_level_is_rejected():
     with pytest.raises(ModeError, match="level"):
         FockSlice([SYS2], -1)
     assert len(FockSlice([SYS3], 0).basis) == 2
+
+
+def test_a_slice_holds_at_most_max_states(monkeypatch):
+    # every slice the goldens and the w32 level-3 composite check build fits
+    assert len(FockSlice([SYS3], 8).basis) == 792
+    w32 = systems_from_algebra(w32_ghosts(modified=False))
+    assert len(FockSlice(w32, 3).basis) == 15088 <= modes.MAX_STATES
+    # a huge level is refused from its count of modes, before enumeration
+    with pytest.raises(ModeError, match=f"more than {modes.MAX_STATES} "):
+        FockSlice([SYS3], 10 ** 8)
+    # a basis one past the bound is refused while it is enumerated
+    monkeypatch.setattr(modes, "MAX_STATES", 792)
+    assert len(FockSlice([SYS3], 8).basis) == 792
+    monkeypatch.setattr(modes, "MAX_STATES", 791)
+    with pytest.raises(ModeError, match="level 8 holds more than 791 "):
+        FockSlice([SYS3], 8)
 
 
 def test_field_outside_the_slice_is_a_mode_error():

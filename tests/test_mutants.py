@@ -6,7 +6,10 @@ duplicated or swapped with the next one.  A seeded sample of these
 mutants runs in process through ``cli.main``, with the commands that read
 the file's kind.  Every run must return 0 (pass), 1 (a check failed) or 2
 (bad input) without raising, within ``WALL_S`` seconds: a mutant whose
-rewriting runs away exits 2 once the engine's fuel is spent.
+rewriting runs away exits 2 once the engine's fuel is spent.  The
+command line is fuzzed too: seeded ``--level`` values of ``oracle
+crosscheck`` (huge, negative, fractional, empty and ``--``) keep the same
+contract, a slice too large to build exiting 2.
 """
 
 import contextlib
@@ -95,3 +98,31 @@ def test_mutated_file_keeps_the_exit_code_contract(tmp_path, name):
             assert code in (0, 1, 2), where
             assert wall < WALL_S, where
             assert "Traceback" not in err.getvalue(), where
+
+
+def levels(rng):
+    """Seeded ``--level`` values of each kind the contract must survive."""
+    return [str(rng.randrange(10 ** 8, 10 ** 30)),
+            str(-rng.randrange(1, 10 ** 6)),
+            f"{rng.randrange(1, 9)}/{rng.randrange(2, 9)}",
+            f"{rng.randrange(1, 9)}.{rng.randrange(1, 9)}",
+            "", "--"]
+
+
+@pytest.mark.parametrize("table", ["w3_ghosts_free", "w32_ghosts_free"])
+def test_fuzzed_level_keeps_the_exit_code_contract(table):
+    for level in levels(random.Random(table)):
+        for argv in (["--level", level], [f"--level={level}"]):
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(["oracle", "crosscheck", table, *argv,
+                                 "--json"])
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+            wall = time.perf_counter() - start
+            assert code in (0, 1, 2), argv
+            assert wall < WALL_S, argv
+            assert "Traceback" not in err.getvalue(), argv

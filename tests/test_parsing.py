@@ -126,6 +126,34 @@ def test_monomial_formatting_right_nested():
     assert any(format_monomial(m) == "N(T,N(T,T))" for m in ttt.terms)
 
 
+def test_derivative_names_read_as_before():
+    alg = load_alg("w3.alg")
+    texts = ("D(T)", "D2(T)", "D10(T)", "D0(T)", "D01(T)")
+    assert {x: format_field_expr(parse_field_expr(x, alg)) for x in texts} \
+        == {"D(T)": "1*D(T)", "D2(T)": "1*D2(T)", "D10(T)": "1*D10(T)",
+            "D0(T)": "1*T", "D01(T)": "1*D(T)"}
+
+
+@pytest.mark.parametrize("command", [
+    "cft brst w3 --c=21", "cft brst w3 --c 100", "cft validate w3"])
+def test_the_parse_and_print_path_calls_no_re_function(monkeypatch, command):
+    # a pattern compiled on first use costs a short command a millisecond;
+    # only the tokenizer's pattern, compiled at import, is left
+    import re
+    from test_golden import golden_path, run_command
+    expected = run_command(command)
+    golden = golden_path(command)
+    if golden.exists():
+        assert expected == golden.read_text(encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"a re function was called with {args!r}")
+
+    for name in ("compile", "match", "fullmatch", "search"):
+        monkeypatch.setattr(re, name, refuse)
+    assert run_command(command) == expected
+
+
 def test_parse_error_reports_line_and_column():
     with pytest.raises(ParseError) as exc:
         parse_field_expr("T + %", load_alg("w3.alg"))
