@@ -9,6 +9,12 @@ class WbrstError(Exception):
     pass
 
 
+def carried(err) -> str:
+    """An exception as the "Class: message" text that ``rebuilt`` reads,
+    to send it to another process."""
+    return f"{type(err).__name__}: {err}"
+
+
 def rebuilt(text):
     """The exception that another process sent as "Class: message": a
     WbrstError subclass as itself, any other as a RuntimeError."""

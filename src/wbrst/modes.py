@@ -5,8 +5,19 @@ fields are expanded into Laurent modes acting on explicit states, the
 singular products are reconstructed from mode commutators, and the
 matrices are compared entry by entry with the engine output.  All
 arithmetic is exact; parameterized tables must be specialized to numbers
-first.  A bundle's bc systems run in up to one process per usable CPU,
-with the output of one process.
+first.
+
+``crosscheck_bundle`` checks six standard pairs of each bc system of a
+free table.  The caller builds every system's pairs, slice and central
+charge first; each (system, pair) is then a unit, and units whose
+commutator inputs are the same in slice field indices (systems of one
+weight, such as W3^(2)'s bp and bm) are one unit that solves the
+commutators once and compares each member's own engine poles.  The
+caller and up to one forked worker per further usable CPU take units,
+largest first by an estimate, from one pipe queue.  A worker dies with
+its caller (Linux's parent-death signal, and a check of its parent
+between units).  The caller merges the results in system and pair order,
+so the report, or the first failing step's error, is that of one process.
 
 Inside a slice the work is done on integers.  A mode m of a field of
 weight h has the offset n = m + h: creation modes are n <= 0, and a
@@ -30,12 +41,13 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, floor, gcd, lcm
 
-from .errors import WbrstError, rebuilt
+from .errors import WbrstError, carried, rebuilt
 from .fields import FieldExpr, Monomial
 from .scalars import RF_ONE, _add_into
 
@@ -772,41 +784,93 @@ def crosscheck(algebra, pairs, level, excite=None, modes=(0, 1, -1)) -> dict:
         systems = [s for s in systems
                    if s in excite or s.b in named or s.c in named]
     slc = FockSlice(systems, level, excite=excite)
-    ctx = algebra.context()
-    report = {"level": str(slc.level), "states": len(slc.basis),
-              "checks": [], "ok": True}
-    for x, y in pairs:
-        xe, ye = (e if isinstance(e, FieldExpr) else
-                  FieldExpr(algebra, {e: RF_ONE}) for e in (x, y))
-        engine = {n: slc._compile(e) for n, e in ctx.ope(xe, ye).items()}
-        top = max(engine, default=0) + 2
-        hsum = _single(slc, xe).weight + _single(slc, ye).weight
-        label = f"[{_label(x)} {_label(y)}]"
-        for m0 in modes:
-            r = -(hsum - 1) + m0  # on the mode lattice of every pole field
+    checks = [e for x, y in pairs
+              for e in _pair_checks(algebra, slc, x, y, modes, {})]
+    return {"level": str(slc.level), "states": len(slc.basis),
+            "checks": checks, "ok": all(e["match"] for e in checks)}
+
+
+def _pair_checks(algebra, slc, x, y, modes, oracles) -> list:
+    """The report entries of the pair (x, y) on a slice, one per mode and
+    pole.  ``oracles`` keeps the mode-commutator poles by (mode, max
+    pole), so that a pair with the same inputs reads them instead of
+    solving again."""
+    xe, ye = (e if isinstance(e, FieldExpr) else
+              FieldExpr(algebra, {e: RF_ONE}) for e in (x, y))
+    engine = {n: slc._compile(e)
+              for n, e in algebra.context().ope(xe, ye).items()}
+    top = max(engine, default=0) + 2
+    hsum = _single(slc, xe).weight + _single(slc, ye).weight
+    label = f"[{_label(x)} {_label(y)}]"
+    checks = []
+    for m0 in modes:
+        r = -(hsum - 1) + m0  # on the mode lattice of every pole field
+        oracle = oracles.get((r, top))
+        if oracle is None:
             try:
-                oracle, oden = _pole_columns(xe, ye, r, slc, top)
+                oracle = _pole_columns(xe, ye, r, slc, top)
             except ModeError as err:
-                report["ok"] = False
-                report["checks"].append({"pair": label, "mode": str(r),
-                                         "match": False, "error": str(err)})
-                continue
-            for n in range(1, top + 1):
-                wanted, eden = (_mode_columns(engine[n], r, slc)
-                                if n in engine else ({}, 1))
-                entry = {"pair": label, "pole": n, "mode": str(r),
-                         "match": True}
-                diff = _first_difference(slc, oracle[n - 1], wanted, oden,
-                                         eden)
-                if diff is not None:
-                    (s, sign), (o, osign) = map(slc._tuple, diff[:2])
-                    ov, ev = (sign * osign * v for v in diff[2:])
-                    entry.update(match=False, state=repr(s), output=repr(o),
-                                 oracle=str(Fraction(ov, oden)),
-                                 engine=str(Fraction(ev, eden)))
-                    report["ok"] = False
-                report["checks"].append(entry)
-    return report
+                oracle = err
+            oracles[r, top] = oracle
+        if isinstance(oracle, ModeError):
+            checks.append({"pair": label, "mode": str(r), "match": False,
+                           "error": str(oracle)})
+            continue
+        oracle, oden = oracle
+        for n in range(1, top + 1):
+            wanted, eden = (_mode_columns(engine[n], r, slc)
+                            if n in engine else ({}, 1))
+            entry = {"pair": label, "pole": n, "mode": str(r), "match": True}
+            diff = _first_difference(slc, oracle[n - 1], wanted, oden, eden)
+            if diff is not None:
+                (s, sign), (o, osign) = map(slc._tuple, diff[:2])
+                ov, ev = (sign * osign * v for v in diff[2:])
+                entry.update(match=False, state=repr(s), output=repr(o),
+                             oracle=str(Fraction(ov, oden)),
+                             engine=str(Fraction(ev, eden)))
+            checks.append(entry)
+    return checks
+
+
+def _indexed(slc, x):
+    """The terms of a monomial or field expression with each field named
+    by its index on the slice, so that the same expression on two systems
+    of one weight reads the same."""
+    terms = ((x, RF_ONE),) if isinstance(x, Monomial) else x.terms.items()
+    return frozenset((tuple((slc._field(n), d) for n, d in mono.factors), v)
+                     for mono, v in terms)
+
+
+def _estimate(slc, x, y):
+    """The rough cost of a pair's unit, read from its inputs: slice states
+    times commutator samples (about the pair's weight plus five) times the
+    factors the two sides walk."""
+    walked = sum(len(mono.factors) for e in (x, y) for mono in _monomials(e))
+    hsum = sum(_mono_weight(slc, next(iter(_monomials(e))).factors)
+               for e in (x, y))
+    return len(slc.basis) * (max(hsum, 1) + 5) * walked
+
+
+def _bundle_system(algebra, ctx, s, level):
+    """One bc system's part of a bundle, built before any unit runs: its
+    report entry with the central charge, its slice, its six standard
+    pairs (contraction, derivative, ghost current and stress tensor
+    products) and the central charge's error as text, or None."""
+    from .algebras import ghost_stress
+    mb, mc = Monomial(((s.b, 0),)), Monomial(((s.c, 0),))
+    b, c = (FieldExpr(algebra, {m: RF_ONE}) for m in (mb, mc))
+    bc = ctx.normal_product(b, c)
+    t = ghost_stress(ctx, [(s.b, s.c)])
+    pairs = [(mb, mc), (Monomial(((s.b, 1),)), mc), (bc, bc), (t, b), (t, c),
+             (t, t)]
+    slc = FockSlice([s], level)
+    entry = {"b": s.b, "c": s.c, "weight": str(s.lam),
+             "states": len(slc.basis)}
+    try:  # the last step: its error is reported after those of the pairs
+        entry["central_charge"] = str(stress_central_charge(t, s, level=2))
+    except Exception as err:
+        return entry, slc, pairs, carried(err)
+    return entry, slc, pairs, None
 
 
 def crosscheck_bundle(algebra, level, modes=(0,)) -> dict:
@@ -815,75 +879,143 @@ def crosscheck_bundle(algebra, level, modes=(0,)) -> dict:
     derivative, ghost current and stress tensor products.  The merged
     report also lists the per-system stress central charges.
 
-    The systems are dealt round robin to this process and forked workers,
-    up to one per usable CPU; the report, or the first failing system's
-    error, is that of one process."""
-    from .algebras import ghost_stress
-    systems = systems_from_algebra(algebra)
+    Each (system, pair) is a unit; units with the same inputs in slice
+    indices (systems of one weight) are one unit that solves the mode
+    commutators once.  This process and up to one forked worker per
+    further usable CPU take units, largest first, from one queue; the
+    report, or the first failing system's first failing step's error, is
+    that of one process."""
     ctx = algebra.context()
-    merged = {"level": str(Fraction(level)), "ok": True, "systems": [],
-              "checks": []}
-    w = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        w = max(1, min(len(os.sched_getaffinity(0)), len(systems)))
+    built, units = [], {}
+    for i, s in enumerate(systems_from_algebra(algebra)):
+        try:
+            built.append(_bundle_system(algebra, ctx, s, level))
+        except Exception as err:  # reported before any later system
+            built.append(carried(err))
+            break
+        _, slc, pairs, _ = built[-1]
+        for j, (x, y) in enumerate(pairs):
+            key = (s.lam, _indexed(slc, x), _indexed(slc, y))
+            # [estimate, (system, pair), ...]
+            units.setdefault(key, [_estimate(slc, x, y)]).append((i, j))
+    units = sorted(units.values(), key=lambda u: -u[0])  # largest first
 
-    def share(k):  # reports of systems k, k + w, ...; an error ends them
-        out = []
-        for s in systems[k::w]:
+    def run(u):  # each member's entries, or its error as text
+        oracles, out = {}, []
+        for i, j in units[u][1:]:
+            _, slc, pairs, _ = built[i]
             try:
-                mb, mc = Monomial(((s.b, 0),)), Monomial(((s.c, 0),))
-                b, c = (FieldExpr(algebra, {m: RF_ONE}) for m in (mb, mc))
-                bc = ctx.normal_product(b, c)
-                t = ghost_stress(ctx, [(s.b, s.c)])
-                pairs = [(mb, mc), (Monomial(((s.b, 1),)), mc), (bc, bc),
-                         (t, b), (t, c), (t, t)]
-                rep = crosscheck(algebra, pairs, level,
-                                 excite=[s.b, s.c], modes=modes)
-                cc = stress_central_charge(t, s, level=2)
+                out.append(_pair_checks(algebra, slc, *pairs[j], modes,
+                                        oracles))
             except Exception as err:
-                return out + [err]
-            out.append(({"b": s.b, "c": s.c, "weight": str(s.lam),
-                         "states": rep["states"],
-                         "central_charge": str(cc)},
-                        rep["checks"], rep["ok"]))
+                out.append(carried(err))
         return out
 
-    shares, children = [], []
+    done = _drain_units(run, len(units))
+    results = {}
+    for u, unit in enumerate(units):
+        for member, out in zip(unit[1:], done.get(u, ())):
+            results[member] = out
+    merged = {"level": str(Fraction(level)), "ok": True, "systems": [],
+              "checks": []}
+    for i, part in enumerate(built):
+        if isinstance(part, str):
+            raise rebuilt(part)
+        system, _, pairs, late = part
+        checks = []
+        for j in range(len(pairs)):
+            out = results.get((i, j), "a crosscheck worker ended without "
+                                      "a report")
+            if isinstance(out, str):
+                raise rebuilt(out)
+            checks += out
+        if late is not None:
+            raise rebuilt(late)
+        merged["systems"].append(system)
+        merged["checks"] += checks
+        merged["ok"] = merged["ok"] and all(e["match"] for e in checks)
+    return merged
+
+
+def _drain_units(run, count) -> dict:
+    """{u: run(u)} for units 0 .. count - 1, taken in that order from one
+    queue by this process and up to one forked worker per further usable
+    CPU; the units of a worker that ends without a report are missing.
+    A worker sends its results as one JSON line through a pipe, and ends
+    when its caller does."""
+    w = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        w = min(len(os.sched_getaffinity(0)), count)
+    queue = _unit_queue(count) if w > 1 else None
+    if queue is None:
+        return {u: run(u) for u in range(count)}
+    caller = os.getpid()
+
+    def drain(worker):
+        out = {}
+        while record := os.read(queue, 4):
+            if worker and os.getppid() != caller:
+                os._exit(1)  # the caller is gone: nobody reads the report
+            u = int.from_bytes(record, "little")
+            out[u] = run(u)
+        return out
+
+    done, children = {}, []
     try:
-        for k in range(1, w):
+        for _ in range(w - 1):
             r, wr = os.pipe()
             pid = os.fork()
             if not pid:  # a worker writes only to its pipe
                 code = 1
                 try:
+                    os.close(r)
+                    _end_with_parent(caller)
                     with open(wr, "w", encoding="utf-8") as pipe:
-                        json.dump([x if isinstance(x, tuple) else
-                                   f"{type(x).__name__}: {x}"
-                                   for x in share(k)], pipe)
+                        json.dump(list(drain(True).items()), pipe)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(wr)
             children.append((pid, r))
-        shares.append(share(0))
+        done = drain(False)
     finally:  # reap every worker, whatever happened here
+        os.close(queue)
         for pid, r in children:
             with open(r, encoding="utf-8") as pipe:
                 line = pipe.read()
-            if os.waitpid(pid, 0)[1] or not line:
-                line = '["a crosscheck worker ended without a report"]'
-            shares.append(json.loads(line))
-    for i in range(len(systems)):
-        rep = shares[i % w][i // w]
-        if isinstance(rep, Exception):
-            raise rep
-        if isinstance(rep, str):
-            raise rebuilt(rep)
-        system, checks, ok = rep
-        merged["systems"].append(system)
-        merged["checks"].extend(checks)
-        merged["ok"] = merged["ok"] and ok
-    return merged
+            if not os.waitpid(pid, 0)[1] and line:
+                done.update(json.loads(line))
+    return done
+
+
+def _unit_queue(count):
+    """The read end of a pipe holding the unit numbers 0 .. count - 1 as
+    four bytes each, written whole and closed, so that a read of four
+    bytes takes one unit and an empty read ends the queue; None when the
+    pipe cannot hold them all."""
+    queue, wq = os.pipe()
+    records = b"".join(u.to_bytes(4, "little") for u in range(count))
+    try:
+        os.set_blocking(wq, False)
+        if os.write(wq, records) == len(records):
+            return queue
+    except BlockingIOError:
+        pass
+    finally:
+        os.close(wq)
+    os.close(queue)
+    return None
+
+
+def _end_with_parent(caller):
+    """Have the kernel kill this forked worker when its caller ends (Linux
+    PR_SET_PDEATHSIG), and exit at once if the caller ended before."""
+    if sys.platform.startswith("linux"):
+        import ctypes
+        import signal
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != caller:
+        os._exit(1)
 
 
 def stress_central_charge(t, system, level=2) -> Fraction:

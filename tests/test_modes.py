@@ -1,6 +1,7 @@
 """Mode-level oracle: Laurent-mode matrices on finite Fock slices and
 operator products reconstructed from commutators alone."""
 
+import os
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -16,6 +17,32 @@ from wbrst.modes import (BcSystem, FockSlice, ModeError, ModeMatrix,
                          ope_poles_from_modes,
                          stress_central_charge, systems_from_algebra)
 from wbrst.scalars import RF_ONE, _add_into, rf
+
+
+def _proc_stats():
+    """(pid, state, parent pid, session id) of every process, read from
+    /proc."""
+    out = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat", encoding="utf-8") as f:
+                    fields = f.read().rpartition(")")[2].split()
+            except OSError:  # it ended while the list was read
+                continue
+            out.append((int(entry), fields[0], int(fields[1]),
+                        int(fields[3])))
+    return out
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    """Fail a test that leaves a child of this process behind, running
+    or unreaped, such as a crosscheck worker."""
+    yield
+    if os.path.isdir("/proc"):
+        me = os.getpid()
+        assert [p for p, _, ppid, _ in _proc_stats() if ppid == me] == []
 
 
 SYS2 = BcSystem("b", "c", Fraction(2))
@@ -385,20 +412,89 @@ def test_mismatch_report_at_excited_states(monkeypatch):
     assert "Fraction(-3, 1)" in got["w3_ghosts"][0]["output"]
 
 
+# the units of a free table's bundle: six pairs per system, w32's bp and
+# bm sharing theirs; at one mode, one commutator solve each
+_UNITS = {"w3_ghosts_free": 12, "w32_ghosts_free": 18}
+
+
 @pytest.mark.parametrize("table, systems", [("w3_ghosts_free", 2),
                                             ("w32_ghosts_free", 4)])
 @pytest.mark.parametrize("level", [2, 4])
 def test_one_and_several_workers_print_the_same_bytes(monkeypatch, capsys,
                                                       table, systems, level):
+    import json
     from wbrst.cli import main
     outs = []
-    for cpus in (1, 2, 4):  # with 2, w32's workers take two systems each
+    for cpus in (1, 2, 4):  # the units are dealt from one queue
         forks = _usable_cpus(monkeypatch, cpus)
         argv = ["oracle", "crosscheck", table, "--level", str(level)]
         assert main(argv + ["--json"]) == 0
-        assert len(forks) == min(cpus, systems) - 1
+        assert len(forks) == min(cpus, _UNITS[table]) - 1
         outs.append(capsys.readouterr().out)
     assert outs[1] == outs[0] and outs[2] == outs[0]
+    assert len(json.loads(outs[0])["systems"]) == systems
+
+
+def _count_solves(monkeypatch):
+    """Count the mode-commutator solves of this process."""
+    solves = []
+    solve = modes._pole_columns
+    monkeypatch.setattr(modes, "_pole_columns",
+                        lambda *args: solves.append(1) or solve(*args))
+    return solves
+
+
+@pytest.mark.parametrize("table", ["w3_ghosts_free", "w32_ghosts_free"])
+def test_units_with_the_same_inputs_solve_once(monkeypatch, table):
+    # w32's bp and bm, both of weight 3/2, write their six pairs alike in
+    # slice indices: 18 solves for 24 pairs; w3's two systems share none
+    from wbrst.algebras import load_bundled
+    _usable_cpus(monkeypatch, 1)
+    solves = _count_solves(monkeypatch)
+    assert crosscheck_bundle(load_bundled(table), 2)["ok"]
+    assert len(solves) == _UNITS[table]
+
+
+def test_systems_of_one_weight_with_other_inputs_keep_their_own_oracle(
+        monkeypatch):
+    # bm's stress tensor doubled: its three stress pairs differ from bp's
+    # and are solved on their own (21 solves).  With the engine's pole 2
+    # doubled as well, each system reports the mismatches of a crosscheck
+    # of its own pairs alone
+    import wbrst.algebras
+    from wbrst.algebras import load_bundled
+    from wbrst.engine import OpeContext
+    alg = load_bundled("w32_ghosts_free")
+    stress, ope = wbrst.algebras.ghost_stress, OpeContext.ope
+
+    def doubled_bm(ctx, pairs):
+        t = stress(ctx, pairs)
+        return t.scaled(2) if pairs[0][0] == "bm" else t
+
+    def doubled_pole2(self, x, y):
+        poles = ope(self, x, y)
+        if len(poles) >= 2:
+            poles = dict(poles)
+            poles[2] = poles[2].scaled(2)
+        return poles
+
+    monkeypatch.setattr(wbrst.algebras, "ghost_stress", doubled_bm)
+    monkeypatch.setattr(OpeContext, "ope", doubled_pole2)
+    _usable_cpus(monkeypatch, 1)
+    solves = _count_solves(monkeypatch)
+    rep = crosscheck_bundle(alg, 2)
+    assert len(solves) == 21
+    alone = {}
+    for s in systems_from_algebra(alg):
+        pairs = modes._bundle_system(alg, alg.context(), s, 2)[2]
+        alone[s.b] = crosscheck(alg, pairs, 2, excite=[s.b, s.c],
+                                modes=(0,))["checks"]
+    assert rep["checks"] == [e for b in ("bT", "bU", "bp", "bm")
+                             for e in alone[b]]
+    bad = {b: [e for e in alone[b] if not e["match"]] for b in ("bp", "bm")}
+    assert bad["bp"] and bad["bm"]
+    assert [e["engine"] for e in bad["bm"]] != [e["engine"]
+                                                for e in bad["bp"]]
 
 
 def _failing_charge(monkeypatch, failing, error):
@@ -435,22 +531,111 @@ def test_a_worker_error_is_the_one_process_error(monkeypatch, capsys, table,
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("failing, raised, message", [
-    ("bT", ZeroDivisionError, "no charge for bT"),
-    ("bW", RuntimeError, "ZeroDivisionError: no charge for bW"),
-])
+def _failing_pair(monkeypatch, failing, error):
+    """Make the checks of the pairs in ``failing``, (b field, "contraction"
+    or "stress") for (b, c) and (T, T), raise error naming them."""
+    checks = modes._pair_checks
+
+    def patched(algebra, slc, x, y, *rest):
+        which = "stress" if x is y and not isinstance(x, Monomial) else (
+            "contraction" if x == _mono(slc.systems[0].b) else None)
+        if (slc.systems[0].b, which) in failing:
+            raise error(f"no {which} for {slc.systems[0].b}")
+        return checks(algebra, slc, x, y, *rest)
+
+    monkeypatch.setattr(modes, "_pair_checks", patched)
+
+
+@pytest.mark.parametrize("step", ["charge", "contraction", "stress"])
+@pytest.mark.parametrize("failing", ["bT", "bW"])
 def test_a_crash_in_any_share_stays_a_crash(monkeypatch, capsys, failing,
-                                            raised, message):
-    import os
+                                            step):
+    # a crash is carried back as text from whichever process ran its step
+    # (the central charge is built by the caller, a pair in any process)
+    # and raised as the same RuntimeError
     from wbrst.cli import main
     _usable_cpus(monkeypatch, 2)
-    _failing_charge(monkeypatch, (failing,), ZeroDivisionError)
-    with pytest.raises(raised) as info:
+    if step == "charge":
+        _failing_charge(monkeypatch, (failing,), ZeroDivisionError)
+    else:
+        _failing_pair(monkeypatch, [(failing, step)], ZeroDivisionError)
+    with pytest.raises(RuntimeError) as info:
         main(["oracle", "crosscheck", "w3_ghosts_free", "--level", "2"])
-    assert str(info.value) == message
+    assert str(info.value) == f"ZeroDivisionError: no {step} for {failing}"
     assert capsys.readouterr().out == ""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("charges, pairs, shown", [
+    (("bT",), [("bW", "contraction")], "no charge for bT"),
+    (("bT",), [("bT", "stress")], "no stress for bT"),
+    ((), [("bT", "stress"), ("bT", "contraction")], "no contraction for bT"),
+    (("bW",), [("bW", "stress"), ("bT", "stress")], "no stress for bT"),
+], ids=["a-system-before-later-ones", "pairs-before-the-charge",
+        "pairs-in-order", "an-earlier-system-first"])
+def test_the_error_is_the_first_failing_step(monkeypatch, capsys, charges,
+                                             pairs, shown):
+    # a system's steps are its pairs in order, then its central charge;
+    # the first failing system's first failing step is reported, however
+    # the units were dealt
+    from wbrst.cli import main
+    _usable_cpus(monkeypatch, 2)
+    _failing_charge(monkeypatch, charges, ModeError)
+    _failing_pair(monkeypatch, pairs, ModeError)
+    argv = ["oracle", "crosscheck", "w3_ghosts_free", "--level", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {shown}\n")
+
+
+_LONG_BUNDLE = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from wbrst.cli import main
+sys.exit(main(["oracle", "crosscheck", "w3_ghosts_free", "--level", "12"]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_a_worker_ends_with_its_caller():
+    # the caller of a level-12 crosscheck (about a second of units) is
+    # terminated once its worker runs; within a second no live process
+    # of its session is left
+    import contextlib
+    import pathlib
+    import signal
+    import subprocess
+    import sys
+    import time
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    caller = subprocess.Popen([sys.executable, "-c", _LONG_BUNDLE], env=env,
+                              stdout=subprocess.DEVNULL,
+                              start_new_session=True)
+
+    def session():  # its live processes; a zombie has ended
+        return [p for p, state, _, sid in _proc_stats()
+                if sid == caller.pid and state != "Z"]
+
+    try:
+        deadline = time.monotonic() + 60
+        while len(session()) < 2:
+            assert caller.poll() is None, "the caller ended first"
+            assert time.monotonic() < deadline, "no worker started"
+            time.sleep(0.01)
+        caller.terminate()
+        assert caller.wait(timeout=10) == -signal.SIGTERM
+        deadline = time.monotonic() + 1
+        while session() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert session() == []
+    finally:
+        for pid in session():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        caller.kill()
+        caller.wait()
 
 
 def test_crosscheck_names_an_unknown_excited_field():
