@@ -7,17 +7,15 @@ matrices are compared entry by entry with the engine output.  All
 arithmetic is exact; parameterized tables must be specialized to numbers
 first.
 
-``crosscheck_bundle`` checks six standard pairs of each bc system of a
-free table.  The caller builds every system's pairs, slice and central
-charge first; each (system, pair) is then a unit, and units whose
-commutator inputs are the same in slice field indices (systems of one
-weight, such as W3^(2)'s bp and bm) are one unit that solves the
-commutators once and compares each member's own engine poles.  The
+``crosscheck`` and ``crosscheck_bundle`` run jobs through one pipeline: a
+pair of expressions on a slice, or the central charge of a stress tensor
+read on one.  Jobs whose inputs are the same in slice field indices, on
+slices of the same weights and level (systems of one weight, such as
+W3^(2)'s bp and bm), are one unit that solves the commutators once.  The
 caller and up to one forked worker per further usable CPU take units,
-largest first by an estimate, from one pipe queue.  A worker dies with
-its caller (Linux's parent-death signal, and a check of its parent
-between units).  The caller merges the results in system and pair order,
-so the report, or the first failing step's error, is that of one process.
+largest first, from one pipe queue; a worker dies with its caller.  Each
+error comes back as text and is raised again alike from any process, so
+the report, or the first failing job's error, is that of one process.
 
 Inside a slice the work is done on integers.  A mode m of a field of
 weight h has the offset n = m + h: creation modes are n <= 0, and a
@@ -84,13 +82,12 @@ class FockSlice:
     """States of the tensor product of bc Fock spaces, graded by level.
 
     The vacuum is SL(2)-invariant: a mode A_m annihilates it exactly when
-    m > -h_A.  The basis holds all states of level 0 through L whose
-    excitations come from the ``excite`` subset of systems (default all);
-    operators may map basis states to arbitrary states outside the basis.
-    A basis of more than ``MAX_STATES`` states raises ``ModeError``.
+    m > -h_A.  The basis holds all states of level 0 through L; operators
+    may map basis states to arbitrary states outside the basis.  A basis
+    of more than ``MAX_STATES`` states raises ``ModeError``.
     """
 
-    def __init__(self, systems, level, excite=None):
+    def __init__(self, systems, level):
         self.systems = tuple(systems)
         self.level = Fraction(level)
         if self.level < 0:
@@ -102,7 +99,6 @@ class FockSlice:
                     raise ModeError(f"duplicate field name {name!r}")
                 names[name] = (i, kind, s.weight(name))
         self._names = names
-        self.excite = self.systems if excite is None else tuple(excite)
         # field f = 2 * system + kind is op_key order, f ^ 1 its conjugate
         self._fields = list(names)
         weights = [names[n][2] for n in self._fields]
@@ -138,16 +134,14 @@ class FockSlice:
         # the vacuum and each mode that does not lower the level are
         # states, counted without listing the modes of a huge level
         known = 1
-        for s in self.excite:
-            for name in (s.b, s.c):
-                f = self._field(name)
-                dh = self._dh[f]
-                first = dh % den if dh < 0 else dh  # the first dl >= 0
-                known += max(0, (top - first) // den + 1)
-                if known > MAX_STATES:
-                    self._too_many()
-                for k, dl in enumerate(range(dh, top + 1, den)):
-                    ops.append((f, -k, dl, (name, Fraction(-dl, den))))
+        for f, name in enumerate(self._fields):
+            dh = self._dh[f]
+            first = dh % den if dh < 0 else dh  # the first dl >= 0
+            known += max(0, (top - first) // den + 1)
+            if known > MAX_STATES:
+                self._too_many()
+            for k, dl in enumerate(range(dh, top + 1, den)):
+                ops.append((f, -k, dl, (name, Fraction(-dl, den))))
         ops.sort()  # op_key order
         # drop[i]: the most the ops from i on can lower the level
         drop = [0] * (len(ops) + 1)
@@ -743,14 +737,15 @@ def _expr_parity(x):
 def systems_from_algebra(algebra) -> tuple:
     """Read the bc pairs off a frozen table of pure delta-function
     contractions: every stored product must be a single first-order pole
-    equal to the unit."""
+    equal to the unit between two fields, and every generator must be in
+    one pair."""
     pairs = []
     seen = set()
     for (a, b), poles in algebra.table_items():
-        if a == b or not poles:
+        if not poles:
             continue
         unit = FieldExpr.unit(algebra)
-        if set(poles) != {1} or poles[1] != unit:
+        if a == b or set(poles) != {1} or poles[1] != unit:
             raise ModeError(f"product {a} {b} is not a free contraction")
         da, db = algebra.decl(a), algebra.decl(b)
         if not (da.parity and db.parity):
@@ -762,30 +757,29 @@ def systems_from_algebra(algebra) -> tuple:
             raise ModeError("field appears in two contractions")
         seen.update((bn, cn))
         pairs.append(BcSystem(bn, cn, algebra.decl(bn).weight))
+    for name in algebra.names:
+        if name not in seen:
+            raise ModeError(f"generator {name} is in no bc system")
+    if not pairs:
+        raise ModeError("the table has no bc system")
     pairs.sort(key=lambda s: algebra.index(s.b))
     return tuple(pairs)
 
 
-def crosscheck(algebra, pairs, level, excite=None, modes=(0, 1, -1)) -> dict:
+def crosscheck(algebra, pairs, level, modes=(0, 1, -1)) -> dict:
     """Compare engine poles with mode-commutator reconstructions for each
-    pair of fields, as matrices on the slice.  Returns a JSON-friendly
-    report; ``ok`` is True when every matrix matches exactly.  The slice
-    holds every system of the algebra, or with ``excite`` the excited
-    systems and those the pairs name."""
-    systems = systems_from_algebra(algebra)
-    if excite is not None:
-        by_name = {s.b: s for s in systems} | {s.c: s for s in systems}
-        try:
-            excite = tuple(dict.fromkeys(by_name[n] for n in excite))
-        except KeyError as err:
-            raise ModeError(f"unknown field {err.args[0]!r}") from None
-        named = {n for pair in pairs for x in pair for mono in _monomials(x)
-                 for n, _ in mono.factors}
-        systems = [s for s in systems
-                   if s in excite or s.b in named or s.c in named]
-    slc = FockSlice(systems, level, excite=excite)
-    checks = [e for x, y in pairs
-              for e in _pair_checks(algebra, slc, x, y, modes, {})]
+    pair of fields, as matrices on one slice of the bc systems that the
+    pairs name.  Returns a JSON-friendly report; ``ok`` is True when every
+    matrix matches exactly.  The first failing pair's error is raised."""
+    named = {n for pair in pairs for x in pair for mono in _monomials(x)
+             for n, _ in mono.factors}
+    slc = FockSlice([s for s in systems_from_algebra(algebra)
+                     if s.b in named or s.c in named], level)
+    checks = []
+    for out in _run_jobs(algebra, [(slc, x, y) for x, y in pairs], modes):
+        if isinstance(out, str):
+            raise rebuilt(out)
+        checks += out
     return {"level": str(slc.level), "states": len(slc.basis),
             "checks": checks, "ok": all(e["match"] for e in checks)}
 
@@ -841,106 +835,97 @@ def _indexed(slc, x):
                      for mono, v in terms)
 
 
-def _estimate(slc, x, y):
-    """The rough cost of a pair's unit, read from its inputs: slice states
+def _estimate(slc, *exprs):
+    """The rough cost of a pair's job, read from its inputs: slice states
     times commutator samples (about the pair's weight plus five) times the
-    factors the two sides walk."""
-    walked = sum(len(mono.factors) for e in (x, y) for mono in _monomials(e))
+    factors the two sides walk; a central charge's job reads a few, 0."""
+    if len(exprs) == 1:
+        return 0
+    walked = sum(len(mono.factors) for e in exprs for mono in _monomials(e))
     hsum = sum(_mono_weight(slc, next(iter(_monomials(e))).factors)
-               for e in (x, y))
+               for e in exprs)
     return len(slc.basis) * (max(hsum, 1) + 5) * walked
-
-
-def _bundle_system(algebra, ctx, s, level):
-    """One bc system's part of a bundle, built before any unit runs: its
-    report entry with the central charge, its slice, its six standard
-    pairs (contraction, derivative, ghost current and stress tensor
-    products) and the central charge's error as text, or None."""
-    from .algebras import ghost_stress
-    mb, mc = Monomial(((s.b, 0),)), Monomial(((s.c, 0),))
-    b, c = (FieldExpr(algebra, {m: RF_ONE}) for m in (mb, mc))
-    bc = ctx.normal_product(b, c)
-    t = ghost_stress(ctx, [(s.b, s.c)])
-    pairs = [(mb, mc), (Monomial(((s.b, 1),)), mc), (bc, bc), (t, b), (t, c),
-             (t, t)]
-    slc = FockSlice([s], level)
-    entry = {"b": s.b, "c": s.c, "weight": str(s.lam),
-             "states": len(slc.basis)}
-    try:  # the last step: its error is reported after those of the pairs
-        entry["central_charge"] = str(stress_central_charge(t, s, level=2))
-    except Exception as err:
-        return entry, slc, pairs, carried(err)
-    return entry, slc, pairs, None
 
 
 def crosscheck_bundle(algebra, level, modes=(0,)) -> dict:
     """Run crosscheck over a standard pair list for each bc system of a
     free algebra, one single-system slice at a time: contraction,
     derivative, ghost current and stress tensor products.  The merged
-    report also lists the per-system stress central charges.
-
-    Each (system, pair) is a unit; units with the same inputs in slice
-    indices (systems of one weight) are one unit that solves the mode
-    commutators once.  This process and up to one forked worker per
-    further usable CPU take units, largest first, from one queue; the
-    report, or the first failing system's first failing step's error, is
-    that of one process."""
+    report also lists the per-system stress central charges.  The error
+    raised is the first failing system's first failing step: its pairs in
+    order, then its central charge."""
+    from .algebras import ghost_stress
     ctx = algebra.context()
-    built, units = [], {}
-    for i, s in enumerate(systems_from_algebra(algebra)):
-        try:
-            built.append(_bundle_system(algebra, ctx, s, level))
-        except Exception as err:  # reported before any later system
-            built.append(carried(err))
-            break
-        _, slc, pairs, _ = built[-1]
-        for j, (x, y) in enumerate(pairs):
-            key = (s.lam, _indexed(slc, x), _indexed(slc, y))
-            # [estimate, (system, pair), ...]
-            units.setdefault(key, [_estimate(slc, x, y)]).append((i, j))
+    systems, jobs = [], []
+    for s in systems_from_algebra(algebra):
+        mb, mc = Monomial(((s.b, 0),)), Monomial(((s.c, 0),))
+        b, c = (FieldExpr(algebra, {m: RF_ONE}) for m in (mb, mc))
+        bc = ctx.normal_product(b, c)
+        t = ghost_stress(ctx, [(s.b, s.c)])
+        slc = FockSlice([s], level)
+        systems.append({"b": s.b, "c": s.c, "weight": str(s.lam),
+                        "states": len(slc.basis)})
+        pairs = ((mb, mc), (Monomial(((s.b, 1),)), mc), (bc, bc), (t, b),
+                 (t, c), (t, t))
+        jobs += [(slc, x, y) for x, y in pairs] + [(slc, t)]
+    results = _run_jobs(algebra, jobs, modes)
+    for out in results:  # in system order, then step order
+        if isinstance(out, str):
+            raise rebuilt(out)
+    # each system's seven jobs: six pairs, then the central charge
+    checks = [e for n, out in enumerate(results) if n % 7 < 6 for e in out]
+    return {"level": str(Fraction(level)),
+            "ok": all(e["match"] for e in checks),
+            "systems": [system | charge
+                        for system, charge in zip(systems, results[6::7])],
+            "checks": checks}
+
+
+def _run_jobs(algebra, jobs, modes) -> list:
+    """The result of each job, in job order, or its error as text.  A job
+    (slice, x, y) gives the report entries of the pair (x, y), and a job
+    (slice, t) gives {"central_charge": c} of the stress tensor t.
+
+    Jobs whose inputs are the same in slice field indices, on slices of
+    the same weights and level, are one unit (systems of one weight, such
+    as W3^(2)'s bp and bm): it solves the mode commutators once and
+    compares each member's own engine poles.  The units run largest first
+    through ``_drain_units``."""
+    units = {}
+    for n, (slc, *exprs) in enumerate(jobs):
+        key = (tuple(s.lam for s in slc.systems), slc.level,
+               *(_indexed(slc, x) for x in exprs))
+        units.setdefault(key, [_estimate(slc, *exprs)]).append(n)
     units = sorted(units.values(), key=lambda u: -u[0])  # largest first
 
-    def run(u):  # each member's entries, or its error as text
+    def run(u):
         oracles, out = {}, []
-        for i, j in units[u][1:]:
-            _, slc, pairs, _ = built[i]
+        for n in units[u][1:]:
+            slc, *exprs = jobs[n]
             try:
-                out.append(_pair_checks(algebra, slc, *pairs[j], modes,
-                                        oracles))
+                if len(exprs) == 1:
+                    out.append({"central_charge": str(
+                        stress_central_charge(*exprs, slc))})
+                else:
+                    out.append(_pair_checks(algebra, slc, *exprs, modes,
+                                            oracles))
             except Exception as err:
                 out.append(carried(err))
         return out
 
     done = _drain_units(run, len(units))
-    results = {}
+    results = ["a crosscheck worker ended without a report"] * len(jobs)
     for u, unit in enumerate(units):
-        for member, out in zip(unit[1:], done.get(u, ())):
-            results[member] = out
-    merged = {"level": str(Fraction(level)), "ok": True, "systems": [],
-              "checks": []}
-    for i, part in enumerate(built):
-        if isinstance(part, str):
-            raise rebuilt(part)
-        system, _, pairs, late = part
-        checks = []
-        for j in range(len(pairs)):
-            out = results.get((i, j), "a crosscheck worker ended without "
-                                      "a report")
-            if isinstance(out, str):
-                raise rebuilt(out)
-            checks += out
-        if late is not None:
-            raise rebuilt(late)
-        merged["systems"].append(system)
-        merged["checks"] += checks
-        merged["ok"] = merged["ok"] and all(e["match"] for e in checks)
-    return merged
+        for n, out in zip(unit[1:], done.get(u, ())):
+            results[n] = out
+    return results
 
 
 def _drain_units(run, count) -> dict:
     """{u: run(u)} for units 0 .. count - 1, taken in that order from one
     queue by this process and up to one forked worker per further usable
-    CPU; the units of a worker that ends without a report are missing.
+    CPU, fewer when a pipe or fork fails; the units of a worker that ends
+    without a report are missing.
     A worker sends its results as one JSON line through a pipe, and ends
     when its caller does."""
     w = 1
@@ -963,8 +948,16 @@ def _drain_units(run, count) -> dict:
     done, children = {}, []
     try:
         for _ in range(w - 1):
-            r, wr = os.pipe()
-            pid = os.fork()
+            try:
+                r, wr = os.pipe()
+            except OSError:  # no descriptor to spare: those running drain
+                break
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare, as under a limit
+                os.close(r)
+                os.close(wr)
+                break
             if not pid:  # a worker writes only to its pipe
                 code = 1
                 try:
@@ -992,8 +985,11 @@ def _unit_queue(count):
     """The read end of a pipe holding the unit numbers 0 .. count - 1 as
     four bytes each, written whole and closed, so that a read of four
     bytes takes one unit and an empty read ends the queue; None when the
-    pipe cannot hold them all."""
-    queue, wq = os.pipe()
+    pipe cannot be made or cannot hold them all."""
+    try:
+        queue, wq = os.pipe()
+    except OSError:
+        return None
     records = b"".join(u.to_bytes(4, "little") for u in range(count))
     try:
         os.set_blocking(wq, False)
@@ -1018,10 +1014,9 @@ def _end_with_parent(caller):
         os._exit(1)
 
 
-def stress_central_charge(t, system, level=2) -> Fraction:
+def stress_central_charge(t, slc) -> Fraction:
     """c = 2 <0|L_2 L_-2|0>, the vacuum value of the modes of t alone
-    (offsets 4 and 0 of a weight-2 field) on a slice of ``level``."""
-    slc = FockSlice([system], level)
+    (offsets 4 and 0 of a weight-2 field), read on the slice ``slc``."""
     ex, lv = _single(slc, t), slc._lvs[0]  # the vacuum is state 0, first
     vev = sum(v * _apply(slc, ex, 4, s, lv + ex.dweight).get(0, 0)
               for s, v in _apply(slc, ex, 0, 0, lv).items())

@@ -4,9 +4,11 @@ import dataclasses
 import itertools
 import os
 import pathlib
+import random
 
 import pytest
 
+from wbrst.fields import FieldExpr
 from wbrst.omega import OmegaAlgebra
 from wbrst.parsing import parse_algebra_file, parse_qla_file
 from wbrst.scalars import RF_ONE
@@ -56,6 +58,27 @@ QLA_FILES = ("so3.qla", "super_ef.qla", "lyubashenko.qla")
 MUTATED_QLA_FILES = QLA_FILES + ("color_abelian_q2.qla",)
 ALG_FILES = ("w3.alg", "w3_printed.alg", "w3_ghosts.alg", "w3_ghosts_free.alg",
              "w32.alg", "w32_ghosts.alg", "w32_ghosts_free.alg")
+
+
+def random_normal_products(algebra, seed, count, factors=3, orders=2):
+    """``count`` seeded random pairs of normal products of a table's
+    generators: each side nests one to ``factors`` generators to the right,
+    each with a derivative order from 0 to ``orders``.  A product that
+    vanishes is drawn again."""
+    rng = random.Random(seed)
+    ctx = algebra.context()
+
+    def draw():
+        while True:
+            x = None
+            for _ in range(rng.randint(1, factors)):
+                g = ctx.derivative(FieldExpr.generator(
+                    algebra, rng.choice(algebra.names)), rng.randint(0, orders))
+                x = g if x is None else ctx.normal_product(g, x)
+            if not x.is_zero:
+                return x
+
+    return [(draw(), draw()) for _ in range(count)]
 
 
 def shifted(m, row, col, by=RF_ONE):

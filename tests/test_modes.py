@@ -8,6 +8,7 @@ from math import factorial, prod
 
 import pytest
 
+from conftest import random_normal_products
 from wbrst import modes
 from wbrst.algebras import ghost_stress, w32_ghosts, w3_ghosts
 from wbrst.fields import FieldExpr, Monomial
@@ -234,9 +235,8 @@ def test_identical_fermion_modes_anticommute():
 def test_max_pole_too_small_is_detected():
     alg = w3_ghosts(0, 0)
     ctx = alg.context()
-    systems = systems_from_algebra(alg)
-    s = systems[0]
-    slc = FockSlice(systems, 2, excite=[s])
+    s = systems_from_algebra(alg)[0]
+    slc = FockSlice([s], 2)
     t = ghost_stress(ctx, [(s.b, s.c)])
     with pytest.raises(ModeError):
         ope_poles_from_modes(t, t, 0, slc, max_pole=2)
@@ -291,7 +291,7 @@ def test_ghost_stress_central_charges(lam, expect):
     sys = systems[name_b]
     ctx = alg.context()
     t = ghost_stress(ctx, [(sys.b, sys.c)])
-    assert stress_central_charge(t, sys, level=2) == expect
+    assert stress_central_charge(t, FockSlice([sys], 2)) == expect
 
 
 def test_crosscheck_levels_agree():
@@ -318,7 +318,7 @@ def test_crosscheck_mixed_system_pair():
     ctx = alg.context()
     t = ghost_stress(ctx, [("bT", "cT"), ("bW", "cW")])
     b = FieldExpr(alg, {_mono("bW"): RF_ONE})
-    rep = crosscheck(alg, [(t, b)], 2, excite=["bW", "cW"], modes=(0,))
+    rep = crosscheck(alg, [(t, b)], 2, modes=(0,))
     assert rep["ok"], rep["checks"]
 
 
@@ -412,9 +412,11 @@ def test_mismatch_report_at_excited_states(monkeypatch):
     assert "Fraction(-3, 1)" in got["w3_ghosts"][0]["output"]
 
 
-# the units of a free table's bundle: six pairs per system, w32's bp and
-# bm sharing theirs; at one mode, one commutator solve each
-_UNITS = {"w3_ghosts_free": 12, "w32_ghosts_free": 18}
+# the units of a free table's bundle: six pairs and a central charge per
+# system, w32's bp and bm sharing theirs; at one mode, one commutator
+# solve for each pair unit
+_UNITS = {"w3_ghosts_free": 14, "w32_ghosts_free": 21}
+_SOLVES = {"w3_ghosts_free": 12, "w32_ghosts_free": 18}
 
 
 @pytest.mark.parametrize("table, systems", [("w3_ghosts_free", 2),
@@ -452,7 +454,7 @@ def test_units_with_the_same_inputs_solve_once(monkeypatch, table):
     _usable_cpus(monkeypatch, 1)
     solves = _count_solves(monkeypatch)
     assert crosscheck_bundle(load_bundled(table), 2)["ok"]
-    assert len(solves) == _UNITS[table]
+    assert len(solves) == _SOLVES[table]
 
 
 def test_systems_of_one_weight_with_other_inputs_keep_their_own_oracle(
@@ -484,11 +486,9 @@ def test_systems_of_one_weight_with_other_inputs_keep_their_own_oracle(
     solves = _count_solves(monkeypatch)
     rep = crosscheck_bundle(alg, 2)
     assert len(solves) == 21
-    alone = {}
-    for s in systems_from_algebra(alg):
-        pairs = modes._bundle_system(alg, alg.context(), s, 2)[2]
-        alone[s.b] = crosscheck(alg, pairs, 2, excite=[s.b, s.c],
-                                modes=(0,))["checks"]
+    alone = {s.b: crosscheck(alg, _standard_pairs(alg, s), 2,
+                             modes=(0,))["checks"]
+             for s in systems_from_algebra(alg)}
     assert rep["checks"] == [e for b in ("bT", "bU", "bp", "bm")
                              for e in alone[b]]
     bad = {b: [e for e in alone[b] if not e["match"]] for b in ("bp", "bm")}
@@ -497,25 +497,36 @@ def test_systems_of_one_weight_with_other_inputs_keep_their_own_oracle(
                                                 for e in bad["bp"]]
 
 
+def _standard_pairs(alg, s):
+    """The six pairs that crosscheck_bundle checks for the bc system s,
+    with the stress tensor that ``wbrst.algebras`` holds at the call."""
+    import wbrst.algebras
+    ctx = alg.context()
+    b, c = (FieldExpr(alg, {_mono(n): RF_ONE}) for n in (s.b, s.c))
+    bc = ctx.normal_product(b, c)
+    t = wbrst.algebras.ghost_stress(ctx, [(s.b, s.c)])
+    return [(_mono(s.b), _mono(s.c)), (_mono(s.b, 1), _mono(s.c)), (bc, bc),
+            (t, b), (t, c), (t, t)]
+
+
 def _failing_charge(monkeypatch, failing, error):
-    """Make stress_central_charge raise error for the systems whose b
-    field is in ``failing``, naming the field."""
-    import wbrst.modes as modes_module
-    charge = modes_module.stress_central_charge
+    """Make stress_central_charge raise error on the slices whose system's
+    b field is in ``failing``, naming the field."""
+    charge = modes.stress_central_charge
 
-    def patched(t, system, level=2):
-        if system.b in failing:
-            raise error(f"no charge for {system.b}")
-        return charge(t, system, level)
+    def patched(t, slc):
+        if slc.systems[0].b in failing:
+            raise error(f"no charge for {slc.systems[0].b}")
+        return charge(t, slc)
 
-    monkeypatch.setattr(modes_module, "stress_central_charge", patched)
+    monkeypatch.setattr(modes, "stress_central_charge", patched)
 
 
 @pytest.mark.parametrize("table, failing, shown", [
-    ("w3_ghosts_free", ("bT",), "bT"),        # in the caller's share
-    ("w3_ghosts_free", ("bW",), "bW"),        # in the worker's share
+    ("w3_ghosts_free", ("bT",), "bT"),
+    ("w3_ghosts_free", ("bW",), "bW"),
     ("w3_ghosts_free", ("bT", "bW"), "bT"),
-    ("w32_ghosts_free", ("bU", "bp"), "bU"),  # the worker's system is first
+    ("w32_ghosts_free", ("bU", "bp"), "bU"),  # the earlier system
 ])
 def test_a_worker_error_is_the_one_process_error(monkeypatch, capsys, table,
                                                  failing, shown):
@@ -533,14 +544,18 @@ def test_a_worker_error_is_the_one_process_error(monkeypatch, capsys, table,
 
 def _failing_pair(monkeypatch, failing, error):
     """Make the checks of the pairs in ``failing``, (b field, "contraction"
-    or "stress") for (b, c) and (T, T), raise error naming them."""
+    or "stress") for (b, c) and a self-pair (x, x) of an expression, raise
+    error naming them.  The b field is that of the first system of the
+    slice whose fields x names, so that a slice may hold several."""
     checks = modes._pair_checks
 
     def patched(algebra, slc, x, y, *rest):
+        named = {n for mono in modes._monomials(x) for n, _ in mono.factors}
+        b = next(s.b for s in slc.systems if named & {s.b, s.c})
         which = "stress" if x is y and not isinstance(x, Monomial) else (
-            "contraction" if x == _mono(slc.systems[0].b) else None)
-        if (slc.systems[0].b, which) in failing:
-            raise error(f"no {which} for {slc.systems[0].b}")
+            "contraction" if x == _mono(b) else None)
+        if (b, which) in failing:
+            raise error(f"no {which} for {b}")
         return checks(algebra, slc, x, y, *rest)
 
     monkeypatch.setattr(modes, "_pair_checks", patched)
@@ -551,8 +566,8 @@ def _failing_pair(monkeypatch, failing, error):
 def test_a_crash_in_any_share_stays_a_crash(monkeypatch, capsys, failing,
                                             step):
     # a crash is carried back as text from whichever process ran its step
-    # (the central charge is built by the caller, a pair in any process)
-    # and raised as the same RuntimeError
+    # (a pair or a central charge, each a unit) and raised as the same
+    # RuntimeError
     from wbrst.cli import main
     _usable_cpus(monkeypatch, 2)
     if step == "charge":
@@ -585,6 +600,102 @@ def test_the_error_is_the_first_failing_step(monkeypatch, capsys, charges,
     _failing_pair(monkeypatch, pairs, ModeError)
     argv = ["oracle", "crosscheck", "w3_ghosts_free", "--level", "2"]
     assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {shown}\n")
+
+
+@pytest.mark.parametrize("error", [ModeError, ZeroDivisionError])
+@pytest.mark.parametrize("stress_first", [True, False])
+def test_crosscheck_raises_its_first_failing_pair(monkeypatch, error,
+                                                  stress_first):
+    # crosscheck's pairs are units on one slice of both systems, taken by
+    # two processes largest first, so (T, T) runs before (bW, cW); the
+    # error raised is still the first failing pair's in pair order, and a
+    # crash is the RuntimeError that names it
+    alg = w3_ghosts(0, 0)
+    t = ghost_stress(alg.context(), [("bT", "cT")])
+    stress, contraction = (t, t), (_mono("bW"), _mono("cW"))
+    failing = [stress, contraction] if stress_first else [contraction, stress]
+    _usable_cpus(monkeypatch, 2)
+    _failing_pair(monkeypatch, [("bT", "stress"), ("bW", "contraction")],
+                  error)
+    with pytest.raises(ModeError if error is ModeError else RuntimeError) \
+            as info:
+        crosscheck(alg, [(_mono("bT"), _mono("cT")), *failing], 1,
+                   modes=(0,))
+    shown = "no stress for bT" if stress_first else "no contraction for bW"
+    assert str(info.value) == (shown if error is ModeError
+                               else f"ZeroDivisionError: {shown}")
+
+
+@pytest.mark.parametrize("table", ["w3_ghosts_free", "w32_ghosts_free"])
+def test_crosscheck_of_random_products_is_that_of_one_process(monkeypatch,
+                                                              table):
+    # seeded random normal products of up to three generators, derivative
+    # orders 0-2: the report is ok and the same with 1, 2 and 4 usable
+    # CPUs, which fork min(cpus, units) - 1 workers, one unit per distinct
+    # pair on the one slice
+    import json
+    from wbrst.algebras import load_bundled
+    alg = load_bundled(table)
+    pairs = random_normal_products(alg, seed=5, count=6)
+    units = len(set(pairs))
+    outs = []
+    for cpus in (1, 2, 4):
+        forks = _usable_cpus(monkeypatch, cpus)
+        rep = crosscheck(alg, pairs, 1)
+        assert rep["ok"], [e for e in rep["checks"] if not e["match"]]
+        assert len(forks) == min(cpus, units) - 1
+        outs.append(json.dumps(rep))
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_a_failed_fork_leaves_the_units_to_those_running(monkeypatch, capsys,
+                                                         failing_call):
+    # a fork that fails for want of processes (EAGAIN) is not bad input:
+    # no further fork is tried, the processes already running drain the
+    # queue, and the bytes are those of one process
+    import errno
+    from wbrst.cli import main
+    argv = ["oracle", "crosscheck", "w3_ghosts_free", "--level", "2",
+            "--json"]
+    _usable_cpus(monkeypatch, 1)
+    assert main(argv) == 0
+    one = capsys.readouterr().out
+    calls, fork = [], os.fork
+
+    def failing():
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(os, "fork", failing)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (one, "")
+    assert len(calls) == failing_call
+
+
+@pytest.mark.parametrize("text, shown", [
+    (None, "product cT cT is not a free contraction"),
+    ("algebra lone\nfield X weight=1\n", "generator X is in no bc system"),
+    ("algebra empty\n", "the table has no bc system"),
+])
+def test_the_oracle_refuses_a_table_it_cannot_check(capsys, tmp_path, text,
+                                                    shown):
+    # a stored self-product and a generator outside every bc pair are bad
+    # input: the first is named, not met later as an unknown field, and a
+    # table without a bc system does not pass with no checks
+    from conftest import read_data
+    from wbrst.cli import main
+    if text is None:
+        text = read_data("w3_ghosts_free.alg").replace(
+            "ope cT cT :\n", "ope cT cT : 1 -> 1*N(cW,D(cW))\n")
+        assert "N(cW" in text
+    path = tmp_path / "table.alg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["oracle", "crosscheck", str(path), "--level", "2"]) == 2
     assert capsys.readouterr() == ("", f"error: {shown}\n")
 
 
@@ -638,10 +749,11 @@ def test_a_worker_ends_with_its_caller():
         caller.wait()
 
 
-def test_crosscheck_names_an_unknown_excited_field():
+def test_a_pair_naming_an_unknown_field_is_a_mode_error():
     alg = w3_ghosts(0, 0)
     with pytest.raises(ModeError, match="unknown field 'zz'"):
-        crosscheck(alg, [(_mono("bT"), _mono("cT"))], 2, excite=["zz"])
+        crosscheck(alg, [(_mono("bT"), _mono("cT")), (_mono("zz"),
+                                                      _mono("cT"))], 2)
 
 
 def test_systems_from_algebra_rejects_interacting_table():
@@ -899,11 +1011,11 @@ def test_self_pair_pole_mutation_is_detected(monkeypatch, name, pair, pole):
 
 def test_tabulated_entries_are_pinned(monkeypatch):
     # the (offset, state) entries each slice of the bundle has tabulated:
-    # the crosscheck slice and the central-charge slice of each system,
-    # each holding that system alone; a second walk of the stress tensor's
-    # terms would add to them.  The central charge reads L_-2 on the
-    # vacuum and L_2 on its two outputs, three entries.  One usable CPU
-    # keeps every slice in this process, where it is counted
+    # one slice per system, holding that system alone; a second walk of
+    # the stress tensor's terms would add to them.  The central charge
+    # reads L_-2 on the vacuum and L_2 on its outputs on the same slice,
+    # entries that the stress self-product has already tabulated.  One
+    # usable CPU keeps every slice in this process, where it is counted
     from wbrst.algebras import load_bundled
     _usable_cpus(monkeypatch, 1)
     slices = []
@@ -916,6 +1028,6 @@ def test_tabulated_entries_are_pinned(monkeypatch):
     monkeypatch.setattr("wbrst.modes.FockSlice", Recorded)
     rep = crosscheck_bundle(load_bundled("w3_ghosts_free"), 4)
     assert rep["ok"]
-    assert [len(s.systems) for s in slices] == [1, 1, 1, 1]
+    assert [len(s.systems) for s in slices] == [1, 1]
     assert [(len(s.basis), s.tabulated()) for s in slices] == [
-        (64, 3541), (18, 3), (126, 7248), (18, 3)]
+        (64, 3541), (126, 7248)]
