@@ -5,11 +5,14 @@ fields are expanded into Laurent modes acting on explicit states, the
 singular products are reconstructed from mode commutators, and the
 matrices are compared entry by entry with the engine output.  All
 arithmetic is exact; parameterized tables must be specialized to numbers
-first.
+first.  Every input, a monomial or a field expression, compiles on a
+slice to one expression of one weight and one parity; anything else, the
+zero expression included, raises ``ModeError``.
 
 ``crosscheck`` and ``crosscheck_bundle`` run jobs through one pipeline: a
 pair of expressions on a slice, or the central charge of a stress tensor
-read on one.  Jobs whose inputs are the same in slice field indices, on
+read on one.  A ``crosscheck`` pair runs on the slice of the bc systems it
+names, shared by the pairs that name the same ones.  Jobs whose inputs are the same in slice field indices, on
 slices of the same weights and level (systems of one weight, such as
 W3^(2)'s bp and bm), are one unit that solves the commutators once.  The
 caller and up to one forked worker per further usable CPU take units,
@@ -43,6 +46,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import comb, floor, gcd, lcm
 
 from .errors import WbrstError, carried, rebuilt
@@ -89,9 +93,7 @@ class FockSlice:
 
     def __init__(self, systems, level):
         self.systems = tuple(systems)
-        self.level = Fraction(level)
-        if self.level < 0:
-            raise ModeError(f"slice level must be at least 0, not {level}")
+        self.level = _slice_level(level)
         names = {}
         for i, s in enumerate(self.systems):
             for kind, name in enumerate((s.b, s.c)):
@@ -262,29 +264,28 @@ class FockSlice:
         return plan
 
     def _compile(self, x):
-        """A monomial or numeric field expression as one _Expr per
-        weight, shared by every call on this slice."""
-        if isinstance(x, Monomial):
-            terms = ((x.factors, Fraction(1)),)
-        else:
-            terms = tuple(sorted((mono.factors, _const(v))
-                                 for mono, v in x.terms.items()))
-        parts = self._exprs.get(terms)
-        if parts is None:
-            groups = {}
-            for factors, k in terms:
-                groups.setdefault(_mono_weight(self, factors), []).append(
-                    (factors, k))
-            parts = self._exprs[terms] = [
-                _Expr(self, w, group) for w, group in sorted(groups.items())]
-        return parts
+        """A monomial or numeric field expression as one _Expr, shared by
+        every call on this slice.  An expression whose terms do not have
+        one weight, the zero expression included, or one parity raises
+        ModeError."""
+        terms = tuple(sorted((mono.factors, _const(v))
+                             for mono, v in _terms(x)))
+        ex = self._exprs.get(terms)
+        if ex is None:
+            weights = {_mono_weight(self, factors) for factors, _ in terms}
+            if len(weights) != 1:
+                raise ModeError("expression must have a single weight")
+            parities = {len(factors) % 2 for factors, _ in terms}
+            if len(parities) != 1:
+                raise ModeError("expression must have a single parity")
+            ex = self._exprs[terms] = _Expr(self, *weights, *parities, terms)
+        return ex
 
     def tabulated(self) -> int:
         """How many (offset, state) entries the memos of this slice's
         compiled products and the tables of its expressions hold."""
         return (sum(len(plan.memo) for plan in self._plans.values())
-                + sum(len(ex.table) for parts in self._exprs.values()
-                      for ex in parts))
+                + sum(len(ex.table) for ex in self._exprs.values()))
 
 
 class _Plan:
@@ -328,17 +329,19 @@ class _Pair:
 
 
 class _Expr:
-    """Terms of one weight of an expression compiled on a slice:
-    ((plan, or None for the unit, int coefficient), ...) over ``den``;
-    ``table`` maps (offset, state) to the output.  The two-factor terms of
-    one field pair and total derivative order are one pair plan, the gcd
-    of their coefficients taken out.  ``plan``: the plan of a single plan
-    with coefficient 1, else None."""
+    """An expression of one weight and parity (0 even, 1 odd) compiled on
+    a slice: ((plan, or None for the unit, int coefficient), ...) over
+    ``den``; ``table`` maps (offset, state) to the output.  The
+    two-factor terms of one field pair and total derivative order are one
+    pair plan, the gcd of their coefficients taken out.  ``plan``: the
+    plan of a single plan with coefficient 1, else None."""
 
-    __slots__ = ("weight", "dweight", "terms", "den", "table", "plan")
+    __slots__ = ("weight", "parity", "dweight", "terms", "den", "table",
+                 "plan")
 
-    def __init__(self, slc, weight, group):
-        self.weight, self.dweight = weight, int(weight * slc._den)
+    def __init__(self, slc, weight, parity, group):
+        self.weight, self.parity = weight, parity
+        self.dweight = int(weight * slc._den)
         self.den = lcm(*(k.denominator for _, k in group))
         pairs = {}
         for factors, k in group:
@@ -362,6 +365,13 @@ class _Expr:
         self.table = {}
         (plan, k), *more = self.terms
         self.plan = plan if k == 1 and not more else None
+
+
+def _slice_level(level) -> Fraction:
+    """A slice level as a Fraction; a negative one raises ModeError."""
+    if Fraction(level) < 0:
+        raise ModeError(f"slice level must be at least 0, not {level}")
+    return Fraction(level)
 
 
 def _reorder_sign(fks):
@@ -573,25 +583,14 @@ def _const(v) -> Fraction:
     return v.constant_value()
 
 
-def _mode_columns(parts, m, slc):
+def _mode_columns(ex, m, slc):
     """The m-th mode of a compiled expression on the slice basis as
-    ({basis state: {state: int}}, den), in basis order."""
-    # a weight-3/2 field has no modes at integer m
-    live = [(ex, int(m + ex.weight)) for ex in parts
-            if (m + ex.weight).denominator == 1]
-    den = lcm(*(ex.den for ex, _ in live))
-    cols = {}
-    for s, lv in zip(slc._states, slc._lvs):
-        if len(live) == 1:  # the tabulated column itself, over ex.den
-            cols[s] = _apply(slc, live[0][0], live[0][1], s, lv)
-            continue
-        col = {}
-        for ex, n in live:
-            k = den // ex.den
-            for o, v in _apply(slc, ex, n, s, lv).items():
-                _add_into(col, o, k * v)
-        cols[s] = col
-    return cols, den
+    ({basis state: {state: int}}, ex.den), in basis order: the tabulated
+    columns, empty off the mode lattice (a weight-3/2 field at integer
+    m)."""
+    n = m + ex.weight
+    return {s: _apply(slc, ex, int(n), s, lv) if n.denominator == 1 else {}
+            for s, lv in zip(slc._states, slc._lvs)}, ex.den
 
 
 def _matrix(slc, m, cols, den) -> ModeMatrix:
@@ -609,7 +608,8 @@ def _matrix(slc, m, cols, den) -> ModeMatrix:
 
 def field_modes(x, m, slc: FockSlice) -> ModeMatrix:
     """Matrix of the m-th Laurent mode of a monomial or field expression
-    on the slice basis."""
+    of one weight and parity on the slice basis; any other expression
+    raises ModeError."""
     m = Fraction(m)
     return _matrix(slc, m, *_mode_columns(slc._compile(x), m, slc))
 
@@ -636,8 +636,8 @@ def _sample_solver(nun):
 def _pole_columns(a, b, r, slc, nun):
     """ope_poles_from_modes as ([{basis state: {state: int}} for poles
     1 .. nun], den), in basis order."""
-    ea, eb = _single(slc, a), _single(slc, b)
-    csign = -1 if _expr_parity(a) and _expr_parity(b) else 1
+    ea, eb = slc._compile(a), slc._compile(b)
+    csign = -1 if ea.parity and eb.parity else 1
     den = slc._den
     coms = []
     nab = r + ea.weight + eb.weight
@@ -712,23 +712,10 @@ def _mono_weight(slc, factors):
     return sum((slc.weight(n) + d for n, d in factors), Fraction(0))
 
 
-def _single(slc, x):
-    """The one compiled part of an expression of a single weight."""
-    parts = slc._compile(x)
-    if len(parts) != 1:
-        raise ModeError("expression must have a single weight")
-    return parts[0]
-
-
-def _monomials(x):
-    return (x,) if isinstance(x, Monomial) else x.terms
-
-
-def _expr_parity(x):
-    ps = {len(m) % 2 for m in _monomials(x)}
-    if len(ps) != 1:
-        raise ModeError("expression must have a single parity")
-    return ps.pop()
+def _terms(x):
+    """The (monomial, coefficient) terms of a monomial or field
+    expression."""
+    return ((x, RF_ONE),) if isinstance(x, Monomial) else x.terms.items()
 
 
 # -- engine comparison ------------------------------------------------------
@@ -768,19 +755,28 @@ def systems_from_algebra(algebra) -> tuple:
 
 def crosscheck(algebra, pairs, level, modes=(0, 1, -1)) -> dict:
     """Compare engine poles with mode-commutator reconstructions for each
-    pair of fields, as matrices on one slice of the bc systems that the
-    pairs name.  Returns a JSON-friendly report; ``ok`` is True when every
-    matrix matches exactly.  The first failing pair's error is raised."""
-    named = {n for pair in pairs for x in pair for mono in _monomials(x)
-             for n, _ in mono.factors}
-    slc = FockSlice([s for s in systems_from_algebra(algebra)
-                     if s.b in named or s.c in named], level)
+    pair of fields, as matrices on a slice of the bc systems that the pair
+    names; pairs that name the same systems share one slice.  Returns a
+    JSON-friendly report whose ``states`` is the size of the largest slice
+    a pair ran on (0 without pairs); ``ok`` is True when every matrix
+    matches exactly.  The first failing pair's error is raised."""
+    systems = systems_from_algebra(algebra)
+    level = _slice_level(level)
+    slices, jobs = {}, []
+    for x, y in pairs:
+        named = {n for e in (x, y) for mono, _ in _terms(e)
+                 for n, _ in mono.factors}
+        key = tuple(s for s in systems if s.b in named or s.c in named)
+        if key not in slices:
+            slices[key] = FockSlice(key, level)
+        jobs.append((slices[key], x, y))
     checks = []
-    for out in _run_jobs(algebra, [(slc, x, y) for x, y in pairs], modes):
+    for out in _run_jobs(algebra, jobs, modes):
         if isinstance(out, str):
             raise rebuilt(out)
         checks += out
-    return {"level": str(slc.level), "states": len(slc.basis),
+    return {"level": str(level),
+            "states": max((len(s.basis) for s in slices.values()), default=0),
             "checks": checks, "ok": all(e["match"] for e in checks)}
 
 
@@ -791,10 +787,10 @@ def _pair_checks(algebra, slc, x, y, modes, oracles) -> list:
     solving again."""
     xe, ye = (e if isinstance(e, FieldExpr) else
               FieldExpr(algebra, {e: RF_ONE}) for e in (x, y))
+    hsum = slc._compile(xe).weight + slc._compile(ye).weight
     engine = {n: slc._compile(e)
               for n, e in algebra.context().ope(xe, ye).items()}
     top = max(engine, default=0) + 2
-    hsum = _single(slc, xe).weight + _single(slc, ye).weight
     label = f"[{_label(x)} {_label(y)}]"
     checks = []
     for m0 in modes:
@@ -830,9 +826,8 @@ def _indexed(slc, x):
     """The terms of a monomial or field expression with each field named
     by its index on the slice, so that the same expression on two systems
     of one weight reads the same."""
-    terms = ((x, RF_ONE),) if isinstance(x, Monomial) else x.terms.items()
     return frozenset((tuple((slc._field(n), d) for n, d in mono.factors), v)
-                     for mono, v in terms)
+                     for mono, v in _terms(x))
 
 
 def _estimate(slc, *exprs):
@@ -841,9 +836,9 @@ def _estimate(slc, *exprs):
     factors the two sides walk; a central charge's job reads a few, 0."""
     if len(exprs) == 1:
         return 0
-    walked = sum(len(mono.factors) for e in exprs for mono in _monomials(e))
-    hsum = sum(_mono_weight(slc, next(iter(_monomials(e))).factors)
-               for e in exprs)
+    walked = sum(len(mono.factors) for e in exprs for mono, _ in _terms(e))
+    hsum = sum(_mono_weight(slc, mono.factors)
+               for e in exprs for mono, _ in islice(_terms(e), 1))
     return len(slc.basis) * (max(hsum, 1) + 5) * walked
 
 
@@ -1017,7 +1012,7 @@ def _end_with_parent(caller):
 def stress_central_charge(t, slc) -> Fraction:
     """c = 2 <0|L_2 L_-2|0>, the vacuum value of the modes of t alone
     (offsets 4 and 0 of a weight-2 field), read on the slice ``slc``."""
-    ex, lv = _single(slc, t), slc._lvs[0]  # the vacuum is state 0, first
+    ex, lv = slc._compile(t), slc._lvs[0]  # the vacuum is state 0, first
     vev = sum(v * _apply(slc, ex, 4, s, lv + ex.dweight).get(0, 0)
               for s, v in _apply(slc, ex, 0, 0, lv).items())
     return Fraction(2 * vev, ex.den ** 2)

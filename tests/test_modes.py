@@ -195,6 +195,8 @@ def test_basis_is_every_state_of_the_slice(systems, level):
 def test_negative_level_is_rejected():
     with pytest.raises(ModeError, match="level"):
         FockSlice([SYS2], -1)
+    with pytest.raises(ModeError, match="level"):  # with no slice to build
+        crosscheck(w3_ghosts(0, 0), [], -1)
     assert len(FockSlice([SYS3], 0).basis) == 2
 
 
@@ -550,7 +552,7 @@ def _failing_pair(monkeypatch, failing, error):
     checks = modes._pair_checks
 
     def patched(algebra, slc, x, y, *rest):
-        named = {n for mono in modes._monomials(x) for n, _ in mono.factors}
+        named = {n for mono, _ in modes._terms(x) for n, _ in mono.factors}
         b = next(s.b for s in slc.systems if named & {s.b, s.c})
         which = "stress" if x is y and not isinstance(x, Monomial) else (
             "contraction" if x == _mono(b) else None)
@@ -633,11 +635,12 @@ def test_crosscheck_of_random_products_is_that_of_one_process(monkeypatch,
     # seeded random normal products of up to three generators, derivative
     # orders 0-2: the report is ok and the same with 1, 2 and 4 usable
     # CPUs, which fork min(cpus, units) - 1 workers, one unit per distinct
-    # pair on the one slice
+    # pair (no two of these pairs read alike on slices of one weight)
     import json
     from wbrst.algebras import load_bundled
     alg = load_bundled(table)
-    pairs = random_normal_products(alg, seed=5, count=6)
+    count = {"w3_ghosts_free": 6, "w32_ghosts_free": 12}[table]
+    pairs = random_normal_products(alg, seed=5, count=count)
     units = len(set(pairs))
     outs = []
     for cpus in (1, 2, 4):
@@ -681,12 +684,23 @@ def test_a_failed_fork_leaves_the_units_to_those_running(monkeypatch, capsys,
     (None, "product cT cT is not a free contraction"),
     ("algebra lone\nfield X weight=1\n", "generator X is in no bc system"),
     ("algebra empty\n", "the table has no bc system"),
+    ("algebra bos\nfield b weight=1 parity=even\n"
+     "field c weight=0 parity=even\nope b c : 1 -> 1*one\n",
+     "only fermionic systems are supported"),
+    ("algebra off\nfield b weight=2 parity=odd\n"
+     "field c weight=0 parity=odd\nope b c : 1 -> 1*one\n",
+     "weights of b, c do not sum to one"),
+    ("algebra two\nfield b weight=1 parity=odd\nfield c weight=0 parity=odd\n"
+     "field d weight=0 parity=odd\nope b c : 1 -> 1*one\n"
+     "ope b d : 1 -> 1*one\n", "field appears in two contractions"),
 ])
 def test_the_oracle_refuses_a_table_it_cannot_check(capsys, tmp_path, text,
                                                     shown):
     # a stored self-product and a generator outside every bc pair are bad
     # input: the first is named, not met later as an unknown field, and a
-    # table without a bc system does not pass with no checks
+    # table without a bc system does not pass with no checks; nor does a
+    # contraction of bosons, of weights that do not sum to one, or of a
+    # field already contracted with another
     from conftest import read_data
     from wbrst.cli import main
     if text is None:
@@ -747,6 +761,79 @@ def test_a_worker_ends_with_its_caller():
                 os.kill(pid, signal.SIGKILL)
         caller.kill()
         caller.wait()
+
+
+def test_each_pair_runs_on_the_slice_of_the_systems_it_names(monkeypatch):
+    # on w32_ghosts_free, a pair that names one system runs on that
+    # system's slice, shared by the pairs that name it, and a pair that
+    # names two on their product; the entries are those of crosschecking
+    # each pair alone, and ``states`` is the size of the largest slice
+    from wbrst.algebras import load_bundled
+    alg = load_bundled("w32_ghosts_free")
+    bt, bu, bp, bm = systems_from_algebra(alg)
+    pairs = [*_standard_pairs(alg, bp)[:3], (_mono("bU"), _mono("cU")),
+             *_standard_pairs(alg, bm)[3:5], (_mono("bT", 1), _mono("cp"))]
+    _usable_cpus(monkeypatch, 1)
+    slices = []
+
+    class Recorded(FockSlice):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            slices.append(self)
+
+    monkeypatch.setattr("wbrst.modes.FockSlice", Recorded)
+    rep = crosscheck(alg, pairs, 1)
+    assert rep["ok"]
+    assert [s.systems for s in slices] == [(bp,), (bu,), (bm,), (bt, bp)]
+    assert rep["states"] == max(len(s.basis) for s in slices) == len(
+        slices[3].basis)
+    assert rep["checks"] == [e for pair in pairs
+                             for e in crosscheck(alg, [pair], 1)["checks"]]
+
+
+def _bad_expr(alg, kind):
+    """An expression of the w3 ghosts that the oracle refuses: zero, of
+    the weights 2 and -1, or of weight 2 with an odd and an even term."""
+    terms = {"zero": {}, "weight": {(("bT", 0),): 1, (("cT", 0),): 1},
+             "parity": {(("bT", 0),): 1, (("bT", 0), ("cT", 1)): 1}}[kind]
+    return FieldExpr(alg, {Monomial(f): rf(k) for f, k in terms.items()})
+
+
+@pytest.mark.parametrize("kind", ["zero", "weight", "parity"])
+def test_an_expression_of_no_single_weight_or_parity_is_refused(kind):
+    # every entry of the oracle compiles one expression of one weight and
+    # parity; a crosscheck raises the error of its pair
+    alg = w3_ghosts(0, 0)
+    x, b = _bad_expr(alg, kind), _mono("bT")
+    shown = ("^expression must have a single "
+             f"{'parity' if kind == 'parity' else 'weight'}$")
+    slc = FockSlice(systems_from_algebra(alg)[:1], 2)
+    with pytest.raises(ModeError, match=shown):
+        field_modes(x, 0, slc)
+    for pair in ((x, b), (b, x)):
+        with pytest.raises(ModeError, match=shown):
+            ope_poles_from_modes(*pair, -3, slc)
+    with pytest.raises(ModeError, match=shown):
+        crosscheck(alg, [(b, _mono("cT")), (x, b)], 1)
+
+
+@pytest.mark.parametrize("pairs, shown", [
+    ([("weight", "b"), ("parity", "b")], "weight"),
+    ([("parity", "b"), ("weight", "b")], "parity"),
+    ([("parity", "weight")], "parity"),  # the first side's error
+    ([("weight", "parity")], "weight"),
+])
+def test_crosscheck_refuses_its_first_bad_pair(monkeypatch, pairs, shown):
+    # two processes may run the bad pairs in either order; the error is
+    # that of the first bad pair, and of its first bad side
+    alg = w3_ghosts(0, 0)
+    _usable_cpus(monkeypatch, 2)
+    side = {"b": _mono("bT"), "weight": _bad_expr(alg, "weight"),
+            "parity": _bad_expr(alg, "parity")}
+    with pytest.raises(ModeError,
+                       match=f"^expression must have a single {shown}$"):
+        crosscheck(alg, [(_mono("bT"), _mono("cT")),
+                         *((side[x], side[y]) for x, y in pairs)], 1)
 
 
 def test_a_pair_naming_an_unknown_field_is_a_mode_error():
@@ -887,7 +974,7 @@ def test_pair_plan_matches_reference_sum(systems, level, a, b, splits):
     # double sums, at modes inside the slice, half-integer modes, and
     # modes far beyond the slice level
     expr = _sum({((a, d), (b, e)): k for d, e, k in splits})
-    (ex,) = FockSlice(systems, level)._compile(expr)
+    ex = FockSlice(systems, level)._compile(expr)
     ((plan, _),) = ex.terms
     assert len(plan.splits) == len(splits)
     for m in (0, 1, -1, 2, -3, 5, -8, 8, Fraction(1, 2), Fraction(-7, 2),
