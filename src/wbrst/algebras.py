@@ -19,8 +19,6 @@ from .engine import OpeContext
 from .fields import FieldExpr, OpeAlgebra
 from .parsing import parse_algebra_file, parse_field_expr
 
-A2_MODES = ("exchange-consistent", "as-printed")
-
 
 def bundled_text(stem: str, kind: str) -> str:
     """Contents of the bundled definition file ``data/STEM.KIND``."""
@@ -39,19 +37,13 @@ def load_bundled(stem: str, **values) -> OpeAlgebra:
 # -- matter algebras -------------------------------------------------------
 
 
-def w3(c=None, a2_mode="exchange-consistent") -> OpeAlgebra:
+def w3(c=None) -> OpeAlgebra:
     """Virasoro plus a weight-3 primary current, with the first-pole
-    self-product coefficient a2 chosen by ``a2_mode``.
-
-    The printed sources give a2 = (2/9) a1; that value is not consistent
-    with the exchange property of the self-product and is kept only as
-    the "as-printed" variant (validate_table flags it).  The consistent
-    value is a2 = a1/2 - 1/12.
+    self-product coefficient a2 = a1/2 - 1/12 that the exchange property
+    of the self-product requires.  The printed sources give a2 = (2/9) a1
+    instead; that table is bundled apart (validate_table flags it).
     """
-    if a2_mode not in A2_MODES:
-        raise ValueError(f"a2_mode must be one of {A2_MODES}")
-    return load_bundled("w3" if a2_mode == "exchange-consistent"
-                        else "w3_printed", c=c)
+    return load_bundled("w3", c=c)
 
 
 def w32(c=None) -> OpeAlgebra:

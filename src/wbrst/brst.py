@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .algebras import A2_MODES, bundle, bundled_text
+from .algebras import bundle, bundled_text
 from .analysis import derivative_system, weight_basis
 from .errors import WbrstError
 from .fields import FieldExpr, OpeAlgebra
 from .linalg import normal_form, rref
-from .parsing import (ParseError, _number, format_field_expr,
+from .parsing import (ParseError, _directives, _number, format_field_expr,
                       parse_algebra_file, parse_field_expr)
 from .scalars import (PoleError, RF_ONE, RF_ZERO, common_zeros, _add_into,
                       _canonical)
@@ -96,28 +96,26 @@ def _table(name, lineno):
         text = bundled_text(name, "alg")
     except FileNotFoundError:
         raise ParseError(f"unknown table {name!r}", lineno) from None
-    return text, [p for line in text.splitlines()
-                  if (w := line.split("#", 1)[0].split())[:1] == ["param"]
-                  for p in w[1:]]
+    return text, [p for _, head, rest, _ in _directives(text)
+                  if head == "param" for p in rest.split()]
 
 
 class CurrentFile:
     """A ``.brst`` file: ``tables NAME ...`` names the bundled tables of
     the current, ``default NAME=VALUE ...`` binds what the command line
     leaves unset, and ``term EXPR`` lines sum to the current.  ``params``
-    are those its tables declare."""
+    are those its tables declare.  ``renames`` maps a table name to the
+    bundled table read in its place."""
 
-    def __init__(self, text):
+    def __init__(self, text, renames=None):
         self.tables, self.terms, self.defaults = None, [], {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            head, _, rest = line.strip().partition(" ")
+        for lineno, head, rest, at in _directives(text):
             if head == "tables" and self.tables is None:
                 self.tables = {}
                 for t in rest.split():
                     if t in self.tables:
                         raise ParseError(f"table {t!r} given twice", lineno)
-                    self.tables[t] = _table(t, lineno)
+                    self.tables[t] = _table((renames or {}).get(t, t), lineno)
                 self.params = [*dict.fromkeys(
                     p for _, ps in self.tables.values() for p in ps)]
             elif head == "default" and self.tables:
@@ -127,26 +125,24 @@ class CurrentFile:
                                          "parameter of the tables", lineno)
                     self.defaults[name] = _number(Fraction, value, name, lineno)
             elif head == "term":
-                self.terms.append((lineno, rest, len(line) - len(rest)))
-            elif head:
+                self.terms.append((lineno, rest, at))
+            else:
                 raise ParseError(f"unknown or misplaced directive {head!r}",
                                  lineno)
         if not self.tables:
             raise ParseError("missing 'tables NAME ...' line", 1)
 
-    def current(self, values=(), printed=False) -> BrstCurrent:
+    def current(self, values=()) -> BrstCurrent:
         """The current with each parameter bound to its value in
-        ``values``, else to its default; None leaves it symbolic.
-        ``printed`` reads the bundled table w3, if any, as printed."""
+        ``values``, else to its default; None leaves it symbolic."""
         bound = {**self.defaults, **dict(values)}
         for p in bound:
             if p not in self.params:
                 raise BrstError(f"no table of the current declares {p!r}")
         bound = {p: v for p, v in bound.items() if v is not None}
         alg = bundle("+".join(self.tables), *(parse_algebra_file(
-            bundled_text("w3_printed", "alg") if printed and t == "w3"
-            else text, {p: bound[p] for p in ps if p in bound})
-            for t, (text, ps) in self.tables.items()))
+            text, {p: bound[p] for p in ps if p in bound})
+            for text, ps in self.tables.values()))
         expr = FieldExpr.zero(alg)
         for lineno, text, column in self.terms:
             expr = expr + parse_field_expr(text, alg, lineno, bindings=bound,
@@ -154,12 +150,10 @@ class CurrentFile:
         return BrstCurrent(alg, expr)
 
 
-def brst_w3(g1=0, g2=0, c=None, a2_mode="exchange-consistent") -> BrstCurrent:
+def brst_w3(g1=0, g2=0, c=None) -> BrstCurrent:
     """The current of ``data/w3.brst``; None makes a parameter symbolic."""
-    if a2_mode not in A2_MODES:
-        raise ValueError(f"a2_mode must be one of {A2_MODES}")
     return CurrentFile(bundled_text("w3", "brst")).current(
-        {"g1": g1, "g2": g2, "c": c}, printed=a2_mode == "as-printed")
+        {"g1": g1, "g2": g2, "c": c})
 
 
 def brst_w32(c=None) -> BrstCurrent:

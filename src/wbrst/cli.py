@@ -45,17 +45,20 @@ class InputError(WbrstError):
 # exception the package raises on purpose, and unreadable files or values
 BAD_INPUT = (WbrstError, ValueError, OSError)
 
+# the bundled table --a2 printed reads in place of each one named here
+_PRINTED = {"w3": "w3_printed"}
+
 
 def _read_input(path, kind, a2=None) -> str:
     """Contents of a definition file: a filesystem path, or the name of a
     bundled table (with or without the extension).  ``a2 == "printed"``
-    selects the as-printed w3 table and is bad input for any other."""
+    renames a bundled table by ``_PRINTED`` and is bad input for any other."""
     stem = path[: -len(kind) - 1] if path.endswith("." + kind) else path
     if a2 == "printed":
-        if stem != "w3" or os.path.exists(path):
+        if stem not in _PRINTED or os.path.exists(path):
             raise InputError("--a2 printed applies only to the bundled "
                              f"table w3, not {path}")
-        stem = "w3_printed"
+        stem = _PRINTED[stem]
     elif os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -207,22 +210,22 @@ def _build_current(args):
     """The current of ``cft brst``: --c, --g1 and --g2 bind the parameter
     of their name (``symbolic``, or --symbolic-c, leaves it unbound), the
     file's defaults the rest.  An option for a parameter no table has,
-    --a2 off the table w3, and --c with --symbolic-c are bad input."""
+    --a2 off _PRINTED's tables, and --c with --symbolic-c are bad input."""
     if args.symbolic_c and args.c is not None:
         raise InputError("--c and --symbolic-c exclude each other")
-    cur = CurrentFile(_read_input(args.file, "brst"))
+    cur = CurrentFile(_read_input(args.file, "brst"),
+                      _PRINTED if args.a2 == "printed" else None)
     given = {p: v for p, v in (("c", "symbolic" if args.symbolic_c
                                 else args.c), ("g1", args.g1),
                                ("g2", args.g2)) if v is not None}
     wrong = ["--symbolic-c" if p == "c" and args.symbolic_c else f"--{p}"
              for p in given if p not in cur.params]
-    if args.a2 is not None and "w3" not in cur.tables:
+    if args.a2 is not None and cur.tables.keys().isdisjoint(_PRINTED):
         wrong.append("--a2")
     if wrong:
         raise InputError(f"{args.file} takes no {' or '.join(wrong)}")
     return cur.current({p: None if v == "symbolic" else _rational(p, v)
-                        for p, v in given.items()},
-                       printed=args.a2 == "printed")
+                        for p, v in given.items()})
 
 
 def _roots(roots):

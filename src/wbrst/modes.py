@@ -888,9 +888,13 @@ def _run_jobs(algebra, jobs, modes) -> list:
     through ``_drain_units``."""
     units = {}
     for n, (slc, *exprs) in enumerate(jobs):
-        key = (tuple(s.lam for s in slc.systems), slc.level,
-               *(_indexed(slc, x) for x in exprs))
-        units.setdefault(key, [_estimate(slc, *exprs)]).append(n)
+        try:
+            key = (tuple(s.lam for s in slc.systems), slc.level,
+                   *(_indexed(slc, x) for x in exprs))
+            cost = _estimate(slc, *exprs)
+        except ModeError:  # a unit of its own, which raises when it runs
+            key, cost = n, 0
+        units.setdefault(key, [cost]).append(n)
     units = sorted(units.values(), key=lambda u: -u[0])  # largest first
 
     def run(u):

@@ -306,7 +306,19 @@ def format_field_expr(expr) -> str:
     return " + ".join(parts)
 
 
-# -- algebra definition files ----------------------------------------------
+# -- definition files -------------------------------------------------------
+
+
+def _directives(text):
+    """(line number, directive, rest, the rest's column) of each line of a
+    definition file with words left once its ``#`` comment is cut: the
+    directive is the first word, the rest what follows it, unpadded."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        words = line.split(None, 1)
+        if words:
+            rest = words[1] if len(words) == 2 else ""
+            yield lineno, words[0], rest, len(line) - len(rest)
 
 
 def parse_algebra_file(text: str, bindings=None):
@@ -329,13 +341,7 @@ def parse_algebra_file(text: str, bindings=None):
     declared = []
     taken = {"one": "the unit"}  # what each name already means
     def_lines, ope_lines = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line:
-            continue
-        head, _, rest = line.strip().partition(" ")
-        rest = rest.strip()
-        at = len(line) - len(rest)  # the column of rest
+    for lineno, head, rest, at in _directives(text):
         if head == "algebra":
             if name is not None:
                 raise ParseError("algebra given twice", lineno)
@@ -488,29 +494,24 @@ def parse_qla_file(text: str):
     entries = {}  # (head, 1-based indices) -> (lineno, coefficient)
     phi_mode = None
     phi_line = None  # the last line that gave phi, mode or entry
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        head = parts[0]
+    for lineno, head, rest, at in _directives(text):
+        parts = rest.split()
+        lhs, eq, rhs = rest.partition("=")
         if head == "dim" and n is not None \
                 or head == "parities" and parities is not None:
             raise ParseError(f"{head} given twice", lineno)
         if head == "dim":
-            n = _number(int, " ".join(parts[1:]), "dim", lineno)
+            n = _number(int, " ".join(parts), "dim", lineno)
             if n < 1:
                 raise ParseError("dim must be positive", lineno)
         elif head == "parities":
             mapping = {"e": 0, "even": 0, "o": 1, "odd": 1}
-            if any(p not in mapping for p in parts[1:]):
+            if any(p not in mapping for p in parts):
                 raise ParseError("parities are e, even, o or odd", lineno)
-            parities = [mapping[p] for p in parts[1:]]
-        elif (head in ranks and "=" in line
-              and all(p.isdigit() for p in line.partition("=")[0].split()[1:])
-              and len(line.partition("=")[0].split()) > 1):
-            lhs, _, rhs = line.partition("=")
-            idx = tuple(int(x) for x in lhs.split()[1:])
+            parities = [mapping[p] for p in parts]
+        elif head in ranks and eq and lhs.split() \
+                and all(p.isdigit() for p in lhs.split()):
+            idx = tuple(int(x) for x in lhs.split())
             if len(idx) != ranks[head]:
                 raise ParseError(f"{head} needs {ranks[head]} indices", lineno)
             if head == "phi":
@@ -521,9 +522,9 @@ def parse_qla_file(text: str):
                 raise ParseError(f"{head} " + " ".join(map(str, idx))
                                  + " given twice", lineno)
             entries[head, idx] = (lineno, _parse(rhs, lineno, {},
-                                                 column=raw.index("=") + 1))
+                                                 column=at + len(lhs) + 1))
         elif head == "phi":
-            mode = " ".join(p for p in parts[1:] if p != "=")
+            mode = " ".join(p for p in parts if p != "=")
             if mode not in ("superperm", "sigma", "explicit"):
                 raise ParseError(f"unknown phi mode {mode!r}", lineno)
             if phi_mode is not None or (phi_line and mode != "explicit"):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import QLA_FILES, load_alg, load_qla, qla_mutations
-from wbrst.algebras import (bundle, verify_ghost_transform_w3,
+from wbrst.algebras import (bundle, load_bundled, verify_ghost_transform_w3,
                             verify_ghost_transform_w32, w3, w32, w32_ghosts,
                             w3_ghosts)
 from wbrst.analysis import (central_charge, is_total_derivative, jacobi_check,
@@ -66,7 +66,7 @@ def test_ghost_sector_transforms():
 
 def test_table_validation_and_jacobi():
     assert validate_table(w3()) == []
-    printed = validate_table(w3(a2_mode="as-printed"))
+    printed = validate_table(load_bundled("w3_printed"))
     assert printed and all("W W pole 1" in s for s in printed)
     # consistent a2 equals (c - 10) / (3 (22 + 5c))
     c = RF.var("c")
@@ -183,8 +183,9 @@ def test_derive_w3_current_a2_presets():
     # spin-3 self-product, so the derived currents must agree coefficient
     # by coefficient; any a2-sensitive discrepancy would show up here
     coeffs = {}
-    for mode in ("exchange-consistent", "as-printed"):
-        alg = bundle(f"w3_brst_{mode}", w3(100, a2_mode=mode),
+    for mode, stem in (("exchange-consistent", "w3"),
+                       ("as-printed", "w3_printed")):
+        alg = bundle(f"w3_brst_{mode}", load_bundled(stem, c=100),
                      w3_ghosts(0, 0))
         lead = [_mono(alg, ("T", 0), ("cT", 0)),
                 _mono(alg, ("W", 0), ("cW", 0))]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wbrst.algebras import (bundle, ghost_stress, ghost_stress_w3,
-                            verify_ghost_transform_w3,
+                            load_bundled, verify_ghost_transform_w3,
                             verify_ghost_transform_w32, w3, w32, w32_ghost_map,
                             w32_ghosts, w3_ghost_map, w3_ghosts)
 from wbrst.analysis import (AnalysisError, apply_map, central_charge,
@@ -38,7 +38,7 @@ def test_bundled_tables_validate(make):
 
 
 def test_as_printed_variant_is_flagged():
-    issues = validate_table(w3(a2_mode="as-printed"))
+    issues = validate_table(load_bundled("w3_printed"))
     assert issues
     assert all("W W pole 1" in s for s in issues)
     assert "not self-exchange consistent" in issues[0]
@@ -48,7 +48,7 @@ def test_as_printed_deviation_is_a_third_derivative():
     # the two a2 conventions differ in the first self-product pole by
     # (16 / (30c + 132)) * T'''
     good = w3()
-    bad = w3(a2_mode="as-printed")
+    bad = load_bundled("w3_printed")
     pole_good = good.table_entry("W", "W")[0][1]
     pole_bad = bad.table_entry("W", "W")[0][1]
     ctx = good.context()
@@ -104,7 +104,7 @@ def test_jacobi_detects_mutated_coefficient():
 def test_jacobi_residuals_of_the_as_printed_table():
     # the as-printed first pole of [W W] breaks the identity: every
     # residual, sorted by (p, q)
-    alg = w3(c=100, a2_mode="as-printed")
+    alg = load_bundled("w3_printed", c=100)
     w, t = _gen(alg, "W"), _gen(alg, "T")
     got = [(p, q, format_field_expr(r))
            for p, q, r in jacobi_check(alg.context(), w, w, t)]

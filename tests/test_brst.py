@@ -9,8 +9,8 @@ import pytest
 
 from test_golden import golden_path, run_command
 from wbrst import analysis, brst, linalg
-from wbrst.algebras import (bundle, ghost_stress, ghost_stress_w3, w3, w32,
-                            w3_ghosts, w32_ghosts)
+from wbrst.algebras import (bundle, ghost_stress, ghost_stress_w3,
+                            load_bundled, w32, w3_ghosts, w32_ghosts)
 from wbrst.analysis import (central_charge, is_total_derivative,
                             primary_check, weight_basis)
 from wbrst.brst import (BrstCurrent, BrstError, brst_w3, brst_w32,
@@ -356,8 +356,8 @@ def _derive_case(name):
     algebra."""
     family, _, rest = name.partition(" ")
     if family == "w3":
-        a2 = "as-printed" if "printed" in rest else "exchange-consistent"
-        alg = bundle("w3_brst", w3(100, a2), w3_ghosts(0, 0))
+        stem = "w3_printed" if "printed" in rest else "w3"
+        alg = bundle("w3_brst", load_bundled(stem, c=100), w3_ghosts(0, 0))
         lead = [_mono(alg, ("T", 0), ("cT", 0)), _mono(alg, ("W", 0), ("cW", 0))]
         pin = [_mono(alg, ("T", 1), ("cW", 0))] if "pinned" in rest else []
         return alg, lead, pin, None

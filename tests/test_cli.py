@@ -86,6 +86,22 @@ def test_qla_brst_builds_q_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_qla_brst_refuses_a_braid_that_is_involutive_only(tmp_path,
+                                                          capsys):
+    # sigma swaps 11 with 12 and fixes 21 and 22: it squares to one, but
+    # sigma_12 sigma_23 sigma_12 and sigma_23 sigma_12 sigma_23 differ
+    from wbrst.parsing import parse_qla_file
+    from wbrst.tensors import Mat
+    text = ("dim 2\nsigma 1 1 1 2 = 1\nsigma 1 2 1 1 = 1\n"
+            "sigma 2 1 2 1 = 1\nsigma 2 2 2 2 = 1\n")
+    st = parse_qla_file(text).sigma_tilde
+    assert (st @ st - Mat.identity(4)).is_zero()
+    f = tmp_path / "unbraided.qla"
+    f.write_text(text)
+    assert run(capsys, "qla", "brst", str(f)) == (
+        2, "", "error: twisted braid matrix fails the braid relation\n")
+
+
 def test_qla_check_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.qla"
     text = (
@@ -118,6 +134,18 @@ def test_cft_validate_printed_variant(capsys):
                                 "--a2", "printed")
     assert code == 1
     assert payload["issues"]
+
+
+def test_a2_printed_reads_the_bundled_as_printed_table(capsys):
+    # --a2 printed renames the bundled table w3 to w3_printed, so the two
+    # commands report the same table but for the name they were given
+    code, renamed, err = run_json(capsys, "cft", "validate", "w3",
+                                  "--a2", "printed")
+    assert (code, err) == (1, "")
+    code, named, err = run_json(capsys, "cft", "validate", "w3_printed")
+    assert (code, err) == (1, "")
+    assert (renamed.pop("file"), named.pop("file")) == ("w3", "w3_printed")
+    assert renamed == named
 
 
 def test_cft_ope_with_binding(capsys):

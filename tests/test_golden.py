@@ -39,8 +39,9 @@ import pytest
 
 from fractions import Fraction
 
-from wbrst.algebras import bundle, load_bundled, w3, w32, w3_ghosts, w32_ghosts
-from wbrst.brst import brst_w3, brst_w32, derive_brst
+from wbrst.algebras import (bundle, bundled_text, load_bundled, w3, w32,
+                            w3_ghosts, w32_ghosts)
+from wbrst.brst import CurrentFile, brst_w3, brst_w32, derive_brst
 from wbrst.cli import main
 from wbrst.fields import Monomial
 from wbrst.parsing import format_algebra_file, format_field_expr
@@ -129,12 +130,19 @@ TABLE_LOADS = (
     ("w32_ghosts", {}), ("w32_ghosts_free", {}),
 )
 
+
+def brst_w3_printed(g1=0, g2=0, c=None):
+    """The current of ``data/w3.brst`` over the as-printed w3 table."""
+    return CurrentFile(bundled_text("w3", "brst"), {"w3": "w3_printed"}) \
+        .current({"g1": g1, "g2": g2, "c": c})
+
+
 # (builder, keyword arguments) of each bundled current the golden pins
 CURRENT_LOADS = (
     (brst_w3, {"g1": 0, "g2": 0, "c": 100}),
     (brst_w3, {"g1": None, "g2": None, "c": None}),
     (brst_w3, {"g1": Fraction(1, 3), "g2": Fraction(2, 5), "c": None}),
-    (brst_w3, {"g1": 0, "g2": 0, "c": 100, "a2_mode": "as-printed"}),
+    (brst_w3_printed, {"g1": 0, "g2": 0, "c": 100}),
     (brst_w32, {"c": None}), (brst_w32, {"c": -2}),
 )
 

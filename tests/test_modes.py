@@ -383,17 +383,9 @@ def _usable_cpus(monkeypatch, n):
     return forks
 
 
-def test_mismatch_report_at_excited_states(monkeypatch):
-    # doubling pole 2 of every engine product with two poles or more: the
-    # reported entries, states and outputs printed with their Fraction
-    # mode numbers, match a recording, and every output is excited
-    import json
-    import pathlib
+def _doubled_pole2(monkeypatch):
+    """Double pole 2 of every engine product with two poles or more."""
     from wbrst.engine import OpeContext
-    golden = (pathlib.Path(__file__).resolve().parent / "golden"
-              / "oracle_pole2_doubled_mismatches.json")
-    algebras = {"w3_ghosts": w3_ghosts(0, 0),
-                "w32_ghosts": w32_ghosts(modified=False)}
     ope = OpeContext.ope
 
     def doubled(self, x, y):
@@ -404,6 +396,19 @@ def test_mismatch_report_at_excited_states(monkeypatch):
         return poles
 
     monkeypatch.setattr(OpeContext, "ope", doubled)
+
+
+def test_mismatch_report_at_excited_states(monkeypatch):
+    # doubling pole 2 of every engine product with two poles or more: the
+    # reported entries, states and outputs printed with their Fraction
+    # mode numbers, match a recording, and every output is excited
+    import json
+    import pathlib
+    golden = (pathlib.Path(__file__).resolve().parent / "golden"
+              / "oracle_pole2_doubled_mismatches.json")
+    algebras = {"w3_ghosts": w3_ghosts(0, 0),
+                "w32_ghosts": w32_ghosts(modified=False)}
+    _doubled_pole2(monkeypatch)
     _usable_cpus(monkeypatch, 2)  # the workers inherit the patched ope
     got = {name: [e for e in crosscheck_bundle(alg, 3, modes=(0, 1, -1))
                   ["checks"] if not e["match"]]
@@ -467,23 +472,15 @@ def test_systems_of_one_weight_with_other_inputs_keep_their_own_oracle(
     # of its own pairs alone
     import wbrst.algebras
     from wbrst.algebras import load_bundled
-    from wbrst.engine import OpeContext
     alg = load_bundled("w32_ghosts_free")
-    stress, ope = wbrst.algebras.ghost_stress, OpeContext.ope
+    stress = wbrst.algebras.ghost_stress
 
     def doubled_bm(ctx, pairs):
         t = stress(ctx, pairs)
         return t.scaled(2) if pairs[0][0] == "bm" else t
 
-    def doubled_pole2(self, x, y):
-        poles = ope(self, x, y)
-        if len(poles) >= 2:
-            poles = dict(poles)
-            poles[2] = poles[2].scaled(2)
-        return poles
-
     monkeypatch.setattr(wbrst.algebras, "ghost_stress", doubled_bm)
-    monkeypatch.setattr(OpeContext, "ope", doubled_pole2)
+    _doubled_pole2(monkeypatch)
     _usable_cpus(monkeypatch, 1)
     solves = _count_solves(monkeypatch)
     rep = crosscheck_bundle(alg, 2)
@@ -497,6 +494,46 @@ def test_systems_of_one_weight_with_other_inputs_keep_their_own_oracle(
     assert bad["bp"] and bad["bm"]
     assert [e["engine"] for e in bad["bm"]] != [e["engine"]
                                                 for e in bad["bp"]]
+
+
+def test_a_failing_crosscheck_prints_its_first_mismatches(monkeypatch,
+                                                          capsys):
+    # the text report of a crosscheck that fails: its systems, the count
+    # line and the first four mismatched entries of the --json report
+    from wbrst.algebras import load_bundled
+    from wbrst.cli import main
+    _doubled_pole2(monkeypatch)
+    _usable_cpus(monkeypatch, 1)
+    alg = load_bundled("w3_ghosts_free")
+    bad = [e for e in crosscheck_bundle(alg, 2)["checks"] if not e["match"]]
+    assert main(["oracle", "crosscheck", "w3_ghosts_free", "--level",
+                 "2"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        "system (bT, cT) weight 2: 18 states, central charge -26",
+        "system (bW, cW) weight 3: 18 states, central charge -74",
+        "checks: 50, mismatches: 6", *(f"  {e}" for e in bad[:4])]
+    assert len(bad) == 6 and all(e["pole"] == 2 for e in bad)
+
+
+def test_a_mode_short_of_poles_is_an_error_entry(monkeypatch):
+    # with the engine's poles 2 and up dropped, the oracle needs more poles
+    # than the engine's top pole plus two at mode 3: that mode is one
+    # failing entry naming the reason, and the report is not ok
+    from wbrst.algebras import load_bundled
+    from wbrst.engine import OpeContext
+    ope = OpeContext.ope
+    monkeypatch.setattr(OpeContext, "ope", lambda self, x, y: {
+        n: e for n, e in ope(self, x, y).items() if n < 2})
+    alg = load_bundled("w3_ghosts_free")
+    t = ghost_stress(alg.context(), [("bT", "cT")])
+    rep = crosscheck(alg, [(t, t)], 2, modes=(0, 3))
+    assert rep["checks"][-1] == {
+        "pair": rep["checks"][0]["pair"], "mode": "0", "match": False,
+        "error": "mode commutators need more poles than max_pole=3"}
+    assert [e["mode"] for e in rep["checks"][:-1]] == ["-3"] * 3
+    assert rep["ok"] is False
 
 
 def _standard_pairs(alg, s):
@@ -841,6 +878,20 @@ def test_a_pair_naming_an_unknown_field_is_a_mode_error():
     with pytest.raises(ModeError, match="unknown field 'zz'"):
         crosscheck(alg, [(_mono("bT"), _mono("cT")), (_mono("zz"),
                                                       _mono("cT"))], 2)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_unknown_field_does_not_hide_an_earlier_bad_pair(monkeypatch,
+                                                             cpus):
+    # a pair naming a field of no slice cannot be grouped with others; it
+    # is a unit of its own, so an earlier pair's error is still the one
+    # raised
+    alg = w3_ghosts(0, 0)
+    _usable_cpus(monkeypatch, cpus)
+    with pytest.raises(ModeError,
+                       match="^expression must have a single weight$"):
+        crosscheck(alg, [(_bad_expr(alg, "weight"), _mono("bT")),
+                         (_mono("zz"), _mono("cT"))], 1)
 
 
 def test_systems_from_algebra_rejects_interacting_table():
