@@ -222,11 +222,11 @@ def validate_table(algebra: OpeAlgebra):
                 if algebra.mono_ghost(m) != want_g:
                     issues.append(f"ope {a} {b} pole {n}: ghost number mismatch")
         if a == b:
-            flipped = ctx._flip(poles, da.parity, da.parity)
-            keys = set(poles) | set(flipped)
+            flipped = ctx._flip({n: e.terms for n, e in poles.items()},
+                                da.parity, da.parity)
             z = FieldExpr.zero(algebra)
-            for n in sorted(keys):
-                diff = poles.get(n, z) - flipped.get(n, z)
+            for n in sorted(set(poles) | set(flipped)):
+                diff = poles.get(n, z) - FieldExpr(algebra, flipped.get(n, {}))
                 if not diff.is_zero:
                     issues.append(
                         f"ope {a} {a} pole {n}: not self-exchange consistent, "

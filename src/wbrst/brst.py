@@ -329,9 +329,8 @@ def _nilpotency_equations(ctx, members):
     pairs = []
     for i, (mi, _, _) in enumerate(members):
         for j in range(i, len(members)):
-            e = ctx.ope_mono(mi, members[j][0]).get(1)
-            if e is not None:
-                pairs.append((i, j, e.terms))
+            if terms := ctx.ope_mono(mi, members[j][0]).get(1):
+                pairs.append((i, j, terms))
     _, targets, rows = derivative_system(
         ctx, 0, 0, 2, {m for _, _, terms in pairs for m in terms})
     red, pivots = rref(rows, len(targets))

@@ -51,14 +51,16 @@ _PRINTED = {"w3": "w3_printed"}
 
 def _read_input(path, kind, a2=None) -> str:
     """Contents of a definition file: a filesystem path, or the name of a
-    bundled table (with or without the extension).  ``a2 == "printed"``
-    renames a bundled table by ``_PRINTED`` and is bad input for any other."""
+    bundled table (with or without the extension).  ``a2`` given is bad
+    input off the bundled tables of ``_PRINTED``; ``a2 == "printed"``
+    renames such a table by it."""
     stem = path[: -len(kind) - 1] if path.endswith("." + kind) else path
-    if a2 == "printed":
+    if a2 is not None:
         if stem not in _PRINTED or os.path.exists(path):
-            raise InputError("--a2 printed applies only to the bundled "
+            raise InputError(f"--a2 {a2} applies only to the bundled "
                              f"table w3, not {path}")
-        stem = _PRINTED[stem]
+        if a2 == "printed":
+            stem = _PRINTED[stem]
     elif os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -306,8 +308,7 @@ COMMANDS = {
     ("qla", "brst"): ("build the differential and square it", cmd_qla_brst,
                       _FILE),
     ("cft", "validate"): ("grading and exchange consistency", cmd_cft_validate,
-                          _FILE + (("--a2", {"choices": _A2,
-                                             "default": "consistent"}),)),
+                          _FILE + (("--a2", {"choices": _A2}),)),
     ("cft", "ope"): ("singular product of two expressions", cmd_cft_ope,
                      _FILE + (("a", {}), ("b", {}), ("--set", {
                          "action": "append", "metavar": "NAME=VALUE"}))),

@@ -18,6 +18,12 @@ binomials, the rising factorials and the exchange weights) are built
 once each as ``RationalFunction``s, so a rule application makes no
 ``Fraction`` and converts no number.
 
+The rules take and return plain term dicts, {Monomial: RationalFunction}
+with no zero coefficient, and poles as {n: terms} with no empty pole; the
+memos hold those dicts, and no rule writes a dict once it is returned.
+``FieldExpr`` is the public type: only ``ope``, ``normal_product`` and
+``derivative`` build one, each from a copy of the dicts they summed.
+
 Every singular term of a product of normal-ordered monomials needs at
 least one contraction between their factors (the generalized Wick
 theorem).  So [M1 M2] has no pole when no generator of M1 has a nonzero
@@ -68,35 +74,27 @@ class OpeContext:
         self._nprod_memo = {}
         self._deriv_memo = {}
 
-    def _zero(self):
-        return FieldExpr.zero(self.algebra)
-
-    def _poles(self, poles: dict) -> dict:
-        """{n: FieldExpr} from {n: terms}, the zero poles dropped."""
-        return {n: FieldExpr._wrap(self.algebra, t)
-                for n, t in poles.items() if t}
-
     # -- public API --------------------------------------------------------
 
     def ope(self, x: FieldExpr, y: FieldExpr) -> dict:
         """All singular poles {n >= 1: expression} of the product x(z) y(w)."""
         self._fuel = 0
-        if x == y:
-            p = x.parity()
-            if p is not None:
-                return self._self_ope(x, p)
-        out = {}
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                k = c1 * c2
-                for n, e in self.ope_mono(m1, m2).items():
-                    self._add(out.setdefault(n, {}), e, k)
-        return self._poles(out)
+        p = x.parity() if x == y else None
+        if p is not None:
+            out = self._self_ope(x.terms, p)
+        else:
+            out = {}
+            for m1, c1 in x.terms.items():
+                for m2, c2 in y.terms.items():
+                    k = c1 * c2
+                    for n, e in self.ope_mono(m1, m2).items():
+                        self._add(out.setdefault(n, {}), e, k)
+        return {n: FieldExpr(self.algebra, t) for n, t in out.items() if t}
 
-    def _self_ope(self, x: FieldExpr, p: int) -> dict:
+    def _self_ope(self, x: dict, p: int) -> dict:
         """[x x] for x of parity p from the monomial pairs i <= j: the
         pairs i > j sum to the exchange of the strict upper triangle."""
-        terms = list(x.terms.items())
+        terms = list(x.items())
         out, upper = {}, {}
         for i, (m1, c1) in enumerate(terms):
             for n, e in self.ope_mono(m1, m1).items():
@@ -105,19 +103,18 @@ class OpeContext:
                 k = c1 * c2
                 for n, e in self.ope_mono(m1, m2).items():
                     self._add(upper.setdefault(n, {}), e, k)
-        upper = self._poles(upper)
         for half in (upper, self._flip(upper, p, p)):
             for n, e in half.items():
                 self._add(out.setdefault(n, {}), e)
-        return self._poles(out)
+        return out
 
     def normal_product(self, x: FieldExpr, y: FieldExpr) -> FieldExpr:
         self._fuel = 0
-        return self._nexpr2(x, y)
+        return FieldExpr(self.algebra, self._nexpr2(x.terms, y.terms))
 
     def derivative(self, x: FieldExpr, k: int = 1) -> FieldExpr:
         self._fuel = 0
-        return self._dexpr(x, k)
+        return FieldExpr(self.algebra, self._dexpr(x.terms, k))
 
     # -- operator products on monomials ------------------------------------
 
@@ -170,15 +167,16 @@ class OpeContext:
                 k = (-1) ** a * comb(b, j) * perm(n - 1, n - m)
                 self._add(out.setdefault(n, {}), e,
                           None if k == 1 else _const(k))
-        return self._poles(out)
+        return {n: t for n, t in out.items() if t}
 
     def _table_poles(self, n1, n2) -> dict:
         """[n1 n2] for two generators, from the stored orientation."""
         poles, flipped = self.algebra.table_entry(n1, n2)
         if poles is None:
             return {}
+        poles = {n: e.terms for n, e in poles.items()}
         if not flipped:
-            return dict(poles)
+            return poles
         return self._flip(poles, self.algebra.decl(n1).parity,
                           self.algebra.decl(n2).parity)
 
@@ -194,7 +192,7 @@ class OpeContext:
                     e = self._dexpr(e, 1)
                 self._add(out.setdefault(n, {}), e,
                           _const(sign * (-1) ** l, factorial(l - n)))
-        return self._poles(out)
+        return {n: t for n, t in out.items() if t}
 
     def _wick(self, a: Monomial, b: Monomial) -> dict:
         """[A N(h, T)] for a composite right factor: the pole n gets
@@ -213,11 +211,11 @@ class OpeContext:
             for j, sub in self._ope_expr_mono(e, t).items():
                 self._add(out.setdefault(m + j, {}), sub,
                           _const(comb(m + j - 1, j)))
-        return self._poles(out)
+        return {n: t for n, t in out.items() if t}
 
     # -- normal ordering ----------------------------------------------------
 
-    def nmono_single(self, f, m: Monomial) -> FieldExpr:
+    def nmono_single(self, f, m: Monomial) -> dict:
         """Canonical form of N(f, M) for a single factor f."""
         key = (f, m)
         hit = self._nprod_memo.get(key)
@@ -225,39 +223,38 @@ class OpeContext:
             return hit
         alg = self.algebra
         if not m:
-            out = FieldExpr._wrap(alg, {Monomial((f,)): RF_ONE})
+            out = {Monomial((f,)): RF_ONE}
         else:
             g = m[0]
             kf, kg = alg.factor_key(f), alg.factor_key(g)
             odd_f = alg.decl(f[0]).parity
             if kf < kg or (kf == kg and not odd_f):
-                out = FieldExpr._wrap(alg, {Monomial((f, *m)): RF_ONE})
+                out = {Monomial((f, *m)): RF_ONE}
             else:
                 # swap: N(A, N(B, X)) = +/- N(B, N(A, X)) + corrections; for
                 # B = A odd the swap term is -N(A, N(A, X)), so the
                 # corrections alone are twice the product
                 rest = Monomial(m[1:])
                 same = kf == kg
-                acc = {}
+                out = {}
                 if not same:
                     sign = _const(-1 if odd_f and alg.decl(g[0]).parity
                                   else 1)
                     swapped = self.nmono_single(f, rest)
-                    self._add(acc, self._nexpr_factor(g, swapped), sign)
+                    self._add(out, self._nexpr_factor(g, swapped), sign)
                 for l, e in self.ope_mono(Monomial((f,)),
                                           Monomial((g,))).items():
                     k = _const((-1) ** (l - 1), (1 + same) * factorial(l))
-                    self._add(acc, self._nexpr_right(self._dexpr(e, l), rest), k)
-                out = FieldExpr._wrap(self.algebra, acc)
+                    self._add(out, self._nexpr_right(self._dexpr(e, l), rest), k)
         self._nprod_memo[key] = out
         return out
 
-    def nmono2(self, m1: Monomial, m2: Monomial) -> FieldExpr:
+    def nmono2(self, m1: Monomial, m2: Monomial) -> dict:
         """Canonical form of N(M1, M2) for arbitrary monomials."""
         if not m1:
-            return FieldExpr._wrap(self.algebra, {m2: RF_ONE})
+            return {m2: RF_ONE}
         if not m2:
-            return FieldExpr._wrap(self.algebra, {m1: RF_ONE})
+            return {m1: RF_ONE}
         if len(m1) == 1:
             return self.nmono_single(m1[0], m2)
         key = (m1, m2)
@@ -268,83 +265,80 @@ class OpeContext:
         h = m1[0]
         s = Monomial(m1[1:])
         # N(N(h, S), C) = N(h, N(S, C)) + quasi-associativity corrections
-        acc = {}
-        self._add(acc, self._nexpr_factor(h, self.nmono2(s, m2)))
+        out = {}
+        self._add(out, self._nexpr_factor(h, self.nmono2(s, m2)))
         for l, e in self.ope_mono(s, m2).items():
             dh = (h[0], h[1] + l)
-            self._add(acc, self._nexpr_factor(dh, e), _const(1, factorial(l)))
+            self._add(out, self._nexpr_factor(dh, e), _const(1, factorial(l)))
         ph = alg.decl(h[0]).parity
         ps = alg.mono_parity(s)
         sign = -1 if ph and ps else 1
         for l, e in self.ope_mono(Monomial((h,)), m2).items():
-            ds = self._dexpr(FieldExpr._wrap(alg, {s: RF_ONE}), l)
-            self._add(acc, self._nexpr2(ds, e), _const(sign, factorial(l)))
-        out = FieldExpr._wrap(self.algebra, acc)
+            ds = self._dexpr({s: RF_ONE}, l)
+            self._add(out, self._nexpr2(ds, e), _const(sign, factorial(l)))
         self._nprod_memo[key] = out
         return out
 
-    def deriv_mono(self, m: Monomial) -> FieldExpr:
+    def deriv_mono(self, m: Monomial) -> dict:
         hit = self._deriv_memo.get(m)
         if hit is not None:
             return hit
         if not m:
-            out = self._zero()
+            out = {}
         elif len(m) == 1:
             name, d = m[0]
-            out = FieldExpr._wrap(self.algebra,
-                                  {Monomial(((name, d + 1),)): RF_ONE})
+            out = {Monomial(((name, d + 1),)): RF_ONE}
         else:
             h = m[0]
             rest = Monomial(m[1:])
-            acc = {}
-            self._add(acc, self.nmono_single((h[0], h[1] + 1), rest))
-            self._add(acc, self._nexpr_factor(h, self.deriv_mono(rest)))
-            out = FieldExpr._wrap(self.algebra, acc)
+            out = {}
+            self._add(out, self.nmono_single((h[0], h[1] + 1), rest))
+            self._add(out, self._nexpr_factor(h, self.deriv_mono(rest)))
         self._deriv_memo[m] = out
         return out
 
     # -- expression-level helpers -------------------------------------------
 
-    def _dexpr(self, x: FieldExpr, k: int) -> FieldExpr:
+    def _dexpr(self, x: dict, k: int) -> dict:
         for _ in range(k):
             acc = {}
-            for m, c in x.terms.items():
+            for m, c in x.items():
                 self._add(acc, self.deriv_mono(m), c)
-            x = FieldExpr._wrap(self.algebra, acc)
+            x = acc
         return x
 
-    def _nexpr_factor(self, f, x: FieldExpr) -> FieldExpr:
-        acc = {}
-        for m, c in x.terms.items():
-            self._add(acc, self.nmono_single(f, m), c)
-        return FieldExpr._wrap(self.algebra, acc)
-
-    def _nexpr_right(self, x: FieldExpr, m2: Monomial) -> FieldExpr:
-        acc = {}
-        for m, c in x.terms.items():
-            self._add(acc, self.nmono2(m, m2), c)
-        return FieldExpr._wrap(self.algebra, acc)
-
-    def _nexpr2(self, x: FieldExpr, y: FieldExpr) -> FieldExpr:
-        acc = {}
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                self._add(acc, self.nmono2(m1, m2), c1 * c2)
-        return FieldExpr._wrap(self.algebra, acc)
-
-    def _ope_expr_mono(self, x: FieldExpr, m2: Monomial) -> dict:
+    def _nexpr_factor(self, f, x: dict) -> dict:
         out = {}
-        for m, c in x.terms.items():
+        for m, c in x.items():
+            self._add(out, self.nmono_single(f, m), c)
+        return out
+
+    def _nexpr_right(self, x: dict, m2: Monomial) -> dict:
+        out = {}
+        for m, c in x.items():
+            self._add(out, self.nmono2(m, m2), c)
+        return out
+
+    def _nexpr2(self, x: dict, y: dict) -> dict:
+        out = {}
+        for m1, c1 in x.items():
+            for m2, c2 in y.items():
+                self._add(out, self.nmono2(m1, m2), c1 * c2)
+        return out
+
+    def _ope_expr_mono(self, x: dict, m2: Monomial) -> dict:
+        out = {}
+        for m, c in x.items():
             for n, e in self.ope_mono(m, m2).items():
                 self._add(out.setdefault(n, {}), e, c)
-        return self._poles(out)
+        return {n: t for n, t in out.items() if t}
 
-    def _add(self, dst: dict, x: FieldExpr, k: RationalFunction = None):
+    def _add(self, dst: dict, x: dict, k: RationalFunction = None):
         """``dst += k x`` term by term (``k`` None: unscaled), one unit of
         fuel per term.  ``dst`` is a dict of terms the caller has just made;
         ``x`` is never written.  Its terms and ``k`` are nonzero, so a new
         key never gets zero; a key whose sum is zero is dropped."""
-        self._fuel += len(x.terms)
+        self._fuel += len(x)
         if self._fuel > MAX_FUEL:
             # memo hits spend no fuel: no retry may find this call's memos
             for memo in (self._ope_memo, self._nprod_memo, self._deriv_memo):
@@ -352,7 +346,7 @@ class OpeContext:
             raise EngineError("rewriting fuel exhausted: the computation "
                               f"adds more than {MAX_FUEL} terms")
         get = dst.get
-        for m, v in x.terms.items():
+        for m, v in x.items():
             if k is not None:
                 v = v * k
             cur = get(m)

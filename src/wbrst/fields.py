@@ -164,14 +164,6 @@ class FieldExpr:
         self.terms = {m: v for m, v in terms.items() if v}
 
     @staticmethod
-    def _wrap(algebra: OpeAlgebra, terms: dict) -> "FieldExpr":
-        """A FieldExpr that keeps ``terms`` as it is: a dict just made,
-        owned by no one else and holding no zero coefficient."""
-        out = object.__new__(FieldExpr)
-        out.algebra, out.terms = algebra, terms
-        return out
-
-    @staticmethod
     def unit(algebra) -> "FieldExpr":
         return FieldExpr(algebra, {UNIT: RF_ONE})
 

@@ -530,13 +530,12 @@ def _apply_plan(slc, plan, n, s, lv):
     # creation part of the head, offsets j - d for j <= 0, applied after
     # the tail; the tail's output may not fall below the lowest level
     stop = n - (lv + plan.dhrest) // den - 1
-    tail = [(j, s1, v1) for j in range(0, stop, -1)
-            for s1, v1 in walk(slc, rest, n - j, s, lv).items()]
-    for j, s1, v1 in tail:
-        hit = op(f, j - d, s1)
-        if hit:
-            k = _prefactor(d, j - d)
-            _add_into(out, hit[0], k * hit[1] * v1)
+    for j in range(0, stop, -1):
+        for s1, v1 in walk(slc, rest, n - j, s, lv).items():
+            hit = op(f, j - d, s1)
+            if hit:
+                k = _prefactor(d, j - d)
+                _add_into(out, hit[0], k * hit[1] * v1)
     # annihilation part of the head, offsets t = j - d >= 1 at occupied
     # bits (masked as in _apply_pair), goes first with the exchange sign;
     # it lifts the level by ha - j

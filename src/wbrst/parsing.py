@@ -27,7 +27,7 @@ from math import comb
 
 from .engine import OpeContext
 from .errors import WbrstError
-from .fields import FieldExpr, GeneratorDecl, OpeAlgebra
+from .fields import FieldError, FieldExpr, GeneratorDecl, OpeAlgebra
 from .scalars import RF_ONE, PoleError, RationalFunction, format_rational
 
 
@@ -412,7 +412,8 @@ def _parse_table(algebra, def_lines, ope_lines, bindings):
     ``algebra``: each def's value joins the scope of the later defs and of
     every ope line.  Each line comes with the column where its ``rest``
     starts.  A pole is normal-ordered with the products stored so far, so
-    a line that gives a product an earlier line (or its own) read is refused."""
+    a line that gives a product an earlier line (or its own) read is refused,
+    and so is each line ``OpeAlgebra.set_ope`` refuses, at its number."""
     scope = _param_scope(algebra.params, bindings)
     for lineno, rest, at in def_lines:
         dname, _, dexpr = rest.partition("=")
@@ -442,7 +443,10 @@ def _parse_table(algebra, def_lines, ope_lines, bindings):
         if first := read.get(frozenset(pair)):
             raise ParseError(f"line {first} reads the product {a} {b} before "
                              "it is given", lineno)
-        algebra.set_ope(a, b, poles)
+        try:
+            algebra.set_ope(a, b, poles)
+        except FieldError as err:  # a name, pole order or pair it refuses
+            raise ParseError(str(err), lineno) from None
 
 
 def _number(kind, text, what, lineno):

@@ -318,8 +318,8 @@ def _ordered_pair_equations(ctx, members):
     targets = set()
     for i, (mi, _, _) in enumerate(members):
         for j, (mj, _, _) in enumerate(members):
-            e = ctx.ope_mono(mi, mj).get(1)
-            if e is not None and not e.is_zero:
+            e = FieldExpr(algebra, ctx.ope_mono(mi, mj).get(1, {}))
+            if not e.is_zero:
                 pair_vec[(i, j)] = e
                 targets.update(e.terms)
     exact2 = weight_basis(algebra, 0, parity=0, ghost=2)

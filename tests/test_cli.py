@@ -123,6 +123,20 @@ def test_qla_brst_nilpotent(capsys):
     assert payload["ghost_number"] == 1
 
 
+def test_qla_brst_obstructed(tmp_path, capsys):
+    # so3 with c 2 3 2 raised from 0 to 1, one of the benchmark's
+    # mutations: Q^2 keeps a term in the sector cccb
+    from conftest import read_data
+    path = str(tmp_path / "so3-c232.qla")
+    pathlib.Path(path).write_text(read_data("so3.qla") + "c 2 3 2 = 1\n")
+    code, payload, err = run_json(capsys, "qla", "brst", path)
+    assert (code, err) == (1, "")
+    assert payload == {"file": path, "ghost_number": 1,
+                       "verdict": "obstructed", "residual_sectors": ["cccb"]}
+    assert run(capsys, "qla", "brst", path) == (
+        1, "ghost number of Q: 1\nQ^2: NONZERO\nresidual sectors: cccb\n", "")
+
+
 def test_cft_validate_bundled(capsys):
     code, payload, _ = run_json(capsys, "cft", "validate", "w3")
     assert code == 0
@@ -778,6 +792,18 @@ def test_mixed_parity_argument_is_bad_input(capsys):
     _no_traceback(code, err)
     assert out == ""
     assert "definite parity" in err
+
+
+@pytest.mark.parametrize("command, message", [
+    ("validate", "--a2 consistent applies only to the bundled table w3, "
+     "not w32"),
+    ("brst", "w32 takes no --a2"),
+])
+def test_a2_is_bad_input_off_w3_whatever_its_value(capsys, command, message):
+    # cft validate and cft brst read --a2 alike: either value needs a table
+    # with an as-printed variant
+    assert run(capsys, "cft", command, "w32", "--a2", "consistent") == (
+        2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("option", ["--c=1/0", "--g1=1/0", "--g2=1/0"])

@@ -312,6 +312,36 @@ def test_algebra_file_faults_name_the_line(text, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("ope_lines, message", [
+    ("ope T T : 2 -> 2*T\nope T T : 1 -> D(T)\n",
+     "operator product T T set twice at line 5"),
+    ("ope T W : 2 -> 3*W\nope W T : 2 -> 3*W\n",
+     "both orientations of W, T given; store only one at line 5"),
+    ("ope T T : 0 -> one\n", "pole orders must be positive at line 4"),
+], ids=["twice", "both-orientations", "pole-order-0"])
+def test_pairs_the_table_refuses_name_their_line(tmp_path, capsys,
+                                                 ope_lines, message):
+    # OpeAlgebra.set_ope is what refuses these; the reader names the line
+    path = tmp_path / "refused.alg"
+    path.write_text("algebra x\nfield T weight=2\nfield W weight=3\n"
+                    + ope_lines, encoding="utf-8")
+    assert main(["cft", "validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_set_ope_refuses_a_frozen_algebra_and_a_foreign_pole():
+    from wbrst.fields import FieldError, GeneratorDecl, OpeAlgebra
+    frozen = parse_algebra_file("algebra x\nfield T weight=2\n")
+    t = FieldExpr.generator(frozen, "T")
+    with pytest.raises(FieldError, match="^algebra is frozen$"):
+        frozen.set_ope("T", "T", {2: t})
+    fresh = OpeAlgebra("y", [GeneratorDecl("T", Fraction(2))])
+    with pytest.raises(FieldError, match="^pole data must be expressions "
+                       "over this algebra$"):
+        fresh.set_ope("T", "T", {2: t})
+    assert fresh.table_items() == []
+
+
 @pytest.mark.parametrize("text, line", [
     ("dim 2\nparities even bogus\n", 2),
     ("dim 2\nsigma 1 1 1 1 = 1\nsigma 2 2 2 2 = 1\n"
